@@ -45,6 +45,15 @@ from .oracle import (
 
 HEADER = {"version": f"sgmc-{__version__}", "index_convention": INDEX_CONVENTION}
 
+# sweep stop reasons that end a path normally (0) or truncate it (3); every
+# other stop is a failed verification (2)
+PATH_EXIT_CODES = {
+    "t_end_reached": 0,
+    "unbounded": 0,
+    "lambda_terminus": 0,
+    "max_segments": 3,
+}
+
 
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",") if v.strip() != ""])
@@ -144,7 +153,7 @@ def cmd_path(args) -> int:
     _write_json(args.out, result.to_dict())
     if args.csv_out:
         _write_path_csv(args.csv_out, inst, line, result, args.grid)
-    return 3 if result.truncated else 0
+    return PATH_EXIT_CODES.get(result.stop_reason, 2)
 
 
 def _write_path_csv(path, inst, line, result: PathSweepResult, grid: int):
@@ -174,7 +183,6 @@ def cmd_enumerate(args) -> int:
         max_nodes=args.max_nodes,
         n_coverage=args.coverage_samples,
         seed=args.seed,
-        workers=args.workers,
     )
     graph = enumerate_zones(inst, config)
     _write_json(args.out, graph.to_dict())
@@ -330,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--delta-lambda-min", type=float, required=True)
     p_enum.add_argument("--max-nodes", type=int, default=256)
     p_enum.add_argument("--coverage-samples", type=int, default=64)
-    p_enum.add_argument("--workers", type=int, default=None)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="cross-oracle invariant suite")

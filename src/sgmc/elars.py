@@ -13,7 +13,6 @@ through anchor points of known zones discovers the zone adjacency graph.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -37,6 +36,7 @@ from .sweep import (
     LineRestrictedPiece,
     ParameterLine,
     restrict_to_line,
+    zone_entry_time,
     zone_exit_times,
 )
 
@@ -230,10 +230,6 @@ def line_from_dict(data: dict) -> ParameterLine:
     )
 
 
-class CycleError(RuntimeError):
-    pass
-
-
 def path_sweep(
     inst: ProblemInstance,
     line: ParameterLine,
@@ -246,22 +242,27 @@ def path_sweep(
     """Piecewise-linear solution map along `line` for t in [t_start, t_end].
 
     Starts from an indicator whose zone contains (b(t_start), lambda(t_start))
-    and chains deletion-insertion steps.  Each step is verified a posteriori:
-    the new indicator must contain a point just past the breakpoint, otherwise
-    the sweep stops and reports `unverified_step` instead of silently emitting
-    a wrong path.  Repeated (indicator, breakpoint) pairs abort as
-    `cycle_detected`.
+    and chains deletion-insertion steps.  Each zone's piece is built once and
+    certifies the step that landed in it: the zone meets the line in the
+    closed-form interval [entry, exit], so the new indicator must be
+    compatible with entry <= t_plus (else `unverified_step`), and the next
+    step's exit time must not fall before t_plus (else
+    `degenerate_interval`), both within the TIE_TOL window.  A repeated
+    (indicator, breakpoint) pair aborts as `cycle_detected`.
     """
     s = as_indicator(s_init)
+    piece = candidate_slope(inst, s)
     b_start, lam_start = line.point_at(t_start)
-    if not zone_membership(inst, s, b_start, lam_start, tol=max(tol, 1e-9)):
+    if not zone_membership(
+        inst, s, b_start, lam_start, tol=max(tol, 1e-9), piece=piece
+    ):
         raise ValueError(
             "s_init is not a valid zone indicator at t_start "
             f"(s={indicator_to_string(s)}, t={t_start})"
         )
 
     segments: list[PathSegment] = []
-    seen: list[tuple[str, float]] = []
+    seen: dict[bytes, list[float]] = {}
     t_cur = t_start
     truncated = False
     stop = "t_end_reached"
@@ -270,7 +271,7 @@ def path_sweep(
             truncated = True
             stop = "max_segments"
             break
-        res = elars_iterate(inst, s, line)
+        res = elars_iterate(inst, s, line, piece=piece)
         if res.t_plus >= t_end or res.never_exits:
             end = min(res.t_plus, t_end)
             if end > t_cur:
@@ -293,23 +294,21 @@ def path_sweep(
             stop = "degenerate_interval"
             break
 
-        key = (indicator_to_string(res.s_plus), res.t_plus)
-        if any(k == key[0] and _ties(tp, key[1], TIE_TOL) for k, tp in seen):
+        breaks = seen.setdefault(res.s_plus.tobytes(), [])
+        if any(_ties(tp, res.t_plus, TIE_TOL) for tp in breaks):
             stop = "cycle_detected"
             break
-        seen.append(key)
+        breaks.append(res.t_plus)
 
         if res.t_plus > t_cur:
             segments.append(
                 PathSegment(s, t_cur, res.t_plus, res.restricted.p,
                             res.restricted.q, res.deleted, res.inserted)
             )
-        eps = 1e-6 * (1.0 + abs(res.t_plus))
-        probe_t = res.t_plus + eps
-        if math.isfinite(t_end):
-            probe_t = min(probe_t, 0.5 * (res.t_plus + t_end))
-        b_probe, lam_probe = line.point_at(probe_t)
-        if not zone_membership(inst, res.s_plus, b_probe, lam_probe, tol=1e-7):
+        piece = candidate_slope(inst, res.s_plus)
+        if not piece.compatible or zone_entry_time(
+            inst, res.s_plus, line, piece=piece
+        ) > res.t_plus + TIE_TOL * (1.0 + abs(res.t_plus)):
             stop = "unverified_step"
             break
         s = res.s_plus
@@ -384,9 +383,6 @@ class EnumerationConfig:
     n_coverage: int = 64
     seed: int = 0
     max_segments_per_ray: int = 32
-    b_axes: int | None = None
-    workers: int | None = None
-    oracle_rescue: bool = True
     coverage_points: tuple[tuple[np.ndarray, float], ...] | None = None
 
 
@@ -396,12 +392,10 @@ class ZoneGraph:
 
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
-    boundary; `frontier` is whatever part of the work queue was left when the
-    search stopped."""
+    boundary."""
 
     nodes: dict[str, np.ndarray] = field(default_factory=dict)
     edges: list[tuple[str, str, np.ndarray, float]] = field(default_factory=list)
-    frontier: list[str] = field(default_factory=list)
     coverage_points: list[tuple[np.ndarray, float]] = field(default_factory=list)
     covered: list[bool] = field(default_factory=list)
     incomplete: bool = False
@@ -429,15 +423,6 @@ class ZoneGraph:
             },
             "incomplete": self.incomplete,
         }
-
-
-def _worker_count(config: EnumerationConfig) -> int:
-    env = os.environ.get("SGMC_THREADS")
-    cap = int(env) if env else None
-    requested = config.workers if config.workers is not None else (cap or 1)
-    if cap is not None:
-        requested = min(requested, cap)
-    return max(1, requested)
 
 
 def _sample_coverage_points(
@@ -469,11 +454,10 @@ def _anchor_from_segment(line: ParameterLine, seg: PathSegment) -> tuple[np.ndar
     return b, lam
 
 
-def _ray_directions(inst: ProblemInstance, config: EnumerationConfig):
+def _ray_directions(inst: ProblemInstance):
     two_m = 2 * inst.m
     dirs = [(np.zeros(two_m), 1.0), (np.zeros(two_m), -1.0)]
-    n_axes = two_m if config.b_axes is None else min(config.b_axes, two_m)
-    for j in range(n_axes):
+    for j in range(two_m):
         e = np.zeros(two_m)
         e[j] = 1.0
         dirs.append((e, 0.0))
@@ -498,12 +482,12 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     """Breadth-first search of the zone graph from the all-zero indicator.
 
     Each frontier zone is expanded by sweeping rays from a strictly interior
-    anchor: along +/-lambda and along +/-e_j for the configured subset of b
-    coordinates.  Zones visited by the rays become nodes; consecutive segments
-    contribute adjacency edges with the breakpoint as witness.  If the rays
-    exhaust without covering every sampled coverage point, targeted sweeps
-    toward the uncovered samples (and, as a last resort, oracle-seeded
-    insertion at the sample) finish the job.
+    anchor: along +/-lambda and along +/-e_j for every b coordinate.  Zones
+    visited by the rays become nodes; consecutive segments contribute
+    adjacency edges with the breakpoint as witness.  If the rays exhaust
+    without covering every sampled coverage point, targeted sweeps toward the
+    uncovered samples (and, as a last resort, oracle-seeded insertion at the
+    sample) finish the job.
     """
     if config.delta_lambda_min <= 0:
         raise ValueError("delta_lambda_min must be positive")
@@ -561,8 +545,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     add_node(s0, anchor0)
     queue = deque([indicator_to_string(s0)])
     expanded: set[str] = set()
-    directions = _ray_directions(inst, config)
-    workers = _worker_count(config)
+    directions = _ray_directions(inst)
 
     while queue and not all(graph.covered) and not graph.incomplete:
         level = list(queue)
@@ -574,31 +557,10 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             for direction in directions
         ]
         expanded.update(level)
-        if workers > 1 and len(tasks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda task: _sweep_ray(
-                            inst, graph.nodes[task[0]], anchors[task[0]],
-                            task[1], config,
-                        ),
-                        tasks,
-                    )
-                )
-        else:
-            results = [
-                _sweep_ray(inst, graph.nodes[key], anchors[key], d, config)
-                for key, d in tasks
-            ]
-        for result in results:
-            if result is None:
-                continue
-            for key in absorb_sweep(result):
-                queue.append(key)
-
-    graph.frontier = [k for k in queue if k not in expanded]
+        for key, d in tasks:
+            result = _sweep_ray(inst, graph.nodes[key], anchors[key], d, config)
+            if result is not None:
+                queue.extend(absorb_sweep(result))
 
     # rescue pass: reach uncovered samples by sweeping straight at them from
     # the all-zero anchor, falling back to an oracle-seeded indicator
@@ -609,7 +571,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         result = _sweep_ray(inst, s0, (anchor0[0], anchor0[1]), (line.delta_b, line.delta_lam), config)
         if result is not None:
             absorb_sweep(result)
-        if not graph.covered[j] and config.oracle_rescue:
+        if not graph.covered[j]:
             try:
                 s = initialize_indicator(inst, bj, lj, strategy="from_oracle")
             except (InitializationError, RuntimeError):

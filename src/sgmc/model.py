@@ -179,14 +179,6 @@ def split_extended(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:n], w[n:]
 
 
-def primal_part(w: np.ndarray) -> np.ndarray:
-    return split_extended(w)[0]
-
-
-def dual_part(w: np.ndarray) -> np.ndarray:
-    return split_extended(w)[1]
-
-
 # -- indicators -------------------------------------------------------------
 
 _SIGN_CHARS = {1: "+", -1: "-", 0: "0"}

@@ -169,10 +169,16 @@ def zone_exit_times(
 
 
 def zone_entry_time(
-    inst: ProblemInstance, s: np.ndarray, line: ParameterLine
+    inst: ProblemInstance,
+    s: np.ndarray,
+    line: ParameterLine,
+    piece: CandidatePiece | None = None,
 ) -> float:
-    """Infimum of t inside the zone: exit time of the reversed line, negated."""
-    return -zone_exit_times(inst, s, line.reversed()).t_sup
+    """Infimum of t inside the zone: exit time of the reversed line, negated.
+    A precomputed `piece` skips the slope rebuild."""
+    back = line.reversed()
+    restricted = restrict_to_line(inst, s, back, piece=piece)
+    return -zone_exit_times(inst, s, back, restricted=restricted).t_sup
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,34 @@ def test_path_truncation_exit_code(instance_file, tmp_path):
     assert json.loads(out.read_text())["truncated"] is True
 
 
+@pytest.mark.parametrize(
+    "stop, code",
+    [
+        ("t_end_reached", 0),
+        ("unbounded", 0),
+        ("lambda_terminus", 0),
+        ("max_segments", 3),
+        ("unverified_step", 2),
+        ("degenerate_interval", 2),
+        ("cycle_detected", 2),
+    ],
+)
+def test_path_exit_code_per_stop_reason(instance_file, tmp_path, monkeypatch, stop, code):
+    import sgmc.cli
+    from sgmc.elars import PathSweepResult
+
+    def fake_sweep(inst, line, s_init, **kwargs):
+        return PathSweepResult(
+            segments=(), truncated=stop == "max_segments", stop_reason=stop, line=line
+        )
+
+    monkeypatch.setattr(sgmc.cli, "path_sweep", fake_sweep)
+    out = tmp_path / "p.json"
+    args = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1"]
+    assert main(args + ["--out", str(out)]) == code
+    assert json.loads(out.read_text())["stop_reason"] == stop
+
+
 def test_enumerate_two_column(instance_file, tmp_path):
     out = tmp_path / "graph.json"
     code = main(

@@ -31,6 +31,16 @@ from conftest import random_instance
 S1 = indicator_from_string("++00")
 
 
+def _gaussian_descent(m, n, rho, seed):
+    """Gaussian instance and the lambda descent from lambda_max at fixed b."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n))
+    y = rng.normal(size=m)
+    inst = ProblemInstance(A=A, rho=rho, y=y, lam=1.0)
+    lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+    return inst, ParameterLine(inst.b, lam_max, np.zeros(2 * m), -1.0)
+
+
 class TestElarsIterate:
     def test_worked_example_double_insertion(self, descent_line):
         inst, line = descent_line
@@ -151,6 +161,53 @@ class TestPathSweep:
                 signs.add(indicator_to_string(np.sign(np.round(w, 12)).astype(int)))
             assert len(signs) == 1
 
+    @pytest.mark.parametrize(
+        "m, n, rho, seed",
+        [
+            (16, 32, 0.3, 4),
+            (16, 32, 0.8, 57),
+            (24, 48, 0.8, 9),
+            (24, 48, 0.8, 48),
+            (24, 48, 0.8, 55),
+            (24, 48, 0.0, 36),
+        ],
+    )
+    def test_short_segments_reach_terminus(self, m, n, rho, seed):
+        # each descent has segments shorter than 1e-6*(1+|t|); a membership
+        # probe that far past the breakpoint overshot them and stopped the
+        # sweep as unverified
+        inst, line = _gaussian_descent(m, n, rho, seed)
+        result = path_sweep(inst, line, zero_indicator(n), t_start=0.0, max_segments=1000)
+        assert result.stop_reason == "lambda_terminus"
+        for seg in result.segments:
+            for frac in (0.1, 0.5, 0.9):
+                t = seg.t_start + frac * (seg.t_end - seg.t_start)
+                probe = inst.with_params(b=line.b_at(t), lam=line.lam_at(t))
+                assert check_opt(probe, seg.weq_at(t)).worst_violation <= 1e-7
+
+    def test_each_zone_built_once(self, monkeypatch):
+        import sgmc.candidate
+        import sgmc.elars
+        import sgmc.sweep
+
+        calls = {"slope": 0, "iterate": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        slope = counting("slope", candidate_slope)
+        for mod in (sgmc.candidate, sgmc.sweep, sgmc.elars):
+            monkeypatch.setattr(mod, "candidate_slope", slope)
+        monkeypatch.setattr(sgmc.elars, "elars_iterate", counting("iterate", elars_iterate))
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        result = path_sweep(inst, line, zero_indicator(32), t_start=0.0, max_segments=1000)
+        assert len(result.segments) > 1
+        assert calls["slope"] <= calls["iterate"] + 1
+
     def test_invalid_start_raises(self, two_column):
         line = ParameterLine(two_column.b, 1.0, np.zeros(2), -1.0)
         with pytest.raises(ValueError):
@@ -254,16 +311,11 @@ class TestEnumerateZones:
         assert sorted(graph.nodes) == ["0000"]
         assert graph.incomplete
 
-    def test_worker_pool_agrees_with_serial(self, two_column, monkeypatch):
-        serial = enumerate_zones(
-            two_column, EnumerationConfig(r_y=5.0, delta_lambda_min=0.1, seed=0)
-        )
-        monkeypatch.setenv("SGMC_THREADS", "2")
-        parallel = enumerate_zones(
-            two_column,
-            EnumerationConfig(r_y=5.0, delta_lambda_min=0.1, seed=0, workers=2),
-        )
-        assert serial.to_dict() == parallel.to_dict()
+    def test_reruns_are_identical(self, two_column):
+        config = EnumerationConfig(r_y=5.0, delta_lambda_min=0.1, seed=0)
+        first = enumerate_zones(two_column, config)
+        second = enumerate_zones(two_column, config)
+        assert first.to_dict() == second.to_dict()
 
     def test_invalid_delta_lambda(self, two_column):
         with pytest.raises(ValueError):
