@@ -15,7 +15,6 @@ from sgmc import (
     EnumerationConfig,
     ParameterLine,
     ProblemInstance,
-    diagnose_assumptions,
     elars_iterate,
     enumerate_zones,
     indicator_to_string,
@@ -30,11 +29,11 @@ def main():
 
     print("== one deletion-insertion step from the all-zero indicator ==")
     step = elars_iterate(inst, zero_indicator(inst.n), line)
-    report = diagnose_assumptions(step)
+    tied = sorted(set(step.deleted) | set(step.inserted))
     print(f"breakpoint t+ = {step.t_plus}")
     print(f"next indicator = {indicator_to_string(step.s_plus)}")
     print(f"inserted = {step.inserted}, deleted = {step.deleted}")
-    print(f"one-at-a-time = {report.one_at_a_time} (tied indices {report.multi_event_indices})")
+    print(f"one-at-a-time = {step.one_at_a_time} (changed indices {tied})")
 
     print("\n== full sweep of the line ==")
     result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0)

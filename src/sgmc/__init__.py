@@ -48,14 +48,12 @@ from .sweep import (
     zone_line_interval,
 )
 from .elars import (
-    AssumptionReport,
     EnumerationConfig,
     InitializationError,
     IterationResult,
     PathSegment,
     PathSweepResult,
     ZoneGraph,
-    diagnose_assumptions,
     elars_iterate,
     enumerate_zones,
     evaluate_path,

@@ -5,24 +5,33 @@ equality half of the optimality system in the least-squares sense gives an
 affine map of the parameters (b, lambda),
 
     w_E(b, lambda) = R(s) [b; lambda],     w off E = 0,
-    R(s) = pinv(C_E^T D C_E) [C_E^T, -s_E],
+    R(s) = pinv(M) [C_E^T, -s_E],          M = C_E^T D C_E,
 
 whose slope R(s) depends on (A, rho, s) only.  The set of (b, lambda) where
 this map also satisfies the inequality half is a convex cone, the candidate
 zone of s; on it the map reproduces the minimum-norm solution.
+
+A piece keeps pinv(M) rather than R and applies it to C_E^T b - lambda s_E.
+Since D + D^T is positive definite, M is invertible exactly when C_E has
+full column rank, and then [s]_E lies in Col(C_E^T).  Neighbouring zones
+differ in one support index, so `next_piece` updates M^{-1} by a bordered
+inverse in O(mn + |E|^2) instead of rebuilding it in O(m|E|^2 + |E|^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import ProblemInstance, as_indicator, slice_columns, support
+from .model import ProblemInstance, as_indicator, support
 from .optimality import check_opt, correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # residual tolerance of the column-space compatibility test
+SCHUR_RTOL = 1e-10  # Schur complement at or below this, relative: rank drop
+UPDATE_RTOL = 1e-10  # residual an updated M^{-1} must meet, relative to ||s_E|| = 1
 
 
 class IncompatibleIndicatorError(ValueError):
@@ -47,31 +56,122 @@ def is_compatible(inst: ProblemInstance, s: np.ndarray) -> bool:
 class CandidatePiece:
     """Affine candidate solution map of one indicator.
 
-    `R` has shape (|E|, 2m+1); rows follow the ascending support order.  For
-    the empty support the stored block is the 1 x (2m+1) zero matrix (the
-    empty-slice convention) and the map is identically zero.
+    `Minv` is pinv(C_E^T D C_E) in ascending support order; `invertible`
+    says it is the true inverse (C_E has full column rank).  `C` is the
+    instance's structural matrix, shared, not copied.
     """
 
     s: np.ndarray
-    R: np.ndarray
+    Minv: np.ndarray
     compatible: bool
+    invertible: bool
+    C: np.ndarray
 
-    @property
+    @cached_property
     def support(self) -> np.ndarray:
-        return support(self.s)
+        return np.flatnonzero(self.s)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """Slope R(s), shape (|E|, 2m+1); rows follow the ascending support
+        order.  For the empty support it is the 1 x (2m+1) zero matrix (the
+        empty-slice convention).  Formed on first use only."""
+        E = self.support
+        if E.size == 0:
+            return np.zeros((1, self.C.shape[0] + 1))
+        return self.Minv @ np.hstack([self.C[:, E].T, -self.s[E, None].astype(float)])
+
+    def apply(self, b: np.ndarray, lam) -> np.ndarray:
+        """R [b; lam] without forming R: pinv(M) C_E^T b - pinv(M) s_E lam.
+        `b` may hold k parameter points as columns, with `lam` of length k.
+        The two parts are mapped separately, as the columns of R are, so
+        the map stays linear where s_E is (nearly) in the null space of M
+        and C_E^T b would be lost in rounding against s_E lam."""
+        E = self.support
+        return self.Minv @ (self.C[:, E].T @ b) - np.multiply.outer(
+            self.Minv @ self.s[E], lam
+        )
 
 
 def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
-    """Closed-form slope R(s) via the Moore-Penrose pseudoinverse of
-    C_E^T D C_E (singular values below PINV_RTOL relative are dropped)."""
+    """Closed-form piece via the Moore-Penrose pseudoinverse of
+    C_E^T D C_E (singular values below PINV_RTOL relative are dropped).  A
+    full-rank block is compatible by itself; only a rank-deficient one
+    runs the least-squares compatibility test."""
     s = as_indicator(s)
     E = support(s)
     mats = inst.matrices
-    CE = slice_columns(mats.C, E)
-    sE = s[E].astype(float) if E.size else np.zeros(1)
-    M = CE.T @ mats.D @ CE
-    R = np.linalg.pinv(M, rtol=PINV_RTOL) @ np.hstack([CE.T, -sE[:, None]])
-    return CandidatePiece(s=s, R=R, compatible=is_compatible(inst, s))
+    if E.size == 0:
+        return CandidatePiece(
+            s=s, Minv=np.zeros((0, 0)), compatible=True, invertible=True, C=mats.C
+        )
+    CE = mats.C[:, E]
+    U, sv, Vt = np.linalg.svd(CE.T @ (mats.D @ CE))
+    keep = sv > PINV_RTOL * sv[0]
+    Minv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
+    invertible = bool(keep.all())
+    compatible = invertible or is_compatible(inst, s)
+    return CandidatePiece(
+        s=s, Minv=Minv, compatible=compatible, invertible=invertible, C=mats.C
+    )
+
+
+def next_piece(
+    inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray
+) -> CandidatePiece:
+    """Piece of `s_next` from the piece of an indicator whose support
+    differs from it in one index, in O(mn + |E|^2).
+
+    An insertion borders M^{-1} through the Schur complement
+    sigma = d - row^T M^{-1} col of the new row, column and corner d; a
+    deletion takes M^{-1} <- P - q r^T / s from its own blocks.  A from-scratch
+    `candidate_slope` runs instead when the supports differ in more than one
+    index, when `piece` holds a pseudoinverse, when sigma <= SCHUR_RTOL times
+    its scale (a rank drop), or when the updated inverse misses
+    M (M^{-1} s_E) = s_E by more than UPDATE_RTOL.
+    """
+    changed = np.flatnonzero((s_next != 0) != (piece.s != 0))
+    if changed.size != 1 or not piece.invertible:
+        return candidate_slope(inst, s_next)
+    j = int(changed[0])
+    E = piece.support
+    mats = inst.matrices
+    C, D = mats.C, mats.D
+    k = int(np.searchsorted(E, j))  # position of j in the longer support
+    if piece.s[j] == 0:
+        cj = C[:, j]
+        Dcj = D @ cj
+        col = (C.T @ Dcj)[E]  # C_E^T D c_j
+        row = (C.T @ (D.T @ cj))[E]  # (c_j^T D C_E)^T
+        d = float(cj @ Dcj)
+        x = piece.Minv @ col
+        y = row @ piece.Minv
+        rx = float(row @ x)
+        sigma = d - rx
+        if not sigma > SCHUR_RTOL * (abs(d) + abs(rx)):
+            return candidate_slope(inst, s_next)
+        N = E.size
+        grown = np.empty((N + 1, N + 1))
+        grown[:N, :N] = piece.Minv + np.outer(x, y) / sigma
+        grown[:N, N] = -x / sigma
+        grown[N, :N] = -y / sigma
+        grown[N, N] = 1.0 / sigma
+        order = np.insert(np.arange(N), k, N)
+        Minv = grown[np.ix_(order, order)]
+    else:
+        keep = np.delete(np.arange(E.size), k)
+        Minv = piece.Minv[np.ix_(keep, keep)] - np.outer(
+            piece.Minv[keep, k], piece.Minv[k, keep]
+        ) / piece.Minv[k, k]
+    E_next = np.flatnonzero(s_next)
+    if E_next.size:
+        rhs = s_next[E_next].astype(float)
+        w = np.zeros(s_next.size)
+        w[E_next] = Minv @ rhs
+        residual = (C.T @ (D @ (C @ w)))[E_next] - rhs
+        if not np.abs(residual).max() <= UPDATE_RTOL:
+            return candidate_slope(inst, s_next)
+    return CandidatePiece(s=s_next, Minv=Minv, compatible=True, invertible=True, C=C)
 
 
 def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float) -> np.ndarray:
@@ -80,7 +180,7 @@ def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float) -> np.ndarray:
     E = piece.support
     w = np.zeros(piece.s.size, dtype=float)
     if E.size:
-        w[E] = piece.R @ np.append(b, lam)
+        w[E] = piece.apply(b, lam)
     return w
 
 
@@ -154,12 +254,11 @@ class ZoneMargins:
 def zone_margins(
     inst: ProblemInstance, piece: CandidatePiece, b: np.ndarray, lam: float
 ) -> ZoneMargins:
-    probe = inst.with_params(b=b, lam=lam)
     w = eval_weq(piece, b, lam)
     E = piece.support
     mask = np.zeros(piece.s.size, dtype=bool)
     mask[E] = True
-    xi = correlation(probe, w)
+    xi = correlation(inst, w, b=b)
     sign_margin = float((piece.s[E] * w[E]).min()) if E.size else np.inf
     corr_margin = float((lam - np.abs(xi[~mask])).min()) if np.any(~mask) else np.inf
     return ZoneMargins(sign_margin=sign_margin, corr_margin=corr_margin)
@@ -203,6 +302,5 @@ def weq_passes_opt(
 ) -> bool:
     """Convenience: does the candidate map value at (b, lambda) satisfy the
     optimality condition there?"""
-    probe = inst.with_params(b=b, lam=lam)
     w = eval_weq(piece, b, lam)
-    return check_opt(probe, w).worst_violation <= tol
+    return check_opt(inst, w, b=b, lam=lam).worst_violation <= tol

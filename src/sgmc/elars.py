@@ -22,6 +22,7 @@ from .candidate import (
     CandidatePiece,
     IncompatibleIndicatorError,
     candidate_slope,
+    next_piece,
     zone_membership,
 )
 from .model import (
@@ -36,7 +37,6 @@ from .sweep import (
     LineRestrictedPiece,
     ParameterLine,
     restrict_to_line,
-    zone_entry_time,
     zone_exit_times,
 )
 
@@ -47,10 +47,10 @@ class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
-def _ties(value: float, t_plus: float, tol: float) -> bool:
-    if math.isinf(value) or math.isinf(t_plus):
-        return value == t_plus
-    return abs(value - t_plus) <= tol * (1.0 + abs(t_plus))
+def _ties(values, t_plus: float, tol: float):
+    """Which values equal the finite breakpoint t_plus within
+    tol*(1+|t_plus|), elementwise; infinite values never tie."""
+    return np.abs(np.asarray(values) - t_plus) <= tol * (1.0 + abs(t_plus))
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ class IterationResult:
 
     `never_exits` marks rays that stay in the zone forever (t_plus = +inf);
     `lambda_terminus` marks exits through the lambda -> 0 wall, where the
-    path ends rather than crossing into a neighbor.
+    path ends rather than crossing into a neighbor.  `t_entry` is where the
+    line enters the zone of `s`, from the same restriction as t_plus.
     """
 
     s: np.ndarray
@@ -71,6 +72,7 @@ class IterationResult:
     never_exits: bool
     lambda_terminus: bool
     restricted: LineRestrictedPiece
+    t_entry: float
 
 
 def elars_iterate(
@@ -92,53 +94,25 @@ def elars_iterate(
         return IterationResult(
             s=s, t_plus=t_plus, s_plus=s.copy(), deleted=(), inserted=(),
             one_at_a_time=False, never_exits=t_plus > 0, lambda_terminus=False,
-            restricted=restricted,
+            restricted=restricted, t_entry=times.t_inf,
         )
 
-    terminus = math.isfinite(times.t_c) and _ties(times.t_c, t_plus, tie_tol)
-    deleted = tuple(
-        int(i) for i, v in times.t_a.items() if _ties(v, t_plus, tie_tol)
-    )
-    residual = restricted.residual_at(t_plus)
-    corr = inst.matrices.C.T @ residual
-    inserted = []
-    signs = {}
-    for i, v in times.t_b.items():
-        if _ties(v, t_plus, tie_tol):
-            sign = int(np.sign(corr[i]))
-            # a zero sign only happens where the binding value is
-            # lambda(t_plus) = 0, i.e. at the terminus wall: not a real event
-            if sign != 0:
-                inserted.append(int(i))
-                signs[int(i)] = sign
-    inserted = tuple(inserted)
+    terminus = math.isfinite(times.t_c) and bool(_ties(times.t_c, t_plus, tie_tol))
+    deleted = np.flatnonzero(_ties(times.t_a, t_plus, tie_tol))
+    signs = np.sign(restricted.correlation_at(t_plus)).astype(int)
+    # a zero sign only happens where the binding value is lambda(t_plus) = 0,
+    # i.e. at the terminus wall: not a real event
+    inserted = np.flatnonzero(_ties(times.t_b, t_plus, tie_tol) & (signs != 0))
 
     s_plus = s.copy()
-    for i in deleted:
-        s_plus[i] = 0
-    for i in inserted:
-        s_plus[i] = signs[i]
+    s_plus[deleted] = 0
+    s_plus[inserted] = signs[inserted]
     return IterationResult(
-        s=s, t_plus=float(t_plus), s_plus=s_plus, deleted=deleted,
-        inserted=inserted, one_at_a_time=(len(deleted) + len(inserted) == 1),
+        s=s, t_plus=float(t_plus), s_plus=s_plus,
+        deleted=tuple(deleted.tolist()), inserted=tuple(inserted.tolist()),
+        one_at_a_time=(deleted.size + inserted.size == 1),
         never_exits=False, lambda_terminus=terminus, restricted=restricted,
-    )
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    one_at_a_time: bool
-    multi_event_indices: tuple[int, ...]
-
-
-def diagnose_assumptions(result: IterationResult) -> AssumptionReport:
-    """Report whether the completed step changed exactly one component; when
-    it did not, list every tied index (the step may still be correct, but the
-    sufficient one-at-a-time condition failed)."""
-    changed = tuple(sorted(set(result.deleted) | set(result.inserted)))
-    one = len(changed) == 1
-    return AssumptionReport(
-        one_at_a_time=one, multi_event_indices=() if one else changed
+        t_entry=times.t_inf,
     )
 
 
@@ -162,7 +136,8 @@ def _json_to_finite(x) -> float:
 class PathSegment:
     """One linear piece of the solution map along a line: on [t_start, t_end]
     the map is w(t) = q - p*t with indicator s.  `deleted`/`inserted` record
-    the transition into the next segment (empty on final segments)."""
+    the transition into the next segment (empty on final segments).
+    t_start = t_end where the line only touches the zone."""
 
     s: np.ndarray
     t_start: float
@@ -242,13 +217,17 @@ def path_sweep(
     """Piecewise-linear solution map along `line` for t in [t_start, t_end].
 
     Starts from an indicator whose zone contains (b(t_start), lambda(t_start))
-    and chains deletion-insertion steps.  Each zone's piece is built once and
-    certifies the step that landed in it: the zone meets the line in the
-    closed-form interval [entry, exit], so the new indicator must be
-    compatible with entry <= t_plus (else `unverified_step`), and the next
-    step's exit time must not fall before t_plus (else
-    `degenerate_interval`), both within the TIE_TOL window.  A repeated
-    (indicator, breakpoint) pair aborts as `cycle_detected`.
+    and chains deletion-insertion steps.  Each zone's piece comes from the
+    previous one by `next_piece` (a one-index update of M^{-1}, or a rebuild
+    on multi-index events and rank drops) and is restricted to the line once.
+    That one restriction certifies the step that landed in the zone: the
+    zone meets the line in the closed-form interval [entry, exit], so the
+    new indicator must be compatible with entry <= t_plus (else
+    `unverified_step`) and exit >= t_plus (else `degenerate_interval`),
+    both within the TIE_TOL window.  A zone the line only touches at a
+    breakpoint is a zero-length segment.  A repeated (indicator, breakpoint)
+    pair aborts as `cycle_detected`.  A sweep cut by `max_segments` still
+    certifies the last landing first.
     """
     s = as_indicator(s_init)
     piece = candidate_slope(inst, s)
@@ -264,14 +243,19 @@ def path_sweep(
     segments: list[PathSegment] = []
     seen: dict[bytes, list[float]] = {}
     t_cur = t_start
+    landed = False  # whether s was reached by a step (the start zone was not)
     truncated = False
     stop = "t_end_reached"
     while True:
+        res = elars_iterate(inst, s, line, piece=piece)
+        if landed and res.t_entry > t_cur + TIE_TOL * (1.0 + abs(t_cur)):
+            # the zone the last step landed in starts after its breakpoint
+            stop = "unverified_step"
+            break
         if len(segments) >= max_segments:
             truncated = True
             stop = "max_segments"
             break
-        res = elars_iterate(inst, s, line, piece=piece)
         if res.t_plus >= t_end or res.never_exits:
             end = min(res.t_plus, t_end)
             if end > t_cur:
@@ -300,19 +284,19 @@ def path_sweep(
             break
         breaks.append(res.t_plus)
 
-        if res.t_plus > t_cur:
-            segments.append(
-                PathSegment(s, t_cur, res.t_plus, res.restricted.p,
-                            res.restricted.q, res.deleted, res.inserted)
-            )
-        piece = candidate_slope(inst, res.s_plus)
-        if not piece.compatible or zone_entry_time(
-            inst, res.s_plus, line, piece=piece
-        ) > res.t_plus + TIE_TOL * (1.0 + abs(res.t_plus)):
+        # a zone the line only touches (exit within TIE_TOL of entry) is a
+        # zero-length segment: the path passes through it all the same
+        segments.append(
+            PathSegment(s, t_cur, max(res.t_plus, t_cur), res.restricted.p,
+                        res.restricted.q, res.deleted, res.inserted)
+        )
+        piece = next_piece(inst, piece, res.s_plus)
+        if not piece.compatible:
             stop = "unverified_step"
             break
         s = res.s_plus
         t_cur = res.t_plus
+        landed = True
     return PathSweepResult(
         segments=tuple(segments), truncated=truncated, stop_reason=stop, line=line
     )

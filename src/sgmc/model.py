@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,6 +120,12 @@ class ModelMatrices:
 
     def column(self, i: int) -> np.ndarray:
         return self.C[:, i]
+
+    @cached_property
+    def col_abs_sums(self) -> np.ndarray:
+        """Column 1-norms of C: the scale of each entry of C^T x per unit
+        of max|x|."""
+        return _readonly(np.abs(self.C).sum(axis=0))
 
 
 def build_model_matrices(inst: ProblemInstance) -> ModelMatrices:

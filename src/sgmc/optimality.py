@@ -18,13 +18,17 @@ import numpy as np
 from .model import ProblemInstance, as_indicator, split_extended
 
 
-def correlation(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
-    """Correlation vector xi(w) = C^T (b - D C w), length 2n."""
+def correlation(
+    inst: ProblemInstance, w: np.ndarray, b: np.ndarray | None = None
+) -> np.ndarray:
+    """Correlation vector xi(w) = C^T (b - D C w), length 2n, at the
+    instance's own b or at a probe b of the same (A, rho) family, so that
+    probes need no instance (and no C, D) of their own."""
     mats = inst.matrices
     w = np.ravel(w)
     if w.shape != (2 * inst.n,):
         raise ValueError(f"w has shape {w.shape}, expected ({2 * inst.n},)")
-    residual = inst.b - mats.D @ (mats.C @ w)
+    residual = (inst.b if b is None else b) - mats.D @ (mats.C @ w)
     return mats.C.T @ residual
 
 
@@ -52,17 +56,24 @@ class OptReport:
         }
 
 
-def check_opt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> OptReport:
+def check_opt(
+    inst: ProblemInstance,
+    w: np.ndarray,
+    tol: float = 1e-9,
+    b: np.ndarray | None = None,
+    lam: float | None = None,
+) -> OptReport:
     """Test the saddle optimality condition with a scale-aware tolerance.
 
     Entries with |w_i| > tol must satisfy |xi_i - lambda*sign(w_i)| within
     tol*(1+lambda); entries with |w_i| <= tol only need |xi_i| <= lambda up
-    to the same slack.
+    to the same slack.  `b` and `lam` probe another point of the instance's
+    (A, rho) family instead of its own (b, lambda).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    xi = correlation(inst, w)
-    lam = inst.lam
+    xi = correlation(inst, w, b=b)
+    lam = inst.lam if lam is None else lam
     slack = tol * (1.0 + lam)
     w = np.ravel(w)
     active = np.abs(w) > tol

@@ -2,11 +2,15 @@
 
 Restricting (b, lambda) to a straight line b(t) = b0 + db*t,
 lambda(t) = lam0 + dl*t turns the candidate map of an indicator into a
-vector line  w(t) = q - p*t  and its residual into  b(t) - D C w(t) = v + u*t.
-Every zone inequality then reads  k*t <= c  for scalars (k, c), so the exit
-time of the zone along the line is a minimum of values of
+vector line  w(t) = q - p*t, its residual into  b(t) - D C w(t) = v + u*t
+and its correlation into  C^T (v + u*t) = cv + cu*t.  Every zone inequality
+then reads  k*t <= c  for scalars (k, c), so the exit time of the zone along
+the line is a minimum of values of
 
     f_tmax(k, c) = sup{t : k*t <= c}.
+
+Reversing the line negates p, u (so cu) and dl and nothing else, so one
+restriction gives the entry time of the zone as well.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidate import CandidatePiece, IncompatibleIndicatorError, candidate_slope
-from .model import ProblemInstance, as_indicator, slice_columns
+from .model import ProblemInstance, as_indicator
+
+SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
 
 
 @dataclass(frozen=True)
@@ -48,33 +54,33 @@ class ParameterLine:
     def point_at(self, t: float) -> tuple[np.ndarray, float]:
         return self.b_at(t), self.lam_at(t)
 
-    def reversed(self) -> "ParameterLine":
-        return ParameterLine(self.b0, self.lam0, -self.delta_b, -self.delta_lam)
 
-
-def f_tmax(k: float, c: float) -> float:
-    """sup{t in R : k*t <= c} as an extended real.
+def f_tmax(k, c):
+    """sup{t in R : k*t <= c} as an extended real, elementwise over arrays.
 
     c/k when k > 0; -inf when k = 0 and c < 0 (no t works); +inf otherwise
     (the constraint is eventually slack in the +t direction).
     """
-    if k > 0.0:
-        return c / k
-    if k == 0.0 and c < 0.0:
-        return -math.inf
-    return math.inf
+    k = np.asarray(k, dtype=float)
+    c = np.asarray(c, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(k > 0.0, c / k, np.where((k == 0.0) & (c < 0.0), -np.inf, np.inf))
+    return float(t) if t.ndim == 0 else t
 
 
 @dataclass(frozen=True)
 class LineRestrictedPiece:
-    """Candidate map and residual of an indicator along one line:
-    w(t) = q - p*t (supported on E), b(t) - D C w(t) = v + u*t."""
+    """Candidate map, residual and correlation of an indicator along one
+    line: w(t) = q - p*t (supported on E), b(t) - D C w(t) = v + u*t and
+    C^T (v + u*t) = cv + cu*t."""
 
     s: np.ndarray
     p: np.ndarray
     q: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    cu: np.ndarray
+    cv: np.ndarray
     line: ParameterLine
 
     def weq_at(self, t: float) -> np.ndarray:
@@ -83,6 +89,9 @@ class LineRestrictedPiece:
     def residual_at(self, t: float) -> np.ndarray:
         return self.v + self.u * t
 
+    def correlation_at(self, t: float) -> np.ndarray:
+        return self.cv + self.cu * t
+
 
 def restrict_to_line(
     inst: ProblemInstance,
@@ -90,7 +99,16 @@ def restrict_to_line(
     line: ParameterLine,
     piece: CandidatePiece | None = None,
 ) -> LineRestrictedPiece:
-    """Compute (p, q, u, v) of the indicator s along the line."""
+    """Compute (p, q, u, v, cu, cv) of the indicator s along the line.
+
+    [-p, q] solves M X = C_E^T [db, b0] - s_E [dl, lam0] by two applications
+    of pinv(M), never R itself, and one step of iterative refinement.  The
+    residual of that system is C_E^T [u, v] - s_E [dl, lam0], the equality
+    conditions themselves, so refining costs the mat-vecs of u, v, cu and cv
+    once more.  It keeps the correlation line as accurate as a backward
+    stable solve would, which matters where |xi_i| is close to lambda for
+    the whole zone and an error in (cu, cv) moves t_b by a large factor.
+    """
     s = as_indicator(s)
     if piece is None:
         piece = candidate_slope(inst, s)
@@ -99,33 +117,72 @@ def restrict_to_line(
             "indicator is incompatible; its candidate zone is empty"
         )
     E = piece.support
-    two_n = s.size
-    p = np.zeros(two_n)
-    q = np.zeros(two_n)
-    if E.size:
-        p[E] = -piece.R @ np.append(line.delta_b, line.delta_lam)
-        q[E] = piece.R @ np.append(line.b0, line.lam0)
     mats = inst.matrices
-    DCE = mats.D @ slice_columns(mats.C, E)
-    pE = p[E] if E.size else np.zeros(1)
-    qE = q[E] if E.size else np.zeros(1)
-    u = line.delta_b + DCE @ pE
-    v = line.b0 - DCE @ qE
-    return LineRestrictedPiece(s=s, p=p, q=q, u=u, v=v, line=line)
+    B = np.column_stack([line.delta_b, line.b0])
+    lams = np.array([line.delta_lam, line.lam0])
+    X = np.zeros((s.size, 2))
+    if E.size:
+        X[E] = piece.apply(B, lams)
+        CUV = mats.C.T @ (B - mats.D @ (mats.C @ X))
+        X[E] += piece.Minv @ (CUV[E] - np.multiply.outer(s[E], lams))
+    DCX = mats.D @ (mats.C @ X)
+    UV = B - DCX
+    CUV = mats.C.T @ UV
+    # Rounding leaves noise where the exact value lies on a boundary: a
+    # correlation slope of 0 (a b-direction through 2m support columns) or
+    # a correlation at the bound (along the whole line if it does not move).
+    # The exit scan would turn the noise into breakpoints near t = 1e15 or
+    # at a point the noise picks, so values within SLOPE_RTOL of the exact
+    # one, relative to the terms they were summed from, are set to it.
+    floor = SLOPE_RTOL * np.outer(
+        mats.col_abs_sums, np.abs(B).max(axis=0) + np.abs(DCX).max(axis=0)
+    )
+    cu = np.where(np.abs(CUV[:, 0]) <= floor[:, 0], 0.0, CUV[:, 0])
+    lam0 = line.lam0
+    at_bound = np.abs(np.abs(CUV[:, 1]) - lam0) <= floor[:, 1] + SLOPE_RTOL * abs(lam0)
+    cv = np.where(at_bound, np.sign(CUV[:, 1]) * lam0, CUV[:, 1])
+    return LineRestrictedPiece(
+        s=s, p=-X[:, 0], q=X[:, 1], u=UV[:, 0], v=UV[:, 1], cu=cu, cv=cv, line=line,
+    )
 
 
 @dataclass(frozen=True)
 class ZoneExitTimes:
-    """Per-constraint supremum times along a line and their overall minimum.
+    """Per-constraint supremum times along a line and the interval they
+    bound.
 
-    t_a binds sign constraints on the support, t_b the correlation bound off
-    the support, t_c the lambda >= 0 wall.  All values are extended reals.
+    t_a (sign constraints on the support) and t_b (correlation bound off
+    the support) have length 2n, +inf where the constraint does not apply;
+    t_c binds the lambda >= 0 wall.  t_sup is their minimum, the exit time,
+    and t_inf the entry time, the same minimum along the reversed line,
+    negated.  All values are extended reals.
     """
 
-    t_a: dict[int, float]
-    t_b: dict[int, float]
+    t_a: np.ndarray
+    t_b: np.ndarray
     t_c: float
     t_sup: float
+    t_inf: float
+
+
+def _sup_times(r: LineRestrictedPiece, direction: float):
+    """(t_a, t_b, t_c) of the zone of r.s along the restricted line
+    (direction 1) or along the reversed line (direction -1), which negates
+    p, cu and dl."""
+    p, cu, dl = direction * r.p, direction * r.cu, direction * r.line.delta_lam
+    s, q, cv, lam0 = r.s, r.q, r.cv, r.line.lam0
+    on = s != 0
+    t_a = np.where(on, f_tmax(s * p, s * q), np.inf)
+    t_b = np.where(
+        on, np.inf, np.minimum(f_tmax(-cu - dl, lam0 + cv), f_tmax(cu - dl, lam0 - cv))
+    )
+    # On constant-lambda lines the wall never binds, so the sign of lam0
+    # alone decides.
+    if dl == 0.0:
+        t_c = math.inf if lam0 > 0.0 else -math.inf
+    else:
+        t_c = f_tmax(-dl, lam0)
+    return t_a, t_b, t_c
 
 
 def zone_exit_times(
@@ -134,51 +191,26 @@ def zone_exit_times(
     line: ParameterLine,
     restricted: LineRestrictedPiece | None = None,
 ) -> ZoneExitTimes:
-    """Closed-form supremum of t with (b(t), lambda(t)) inside the zone of s.
+    """Closed-form supremum and infimum of t with (b(t), lambda(t)) inside
+    the zone of s, from one restriction in one vectorized pass.
 
     Valid whenever the line actually crosses the zone with nonempty interior
-    (entry < exit); `zone_line_interval` reports the degenerate case.
+    (entry < exit); `LineInterval.degenerate` reports the other case.
     """
     if restricted is None:
         restricted = restrict_to_line(inst, s, line)
-    s = restricted.s
-    E = np.flatnonzero(s)
-    mask = np.zeros(s.size, dtype=bool)
-    mask[E] = True
-    t_a = {
-        int(i): f_tmax(s[i] * restricted.p[i], s[i] * restricted.q[i]) for i in E
-    }
-    C = inst.matrices.C
-    cu = C.T @ restricted.u
-    cv = C.T @ restricted.v
-    dl, lam0 = line.delta_lam, line.lam0
-    t_b = {}
-    for i in np.flatnonzero(~mask):
-        t_b[int(i)] = min(
-            f_tmax(-cu[i] - dl, lam0 + cv[i]),
-            f_tmax(cu[i] - dl, lam0 - cv[i]),
-        )
-    # Supremum of t with lambda(t) >= 0.  On constant-lambda lines the wall
-    # never binds, so the sign of lam0 alone decides.
-    if dl == 0.0:
-        t_c = math.inf if lam0 > 0.0 else -math.inf
-    else:
-        t_c = f_tmax(-dl, lam0)
-    candidates = list(t_a.values()) + list(t_b.values()) + [t_c]
-    return ZoneExitTimes(t_a=t_a, t_b=t_b, t_c=t_c, t_sup=min(candidates))
+    t_a, t_b, t_c = _sup_times(restricted, 1.0)
+    back_a, back_b, back_c = _sup_times(restricted, -1.0)
+    return ZoneExitTimes(
+        t_a=t_a, t_b=t_b, t_c=t_c,
+        t_sup=float(min(t_a.min(), t_b.min(), t_c)),
+        t_inf=-float(min(back_a.min(), back_b.min(), back_c)),
+    )
 
 
-def zone_entry_time(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    line: ParameterLine,
-    piece: CandidatePiece | None = None,
-) -> float:
-    """Infimum of t inside the zone: exit time of the reversed line, negated.
-    A precomputed `piece` skips the slope rebuild."""
-    back = line.reversed()
-    restricted = restrict_to_line(inst, s, back, piece=piece)
-    return -zone_exit_times(inst, s, back, restricted=restricted).t_sup
+def zone_entry_time(inst: ProblemInstance, s: np.ndarray, line: ParameterLine) -> float:
+    """Infimum of t inside the zone: exit time of the reversed line, negated."""
+    return zone_exit_times(inst, s, line).t_inf
 
 
 @dataclass(frozen=True)
@@ -198,7 +230,5 @@ class LineInterval:
 def zone_line_interval(
     inst: ProblemInstance, s: np.ndarray, line: ParameterLine
 ) -> LineInterval:
-    restricted = restrict_to_line(inst, s, line)
-    exit_ = zone_exit_times(inst, s, line, restricted=restricted).t_sup
-    entry = zone_entry_time(inst, s, line)
-    return LineInterval(entry=entry, exit=exit_)
+    times = zone_exit_times(inst, s, line)
+    return LineInterval(entry=times.t_inf, exit=times.t_sup)

@@ -18,6 +18,7 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
+from sgmc.candidate import next_piece
 
 from conftest import random_instance
 
@@ -79,6 +80,36 @@ class TestCandidateSlope:
         mats = inst.matrices
         residual = mats.C[:, E].T @ (inst.b - mats.D @ (mats.C @ weq)) - inst.lam * s[E]
         assert np.abs(residual).max() <= 1e-9
+
+
+class TestNextPiece:
+    def test_one_index_updates_match_closed_form(self):
+        # m = 4: primal and dual supports of at most four columns each keep
+        # C_E of full column rank, so every step is a bordered update
+        inst = random_instance(35, m=4, n=8, rho=0.5)
+        s = indicator_from_string("+0-0000+0-000000")
+        piece = candidate_slope(inst, s)
+        for i, sign in ((3, 1), (12, -1), (0, 0), (15, 1), (9, 0)):
+            s = s.copy()
+            s[i] = sign
+            piece = next_piece(inst, piece, s)
+            ref = candidate_slope(inst, s)
+            assert piece.invertible and piece.compatible
+            npt.assert_allclose(piece.Minv, ref.Minv, rtol=1e-10, atol=1e-12)
+            npt.assert_allclose(piece.R, ref.R, rtol=1e-10, atol=1e-12)
+
+    def test_rank_drop_falls_back(self):
+        # m = 2: a third primal column lies in the span of the first two, so
+        # the Schur complement vanishes and the piece is rebuilt
+        inst = random_instance(36, m=2, n=3, rho=0.3)
+        piece = candidate_slope(inst, indicator_from_string("++0000"))
+        assert piece.invertible
+        s = indicator_from_string("+++000")
+        grown = next_piece(inst, piece, s)
+        ref = candidate_slope(inst, s)
+        assert not grown.invertible
+        assert grown.compatible == ref.compatible == is_compatible(inst, s)
+        npt.assert_array_equal(grown.Minv, ref.Minv)
 
 
 class TestEvalWeq:

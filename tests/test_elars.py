@@ -12,7 +12,6 @@ from sgmc import (
     brute_force_indicators,
     candidate_slope,
     check_opt,
-    diagnose_assumptions,
     elars_iterate,
     enumerate_zones,
     evaluate_path,
@@ -21,6 +20,7 @@ from sgmc import (
     initialize_indicator,
     lasso_reference,
     path_sweep,
+    restrict_to_line,
     zero_indicator,
     zone_membership,
     zone_slack,
@@ -39,6 +39,18 @@ def _gaussian_descent(m, n, rho, seed):
     inst = ProblemInstance(A=A, rho=rho, y=y, lam=1.0)
     lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
     return inst, ParameterLine(inst.b, lam_max, np.zeros(2 * m), -1.0)
+
+
+def _duplicated_columns_descent():
+    """Lambda descent on A = [H H]: the first breakpoint inserts a column
+    and its duplicate at once."""
+    rng = np.random.default_rng(82)
+    half = rng.normal(size=(3, 2))
+    A = np.hstack([half, half])
+    y = rng.normal(size=3)
+    inst = ProblemInstance(A=A, rho=0.0, y=y, lam=1.0)
+    lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+    return inst, ParameterLine(inst.b, lam_max, np.zeros(6), -1.0)
 
 
 class TestElarsIterate:
@@ -83,31 +95,31 @@ class TestElarsIterate:
         assert res_up.never_exits and res_up.t_plus == math.inf
 
 
+def _changed(res):
+    return sorted(set(res.deleted) | set(res.inserted))
+
+
 class TestDiagnoseAssumptions:
+    """The one-at-a-time assumption as each step reports it."""
+
     def test_worked_example_reports_tie(self, descent_line):
         inst, line = descent_line
-        report = diagnose_assumptions(elars_iterate(inst, zero_indicator(2), line))
-        assert not report.one_at_a_time
-        assert report.multi_event_indices == (0, 1)
+        res = elars_iterate(inst, zero_indicator(2), line)
+        assert not res.one_at_a_time
+        assert _changed(res) == [0, 1]
 
     def test_generic_step_is_one_at_a_time(self):
         inst = random_instance(81, m=4, n=6)
         lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
         line = ParameterLine(inst.b, lam_max, np.zeros(8), -1.0)
-        report = diagnose_assumptions(elars_iterate(inst, zero_indicator(6), line))
-        assert report.one_at_a_time and report.multi_event_indices == ()
+        res = elars_iterate(inst, zero_indicator(6), line)
+        assert res.one_at_a_time and len(_changed(res)) == 1
 
     def test_duplicated_columns_break_one_at_a_time(self):
-        rng = np.random.default_rng(82)
-        half = rng.normal(size=(3, 2))
-        A = np.hstack([half, half])
-        y = rng.normal(size=3)
-        inst = ProblemInstance(A=A, rho=0.0, y=y, lam=1.0)
-        lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
-        line = ParameterLine(inst.b, lam_max, np.zeros(6), -1.0)
-        report = diagnose_assumptions(elars_iterate(inst, zero_indicator(4), line))
-        assert not report.one_at_a_time
-        assert len(report.multi_event_indices) == 2
+        inst, line = _duplicated_columns_descent()
+        res = elars_iterate(inst, zero_indicator(4), line)
+        assert not res.one_at_a_time
+        assert len(_changed(res)) == 2
 
 
 class TestPathSweep:
@@ -170,20 +182,93 @@ class TestPathSweep:
             (24, 48, 0.8, 48),
             (24, 48, 0.8, 55),
             (24, 48, 0.0, 36),
+            (48, 96, 0.8, 0),
         ],
     )
     def test_short_segments_reach_terminus(self, m, n, rho, seed):
-        # each descent has segments shorter than 1e-6*(1+|t|); a membership
-        # probe that far past the breakpoint overshot them and stopped the
-        # sweep as unverified
+        # the first six descents have segments shorter than 1e-6*(1+|t|); a
+        # membership probe that far past the breakpoint overshot them and
+        # stopped the sweep as unverified.  All seven build their pieces by
+        # one-index updates of M^{-1}, which must agree with the closed form
         inst, line = _gaussian_descent(m, n, rho, seed)
         result = path_sweep(inst, line, zero_indicator(n), t_start=0.0, max_segments=1000)
         assert result.stop_reason == "lambda_terminus"
         for seg in result.segments:
+            ref = restrict_to_line(inst, seg.s, line, candidate_slope(inst, seg.s))
+            for got, want in ((seg.p, ref.p), (seg.q, ref.q)):
+                assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
             for frac in (0.1, 0.5, 0.9):
                 t = seg.t_start + frac * (seg.t_end - seg.t_start)
                 probe = inst.with_params(b=line.b_at(t), lam=line.lam_at(t))
                 assert check_opt(probe, seg.weq_at(t)).worst_violation <= 1e-7
+
+    @pytest.mark.parametrize("case", ["duplicated_columns", "worked_example"])
+    def test_fallback_matches_from_scratch(self, case, descent_line, monkeypatch):
+        # both lines start with a double insertion, so the next piece is
+        # rebuilt from scratch, and on A = [H H] every later piece too
+        import sgmc.elars
+
+        inst, line = _duplicated_columns_descent() if case == "duplicated_columns" else descent_line
+        s0 = zero_indicator(inst.n)
+        updated = path_sweep(inst, line, s0, t_start=0.0)
+        monkeypatch.setattr(
+            sgmc.elars, "next_piece", lambda inst, piece, s: candidate_slope(inst, s)
+        )
+        scratch = path_sweep(inst, line, s0, t_start=0.0)
+        assert len(updated.segments[0].inserted) == 2
+        assert updated.stop_reason == scratch.stop_reason
+        assert len(updated.segments) == len(scratch.segments)
+        for a, b in zip(updated.segments, scratch.segments):
+            npt.assert_array_equal(a.s, b.s)
+            assert (a.t_start, a.t_end) == (pytest.approx(b.t_start), pytest.approx(b.t_end))
+            npt.assert_allclose(a.p, b.p, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(a.q, b.q, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["gaussian", "worked_example"])
+    def test_one_restriction_per_step(self, case, descent_line, monkeypatch):
+        # a step restricts its zone to the line once and scans it once, and
+        # builds a piece from scratch only for the start zone and for
+        # multi-index events (the worked example's double insertion)
+        import sgmc.candidate
+        import sgmc.elars
+        import sgmc.sweep
+
+        calls = dict.fromkeys(("slope", "restrict", "exits"), 0)
+        steps = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        def iterate(*args, **kwargs):
+            steps.append(elars_iterate(*args, **kwargs))
+            return steps[-1]
+
+        slope = counting("slope", candidate_slope)
+        for mod in (sgmc.candidate, sgmc.sweep, sgmc.elars):
+            monkeypatch.setattr(mod, "candidate_slope", slope)
+        monkeypatch.setattr(sgmc.elars, "elars_iterate", iterate)
+        restrict = counting("restrict", restrict_to_line)
+        exits = counting("exits", sgmc.sweep.zone_exit_times)
+        for mod in (sgmc.sweep, sgmc.elars):
+            monkeypatch.setattr(mod, "restrict_to_line", restrict)
+            monkeypatch.setattr(mod, "zone_exit_times", exits)
+        inst, line = _gaussian_descent(16, 32, 0.3, 4) if case == "gaussian" else descent_line
+        result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=1000)
+        # the terminus step builds no piece; at lambda = 0 on a full support
+        # every correlation bound ties there
+        multi = sum(
+            len(res.deleted) + len(res.inserted) > 1
+            for res in steps
+            if not res.lambda_terminus
+        )
+        assert result.stop_reason == "lambda_terminus"
+        assert calls["restrict"] == calls["exits"] == len(steps) >= len(result.segments)
+        assert calls["slope"] == 1 + multi
+        assert multi == (1 if case == "worked_example" else 0)
 
     def test_each_zone_built_once(self, monkeypatch):
         import sgmc.candidate
@@ -207,6 +292,27 @@ class TestPathSweep:
         result = path_sweep(inst, line, zero_indicator(32), t_start=0.0, max_segments=1000)
         assert len(result.segments) > 1
         assert calls["slope"] <= calls["iterate"] + 1
+
+    def test_truncated_sweep_certifies_last_landing(self, monkeypatch):
+        # a sweep cut by max_segments right after a step still reports a
+        # landing that fails its entry-time check
+        import dataclasses
+
+        import sgmc.elars
+
+        steps = []
+
+        def iterate(*args, **kwargs):
+            steps.append(elars_iterate(*args, **kwargs))
+            if len(steps) == 2:
+                return dataclasses.replace(steps[-1], t_entry=math.inf)
+            return steps[-1]
+
+        monkeypatch.setattr(sgmc.elars, "elars_iterate", iterate)
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=1)
+        assert len(result.segments) == 1
+        assert result.stop_reason == "unverified_step"
 
     def test_invalid_start_raises(self, two_column):
         line = ParameterLine(two_column.b, 1.0, np.zeros(2), -1.0)
@@ -303,6 +409,35 @@ class TestEnumerateZones:
             ):
                 meeting.add(key)
         assert meeting == brute.indicators
+
+    @pytest.mark.parametrize("case", ["symmetric_2x2", "gaussian_2x3"])
+    def test_graph_independent_of_piece_updates(self, case, monkeypatch):
+        # the graph follows the zones, not the rounding of the route that
+        # built their pieces: rebuilding every piece from scratch gives the
+        # same nodes and edges, and no witness lies at the |b| ~ 1e15 where
+        # rounding noise in a correlation slope would put an exit
+        import sgmc.elars
+
+        if case == "symmetric_2x2":  # criterion 7's structurally tied instance
+            A = np.random.default_rng(104).normal(size=(2, 2))
+            inst = ProblemInstance(A=A, rho=0.5, y=np.zeros(2), lam=1.0)
+            config = EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, seed=4, n_coverage=24)
+        else:
+            A = np.random.default_rng([1, 0]).normal(size=(2, 3))
+            inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
+            config = EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, seed=0, n_coverage=24)
+
+        def keys(graph):
+            return sorted(graph.nodes), sorted((sa, sb) for sa, sb, *_ in graph.edges)
+
+        updated = enumerate_zones(inst, config)
+        monkeypatch.setattr(
+            sgmc.elars, "next_piece", lambda inst, piece, s: candidate_slope(inst, s)
+        )
+        scratch = enumerate_zones(inst, config)
+        assert keys(updated) == keys(scratch)
+        assert all(updated.covered) and not updated.incomplete
+        assert max(np.abs(b_w).max() for _, _, b_w, _ in updated.edges) < 1e6
 
     def test_max_nodes_budget(self, two_column):
         graph = enumerate_zones(

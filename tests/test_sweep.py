@@ -7,6 +7,7 @@ import pytest
 from sgmc import (
     OracleConfig,
     ParameterLine,
+    ProblemInstance,
     candidate_slope,
     encode_sopt,
     eval_weq,
@@ -118,13 +119,29 @@ class TestZoneExitTimes:
         times = zone_exit_times(inst, S1, line)
         assert times.t_c == pytest.approx(2.0, abs=1e-12)
         assert times.t_sup == pytest.approx(2.0, abs=1e-12)
-        assert all(v == math.inf for v in times.t_a.values())
+        assert np.all(times.t_a == math.inf)
 
     def test_constant_lambda_line_never_hits_wall(self, two_column):
         line = ParameterLine(np.zeros(2), 1.0, np.array([0.0, 1.0]), 0.0)
         times = zone_exit_times(two_column, zero_indicator(2), line)
         assert times.t_c == math.inf
         assert times.t_sup == math.inf  # r direction is invisible at rho=0
+
+
+    def test_full_support_b_direction_has_no_correlation_exit(self):
+        # along b the residual of a zone with 2m independent support columns
+        # is constant, so its correlations do not move and no correlation
+        # bound can give a finite exit
+        A = np.random.default_rng([2, 0]).normal(size=(2, 3))
+        inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
+        s = indicator_from_string("++0++0")
+        assert candidate_slope(inst, s).invertible
+        for j in range(4):
+            line = ParameterLine(np.array([1.0, -2.0, 0.5, 0.3]), 1.0, np.eye(4)[j], 0.0)
+            restricted = restrict_to_line(inst, s, line)
+            assert np.all(restricted.cu == 0.0)
+            times = zone_exit_times(inst, s, line, restricted=restricted)
+            assert not np.any(np.isfinite(times.t_b))
 
 
 class TestZoneEntryTime:
