@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ProblemInstance, as_indicator, support
+from .model import ProblemInstance, as_indicator
 from .optimality import check_opt, correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
@@ -43,7 +43,7 @@ def is_compatible(inst: ProblemInstance, s: np.ndarray) -> bool:
     residual below COMPAT_TOL * sqrt(|E|) in the sup norm).  Indicators
     failing this have an empty candidate zone."""
     s = as_indicator(s)
-    E = support(s)
+    E = np.flatnonzero(s)
     if E.size == 0:
         return True
     CEt = inst.matrices.C[:, E].T
@@ -99,7 +99,7 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     full-rank block is compatible by itself; only a rank-deficient one
     runs the least-squares compatibility test."""
     s = as_indicator(s)
-    E = support(s)
+    E = np.flatnonzero(s)
     mats = inst.matrices
     if E.size == 0:
         return CandidatePiece(
@@ -174,11 +174,12 @@ def next_piece(
     return CandidatePiece(s=s_next, Minv=Minv, compatible=True, invertible=True, C=C)
 
 
-def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float) -> np.ndarray:
+def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Evaluate the candidate map at (b, lambda): R [b; lambda] on the
-    support, zeros elsewhere."""
+    support, zeros elsewhere.  k points given as the columns of `b`, with
+    `lam` of length k, give k columns."""
     E = piece.support
-    w = np.zeros(piece.s.size, dtype=float)
+    w = np.zeros((piece.s.size,) + np.shape(lam))
     if E.size:
         w[E] = piece.apply(b, lam)
     return w
@@ -195,7 +196,7 @@ def eqnq_membership(
     w = np.ravel(w)
     lam = inst.lam
     slack = tol * (1.0 + lam)
-    E = support(s)
+    E = np.flatnonzero(s)
     mask = np.zeros(s.size, dtype=bool)
     mask[E] = True
     xi = correlation(inst, w)
@@ -233,34 +234,49 @@ def zone_membership(
         piece = candidate_slope(inst, s)
     if not piece.compatible:
         return False
-    margins = zone_margins(inst, piece, b, lam)
-    sign_ok = margins.sign_margin >= -tol
-    corr_ok = margins.corr_margin >= -tol * (1.0 + lam)
-    return bool(sign_ok and corr_ok)
+    return bool(zone_margins(inst, piece, b, lam).inside(lam, tol))
 
 
 @dataclass(frozen=True)
 class ZoneMargins:
-    """Worst margins of the two zone inequality families (>= 0 inside)."""
+    """Worst margins of the two zone inequality families (>= 0 inside),
+    one value per parameter point (floats for a single point)."""
 
-    sign_margin: float  # min over the support of s_i * w_i
-    corr_margin: float  # min off the support of lambda - |xi_i(w)|
+    sign_margin: float | np.ndarray  # min over the support of s_i * w_i
+    corr_margin: float | np.ndarray  # min off the support of lambda - |xi_i(w)|
 
     @property
-    def overall(self) -> float:
-        return min(self.sign_margin, self.corr_margin)
+    def overall(self) -> float | np.ndarray:
+        return np.minimum(self.sign_margin, self.corr_margin)
+
+    def inside(self, lam: float | np.ndarray, tol: float = 1e-9):
+        """Zone membership at each point with the tolerances of
+        `zone_membership`: s_i w_i >= -tol and |xi_i| <= lambda +
+        tol*(1+lambda), at lambda > 0."""
+        return (
+            (self.sign_margin >= -tol)
+            & (self.corr_margin >= -tol * (1.0 + lam))
+            & (np.asarray(lam) > 0)
+        )
 
 
 def zone_margins(
-    inst: ProblemInstance, piece: CandidatePiece, b: np.ndarray, lam: float
+    inst: ProblemInstance, piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray
 ) -> ZoneMargins:
+    """Margins of the zone of `piece` at (b, lambda), or at k points given
+    as the columns of `b` with `lam` of length k: one evaluation of the map
+    and one correlation product for all of them."""
     w = eval_weq(piece, b, lam)
     E = piece.support
-    mask = np.zeros(piece.s.size, dtype=bool)
-    mask[E] = True
+    off = np.ones(piece.s.size, dtype=bool)
+    off[E] = False
     xi = correlation(inst, w, b=b)
-    sign_margin = float((piece.s[E] * w[E]).min()) if E.size else np.inf
-    corr_margin = float((lam - np.abs(xi[~mask])).min()) if np.any(~mask) else np.inf
+    no_bound = np.full(np.shape(lam), np.inf)
+    s_E = piece.s[E].reshape(E.shape + (1,) * (w.ndim - 1))
+    sign_margin = (s_E * w[E]).min(axis=0) if E.size else no_bound
+    corr_margin = (lam - np.abs(xi[off])).min(axis=0) if off.any() else no_bound
+    if np.ndim(lam) == 0:
+        return ZoneMargins(sign_margin=float(sign_margin), corr_margin=float(corr_margin))
     return ZoneMargins(sign_margin=sign_margin, corr_margin=corr_margin)
 
 

@@ -23,6 +23,7 @@ from .candidate import (
     IncompatibleIndicatorError,
     candidate_slope,
     next_piece,
+    zone_margins,
     zone_membership,
 )
 from .model import (
@@ -82,8 +83,9 @@ def elars_iterate(
     tie_tol: float = TIE_TOL,
     piece: CandidatePiece | None = None,
 ) -> IterationResult:
-    """One E-LARS step along `line` out of the zone of `s`."""
-    s = as_indicator(s)
+    """One E-LARS step along `line` out of the zone of `s`; a given `piece`
+    is the piece of `s`, and its own indicator is used."""
+    s = as_indicator(s) if piece is None else piece.s
     restricted = restrict_to_line(inst, s, line, piece=piece)
     times = zone_exit_times(inst, s, line, restricted=restricted)
     t_plus = times.t_sup
@@ -101,8 +103,12 @@ def elars_iterate(
     deleted = np.flatnonzero(_ties(times.t_a, t_plus, tie_tol))
     signs = np.sign(restricted.correlation_at(t_plus)).astype(int)
     # a zero sign only happens where the binding value is lambda(t_plus) = 0,
-    # i.e. at the terminus wall: not a real event
-    inserted = np.flatnonzero(_ties(times.t_b, t_plus, tie_tol) & (signs != 0))
+    # i.e. at the terminus wall: not a real event.  There every correlation
+    # bound ties and rounding gives the correlations signs, but the path
+    # ends at the terminus, so it inserts nothing
+    inserted = np.flatnonzero(
+        _ties(times.t_b, t_plus, tie_tol) & (signs != 0) & (not terminus)
+    )
 
     s_plus = s.copy()
     s_plus[deleted] = 0
@@ -205,6 +211,17 @@ def line_from_dict(data: dict) -> ParameterLine:
     )
 
 
+def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build):
+    """Piece of `s` from the memo, else `build()`, stored in the memo."""
+    if pieces is None:
+        return build()
+    key = s.tobytes()
+    piece = pieces.get(key)
+    if piece is None:
+        piece = pieces[key] = build()
+    return piece
+
+
 def path_sweep(
     inst: ProblemInstance,
     line: ParameterLine,
@@ -213,6 +230,7 @@ def path_sweep(
     t_end: float = math.inf,
     max_segments: int = 64,
     tol: float = 1e-9,
+    pieces: dict[bytes, CandidatePiece] | None = None,
 ) -> PathSweepResult:
     """Piecewise-linear solution map along `line` for t in [t_start, t_end].
 
@@ -228,9 +246,15 @@ def path_sweep(
     breakpoint is a zero-length segment.  A repeated (indicator, breakpoint)
     pair aborts as `cycle_detected`.  A sweep cut by `max_segments` still
     certifies the last landing first.
+
+    `pieces` is an optional memo from `s.tobytes()` to the pieces of `inst`,
+    shared by sweeps that revisit zones: the start zone and every landing
+    zone are looked up there before they are built, and stored after.
+    Without it a sweep keeps no piece past the next step, as a long descent
+    through many large supports needs.
     """
     s = as_indicator(s_init)
-    piece = candidate_slope(inst, s)
+    piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
     b_start, lam_start = line.point_at(t_start)
     if not zone_membership(
         inst, s, b_start, lam_start, tol=max(tol, 1e-9), piece=piece
@@ -290,7 +314,7 @@ def path_sweep(
             PathSegment(s, t_cur, max(res.t_plus, t_cur), res.restricted.p,
                         res.restricted.q, res.deleted, res.inserted)
         )
-        piece = next_piece(inst, piece, res.s_plus)
+        piece = _memoized(pieces, res.s_plus, lambda: next_piece(inst, piece, res.s_plus))
         if not piece.compatible:
             stop = "unverified_step"
             break
@@ -376,13 +400,19 @@ class ZoneGraph:
 
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
-    boundary."""
+    boundary.  The counters say what the search did: ray sweeps started,
+    those dropped because their sweep raised, distinct pieces built, and
+    lookups that found their piece already built."""
 
     nodes: dict[str, np.ndarray] = field(default_factory=dict)
     edges: list[tuple[str, str, np.ndarray, float]] = field(default_factory=list)
     coverage_points: list[tuple[np.ndarray, float]] = field(default_factory=list)
     covered: list[bool] = field(default_factory=list)
     incomplete: bool = False
+    rays: int = 0
+    rays_dropped: int = 0
+    pieces_built: int = 0
+    memo_hits: int = 0
 
     @property
     def coverage_required(self) -> int:
@@ -406,6 +436,12 @@ class ZoneGraph:
                 "covered": self.coverage_covered,
             },
             "incomplete": self.incomplete,
+            "counters": {
+                "rays": self.rays,
+                "rays_dropped": self.rays_dropped,
+                "pieces_built": self.pieces_built,
+                "memo_hits": self.memo_hits,
+            },
         }
 
 
@@ -449,14 +485,28 @@ def _ray_directions(inst: ProblemInstance):
     return dirs
 
 
-def _sweep_ray(inst, s, anchor, direction, config):
+class _PieceMemo(dict):
+    """Pieces of one instance by `s.tobytes()`; `hits` counts the lookups
+    that found their piece."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = 0
+
+    def get(self, key, default=None):
+        piece = super().get(key, default)
+        self.hits += piece is not default
+        return piece
+
+
+def _sweep_ray(inst, s, anchor, direction, config, pieces):
     """Walk one ray out of a zone anchor; returns the sweep result or None."""
     db, dl = direction
     line = ParameterLine(anchor[0], anchor[1], db, dl)
     try:
         return path_sweep(
             inst, line, s, t_start=0.0,
-            max_segments=config.max_segments_per_ray,
+            max_segments=config.max_segments_per_ray, pieces=pieces,
         )
     except (ValueError, IncompatibleIndicatorError):
         return None
@@ -472,6 +522,10 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     without covering every sampled coverage point, targeted sweeps toward the
     uncovered samples (and, as a last resort, oracle-seeded insertion at the
     sample) finish the job.
+
+    Each zone's piece is built once per call: one memo serves every ray
+    sweep and coverage test, and a new node is tested at all still
+    uncovered coverage points in one call.
     """
     if config.delta_lambda_min <= 0:
         raise ValueError("delta_lambda_min must be positive")
@@ -479,27 +533,29 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     graph = ZoneGraph()
     graph.coverage_points = _sample_coverage_points(inst, config, rng)
     graph.covered = [False] * len(graph.coverage_points)
+    cover_b = np.array([b for b, _ in graph.coverage_points], dtype=float).T
+    cover_lam = np.array([lam for _, lam in graph.coverage_points], dtype=float)
 
     anchors: dict[str, tuple[np.ndarray, float]] = {}
-    pieces: dict[str, CandidatePiece] = {}
+    pieces = _PieceMemo()
     edge_keys: set[tuple[str, str]] = set()
 
-    def add_node(s: np.ndarray, anchor: tuple[np.ndarray, float]) -> str | None:
-        key = indicator_to_string(s)
+    def add_node(s: np.ndarray, anchor: tuple[np.ndarray, float], key: str) -> bool:
         if key in graph.nodes:
-            return None
+            return False
         if len(graph.nodes) >= config.max_nodes:
             graph.incomplete = True
-            return None
+            return False
         graph.nodes[key] = s.copy()
         anchors[key] = anchor
-        pieces[key] = candidate_slope(inst, s)
-        for j, (bj, lj) in enumerate(graph.coverage_points):
-            if not graph.covered[j] and zone_membership(
-                inst, s, bj, lj, piece=pieces[key]
-            ):
+        piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
+        todo = np.flatnonzero(np.logical_not(graph.covered))
+        if todo.size and piece.compatible:
+            lams = cover_lam[todo]
+            inside = zone_margins(inst, piece, cover_b[:, todo], lams).inside(lams)
+            for j in todo[inside]:
                 graph.covered[j] = True
-        return key
+        return True
 
     def add_edge(sa: str, sb: str, b_w: np.ndarray, lam_w: float):
         key = (min(sa, sb), max(sa, sb))
@@ -510,24 +566,26 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     def absorb_sweep(result: PathSweepResult) -> list[str]:
         new_keys = []
         segs = result.segments
+        keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
-            key = add_node(seg.s, _anchor_from_segment(result.line, seg))
-            if key is not None:
-                new_keys.append(key)
+            if add_node(seg.s, _anchor_from_segment(result.line, seg), keys[k]):
+                new_keys.append(keys[k])
             if k + 1 < len(segs):
                 b_w, lam_w = result.line.point_at(seg.t_end)
-                add_edge(
-                    indicator_to_string(seg.s),
-                    indicator_to_string(segs[k + 1].s),
-                    b_w,
-                    lam_w,
-                )
+                add_edge(keys[k], keys[k + 1], b_w, lam_w)
         return new_keys
+
+    def sweep_ray(s, anchor, direction) -> PathSweepResult | None:
+        graph.rays += 1
+        result = _sweep_ray(inst, s, anchor, direction, config, pieces)
+        graph.rays_dropped += result is None
+        return result
 
     s0 = zero_indicator(inst.n)
     anchor0 = (np.zeros(2 * inst.m), 1.0)
-    add_node(s0, anchor0)
-    queue = deque([indicator_to_string(s0)])
+    key0 = indicator_to_string(s0)
+    add_node(s0, anchor0, key0)
+    queue = deque([key0])
     expanded: set[str] = set()
     directions = _ray_directions(inst)
 
@@ -542,7 +600,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         ]
         expanded.update(level)
         for key, d in tasks:
-            result = _sweep_ray(inst, graph.nodes[key], anchors[key], d, config)
+            result = sweep_ray(graph.nodes[key], anchors[key], d)
             if result is not None:
                 queue.extend(absorb_sweep(result))
 
@@ -552,7 +610,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         if graph.covered[j] or graph.incomplete:
             continue
         line = ParameterLine(anchor0[0], anchor0[1], bj - anchor0[0], lj - anchor0[1])
-        result = _sweep_ray(inst, s0, (anchor0[0], anchor0[1]), (line.delta_b, line.delta_lam), config)
+        result = sweep_ray(s0, anchor0, (line.delta_b, line.delta_lam))
         if result is not None:
             absorb_sweep(result)
         if not graph.covered[j]:
@@ -560,8 +618,11 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
                 s = initialize_indicator(inst, bj, lj, strategy="from_oracle")
             except (InitializationError, RuntimeError):
                 continue
-            add_node(s, (bj / lj, 1.0) if lj > 1e-8 else (bj, lj))
+            anchor = (bj / lj, 1.0) if lj > 1e-8 else (bj, lj)
+            add_node(s, anchor, indicator_to_string(s))
 
     if not all(graph.covered):
         graph.incomplete = True
+    graph.pieces_built = len(pieces)
+    graph.memo_hits = pieces.hits
     return graph

@@ -188,7 +188,8 @@ def split_extended(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # -- indicators -------------------------------------------------------------
 
-_SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
+# the int8 bytes of +1, -1 and 0 mapped to their characters
+_SIGN_BYTES = bytes.maketrans(b"\x01\xff\x00", b"+-0")
 _CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
 
 
@@ -197,7 +198,8 @@ def as_indicator(s: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(s, dtype=int)
     if arr.ndim != 1:
         raise ValueError("indicator must be one-dimensional")
-    if not np.all(np.isin(arr, (-1, 0, 1))):
+    # a range test on integers; min and max cannot overflow as abs can
+    if arr.size and not -1 <= arr.min() <= arr.max() <= 1:
         raise ValueError("indicator entries must lie in {-1, 0, +1}")
     return arr
 
@@ -209,7 +211,7 @@ def support(s: np.ndarray) -> np.ndarray:
 
 def indicator_to_string(s: np.ndarray) -> str:
     """2n characters over {+,-,0}, primal block then dual block."""
-    return "".join(_SIGN_CHARS[int(v)] for v in as_indicator(s))
+    return as_indicator(s).astype(np.int8).tobytes().translate(_SIGN_BYTES).decode()
 
 
 def indicator_from_string(text: str) -> np.ndarray:

@@ -19,9 +19,9 @@ from .candidate import (
     candidate_slope,
     eval_weq,
     weq_passes_opt,
-    zone_membership,
+    zone_margins,
 )
-from .model import ProblemInstance, as_indicator, indicator_to_string, support
+from .model import ProblemInstance, as_indicator, indicator_to_string
 
 
 class NonConvergenceError(RuntimeError):
@@ -181,7 +181,7 @@ def min_norm_over_eqnq(
     fixed-point stopping rule at `tol`.
     """
     s = as_indicator(s)
-    E = support(s)
+    E = np.flatnonzero(s)
     mats = inst.matrices
     lam = inst.lam
     if E.size == 0:
@@ -327,29 +327,34 @@ def brute_force_indicators(
     if 2 * n > 10:
         raise ValueError(f"size guard exceeded: 2n = {2 * n} > 10")
     base = ProblemInstance(A=A, rho=rho, y=np.zeros(m), lam=1.0)
-    pieces = []
-    for combo in itertools.product((1, 0, -1), repeat=2 * n):
-        s = as_indicator(np.array(combo))
-        piece = candidate_slope(base, s)
-        if piece.compatible:
-            pieces.append(piece)
-
     result = BruteForceResult()
-    for b, lam in samples:
-        b = np.ravel(b)
-        matched = []
-        for piece in pieces:
-            if zone_membership(base, piece.s, b, lam, piece=piece) and weq_passes_opt(
-                base, piece, b, lam, tol=opt_tol
-            ):
+    if not samples:
+        return result
+    points = [(np.ravel(b), lam) for b, lam in samples]
+    B = np.column_stack([b for b, _ in points])
+    lams = np.array([lam for _, lam in points], dtype=float)
+
+    # every zone is tested at all samples in one call; only the few member
+    # samples go on to the optimality check, one at a time
+    per_sample: list[list[tuple[float, int, str]]] = [[] for _ in points]
+    for combo in itertools.product((1, 0, -1), repeat=2 * n):
+        piece = candidate_slope(base, np.array(combo))
+        if not piece.compatible:
+            continue
+        inside = zone_margins(base, piece, B, lams).inside(lams)
+        for j in np.flatnonzero(inside):
+            b, lam = points[j]
+            if weq_passes_opt(base, piece, b, lam, tol=opt_tol):
                 w = eval_weq(piece, b, lam)
-                matched.append(
+                per_sample[j].append(
                     (
                         float(np.linalg.norm(w)),
                         int(piece.support.size),
                         indicator_to_string(piece.s),
                     )
                 )
+
+    for matched in per_sample:
         result.matches.append(sorted(key for *_rest, key in matched))
         if not matched:
             result.assignments.append(None)

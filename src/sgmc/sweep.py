@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidate import CandidatePiece, IncompatibleIndicatorError, candidate_slope
-from .model import ProblemInstance, as_indicator
+from .model import ProblemInstance
 
 SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
 
@@ -108,10 +108,11 @@ def restrict_to_line(
     once more.  It keeps the correlation line as accurate as a backward
     stable solve would, which matters where |xi_i| is close to lambda for
     the whole zone and an error in (cu, cv) moves t_b by a large factor.
+    A given `piece` is the piece of `s`, and its own indicator is used.
     """
-    s = as_indicator(s)
     if piece is None:
         piece = candidate_slope(inst, s)
+    s = piece.s
     if not piece.compatible:
         raise IncompatibleIndicatorError(
             "indicator is incompatible; its candidate zone is empty"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -85,6 +86,19 @@ class TestElarsIterate:
         assert res.lambda_terminus
         assert res.t_plus == pytest.approx(1.0)
         assert res.deleted == () and res.inserted == ()
+
+    def test_terminus_inserts_nothing(self):
+        # at lambda = 0 on a support spanning R^{2m} every off-support
+        # correlation bound ties, and rounding gives the correlations signs;
+        # the path ends there, so the last step inserts nothing
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        result = path_sweep(inst, line, zero_indicator(32), t_start=0.0, max_segments=1000)
+        assert result.stop_reason == "lambda_terminus"
+        last = result.segments[-1].s
+        res = elars_iterate(inst, last, line, piece=candidate_slope(inst, last))
+        assert res.lambda_terminus
+        assert res.inserted == ()
+        npt.assert_array_equal(res.s_plus[last == 0], 0)
 
     def test_never_exits_flag(self, two_column):
         line = ParameterLine(two_column.b, 1.0, np.zeros(2), 1.0)  # lambda grows
@@ -431,13 +445,67 @@ class TestEnumerateZones:
             return sorted(graph.nodes), sorted((sa, sb) for sa, sb, *_ in graph.edges)
 
         updated = enumerate_zones(inst, config)
+        sweep = sgmc.elars.path_sweep
+        with monkeypatch.context() as patch:
+            # every sweep builds its own pieces, as the memo-free callers do
+            patch.setattr(
+                sgmc.elars, "path_sweep", lambda *args, pieces=None, **kw: sweep(*args, **kw)
+            )
+            memo_free = enumerate_zones(inst, config)
+        assert memo_free.memo_hits < updated.memo_hits
         monkeypatch.setattr(
             sgmc.elars, "next_piece", lambda inst, piece, s: candidate_slope(inst, s)
         )
         scratch = enumerate_zones(inst, config)
-        assert keys(updated) == keys(scratch)
+        assert keys(updated) == keys(memo_free) == keys(scratch)
         assert all(updated.covered) and not updated.incomplete
         assert max(np.abs(b_w).max() for _, _, b_w, _ in updated.edges) < 1e6
+
+    def test_one_piece_per_indicator(self, monkeypatch):
+        # one enumeration builds each zone's piece once, from scratch or by
+        # an update, however many rays start in or cross the zone; only a
+        # next_piece fallback adds a from-scratch build
+        import sgmc.elars
+
+        builds = Counter()
+
+        def counting(fn, s_arg):
+            def wrapped(*args):
+                builds[indicator_to_string(args[s_arg])] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(sgmc.elars, "candidate_slope", counting(candidate_slope, 1))
+        monkeypatch.setattr(sgmc.elars, "next_piece", counting(sgmc.elars.next_piece, 2))
+        A = np.random.default_rng([1, 0]).normal(size=(2, 3))
+        inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
+        config = EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, seed=0, n_coverage=24)
+        graph = enumerate_zones(inst, config)
+        assert max(builds.values()) == 1
+        assert graph.pieces_built == len(builds) >= len(graph.nodes)
+        assert graph.memo_hits > graph.rays > graph.pieces_built
+        assert graph.rays_dropped == 0
+
+    def test_dropped_ray_is_counted(self, two_column, monkeypatch):
+        import sgmc.elars
+
+        sweep = sgmc.elars.path_sweep
+        raised = []
+
+        def failing_once(*args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise ValueError("start zone rejected")
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(sgmc.elars, "path_sweep", failing_once)
+        graph = enumerate_zones(
+            two_column, EnumerationConfig(r_y=5.0, delta_lambda_min=0.1, seed=0)
+        )
+        counters = graph.to_dict()["counters"]
+        assert counters["rays_dropped"] == 1
+        assert counters["rays"] > 1
 
     def test_max_nodes_budget(self, two_column):
         graph = enumerate_zones(

@@ -5,12 +5,17 @@ import numpy.testing as npt
 import pytest
 
 from sgmc import (
+    ParameterLine,
     ProblemInstance,
     build_model_matrices,
+    candidate_slope,
+    path_sweep,
     saddle_objective,
     slice_columns,
+    zone_membership,
 )
 from sgmc.model import (
+    as_indicator,
     indicator_from_string,
     indicator_to_string,
     instance_from_dict,
@@ -182,3 +187,23 @@ class TestIndicatorCodec:
     def test_bad_character(self):
         with pytest.raises(ValueError):
             indicator_from_string("+x")
+
+    @pytest.mark.parametrize("bad", [[1, 2, 0, 0], [0, 0, -2, 1], [[1, 0], [0, -1]]])
+    @pytest.mark.parametrize(
+        "entry",
+        ["as_indicator", "candidate_slope", "zone_membership", "path_sweep",
+         "indicator_to_string"],
+    )
+    def test_bad_indicator_rejected(self, two_column, entry, bad):
+        # every public entry that takes an indicator rejects an entry
+        # outside {-1, 0, +1} and a 2-D array
+        line = ParameterLine(two_column.b, 3.0, np.zeros(2), -1.0)
+        calls = {
+            "as_indicator": as_indicator,
+            "candidate_slope": lambda s: candidate_slope(two_column, s),
+            "zone_membership": lambda s: zone_membership(two_column, s, two_column.b, 3.0),
+            "path_sweep": lambda s: path_sweep(two_column, line, s, t_start=0.0),
+            "indicator_to_string": indicator_to_string,
+        }
+        with pytest.raises(ValueError):
+            calls[entry](np.array(bad))

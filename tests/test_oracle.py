@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,7 +24,9 @@ from sgmc import (
     strictly_inside,
     summarize,
     zero_indicator,
+    zone_membership,
 )
+from sgmc.candidate import weq_passes_opt
 
 from conftest import random_instance
 
@@ -160,6 +164,56 @@ class TestBruteForce:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             brute_force_indicators(np.ones((2, 6)), 0.0, [])
+
+    @pytest.mark.parametrize(
+        "seed, shape, rho",
+        [
+            (100, (1, 2), 0.0),
+            (101, (2, 2), 0.5),
+            (102, (1, 2), 0.5),
+            (103, (2, 2), 0.0),
+            (104, (2, 2), 0.5),
+            (105, (2, 3), 0.3),
+        ],
+    )
+    def test_batched_zone_tests_match_per_sample_loop(self, seed, shape, rho):
+        # the five criterion-7 instances and a 2x3 one: testing each zone at
+        # all samples at once assigns exactly what one zone_membership and
+        # one weq_passes_opt call per (zone, sample) pair assigns
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=shape)
+        m, n = shape
+        samples = []
+        for _ in range(24):
+            u = rng.normal(size=m)
+            samples.append((np.concatenate([3.0 * u / np.linalg.norm(u), np.zeros(m)]), 0.3))
+        result = brute_force_indicators(A, rho, samples)
+
+        base = ProblemInstance(A=A, rho=rho, y=np.zeros(m), lam=1.0)
+        pieces = [
+            piece
+            for combo in itertools.product((1, 0, -1), repeat=2 * n)
+            if (piece := candidate_slope(base, np.array(combo))).compatible
+        ]
+        matches, assignments = [], []
+        for b, lam in samples:
+            matched = [
+                (float(np.linalg.norm(eval_weq(p, b, lam))), p.support.size,
+                 indicator_to_string(p.s))
+                for p in pieces
+                if zone_membership(base, p.s, b, lam, piece=p)
+                and weq_passes_opt(base, p, b, lam, tol=1e-7)
+            ]
+            matches.append(sorted(key for *_, key in matched))
+            if not matched:
+                assignments.append(None)
+                continue
+            least = min(norm for norm, *_ in matched)
+            eligible = [e for e in matched if e[0] <= least + 1e-9 * (1.0 + least)]
+            assignments.append(min(eligible, key=lambda e: (e[1], e[2]))[2])
+        assert result.matches == matches
+        assert result.assignments == assignments
+        assert result.indicators == {a for a in assignments if a is not None}
 
 
 class TestCrossOracleInvariants:
