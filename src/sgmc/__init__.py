@@ -11,9 +11,7 @@ from .model import (
     indicator_to_string,
     load_instance,
     saddle_objective,
-    slice_columns,
     split_extended,
-    support,
     zero_indicator,
 )
 from .optimality import (
@@ -37,15 +35,12 @@ from .candidate import (
     zone_slack,
 )
 from .sweep import (
-    LineInterval,
     LineRestrictedPiece,
     ParameterLine,
     ZoneExitTimes,
     f_tmax,
     restrict_to_line,
-    zone_entry_time,
     zone_exit_times,
-    zone_line_interval,
 )
 from .elars import (
     EnumerationConfig,

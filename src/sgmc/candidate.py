@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import ProblemInstance, as_indicator
-from .optimality import check_opt, correlation
+from .optimality import correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # residual tolerance of the column-space compatibility test
@@ -189,7 +189,8 @@ def eqnq_membership(
     inst: ProblemInstance, s: np.ndarray, w: np.ndarray, tol: float = 1e-9
 ) -> bool:
     """Whether w solves the full equality+inequality system of s at the
-    instance's own (b, lambda), every condition within tol*(1+lambda)."""
+    instance's own (b, lambda), every condition within tol*(1+lambda); a
+    NaN fails every condition."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     s = as_indicator(s)
@@ -201,15 +202,15 @@ def eqnq_membership(
     mask[E] = True
     xi = correlation(inst, w)
     if E.size:
-        if np.abs(xi[E] - lam * s[E]).max() > slack:  # EQ on the support
+        if not np.abs(xi[E] - lam * s[E]).max() <= slack:  # EQ on the support
             return False
-        if (s[E] * w[E]).min() < -slack:  # NQ signs on the support
+        if not (s[E] * w[E]).min() >= -slack:  # NQ signs on the support
             return False
     off = ~mask
     if off.any():
-        if np.abs(w[off]).max() > slack:  # EQ zeros off the support
+        if not np.abs(w[off]).max() <= slack:  # EQ zeros off the support
             return False
-        if np.abs(xi[off]).max() > lam + slack:  # NQ bound off the support
+        if not np.abs(xi[off]).max() <= lam + slack:  # NQ bound off the support
             return False
     return True
 
@@ -307,16 +308,3 @@ def strictly_inside(
     """Operational interior test: every zone inequality holds with slack at
     least margin*(1+lambda)."""
     return zone_slack(inst, s, b, lam, piece=piece) >= margin * (1.0 + lam)
-
-
-def weq_passes_opt(
-    inst: ProblemInstance,
-    piece: CandidatePiece,
-    b: np.ndarray,
-    lam: float,
-    tol: float = 1e-7,
-) -> bool:
-    """Convenience: does the candidate map value at (b, lambda) satisfy the
-    optimality condition there?"""
-    w = eval_weq(piece, b, lam)
-    return check_opt(inst, w, b=b, lam=lam).worst_violation <= tol

@@ -270,8 +270,8 @@ def _verify_segments_file(inst: ProblemInstance, path: str):
     segments = [PathSegment.from_dict(d) for d in data["segments"]]
     line = line_from_dict(data["line"])
     cont_ok = True
-    for a, b in zip(segments, segments[1:]):
-        if np.abs(a.weq_at(a.t_end) - b.weq_at(b.t_start)).max() > 1e-8:
+    for a, b in zip(segments, segments[1:]):  # a NaN jump fails
+        if not np.abs(a.weq_at(a.t_end) - b.weq_at(b.t_start)).max() <= 1e-8:
             cont_ok = False
     yield "segments_continuity", cont_ok, f"{len(segments)} segments"
     spot_ok = True

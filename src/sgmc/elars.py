@@ -20,7 +20,6 @@ import numpy as np
 
 from .candidate import (
     CandidatePiece,
-    IncompatibleIndicatorError,
     candidate_slope,
     next_piece,
     zone_margins,
@@ -42,6 +41,7 @@ from .sweep import (
 )
 
 TIE_TOL = 1e-9  # scale-aware tie window for simultaneous exit events
+MAX_SEGMENTS_PER_RAY = 32  # segments a ray sweep of zone enumeration may emit
 
 
 class InitializationError(RuntimeError):
@@ -390,8 +390,6 @@ class EnumerationConfig:
     max_nodes: int = 256
     n_coverage: int = 64
     seed: int = 0
-    max_segments_per_ray: int = 32
-    coverage_points: tuple[tuple[np.ndarray, float], ...] | None = None
 
 
 @dataclass
@@ -448,8 +446,6 @@ class ZoneGraph:
 def _sample_coverage_points(
     inst: ProblemInstance, config: EnumerationConfig, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, float]]:
-    if config.coverage_points is not None:
-        return [(np.ravel(b), float(l)) for b, l in config.coverage_points]
     pts = []
     for _ in range(config.n_coverage):
         u = rng.normal(size=inst.m)
@@ -499,19 +495,6 @@ class _PieceMemo(dict):
         return piece
 
 
-def _sweep_ray(inst, s, anchor, direction, config, pieces):
-    """Walk one ray out of a zone anchor; returns the sweep result or None."""
-    db, dl = direction
-    line = ParameterLine(anchor[0], anchor[1], db, dl)
-    try:
-        return path_sweep(
-            inst, line, s, t_start=0.0,
-            max_segments=config.max_segments_per_ray, pieces=pieces,
-        )
-    except (ValueError, IncompatibleIndicatorError):
-        return None
-
-
 def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGraph:
     """Breadth-first search of the zone graph from the all-zero indicator.
 
@@ -527,8 +510,9 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     sweep and coverage test, and a new node is tested at all still
     uncovered coverage points in one call.
     """
-    if config.delta_lambda_min <= 0:
-        raise ValueError("delta_lambda_min must be positive")
+    for name in ("r_y", "delta_lambda_min"):
+        if not 0.0 < getattr(config, name) < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     rng = np.random.default_rng(config.seed)
     graph = ZoneGraph()
     graph.coverage_points = _sample_coverage_points(inst, config, rng)
@@ -576,10 +560,17 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         return new_keys
 
     def sweep_ray(s, anchor, direction) -> PathSweepResult | None:
+        """Walk one ray out of a zone anchor; None when the sweep raises."""
         graph.rays += 1
-        result = _sweep_ray(inst, s, anchor, direction, config, pieces)
-        graph.rays_dropped += result is None
-        return result
+        line = ParameterLine(anchor[0], anchor[1], *direction)
+        try:
+            return path_sweep(
+                inst, line, s, t_start=0.0,
+                max_segments=MAX_SEGMENTS_PER_RAY, pieces=pieces,
+            )
+        except ValueError:  # IncompatibleIndicatorError is one
+            graph.rays_dropped += 1
+            return None
 
     s0 = zero_indicator(inst.n)
     anchor0 = (np.zeros(2 * inst.m), 1.0)

@@ -17,9 +17,10 @@ serialized artifact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ProblemInstance:
     """One sGMC problem: sensing matrix A, convexity parameter rho in [0, 1),
-    observation y, auxiliary observation r (defaults to zero) and lambda > 0.
+    observation y, auxiliary observation r (defaults to zero) and lambda > 0,
+    all finite.
 
     Instances are immutable; `with_params` derives a sibling instance sharing
     (A, rho) but carrying a different (b, lambda).
@@ -54,8 +56,11 @@ class ProblemInstance:
         r = _readonly(r)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        for name, arr in (("A", A), ("y", y), ("r", r)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if y.shape != (A.shape[0],):
             raise ValueError(f"y has shape {y.shape}, expected ({A.shape[0]},)")
         if r.shape != (A.shape[0],):
@@ -109,7 +114,7 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """The pair (C, D); column i of C is reachable through `column`."""
+    """The pair (C, D)."""
 
     C: np.ndarray
     D: np.ndarray
@@ -117,9 +122,6 @@ class ModelMatrices:
     def __post_init__(self):
         object.__setattr__(self, "C", _readonly(self.C))
         object.__setattr__(self, "D", _readonly(self.D))
-
-    def column(self, i: int) -> np.ndarray:
-        return self.C[:, i]
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
@@ -141,19 +143,6 @@ def build_model_matrices(inst: ProblemInstance) -> ModelMatrices:
     eye = np.eye(m)
     D = np.block([[(1.0 - inst.rho) * eye, sq * eye], [-sq * eye, eye]])
     return ModelMatrices(C=C, D=D)
-
-
-def slice_columns(C: np.ndarray, indices: Iterable[int]) -> np.ndarray:
-    """Columns of C at the given sorted indices; the empty set yields one
-    zero column so downstream products are well defined and vanish."""
-    idx = list(indices)
-    if len(idx) == 0:
-        return np.zeros((C.shape[0], 1))
-    if any(not 0 <= i < C.shape[1] for i in idx):
-        raise IndexError(f"column index out of range for matrix with {C.shape[1]} columns: {idx}")
-    if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-        raise ValueError("column indices must be strictly ascending")
-    return C[:, idx]
 
 
 def saddle_objective(inst: ProblemInstance, x: np.ndarray, z: np.ndarray) -> float:
@@ -202,11 +191,6 @@ def as_indicator(s: Sequence[int] | np.ndarray) -> np.ndarray:
     if arr.size and not -1 <= arr.min() <= arr.max() <= 1:
         raise ValueError("indicator entries must lie in {-1, 0, +1}")
     return arr
-
-
-def support(s: np.ndarray) -> np.ndarray:
-    """Sorted indices of the nonzero entries."""
-    return np.flatnonzero(as_indicator(s))
 
 
 def indicator_to_string(s: np.ndarray) -> str:

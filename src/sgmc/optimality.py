@@ -44,7 +44,8 @@ class OptReport:
     """Diagnostic report of the optimality condition.
 
     `per_index` holds the signed excess of every index over its bound
-    (negative means slack); `violations` lists the offending indices.
+    (negative means slack); `violations` lists the offending indices,
+    NaN excesses among them.
     """
 
     satisfied: bool
@@ -53,7 +54,7 @@ class OptReport:
 
     @property
     def violations(self) -> list[tuple[int, float]]:
-        return [(i, e) for i, e in enumerate(self.per_index) if e > 0.0]
+        return [(i, e) for i, e in enumerate(self.per_index) if not e <= 0.0]
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +90,7 @@ def check_opt(
         np.abs(xi - lam * np.sign(w)) - slack,
         np.abs(xi) - lam - slack,
     )
-    worst = float(max(0.0, excess.max())) if excess.size else 0.0
+    worst = float(np.max(excess, initial=0.0))  # NaN if any excess is NaN
     return OptReport(
         satisfied=bool(worst == 0.0),
         worst_violation=worst,

@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidate import (
-    candidate_slope,
-    eval_weq,
-    weq_passes_opt,
-    zone_margins,
-)
+from .candidate import candidate_slope, eval_weq, zone_margins
 from .model import ProblemInstance, as_indicator, indicator_to_string
+from .optimality import check_opt
 
 
 class NonConvergenceError(RuntimeError):
@@ -344,8 +340,8 @@ def brute_force_indicators(
         inside = zone_margins(base, piece, B, lams).inside(lams)
         for j in np.flatnonzero(inside):
             b, lam = points[j]
-            if weq_passes_opt(base, piece, b, lam, tol=opt_tol):
-                w = eval_weq(piece, b, lam)
+            w = eval_weq(piece, b, lam)
+            if check_opt(base, w, b=b, lam=lam).worst_violation <= opt_tol:
                 per_sample[j].append(
                     (
                         float(np.linalg.norm(w)),

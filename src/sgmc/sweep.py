@@ -4,13 +4,13 @@ Restricting (b, lambda) to a straight line b(t) = b0 + db*t,
 lambda(t) = lam0 + dl*t turns the candidate map of an indicator into a
 vector line  w(t) = q - p*t, its residual into  b(t) - D C w(t) = v + u*t
 and its correlation into  C^T (v + u*t) = cv + cu*t.  Every zone inequality
-then reads  k*t <= c  for scalars (k, c), so the exit time of the zone along
-the line is a minimum of values of
+then reads  k*t <= c  for scalars (k, c), and one ratio test over these
+rows gives the zone's interval on the line: the exit time is the minimum of
 
-    f_tmax(k, c) = sup{t : k*t <= c}.
+    f_tmax(k, c) = sup{t : k*t <= c}
 
-Reversing the line negates p, u (so cu) and dl and nothing else, so one
-restriction gives the entry time of the zone as well.
+over the rows, and the entry time, the maximum of c/k over the rows with
+k < 0, is minus the minimum of f_tmax(-k, c).
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ class ZoneExitTimes:
     t_a (sign constraints on the support) and t_b (correlation bound off
     the support) have length 2n, +inf where the constraint does not apply;
     t_c binds the lambda >= 0 wall.  t_sup is their minimum, the exit time,
-    and t_inf the entry time, the same minimum along the reversed line,
-    negated.  All values are extended reals.
+    and t_inf the entry time, the largest t at which a constraint with
+    k < 0 starts to hold.  All values are extended reals; the line crosses
+    the zone with nonempty interior only when t_inf < t_sup.
     """
 
     t_a: np.ndarray
@@ -166,26 +167,6 @@ class ZoneExitTimes:
     t_inf: float
 
 
-def _sup_times(r: LineRestrictedPiece, direction: float):
-    """(t_a, t_b, t_c) of the zone of r.s along the restricted line
-    (direction 1) or along the reversed line (direction -1), which negates
-    p, cu and dl."""
-    p, cu, dl = direction * r.p, direction * r.cu, direction * r.line.delta_lam
-    s, q, cv, lam0 = r.s, r.q, r.cv, r.line.lam0
-    on = s != 0
-    t_a = np.where(on, f_tmax(s * p, s * q), np.inf)
-    t_b = np.where(
-        on, np.inf, np.minimum(f_tmax(-cu - dl, lam0 + cv), f_tmax(cu - dl, lam0 - cv))
-    )
-    # On constant-lambda lines the wall never binds, so the sign of lam0
-    # alone decides.
-    if dl == 0.0:
-        t_c = math.inf if lam0 > 0.0 else -math.inf
-    else:
-        t_c = f_tmax(-dl, lam0)
-    return t_a, t_b, t_c
-
-
 def zone_exit_times(
     inst: ProblemInstance,
     s: np.ndarray,
@@ -193,43 +174,35 @@ def zone_exit_times(
     restricted: LineRestrictedPiece | None = None,
 ) -> ZoneExitTimes:
     """Closed-form supremum and infimum of t with (b(t), lambda(t)) inside
-    the zone of s, from one restriction in one vectorized pass.
+    the zone of s: one ratio test over the stacked rows k*t <= c of the
+    zone.
 
-    Valid whenever the line actually crosses the zone with nonempty interior
-    (entry < exit); `LineInterval.degenerate` reports the other case.
+    Row i of the first block is the sign constraint of i on the support and
+    the lower correlation bound of i off it; the second block holds the
+    upper correlation bounds (rows of support indices are 0*t <= 0, never
+    binding); the last row is the lambda >= 0 wall.  The exit time is the
+    minimum of f_tmax(k, c) and the entry time minus the minimum of
+    f_tmax(-k, c).  The times are valid only when t_inf < t_sup.
     """
-    if restricted is None:
-        restricted = restrict_to_line(inst, s, line)
-    t_a, t_b, t_c = _sup_times(restricted, 1.0)
-    back_a, back_b, back_c = _sup_times(restricted, -1.0)
-    return ZoneExitTimes(
-        t_a=t_a, t_b=t_b, t_c=t_c,
-        t_sup=float(min(t_a.min(), t_b.min(), t_c)),
-        t_inf=-float(min(back_a.min(), back_b.min(), back_c)),
+    r = restrict_to_line(inst, s, line) if restricted is None else restricted
+    on = r.s != 0
+    dl, lam0 = r.line.delta_lam, r.line.lam0
+    k = np.concatenate(
+        [np.where(on, r.s * r.p, -r.cu - dl), np.where(on, 0.0, r.cu - dl), [-dl]]
     )
-
-
-def zone_entry_time(inst: ProblemInstance, s: np.ndarray, line: ParameterLine) -> float:
-    """Infimum of t inside the zone: exit time of the reversed line, negated."""
-    return zone_exit_times(inst, s, line).t_inf
-
-
-@dataclass(frozen=True)
-class LineInterval:
-    """Computed [entry, exit] of a zone on a line.  When entry >= exit the
-    line at most touches the zone boundary and the closed forms above carry
-    no correctness guarantee; `degenerate` flags this."""
-
-    entry: float
-    exit: float
-
-    @property
-    def degenerate(self) -> bool:
-        return not self.entry < self.exit
-
-
-def zone_line_interval(
-    inst: ProblemInstance, s: np.ndarray, line: ParameterLine
-) -> LineInterval:
-    times = zone_exit_times(inst, s, line)
-    return LineInterval(entry=times.t_inf, exit=times.t_sup)
+    c = np.concatenate(
+        [np.where(on, r.s * r.q, lam0 + r.cv), np.where(on, 0.0, lam0 - r.cv), [lam0]]
+    )
+    ahead, behind = f_tmax(k, c), f_tmax(-k, c)
+    # On constant-lambda lines the wall never binds, so the sign of lam0
+    # alone decides.
+    if dl == 0.0:
+        ahead[-1] = behind[-1] = math.inf if lam0 > 0.0 else -math.inf
+    n2 = on.size
+    return ZoneExitTimes(
+        t_a=np.where(on, ahead[:n2], np.inf),
+        t_b=np.where(on, np.inf, np.minimum(ahead[:n2], ahead[n2:-1])),
+        t_c=float(ahead[-1]),
+        t_sup=float(ahead.min()),
+        t_inf=-float(behind.min()),
+    )

@@ -141,6 +141,14 @@ class TestEqnqMembership:
         # lam = 1 < |c_1^T b| = 2
         assert not eqnq_membership(two_column, zero_indicator(2), np.zeros(4))
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_nan_fails(self, two_column, i):
+        # y = 2, lambda = 1: the min-norm solution splits x1 + x2 = 1 evenly
+        w = np.array([0.5, 0.5, 0.0, 0.0])
+        assert eqnq_membership(two_column, S1, w)
+        w[i] = np.nan
+        assert not eqnq_membership(two_column, S1, w)
+
     def test_membership_implies_optimality(self):
         for seed in range(5):
             inst = random_instance(40 + seed, m=3, n=5, rho=0.3)

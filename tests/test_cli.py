@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ def test_solve_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"A": [[1.0')
     assert main(["solve", "--instance", str(bad)]) == 1
+
+
+def test_solve_rejects_nan_observation(tmp_path):
+    # json reads the NaN literal; a NaN y used to give converged: true and
+    # a satisfied optimality report for w = [nan, nan, nan, nan]
+    path = tmp_path / "nan.json"
+    path.write_text('{"A": [[1.0, 1.0]], "rho": 0.0, "y": [NaN], "lambda": 1.0}')
+    assert main(["solve", "--instance", str(path)]) == 1
 
 
 def test_solve_dimension_mismatch(instance_file):
@@ -175,6 +184,16 @@ def test_enumerate_two_column(instance_file, tmp_path):
     assert data["incomplete"] is False
 
 
+@pytest.mark.parametrize("flag", ["--r-y", "--delta-lambda-min"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_enumerate_rejects_invalid_radius(instance_file, flag, value):
+    args = {"--r-y": "5", "--delta-lambda-min": "0.1", flag: value}
+    argv = ["enumerate", "--instance", instance_file(TWO_COLUMN)]
+    for name, text in args.items():
+        argv += [name, text]
+    assert main(argv) == 1
+
+
 def test_enumerate_budget_exhaustion(instance_file, tmp_path):
     out = tmp_path / "graph.json"
     code = main(
@@ -256,6 +275,24 @@ def test_verify_detects_corrupted_segments(instance_file, tmp_path, capsys):
     output = capsys.readouterr().out
     assert "FAIL" in output
     assert "segments" in output
+
+
+def test_verify_fails_nan_segments(instance_file, tmp_path, capsys):
+    inst_path = instance_file(DESCENT)
+    path_out = tmp_path / "path.json"
+    main(["path", "--instance", inst_path, "--delta-lambda", "-1", "--out", str(path_out)])
+    data = json.loads(path_out.read_text())
+    assert len(data["segments"]) >= 2
+    for seg in data["segments"]:
+        seg["p"] = seg["q"] = [math.nan] * len(seg["q"])
+    nan_path = tmp_path / "nan.json"
+    nan_path.write_text(json.dumps(data))
+    assert main(["verify", "--instance", inst_path, "--segments", str(nan_path)]) == 2
+    failed = {
+        line.split()[1] for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAIL")
+    }
+    assert failed == {"segments_continuity", "segments_spot_checks"}
 
 
 def test_csv_matrix_mode(tmp_path):

@@ -11,7 +11,6 @@ from sgmc import (
     candidate_slope,
     path_sweep,
     saddle_objective,
-    slice_columns,
     zone_membership,
 )
 from sgmc.model import (
@@ -19,7 +18,6 @@ from sgmc.model import (
     indicator_from_string,
     indicator_to_string,
     instance_from_dict,
-    support,
 )
 
 from conftest import random_instance
@@ -75,38 +73,6 @@ class TestBuildModelMatrices:
         )
         assert np.abs(sym).max() == 0.0
 
-    def test_column_accessor(self, two_column):
-        mats = two_column.matrices
-        npt.assert_array_equal(mats.column(1), [1.0, 0.0])
-
-
-class TestSliceColumns:
-    def test_empty_set_gives_zero_column(self, two_column):
-        out = slice_columns(two_column.matrices.C, [])
-        npt.assert_array_equal(out, np.zeros((2, 1)))
-
-    def test_two_column_slice(self, two_column):
-        out = slice_columns(two_column.matrices.C, [0, 1])
-        npt.assert_array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
-
-    def test_random_slice_matches_copy_loop(self, rand_4x8):
-        C = rand_4x8.matrices.C
-        out = slice_columns(C, [1, 3])
-        expected = np.stack([C[:, 1], C[:, 3]], axis=1)
-        npt.assert_array_equal(out, expected)
-
-    def test_full_slice_is_identity(self, rand_4x8):
-        C = rand_4x8.matrices.C
-        npt.assert_array_equal(slice_columns(C, range(C.shape[1])), C)
-
-    def test_out_of_range(self, two_column):
-        with pytest.raises(IndexError):
-            slice_columns(two_column.matrices.C, [0, 4])
-
-    def test_unsorted_rejected(self, two_column):
-        with pytest.raises(ValueError):
-            slice_columns(two_column.matrices.C, [1, 0])
-
 
 def naive_objective(inst, x, z):
     fit = 0.5 * sum((inst.y[k] - (inst.A @ x)[k]) ** 2 for k in range(inst.m))
@@ -155,6 +121,11 @@ class TestProblemInstance:
             dict(lam=-1.0),
             dict(y=[1.0]),
             dict(r=[1.0, 2.0, 3.0]),
+            dict(lam=np.inf),
+            dict(lam=np.nan),
+            dict(A=[[1.0, 0.0], [0.0, np.inf]]),
+            dict(y=[np.nan, 2.0]),
+            dict(r=[0.0, -np.inf]),
         ],
     )
     def test_validation(self, kwargs):
@@ -181,8 +152,9 @@ class TestIndicatorCodec:
         assert indicator_to_string(s) == "+-0+"
         npt.assert_array_equal(s, [1, -1, 0, 1])
 
-    def test_support_sorted(self):
-        npt.assert_array_equal(support(indicator_from_string("0+0-")), [1, 3])
+    def test_support_sorted(self, two_column):
+        piece = candidate_slope(two_column, indicator_from_string("0+0-"))
+        npt.assert_array_equal(piece.support, [1, 3])
 
     def test_bad_character(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,12 @@ class TestCheckOpt:
         w = solve_saddle(rand_4x8, OracleConfig(tol=1e-10))
         assert check_opt(rand_4x8, w, tol=1e-6).satisfied
 
+    def test_nan_fails(self, two_column):
+        report = check_opt(two_column, np.array([0.5, 0.5, np.nan, 0.0]))
+        assert not report.satisfied
+        assert not report.worst_violation <= 1e-7
+        assert 2 in [i for i, _ in report.violations]
+
     def test_report_serialization(self, two_column):
         report = check_opt(two_column, np.zeros(4))  # lam=1 < max corr 2: violated
         assert not report.satisfied

@@ -26,8 +26,6 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import weq_passes_opt
-
 from conftest import random_instance
 
 S1 = indicator_from_string("++00")
@@ -179,7 +177,7 @@ class TestBruteForce:
     def test_batched_zone_tests_match_per_sample_loop(self, seed, shape, rho):
         # the five criterion-7 instances and a 2x3 one: testing each zone at
         # all samples at once assigns exactly what one zone_membership and
-        # one weq_passes_opt call per (zone, sample) pair assigns
+        # one optimality check per (zone, sample) pair assigns
         rng = np.random.default_rng(seed)
         A = rng.normal(size=shape)
         m, n = shape
@@ -202,7 +200,8 @@ class TestBruteForce:
                  indicator_to_string(p.s))
                 for p in pieces
                 if zone_membership(base, p.s, b, lam, piece=p)
-                and weq_passes_opt(base, p, b, lam, tol=1e-7)
+                and check_opt(base, eval_weq(p, b, lam), b=b, lam=lam).worst_violation
+                <= 1e-7
             ]
             matches.append(sorted(key for *_, key in matched))
             if not matched:

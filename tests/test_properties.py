@@ -16,7 +16,6 @@ from sgmc import (
     eval_weq,
     f_tmax,
     saddle_objective,
-    slice_columns,
 )
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -69,19 +68,6 @@ def test_matrices_block_structure(inst):
     # D restores the identity at rho = 0 and is never symmetric otherwise
     if inst.rho == 0.0:
         npt.assert_array_equal(mats.D, np.eye(2 * m))
-
-
-@given(instances(), st.integers(0, 2 ** 6 - 1))
-@settings(max_examples=60, deadline=None)
-def test_slice_columns_subsets(inst, mask):
-    C = inst.matrices.C
-    idx = [i for i in range(C.shape[1]) if mask & (1 << i)]
-    out = slice_columns(C, idx)
-    if not idx:
-        npt.assert_array_equal(out, np.zeros((C.shape[0], 1)))
-    else:
-        for k, i in enumerate(idx):
-            npt.assert_array_equal(out[:, k], C[:, i])
 
 
 @given(instances())

@@ -16,9 +16,7 @@ from sgmc import (
     restrict_to_line,
     solve_saddle,
     zero_indicator,
-    zone_entry_time,
     zone_exit_times,
-    zone_line_interval,
     zone_membership,
 )
 from sgmc.candidate import IncompatibleIndicatorError
@@ -144,27 +142,104 @@ class TestZoneExitTimes:
             assert not np.any(np.isfinite(times.t_b))
 
 
+def two_pass_times(r):
+    """(t_a, t_b, t_c, t_sup, t_inf) by the two-pass scan that the one
+    ratio test replaced: the exit scan along the line, then along the
+    reversed line (p, cu and dl negated), whose exit time is minus the
+    entry time."""
+
+    def sup_times(direction):
+        p, cu, dl = direction * r.p, direction * r.cu, direction * r.line.delta_lam
+        s, q, cv, lam0 = r.s, r.q, r.cv, r.line.lam0
+        on = s != 0
+        t_a = np.where(on, f_tmax(s * p, s * q), np.inf)
+        t_b = np.where(
+            on, np.inf, np.minimum(f_tmax(-cu - dl, lam0 + cv), f_tmax(cu - dl, lam0 - cv))
+        )
+        if dl == 0.0:
+            t_c = math.inf if lam0 > 0.0 else -math.inf
+        else:
+            t_c = f_tmax(-dl, lam0)
+        return t_a, t_b, t_c
+
+    t_a, t_b, t_c = sup_times(1.0)
+    back_a, back_b, back_c = sup_times(-1.0)
+    t_sup = float(min(t_a.min(), t_b.min(), t_c))
+    return t_a, t_b, t_c, t_sup, -float(min(back_a.min(), back_b.min(), back_c))
+
+
+def scan_cases():
+    """(inst, s, line) over seeded instances: the empty support, the
+    oracle's support and a support of 2m independent columns, each along a
+    b-direction, a coordinate b-direction, a lambda-direction, a mixed
+    direction and constant-lambda lines at lambda0 = 0 and below."""
+    for seed in range(12):
+        m, n = (2, 3) if seed % 2 else (3, 5)
+        inst = random_instance(200 + seed, m=m, n=n, rho=(0.0, 0.3, 0.6)[seed % 3])
+        w = solve_saddle(inst, OracleConfig(tol=1e-11))
+        spanning = np.zeros(2 * n, dtype=int)
+        spanning[:m] = spanning[n:n + m] = 1
+        rng = np.random.default_rng(seed)
+        lines = [
+            ParameterLine(inst.b, inst.lam, rng.normal(size=2 * m), 0.0),
+            ParameterLine(inst.b, inst.lam, np.eye(2 * m)[0], 0.0),
+            ParameterLine(inst.b, inst.lam, np.zeros(2 * m), -1.0),
+            ParameterLine(inst.b, inst.lam, 0.3 * rng.normal(size=2 * m), -0.2),
+            ParameterLine(inst.b, 0.0, rng.normal(size=2 * m), 0.0),
+            ParameterLine(inst.b, -0.5, rng.normal(size=2 * m), 0.0),
+        ]
+        for s in (zero_indicator(n), encode_sopt(inst, w, tol=1e-8), spanning):
+            if candidate_slope(inst, s).compatible:
+                for line in lines:
+                    yield inst, s, line
+
+
+class TestRatioTest:
+    def test_one_pass_matches_two_pass_scan(self):
+        supports = set()
+        for inst, s, line in scan_cases():
+            restricted = restrict_to_line(inst, s, line)
+            times = zone_exit_times(inst, s, line, restricted=restricted)
+            t_a, t_b, t_c, t_sup, t_inf = two_pass_times(restricted)
+            assert np.array_equal(times.t_a, t_a)
+            assert np.array_equal(times.t_b, t_b)
+            assert times.t_c == t_c
+            assert times.t_sup == t_sup
+            assert times.t_inf == t_inf
+            supports.add(int(np.count_nonzero(s)) / s.size)
+        assert 0.0 in supports and len(supports) >= 3
+
+    def test_entry_time_is_minus_exit_time_of_reversed_line(self):
+        for inst, s, line in scan_cases():
+            back = ParameterLine(line.b0, line.lam0, -line.delta_b, -line.delta_lam)
+            times = zone_exit_times(inst, s, line)
+            reversed_times = zone_exit_times(inst, s, back)
+            assert times.t_inf == -reversed_times.t_sup
+            assert times.t_sup == -reversed_times.t_inf
+
+
 class TestZoneEntryTime:
     def test_worked_example_entry(self, descent_line):
         inst, line = descent_line
-        assert zone_entry_time(inst, S1, line) == pytest.approx(1.0, abs=1e-12)
+        assert zone_exit_times(inst, S1, line).t_inf == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_zone_on_symmetric_line(self, two_column):
         # the zero zone around y(t) = t at lam = 1 is exactly [-1, 1]
         line = ParameterLine(np.zeros(2), 1.0, np.array([1.0, 0.0]), 0.0)
         s0 = zero_indicator(2)
-        assert zone_entry_time(two_column, s0, line) == pytest.approx(-1.0)
-        assert zone_exit_times(two_column, s0, line).t_sup == pytest.approx(1.0)
+        times = zone_exit_times(two_column, s0, line)
+        assert times.t_inf == pytest.approx(-1.0)
+        assert times.t_sup == pytest.approx(1.0)
 
     def test_interval_well_formed_against_dense_sampling(self):
         inst = random_instance(62, m=3, n=5, rho=0.25)
         w = solve_saddle(inst, OracleConfig(tol=1e-11))
         s = encode_sopt(inst, w, tol=1e-8)
         line = ParameterLine(inst.b, inst.lam, np.zeros(6), -1.0)
-        interval = zone_line_interval(inst, s, line)
-        assert interval.entry <= interval.exit
+        times = zone_exit_times(inst, s, line)
+        assert times.t_inf <= times.t_sup
         piece = candidate_slope(inst, s)
-        for t in np.linspace(max(interval.entry, -20), min(interval.exit, 20), 25):
+        for t in np.linspace(max(times.t_inf, -20), min(times.t_sup, 20), 25):
             b, lam = line.point_at(t)
             if lam <= 0:
                 continue
@@ -180,12 +255,12 @@ class TestIntervalCorrectness:
             s = encode_sopt(inst, w, tol=1e-8)
             rng = np.random.default_rng(seed)
             line = ParameterLine(inst.b, inst.lam, 0.3 * rng.normal(size=6), -0.2)
-            interval = zone_line_interval(inst, s, line)
-            if interval.degenerate:
+            times = zone_exit_times(inst, s, line)
+            if not times.t_inf < times.t_sup:  # degenerate: the line touches the zone
                 continue
             piece = candidate_slope(inst, s)
-            lo = max(interval.entry, -30.0)
-            hi = min(interval.exit, 30.0)
+            lo = max(times.t_inf, -30.0)
+            hi = min(times.t_sup, 30.0)
             for t in rng.uniform(lo, hi, size=5):
                 b, lam = line.point_at(float(t))
                 if lam <= 0:
@@ -193,17 +268,17 @@ class TestIntervalCorrectness:
                 assert zone_membership(inst, s, b, lam, tol=1e-7, piece=piece)
                 hits += 1
             margin = 1e-6 * (1.0 + abs(hi))
-            for t in (interval.entry, interval.exit):
+            for t in (times.t_inf, times.t_sup):
                 if not math.isfinite(t):
                     continue
                 for outside in (t - margin, t + margin):
-                    if interval.entry + margin / 2 < outside < interval.exit - margin / 2:
+                    if times.t_inf + margin / 2 < outside < times.t_sup - margin / 2:
                         continue
                     b, lam = line.point_at(outside)
                     if lam <= 0:
                         continue
                     # strictly outside by the margin: not a member
-                    if outside < interval.entry - margin / 2 or outside > interval.exit + margin / 2:
+                    if outside < times.t_inf - margin / 2 or outside > times.t_sup + margin / 2:
                         assert not zone_membership(inst, s, b, lam, tol=1e-9, piece=piece)
                         hits += 1
         assert hits >= 50
