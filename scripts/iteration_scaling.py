@@ -3,12 +3,13 @@
 
 A step restricts the zone to the line and scans every constraint, O(mn +
 |E|^2) given the zone's piece.  Along a path the next piece comes from a
-one-index bordered-inverse update, also O(mn + |E|^2); only the start zone,
-multi-index steps, rank drops and updates that fail their residual check
-rebuild it from an SVD, O(m|E|^2 + |E|^3).  The script times the step over
-growing supports on a fixed Gaussian instance and fits the log-log slope;
-by default each timed step also builds its piece from scratch, and
---reuse-slope leaves that out, as a path step does.
+one-index bordered-inverse update, also O(mn + |E|^2), that appends the
+inserted index or swaps the deleted one with the last and permutes nothing;
+only the start zone, multi-index steps, rank drops and updates that fail
+their residual check rebuild it from an SVD, O(m|E|^2 + |E|^3).  The
+script times the step over growing supports on a fixed Gaussian instance
+and fits the log-log slope; by default each timed step also builds its
+piece from scratch, and --reuse-slope leaves that out, as a path step does.
 """
 
 import argparse

@@ -16,6 +16,10 @@ Since D + D^T is positive definite, M is invertible exactly when C_E has
 full column rank, and then [s]_E lies in Col(C_E^T).  Neighbouring zones
 differ in one support index, so `next_piece` updates M^{-1} by a bordered
 inverse in O(mn + |E|^2) instead of rebuilding it in O(m|E|^2 + |E|^3).
+The rows and columns of M^{-1} follow the piece's `support` array, not
+ascending index order: as in classical LARS, an insertion appends its index
+and a deletion moves the last index into the freed position, so no update
+permutes the inverse.
 """
 
 from __future__ import annotations
@@ -56,9 +60,13 @@ def is_compatible(inst: ProblemInstance, s: np.ndarray) -> bool:
 class CandidatePiece:
     """Affine candidate solution map of one indicator.
 
-    `Minv` is pinv(C_E^T D C_E) in ascending support order; `invertible`
-    says it is the true inverse (C_E has full column rank).  `C` is the
-    instance's structural matrix, shared, not copied.
+    `Minv` is pinv(C_E^T D C_E) with rows and columns in the order of
+    `support`, the indices of E: ascending from `candidate_slope`, then
+    as `next_piece` leaves them (insertions appended, a deletion's slot
+    filled by the last index).  `invertible` says it is the true inverse
+    (C_E has full column rank).  `C` is the instance's
+    structural matrix, shared, not copied.  Pieces are shared through
+    memos, so nothing may mutate their arrays.
     """
 
     s: np.ndarray
@@ -66,16 +74,13 @@ class CandidatePiece:
     compatible: bool
     invertible: bool
     C: np.ndarray
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.s)
+    support: np.ndarray
 
     @cached_property
     def R(self) -> np.ndarray:
-        """Slope R(s), shape (|E|, 2m+1); rows follow the ascending support
-        order.  For the empty support it is the 1 x (2m+1) zero matrix (the
-        empty-slice convention).  Formed on first use only."""
+        """Slope R(s), shape (|E|, 2m+1); rows follow `support`.  For the
+        empty support it is the 1 x (2m+1) zero matrix (the empty-slice
+        convention).  Formed on first use only."""
         E = self.support
         if E.size == 0:
             return np.zeros((1, self.C.shape[0] + 1))
@@ -103,7 +108,8 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     mats = inst.matrices
     if E.size == 0:
         return CandidatePiece(
-            s=s, Minv=np.zeros((0, 0)), compatible=True, invertible=True, C=mats.C
+            s=s, Minv=np.zeros((0, 0)), compatible=True, invertible=True, C=mats.C,
+            support=E,
         )
     CE = mats.C[:, E]
     U, sv, Vt = np.linalg.svd(CE.T @ (mats.D @ CE))
@@ -112,7 +118,8 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     invertible = bool(keep.all())
     compatible = invertible or is_compatible(inst, s)
     return CandidatePiece(
-        s=s, Minv=Minv, compatible=compatible, invertible=invertible, C=mats.C
+        s=s, Minv=Minv, compatible=compatible, invertible=invertible, C=mats.C,
+        support=E,
     )
 
 
@@ -123,55 +130,69 @@ def next_piece(
     differs from it in one index, in O(mn + |E|^2).
 
     An insertion borders M^{-1} through the Schur complement
-    sigma = d - row^T M^{-1} col of the new row, column and corner d; a
-    deletion takes M^{-1} <- P - q r^T / s from its own blocks.  A from-scratch
-    `candidate_slope` runs instead when the supports differ in more than one
-    index, when `piece` holds a pseudoinverse, when sigma <= SCHUR_RTOL times
-    its scale (a rank drop), or when the updated inverse misses
-    M (M^{-1} s_E) = s_E by more than UPDATE_RTOL.
+    sigma = d - row^T M^{-1} col of the new row, column and corner d, and
+    appends the index to the support.  A deletion swaps the index's
+    position with the last one and takes M^{-1} <- P - q r^T / s from the
+    blocks of the swapped inverse.  `piece` itself is never modified.  A
+    from-scratch `candidate_slope` runs instead when the supports differ in
+    more than one index, when `piece` holds a pseudoinverse, when
+    sigma <= SCHUR_RTOL times its scale (a rank drop), or when the updated
+    inverse misses M (M^{-1} s_E) = s_E by more than UPDATE_RTOL.
     """
     changed = np.flatnonzero((s_next != 0) != (piece.s != 0))
     if changed.size != 1 or not piece.invertible:
         return candidate_slope(inst, s_next)
     j = int(changed[0])
-    E = piece.support
+    E, P = piece.support, piece.Minv
+    N = E.size
     mats = inst.matrices
     C, D = mats.C, mats.D
-    k = int(np.searchsorted(E, j))  # position of j in the longer support
     if piece.s[j] == 0:
         cj = C[:, j]
         Dcj = D @ cj
         col = (C.T @ Dcj)[E]  # C_E^T D c_j
         row = (C.T @ (D.T @ cj))[E]  # (c_j^T D C_E)^T
         d = float(cj @ Dcj)
-        x = piece.Minv @ col
-        y = row @ piece.Minv
+        x = P @ col
+        y = row @ P
         rx = float(row @ x)
         sigma = d - rx
         if not sigma > SCHUR_RTOL * (abs(d) + abs(rx)):
             return candidate_slope(inst, s_next)
-        N = E.size
-        grown = np.empty((N + 1, N + 1))
-        grown[:N, :N] = piece.Minv + np.outer(x, y) / sigma
-        grown[:N, N] = -x / sigma
-        grown[N, :N] = -y / sigma
-        grown[N, N] = 1.0 / sigma
-        order = np.insert(np.arange(N), k, N)
-        Minv = grown[np.ix_(order, order)]
+        x /= sigma
+        Minv = np.empty((N + 1, N + 1))
+        np.multiply.outer(x, y, out=Minv[:N, :N])
+        Minv[:N, :N] += P
+        Minv[:N, N] = -x
+        Minv[N, :N] = -y / sigma
+        Minv[N, N] = 1.0 / sigma
+        support = np.append(E, j)
     else:
-        keep = np.delete(np.arange(E.size), k)
-        Minv = piece.Minv[np.ix_(keep, keep)] - np.outer(
-            piece.Minv[keep, k], piece.Minv[k, keep]
-        ) / piece.Minv[k, k]
-    E_next = np.flatnonzero(s_next)
-    if E_next.size:
-        rhs = s_next[E_next].astype(float)
+        # the leading block of P with positions k and N - 1 swapped: a
+        # contiguous copy with row and column k replaced by those of N - 1
+        k = int(np.flatnonzero(E == j)[0])
+        last = N - 1
+        Minv = P[:last, :last].copy()
+        col, row = P[:last, k].copy(), P[k, :last].copy()
+        support = E[:last].copy()
+        if k < last:
+            Minv[k, :] = P[last, :last]
+            Minv[:, k] = P[:last, last]
+            Minv[k, k] = P[last, last]
+            col[k], row[k] = P[last, k], P[k, last]
+            support[k] = E[last]
+        row /= P[k, k]
+        Minv -= np.multiply.outer(col, row)
+    if support.size:
+        rhs = s_next[support].astype(float)
         w = np.zeros(s_next.size)
-        w[E_next] = Minv @ rhs
-        residual = (C.T @ (D @ (C @ w)))[E_next] - rhs
+        w[support] = Minv @ rhs
+        residual = (C.T @ (D @ (C @ w)))[support] - rhs
         if not np.abs(residual).max() <= UPDATE_RTOL:
             return candidate_slope(inst, s_next)
-    return CandidatePiece(s=s_next, Minv=Minv, compatible=True, invertible=True, C=C)
+    return CandidatePiece(
+        s=s_next, Minv=Minv, compatible=True, invertible=True, C=C, support=support
+    )
 
 
 def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> np.ndarray:

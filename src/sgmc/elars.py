@@ -251,8 +251,13 @@ def path_sweep(
     shared by sweeps that revisit zones: the start zone and every landing
     zone are looked up there before they are built, and stored after.
     Without it a sweep keeps no piece past the next step, as a long descent
-    through many large supports needs.
+    through many large supports needs.  `t_start` must be finite and
+    `t_end` a number, +inf for no end.
     """
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start}")
+    if math.isnan(t_end):
+        raise ValueError("t_end must be a number or inf, got nan")
     s = as_indicator(s_init)
     piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
     b_start, lam_start = line.point_at(t_start)

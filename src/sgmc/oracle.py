@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .candidate import candidate_slope, eval_weq, zone_margins
+from .candidate import (
+    CandidatePiece,
+    candidate_slope,
+    eval_weq,
+    is_compatible,
+    zone_margins,
+)
 from .model import ProblemInstance, as_indicator, indicator_to_string
 from .optimality import check_opt
 
@@ -331,10 +337,21 @@ def brute_force_indicators(
     lams = np.array([lam for _, lam in points], dtype=float)
 
     # every zone is tested at all samples in one call; only the few member
-    # samples go on to the optimality check, one at a time
+    # samples go on to the optimality check, one at a time.  M = C_E^T D C_E
+    # does not depend on the signs, so each support's piece is built once and
+    # its sign patterns share it; only a rank-deficient support tests each
+    # pattern's compatibility
     per_sample: list[list[tuple[float, int, str]]] = [[] for _ in points]
+    by_support: dict[bytes, CandidatePiece] = {}
     for combo in itertools.product((1, 0, -1), repeat=2 * n):
-        piece = candidate_slope(base, np.array(combo))
+        s = np.array(combo)
+        key = (s != 0).tobytes()
+        first = by_support.get(key)
+        if first is None:
+            piece = by_support[key] = candidate_slope(base, s)
+        else:
+            compatible = first.invertible or is_compatible(base, s)
+            piece = replace(first, s=s, compatible=compatible)
         if not piece.compatible:
             continue
         inside = zone_margins(base, piece, B, lams).inside(lams)

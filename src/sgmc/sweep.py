@@ -28,7 +28,8 @@ SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its ter
 
 @dataclass(frozen=True)
 class ParameterLine:
-    """Straight line (b0 + delta_b * t, lam0 + delta_lam * t)."""
+    """Straight line (b0 + delta_b * t, lam0 + delta_lam * t); all four
+    coefficients must be finite."""
 
     b0: np.ndarray
     lam0: float
@@ -40,6 +41,10 @@ class ParameterLine:
         db = np.ravel(np.asarray(self.delta_b, dtype=float))
         if b0.shape != db.shape:
             raise ValueError("b0 and delta_b must have equal length")
+        for name, value in (("b0", b0), ("delta_b", db), ("lam0", self.lam0),
+                            ("delta_lam", self.delta_lam)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"line {name} must be finite")
         if not np.any(db) and self.delta_lam == 0.0:
             raise ValueError("line must have a nonzero velocity")
         object.__setattr__(self, "b0", b0)

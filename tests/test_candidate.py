@@ -82,6 +82,17 @@ class TestCandidateSlope:
         assert np.abs(residual).max() <= 1e-9
 
 
+def in_order_of(ref, piece):
+    """Positions in `ref.support` of the indices of `piece.support`."""
+    return np.searchsorted(ref.support, piece.support)
+
+
+def s_with(s, i, sign):
+    s = s.copy()
+    s[i] = sign
+    return s
+
+
 class TestNextPiece:
     def test_one_index_updates_match_closed_form(self):
         # m = 4: primal and dual supports of at most four columns each keep
@@ -95,8 +106,66 @@ class TestNextPiece:
             piece = next_piece(inst, piece, s)
             ref = candidate_slope(inst, s)
             assert piece.invertible and piece.compatible
-            npt.assert_allclose(piece.Minv, ref.Minv, rtol=1e-10, atol=1e-12)
-            npt.assert_allclose(piece.R, ref.R, rtol=1e-10, atol=1e-12)
+            # updates keep M^{-1} in the order of piece.support, ref's ascending
+            pos = in_order_of(ref, piece)
+            npt.assert_allclose(piece.Minv, ref.Minv[np.ix_(pos, pos)], rtol=1e-10, atol=1e-12)
+            npt.assert_allclose(piece.R, ref.R[pos], rtol=1e-10, atol=1e-12)
+
+    def test_long_edit_chain_matches_closed_form(self, monkeypatch):
+        # 48 one-index edits on a 12 x 24 instance that delete the first, a
+        # middle and the last position of the support in turn, with each
+        # half of the support at most m - 2 so C_E keeps full column rank;
+        # a rebuild inside next_piece fails the test, so every step updates
+        import sgmc.candidate
+
+        m, n = 12, 24
+        inst = random_instance(37, m=m, n=n, rho=0.4)
+        rng = np.random.default_rng(38)
+        s = np.zeros(2 * n, dtype=int)
+        s[rng.choice(2 * n, size=6, replace=False)] = 1
+        piece = candidate_slope(inst, s)
+
+        def no_rebuild(inst, s):
+            raise AssertionError("next_piece rebuilt a piece")
+
+        monkeypatch.setattr(sgmc.candidate, "candidate_slope", no_rebuild)
+        deleted_at = set()
+        for step in range(48):
+            s = s.copy()
+            E = piece.support
+            if step % 2 == 0:
+                halves = [np.count_nonzero(s[:n]), np.count_nonzero(s[n:])]
+                free = [i for i in np.flatnonzero(s == 0) if halves[i // n] < m - 2]
+                s[rng.choice(free)] = rng.choice([-1, 1])
+            else:
+                k = (0, E.size // 2, E.size - 1)[(step // 2) % 3]
+                deleted_at.add((0, E.size // 2, E.size - 1).index(k))
+                s[E[k]] = 0
+            piece = next_piece(inst, piece, s)
+            ref = sgmc.candidate_slope(inst, s)
+            npt.assert_array_equal(np.sort(piece.support), ref.support)
+            pos = in_order_of(ref, piece)
+            npt.assert_allclose(piece.Minv, ref.Minv[np.ix_(pos, pos)], rtol=1e-10, atol=1e-12)
+        assert deleted_at == {0, 1, 2}
+        assert not np.all(np.diff(piece.support) > 0)  # the order is not ascending
+
+    def test_parent_piece_unchanged(self):
+        # memos share pieces, so an update must leave its parent as it was
+        inst = random_instance(39, m=6, n=10, rho=0.3)
+        s = indicator_from_string("+0-00+000-" + "0+000-0000")
+        parent = next_piece(inst, candidate_slope(inst, s), s_with(s, 2, 0))
+        parent = next_piece(inst, parent, s_with(parent.s, 14, 1))
+        Minv, support, signs = parent.Minv.tobytes(), parent.support.copy(), parent.s.copy()
+        E = parent.support
+        for child_s in (s_with(parent.s, 3, -1), s_with(parent.s, E[0], 0),
+                        s_with(parent.s, E[2], 0), s_with(parent.s, E[-1], 0)):
+            child = next_piece(inst, parent, child_s)
+            assert child.invertible
+            assert not np.shares_memory(child.Minv, parent.Minv)
+            assert not np.shares_memory(child.support, parent.support)
+            assert parent.Minv.tobytes() == Minv
+            npt.assert_array_equal(parent.support, support)
+            npt.assert_array_equal(parent.s, signs)
 
     def test_rank_drop_falls_back(self):
         # m = 2: a third primal column lies in the span of the first two, so

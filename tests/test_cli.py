@@ -166,6 +166,26 @@ def test_path_exit_code_per_stop_reason(instance_file, tmp_path, monkeypatch, st
     assert json.loads(out.read_text())["stop_reason"] == stop
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--t-end", "nan", "t_end"),
+        ("--t-start", "nan", "t_start"),
+        ("--delta-lambda", "nan", "line delta_lam"),
+        ("--delta-b", "inf,0", "line delta_b"),
+    ],
+)
+def test_path_rejects_non_finite_line_data(instance_file, tmp_path, capsys, flag, value, named):
+    # --t-end nan used to sweep to the lambda terminus and exit 0, and a NaN
+    # or infinite velocity failed as an invalid start indicator
+    args = {"--delta-lambda": "-1", flag: value}
+    argv = ["path", "--instance", instance_file(DESCENT), "--out", str(tmp_path / "p.json")]
+    for name, text in args.items():
+        argv += [f"{name}={text}"]
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_enumerate_two_column(instance_file, tmp_path):
     out = tmp_path / "graph.json"
     code = main(

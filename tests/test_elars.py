@@ -333,6 +333,13 @@ class TestPathSweep:
         with pytest.raises(ValueError):
             path_sweep(two_column, line, zero_indicator(2), t_start=0.0)
 
+    @pytest.mark.parametrize("t_start, t_end", [(math.nan, math.inf), (math.inf, math.inf),
+                                                (-math.inf, 1.0), (0.0, math.nan)])
+    def test_non_finite_times_raise(self, descent_line, t_start, t_end):
+        inst, line = descent_line
+        with pytest.raises(ValueError, match="t_start|t_end"):
+            path_sweep(inst, line, zero_indicator(2), t_start=t_start, t_end=t_end)
+
     def test_max_segments_truncates(self, descent_line):
         inst, line = descent_line
         result = path_sweep(inst, line, zero_indicator(2), t_start=0.0, max_segments=1)

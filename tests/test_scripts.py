@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end against the package as it is,
 so that removing or renaming an API they use fails here."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,36 @@ def test_iteration_scaling(extra):
     done = run_script("iteration_scaling.py", "--m", "8", "--n", "16", "--sizes", "2,4,8", *extra)
     assert done.returncode == 0, done.stderr
     assert "fitted log-log slope:" in done.stdout
+
+
+def test_bench_summary(tmp_path):
+    # two seeds on each side: the change wins work_per_s in both pairs and
+    # setup_s (lower is better) in one; the file name pattern pairs runs
+    def write(side, seed, work, setup, failed):
+        directory = tmp_path / side
+        directory.mkdir(exist_ok=True)
+        metrics = {"setup_s": {"value": setup}, "work_per_s": {"value": work},
+                   "peak_rss_mb": {"value": 50.0}}
+        result = {"environment": {"seconds": 30.0}, "metrics": metrics,
+                  "failed": failed, "attempted": 6}
+        (directory / f"descent-seed{seed}-trace0.json").write_text(json.dumps(result))
+
+    write("parent", 1, 100.0, 0.30, 1)
+    write("parent", 2, 120.0, 0.20, 0)
+    write("change", 1, 150.0, 0.25, 0)
+    write("change", 2, 130.0, 0.25, 0)
+    (tmp_path / "parent" / "descent-seed3-trace1.json").write_text("{}")  # traced: skipped
+    out = tmp_path / "bench.json"
+    done = run_script("bench_summary.py", "--parent", str(tmp_path / "parent"),
+                      "--change", str(tmp_path / "change"), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    entry = json.loads(out.read_text())["workloads"]["descent"]
+    assert entry["seeds"] == [1, 2] and entry["pairs"] == 2
+    work = entry["metrics"]["work_per_s"]
+    assert (work["change_wins"], work["parent_wins"]) == (2, 0)
+    assert work["parent"] == {"median": 110.0, "q1": 105.0, "q3": 115.0}
+    setup = entry["metrics"]["setup_s"]
+    assert (setup["change_wins"], setup["parent_wins"]) == (1, 1)
+    assert entry["metrics"]["peak_rss_mb"]["change_wins"] == 0
+    assert (entry["failed_parent"], entry["failed_change"]) == (1, 0)
+    assert "--workload descent --seed <seed> --seconds 30 --trace 0" in entry["command"]

@@ -26,6 +26,16 @@ from conftest import random_instance
 S1 = indicator_from_string("++00")
 
 
+class TestParameterLine:
+    @pytest.mark.parametrize("field", ["b0", "delta_b", "lam0", "delta_lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_data(self, field, value):
+        data = {"b0": np.ones(2), "lam0": 1.0, "delta_b": np.zeros(2), "delta_lam": -1.0}
+        data[field] = np.array([0.0, value]) if field in ("b0", "delta_b") else value
+        with pytest.raises(ValueError, match=f"line {field} must be finite"):
+            ParameterLine(**data)
+
+
 class TestFTmax:
     @pytest.mark.parametrize(
         "k,c,expected",
