@@ -8,8 +8,10 @@ inserted index or swaps the deleted one with the last and permutes nothing;
 only the start zone, multi-index steps, rank drops and updates that fail
 their residual check rebuild it from an SVD, O(m|E|^2 + |E|^3).  The
 script times the step over growing supports on a fixed Gaussian instance
-and fits the log-log slope; by default each timed step also builds its
-piece from scratch, and --reuse-slope leaves that out, as a path step does.
+and fits the log-log slope.  By default each timed call is
+`candidate_slope` plus the step, the piece built from scratch as for a
+start zone; --reuse-slope builds the piece once per support and times the
+step alone, as a path step runs.
 """
 
 import argparse
@@ -23,13 +25,13 @@ from sgmc import ParameterLine, ProblemInstance, candidate_slope, elars_iterate
 def time_step(inst, line, size, repeats=9, inner=3, reuse_slope=False):
     s = np.zeros(2 * inst.n, dtype=int)
     s[:size] = 1
-    piece = candidate_slope(inst, s) if reuse_slope else None
-    elars_iterate(inst, s, line, piece=piece)  # warm-up
+    piece = candidate_slope(inst, s)
+    elars_iterate(inst, piece, line)  # warm-up
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(inner):
-            elars_iterate(inst, s, line, piece=piece)
+            elars_iterate(inst, piece if reuse_slope else candidate_slope(inst, s), line)
         samples.append((time.perf_counter() - t0) / inner)
     return float(np.median(samples))
 

@@ -15,6 +15,7 @@ from sgmc import (
     EnumerationConfig,
     ParameterLine,
     ProblemInstance,
+    candidate_slope,
     elars_iterate,
     enumerate_zones,
     indicator_to_string,
@@ -28,7 +29,7 @@ def main():
     line = ParameterLine(b0=inst.b, lam0=2.0, delta_b=np.zeros(2), delta_lam=-1.0)
 
     print("== one deletion-insertion step from the all-zero indicator ==")
-    step = elars_iterate(inst, zero_indicator(inst.n), line)
+    step = elars_iterate(inst, candidate_slope(inst, zero_indicator(inst.n)), line)
     tied = sorted(set(step.deleted) | set(step.inserted))
     print(f"breakpoint t+ = {step.t_plus}")
     print(f"next indicator = {indicator_to_string(step.s_plus)}")

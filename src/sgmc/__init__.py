@@ -6,11 +6,9 @@ __version__ = "0.1.0"
 from .model import (
     ModelMatrices,
     ProblemInstance,
-    build_model_matrices,
     indicator_from_string,
     indicator_to_string,
     load_instance,
-    saddle_objective,
     split_extended,
     zero_indicator,
 )
@@ -32,13 +30,11 @@ from .candidate import (
     is_compatible,
     strictly_inside,
     zone_membership,
-    zone_slack,
 )
 from .sweep import (
     LineRestrictedPiece,
     ParameterLine,
     ZoneExitTimes,
-    f_tmax,
     restrict_to_line,
     zone_exit_times,
 )

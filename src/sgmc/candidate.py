@@ -248,10 +248,9 @@ def zone_membership(
 
     Evaluates the two inequality families directly on w = eval_weq(s; b, lam):
     sign consistency s_i w_i >= -tol on the support and |xi_i(w)| <= lambda +
-    tol*(1+lambda) off it.  A precomputed `piece` skips the slope rebuild.
+    tol*(1+lambda) off it, at 0 < lambda < inf.  A precomputed `piece` skips
+    the slope rebuild.
     """
-    if lam <= 0:
-        return False
     if piece is None:
         piece = candidate_slope(inst, s)
     if not piece.compatible:
@@ -274,11 +273,13 @@ class ZoneMargins:
     def inside(self, lam: float | np.ndarray, tol: float = 1e-9):
         """Zone membership at each point with the tolerances of
         `zone_membership`: s_i w_i >= -tol and |xi_i| <= lambda +
-        tol*(1+lambda), at lambda > 0."""
+        tol*(1+lambda), at 0 < lambda < inf; a NaN fails."""
+        lam = np.asarray(lam)
         return (
             (self.sign_margin >= -tol)
             & (self.corr_margin >= -tol * (1.0 + lam))
-            & (np.asarray(lam) > 0)
+            & (lam > 0)
+            & (lam < np.inf)
         )
 
 
@@ -302,22 +303,6 @@ def zone_margins(
     return ZoneMargins(sign_margin=sign_margin, corr_margin=corr_margin)
 
 
-def zone_slack(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    piece: CandidatePiece | None = None,
-) -> float:
-    """Minimum slack over all zone inequalities (including lambda > 0);
-    negative outside the zone, -inf for incompatible indicators."""
-    if piece is None:
-        piece = candidate_slope(inst, s)
-    if not piece.compatible:
-        return -np.inf
-    return float(min(zone_margins(inst, piece, b, lam).overall, lam))
-
-
 def strictly_inside(
     inst: ProblemInstance,
     s: np.ndarray,
@@ -326,6 +311,12 @@ def strictly_inside(
     piece: CandidatePiece | None = None,
     margin: float = 1e-6,
 ) -> bool:
-    """Operational interior test: every zone inequality holds with slack at
-    least margin*(1+lambda)."""
-    return zone_slack(inst, s, b, lam, piece=piece) >= margin * (1.0 + lam)
+    """Operational interior test: every zone inequality, lambda > 0
+    included, holds with slack at least margin*(1+lambda); never for an
+    incompatible indicator."""
+    if piece is None:
+        piece = candidate_slope(inst, s)
+    if not piece.compatible:
+        return False
+    slack = min(zone_margins(inst, piece, b, lam).overall, lam)
+    return bool(slack >= margin * (1.0 + lam))

@@ -123,6 +123,8 @@ def cmd_solve(args) -> int:
 
 
 def _resolve_init(inst, line, t_start, strategy, tol):
+    if not math.isfinite(t_start):  # name it before the init strategies reject lambda
+        raise ValueError(f"t_start must be finite, got {t_start}")
     b0, lam0 = line.point_at(t_start)
     if strategy in ("auto", "zero"):
         try:

@@ -48,10 +48,10 @@ class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
-def _ties(values, t_plus: float, tol: float):
+def _ties(values, t_plus: float):
     """Which values equal the finite breakpoint t_plus within
-    tol*(1+|t_plus|), elementwise; infinite values never tie."""
-    return np.abs(np.asarray(values) - t_plus) <= tol * (1.0 + abs(t_plus))
+    TIE_TOL*(1+|t_plus|), elementwise; infinite values never tie."""
+    return np.abs(np.asarray(values) - t_plus) <= TIE_TOL * (1.0 + abs(t_plus))
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,18 @@ class IterationResult:
 
 
 def elars_iterate(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    line: ParameterLine,
-    tie_tol: float = TIE_TOL,
-    piece: CandidatePiece | None = None,
+    inst: ProblemInstance, piece: CandidatePiece, line: ParameterLine
 ) -> IterationResult:
-    """One E-LARS step along `line` out of the zone of `s`; a given `piece`
-    is the piece of `s`, and its own indicator is used."""
-    s = as_indicator(s) if piece is None else piece.s
-    restricted = restrict_to_line(inst, s, line, piece=piece)
-    times = zone_exit_times(inst, s, line, restricted=restricted)
+    """One E-LARS step along `line` out of the zone of `piece`.
+
+    The zone is restricted to the line once; its exit time is the
+    breakpoint, and the events within TIE_TOL of it make the next
+    indicator.  A caller holding an indicator builds its piece with
+    `candidate_slope` first.
+    """
+    s = piece.s
+    restricted = restrict_to_line(inst, piece, line)
+    times = zone_exit_times(restricted)
     t_plus = times.t_sup
 
     if math.isinf(t_plus):
@@ -99,15 +100,15 @@ def elars_iterate(
             restricted=restricted, t_entry=times.t_inf,
         )
 
-    terminus = math.isfinite(times.t_c) and bool(_ties(times.t_c, t_plus, tie_tol))
-    deleted = np.flatnonzero(_ties(times.t_a, t_plus, tie_tol))
+    terminus = math.isfinite(times.t_c) and bool(_ties(times.t_c, t_plus))
+    deleted = np.flatnonzero(_ties(times.t_a, t_plus))
     signs = np.sign(restricted.correlation_at(t_plus)).astype(int)
     # a zero sign only happens where the binding value is lambda(t_plus) = 0,
     # i.e. at the terminus wall: not a real event.  There every correlation
     # bound ties and rounding gives the correlations signs, but the path
     # ends at the terminus, so it inserts nothing
     inserted = np.flatnonzero(
-        _ties(times.t_b, t_plus, tie_tol) & (signs != 0) & (not terminus)
+        _ties(times.t_b, t_plus) & (signs != 0) & (not terminus)
     )
 
     s_plus = s.copy()
@@ -229,7 +230,6 @@ def path_sweep(
     t_start: float,
     t_end: float = math.inf,
     max_segments: int = 64,
-    tol: float = 1e-9,
     pieces: dict[bytes, CandidatePiece] | None = None,
 ) -> PathSweepResult:
     """Piecewise-linear solution map along `line` for t in [t_start, t_end].
@@ -238,14 +238,16 @@ def path_sweep(
     and chains deletion-insertion steps.  Each zone's piece comes from the
     previous one by `next_piece` (a one-index update of M^{-1}, or a rebuild
     on multi-index events and rank drops) and is restricted to the line once.
-    That one restriction certifies the step that landed in the zone: the
-    zone meets the line in the closed-form interval [entry, exit], so the
-    new indicator must be compatible with entry <= t_plus (else
-    `unverified_step`) and exit >= t_plus (else `degenerate_interval`),
-    both within the TIE_TOL window.  A zone the line only touches at a
-    breakpoint is a zero-length segment.  A repeated (indicator, breakpoint)
-    pair aborts as `cycle_detected`.  A sweep cut by `max_segments` still
-    certifies the last landing first.
+    That one restriction certifies the zone: it meets the line in the
+    closed-form interval [entry, exit].  The start zone must hold t_start in
+    it, entry <= t_start and exit >= t_start within the TIE_TOL window, at
+    lambda(t_start) > 0, else the call raises ValueError (so does an
+    incompatible `s_init`).  A zone a step landed in must be compatible
+    with entry <= t_plus (else `unverified_step`) and exit >= t_plus (else
+    `degenerate_interval`), within the same window.  A zone the line only
+    touches at a breakpoint is a zero-length segment.  A repeated
+    (indicator, breakpoint) pair aborts as `cycle_detected`.  A sweep cut
+    by `max_segments` still certifies the last landing first.
 
     `pieces` is an optional memo from `s.tobytes()` to the pieces of `inst`,
     shared by sweeps that revisit zones: the start zone and every landing
@@ -259,11 +261,13 @@ def path_sweep(
     if math.isnan(t_end):
         raise ValueError("t_end must be a number or inf, got nan")
     s = as_indicator(s_init)
+    lam_start = line.lam_at(t_start)
+    if not lam_start > 0:
+        raise ValueError(f"lambda(t_start) must be positive, got {lam_start}")
     piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
-    b_start, lam_start = line.point_at(t_start)
-    if not zone_membership(
-        inst, s, b_start, lam_start, tol=max(tol, 1e-9), piece=piece
-    ):
+    res = elars_iterate(inst, piece, line)
+    window = TIE_TOL * (1.0 + abs(t_start))
+    if not (res.t_entry <= t_start + window and res.t_plus >= t_start - window):
         raise ValueError(
             "s_init is not a valid zone indicator at t_start "
             f"(s={indicator_to_string(s)}, t={t_start})"
@@ -272,15 +276,9 @@ def path_sweep(
     segments: list[PathSegment] = []
     seen: dict[bytes, list[float]] = {}
     t_cur = t_start
-    landed = False  # whether s was reached by a step (the start zone was not)
     truncated = False
     stop = "t_end_reached"
     while True:
-        res = elars_iterate(inst, s, line, piece=piece)
-        if landed and res.t_entry > t_cur + TIE_TOL * (1.0 + abs(t_cur)):
-            # the zone the last step landed in starts after its breakpoint
-            stop = "unverified_step"
-            break
         if len(segments) >= max_segments:
             truncated = True
             stop = "max_segments"
@@ -308,7 +306,7 @@ def path_sweep(
             break
 
         breaks = seen.setdefault(res.s_plus.tobytes(), [])
-        if any(_ties(tp, res.t_plus, TIE_TOL) for tp in breaks):
+        if any(_ties(tp, res.t_plus) for tp in breaks):
             stop = "cycle_detected"
             break
         breaks.append(res.t_plus)
@@ -325,7 +323,11 @@ def path_sweep(
             break
         s = res.s_plus
         t_cur = res.t_plus
-        landed = True
+        res = elars_iterate(inst, piece, line)
+        if res.t_entry > t_cur + TIE_TOL * (1.0 + abs(t_cur)):
+            # the zone the step landed in starts after its breakpoint
+            stop = "unverified_step"
+            break
     return PathSweepResult(
         segments=tuple(segments), truncated=truncated, stop_reason=stop, line=line
     )
@@ -352,19 +354,21 @@ def initialize_indicator(
 ) -> np.ndarray:
     """Starting indicator whose zone contains (b, lambda).
 
-    `zero` needs max_i |c_i^T b| <= lambda (the all-zero zone); `from_oracle`
-    solves the instance iteratively, encodes the equicorrelation signs and
+    `zero` certifies the all-zero zone by zone membership, max_i |c_i^T b|
+    <= lambda + tol*(1+lambda) at 0 < lambda < inf; `from_oracle` solves
+    the instance iteratively, encodes the equicorrelation signs and
     certifies them by zone membership, failing loudly on zone boundaries
-    (the caller may perturb lambda and retry).
+    (the caller may perturb lambda and retry).  A point that fails either
+    certificate, NaN included, is never given an indicator.
     """
     b = np.ravel(b)
     if strategy == "zero":
-        corr_max = float(np.abs(inst.matrices.C.T @ b).max())
-        if corr_max > lam * (1.0 + tol) + tol:
+        s = zero_indicator(inst.n)
+        if not zone_membership(inst, s, b, lam, tol=tol):
             raise ValueError(
-                f"zero strategy needs max|c_i^T b| <= lambda, got {corr_max} > {lam}"
+                f"zero strategy needs max|c_i^T b| <= lambda < inf, got lambda={lam}"
             )
-        return zero_indicator(inst.n)
+        return s
     if strategy != "from_oracle":
         raise ValueError(f"unknown strategy {strategy!r}")
     probe = inst.with_params(b=b, lam=lam)
@@ -582,23 +586,16 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     key0 = indicator_to_string(s0)
     add_node(s0, anchor0, key0)
     queue = deque([key0])
-    expanded: set[str] = set()
     directions = _ray_directions(inst)
 
+    # add_node queues each key once; coverage is checked once per level
     while queue and not all(graph.covered) and not graph.incomplete:
-        level = list(queue)
-        queue.clear()
-        tasks = [
-            (key, direction)
-            for key in level
-            if key not in expanded
-            for direction in directions
-        ]
-        expanded.update(level)
-        for key, d in tasks:
-            result = sweep_ray(graph.nodes[key], anchors[key], d)
-            if result is not None:
-                queue.extend(absorb_sweep(result))
+        for _ in range(len(queue)):
+            key = queue.popleft()
+            for d in directions:
+                result = sweep_ray(graph.nodes[key], anchors[key], d)
+                if result is not None:
+                    queue.extend(absorb_sweep(result))
 
     # rescue pass: reach uncovered samples by sweeping straight at them from
     # the all-zero anchor, falling back to an oracle-seeded indicator

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidate import CandidatePiece, IncompatibleIndicatorError, candidate_slope
+from .candidate import CandidatePiece, IncompatibleIndicatorError
 from .model import ProblemInstance
 
 SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
@@ -99,12 +99,9 @@ class LineRestrictedPiece:
 
 
 def restrict_to_line(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    line: ParameterLine,
-    piece: CandidatePiece | None = None,
+    inst: ProblemInstance, piece: CandidatePiece, line: ParameterLine
 ) -> LineRestrictedPiece:
-    """Compute (p, q, u, v, cu, cv) of the indicator s along the line.
+    """Compute (p, q, u, v, cu, cv) of the zone of `piece` along the line.
 
     [-p, q] solves M X = C_E^T [db, b0] - s_E [dl, lam0] by two applications
     of pinv(M), never R itself, and one step of iterative refinement.  The
@@ -113,10 +110,10 @@ def restrict_to_line(
     once more.  It keeps the correlation line as accurate as a backward
     stable solve would, which matters where |xi_i| is close to lambda for
     the whole zone and an error in (cu, cv) moves t_b by a large factor.
-    A given `piece` is the piece of `s`, and its own indicator is used.
+    The piece is the only description of the zone: a caller holding an
+    indicator builds it with `candidate_slope` first.  An incompatible
+    piece raises IncompatibleIndicatorError.
     """
-    if piece is None:
-        piece = candidate_slope(inst, s)
     s = piece.s
     if not piece.compatible:
         raise IncompatibleIndicatorError(
@@ -172,15 +169,10 @@ class ZoneExitTimes:
     t_inf: float
 
 
-def zone_exit_times(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    line: ParameterLine,
-    restricted: LineRestrictedPiece | None = None,
-) -> ZoneExitTimes:
+def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     """Closed-form supremum and infimum of t with (b(t), lambda(t)) inside
-    the zone of s: one ratio test over the stacked rows k*t <= c of the
-    zone.
+    the zone that `r` restricts to its line: one ratio test over the
+    stacked rows k*t <= c of the zone.
 
     Row i of the first block is the sign constraint of i on the support and
     the lower correlation bound of i off it; the second block holds the
@@ -189,7 +181,6 @@ def zone_exit_times(
     minimum of f_tmax(k, c) and the entry time minus the minimum of
     f_tmax(-k, c).  The times are valid only when t_inf < t_sup.
     """
-    r = restrict_to_line(inst, s, line) if restricted is None else restricted
     on = r.s != 0
     dl, lam0 = r.line.delta_lam, r.line.lam0
     k = np.concatenate(

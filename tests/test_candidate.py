@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -252,6 +254,11 @@ class TestZoneMembership:
 
     def test_nonpositive_lambda_rejected(self, two_column):
         assert not zone_membership(two_column, S1, np.array([2.0, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_rejected(self, two_column, lam):
+        # every correlation bound holds at lambda = inf, yet no point is there
+        assert not zone_membership(two_column, zero_indicator(2), np.array([2.0, 0.0]), lam)
 
 
 def _interior_zone_sample(seed, rho=0.0):

@@ -166,6 +166,22 @@ def test_path_exit_code_per_stop_reason(instance_file, tmp_path, monkeypatch, st
     assert json.loads(out.read_text())["stop_reason"] == stop
 
 
+@pytest.mark.parametrize("start", ["++00", "+-00"])
+def test_path_invalid_start_exits_1(instance_file, tmp_path, monkeypatch, capsys, start):
+    # an indicator whose zone misses the start point, or an incompatible
+    # one, is an input error of the sweep
+    import sgmc.cli
+    from sgmc.model import indicator_from_string
+
+    monkeypatch.setattr(sgmc.cli, "initialize_indicator",
+                        lambda *args, **kwargs: indicator_from_string(start))
+    argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
+            "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [

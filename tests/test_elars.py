@@ -24,8 +24,8 @@ from sgmc import (
     restrict_to_line,
     zero_indicator,
     zone_membership,
-    zone_slack,
 )
+from sgmc.candidate import zone_margins
 
 from conftest import random_instance
 
@@ -57,7 +57,7 @@ def _duplicated_columns_descent():
 class TestElarsIterate:
     def test_worked_example_double_insertion(self, descent_line):
         inst, line = descent_line
-        res = elars_iterate(inst, zero_indicator(2), line)
+        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(2)), line)
         assert res.t_plus == pytest.approx(1.0, abs=1e-12)
         assert indicator_to_string(res.s_plus) == "++00"
         assert res.inserted == (0, 1) and res.deleted == ()
@@ -69,7 +69,7 @@ class TestElarsIterate:
         inst = random_instance(80, m=4, n=6)
         lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
         line = ParameterLine(inst.b, lam_max, np.zeros(8), -1.0)
-        res = elars_iterate(inst, zero_indicator(6), line)
+        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(6)), line)
         lam_break = lam_max - res.t_plus
         # just above the breakpoint one coefficient is zero, just below active
         x_hi = lasso_reference(inst.A, inst.y, lam_break * 1.02, LassoConfig(tol=1e-12))
@@ -82,7 +82,7 @@ class TestElarsIterate:
         # y = 0: the zero zone is left only through the lambda -> 0 wall
         inst = ProblemInstance(A=np.array([[1.0]]), rho=0.0, y=np.array([0.0]), lam=1.0)
         line = ParameterLine(inst.b, 1.0, np.zeros(2), -1.0)
-        res = elars_iterate(inst, zero_indicator(1), line)
+        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(1)), line)
         assert res.lambda_terminus
         assert res.t_plus == pytest.approx(1.0)
         assert res.deleted == () and res.inserted == ()
@@ -95,17 +95,18 @@ class TestElarsIterate:
         result = path_sweep(inst, line, zero_indicator(32), t_start=0.0, max_segments=1000)
         assert result.stop_reason == "lambda_terminus"
         last = result.segments[-1].s
-        res = elars_iterate(inst, last, line, piece=candidate_slope(inst, last))
+        res = elars_iterate(inst, candidate_slope(inst, last), line)
         assert res.lambda_terminus
         assert res.inserted == ()
         npt.assert_array_equal(res.s_plus[last == 0], 0)
 
     def test_never_exits_flag(self, two_column):
         line = ParameterLine(two_column.b, 1.0, np.zeros(2), 1.0)  # lambda grows
-        res = elars_iterate(two_column, S1, line)
+        res = elars_iterate(two_column, candidate_slope(two_column, S1), line)
         # zone {y >= lam} is eventually left when lam passes y = 2
         assert res.t_plus == pytest.approx(1.0)
-        res_up = elars_iterate(two_column, zero_indicator(2), ParameterLine(np.zeros(2), 1.0, np.zeros(2), 1.0))
+        up = ParameterLine(np.zeros(2), 1.0, np.zeros(2), 1.0)
+        res_up = elars_iterate(two_column, candidate_slope(two_column, zero_indicator(2)), up)
         assert res_up.never_exits and res_up.t_plus == math.inf
 
 
@@ -118,7 +119,7 @@ class TestDiagnoseAssumptions:
 
     def test_worked_example_reports_tie(self, descent_line):
         inst, line = descent_line
-        res = elars_iterate(inst, zero_indicator(2), line)
+        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(2)), line)
         assert not res.one_at_a_time
         assert _changed(res) == [0, 1]
 
@@ -126,12 +127,12 @@ class TestDiagnoseAssumptions:
         inst = random_instance(81, m=4, n=6)
         lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
         line = ParameterLine(inst.b, lam_max, np.zeros(8), -1.0)
-        res = elars_iterate(inst, zero_indicator(6), line)
+        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(6)), line)
         assert res.one_at_a_time and len(_changed(res)) == 1
 
     def test_duplicated_columns_break_one_at_a_time(self):
         inst, line = _duplicated_columns_descent()
-        res = elars_iterate(inst, zero_indicator(4), line)
+        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(4)), line)
         assert not res.one_at_a_time
         assert len(_changed(res)) == 2
 
@@ -208,7 +209,7 @@ class TestPathSweep:
         result = path_sweep(inst, line, zero_indicator(n), t_start=0.0, max_segments=1000)
         assert result.stop_reason == "lambda_terminus"
         for seg in result.segments:
-            ref = restrict_to_line(inst, seg.s, line, candidate_slope(inst, seg.s))
+            ref = restrict_to_line(inst, candidate_slope(inst, seg.s), line)
             for got, want in ((seg.p, ref.p), (seg.q, ref.q)):
                 assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
             for frac in (0.1, 0.5, 0.9):
@@ -262,7 +263,7 @@ class TestPathSweep:
             return steps[-1]
 
         slope = counting("slope", candidate_slope)
-        for mod in (sgmc.candidate, sgmc.sweep, sgmc.elars):
+        for mod in (sgmc.candidate, sgmc.elars):
             monkeypatch.setattr(mod, "candidate_slope", slope)
         monkeypatch.setattr(sgmc.elars, "elars_iterate", iterate)
         restrict = counting("restrict", restrict_to_line)
@@ -287,7 +288,6 @@ class TestPathSweep:
     def test_each_zone_built_once(self, monkeypatch):
         import sgmc.candidate
         import sgmc.elars
-        import sgmc.sweep
 
         calls = {"slope": 0, "iterate": 0}
 
@@ -299,7 +299,7 @@ class TestPathSweep:
             return wrapped
 
         slope = counting("slope", candidate_slope)
-        for mod in (sgmc.candidate, sgmc.sweep, sgmc.elars):
+        for mod in (sgmc.candidate, sgmc.elars):
             monkeypatch.setattr(mod, "candidate_slope", slope)
         monkeypatch.setattr(sgmc.elars, "elars_iterate", counting("iterate", elars_iterate))
         inst, line = _gaussian_descent(16, 32, 0.3, 4)
@@ -366,6 +366,58 @@ class TestPathSweep:
         assert line2.lam0 == line.lam0
 
 
+class TestStartCertificate:
+    """The start zone is certified by the interval its first step cuts from
+    the line: entry <= t_start <= exit within the tie window."""
+
+    Y_LINE = ParameterLine(np.array([1.0, 0.0]), 1.0, np.array([1.0, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("name, first", [("0000", 0.0), ("++00", math.inf)])
+    def test_boundary_start_accepted_by_both_zones(self, two_column, name, first):
+        # y = lambda = 1 is on the boundary of {|y| <= lam} and {y >= lam}
+        result = path_sweep(two_column, self.Y_LINE, indicator_from_string(name),
+                            t_start=0.0, t_end=2.0)
+        assert result.stop_reason == "t_end_reached"
+        assert indicator_to_string(result.segments[0].s) == name
+        assert result.segments[0].t_end == pytest.approx(min(first, 2.0), abs=1e-12)
+        assert indicator_to_string(result.segments[-1].s) == "++00"
+
+    @pytest.mark.parametrize("lam0, t_start", [(0.0, 0.0), (1.0, 1.0), (1.0, 3.0)])
+    def test_nonpositive_lambda_raises(self, two_column, lam0, t_start):
+        line = ParameterLine(np.array([0.5, 0.0]), lam0, np.zeros(2), -1.0)
+        with pytest.raises(ValueError, match="lambda"):
+            path_sweep(two_column, line, zero_indicator(2), t_start=t_start)
+
+    def test_incompatible_start_raises(self, two_column):
+        with pytest.raises(ValueError):
+            path_sweep(two_column, self.Y_LINE, indicator_from_string("+-00"), t_start=0.0)
+
+    @pytest.mark.parametrize("name, t_start", [("0000", 1e-6), ("++00", -1e-6),
+                                               ("0000", 3.0), ("--00", 0.0)])
+    def test_start_outside_zone_raises(self, two_column, name, t_start):
+        with pytest.raises(ValueError, match="not a valid zone indicator"):
+            path_sweep(two_column, self.Y_LINE, indicator_from_string(name), t_start=t_start)
+
+    @pytest.mark.parametrize("name, t_start", [("0000", 1e-10), ("++00", -1e-10)])
+    def test_start_within_tie_window_accepted(self, two_column, name, t_start):
+        result = path_sweep(two_column, self.Y_LINE, indicator_from_string(name),
+                            t_start=t_start, t_end=2.0)
+        assert result.stop_reason == "t_end_reached"
+
+    def test_no_membership_call(self, monkeypatch):
+        import sgmc.candidate
+        import sgmc.elars
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("path_sweep called zone_membership")
+
+        for mod in (sgmc.candidate, sgmc.elars):
+            monkeypatch.setattr(mod, "zone_membership", forbidden)
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=1000)
+        assert result.stop_reason == "lambda_terminus"
+
+
 class TestEvaluatePath:
     def test_inside_and_outside(self, descent_line):
         inst, line = descent_line
@@ -385,6 +437,13 @@ class TestInitializeIndicator:
         with pytest.raises(ValueError):
             initialize_indicator(two_column, two_column.b, 1.0, strategy="zero")
 
+    @pytest.mark.parametrize("b, lam", [([math.nan, 0.0], 1.0), ([1.0, 0.0], math.nan),
+                                        ([1.0, 0.0], math.inf)])
+    def test_zero_strategy_rejects_non_finite_points(self, descent_line, b, lam):
+        inst, _ = descent_line
+        with pytest.raises(ValueError):
+            initialize_indicator(inst, np.array(b), lam, strategy="zero")
+
     def test_oracle_strategy_two_column(self, two_column):
         s = initialize_indicator(two_column, two_column.b, 1.0, strategy="from_oracle")
         assert indicator_to_string(s) == "++00"
@@ -393,7 +452,7 @@ class TestInitializeIndicator:
         inst = random_instance(86, m=4, n=7, rho=0.3)
         s = initialize_indicator(inst, inst.b, inst.lam, strategy="from_oracle")
         assert zone_membership(inst, s, inst.b, inst.lam)
-        assert zone_slack(inst, s, inst.b, inst.lam) > 0
+        assert zone_margins(inst, candidate_slope(inst, s), inst.b, inst.lam).overall > 0
 
 
 class TestEnumerateZones:

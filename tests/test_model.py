@@ -7,17 +7,17 @@ import pytest
 from sgmc import (
     ParameterLine,
     ProblemInstance,
-    build_model_matrices,
     candidate_slope,
     path_sweep,
-    saddle_objective,
     zone_membership,
 )
 from sgmc.model import (
     as_indicator,
+    build_model_matrices,
     indicator_from_string,
     indicator_to_string,
     instance_from_dict,
+    saddle_objective,
 )
 
 from conftest import random_instance

@@ -9,14 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 from sgmc import (
     ProblemInstance,
-    build_model_matrices,
     candidate_slope,
     correlation,
     encode_sopt,
     eval_weq,
-    f_tmax,
-    saddle_objective,
 )
+from sgmc.model import build_model_matrices, saddle_objective
+from sgmc.sweep import f_tmax
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 SLOPE = st.one_of(st.just(0.0), st.floats(1e-6, 5.0), st.floats(-5.0, -1e-6))

@@ -11,7 +11,6 @@ from sgmc import (
     candidate_slope,
     encode_sopt,
     eval_weq,
-    f_tmax,
     indicator_from_string,
     restrict_to_line,
     solve_saddle,
@@ -20,10 +19,16 @@ from sgmc import (
     zone_membership,
 )
 from sgmc.candidate import IncompatibleIndicatorError
+from sgmc.sweep import f_tmax
 
 from conftest import random_instance
 
 S1 = indicator_from_string("++00")
+
+
+def _restricted(inst, s, line):
+    """The zone of indicator s restricted to the line."""
+    return restrict_to_line(inst, candidate_slope(inst, s), line)
 
 
 class TestParameterLine:
@@ -78,12 +83,12 @@ class TestFTmax:
 class TestRestrictToLine:
     def test_empty_support(self, descent_line):
         inst, line = descent_line
-        piece = restrict_to_line(inst, zero_indicator(2), line)
-        npt.assert_array_equal(piece.p, np.zeros(4))
-        npt.assert_array_equal(piece.q, np.zeros(4))
-        npt.assert_array_equal(piece.u, line.delta_b)
-        npt.assert_array_equal(piece.v, line.b0)
-        npt.assert_array_equal(piece.weq_at(0.7), np.zeros(4))
+        restricted = _restricted(inst, zero_indicator(2), line)
+        npt.assert_array_equal(restricted.p, np.zeros(4))
+        npt.assert_array_equal(restricted.q, np.zeros(4))
+        npt.assert_array_equal(restricted.u, line.delta_b)
+        npt.assert_array_equal(restricted.v, line.b0)
+        npt.assert_array_equal(restricted.weq_at(0.7), np.zeros(4))
 
     def test_matches_pointwise_evaluation(self):
         inst = random_instance(60, m=3, n=5, rho=0.35)
@@ -91,8 +96,8 @@ class TestRestrictToLine:
         s = encode_sopt(inst, w, tol=1e-8)
         rng = np.random.default_rng(60)
         line = ParameterLine(inst.b, inst.lam, rng.normal(size=6), -0.3)
-        restricted = restrict_to_line(inst, s, line)
         piece = candidate_slope(inst, s)
+        restricted = restrict_to_line(inst, piece, line)
         for t in (-1.0, 0.0, 1.0, 0.31, -2.7):
             b, lam = line.point_at(t)
             npt.assert_allclose(restricted.weq_at(t), eval_weq(piece, b, lam), atol=1e-10)
@@ -102,7 +107,7 @@ class TestRestrictToLine:
         w = solve_saddle(inst, OracleConfig(tol=1e-11))
         s = encode_sopt(inst, w, tol=1e-8)
         line = ParameterLine(inst.b, inst.lam, np.ones(6), 0.2)
-        restricted = restrict_to_line(inst, s, line)
+        restricted = _restricted(inst, s, line)
         mats = inst.matrices
         for t in (0.0, 0.8):
             expected = line.b_at(t) - mats.D @ (mats.C @ restricted.weq_at(t))
@@ -111,27 +116,27 @@ class TestRestrictToLine:
     def test_incompatible_raises(self, two_column, descent_line):
         _, line = descent_line
         with pytest.raises(IncompatibleIndicatorError):
-            restrict_to_line(two_column, indicator_from_string("+-00"), line)
+            _restricted(two_column, indicator_from_string("+-00"), line)
 
 
 class TestZoneExitTimes:
     def test_worked_example_zero_zone(self, descent_line):
         inst, line = descent_line
-        times = zone_exit_times(inst, zero_indicator(2), line)
+        times = zone_exit_times(_restricted(inst, zero_indicator(2), line))
         assert times.t_sup == pytest.approx(1.0, abs=1e-12)
         assert times.t_b[0] == pytest.approx(1.0, abs=1e-12)
         assert times.t_b[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_worked_example_active_zone_ends_at_lambda_wall(self, descent_line):
         inst, line = descent_line
-        times = zone_exit_times(inst, S1, line)
+        times = zone_exit_times(_restricted(inst, S1, line))
         assert times.t_c == pytest.approx(2.0, abs=1e-12)
         assert times.t_sup == pytest.approx(2.0, abs=1e-12)
         assert np.all(times.t_a == math.inf)
 
     def test_constant_lambda_line_never_hits_wall(self, two_column):
         line = ParameterLine(np.zeros(2), 1.0, np.array([0.0, 1.0]), 0.0)
-        times = zone_exit_times(two_column, zero_indicator(2), line)
+        times = zone_exit_times(_restricted(two_column, zero_indicator(2), line))
         assert times.t_c == math.inf
         assert times.t_sup == math.inf  # r direction is invisible at rho=0
 
@@ -146,9 +151,9 @@ class TestZoneExitTimes:
         assert candidate_slope(inst, s).invertible
         for j in range(4):
             line = ParameterLine(np.array([1.0, -2.0, 0.5, 0.3]), 1.0, np.eye(4)[j], 0.0)
-            restricted = restrict_to_line(inst, s, line)
+            restricted = _restricted(inst, s, line)
             assert np.all(restricted.cu == 0.0)
-            times = zone_exit_times(inst, s, line, restricted=restricted)
+            times = zone_exit_times(restricted)
             assert not np.any(np.isfinite(times.t_b))
 
 
@@ -208,8 +213,8 @@ class TestRatioTest:
     def test_one_pass_matches_two_pass_scan(self):
         supports = set()
         for inst, s, line in scan_cases():
-            restricted = restrict_to_line(inst, s, line)
-            times = zone_exit_times(inst, s, line, restricted=restricted)
+            restricted = _restricted(inst, s, line)
+            times = zone_exit_times(restricted)
             t_a, t_b, t_c, t_sup, t_inf = two_pass_times(restricted)
             assert np.array_equal(times.t_a, t_a)
             assert np.array_equal(times.t_b, t_b)
@@ -222,8 +227,8 @@ class TestRatioTest:
     def test_entry_time_is_minus_exit_time_of_reversed_line(self):
         for inst, s, line in scan_cases():
             back = ParameterLine(line.b0, line.lam0, -line.delta_b, -line.delta_lam)
-            times = zone_exit_times(inst, s, line)
-            reversed_times = zone_exit_times(inst, s, back)
+            times = zone_exit_times(_restricted(inst, s, line))
+            reversed_times = zone_exit_times(_restricted(inst, s, back))
             assert times.t_inf == -reversed_times.t_sup
             assert times.t_sup == -reversed_times.t_inf
 
@@ -231,13 +236,13 @@ class TestRatioTest:
 class TestZoneEntryTime:
     def test_worked_example_entry(self, descent_line):
         inst, line = descent_line
-        assert zone_exit_times(inst, S1, line).t_inf == pytest.approx(1.0, abs=1e-12)
+        assert zone_exit_times(_restricted(inst, S1, line)).t_inf == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_zone_on_symmetric_line(self, two_column):
         # the zero zone around y(t) = t at lam = 1 is exactly [-1, 1]
         line = ParameterLine(np.zeros(2), 1.0, np.array([1.0, 0.0]), 0.0)
         s0 = zero_indicator(2)
-        times = zone_exit_times(two_column, s0, line)
+        times = zone_exit_times(_restricted(two_column, s0, line))
         assert times.t_inf == pytest.approx(-1.0)
         assert times.t_sup == pytest.approx(1.0)
 
@@ -246,9 +251,9 @@ class TestZoneEntryTime:
         w = solve_saddle(inst, OracleConfig(tol=1e-11))
         s = encode_sopt(inst, w, tol=1e-8)
         line = ParameterLine(inst.b, inst.lam, np.zeros(6), -1.0)
-        times = zone_exit_times(inst, s, line)
-        assert times.t_inf <= times.t_sup
         piece = candidate_slope(inst, s)
+        times = zone_exit_times(restrict_to_line(inst, piece, line))
+        assert times.t_inf <= times.t_sup
         for t in np.linspace(max(times.t_inf, -20), min(times.t_sup, 20), 25):
             b, lam = line.point_at(t)
             if lam <= 0:
@@ -265,10 +270,10 @@ class TestIntervalCorrectness:
             s = encode_sopt(inst, w, tol=1e-8)
             rng = np.random.default_rng(seed)
             line = ParameterLine(inst.b, inst.lam, 0.3 * rng.normal(size=6), -0.2)
-            times = zone_exit_times(inst, s, line)
+            piece = candidate_slope(inst, s)
+            times = zone_exit_times(restrict_to_line(inst, piece, line))
             if not times.t_inf < times.t_sup:  # degenerate: the line touches the zone
                 continue
-            piece = candidate_slope(inst, s)
             lo = max(times.t_inf, -30.0)
             hi = min(times.t_sup, 30.0)
             for t in rng.uniform(lo, hi, size=5):
