@@ -15,11 +15,17 @@ A piece keeps pinv(M) rather than R and applies it to C_E^T b - lambda s_E.
 Since D + D^T is positive definite, M is invertible exactly when C_E has
 full column rank, and then [s]_E lies in Col(C_E^T).  Neighbouring zones
 differ in one support index, so `next_piece` updates M^{-1} by a bordered
-inverse in O(mn + |E|^2) instead of rebuilding it in O(m|E|^2 + |E|^3).
+inverse in O(n^2 + |E|^2) instead of rebuilding it in O(|E|^3).
 The rows and columns of M^{-1} follow the piece's `support` array, not
 ascending index order: as in classical LARS, an insertion appends its index
 and a deletion moves the last index into the freed position, so no update
 permutes the inverse.
+
+M and the border of an insertion (column C_E^T D c_j, row c_j^T D C_E and
+corner c_j^T D c_j) are entries of G = C^T D C = T kron A^T A, gathered
+from the instance's cached A^T A (`ModelMatrices.gram_block`,
+`gram_border`).  Products with C and D go through the block operators of
+`ModelMatrices`, never through its dense C and D.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ProblemInstance, as_indicator
+from .model import ModelMatrices, ProblemInstance, as_indicator
 from .optimality import correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
@@ -50,7 +56,7 @@ def is_compatible(inst: ProblemInstance, s: np.ndarray) -> bool:
     E = np.flatnonzero(s)
     if E.size == 0:
         return True
-    CEt = inst.matrices.C[:, E].T
+    CEt = inst.matrices.columns(E).T
     sol, *_ = np.linalg.lstsq(CEt, s[E].astype(float), rcond=None)
     residual = CEt @ sol - s[E]
     return bool(np.abs(residual).max() <= COMPAT_TOL * np.sqrt(E.size))
@@ -64,8 +70,8 @@ class CandidatePiece:
     `support`, the indices of E: ascending from `candidate_slope`, then
     as `next_piece` leaves them (insertions appended, a deletion's slot
     filled by the last index).  `invertible` says it is the true inverse
-    (C_E has full column rank).  `C` is the instance's
-    structural matrix, shared, not copied.  Pieces are shared through
+    (C_E has full column rank).  `mats` holds the instance's
+    structural matrices, shared, not copied.  Pieces are shared through
     memos, so nothing may mutate their arrays.
     """
 
@@ -73,7 +79,7 @@ class CandidatePiece:
     Minv: np.ndarray
     compatible: bool
     invertible: bool
-    C: np.ndarray
+    mats: ModelMatrices
     support: np.ndarray
 
     @cached_property
@@ -83,8 +89,9 @@ class CandidatePiece:
         convention).  Formed on first use only."""
         E = self.support
         if E.size == 0:
-            return np.zeros((1, self.C.shape[0] + 1))
-        return self.Minv @ np.hstack([self.C[:, E].T, -self.s[E, None].astype(float)])
+            return np.zeros((1, 2 * self.mats.A.shape[0] + 1))
+        CEt = self.mats.columns(E).T
+        return self.Minv @ np.hstack([CEt, -self.s[E, None].astype(float)])
 
     def apply(self, b: np.ndarray, lam) -> np.ndarray:
         """R [b; lam] without forming R: pinv(M) C_E^T b - pinv(M) s_E lam.
@@ -93,7 +100,7 @@ class CandidatePiece:
         the map stays linear where s_E is (nearly) in the null space of M
         and C_E^T b would be lost in rounding against s_E lam."""
         E = self.support
-        return self.Minv @ (self.C[:, E].T @ b) - np.multiply.outer(
+        return self.Minv @ self.mats.ct(b)[E] - np.multiply.outer(
             self.Minv @ self.s[E], lam
         )
 
@@ -108,17 +115,16 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     mats = inst.matrices
     if E.size == 0:
         return CandidatePiece(
-            s=s, Minv=np.zeros((0, 0)), compatible=True, invertible=True, C=mats.C,
+            s=s, Minv=np.zeros((0, 0)), compatible=True, invertible=True, mats=mats,
             support=E,
         )
-    CE = mats.C[:, E]
-    U, sv, Vt = np.linalg.svd(CE.T @ (mats.D @ CE))
+    U, sv, Vt = np.linalg.svd(mats.gram_block(E))
     keep = sv > PINV_RTOL * sv[0]
     Minv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
     invertible = bool(keep.all())
     compatible = invertible or is_compatible(inst, s)
     return CandidatePiece(
-        s=s, Minv=Minv, compatible=compatible, invertible=invertible, C=mats.C,
+        s=s, Minv=Minv, compatible=compatible, invertible=invertible, mats=mats,
         support=E,
     )
 
@@ -127,17 +133,19 @@ def next_piece(
     inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray
 ) -> CandidatePiece:
     """Piece of `s_next` from the piece of an indicator whose support
-    differs from it in one index, in O(mn + |E|^2).
+    differs from it in one index, in O(n^2 + |E|^2).
 
     An insertion borders M^{-1} through the Schur complement
-    sigma = d - row^T M^{-1} col of the new row, column and corner d, and
-    appends the index to the support.  A deletion swaps the index's
-    position with the last one and takes M^{-1} <- P - q r^T / s from the
-    blocks of the swapped inverse.  `piece` itself is never modified.  A
-    from-scratch `candidate_slope` runs instead when the supports differ in
-    more than one index, when `piece` holds a pseudoinverse, when
-    sigma <= SCHUR_RTOL times its scale (a rank drop), or when the updated
-    inverse misses M (M^{-1} s_E) = s_E by more than UPDATE_RTOL.
+    sigma = d - row^T M^{-1} col of the new row, column and corner d, which
+    `ModelMatrices.gram_border` gathers from A^T A, and appends the index
+    to the support.  A deletion swaps the index's position with the last
+    one and takes M^{-1} <- P - q r^T / s from the blocks of the swapped
+    inverse.  `piece` itself is never modified.  A from-scratch
+    `candidate_slope` runs instead when the supports differ in more than
+    one index, when `piece` holds a pseudoinverse, when sigma <= SCHUR_RTOL
+    times its scale (a rank drop), or when the updated inverse misses
+    M (M^{-1} s_E) = s_E by more than UPDATE_RTOL, a check run through the
+    C^T D C operator.
     """
     changed = np.flatnonzero((s_next != 0) != (piece.s != 0))
     if changed.size != 1 or not piece.invertible:
@@ -146,13 +154,8 @@ def next_piece(
     E, P = piece.support, piece.Minv
     N = E.size
     mats = inst.matrices
-    C, D = mats.C, mats.D
     if piece.s[j] == 0:
-        cj = C[:, j]
-        Dcj = D @ cj
-        col = (C.T @ Dcj)[E]  # C_E^T D c_j
-        row = (C.T @ (D.T @ cj))[E]  # (c_j^T D C_E)^T
-        d = float(cj @ Dcj)
+        col, row, d = mats.gram_border(E, j)
         x = P @ col
         y = row @ P
         rx = float(row @ x)
@@ -187,11 +190,12 @@ def next_piece(
         rhs = s_next[support].astype(float)
         w = np.zeros(s_next.size)
         w[support] = Minv @ rhs
-        residual = (C.T @ (D @ (C @ w)))[support] - rhs
+        residual = mats.ctdc(w)[support] - rhs
         if not np.abs(residual).max() <= UPDATE_RTOL:
             return candidate_slope(inst, s_next)
     return CandidatePiece(
-        s=s_next, Minv=Minv, compatible=True, invertible=True, C=C, support=support
+        s=s_next, Minv=Minv, compatible=True, invertible=True, mats=mats,
+        support=support,
     )
 
 

@@ -208,7 +208,7 @@ def _verify_checks(inst: ProblemInstance, args):
             stable = False
     yield "indicator_invariance", stable, pattern
 
-    lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+    lam_max = float(np.abs(inst.matrices.ct(inst.b)).max())
     if lam_max <= 0:
         yield "path_continuity", True, "zero signal, single zone"
         return

@@ -254,12 +254,14 @@ def path_sweep(
     zone are looked up there before they are built, and stored after.
     Without it a sweep keeps no piece past the next step, as a long descent
     through many large supports needs.  `t_start` must be finite and
-    `t_end` a number, +inf for no end.
+    `t_end` a number no smaller than it, +inf for no end.
     """
     if not math.isfinite(t_start):
         raise ValueError(f"t_start must be finite, got {t_start}")
     if math.isnan(t_end):
         raise ValueError("t_end must be a number or inf, got nan")
+    if t_end < t_start:
+        raise ValueError(f"t_end must not lie before t_start, got {t_end} < {t_start}")
     s = as_indicator(s_init)
     lam_start = line.lam_at(t_start)
     if not lam_start > 0:

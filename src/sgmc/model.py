@@ -9,6 +9,21 @@ length 2m, and the structural matrices
     D = [[(1 - rho) I,  sqrt(rho) I],
          [-sqrt(rho) I,  I]]                 (2m x 2m)
 
+Both are 2 x 2 block matrices whose blocks are multiples of A or of I, so
+their products need only A and a 2 x 2 coefficient matrix.  Viewing a
+(2n, k) array as (2, n, k), or a (2m, k) one as (2, m, k),
+
+    D C X    = [[1 - rho, rho], [-sqrt(rho), sqrt(rho)]] combining A X,
+    C^T V    = diag(1, sqrt(rho)) combining A^T V,
+    C^T D C  = T kron A^T A,   T = [[1 - rho, rho], [-rho, rho]],
+
+each one batched matmul on the view.  `ModelMatrices` applies them with
+A^T A as its one cached Gram matrix, and the pieces and line restrictions
+of `candidate` and `sweep` apply C and D through them only.  The dense C
+and D are kept for the independent checks, `optimality.correlation` (and
+`check_opt` on it) and the `oracle` solvers, which thus share no code
+with the closed forms they certify.
+
 Index convention (0-based): entries 0..n-1 of w are primal, n..2n-1 are dual,
 matching the column order of C.  This convention is recorded in every
 serialized artifact.
@@ -114,20 +129,85 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """The pair (C, D)."""
+    """The pair (C, D), dense, and its block operators.
+
+    The dense matrices serve the independent checks only.  The closed
+    forms apply C, D and C^T D C through `dc`, `ct` and `ctdc`, gather
+    entries of C^T D C with `gram_block` and `gram_border`, and assemble
+    columns of C with `columns`, all from A, rho and A^T A.
+    """
 
     C: np.ndarray
     D: np.ndarray
+    A: np.ndarray
+    rho: float
 
     def __post_init__(self):
         object.__setattr__(self, "C", _readonly(self.C))
         object.__setattr__(self, "D", _readonly(self.D))
+        object.__setattr__(self, "A", _readonly(self.A))
+        rho, sq = self.rho, math.sqrt(self.rho)
+        n = self.A.shape[1]
+        # coefficients on the 2 x 2 blocks: of C (a diagonal), of D C and of
+        # C^T D C = T kron A^T A
+        object.__setattr__(self, "_c_coef", np.array([1.0, sq]))
+        object.__setattr__(self, "_dc_coef", np.array([[1.0 - rho, rho], [-sq, sq]]))
+        object.__setattr__(self, "_T", np.array([[1.0 - rho, rho], [-rho, rho]]))
+        # index i of w lies in block i // n at position i mod n
+        object.__setattr__(self, "_block", np.repeat([0, 1], n))
+        object.__setattr__(self, "_pos", np.tile(np.arange(n), 2))
+        # row b of the coefficient of column i of C, zero off its block
+        object.__setattr__(self, "_c_cols", np.kron(np.diag(self._c_coef), np.ones(n)))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A (n x n), the one Gram matrix behind C^T D C."""
+        return _readonly(self.A.T @ self.A)
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
         """Column 1-norms of C: the scale of each entry of C^T x per unit
         of max|x|."""
-        return _readonly(np.abs(self.C).sum(axis=0))
+        return _readonly(np.multiply.outer(self._c_coef, np.abs(self.A).sum(axis=0)).ravel())
+
+    def dc(self, X: np.ndarray) -> np.ndarray:
+        """D C X for X of shape (2n,) or (2n, k)."""
+        m, n = self.A.shape
+        P = self.A @ X.reshape(2, n, -1)
+        return (self._dc_coef @ P.reshape(2, -1)).reshape((2 * m,) + X.shape[1:])
+
+    def ct(self, V: np.ndarray) -> np.ndarray:
+        """C^T V for V of shape (2m,) or (2m, k)."""
+        m, n = self.A.shape
+        P = self.A.T @ V.reshape(2, m, -1)
+        P[1] *= self._c_coef[1]
+        return P.reshape((2 * n,) + V.shape[1:])
+
+    def ctdc(self, X: np.ndarray) -> np.ndarray:
+        """C^T D C X = (T kron A^T A) X for X of shape (2n,) or (2n, k)."""
+        P = self.gram @ X.reshape(2, self.A.shape[1], -1)
+        return (self._T @ P.reshape(2, -1)).reshape(X.shape)
+
+    def columns(self, E: np.ndarray) -> np.ndarray:
+        """C[:, E], assembled from A: column i holds A's column i mod n,
+        scaled by 1 or sqrt(rho), in block i // n of the stacked pair."""
+        CE = self._c_cols[:, None, E] * self.A[:, self._pos[E]]
+        return CE.reshape(2 * self.A.shape[0], E.size)
+
+    def gram_block(self, E: np.ndarray) -> np.ndarray:
+        """G[E, E] of G = C^T D C: entry (i, j) is T[i // n, j // n] times
+        (A^T A)[i mod n, j mod n]."""
+        bE, iE = self._block[E], self._pos[E]
+        return self._T[bE[:, None], bE] * self.gram[iE[:, None], iE]
+
+    def gram_border(self, E: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Column G[E, j], row G[j, E] and corner G[j, j] of G = C^T D C,
+        by the index arithmetic of `gram_block`."""
+        bj, ij = divmod(j, self.A.shape[1])
+        bE = self._block[E]
+        g = self.gram[ij, self._pos[E]]  # A^T A is symmetric: one gather for both
+        T = self._T
+        return T[bE, bj] * g, T[bj, bE] * g, float(T[bj, bj] * self.gram[ij, ij])
 
 
 def build_model_matrices(inst: ProblemInstance) -> ModelMatrices:
@@ -142,7 +222,7 @@ def build_model_matrices(inst: ProblemInstance) -> ModelMatrices:
     C[m:, n:] = sq * inst.A
     eye = np.eye(m)
     D = np.block([[(1.0 - inst.rho) * eye, sq * eye], [-sq * eye, eye]])
-    return ModelMatrices(C=C, D=D)
+    return ModelMatrices(C=C, D=D, A=inst.A, rho=inst.rho)
 
 
 def saddle_objective(inst: ProblemInstance, x: np.ndarray, z: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidate import CandidatePiece, IncompatibleIndicatorError
-from .model import ProblemInstance
+from .model import ModelMatrices, ProblemInstance
 
 SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
 
@@ -29,7 +29,12 @@ SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its ter
 @dataclass(frozen=True)
 class ParameterLine:
     """Straight line (b0 + delta_b * t, lam0 + delta_lam * t); all four
-    coefficients must be finite."""
+    coefficients must be finite.
+
+    `B` = [delta_b, b0] and `lams` = [delta_lam, lam0] stack the two
+    coefficients of each, as `restrict_to_line` solves for both at once;
+    `B_scale` holds the largest magnitude of each column of `B`.
+    """
 
     b0: np.ndarray
     lam0: float
@@ -41,14 +46,31 @@ class ParameterLine:
         db = np.ravel(np.asarray(self.delta_b, dtype=float))
         if b0.shape != db.shape:
             raise ValueError("b0 and delta_b must have equal length")
-        for name, value in (("b0", b0), ("delta_b", db), ("lam0", self.lam0),
-                            ("delta_lam", self.delta_lam)):
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"line {name} must be finite")
+        B = np.empty((b0.size, 2))
+        B[:, 0], B[:, 1] = db, b0
+        lams = np.array([self.delta_lam, self.lam0], dtype=float)
+        if not (np.isfinite(B).all() and np.isfinite(lams).all()):
+            for name, value in (("b0", b0), ("delta_b", db), ("lam0", self.lam0),
+                                ("delta_lam", self.delta_lam)):
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"line {name} must be finite")
         if not np.any(db) and self.delta_lam == 0.0:
             raise ValueError("line must have a nonzero velocity")
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "delta_b", db)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "lams", lams)
+        object.__setattr__(self, "B_scale", np.abs(B).max(axis=0))
+        object.__setattr__(self, "_ctB", (None, None))
+
+    def ct_B(self, mats: ModelMatrices) -> np.ndarray:
+        """C^T B for the structural matrices `mats`, formed once per line
+        and matrices (the last pair is kept)."""
+        owner, ctB = self._ctB
+        if owner is not mats:
+            ctB = mats.ct(self.B)
+            object.__setattr__(self, "_ctB", (mats, ctB))
+        return ctB
 
     def b_at(self, t: float) -> np.ndarray:
         return self.b0 + self.delta_b * t
@@ -68,8 +90,8 @@ def f_tmax(k, c):
     """
     k = np.asarray(k, dtype=float)
     c = np.asarray(c, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(k > 0.0, c / k, np.where((k == 0.0) & (c < 0.0), -np.inf, np.inf))
+    t = np.where((k == 0.0) & (c < 0.0), -np.inf, np.inf)
+    np.divide(c, k, out=t, where=k > 0.0)
     return float(t) if t.ndim == 0 else t
 
 
@@ -103,16 +125,18 @@ def restrict_to_line(
 ) -> LineRestrictedPiece:
     """Compute (p, q, u, v, cu, cv) of the zone of `piece` along the line.
 
-    [-p, q] solves M X = C_E^T [db, b0] - s_E [dl, lam0] by two applications
-    of pinv(M), never R itself, and one step of iterative refinement.  The
-    residual of that system is C_E^T [u, v] - s_E [dl, lam0], the equality
-    conditions themselves, so refining costs the mat-vecs of u, v, cu and cv
-    once more.  It keeps the correlation line as accurate as a backward
-    stable solve would, which matters where |xi_i| is close to lambda for
-    the whole zone and an error in (cu, cv) moves t_b by a large factor.
-    The piece is the only description of the zone: a caller holding an
-    indicator builds it with `candidate_slope` first.  An incompatible
-    piece raises IncompatibleIndicatorError.
+    [-p, q] solves M X = C_E^T B - s_E [dl, lam0], B = [db, b0], by two
+    applications of pinv(M), never R itself, and one step of iterative
+    refinement.  The residual of that system is C_E^T [u, v] - s_E [dl, lam0],
+    the equality conditions themselves, read off C^T B - C^T D C X.  It
+    keeps the correlation line as accurate as a backward stable solve would,
+    which matters where |xi_i| is close to lambda for the whole zone and an
+    error in (cu, cv) moves t_b by a large factor.  C^T B is formed once
+    per line (`ParameterLine.ct_B`), and every product goes through the
+    block operators of `ModelMatrices`: O(mn + n^2 + |E|^2) work however
+    large E is.  The piece is the only description of the
+    zone: a caller holding an indicator builds it with `candidate_slope`
+    first.  An incompatible piece raises IncompatibleIndicatorError.
     """
     s = piece.s
     if not piece.compatible:
@@ -121,24 +145,25 @@ def restrict_to_line(
         )
     E = piece.support
     mats = inst.matrices
-    B = np.column_stack([line.delta_b, line.b0])
-    lams = np.array([line.delta_lam, line.lam0])
+    B, lams = line.B, line.lams
     X = np.zeros((s.size, 2))
     if E.size:
-        X[E] = piece.apply(B, lams)
-        CUV = mats.C.T @ (B - mats.D @ (mats.C @ X))
-        X[E] += piece.Minv @ (CUV[E] - np.multiply.outer(s[E], lams))
-    DCX = mats.D @ (mats.C @ X)
+        ctB, P = line.ct_B(mats), piece.Minv
+        sE = s[E]
+        X[E] = P @ ctB[E] - np.multiply.outer(P @ sE, lams)
+        CUV = ctB - mats.ctdc(X)
+        X[E] += P @ (CUV[E] - np.multiply.outer(sE, lams))
+    DCX = mats.dc(X)
     UV = B - DCX
-    CUV = mats.C.T @ UV
+    CUV = mats.ct(UV)
     # Rounding leaves noise where the exact value lies on a boundary: a
     # correlation slope of 0 (a b-direction through 2m support columns) or
     # a correlation at the bound (along the whole line if it does not move).
     # The exit scan would turn the noise into breakpoints near t = 1e15 or
     # at a point the noise picks, so values within SLOPE_RTOL of the exact
     # one, relative to the terms they were summed from, are set to it.
-    floor = SLOPE_RTOL * np.outer(
-        mats.col_abs_sums, np.abs(B).max(axis=0) + np.abs(DCX).max(axis=0)
+    floor = SLOPE_RTOL * (
+        mats.col_abs_sums[:, None] * (line.B_scale + np.abs(DCX).max(axis=0))
     )
     cu = np.where(np.abs(CUV[:, 0]) <= floor[:, 0], 0.0, CUV[:, 0])
     lam0 = line.lam0

@@ -202,6 +202,17 @@ def test_path_rejects_non_finite_line_data(instance_file, tmp_path, capsys, flag
     assert named in capsys.readouterr().err
 
 
+def test_path_rejects_window_ending_before_start(instance_file, tmp_path, capsys):
+    # it used to exit 0 with no segments and stop t_end_reached
+    inst = {"A": [[1.0, 1.0]], "rho": 0.5, "y": [1.0], "lambda": 2.0}
+    out = tmp_path / "p.json"
+    argv = ["path", "--instance", instance_file(inst), "--delta-lambda", "-1",
+            "--t-start", "0", "--t-end", "-1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "t_end must not lie before t_start" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_enumerate_two_column(instance_file, tmp_path):
     out = tmp_path / "graph.json"
     code = main(

@@ -340,6 +340,15 @@ class TestPathSweep:
         with pytest.raises(ValueError, match="t_start|t_end"):
             path_sweep(inst, line, zero_indicator(2), t_start=t_start, t_end=t_end)
 
+    @pytest.mark.parametrize("t_end", [-1.0, -1e-12, -math.inf])
+    def test_window_ending_before_start_raises(self, descent_line, t_end):
+        # such a window used to give no segments and stop t_end_reached
+        inst, line = descent_line
+        with pytest.raises(ValueError, match="t_end must not lie before t_start"):
+            path_sweep(inst, line, zero_indicator(2), t_start=0.0, t_end=t_end)
+        empty = path_sweep(inst, line, zero_indicator(2), t_start=0.0, t_end=0.0)
+        assert empty.segments == () and empty.stop_reason == "t_end_reached"
+
     def test_max_segments_truncates(self, descent_line):
         inst, line = descent_line
         result = path_sweep(inst, line, zero_indicator(2), t_start=0.0, max_segments=1)

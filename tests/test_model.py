@@ -74,6 +74,75 @@ class TestBuildModelMatrices:
         assert np.abs(sym).max() == 0.0
 
 
+OPERATOR_RTOL = 1e-13  # block operator against dense product, relative to the terms
+
+
+def _operator_case(shape, rho, seed=7):
+    m, n = shape
+    rng = np.random.default_rng([seed, m, n, int(10 * rho)])
+    inst = ProblemInstance(A=rng.normal(size=shape), rho=rho, y=np.zeros(m), lam=1.0)
+    C, D = naive_matrices(inst.A, rho)
+    return inst.matrices, C, D, rng
+
+
+def _assert_matches_terms(got, M, X):
+    """|got - M X| within OPERATOR_RTOL of |M| |X|, the terms summed."""
+    want = M @ X
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= OPERATOR_RTOL * (np.abs(M) @ np.abs(X))).all()
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (5, 3), (16, 32)])
+class TestBlockOperators:
+    """`ModelMatrices` applies D C, C^T and C^T D C = T kron A^T A through
+    their blocks; each must equal the dense product."""
+
+    @pytest.mark.parametrize("k", [1, 2, 24])
+    def test_products_match_dense(self, shape, rho, k):
+        mats, C, D, rng = _operator_case(shape, rho)
+        m, n = shape
+        X = rng.normal(size=(2 * n, k))
+        V = rng.normal(size=(2 * m, k))
+        _assert_matches_terms(mats.dc(X), D @ C, X)
+        _assert_matches_terms(mats.ct(V), C.T, V)
+        _assert_matches_terms(mats.ctdc(X), C.T @ D @ C, X)
+        if rho == 0.0:
+            # the dual blocks of C vanish: exactly zero, not rounding noise
+            assert (mats.dc(X)[m:] == 0.0).all()
+            assert (mats.ct(V)[n:] == 0.0).all()
+            assert (mats.ctdc(X)[n:] == 0.0).all()
+
+    def test_one_dimensional_arguments(self, shape, rho):
+        mats, C, D, rng = _operator_case(shape, rho)
+        m, n = shape
+        x, v = rng.normal(size=2 * n), rng.normal(size=2 * m)
+        npt.assert_array_equal(mats.dc(x), mats.dc(x[:, None])[:, 0])
+        npt.assert_array_equal(mats.ct(v), mats.ct(v[:, None])[:, 0])
+        npt.assert_array_equal(mats.ctdc(x), mats.ctdc(x[:, None])[:, 0])
+
+    def test_gram_entries_match_dense(self, shape, rho):
+        mats, C, D, rng = _operator_case(shape, rho)
+        n = shape[1]
+        G = C.T @ D @ C
+        scale = np.abs(C.T) @ np.abs(D) @ np.abs(C)
+        for size in (0, 1, n, 2 * n - 1):
+            E = rng.permutation(2 * n)[:size]
+            j = int(np.setdiff1d(np.arange(2 * n), E)[0])
+            col, row, d = mats.gram_border(E, j)
+            assert (np.abs(col - G[E, j]) <= OPERATOR_RTOL * scale[E, j]).all()
+            assert (np.abs(row - G[j, E]) <= OPERATOR_RTOL * scale[j, E]).all()
+            assert abs(d - G[j, j]) <= OPERATOR_RTOL * scale[j, j]
+            block = mats.gram_block(E)
+            assert (np.abs(block - G[np.ix_(E, E)]) <= OPERATOR_RTOL * scale[np.ix_(E, E)]).all()
+            npt.assert_array_equal(mats.columns(E), C[:, E])
+            if rho == 0.0:
+                dual = E >= n
+                assert (col[dual] == 0.0).all() and (row[dual] == 0.0).all()
+                assert (block[dual] == 0.0).all() and (block[:, dual] == 0.0).all()
+                assert j < n or d == 0.0
+
+
 def naive_objective(inst, x, z):
     fit = 0.5 * sum((inst.y[k] - (inst.A @ x)[k]) ** 2 for k in range(inst.m))
     l1x = inst.lam * sum(abs(v) for v in x)

@@ -246,6 +246,45 @@ class TestCrossOracleInvariants:
             patterns.add(indicator_to_string(encode_sopt(inst, w, tol=1e-7)))
         assert len(patterns) == 1
 
+    def test_checks_use_no_block_operator(self, monkeypatch, two_column):
+        # the oracles and check_opt apply the dense C and D, never the block
+        # operators of the closed forms they certify; with every operator
+        # made to raise they still give the same results
+        from sgmc.model import ModelMatrices
+
+        def fresh(inst):
+            return ProblemInstance(A=inst.A, rho=inst.rho, y=inst.y, r=inst.r, lam=inst.lam)
+
+        def run(inst, s):
+            w = solve_saddle(inst, OracleConfig(tol=1e-10))
+            return (w, encode_sopt(inst, w, tol=1e-8), check_opt(inst, w),
+                    min_norm_over_eqnq(inst, s))
+
+        cases = [(two_column, S1)]
+        for seed in (100, 101, 102):
+            inst = random_instance(seed, m=3, n=5, rho=0.25 * (seed % 3))
+            s = encode_sopt(inst, solve_saddle(inst, OracleConfig(tol=1e-10)), tol=1e-8)
+            cases.append((inst, s))
+        expected = [run(fresh(inst), s) for inst, s in cases]
+
+        class OperatorUsed(Exception):
+            pass
+
+        def used(*args, **kwargs):
+            raise OperatorUsed
+
+        for name in ("dc", "ct", "ctdc", "columns", "gram_block", "gram_border"):
+            monkeypatch.setattr(ModelMatrices, name, used)
+        monkeypatch.setattr(ModelMatrices, "gram", property(used))
+        with pytest.raises(OperatorUsed):  # the closed forms do use them
+            candidate_slope(fresh(two_column), S1)
+        for (inst, s), want in zip(cases, expected):
+            w, sopt, report, w_min = run(fresh(inst), s)
+            npt.assert_array_equal(w, want[0])
+            npt.assert_array_equal(sopt, want[1])
+            assert report == want[2]
+            npt.assert_array_equal(w_min, want[3])
+
     def test_l1_bound_for_oracle_solutions(self):
         for seed in (98, 99):
             inst = random_instance(seed, m=3, n=7, rho=0.6)

@@ -18,7 +18,7 @@ from sgmc import (
     zone_exit_times,
     zone_membership,
 )
-from sgmc.candidate import IncompatibleIndicatorError
+from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError, next_piece
 from sgmc.sweep import f_tmax
 
 from conftest import random_instance
@@ -297,3 +297,133 @@ class TestIntervalCorrectness:
                         assert not zone_membership(inst, s, b, lam, tol=1e-9, piece=piece)
                         hits += 1
         assert hits >= 50
+
+
+# -- the step against a dense reference ---------------------------------------
+
+STEP_RTOL = 1e-12  # block step against the dense reference, relative to its size
+
+
+def dense_restrict(inst, piece, line):
+    """The zone of `piece` on the line by dense products with C and D:
+    (p, q, u, v, C^T [u, v]) with one step of iterative refinement."""
+    C, D = inst.matrices.C, inst.matrices.D
+    E, P, s = piece.support, piece.Minv, piece.s
+    B = np.column_stack([line.delta_b, line.b0])
+    lams = np.array([line.delta_lam, line.lam0])
+    X = np.zeros((s.size, 2))
+    if E.size:
+        X[E] = P @ (C[:, E].T @ B) - np.multiply.outer(P @ s[E], lams)
+        CUV = C.T @ (B - D @ (C @ X))
+        X[E] += P @ (CUV[E] - np.multiply.outer(s[E], lams))
+    UV = B - D @ (C @ X)
+    return -X[:, 0], X[:, 1], UV[:, 0], UV[:, 1], C.T @ UV
+
+
+def dense_insertion(inst, piece, j):
+    """M^{-1} bordered by index j, its column, row and corner formed by the
+    four dense products C^T D c_j, C^T D^T c_j and c_j^T D c_j."""
+    C, D = inst.matrices.C, inst.matrices.D
+    E, P = piece.support, piece.Minv
+    cj = C[:, j]
+    Dcj = D @ cj
+    col, row, d = (C.T @ Dcj)[E], (C.T @ (D.T @ cj))[E], cj @ Dcj
+    x, y = P @ col, row @ P
+    sigma = d - row @ x
+    return np.block([[P + np.outer(x, y) / sigma, -x[:, None] / sigma],
+                     [-y[None, :] / sigma, np.array([[1.0 / sigma]])]])
+
+
+def dense_block(inst, support):
+    """C_E^T D C_E by dense products, rows in the order of `support`."""
+    C, D = inst.matrices.C, inst.matrices.D
+    CE = C[:, support]
+    return CE.T @ D @ CE
+
+
+def step_cases():
+    """Seeded 4x8 instances whose columns 0 and 1 are equal, with supports
+    that are empty, random (column 0 without its twin), of 2m columns (m at
+    rho = 0, where the dual columns vanish) and rank-deficient through the
+    duplicated pair, each on a lambda-line and a b-line."""
+    m, n = 4, 8
+    for rho in (0.0, 0.3, 0.8):
+        for seed in (1, 2):
+            rng = np.random.default_rng([seed, int(10 * rho)])
+            A = rng.normal(size=(m, n))
+            A[:, 1] = A[:, 0]
+            inst = ProblemInstance(A=A, rho=rho, y=rng.normal(size=m),
+                                   r=rng.normal(size=m), lam=1.0)
+            dual = rho > 0
+            supports = {
+                "empty": [],
+                "random": [0, 5, 7] + ([n + 3, n + 6] if dual else []),
+                "2m": list(range(2, 2 + m)) + (list(range(n + 2, n + 2 + m)) if dual else []),
+                "duplicated": [0, 1, 4] + ([n + 5] if dual else []),
+            }
+            for name, support in supports.items():
+                s = np.zeros(2 * n, dtype=int)
+                s[support] = rng.choice([-1, 1], size=len(support))
+                if name == "duplicated":
+                    s[1] = s[0]  # equal columns need equal signs to be compatible
+                lines = {
+                    "lambda": ParameterLine(inst.b, 3.0, np.zeros(2 * m), -1.0),
+                    "b": ParameterLine(inst.b, 1.5, rng.normal(size=2 * m), 0.0),
+                }
+                for kind, line in lines.items():
+                    yield f"rho{rho}-seed{seed}-{name}-{kind}", inst, s, line
+
+
+STEP_CASES = list(step_cases())
+
+
+def _assert_close(got, want, scale, piece, inst):
+    """|got - want| within STEP_RTOL of `scale`.  Rounding differences are
+    amplified by the condition number kappa of the pseudo-inverted M: above
+    kappa = 1e3 the bound grows as 1e-15 kappa."""
+    kappa = 1.0
+    if piece.support.size:
+        M = dense_block(inst, piece.support)
+        kappa = np.linalg.norm(M, 2) * np.linalg.norm(piece.Minv, 2)
+    bound = STEP_RTOL * max(1.0, 1e-3 * kappa) * scale
+    assert np.abs(got - want).max(initial=0.0) <= bound
+
+
+class TestDenseReference:
+    """The step applies C, D and C^T D C through their blocks; it must give
+    what dense products give."""
+
+    @pytest.mark.parametrize("label, inst, s, line", STEP_CASES,
+                             ids=[case[0] for case in STEP_CASES])
+    def test_restrict_matches_dense(self, label, inst, s, line):
+        piece = candidate_slope(inst, s)
+        assert piece.compatible
+        r = restrict_to_line(inst, piece, line)
+        p, q, u, v, CUV = dense_restrict(inst, piece, line)
+        x_scale = max(np.abs(p).max(), np.abs(q).max(), 1.0)
+        uv_scale = max(np.abs(u).max(), np.abs(v).max())
+        # cu and cv differ from C^T [u, v] where they were snapped, by noise
+        c_scale = max(np.abs(CUV).max(), 1.0)
+        for got, want, scale in ((r.p, p, x_scale), (r.q, q, x_scale),
+                                 (r.u, u, uv_scale), (r.v, v, uv_scale),
+                                 (r.cu, CUV[:, 0], c_scale), (r.cv, CUV[:, 1], c_scale)):
+            _assert_close(got, want, scale, piece, inst)
+
+    @pytest.mark.parametrize("label, inst, s, line", STEP_CASES[::2],
+                             ids=[case[0] for case in STEP_CASES[::2]])
+    def test_insertion_matches_dense(self, label, inst, s, line):
+        # in the random support the first off-support index is column 1, the
+        # twin of column 0: a rank drop, which rebuilds the piece; so does
+        # every insertion into the duplicated support, a pseudo-inverse
+        piece = candidate_slope(inst, s)
+        for j in np.flatnonzero(s == 0)[[0, 2, -1]]:
+            s_next = s.copy()
+            s_next[j] = 1
+            nxt = next_piece(inst, piece, s_next)
+            npt.assert_array_equal(np.sort(nxt.support), np.flatnonzero(s_next))
+            if nxt.invertible and piece.invertible:
+                npt.assert_array_equal(nxt.support, np.append(piece.support, j))
+                want = dense_insertion(inst, piece, int(j))
+            else:
+                want = np.linalg.pinv(dense_block(inst, nxt.support), rtol=PINV_RTOL)
+            _assert_close(nxt.Minv, want, np.abs(want).max(), nxt, inst)
