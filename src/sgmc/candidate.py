@@ -11,15 +11,17 @@ whose slope R(s) depends on (A, rho, s) only.  The set of (b, lambda) where
 this map also satisfies the inequality half is a convex cone, the candidate
 zone of s; on it the map reproduces the minimum-norm solution.
 
-A piece keeps pinv(M) rather than R and applies it to C_E^T b - lambda s_E.
-Since D + D^T is positive definite, M is invertible exactly when C_E has
-full column rank, and then [s]_E lies in Col(C_E^T).  Neighbouring zones
-differ in one support index, so `next_piece` updates M^{-1} by a bordered
-inverse in O(n^2 + |E|^2) instead of rebuilding it in O(|E|^3).
-The rows and columns of M^{-1} follow the piece's `support` array, not
-ascending index order: as in classical LARS, an insertion appends its index
-and a deletion moves the last index into the freed position, so no update
-permutes the inverse.
+A piece keeps M and pinv(M) rather than R and applies pinv(M) to
+C_E^T b - lambda s_E.  Since D + D^T is positive definite, M is invertible
+exactly when C_E has full column rank, and then [s]_E lies in Col(C_E^T).
+Neighbouring zones differ in one support index, so `next_piece` updates
+M by a border or a swap and M^{-1} by a bordered inverse or a downdate, in
+O(|E|^2), instead of rebuilding M^{-1} in O(|E|^3).  The rows and columns
+of M and M^{-1} follow the piece's `support` array, not ascending index
+order: as in classical LARS, an insertion appends its index and a deletion
+moves the last index into the freed position, so no update permutes them.
+The kept M makes the checks of an updated inverse and the refinement of a
+line restriction O(|E|^2) products with M.
 
 M and the border of an insertion (column C_E^T D c_j, row c_j^T D C_E and
 corner c_j^T D c_j) are entries of G = C^T D C = T kron A^T A, gathered
@@ -42,6 +44,10 @@ PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # residual tolerance of the column-space compatibility test
 SCHUR_RTOL = 1e-10  # Schur complement at or below this, relative: rank drop
 UPDATE_RTOL = 1e-10  # residual an updated M^{-1} must meet, relative to ||s_E|| = 1
+# below this the leading singular value of M = C_E^T D C_E is too small for
+# its PINV_RTOL cut: the kept singular values would be subnormal and their
+# reciprocals overflow
+GRAM_TINY = np.finfo(float).tiny / PINV_RTOL
 
 
 class IncompatibleIndicatorError(ValueError):
@@ -66,16 +72,18 @@ def is_compatible(inst: ProblemInstance, s: np.ndarray) -> bool:
 class CandidatePiece:
     """Affine candidate solution map of one indicator.
 
-    `Minv` is pinv(C_E^T D C_E) with rows and columns in the order of
-    `support`, the indices of E: ascending from `candidate_slope`, then
-    as `next_piece` leaves them (insertions appended, a deletion's slot
-    filled by the last index).  `invertible` says it is the true inverse
-    (C_E has full column rank).  `mats` holds the instance's
-    structural matrices, shared, not copied.  Pieces are shared through
-    memos, so nothing may mutate their arrays.
+    `M` is C_E^T D C_E and `Minv` its pseudo-inverse, both with rows and
+    columns in the order of `support`, the indices of E: ascending from
+    `candidate_slope`, then as `next_piece` leaves them (insertions
+    appended, a deletion's slot filled by the last index).  `M` equals
+    `mats.gram_block(support)` entry for entry.  `invertible` says `Minv`
+    is the true inverse (C_E has full column rank).  `mats` holds the
+    instance's structural matrices, shared, not copied.  Pieces are shared
+    through memos, so nothing may mutate their arrays.
     """
 
     s: np.ndarray
+    M: np.ndarray
     Minv: np.ndarray
     compatible: bool
     invertible: bool
@@ -100,7 +108,7 @@ class CandidatePiece:
         the map stays linear where s_E is (nearly) in the null space of M
         and C_E^T b would be lost in rounding against s_E lam."""
         E = self.support
-        return self.Minv @ self.mats.ct(b)[E] - np.multiply.outer(
+        return self.Minv @ self.mats.ct(b.T).T[E] - np.multiply.outer(
             self.Minv @ self.s[E], lam
         )
 
@@ -109,22 +117,32 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     """Closed-form piece via the Moore-Penrose pseudoinverse of
     C_E^T D C_E (singular values below PINV_RTOL relative are dropped).  A
     full-rank block is compatible by itself; only a rank-deficient one
-    runs the least-squares compatibility test."""
+    runs the least-squares compatibility test.  Data so small that a
+    nonzero C_E gives an M below GRAM_TINY (about |A| < 1e-148, where its
+    entries approach the subnormal range and its pseudo-inverse would
+    overflow) raise ValueError: rescale them."""
     s = as_indicator(s)
     E = np.flatnonzero(s)
     mats = inst.matrices
     if E.size == 0:
+        empty = np.zeros((0, 0))
         return CandidatePiece(
-            s=s, Minv=np.zeros((0, 0)), compatible=True, invertible=True, mats=mats,
+            s=s, M=empty, Minv=empty, compatible=True, invertible=True, mats=mats,
             support=E,
         )
-    U, sv, Vt = np.linalg.svd(mats.gram_block(E))
+    M = mats.gram_block(E)
+    U, sv, Vt = np.linalg.svd(M)
+    if sv[0] < GRAM_TINY and mats.col_abs_sums[E].any():
+        raise ValueError(
+            f"C_E^T D C_E is too small to invert (largest singular value "
+            f"{sv[0]:.3g}); rescale the data"
+        )
     keep = sv > PINV_RTOL * sv[0]
     Minv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
     invertible = bool(keep.all())
     compatible = invertible or is_compatible(inst, s)
     return CandidatePiece(
-        s=s, Minv=Minv, compatible=compatible, invertible=invertible, mats=mats,
+        s=s, M=M, Minv=Minv, compatible=compatible, invertible=invertible, mats=mats,
         support=E,
     )
 
@@ -133,25 +151,27 @@ def next_piece(
     inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray
 ) -> CandidatePiece:
     """Piece of `s_next` from the piece of an indicator whose support
-    differs from it in one index, in O(n^2 + |E|^2).
+    differs from it in one index, in O(|E|^2).
 
-    An insertion borders M^{-1} through the Schur complement
-    sigma = d - row^T M^{-1} col of the new row, column and corner d, which
-    `ModelMatrices.gram_border` gathers from A^T A, and appends the index
-    to the support.  A deletion swaps the index's position with the last
-    one and takes M^{-1} <- P - q r^T / s from the blocks of the swapped
-    inverse.  `piece` itself is never modified.  A from-scratch
+    An insertion borders M with the new column, row and corner d, which
+    `ModelMatrices.gram_border` gathers from A^T A, borders M^{-1} through
+    the Schur complement sigma = d - row^T M^{-1} col, and appends the
+    index to the support.  A deletion swaps the index's position with the
+    last one in M and M^{-1}, truncates M and takes M^{-1} <- P - q r^T / s
+    from the blocks of the swapped inverse.  Each new matrix is allocated
+    once and written whole: the outer product first, the old block added
+    to it.  `piece` itself is never modified.  A from-scratch
     `candidate_slope` runs instead when the supports differ in more than
     one index, when `piece` holds a pseudoinverse, when sigma <= SCHUR_RTOL
     times its scale (a rank drop), or when the updated inverse misses
     M (M^{-1} s_E) = s_E by more than UPDATE_RTOL, a check run through the
-    C^T D C operator.
+    kept M.
     """
     changed = np.flatnonzero((s_next != 0) != (piece.s != 0))
     if changed.size != 1 or not piece.invertible:
         return candidate_slope(inst, s_next)
     j = int(changed[0])
-    E, P = piece.support, piece.Minv
+    E, G, P = piece.support, piece.M, piece.Minv
     N = E.size
     mats = inst.matrices
     if piece.s[j] == 0:
@@ -164,37 +184,42 @@ def next_piece(
             return candidate_slope(inst, s_next)
         x /= sigma
         Minv = np.empty((N + 1, N + 1))
-        np.multiply.outer(x, y, out=Minv[:N, :N])
+        np.einsum("i,j->ij", x, y, out=Minv[:N, :N])
         Minv[:N, :N] += P
         Minv[:N, N] = -x
         Minv[N, :N] = -y / sigma
         Minv[N, N] = 1.0 / sigma
+        M = np.empty((N + 1, N + 1))
+        M[:N, :N] = G
+        M[:N, N], M[N, :N], M[N, N] = col, row, d
         support = np.append(E, j)
     else:
-        # the leading block of P with positions k and N - 1 swapped: a
-        # contiguous copy with row and column k replaced by those of N - 1
+        # the blocks of the inverse with positions k and N - 1 swapped:
+        # column and row k of the leading block and the pivot P[k, k]
         k = int(np.flatnonzero(E == j)[0])
         last = N - 1
-        Minv = P[:last, :last].copy()
         col, row = P[:last, k].copy(), P[k, :last].copy()
         support = E[:last].copy()
         if k < last:
-            Minv[k, :] = P[last, :last]
-            Minv[:, k] = P[:last, last]
-            Minv[k, k] = P[last, last]
             col[k], row[k] = P[last, k], P[k, last]
             support[k] = E[last]
         row /= P[k, k]
-        Minv -= np.multiply.outer(col, row)
+        Minv = np.einsum("i,j->ij", -col, row)
+        Minv += P[:last, :last]
+        M = G[:last, :last].copy()
+        if k < last:
+            # row and column k of both leading blocks from the last position
+            Minv[k] = P[last, :last] - col[k] * row
+            Minv[:, k] = P[:last, last] - col * row[k]
+            Minv[k, k] = P[last, last] - col[k] * row[k]
+            M[k], M[:, k], M[k, k] = G[last, :last], G[:last, last], G[last, last]
     if support.size:
         rhs = s_next[support].astype(float)
-        w = np.zeros(s_next.size)
-        w[support] = Minv @ rhs
-        residual = mats.ctdc(w)[support] - rhs
+        residual = M @ (Minv @ rhs) - rhs
         if not np.abs(residual).max() <= UPDATE_RTOL:
             return candidate_slope(inst, s_next)
     return CandidatePiece(
-        s=s_next, Minv=Minv, compatible=True, invertible=True, mats=mats,
+        s=s_next, M=M, Minv=Minv, compatible=True, invertible=True, mats=mats,
         support=support,
     )
 

@@ -82,8 +82,10 @@ def elars_iterate(
     """One E-LARS step along `line` out of the zone of `piece`.
 
     The zone is restricted to the line once; its exit time is the
-    breakpoint, and the events within TIE_TOL of it make the next
-    indicator.  A caller holding an indicator builds its piece with
+    breakpoint, and the rows of its ratio test within TIE_TOL of it make
+    the next indicator: sign rows delete, correlation rows insert with the
+    sign of the correlation at the breakpoint, and the wall row ends the
+    path.  A caller holding an indicator builds its piece with
     `candidate_slope` first.
     """
     s = piece.s
@@ -100,20 +102,27 @@ def elars_iterate(
             restricted=restricted, t_entry=times.t_inf,
         )
 
-    terminus = math.isfinite(times.t_c) and bool(_ties(times.t_c, t_plus))
-    deleted = np.flatnonzero(_ties(times.t_a, t_plus))
-    signs = np.sign(restricted.correlation_at(t_plus)).astype(int)
-    # a zero sign only happens where the binding value is lambda(t_plus) = 0,
-    # i.e. at the terminus wall: not a real event.  There every correlation
-    # bound ties and rounding gives the correlations signs, but the path
-    # ends at the terminus, so it inserts nothing
-    inserted = np.flatnonzero(
-        _ties(times.t_b, t_plus) & (signs != 0) & (not terminus)
-    )
-
+    hit = _ties(times.rows, t_plus)
+    n2 = s.size
+    on = times.on
+    terminus = bool(hit[-1])
+    deleted = np.flatnonzero(hit[:n2] & on)
     s_plus = s.copy()
     s_plus[deleted] = 0
-    s_plus[inserted] = signs[inserted]
+    if terminus:
+        # at the terminus wall every correlation bound ties and rounding
+        # gives the correlations signs, but the path ends there, so it
+        # inserts nothing
+        inserted = deleted[:0]
+    else:
+        # support rows of the upper block are 0*t <= 0 and never tie
+        inserted = np.flatnonzero((hit[:n2] & ~on) | hit[n2:-1])
+        r = restricted
+        signs = np.sign(r.cv[inserted] + r.cu[inserted] * t_plus).astype(int)
+        # a zero sign only happens where the binding value is
+        # lambda(t_plus) = 0: not a real event
+        inserted = inserted[signs != 0]
+        s_plus[inserted] = signs[signs != 0]
     return IterationResult(
         s=s, t_plus=float(t_plus), s_plus=s_plus,
         deleted=tuple(deleted.tolist()), inserted=tuple(inserted.tolist()),
@@ -535,14 +544,16 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     pieces = _PieceMemo()
     edge_keys: set[tuple[str, str]] = set()
 
-    def add_node(s: np.ndarray, anchor: tuple[np.ndarray, float], key: str) -> bool:
+    def add_node(s: np.ndarray, anchor, key: str) -> bool:
+        """Add `s` under `key` unless it is known; `anchor()` gives the
+        anchor of a new node, so a known node costs none."""
         if key in graph.nodes:
             return False
         if len(graph.nodes) >= config.max_nodes:
             graph.incomplete = True
             return False
         graph.nodes[key] = s.copy()
-        anchors[key] = anchor
+        anchors[key] = anchor()
         piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
         todo = np.flatnonzero(np.logical_not(graph.covered))
         if todo.size and piece.compatible:
@@ -563,7 +574,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         segs = result.segments
         keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
-            if add_node(seg.s, _anchor_from_segment(result.line, seg), keys[k]):
+            if add_node(seg.s, lambda: _anchor_from_segment(result.line, seg), keys[k]):
                 new_keys.append(keys[k])
             if k + 1 < len(segs):
                 b_w, lam_w = result.line.point_at(seg.t_end)
@@ -586,7 +597,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     s0 = zero_indicator(inst.n)
     anchor0 = (np.zeros(2 * inst.m), 1.0)
     key0 = indicator_to_string(s0)
-    add_node(s0, anchor0, key0)
+    add_node(s0, lambda: anchor0, key0)
     queue = deque([key0])
     directions = _ray_directions(inst)
 
@@ -614,7 +625,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             except (InitializationError, RuntimeError):
                 continue
             anchor = (bj / lj, 1.0) if lj > 1e-8 else (bj, lj)
-            add_node(s, anchor, indicator_to_string(s))
+            add_node(s, lambda: anchor, indicator_to_string(s))
 
     if not all(graph.covered):
         graph.incomplete = True

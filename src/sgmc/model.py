@@ -10,16 +10,20 @@ length 2m, and the structural matrices
          [-sqrt(rho) I,  I]]                 (2m x 2m)
 
 Both are 2 x 2 block matrices whose blocks are multiples of A or of I, so
-their products need only A and a 2 x 2 coefficient matrix.  Viewing a
-(2n, k) array as (2, n, k), or a (2m, k) one as (2, m, k),
+their products need only A and a 2 x 2 coefficient matrix.  The closed
+forms keep their vectors as rows: k vectors w of length 2n form a (k, 2n)
+array, viewed as (2k, n) with the primal and dual halves as rows, and k
+vectors of length 2m likewise as (2k, m).  Then
 
     D C X    = [[1 - rho, rho], [-sqrt(rho), sqrt(rho)]] combining A X,
     C^T V    = diag(1, sqrt(rho)) combining A^T V,
-    C^T D C  = T kron A^T A,   T = [[1 - rho, rho], [-rho, rho]],
 
-each one batched matmul on the view.  `ModelMatrices` applies them with
-A^T A as its one cached Gram matrix, and the pieces and line restrictions
-of `candidate` and `sweep` apply C and D through them only.  The dense C
+each one gemm on the view followed by a 2 x 2 combination of its rows, and
+C^T D C = T kron A^T A with T = [[1 - rho, rho], [-rho, rho]], of which the
+closed forms only ever gather entries.  `ModelMatrices` applies the first
+two with A and gathers those entries from A^T A, its one cached Gram
+matrix; the pieces and line restrictions of `candidate` and `sweep` apply
+C and D through it only.  The dense C
 and D are kept for the independent checks, `optimality.correlation` (and
 `check_opt` on it) and the `oracle` solvers, which thus share no code
 with the closed forms they certify.
@@ -132,9 +136,9 @@ class ModelMatrices:
     """The pair (C, D), dense, and its block operators.
 
     The dense matrices serve the independent checks only.  The closed
-    forms apply C, D and C^T D C through `dc`, `ct` and `ctdc`, gather
-    entries of C^T D C with `gram_block` and `gram_border`, and assemble
-    columns of C with `columns`, all from A, rho and A^T A.
+    forms apply D C and C^T to rows through `dc` and `ct`, gather entries
+    of C^T D C with `gram_block` and `gram_border`, and assemble columns
+    of C with `columns`, all from A, rho and A^T A.
     """
 
     C: np.ndarray
@@ -171,22 +175,17 @@ class ModelMatrices:
         return _readonly(np.multiply.outer(self._c_coef, np.abs(self.A).sum(axis=0)).ravel())
 
     def dc(self, X: np.ndarray) -> np.ndarray:
-        """D C X for X of shape (2n,) or (2n, k)."""
+        """D C w for each row w of X, of shape (2n,) or (k, 2n)."""
         m, n = self.A.shape
-        P = self.A @ X.reshape(2, n, -1)
-        return (self._dc_coef @ P.reshape(2, -1)).reshape((2 * m,) + X.shape[1:])
+        P = (X.reshape(-1, n) @ self.A.T).reshape(-1, 2, m)
+        return (self._dc_coef @ P).reshape(X.shape[:-1] + (2 * m,))
 
     def ct(self, V: np.ndarray) -> np.ndarray:
-        """C^T V for V of shape (2m,) or (2m, k)."""
+        """C^T v for each row v of V, of shape (2m,) or (k, 2m)."""
         m, n = self.A.shape
-        P = self.A.T @ V.reshape(2, m, -1)
-        P[1] *= self._c_coef[1]
-        return P.reshape((2 * n,) + V.shape[1:])
-
-    def ctdc(self, X: np.ndarray) -> np.ndarray:
-        """C^T D C X = (T kron A^T A) X for X of shape (2n,) or (2n, k)."""
-        P = self.gram @ X.reshape(2, self.A.shape[1], -1)
-        return (self._T @ P.reshape(2, -1)).reshape(X.shape)
+        P = (V.reshape(-1, m) @ self.A).reshape(-1, 2, n)
+        P[:, 1] *= self._c_coef[1]
+        return P.reshape(V.shape[:-1] + (2 * n,))
 
     def columns(self, E: np.ndarray) -> np.ndarray:
         """C[:, E], assembled from A: column i holds A's column i mod n,

@@ -10,7 +10,9 @@ rows gives the zone's interval on the line: the exit time is the minimum of
     f_tmax(k, c) = sup{t : k*t <= c}
 
 over the rows, and the entry time, the maximum of c/k over the rows with
-k < 0, is minus the minimum of f_tmax(-k, c).
+k < 0, is minus the minimum of f_tmax(-k, c).  `zone_exit_times` gets both
+from one division c/k over the stacked rows; `f_tmax` is the definition
+they are checked against.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .candidate import CandidatePiece, IncompatibleIndicatorError
 from .model import ModelMatrices, ProblemInstance
 
 SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
+# signs of [cu; cv] in the [k; c] rows of the lower and upper correlation bounds
+_LOWER = np.array([[-1.0], [1.0]])
+_UPPER = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -31,9 +36,9 @@ class ParameterLine:
     """Straight line (b0 + delta_b * t, lam0 + delta_lam * t); all four
     coefficients must be finite.
 
-    `B` = [delta_b, b0] and `lams` = [delta_lam, lam0] stack the two
-    coefficients of each, as `restrict_to_line` solves for both at once;
-    `B_scale` holds the largest magnitude of each column of `B`.
+    `B` = [delta_b; b0] and `lams` = [delta_lam, lam0] stack the two
+    coefficients of each as rows, as `restrict_to_line` solves for both at
+    once; `B_scale` holds the largest magnitude of each row of `B`.
     """
 
     b0: np.ndarray
@@ -46,8 +51,7 @@ class ParameterLine:
         db = np.ravel(np.asarray(self.delta_b, dtype=float))
         if b0.shape != db.shape:
             raise ValueError("b0 and delta_b must have equal length")
-        B = np.empty((b0.size, 2))
-        B[:, 0], B[:, 1] = db, b0
+        B = np.stack([db, b0])
         lams = np.array([self.delta_lam, self.lam0], dtype=float)
         if not (np.isfinite(B).all() and np.isfinite(lams).all()):
             for name, value in (("b0", b0), ("delta_b", db), ("lam0", self.lam0),
@@ -60,12 +64,12 @@ class ParameterLine:
         object.__setattr__(self, "delta_b", db)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "lams", lams)
-        object.__setattr__(self, "B_scale", np.abs(B).max(axis=0))
+        object.__setattr__(self, "B_scale", np.abs(B).max(axis=1))
         object.__setattr__(self, "_ctB", (None, None))
 
     def ct_B(self, mats: ModelMatrices) -> np.ndarray:
-        """C^T B for the structural matrices `mats`, formed once per line
-        and matrices (the last pair is kept)."""
+        """C^T B, rows [C^T delta_b; C^T b0], for the structural matrices
+        `mats`, formed once per line and matrices (the last pair is kept)."""
         owner, ctB = self._ctB
         if owner is not mats:
             ctB = mats.ct(self.B)
@@ -99,16 +103,25 @@ def f_tmax(k, c):
 class LineRestrictedPiece:
     """Candidate map, residual and correlation of an indicator along one
     line: w(t) = q - p*t (supported on E), b(t) - D C w(t) = v + u*t and
-    C^T (v + u*t) = cv + cu*t."""
+    C^T (v + u*t) = cv + cu*t, each pair stored as the two rows of one
+    array (`pq`, `uv`, `cuv`).  `wall` marks the indices whose correlation
+    line is a multiple of lambda(t) within its rounding: off the support
+    their bounds |xi_i| <= lambda(t) bind only where lambda(t) = 0, with
+    the lambda >= 0 wall."""
 
     s: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    cu: np.ndarray
-    cv: np.ndarray
+    pq: np.ndarray
+    uv: np.ndarray
+    cuv: np.ndarray
+    wall: np.ndarray
     line: ParameterLine
+
+    p = property(lambda self: self.pq[0])
+    q = property(lambda self: self.pq[1])
+    u = property(lambda self: self.uv[0])
+    v = property(lambda self: self.uv[1])
+    cu = property(lambda self: self.cuv[0])
+    cv = property(lambda self: self.cuv[1])
 
     def weq_at(self, t: float) -> np.ndarray:
         return self.q - self.p * t
@@ -125,18 +138,21 @@ def restrict_to_line(
 ) -> LineRestrictedPiece:
     """Compute (p, q, u, v, cu, cv) of the zone of `piece` along the line.
 
-    [-p, q] solves M X = C_E^T B - s_E [dl, lam0], B = [db, b0], by two
-    applications of pinv(M), never R itself, and one step of iterative
-    refinement.  The residual of that system is C_E^T [u, v] - s_E [dl, lam0],
-    the equality conditions themselves, read off C^T B - C^T D C X.  It
-    keeps the correlation line as accurate as a backward stable solve would,
-    which matters where |xi_i| is close to lambda for the whole zone and an
-    error in (cu, cv) moves t_b by a large factor.  C^T B is formed once
-    per line (`ParameterLine.ct_B`), and every product goes through the
-    block operators of `ModelMatrices`: O(mn + n^2 + |E|^2) work however
-    large E is.  The piece is the only description of the
-    zone: a caller holding an indicator builds it with `candidate_slope`
-    first.  An incompatible piece raises IncompatibleIndicatorError.
+    The two coefficients of each line are rows: X = [-p; q] solves
+    M X_E^T = C_E^T B^T - s_E lams^T for B = [db; b0], lams = [dl, lam0],
+    by two applications of pinv(M), never R itself, and one step of
+    iterative refinement.  The residual of that system, C_E^T [u; v]^T -
+    s_E lams^T (the equality conditions themselves), is formed as
+    C_E^T B^T - s_E lams^T - M X_E^T with the piece's M, O(|E|^2).  It
+    keeps the correlation line as accurate as a backward stable solve
+    would, which matters where |xi_i| is close to lambda for the whole
+    zone and an error in (cu, cv) moves t_b by a large factor.  C^T B is
+    formed once per line (`ParameterLine.ct_B`), and D C X and C^T [u; v]
+    are one gemm each on the row view (`ModelMatrices.dc`, `ct`):
+    O(mn + |E|^2) work in all, and p, q, u, v, cu and cv are contiguous
+    rows.  The piece is the only description of the zone: a caller
+    holding an indicator builds it with `candidate_slope` first.  An
+    incompatible piece raises IncompatibleIndicatorError.
     """
     s = piece.s
     if not piece.compatible:
@@ -146,52 +162,74 @@ def restrict_to_line(
     E = piece.support
     mats = inst.matrices
     B, lams = line.B, line.lams
-    X = np.zeros((s.size, 2))
+    X = np.zeros((2, s.size))
     if E.size:
-        ctB, P = line.ct_B(mats), piece.Minv
+        ctB, P = line.ct_B(mats)[:, E], piece.Minv
         sE = s[E]
-        X[E] = P @ ctB[E] - np.multiply.outer(P @ sE, lams)
-        CUV = ctB - mats.ctdc(X)
-        X[E] += P @ (CUV[E] - np.multiply.outer(sE, lams))
+        XE = ctB @ P.T - np.multiply.outer(lams, P @ sE)
+        XE += (ctB - XE @ piece.M.T - np.multiply.outer(lams, sE)) @ P.T
+        X[:, E] = XE
     DCX = mats.dc(X)
     UV = B - DCX
     CUV = mats.ct(UV)
+    dl, lam0 = line.delta_lam, line.lam0
+    floor = SLOPE_RTOL * (mats.col_abs_sums * (line.B_scale + np.abs(DCX).max(axis=1))[:, None])
+    # A correlation line that is exactly g * lambda(t), as every one is in a
+    # zone of 2m independent support columns, meets +-lambda(t) only at the
+    # wall; rounding noise in it would move that crossing off the wall by
+    # about the noise over 1 - |g|.  Within its rounding it is such a
+    # multiple, and the ratio test lets it bind with the wall.  (At dl = 0
+    # that is a slope within rounding of 0, which the snap below sets to 0.)
+    if dl == 0.0:
+        wall = np.zeros(s.size, dtype=bool)
+    else:
+        wall = np.abs(CUV[0] * lam0 - CUV[1] * dl) <= floor[0] * abs(lam0) + floor[1] * abs(dl)
     # Rounding leaves noise where the exact value lies on a boundary: a
     # correlation slope of 0 (a b-direction through 2m support columns) or
     # a correlation at the bound (along the whole line if it does not move).
     # The exit scan would turn the noise into breakpoints near t = 1e15 or
     # at a point the noise picks, so values within SLOPE_RTOL of the exact
     # one, relative to the terms they were summed from, are set to it.
-    floor = SLOPE_RTOL * (
-        mats.col_abs_sums[:, None] * (line.B_scale + np.abs(DCX).max(axis=0))
-    )
-    cu = np.where(np.abs(CUV[:, 0]) <= floor[:, 0], 0.0, CUV[:, 0])
-    lam0 = line.lam0
-    at_bound = np.abs(np.abs(CUV[:, 1]) - lam0) <= floor[:, 1] + SLOPE_RTOL * abs(lam0)
-    cv = np.where(at_bound, np.sign(CUV[:, 1]) * lam0, CUV[:, 1])
-    return LineRestrictedPiece(
-        s=s, p=-X[:, 0], q=X[:, 1], u=UV[:, 0], v=UV[:, 1], cu=cu, cv=cv, line=line,
-    )
+    cu, cv = CUV
+    cu[np.abs(cu) <= floor[0]] = 0.0
+    at_bound = np.abs(np.abs(cv) - lam0) <= floor[1] + SLOPE_RTOL * abs(lam0)
+    np.copyto(cv, np.sign(cv) * lam0, where=at_bound)
+    np.negative(X[0], out=X[0])
+    return LineRestrictedPiece(s=s, pq=X, uv=UV, cuv=CUV, wall=wall, line=line)
 
 
 @dataclass(frozen=True)
 class ZoneExitTimes:
-    """Per-constraint supremum times along a line and the interval they
-    bound.
+    """Exit times of the stacked rows of a zone along a line and the
+    interval they bound.
 
-    t_a (sign constraints on the support) and t_b (correlation bound off
-    the support) have length 2n, +inf where the constraint does not apply;
-    t_c binds the lambda >= 0 wall.  t_sup is their minimum, the exit time,
-    and t_inf the entry time, the largest t at which a constraint with
-    k < 0 starts to hold.  All values are extended reals; the line crosses
-    the zone with nonempty interior only when t_inf < t_sup.
+    `rows` holds sup{t : k*t <= c} of each of the 4n + 1 rows of
+    `zone_exit_times` (+inf where a row never binds); `on` marks the
+    support.  t_sup, their minimum, is the exit time, and t_inf the entry
+    time, the largest t at which a row with k < 0 starts to hold.  All
+    values are extended reals; the line crosses the zone with nonempty
+    interior only when t_inf < t_sup.  t_a (sign constraints on the
+    support), t_b (correlation bounds off the support) and t_c (the
+    lambda >= 0 wall) regroup `rows`.
     """
 
-    t_a: np.ndarray
-    t_b: np.ndarray
-    t_c: float
+    rows: np.ndarray
+    on: np.ndarray
     t_sup: float
     t_inf: float
+
+    @property
+    def t_a(self) -> np.ndarray:
+        return np.where(self.on, self.rows[: self.on.size], np.inf)
+
+    @property
+    def t_b(self) -> np.ndarray:
+        n2 = self.on.size
+        return np.where(self.on, np.inf, np.minimum(self.rows[:n2], self.rows[n2:-1]))
+
+    @property
+    def t_c(self) -> float:
+        return float(self.rows[-1])
 
 
 def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
@@ -202,28 +240,38 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     Row i of the first block is the sign constraint of i on the support and
     the lower correlation bound of i off it; the second block holds the
     upper correlation bounds (rows of support indices are 0*t <= 0, never
-    binding); the last row is the lambda >= 0 wall.  The exit time is the
-    minimum of f_tmax(k, c) and the entry time minus the minimum of
-    f_tmax(-k, c).  The times are valid only when t_inf < t_sup.
+    binding); the last row is the lambda >= 0 wall.  A correlation row of
+    an index in `r.wall` that points the way the wall row does is the wall
+    row within rounding, and is replaced by it, so that it binds exactly
+    when the wall does.  One division c/k serves every row: it is the exit
+    time of rows with k > 0 and the entry time of rows with k < 0.  A row
+    with k = 0 and c < 0 holds nowhere.  The times are valid only when
+    t_inf < t_sup.
     """
     on = r.s != 0
     dl, lam0 = r.line.delta_lam, r.line.lam0
-    k = np.concatenate(
-        [np.where(on, r.s * r.p, -r.cu - dl), np.where(on, 0.0, r.cu - dl), [-dl]]
-    )
-    c = np.concatenate(
-        [np.where(on, r.s * r.q, lam0 + r.cv), np.where(on, 0.0, lam0 - r.cv), [lam0]]
-    )
-    ahead, behind = f_tmax(k, c), f_tmax(-k, c)
+    wall_row = np.array([[-dl], [lam0]])
+    # rows [k; c]: s [p; q] on the support; off it [-cu - dl; lam0 + cv]
+    # (lower) and [cu - dl; lam0 - cv] (upper)
+    kc = np.concatenate([
+        np.where(on, r.s * r.pq, _LOWER * r.cuv + wall_row),
+        np.where(on, 0.0, _UPPER * r.cuv + wall_row),
+        wall_row,
+    ], axis=1)
+    k, c = kc
+    wall = r.wall & ~on
+    if wall.any():
+        wall = np.concatenate([wall, wall, [False]])
+        wall &= k * -dl + c * lam0 > 0.0
+        kc[:, wall] = wall_row
+    zero = k == 0.0
+    blocked = zero & (c < 0.0)
     # On constant-lambda lines the wall never binds, so the sign of lam0
     # alone decides.
     if dl == 0.0:
-        ahead[-1] = behind[-1] = math.inf if lam0 > 0.0 else -math.inf
-    n2 = on.size
-    return ZoneExitTimes(
-        t_a=np.where(on, ahead[:n2], np.inf),
-        t_b=np.where(on, np.inf, np.minimum(ahead[:n2], ahead[n2:-1])),
-        t_c=float(ahead[-1]),
-        t_sup=float(ahead.min()),
-        t_inf=-float(behind.min()),
-    )
+        blocked[-1] = not lam0 > 0.0
+    ratio = np.divide(c, k, out=np.where(blocked, -np.inf, np.inf), where=~zero)
+    behind = k < 0.0
+    rows = np.where(behind, np.inf, ratio)
+    t_inf = math.inf if blocked.any() else float(np.where(behind, ratio, -np.inf).max())
+    return ZoneExitTimes(rows=rows, on=on, t_sup=float(rows.min()), t_inf=t_inf)

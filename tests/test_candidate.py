@@ -6,6 +6,7 @@ import pytest
 
 from sgmc import (
     OracleConfig,
+    ProblemInstance,
     candidate_slope,
     check_opt,
     encode_sopt,
@@ -181,6 +182,121 @@ class TestNextPiece:
         assert not grown.invertible
         assert grown.compatible == ref.compatible == is_compatible(inst, s)
         npt.assert_array_equal(grown.Minv, ref.Minv)
+
+
+def dense_gram(inst, support):
+    """C_E^T D C_E by dense products with C and D, in the order of
+    `support`, and the magnitudes |C_E|^T |D| |C_E| of the terms summed."""
+    C, D = inst.matrices.C, inst.matrices.D
+    CE = C[:, support]
+    return CE.T @ D @ CE, np.abs(CE.T) @ np.abs(D) @ np.abs(CE)
+
+
+GRAM_RTOL = 1e-13  # kept M against the dense product, relative to the terms
+
+
+class TestGramBookkeeping:
+    """A piece keeps M = C_E^T D C_E beside M^{-1}, in the order of its
+    support, through every update."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.8])
+    def test_edit_chain_keeps_M(self, rho, monkeypatch):
+        # 48 seeded edits on a 12 x 24 instance: insertions, deletions at the
+        # first, a middle and the last position in turn, and every sixth
+        # step two edits at once or a sign flip, which rebuild the piece.
+        # No other step may rebuild: a wrong M would fail the update check
+        # and be rebuilt from scratch, hiding the error
+        import sgmc.candidate
+
+        builds = []
+        build = sgmc.candidate.candidate_slope
+        monkeypatch.setattr(sgmc.candidate, "candidate_slope",
+                            lambda inst, s: builds.append(s) or build(inst, s))
+        m, n = 12, 24
+        inst = random_instance(41, m=m, n=n, rho=rho)
+        mats = inst.matrices
+        rng = np.random.default_rng(42)
+        s = np.zeros(2 * n, dtype=int)
+        s[rng.choice(2 * n, size=6, replace=False)] = 1
+        piece = candidate_slope(inst, s)
+        deleted, rebuilt, unordered = [], 0, 0
+        for step in range(48):
+            s = s.copy()
+            E = piece.support
+            halves = [np.count_nonzero(s[:n]), np.count_nonzero(s[n:])]
+            free = [i for i in np.flatnonzero(s == 0) if halves[i // n] < m - 2]
+            if step % 6 == 5:
+                if step % 12 == 5:
+                    s[rng.choice(free)] = 1
+                    s[E[0]] = 0
+                else:
+                    s[E[-1]] *= -1
+                rebuilt += 1
+            elif step % 2 == 0:
+                s[rng.choice(free)] = rng.choice([-1, 1])
+            else:
+                where = len(deleted) % 3
+                deleted.append(where)
+                s[E[(0, E.size // 2, E.size - 1)[where]]] = 0
+            piece = next_piece(inst, piece, s)
+            assert piece.M.tobytes() == mats.gram_block(piece.support).tobytes()
+            want, terms = dense_gram(inst, piece.support)
+            assert (np.abs(piece.M - want) <= GRAM_RTOL * terms).all()
+            unordered += not np.all(np.diff(piece.support) > 0)
+        assert set(deleted) == {0, 1, 2} and rebuilt == len(builds) == 8
+        assert unordered  # updates leave the support out of ascending order
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (5, 3), (16, 32)])
+    def test_products_with_M_match_dense(self, shape, rho):
+        # M X_E is (C^T D C X)[E] for X zero off E: the product the line
+        # refinement and the update check take through the kept M
+        m, n = shape
+        rng = np.random.default_rng([7, m, n, int(10 * rho)])
+        inst = ProblemInstance(A=rng.normal(size=shape), rho=rho, y=np.zeros(m), lam=1.0)
+        C, D = inst.matrices.C, inst.matrices.D
+        G, G_terms = C.T @ D @ C, np.abs(C.T) @ np.abs(D) @ np.abs(C)
+        for size in (1, n, 2 * n - 1, 2 * n):
+            E = rng.permutation(2 * n)[:size]
+            s = np.zeros(2 * n, dtype=int)
+            s[E] = 1
+            piece = candidate_slope(inst, s)
+            for k in (1, 2, 24):
+                X = np.zeros((2 * n, k))
+                X[piece.support] = rng.normal(size=(size, k))
+                got = piece.M @ X[piece.support]
+                want = (G @ X)[piece.support]
+                terms = (G_terms @ np.abs(X))[piece.support]
+                assert (np.abs(got - want) <= GRAM_RTOL * terms).all()
+            if rho == 0.0:
+                # the dual blocks of C vanish: exactly zero, not rounding noise
+                dual = piece.support >= n
+                assert (piece.M[dual] == 0.0).all() and (piece.M[:, dual] == 0.0).all()
+
+
+class TestTinyData:
+    """A = scale [[1, 2], [0.5, 3]], rho = 0.25, s = ++00."""
+
+    @staticmethod
+    def piece(scale):
+        A = scale * np.array([[1.0, 2.0], [0.5, 3.0]])
+        inst = ProblemInstance(A=A, rho=0.25, y=np.zeros(2), lam=1.0)
+        return candidate_slope(inst, S1)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_subnormal_gram_raises(self, scale):
+        # M has subnormal entries at 1e-160 (its pseudo-inverse overflowed to
+        # NaN) and underflows to zero at 1e-170 (an all-zero map): neither
+        # may pass as a compatible piece
+        with pytest.raises(ValueError, match="too small"):
+            self.piece(scale)
+
+    def test_small_data_scale_exactly(self):
+        # well above the subnormal range the piece is finite and scales as
+        # M^{-1} ~ 1 / scale^2
+        unit, small = self.piece(1.0), self.piece(1e-100)
+        assert small.invertible and small.compatible
+        npt.assert_allclose(small.Minv * 1e-200, unit.Minv, rtol=1e-12)
 
 
 class TestEvalWeq:

@@ -217,6 +217,29 @@ class TestPathSweep:
                 probe = inst.with_params(b=line.b_at(t), lam=line.lam_at(t))
                 assert check_opt(probe, seg.weq_at(t)).worst_violation <= 1e-7
 
+    def test_spanning_zone_ends_at_the_wall(self):
+        # The last zone of this 100 x 200 descent has |E| = 200 = 2m support
+        # columns, so every off-support correlation is g_i lambda(t).  Indices
+        # 102 and 302 have |g_i| = 1 - 1.06e-5: their bounds meet lambda(t)
+        # only at the wall, but rounding in the updated M^{-1} put their
+        # crossing 8.2e-8 before it, outside TIE_TOL, and the sweep inserted
+        # both and stopped as unverified_step after 555 segments
+        rng = np.random.default_rng((404, 1, 2))
+        inst = ProblemInstance(A=rng.normal(size=(100, 200)), rho=0.8,
+                               y=rng.normal(size=100), lam=1.0)
+        lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+        line = ParameterLine(inst.b, lam_max, np.zeros(200), -1.0)
+        result = path_sweep(inst, line, zero_indicator(200), t_start=0.0,
+                            max_segments=1000)
+        assert result.stop_reason == "lambda_terminus"
+        last = result.segments[-1]
+        assert np.count_nonzero(last.s) == 200
+        assert last.t_end == lam_max and not last.inserted
+        for frac in (0.1, 0.5, 0.9):
+            t = last.t_start + frac * (last.t_end - last.t_start)
+            probe = inst.with_params(b=line.b_at(t), lam=line.lam_at(t))
+            assert check_opt(probe, last.weq_at(t)).worst_violation <= 1e-7
+
     @pytest.mark.parametrize("case", ["duplicated_columns", "worked_example"])
     def test_fallback_matches_from_scratch(self, case, descent_line, monkeypatch):
         # both lines start with a double insertion, so the next piece is
@@ -498,6 +521,22 @@ class TestEnumerateZones:
             ):
                 meeting.add(key)
         assert meeting == brute.indicators
+
+    def test_anchors_only_for_new_nodes(self, monkeypatch):
+        # a segment of a known zone needs no anchor: one anchor per node
+        # found by a sweep, not one per segment swept
+        import sgmc.elars
+
+        calls = []
+        anchor = sgmc.elars._anchor_from_segment
+        monkeypatch.setattr(sgmc.elars, "_anchor_from_segment",
+                            lambda line, seg: calls.append(seg) or anchor(line, seg))
+        A = np.random.default_rng([1, 0]).normal(size=(2, 3))
+        inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
+        config = EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, seed=0, n_coverage=24)
+        graph = enumerate_zones(inst, config)
+        assert len(calls) == len(graph.nodes) - 1  # the start node has its own
+        assert len({indicator_to_string(seg.s) for seg in calls}) == len(calls)
 
     @pytest.mark.parametrize("case", ["symmetric_2x2", "gaussian_2x3"])
     def test_graph_independent_of_piece_updates(self, case, monkeypatch):

@@ -95,31 +95,30 @@ def _assert_matches_terms(got, M, X):
 @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
 @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (5, 3), (16, 32)])
 class TestBlockOperators:
-    """`ModelMatrices` applies D C, C^T and C^T D C = T kron A^T A through
-    their blocks; each must equal the dense product."""
+    """`ModelMatrices` applies D C and C^T to the rows of an array through
+    their blocks; each must equal the dense product.  (C^T D C is never
+    applied, only gathered: its entries are checked here, and the kept
+    M = C_E^T D C_E in tests/test_candidate.py::TestGramBookkeeping.)"""
 
     @pytest.mark.parametrize("k", [1, 2, 24])
     def test_products_match_dense(self, shape, rho, k):
         mats, C, D, rng = _operator_case(shape, rho)
         m, n = shape
-        X = rng.normal(size=(2 * n, k))
-        V = rng.normal(size=(2 * m, k))
-        _assert_matches_terms(mats.dc(X), D @ C, X)
-        _assert_matches_terms(mats.ct(V), C.T, V)
-        _assert_matches_terms(mats.ctdc(X), C.T @ D @ C, X)
+        X = rng.normal(size=(k, 2 * n))
+        V = rng.normal(size=(k, 2 * m))
+        _assert_matches_terms(mats.dc(X).T, D @ C, X.T)
+        _assert_matches_terms(mats.ct(V).T, C.T, V.T)
         if rho == 0.0:
             # the dual blocks of C vanish: exactly zero, not rounding noise
-            assert (mats.dc(X)[m:] == 0.0).all()
-            assert (mats.ct(V)[n:] == 0.0).all()
-            assert (mats.ctdc(X)[n:] == 0.0).all()
+            assert (mats.dc(X)[:, m:] == 0.0).all()
+            assert (mats.ct(V)[:, n:] == 0.0).all()
 
     def test_one_dimensional_arguments(self, shape, rho):
         mats, C, D, rng = _operator_case(shape, rho)
         m, n = shape
         x, v = rng.normal(size=2 * n), rng.normal(size=2 * m)
-        npt.assert_array_equal(mats.dc(x), mats.dc(x[:, None])[:, 0])
-        npt.assert_array_equal(mats.ct(v), mats.ct(v[:, None])[:, 0])
-        npt.assert_array_equal(mats.ctdc(x), mats.ctdc(x[:, None])[:, 0])
+        npt.assert_array_equal(mats.dc(x), mats.dc(x[None, :])[0])
+        npt.assert_array_equal(mats.ct(v), mats.ct(v[None, :])[0])
 
     def test_gram_entries_match_dense(self, shape, rho):
         mats, C, D, rng = _operator_case(shape, rho)

@@ -273,7 +273,7 @@ class TestCrossOracleInvariants:
         def used(*args, **kwargs):
             raise OperatorUsed
 
-        for name in ("dc", "ct", "ctdc", "columns", "gram_block", "gram_border"):
+        for name in ("dc", "ct", "columns", "gram_block", "gram_border"):
             monkeypatch.setattr(ModelMatrices, name, used)
         monkeypatch.setattr(ModelMatrices, "gram", property(used))
         with pytest.raises(OperatorUsed):  # the closed forms do use them

@@ -105,7 +105,13 @@ def test_encode_sopt_entries_match_bound(inst):
 def test_eval_weq_homogeneous(inst, theta1, theta2):
     rng = np.random.default_rng(2)
     s = rng.integers(-1, 2, size=2 * inst.n)
-    piece = candidate_slope(inst, s)
+    try:
+        piece = candidate_slope(inst, s)
+    except ValueError:
+        # M = C_E^T D C_E below GRAM_TINY, a singular value no larger than
+        # 0.4 max|C_E|^2 at rho <= 0.6: only such tiny data are refused
+        assert np.abs(inst.matrices.columns(np.flatnonzero(s))).max() < 1e-147
+        return
     b = rng.normal(size=2 * inst.m)
     lam = 1.0
     base = eval_weq(piece, b, lam)

@@ -161,16 +161,22 @@ def two_pass_times(r):
     """(t_a, t_b, t_c, t_sup, t_inf) by the two-pass scan that the one
     ratio test replaced: the exit scan along the line, then along the
     reversed line (p, cu and dl negated), whose exit time is minus the
-    entry time."""
+    entry time.  A correlation row of an index in `r.wall` that points the
+    way the wall row does is the wall row."""
+
+    def row(k, c, k_wall, c_wall, wall):
+        replace = wall & (k * k_wall + c * c_wall > 0.0)
+        return np.where(replace, k_wall, k), np.where(replace, c_wall, c)
 
     def sup_times(direction):
         p, cu, dl = direction * r.p, direction * r.cu, direction * r.line.delta_lam
         s, q, cv, lam0 = r.s, r.q, r.cv, r.line.lam0
         on = s != 0
+        wall = r.wall & ~on
         t_a = np.where(on, f_tmax(s * p, s * q), np.inf)
-        t_b = np.where(
-            on, np.inf, np.minimum(f_tmax(-cu - dl, lam0 + cv), f_tmax(cu - dl, lam0 - cv))
-        )
+        lower = row(-cu - dl, lam0 + cv, -dl, lam0, wall)
+        upper = row(cu - dl, lam0 - cv, -dl, lam0, wall)
+        t_b = np.where(on, np.inf, np.minimum(f_tmax(*lower), f_tmax(*upper)))
         if dl == 0.0:
             t_c = math.inf if lam0 > 0.0 else -math.inf
         else:
@@ -212,6 +218,7 @@ def scan_cases():
 class TestRatioTest:
     def test_one_pass_matches_two_pass_scan(self):
         supports = set()
+        walls = 0
         for inst, s, line in scan_cases():
             restricted = _restricted(inst, s, line)
             times = zone_exit_times(restricted)
@@ -222,7 +229,9 @@ class TestRatioTest:
             assert times.t_sup == t_sup
             assert times.t_inf == t_inf
             supports.add(int(np.count_nonzero(s)) / s.size)
+            walls += int(np.count_nonzero(restricted.wall & (s == 0)))
         assert 0.0 in supports and len(supports) >= 3
+        assert walls  # the spanning supports put their correlation rows on the wall
 
     def test_entry_time_is_minus_exit_time_of_reversed_line(self):
         for inst, s, line in scan_cases():
@@ -408,6 +417,40 @@ class TestDenseReference:
                                  (r.u, u, uv_scale), (r.v, v, uv_scale),
                                  (r.cu, CUV[:, 0], c_scale), (r.cv, CUV[:, 1], c_scale)):
             _assert_close(got, want, scale, piece, inst)
+
+    @pytest.mark.parametrize("label, inst, s, line", STEP_CASES,
+                             ids=[case[0] for case in STEP_CASES])
+    def test_refinement_through_updated_M_matches_dense(self, label, inst, s, line):
+        # restrict_to_line refines with the residual C_E^T B - s_E lams - M X_E
+        # and next_piece checks M (M^{-1} s_E) - s_E, both through the kept M;
+        # on pieces reached by an insertion and by a deletion (a rebuild where
+        # the support is rank-deficient) both must match the dense products
+        C, D = inst.matrices.C, inst.matrices.D
+        E = np.flatnonzero(s)
+        pieces = []
+        if E.size:
+            parent = s.copy()
+            parent[E[0]] = 0
+            pieces.append(next_piece(inst, candidate_slope(inst, parent), s))
+        grown = s.copy()
+        grown[np.flatnonzero(s == 0)[-1]] = 1
+        pieces.append(next_piece(inst, candidate_slope(inst, grown), s))
+        for piece in pieces:
+            if not piece.compatible:
+                continue
+            r = restrict_to_line(inst, piece, line)
+            p, q, u, v, CUV = dense_restrict(inst, piece, line)
+            x_scale = max(np.abs(p).max(), np.abs(q).max(), 1.0)
+            for got, want in ((r.p, p), (r.q, q)):
+                _assert_close(got, want, x_scale, piece, inst)
+            F = piece.support
+            if F.size and piece.invertible:
+                rhs = s[F].astype(float)
+                w = np.zeros(s.size)
+                w[F] = piece.Minv @ rhs
+                dense = (C.T @ (D @ (C @ w)))[F] - rhs
+                npt.assert_allclose(piece.M @ w[F] - rhs, dense, rtol=0,
+                                    atol=STEP_RTOL * max(1.0, np.abs(w).max()) * len(F))
 
     @pytest.mark.parametrize("label, inst, s, line", STEP_CASES[::2],
                              ids=[case[0] for case in STEP_CASES[::2]])
