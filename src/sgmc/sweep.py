@@ -164,11 +164,11 @@ def restrict_to_line(
     B, lams = line.B, line.lams
     X = np.zeros((2, s.size))
     if E.size:
-        ctB, P = line.ct_B(mats)[:, E], piece.Minv
+        ctB, P = line.ct_B(mats).take(E, axis=1), piece.Minv
         sE = s[E]
         XE = ctB @ P.T - np.multiply.outer(lams, P @ sE)
         XE += (ctB - XE @ piece.M.T - np.multiply.outer(lams, sE)) @ P.T
-        X[:, E] = XE
+        X[0][E], X[1][E] = XE
     DCX = mats.dc(X)
     UV = B - DCX
     CUV = mats.ct(UV)
@@ -183,7 +183,8 @@ def restrict_to_line(
     if dl == 0.0:
         wall = np.zeros(s.size, dtype=bool)
     else:
-        wall = np.abs(CUV[0] * lam0 - CUV[1] * dl) <= floor[0] * abs(lam0) + floor[1] * abs(dl)
+        cross = np.array([lam0, -dl])
+        wall = np.abs(cross @ CUV) <= np.abs(cross) @ floor
     # Rounding leaves noise where the exact value lies on a boundary: a
     # correlation slope of 0 (a b-direction through 2m support columns) or
     # a correlation at the bound (along the whole line if it does not move).
