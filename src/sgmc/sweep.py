@@ -254,11 +254,16 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     wall_row = np.array([[-dl], [lam0]])
     # rows [k; c]: s [p; q] on the support; off it [-cu - dl; lam0 + cv]
     # (lower) and [cu - dl; lam0 - cv] (upper)
-    kc = np.concatenate([
-        np.where(on, r.s * r.pq, _LOWER * r.cuv + wall_row),
-        np.where(on, 0.0, _UPPER * r.cuv + wall_row),
-        wall_row,
-    ], axis=1)
+    n2 = on.size
+    kc = np.empty((2, 2 * n2 + 1))
+    lower, upper = kc[:, :n2], kc[:, n2:-1]
+    np.multiply(_LOWER, r.cuv, out=lower)
+    lower += wall_row
+    np.multiply(_UPPER, r.cuv, out=upper)
+    upper += wall_row
+    np.copyto(lower, r.s * r.pq, where=on)
+    np.copyto(upper, 0.0, where=on)
+    kc[:, -1:] = wall_row
     k, c = kc
     wall = r.wall & ~on
     if wall.any():
