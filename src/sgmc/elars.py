@@ -102,31 +102,31 @@ def elars_iterate(
             restricted=restricted, t_entry=times.t_inf,
         )
 
-    hit = _ties(times.rows, t_plus)
+    # the tied rows, in order: sign rows of the support and lower bounds
+    # off it, upper bounds (those of the support are 0*t <= 0 and never
+    # tie), the wall.  Usually one row ties.
     n2 = s.size
-    on = times.on
-    terminus = bool(hit[-1])
-    deleted = np.flatnonzero(hit[:n2] & on)
+    tied = np.flatnonzero(_ties(times.rows, t_plus)).tolist()
+    terminus = tied[-1] == 2 * n2
+    deleted = [i for i in tied if i < n2 and s[i]]
     s_plus = s.copy()
     s_plus[deleted] = 0
-    if terminus:
-        # at the terminus wall every correlation bound ties and rounding
-        # gives the correlations signs, but the path ends there, so it
-        # inserts nothing
-        inserted = deleted[:0]
-    else:
-        # support rows of the upper block are 0*t <= 0 and never tie
-        inserted = np.flatnonzero((hit[:n2] & ~on) | hit[n2:-1])
+    inserted = []
+    # at the terminus wall every correlation bound ties and rounding gives
+    # the correlations signs, but the path ends there, so it inserts nothing
+    if not terminus:
         r = restricted
-        signs = np.sign(r.cv[inserted] + r.cu[inserted] * t_plus).astype(int)
-        # a zero sign only happens where the binding value is
-        # lambda(t_plus) = 0: not a real event
-        inserted = inserted[signs != 0]
-        s_plus[inserted] = signs[signs != 0]
+        for i in sorted({i % n2 for i in tied if i >= n2 or not s[i]}):
+            xi = r.cv[i] + r.cu[i] * t_plus
+            # a zero sign only happens where the binding value is
+            # lambda(t_plus) = 0: not a real event
+            if xi:
+                inserted.append(i)
+                s_plus[i] = 1 if xi > 0 else -1
     return IterationResult(
         s=s, t_plus=float(t_plus), s_plus=s_plus,
-        deleted=tuple(deleted.tolist()), inserted=tuple(inserted.tolist()),
-        one_at_a_time=(deleted.size + inserted.size == 1),
+        deleted=tuple(deleted), inserted=tuple(inserted),
+        one_at_a_time=(len(deleted) + len(inserted) == 1),
         never_exits=False, lambda_terminus=terminus, restricted=restricted,
         t_entry=times.t_inf,
     )
