@@ -158,9 +158,9 @@ def next_piece(
     the Schur complement sigma = d - row^T M^{-1} col, and appends the
     index to the support.  A deletion swaps the index's position with the
     last one in M and M^{-1}, truncates M and takes M^{-1} <- P - q r^T / s
-    from the blocks of the swapped inverse.  Each new matrix is allocated
-    once and written whole: the outer product first, the old block added
-    to it.  `piece` itself is never modified.  A from-scratch
+    from the blocks of the swapped inverse.  Each new inverse is allocated
+    once, its rank-one term written into it and the old block added, with
+    no temporary matrix.  `piece` itself is never modified.  A from-scratch
     `candidate_slope` runs instead when the supports differ in more than
     one index, when `piece` holds a pseudoinverse, when sigma <= SCHUR_RTOL
     times its scale (a rank drop), or when the updated inverse misses
@@ -171,7 +171,7 @@ def next_piece(
     if changed.size != 1 or not piece.invertible:
         return candidate_slope(inst, s_next)
     j = int(changed[0])
-    E, G, P = piece.support, piece.M, piece.Minv
+    E, M0, P = piece.support, piece.M, piece.Minv
     N = E.size
     mats = inst.matrices
     if piece.s[j] == 0:
@@ -190,7 +190,7 @@ def next_piece(
         Minv[N, :N] = -y / sigma
         Minv[N, N] = 1.0 / sigma
         M = np.empty((N + 1, N + 1))
-        M[:N, :N] = G
+        M[:N, :N] = M0
         M[:N, N], M[N, :N], M[N, N] = col, row, d
         support = np.append(E, j)
     else:
@@ -206,13 +206,13 @@ def next_piece(
         row /= P[k, k]
         Minv = np.einsum("i,j->ij", -col, row)
         Minv += P[:last, :last]
-        M = G[:last, :last].copy()
+        M = M0[:last, :last].copy()
         if k < last:
             # row and column k of both leading blocks from the last position
             Minv[k] = P[last, :last] - col[k] * row
             Minv[:, k] = P[:last, last] - col * row[k]
             Minv[k, k] = P[last, last] - col[k] * row[k]
-            M[k], M[:, k], M[k, k] = G[last, :last], G[:last, last], G[last, last]
+            M[k], M[:, k], M[k, k] = M0[last, :last], M0[:last, last], M0[last, last]
     if support.size:
         rhs = s_next[support].astype(float)
         residual = M @ (Minv @ rhs) - rhs

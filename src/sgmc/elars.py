@@ -108,7 +108,7 @@ def elars_iterate(
     n2 = s.size
     tied = np.flatnonzero(_ties(times.rows, t_plus)).tolist()
     terminus = tied[-1] == 2 * n2
-    deleted = [i for i in tied if i < n2 and s[i]]
+    deleted = [row for row in tied if row < n2 and s[row]]
     s_plus = s.copy()
     s_plus[deleted] = 0
     inserted = []
@@ -116,7 +116,7 @@ def elars_iterate(
     # the correlations signs, but the path ends there, so it inserts nothing
     if not terminus:
         r = restricted
-        for i in sorted({i % n2 for i in tied if i >= n2 or not s[i]}):
+        for i in sorted({row % n2 for row in tied if row >= n2 or not s[row]}):
             xi = r.cv[i] + r.cu[i] * t_plus
             # a zero sign only happens where the binding value is
             # lambda(t_plus) = 0: not a real event
