@@ -108,8 +108,9 @@ def test_eval_weq_homogeneous(inst, theta1, theta2):
     try:
         piece = candidate_slope(inst, s)
     except ValueError:
-        # M = C_E^T D C_E below GRAM_TINY, a singular value no larger than
-        # 0.4 max|C_E|^2 at rho <= 0.6: only such tiny data are refused
+        # refused where the leading singular value of M = C_E^T D C_E, which
+        # is at least 0.4 max|C_E|^2 at rho <= 0.6, is below GRAM_TINY: only
+        # tiny data are refused
         assert np.abs(inst.matrices.columns(np.flatnonzero(s))).max() < 1e-147
         return
     b = rng.normal(size=2 * inst.m)
