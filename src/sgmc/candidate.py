@@ -44,6 +44,7 @@ PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # residual tolerance of the column-space compatibility test
 SCHUR_RTOL = 1e-10  # Schur complement at or below this, relative: rank drop
 UPDATE_RTOL = 1e-10  # residual an updated M^{-1} must meet, relative to ||s_E|| = 1
+INTERIOR_MARGIN = 1e-6  # slack of `strictly_inside`, relative to 1 + lambda
 # below this the leading singular value of M = C_E^T D C_E is too small for
 # its PINV_RTOL cut: the kept singular values would be subnormal and their
 # reciprocals overflow
@@ -338,14 +339,13 @@ def strictly_inside(
     b: np.ndarray,
     lam: float,
     piece: CandidatePiece | None = None,
-    margin: float = 1e-6,
 ) -> bool:
     """Operational interior test: every zone inequality, lambda > 0
-    included, holds with slack at least margin*(1+lambda); never for an
-    incompatible indicator."""
+    included, holds with slack at least INTERIOR_MARGIN*(1+lambda) =
+    1e-6*(1+lambda); never for an incompatible indicator."""
     if piece is None:
         piece = candidate_slope(inst, s)
     if not piece.compatible:
         return False
     slack = min(zone_margins(inst, piece, b, lam).overall, lam)
-    return bool(slack >= margin * (1.0 + lam))
+    return bool(slack >= INTERIOR_MARGIN * (1.0 + lam))

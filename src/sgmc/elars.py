@@ -40,7 +40,7 @@ from .sweep import (
     zone_exit_times,
 )
 
-TIE_TOL = 1e-9  # scale-aware tie window for simultaneous exit events
+TIE_TOL = 1e-9  # relative half-width of the tie window of event times (`_window`)
 MAX_SEGMENTS_PER_RAY = 32  # segments a ray sweep of zone enumeration may emit
 
 
@@ -48,10 +48,15 @@ class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
+def _window(t: float) -> float:
+    """Half-width TIE_TOL*(1+|t|) of the tie window around time t."""
+    return TIE_TOL * (1.0 + abs(t))
+
+
 def _ties(values, t_plus: float):
-    """Which values equal the finite breakpoint t_plus within
-    TIE_TOL*(1+|t_plus|), elementwise; infinite values never tie."""
-    return np.abs(np.asarray(values) - t_plus) <= TIE_TOL * (1.0 + abs(t_plus))
+    """Which values equal the finite breakpoint t_plus within its window,
+    elementwise; infinite values never tie."""
+    return np.abs(np.asarray(values) - t_plus) <= _window(t_plus)
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,12 @@ class PathSegment:
 @dataclass(frozen=True)
 class PathSweepResult:
     segments: tuple[PathSegment, ...]
-    truncated: bool
     stop_reason: str
     line: ParameterLine
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop_reason == "max_segments"
 
     def to_dict(self) -> dict:
         return {
@@ -232,6 +240,19 @@ def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build):
     return piece
 
 
+def _misses(res: IterationResult, t: float) -> str | None:
+    """Why the zone that `res` steps out of fails to hold time t: the line
+    enters it after t (`unverified_step`) or leaves it before t
+    (`degenerate_interval`), outside the window of t; None when it holds
+    t."""
+    w = _window(t)
+    if not res.t_entry <= t + w:
+        return "unverified_step"
+    if not res.t_plus >= t - w:
+        return "degenerate_interval"
+    return None
+
+
 def path_sweep(
     inst: ProblemInstance,
     line: ParameterLine,
@@ -248,15 +269,16 @@ def path_sweep(
     previous one by `next_piece` (a one-index update of M^{-1}, or a rebuild
     on multi-index events and rank drops) and is restricted to the line once.
     That one restriction certifies the zone: it meets the line in the
-    closed-form interval [entry, exit].  The start zone must hold t_start in
-    it, entry <= t_start and exit >= t_start within the TIE_TOL window, at
-    lambda(t_start) > 0, else the call raises ValueError (so does an
-    incompatible `s_init`).  A zone a step landed in must be compatible
-    with entry <= t_plus (else `unverified_step`) and exit >= t_plus (else
-    `degenerate_interval`), within the same window.  A zone the line only
+    closed-form interval [entry, exit], which must hold the zone's first
+    time (t_start, or the breakpoint the step landed on) within the TIE_TOL
+    window; `_misses` checks this right after each zone's step.  A start
+    zone that fails it, or sits at lambda(t_start) <= 0, raises ValueError
+    (so does an incompatible `s_init`).  A landing zone that is
+    incompatible or entered after its breakpoint stops the sweep as
+    `unverified_step`, one left before it as `degenerate_interval`, even
+    where `max_segments` would cut the sweep there.  A zone the line only
     touches at a breakpoint is a zero-length segment.  A repeated
-    (indicator, breakpoint) pair aborts as `cycle_detected`.  A sweep cut
-    by `max_segments` still certifies the last landing first.
+    (indicator, breakpoint) pair aborts as `cycle_detected`.
 
     `pieces` is an optional memo from `s.tobytes()` to the pieces of `inst`,
     shared by sweeps that revisit zones: the start zone and every landing
@@ -277,8 +299,7 @@ def path_sweep(
         raise ValueError(f"lambda(t_start) must be positive, got {lam_start}")
     piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
     res = elars_iterate(inst, piece, line)
-    window = TIE_TOL * (1.0 + abs(t_start))
-    if not (res.t_entry <= t_start + window and res.t_plus >= t_start - window):
+    if _misses(res, t_start):
         raise ValueError(
             "s_init is not a valid zone indicator at t_start "
             f"(s={indicator_to_string(s)}, t={t_start})"
@@ -287,11 +308,8 @@ def path_sweep(
     segments: list[PathSegment] = []
     seen: dict[bytes, list[float]] = {}
     t_cur = t_start
-    truncated = False
-    stop = "t_end_reached"
     while True:
         if len(segments) >= max_segments:
-            truncated = True
             stop = "max_segments"
             break
         if res.t_plus >= t_end or res.never_exits:
@@ -310,10 +328,6 @@ def path_sweep(
                                 res.restricted.q, (), ())
                 )
             stop = "lambda_terminus"
-            break
-        if res.t_plus < t_cur - TIE_TOL * (1.0 + abs(t_cur)):
-            # the line only touches this zone; closed forms carry no guarantee
-            stop = "degenerate_interval"
             break
 
         breaks = seen.setdefault(res.s_plus.tobytes(), [])
@@ -335,13 +349,10 @@ def path_sweep(
         s = res.s_plus
         t_cur = res.t_plus
         res = elars_iterate(inst, piece, line)
-        if res.t_entry > t_cur + TIE_TOL * (1.0 + abs(t_cur)):
-            # the zone the step landed in starts after its breakpoint
-            stop = "unverified_step"
+        stop = _misses(res, t_cur)
+        if stop:
             break
-    return PathSweepResult(
-        segments=tuple(segments), truncated=truncated, stop_reason=stop, line=line
-    )
+    return PathSweepResult(segments=tuple(segments), stop_reason=stop, line=line)
 
 
 def evaluate_path(result: PathSweepResult, t: float) -> np.ndarray | None:
@@ -360,16 +371,15 @@ def initialize_indicator(
     b: np.ndarray,
     lam: float,
     strategy: str = "zero",
-    oracle_config: OracleConfig | None = None,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """Starting indicator whose zone contains (b, lambda).
 
     `zero` certifies the all-zero zone by zone membership, max_i |c_i^T b|
     <= lambda + tol*(1+lambda) at 0 < lambda < inf; `from_oracle` solves
-    the instance iteratively, encodes the equicorrelation signs and
-    certifies them by zone membership, failing loudly on zone boundaries
-    (the caller may perturb lambda and retry).  A point that fails either
+    the instance by `solve_saddle` at its default config, encodes the
+    equicorrelation signs and certifies them by zone membership, failing
+    loudly on zone boundaries (the caller may perturb lambda and retry).  A point that fails either
     certificate, NaN included, is never given an indicator.
     """
     b = np.ravel(b)
@@ -383,9 +393,8 @@ def initialize_indicator(
     if strategy != "from_oracle":
         raise ValueError(f"unknown strategy {strategy!r}")
     probe = inst.with_params(b=b, lam=lam)
-    cfg = oracle_config or OracleConfig()
-    w = solve_saddle(probe, cfg)
-    s = encode_sopt(probe, w, tol=max(tol, 10.0 * cfg.tol))
+    w = solve_saddle(probe)
+    s = encode_sopt(probe, w, tol=max(tol, 10.0 * OracleConfig.tol))
     if not zone_membership(inst, s, b, lam, tol=max(tol, 1e-8)):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
@@ -480,8 +489,6 @@ def _anchor_from_segment(line: ParameterLine, seg: PathSegment) -> tuple[np.ndar
     # midpoint of the segment, renormalized to lambda = 1 (zones are cones)
     if math.isinf(seg.t_end):
         t_mid = seg.t_start + 1.0
-    elif math.isinf(seg.t_start):
-        t_mid = seg.t_end - 1.0
     else:
         t_mid = 0.5 * (seg.t_start + seg.t_end)
     b, lam = line.point_at(t_mid)
@@ -521,10 +528,8 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     Each frontier zone is expanded by sweeping rays from a strictly interior
     anchor: along +/-lambda and along +/-e_j for every b coordinate.  Zones
     visited by the rays become nodes; consecutive segments contribute
-    adjacency edges with the breakpoint as witness.  If the rays exhaust
-    without covering every sampled coverage point, targeted sweeps toward the
-    uncovered samples (and, as a last resort, oracle-seeded insertion at the
-    sample) finish the job.
+    adjacency edges with the breakpoint as witness.  A search whose rays
+    exhaust without covering every sampled coverage point is `incomplete`.
 
     Each zone's piece is built once per call: one memo serves every ray
     sweep and coverage test, and a new node is tested at all still
@@ -595,9 +600,8 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             return None
 
     s0 = zero_indicator(inst.n)
-    anchor0 = (np.zeros(2 * inst.m), 1.0)
     key0 = indicator_to_string(s0)
-    add_node(s0, lambda: anchor0, key0)
+    add_node(s0, lambda: (np.zeros(2 * inst.m), 1.0), key0)
     queue = deque([key0])
     directions = _ray_directions(inst)
 
@@ -609,23 +613,6 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
                 result = sweep_ray(graph.nodes[key], anchors[key], d)
                 if result is not None:
                     queue.extend(absorb_sweep(result))
-
-    # rescue pass: reach uncovered samples by sweeping straight at them from
-    # the all-zero anchor, falling back to an oracle-seeded indicator
-    for j, (bj, lj) in enumerate(graph.coverage_points):
-        if graph.covered[j] or graph.incomplete:
-            continue
-        line = ParameterLine(anchor0[0], anchor0[1], bj - anchor0[0], lj - anchor0[1])
-        result = sweep_ray(s0, anchor0, (line.delta_b, line.delta_lam))
-        if result is not None:
-            absorb_sweep(result)
-        if not graph.covered[j]:
-            try:
-                s = initialize_indicator(inst, bj, lj, strategy="from_oracle")
-            except (InitializationError, RuntimeError):
-                continue
-            anchor = (bj / lj, 1.0) if lj > 1e-8 else (bj, lj)
-            add_node(s, lambda: anchor, indicator_to_string(s))
 
     if not all(graph.covered):
         graph.incomplete = True

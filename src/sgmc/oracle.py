@@ -35,21 +35,25 @@ class NonConvergenceError(RuntimeError):
         self.achieved = achieved
 
 
+STEP_SCALE = 0.9  # saddle step as a fraction of 1/||C^T D C||_2
+MAX_DYKSTRA_CYCLES = 100000  # sweeps of the halfspace projection
+BRUTE_FORCE_OPT_TOL = 1e-7  # check_opt violation a brute-force match may have
+
+
 class InfeasibleSystemError(ValueError):
     """The equality system (or the full system) has no solution."""
 
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Iteration budget and stopping tolerance of `solve_saddle`."""
+
     max_iters: int = 200000
     tol: float = 1e-9
-    step_scale: float = 0.9
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.step_scale <= 1:
-            raise ValueError("step_scale must lie in (0, 1]")
 
 
 def _soft(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -94,8 +98,8 @@ def solve_saddle(
     The forward operator is monotone but not cocoercive (D is nonsymmetric),
     so the correction step is what guarantees convergence at a fixed step
     below 1/||C^T D C||_2; the plain forward-backward map can cycle for rho
-    near 1.  The step is step_scale / ||C^T D C||_2 with the norm estimated
-    by power iteration.  Warm-startable through w0.
+    near 1.  The step is STEP_SCALE / ||C^T D C||_2 = 0.9 / ||C^T D C||_2,
+    with the norm estimated by power iteration.  Warm-startable through w0.
     """
     cfg = config or OracleConfig()
     mats = inst.matrices
@@ -103,7 +107,7 @@ def solve_saddle(
     h = mats.C.T @ inst.b
     lam = inst.lam
     L = max(_operator_norm(G), 1e-12)
-    tau = cfg.step_scale / L
+    tau = STEP_SCALE / L
     w = np.zeros(2 * inst.n) if w0 is None else np.array(w0, dtype=float)
     check_tol = min(cfg.tol, 1e-9)
 
@@ -126,10 +130,10 @@ def _project_halfspaces(
     halfspaces: list[tuple[np.ndarray, float]],
     dim: int,
     tol: float,
-    max_cycles: int,
 ) -> np.ndarray:
     """Project the origin onto the intersection of halfspaces {g.y <= h}
-    with Dykstra's alternating corrections.
+    with at most MAX_DYKSTRA_CYCLES sweeps of Dykstra's alternating
+    corrections.
 
     An empty intersection makes the worst violation plateau at a positive
     gap; that plateau is reported as infeasibility.
@@ -139,7 +143,7 @@ def _project_halfspaces(
     worst = math.inf
     best = math.inf
     stalled = 0
-    for _ in range(max_cycles):
+    for _ in range(MAX_DYKSTRA_CYCLES):
         shift = 0.0
         for k, (g, h) in enumerate(halfspaces):
             y_in = y + corrections[k]
@@ -172,7 +176,6 @@ def min_norm_over_eqnq(
     inst: ProblemInstance,
     s: np.ndarray,
     tol: float = 1e-9,
-    max_cycles: int = 100000,
 ) -> np.ndarray:
     """Minimum l2-norm element of the equality+inequality system of s at the
     instance's own (b, lambda).
@@ -233,7 +236,7 @@ def min_norm_over_eqnq(
                     "correlation bound infeasible on the null space"
                 )
     scaled_tol = tol * (1.0 + lam)
-    y = _project_halfspaces(halfspaces, N.shape[1], scaled_tol, max_cycles)
+    y = _project_halfspaces(halfspaces, N.shape[1], scaled_tol)
     w = embed(w0_E + N @ y)
     _assert_nq(inst, s, w, tol)
     return w
@@ -316,11 +319,12 @@ def brute_force_indicators(
     A: np.ndarray,
     rho: float,
     samples: list[tuple[np.ndarray, float]],
-    opt_tol: float = 1e-7,
 ) -> BruteForceResult:
     """Enumerate every candidate indicator of a (A, rho) family and assign to
     each sample the matching indicator whose candidate solution has minimal
-    l2-norm (ties broken by smaller support, then lexicographic string).
+    l2-norm (ties broken by smaller support, then lexicographic string).  A
+    candidate matches a sample when its zone holds the sample and its map
+    passes `check_opt` there within BRUTE_FORCE_OPT_TOL.
 
     Guarded to 2n <= 10 (3^10 = 59049 candidates).
     """
@@ -358,7 +362,7 @@ def brute_force_indicators(
         for j in np.flatnonzero(inside):
             b, lam = points[j]
             w = eval_weq(piece, b, lam)
-            if check_opt(base, w, b=b, lam=lam).worst_violation <= opt_tol:
+            if check_opt(base, w, b=b, lam=lam).worst_violation <= BRUTE_FORCE_OPT_TOL:
                 per_sample[j].append(
                     (
                         float(np.linalg.norm(w)),

@@ -129,9 +129,6 @@ class LineRestrictedPiece:
     def residual_at(self, t: float) -> np.ndarray:
         return self.v + self.u * t
 
-    def correlation_at(self, t: float) -> np.ndarray:
-        return self.cv + self.cu * t
-
 
 def restrict_to_line(
     inst: ProblemInstance, piece: CandidatePiece, line: ParameterLine

@@ -155,9 +155,7 @@ def test_path_exit_code_per_stop_reason(instance_file, tmp_path, monkeypatch, st
     from sgmc.elars import PathSweepResult
 
     def fake_sweep(inst, line, s_init, **kwargs):
-        return PathSweepResult(
-            segments=(), truncated=stop == "max_segments", stop_reason=stop, line=line
-        )
+        return PathSweepResult(segments=(), stop_reason=stop, line=line)
 
     monkeypatch.setattr(sgmc.cli, "path_sweep", fake_sweep)
     out = tmp_path / "p.json"

@@ -25,7 +25,7 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import zone_margins
+from sgmc.candidate import next_piece, zone_margins
 
 from conftest import random_instance
 
@@ -135,6 +135,17 @@ class TestDiagnoseAssumptions:
         res = elars_iterate(inst, candidate_slope(inst, zero_indicator(4)), line)
         assert not res.one_at_a_time
         assert len(_changed(res)) == 2
+
+
+def _assert_prefix(result, reference, count):
+    """The first `count` segments of `result` are those of `reference`."""
+    assert min(len(result.segments), len(reference.segments)) >= count
+    for got, want in zip(result.segments[:count], reference.segments):
+        npt.assert_array_equal(got.s, want.s)
+        assert (got.t_start, got.t_end) == (want.t_start, want.t_end)
+        npt.assert_array_equal(got.p, want.p)
+        npt.assert_array_equal(got.q, want.q)
+        assert (got.deleted, got.inserted) == (want.deleted, want.inserted)
 
 
 class TestPathSweep:
@@ -350,6 +361,82 @@ class TestPathSweep:
         result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=1)
         assert len(result.segments) == 1
         assert result.stop_reason == "unverified_step"
+
+    @pytest.mark.parametrize("max_segments", [1, 1000])
+    def test_sweep_reports_landing_left_before_its_breakpoint(self, monkeypatch, max_segments):
+        # the exit half of the landing certificate runs right after the
+        # step, so a sweep cut by max_segments there reports it as well
+        import dataclasses
+
+        import sgmc.elars
+
+        steps = []
+
+        def iterate(*args, **kwargs):
+            steps.append(elars_iterate(*args, **kwargs))
+            if len(steps) == 2:
+                return dataclasses.replace(steps[-1], t_plus=steps[0].t_plus - 1.0)
+            return steps[-1]
+
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        reference = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0)
+        monkeypatch.setattr(sgmc.elars, "elars_iterate", iterate)
+        result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0,
+                            max_segments=max_segments)
+        assert result.stop_reason == "degenerate_interval" and not result.truncated
+        assert len(result.segments) == 1
+        _assert_prefix(result, reference, 1)
+
+    def test_step_back_at_the_same_breakpoint_is_a_cycle(self, monkeypatch):
+        # the second step is made to delete what the first inserted, at the
+        # first breakpoint; the third then lands where the first did
+        import dataclasses
+
+        import sgmc.elars
+
+        steps = []
+
+        def iterate(*args, **kwargs):
+            steps.append(elars_iterate(*args, **kwargs))
+            if len(steps) == 2:
+                first = steps[0]
+                return dataclasses.replace(
+                    steps[-1], t_plus=first.t_plus, s_plus=first.s.copy(),
+                    deleted=first.inserted, inserted=(), one_at_a_time=True,
+                )
+            return steps[-1]
+
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        reference = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0)
+        monkeypatch.setattr(sgmc.elars, "elars_iterate", iterate)
+        result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0)
+        assert result.stop_reason == "cycle_detected"
+        assert len(steps) == 3 and len(result.segments) == 2
+        _assert_prefix(result, reference, 1)
+        back = result.segments[1]
+        assert back.t_start == back.t_end == steps[0].t_plus
+        assert back.deleted == steps[0].inserted
+
+    def test_incompatible_landing_is_unverified(self, monkeypatch):
+        import dataclasses
+
+        import sgmc.elars
+
+        built = []
+
+        def landing(inst, piece, s):
+            built.append(next_piece(inst, piece, s))
+            if len(built) == 2:
+                return dataclasses.replace(built[-1], compatible=False)
+            return built[-1]
+
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        reference = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0)
+        monkeypatch.setattr(sgmc.elars, "next_piece", landing)
+        result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0)
+        assert result.stop_reason == "unverified_step"
+        assert len(result.segments) == 2
+        _assert_prefix(result, reference, 2)
 
     def test_invalid_start_raises(self, two_column):
         line = ParameterLine(two_column.b, 1.0, np.zeros(2), -1.0)
