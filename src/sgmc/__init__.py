@@ -27,7 +27,6 @@ from .candidate import (
     candidate_slope,
     eqnq_membership,
     eval_weq,
-    is_compatible,
     strictly_inside,
     zone_membership,
 )

@@ -12,8 +12,10 @@ this map also satisfies the inequality half is a convex cone, the candidate
 zone of s; on it the map reproduces the minimum-norm solution.
 
 A piece keeps M and pinv(M) rather than R and applies pinv(M) to
-C_E^T b - lambda s_E.  Since D + D^T is positive definite, M is invertible
-exactly when C_E has full column rank, and then [s]_E lies in Col(C_E^T).
+C_E^T b - lambda s_E.  Since D + D^T is positive definite, null(M) =
+null(C_E), the orthogonal complement of Col(C_E^T).  So the one rank cut of
+the SVD of M gives pinv(M) and, in the right singular vectors it drops, the
+test of [s]_E in Col(C_E^T), without which the zone is empty.
 Neighbouring zones differ in one support index, so `next_piece` updates
 M by a border or a swap and M^{-1} by a bordered inverse or a downdate, in
 O(|E|^2), instead of rebuilding M^{-1} in O(|E|^3).  The rows and columns
@@ -41,7 +43,7 @@ from .model import ModelMatrices, ProblemInstance, as_indicator
 from .optimality import correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
-COMPAT_TOL = 1e-8  # residual tolerance of the column-space compatibility test
+COMPAT_TOL = 1e-8  # null(C_E) part of +-1 signs allowed, per sqrt(|E|): scale-free
 SCHUR_RTOL = 1e-10  # Schur complement at or below this, relative: rank drop
 UPDATE_RTOL = 1e-10  # residual an updated M^{-1} must meet, relative to ||s_E|| = 1
 INTERIOR_MARGIN = 1e-6  # slack of `strictly_inside`, relative to 1 + lambda
@@ -55,20 +57,6 @@ class IncompatibleIndicatorError(ValueError):
     """Raised when an operation needs [s]_E in Col(C_E^T) and it is not."""
 
 
-def is_compatible(inst: ProblemInstance, s: np.ndarray) -> bool:
-    """Whether [s]_E lies in the column space of C_E^T (least-squares
-    residual below COMPAT_TOL * sqrt(|E|) in the sup norm).  Indicators
-    failing this have an empty candidate zone."""
-    s = as_indicator(s)
-    E = np.flatnonzero(s)
-    if E.size == 0:
-        return True
-    CEt = inst.matrices.columns(E).T
-    sol, *_ = np.linalg.lstsq(CEt, s[E].astype(float), rcond=None)
-    residual = CEt @ sol - s[E]
-    return bool(np.abs(residual).max() <= COMPAT_TOL * np.sqrt(E.size))
-
-
 @dataclass(frozen=True)
 class CandidatePiece:
     """Affine candidate solution map of one indicator.
@@ -77,19 +65,39 @@ class CandidatePiece:
     columns in the order of `support`, the indices of E: ascending from
     `candidate_slope`, then as `next_piece` leaves them (insertions
     appended, a deletion's slot filled by the last index).  `M` equals
-    `mats.gram_block(support)` entry for entry.  `invertible` says `Minv`
-    is the true inverse (C_E has full column rank).  `mats` holds the
-    instance's structural matrices, shared, not copied.  Pieces are shared
-    through memos, so nothing may mutate their arrays.
+    `mats.gram_block(support)` entry for entry.  `null`, of shape
+    (|E| - rank, |E|), holds the right singular vectors of M that `Minv`
+    drops, an orthonormal basis of null(C_E) in the same order; it is empty
+    exactly when `Minv` is the true inverse.  `mats` holds the instance's
+    structural matrices, shared, not copied.  Pieces are shared through
+    memos, so nothing may mutate their arrays.
     """
 
     s: np.ndarray
     M: np.ndarray
     Minv: np.ndarray
-    compatible: bool
-    invertible: bool
+    null: np.ndarray
     mats: ModelMatrices
     support: np.ndarray
+
+    @property
+    def invertible(self) -> bool:
+        """Whether `Minv` is the true inverse (C_E has full column rank)."""
+        return not len(self.null)
+
+    @cached_property
+    def compatible(self) -> bool:
+        """Whether [s]_E lies in Col(C_E^T), so that the zone can be
+        nonempty (`compatible_signs` of the piece's own signs)."""
+        return self.invertible or bool(self.compatible_signs(self.s[self.support])[0])
+
+    def compatible_signs(self, signs: np.ndarray) -> np.ndarray:
+        """Which rows of `signs`, sign patterns on `support`, lie in
+        Col(C_E^T): those whose component in null(C_E), signs N^T N, is
+        within COMPAT_TOL * sqrt(|E|) of zero in the sup norm.  One product
+        tests every pattern of the support."""
+        residual = (np.atleast_2d(signs) @ self.null.T) @ self.null
+        return np.abs(residual).max(axis=1, initial=0.0) <= COMPAT_TOL * np.sqrt(self.support.size)
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -116,21 +124,18 @@ class CandidatePiece:
 
 def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     """Closed-form piece via the Moore-Penrose pseudoinverse of
-    C_E^T D C_E (singular values below PINV_RTOL relative are dropped).  A
-    full-rank block is compatible by itself; only a rank-deficient one
-    runs the least-squares compatibility test.  Data so small that a
-    nonzero C_E gives an M below GRAM_TINY (about |A| < 1e-148, where its
-    entries approach the subnormal range and its pseudo-inverse would
-    overflow) raise ValueError: rescale them."""
+    C_E^T D C_E: singular values below PINV_RTOL relative are dropped, and
+    their right singular vectors are kept as the piece's `null`, from which
+    its compatibility is read.  Data so small that a nonzero C_E gives an M
+    below GRAM_TINY (about |A| < 1e-148, where its entries approach the
+    subnormal range and its pseudo-inverse would overflow) raise
+    ValueError: rescale them."""
     s = as_indicator(s)
     E = np.flatnonzero(s)
     mats = inst.matrices
     if E.size == 0:
         empty = np.zeros((0, 0))
-        return CandidatePiece(
-            s=s, M=empty, Minv=empty, compatible=True, invertible=True, mats=mats,
-            support=E,
-        )
+        return CandidatePiece(s=s, M=empty, Minv=empty, null=empty, mats=mats, support=E)
     M = mats.gram_block(E)
     U, sv, Vt = np.linalg.svd(M)
     if sv[0] < GRAM_TINY and mats.col_abs_sums[E].any():
@@ -140,12 +145,7 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
         )
     keep = sv > PINV_RTOL * sv[0]
     Minv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
-    invertible = bool(keep.all())
-    compatible = invertible or is_compatible(inst, s)
-    return CandidatePiece(
-        s=s, M=M, Minv=Minv, compatible=compatible, invertible=invertible, mats=mats,
-        support=E,
-    )
+    return CandidatePiece(s=s, M=M, Minv=Minv, null=Vt[~keep], mats=mats, support=E)
 
 
 def next_piece(
@@ -220,7 +220,7 @@ def next_piece(
         if not np.abs(residual).max() <= UPDATE_RTOL:
             return candidate_slope(inst, s_next)
     return CandidatePiece(
-        s=s_next, M=M, Minv=Minv, compatible=True, invertible=True, mats=mats,
+        s=s_next, M=M, Minv=Minv, null=np.zeros((0, support.size)), mats=mats,
         support=support,
     )
 

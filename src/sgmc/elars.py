@@ -48,15 +48,16 @@ class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
-def _window(t: float) -> float:
-    """Half-width TIE_TOL*(1+|t|) of the tie window around time t."""
-    return TIE_TOL * (1.0 + abs(t))
+def _window(line: ParameterLine, t: float) -> float:
+    """Half-width TIE_TOL*(T + |t|) of the tie window around time t on
+    `line`, T its `time_scale`, so that it scales with the line's times."""
+    return TIE_TOL * (line.time_scale + abs(t))
 
 
-def _ties(values, t_plus: float):
-    """Which values equal the finite breakpoint t_plus within its window,
-    elementwise; infinite values never tie."""
-    return np.abs(np.asarray(values) - t_plus) <= _window(t_plus)
+def _ties(values, t_plus: float, line: ParameterLine):
+    """Which values equal the finite breakpoint t_plus on `line` within
+    its window, elementwise; infinite values never tie."""
+    return np.abs(np.asarray(values) - t_plus) <= _window(line, t_plus)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def elars_iterate(
     """One E-LARS step along `line` out of the zone of `piece`.
 
     The zone is restricted to the line once; its exit time is the
-    breakpoint, and the rows of its ratio test within TIE_TOL of it make
+    breakpoint, and the rows of its ratio test within its tie window make
     the next indicator: sign rows delete, correlation rows insert with the
     sign of the correlation at the breakpoint, and the wall row ends the
     path.  A caller holding an indicator builds its piece with
@@ -111,7 +112,7 @@ def elars_iterate(
     # off it, upper bounds (those of the support are 0*t <= 0 and never
     # tie), the wall.  Usually one row ties.
     n2 = s.size
-    tied = np.flatnonzero(_ties(times.rows, t_plus)).tolist()
+    tied = np.flatnonzero(_ties(times.rows, t_plus, line)).tolist()
     terminus = tied[-1] == 2 * n2
     deleted = [row for row in tied if row < n2 and s[row]]
     s_plus = s.copy()
@@ -245,7 +246,7 @@ def _misses(res: IterationResult, t: float) -> str | None:
     enters it after t (`unverified_step`) or leaves it before t
     (`degenerate_interval`), outside the window of t; None when it holds
     t."""
-    w = _window(t)
+    w = _window(res.restricted.line, t)
     if not res.t_entry <= t + w:
         return "unverified_step"
     if not res.t_plus >= t - w:
@@ -331,12 +332,12 @@ def path_sweep(
             break
 
         breaks = seen.setdefault(res.s_plus.tobytes(), [])
-        if any(_ties(tp, res.t_plus) for tp in breaks):
+        if any(_ties(tp, res.t_plus, line) for tp in breaks):
             stop = "cycle_detected"
             break
         breaks.append(res.t_plus)
 
-        # a zone the line only touches (exit within TIE_TOL of entry) is a
+        # a zone the line only touches (exit within the tie window of entry) is a
         # zero-length segment: the path passes through it all the same
         segments.append(
             PathSegment(s, t_cur, max(res.t_plus, t_cur), res.restricted.p,
@@ -357,9 +358,10 @@ def path_sweep(
 
 def evaluate_path(result: PathSweepResult, t: float) -> np.ndarray | None:
     """Value of the swept solution map at time t, or None if t is outside
-    every segment."""
+    every segment by more than the tie windows of its ends."""
+    line = result.line
     for seg in result.segments:
-        if seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
+        if seg.t_start - _window(line, seg.t_start) <= t <= seg.t_end + _window(line, seg.t_end):
             return seg.weq_at(t)
     return None
 

@@ -1,10 +1,14 @@
-"""Independent ground-truth solvers used to cross-check the closed forms.
+"""Ground-truth solvers used to cross-check the closed forms.
 
-Nothing here shares code paths with the candidate/sweep machinery: the saddle
-solver is a proximal fixed-point iteration on the optimality inclusion, the
-min-norm solver projects the origin onto the equality+inequality system, the
-LASSO reference is plain coordinate descent, and tiny instances can be solved
-outright by enumerating all 3^(2n) candidate indicators.
+The saddle solver (a proximal fixed-point iteration on the optimality
+inclusion), the min-norm solver (which projects the origin onto the
+equality+inequality system) and the LASSO reference (plain coordinate
+descent) share no code with the candidate/sweep machinery.  Brute force,
+which solves tiny instances outright by enumerating all 3^(2n) candidate
+indicators, is independent of the sweep and the zone enumerator but not of
+the closed forms: it builds each candidate's piece with `candidate_slope`
+and tests its zone with `zone_margins`.  Only its optimality check,
+`check_opt` on the dense C and D, is independent of them.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .candidate import (
-    CandidatePiece,
-    candidate_slope,
-    eval_weq,
-    is_compatible,
-    zone_margins,
-)
+from .candidate import candidate_slope, eval_weq, zone_margins
 from .model import ProblemInstance, as_indicator, indicator_to_string
 from .optimality import check_opt
 
@@ -342,34 +340,24 @@ def brute_force_indicators(
 
     # every zone is tested at all samples in one call; only the few member
     # samples go on to the optimality check, one at a time.  M = C_E^T D C_E
-    # does not depend on the signs, so each support's piece is built once and
-    # its sign patterns share it; only a rank-deficient support tests each
-    # pattern's compatibility
+    # does not depend on the signs, so each support's piece is built once,
+    # one product tests the compatibility of all its sign patterns, and the
+    # compatible ones share it
     per_sample: list[list[tuple[float, int, str]]] = [[] for _ in points]
-    by_support: dict[bytes, CandidatePiece] = {}
-    for combo in itertools.product((1, 0, -1), repeat=2 * n):
-        s = np.array(combo)
-        key = (s != 0).tobytes()
-        first = by_support.get(key)
-        if first is None:
-            piece = by_support[key] = candidate_slope(base, s)
-        else:
-            compatible = first.invertible or is_compatible(base, s)
-            piece = replace(first, s=s, compatible=compatible)
-        if not piece.compatible:
-            continue
-        inside = zone_margins(base, piece, B, lams).inside(lams)
-        for j in np.flatnonzero(inside):
-            b, lam = points[j]
-            w = eval_weq(piece, b, lam)
-            if check_opt(base, w, b=b, lam=lam).worst_violation <= BRUTE_FORCE_OPT_TOL:
-                per_sample[j].append(
-                    (
-                        float(np.linalg.norm(w)),
-                        int(piece.support.size),
-                        indicator_to_string(piece.s),
-                    )
-                )
+    for on in itertools.product((True, False), repeat=2 * n):
+        E = np.flatnonzero(on)
+        support_piece = candidate_slope(base, on)
+        signs = np.array(list(itertools.product((1, -1), repeat=E.size)), dtype=int)
+        for signs_E in signs[support_piece.compatible_signs(signs)]:
+            s = np.zeros(2 * n, dtype=int)
+            s[E] = signs_E
+            piece = replace(support_piece, s=s)
+            inside = zone_margins(base, piece, B, lams).inside(lams)
+            for j in np.flatnonzero(inside):
+                b, lam = points[j]
+                w = eval_weq(piece, b, lam)
+                if check_opt(base, w, b=b, lam=lam).worst_violation <= BRUTE_FORCE_OPT_TOL:
+                    per_sample[j].append((float(np.linalg.norm(w)), E.size, indicator_to_string(s)))
 
     for matched in per_sample:
         result.matches.append(sorted(key for *_rest, key in matched))

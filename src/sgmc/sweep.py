@@ -39,6 +39,11 @@ class ParameterLine:
     `B` = [delta_b; b0] and `lams` = [delta_lam, lam0] stack the two
     coefficients of each as rows, as `restrict_to_line` solves for both at
     once; `B_scale` holds the largest magnitude of each row of `B`.
+    `time_scale` T = min(|lam0 / delta_lam|, |b0|_inf / |delta_b|_inf)
+    over the terms that are positive and finite (1 if none is), the time
+    the line takes to move lambda by lam0 or b by b0, whichever is sooner:
+    scaling (b0, lam0) scales it with the line's event times, and tie
+    windows are drawn on it.
     """
 
     b0: np.ndarray
@@ -65,6 +70,10 @@ class ParameterLine:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "B_scale", np.abs(B).max(axis=1))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            T = np.divide([abs(self.lam0), self.B_scale[1]], [abs(self.delta_lam), self.B_scale[0]])
+        T = T[np.isfinite(T) & (T > 0)]
+        object.__setattr__(self, "time_scale", float(T.min()) if T.size else 1.0)
         object.__setattr__(self, "_ctB", (None, None))
 
     def ct_B(self, mats: ModelMatrices) -> np.ndarray:

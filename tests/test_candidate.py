@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +16,6 @@ from sgmc import (
     eval_weq,
     indicator_from_string,
     indicator_to_string,
-    is_compatible,
     min_norm_over_eqnq,
     solve_saddle,
     strictly_inside,
@@ -28,20 +29,66 @@ from conftest import random_instance
 S1 = indicator_from_string("++00")
 
 
-class TestIsCompatible:
+def lstsq_compatible(inst, s):
+    """Reference compatibility test: the least-squares residual of
+    C_E^T x = [s]_E, with numpy's own rank cut, below 1e-8 * sqrt(|E|)."""
+    E = np.flatnonzero(s)
+    CEt = inst.matrices.columns(E).T
+    sol, *_ = np.linalg.lstsq(CEt, s[E].astype(float), rcond=None)
+    return bool(np.abs(CEt @ sol - s[E]).max(initial=0.0) <= 1e-8 * np.sqrt(E.size))
+
+
+def compatible(inst, s):
+    return candidate_slope(inst, s).compatible
+
+
+class TestCompatibility:
+    """[s]_E in Col(C_E^T), read off the null space of the slope's SVD."""
+
     def test_empty_support(self, two_column):
-        assert is_compatible(two_column, zero_indicator(2))
+        assert compatible(two_column, zero_indicator(2))
 
     def test_opposite_signs_on_duplicated_columns(self, two_column):
         # Col(C_E^T) = span{(1,1)} and (1,-1) is not in it
-        assert not is_compatible(two_column, indicator_from_string("+-00"))
+        assert not compatible(two_column, indicator_from_string("+-00"))
 
     def test_equal_signs_on_duplicated_columns(self, two_column):
-        assert is_compatible(two_column, S1)
+        assert compatible(two_column, S1)
 
     def test_generic_support_is_compatible(self):
         inst = random_instance(31, m=4, n=6, rho=0.5)
-        assert is_compatible(inst, indicator_from_string("+0-0000+0-00"))
+        assert compatible(inst, indicator_from_string("+0-0000+0-00"))
+
+    @pytest.mark.parametrize("kind, rho", [("integer", 0.3), ("duplicated", 0.0),
+                                           ("negated", 0.8)])
+    def test_matches_lstsq_reference(self, kind, rho):
+        # every rank-deficient indicator of a 2x4 instance, one piece per
+        # support: its sign patterns, each as its own piece and all at once
+        # by compatible_signs, against the least-squares test
+        rng = np.random.default_rng(1)
+        if kind == "integer":
+            A = rng.integers(-2, 3, size=(2, 4)).astype(float)
+        else:
+            B = rng.normal(size=(2, 2))
+            A = np.hstack([B, B if kind == "duplicated" else -B])
+        inst = ProblemInstance(A=A, rho=rho, y=np.zeros(2), lam=1.0)
+        outcomes = []
+        for on in itertools.product((1, 0), repeat=8):
+            support_piece = candidate_slope(inst, on)
+            if support_piece.invertible:
+                continue
+            E = support_piece.support
+            signs = np.array(list(itertools.product((1, -1), repeat=E.size)))
+            batch = support_piece.compatible_signs(signs)
+            for signs_E, together in zip(signs, batch):
+                s = np.zeros(8, dtype=int)
+                s[E] = signs_E
+                piece = dataclasses.replace(support_piece, s=s)
+                assert piece.compatible == together == lstsq_compatible(inst, s), (
+                    indicator_to_string(s)
+                )
+                outcomes.append(piece.compatible)
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestCandidateSlope:
@@ -180,8 +227,9 @@ class TestNextPiece:
         grown = next_piece(inst, piece, s)
         ref = candidate_slope(inst, s)
         assert not grown.invertible
-        assert grown.compatible == ref.compatible == is_compatible(inst, s)
+        assert grown.compatible == ref.compatible == lstsq_compatible(inst, s)
         npt.assert_array_equal(grown.Minv, ref.Minv)
+        npt.assert_array_equal(grown.null, ref.null)
 
 
 def dense_gram(inst, support):

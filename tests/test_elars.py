@@ -161,6 +161,15 @@ class TestPathSweep:
         assert result.stop_reason == "lambda_terminus"
         assert not result.truncated
 
+    def test_slow_b_keeps_the_lambda_window(self, descent_line):
+        # b moves by b0 only after 1e20, lambda by lambda0 after 2: the
+        # window follows lambda, and the two breakpoints stay apart
+        inst, fixed = descent_line
+        line = ParameterLine(fixed.b0, 2.0, np.array([1e-20, 0.0]), -1.0)
+        result = path_sweep(inst, line, zero_indicator(2), t_start=0.0)
+        assert [indicator_to_string(seg.s) for seg in result.segments] == ["0000", "++00"]
+        assert result.segments[-1].t_end == pytest.approx(2.0, abs=1e-9)
+
     def test_three_zones_along_y(self, two_column):
         line = ParameterLine(np.zeros(2), 1.0, np.array([1.0, 0.0]), 0.0)
         s_init = indicator_from_string("--00")
@@ -427,7 +436,10 @@ class TestPathSweep:
         def landing(inst, piece, s):
             built.append(next_piece(inst, piece, s))
             if len(built) == 2:
-                return dataclasses.replace(built[-1], compatible=False)
+                # a null space that holds the landing's own signs rejects them
+                sE = s[built[-1].support]
+                null = (sE / np.sqrt(sE.size))[None]
+                return dataclasses.replace(built[-1], null=null)
             return built[-1]
 
         inst, line = _gaussian_descent(16, 32, 0.3, 4)
@@ -543,6 +555,18 @@ class TestEvaluatePath:
         result = path_sweep(inst, line, zero_indicator(2), t_start=0.0)
         npt.assert_allclose(evaluate_path(result, 1.5), [0.25, 0.25, 0.0, 0.0], atol=1e-12)
         assert evaluate_path(result, 5.0) is None
+
+    def test_window_scales_with_the_line(self):
+        # the worked line with (y, lambda) scaled by 1e-8 ends at t = 2e-8;
+        # 1e-12 past that is 1e-4 of its length, outside the path
+        inst = ProblemInstance(A=np.array([[1.0, 1.0]]), rho=0.0, y=np.array([1e-8]), lam=1.0)
+        line = ParameterLine(inst.b, 2e-8, np.zeros(2), -1.0)
+        result = path_sweep(inst, line, zero_indicator(2), t_start=0.0)
+        assert result.stop_reason == "lambda_terminus"
+        t_end = result.segments[-1].t_end
+        assert t_end == pytest.approx(2e-8, rel=1e-12)
+        npt.assert_allclose(evaluate_path(result, t_end), [5e-9, 5e-9, 0.0, 0.0], rtol=1e-9)
+        assert evaluate_path(result, t_end + 1e-12) is None
 
 
 class TestInitializeIndicator:

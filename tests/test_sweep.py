@@ -40,6 +40,18 @@ class TestParameterLine:
         with pytest.raises(ValueError, match=f"line {field} must be finite"):
             ParameterLine(**data)
 
+    @pytest.mark.parametrize("b0, lam0, db, dl, expected", [
+        ([1.0, 0.0], 2.0, [0.0, 0.0], -1.0, 2.0),  # lambda descent
+        ([3.0, 0.0], 1.0, [0.0, 0.5], 0.0, 6.0),  # b-direction ray
+        ([0.0, 0.0], 1.0, [1.0, 0.0], 0.0, 1.0),  # ray from the zero anchor
+        ([0.0, 0.0], 0.0, [1.0, 0.0], 1.0, 1.0),  # both moves from zero
+        ([1.0, 0.0], 2.0, [1e-20, 0.0], -1.0, 2.0),  # lambda moves sooner
+        ([1.0, 0.0], 2.0, [1e3, 0.0], -1.0, 1e-3),  # b moves sooner
+    ])
+    def test_time_scale(self, b0, lam0, db, dl, expected):
+        line = ParameterLine(np.array(b0), lam0, np.array(db), dl)
+        assert line.time_scale == pytest.approx(expected, rel=1e-15)
+
 
 class TestFTmax:
     @pytest.mark.parametrize(
