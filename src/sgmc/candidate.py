@@ -71,6 +71,12 @@ class CandidatePiece:
     exactly when `Minv` is the true inverse.  `mats` holds the instance's
     structural matrices, shared, not copied.  Pieces are shared through
     memos, so nothing may mutate their arrays.
+
+    M and its pseudo-inverse do not depend on the signs, so a piece with
+    a (P, 2n) stack of sign patterns on `support` as `s` stands for P
+    indicators at once; `eval_weq` and `zone_margins` take it, with one
+    more axis for the patterns, and brute force builds it to zone-test the
+    patterns of a support together.
     """
 
     s: np.ndarray
@@ -115,11 +121,15 @@ class CandidatePiece:
         `b` may hold k parameter points as columns, with `lam` of length k.
         The two parts are mapped separately, as the columns of R are, so
         the map stays linear where s_E is (nearly) in the null space of M
-        and C_E^T b would be lost in rounding against s_E lam."""
+        and C_E^T b would be lost in rounding against s_E lam.  For a stack
+        `s` of P sign patterns the result has shape (|E|, P) + lam's shape:
+        pinv(M) C_E^T b is shared, and pinv(M) S_E^T (x) lam differs."""
         E = self.support
-        return self.Minv @ self.mats.ct(b.T).T[E] - np.multiply.outer(
-            self.Minv @ self.s[E], lam
-        )
+        signs = self.s[..., E].T
+        shared = self.Minv @ self.mats.ct(b.T).T[E]
+        if signs.ndim > 1:
+            shared = shared[:, None]
+        return shared - np.multiply.outer(self.Minv @ signs, lam)
 
 
 def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
@@ -228,9 +238,10 @@ def next_piece(
 def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Evaluate the candidate map at (b, lambda): R [b; lambda] on the
     support, zeros elsewhere.  k points given as the columns of `b`, with
-    `lam` of length k, give k columns."""
+    `lam` of length k, give k columns; a stack of P sign patterns in
+    `piece.s` gives shape (2n, P) + lam's shape."""
     E = piece.support
-    w = np.zeros((piece.s.size,) + np.shape(lam))
+    w = np.zeros(piece.s.shape[-1:] + piece.s.shape[:-1] + np.shape(lam))
     if E.size:
         w[E] = piece.apply(b, lam)
     return w
@@ -291,7 +302,8 @@ def zone_membership(
 @dataclass(frozen=True)
 class ZoneMargins:
     """Worst margins of the two zone inequality families (>= 0 inside),
-    one value per parameter point (floats for a single point)."""
+    one value per parameter point (floats for a single point), and per
+    sign pattern for a stacked piece (shape (P, k))."""
 
     sign_margin: float | np.ndarray  # min over the support of s_i * w_i
     corr_margin: float | np.ndarray  # min off the support of lambda - |xi_i(w)|
@@ -317,18 +329,23 @@ def zone_margins(
     inst: ProblemInstance, piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray
 ) -> ZoneMargins:
     """Margins of the zone of `piece` at (b, lambda), or at k points given
-    as the columns of `b` with `lam` of length k: one evaluation of the map
-    and one correlation product for all of them."""
+    as the columns of `b` with `lam` of length k, for the piece's one
+    indicator or each pattern of its stack: one evaluation of the map and
+    one correlation product, over the stacked columns, for all of them."""
     w = eval_weq(piece, b, lam)
     E = piece.support
-    off = np.ones(piece.s.size, dtype=bool)
+    off = np.ones(w.shape[0], dtype=bool)
     off[E] = False
-    xi = correlation(inst, w, b=b)
-    no_bound = np.full(np.shape(lam), np.inf)
-    s_E = piece.s[E].reshape(E.shape + (1,) * (w.ndim - 1))
+    if w.ndim > 2:  # patterns x points: each pattern's columns see all of b
+        b = np.broadcast_to(b[:, None], b.shape[:1] + w.shape[1:]).reshape(b.shape[0], -1)
+    xi = correlation(inst, w.reshape(w.shape[0], -1) if w.ndim > 2 else w, b=b)
+    xi = xi.reshape(w.shape)
+    no_bound = np.full(w.shape[1:], np.inf)
+    s_E = piece.s[..., E].T
+    s_E = s_E.reshape(s_E.shape + (1,) * (w.ndim - s_E.ndim))
     sign_margin = (s_E * w[E]).min(axis=0) if E.size else no_bound
     corr_margin = (lam - np.abs(xi[off])).min(axis=0) if off.any() else no_bound
-    if np.ndim(lam) == 0:
+    if w.ndim == 1:
         return ZoneMargins(sign_margin=float(sign_margin), corr_margin=float(corr_margin))
     return ZoneMargins(sign_margin=sign_margin, corr_margin=corr_margin)
 

@@ -42,6 +42,8 @@ from .sweep import (
 
 TIE_TOL = 1e-9  # relative half-width of the tie window of event times (`_window`)
 MAX_SEGMENTS_PER_RAY = 32  # segments a ray sweep of zone enumeration may emit
+# stops of a ray sweep that walked its whole half-line
+_LINE_ENDS = ("unbounded", "lambda_terminus")
 
 
 class InitializationError(RuntimeError):
@@ -430,8 +432,9 @@ class ZoneGraph:
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
     boundary.  The counters say what the search did: ray sweeps started,
-    those dropped because their sweep raised, distinct pieces built, and
-    lookups that found their piece already built."""
+    those dropped because their sweep raised, those skipped because an
+    earlier pair of sweeps had walked their whole line, distinct pieces
+    built, and lookups that found their piece already built."""
 
     nodes: dict[str, np.ndarray] = field(default_factory=dict)
     edges: list[tuple[str, str, np.ndarray, float]] = field(default_factory=list)
@@ -440,6 +443,7 @@ class ZoneGraph:
     incomplete: bool = False
     rays: int = 0
     rays_dropped: int = 0
+    rays_skipped: int = 0
     pieces_built: int = 0
     memo_hits: int = 0
 
@@ -468,6 +472,7 @@ class ZoneGraph:
             "counters": {
                 "rays": self.rays,
                 "rays_dropped": self.rays_dropped,
+                "rays_skipped": self.rays_skipped,
                 "pieces_built": self.pieces_built,
                 "memo_hits": self.memo_hits,
             },
@@ -488,13 +493,21 @@ def _sample_coverage_points(
 
 
 def _anchor_from_segment(line: ParameterLine, seg: PathSegment) -> tuple[np.ndarray, float]:
-    # midpoint of the segment, renormalized to lambda = 1 (zones are cones)
+    """Midpoint of the segment, renormalized to lambda = 1 (zones are
+    cones, so it stays in the segment's zone).  A midpoint at lambda <=
+    1e-8 * lam0, which only a segment ending at the lambda = 0 wall can
+    have, is kept as it is: its lambda may be the rounding of that wall,
+    zero or negative, and dividing by it would give an infinite point or
+    one of the opposite cone.  The cut is relative to the line's lam0,
+    positive on every swept line, so a scaled line makes the same choice.
+    Either way the anchor is a positive multiple of a point of `line`,
+    which the ray skip of `enumerate_zones` relies on."""
     if math.isinf(seg.t_end):
         t_mid = seg.t_start + 1.0
     else:
         t_mid = 0.5 * (seg.t_start + seg.t_end)
     b, lam = line.point_at(t_mid)
-    if lam > 1e-8:
+    if lam > 1e-8 * line.lam0:
         return b / lam, 1.0
     return b, lam
 
@@ -528,10 +541,20 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     """Breadth-first search of the zone graph from the all-zero indicator.
 
     Each frontier zone is expanded by sweeping rays from a strictly interior
-    anchor: along +/-lambda and along +/-e_j for every b coordinate.  Zones
-    visited by the rays become nodes; consecutive segments contribute
-    adjacency edges with the breakpoint as witness.  A search whose rays
-    exhaust without covering every sampled coverage point is `incomplete`.
+    anchor: along +/-lambda and along +/-e_j for every b coordinate, 2 + 4m
+    in all, one pair of opposite rays per direction.  Zones visited by the
+    rays become nodes; consecutive segments contribute adjacency edges with
+    the breakpoint as witness.  A search whose rays exhaust without
+    covering every sampled coverage point is `incomplete`.
+
+    A new node's anchor lies on the line of the ray that found it, up to a
+    positive scale (zones are cones): the segment's midpoint, divided by its
+    lambda.  When both of the discoverer's rays along that direction pair
+    ran to the end of their half-line (`unbounded` or `lambda_terminus`),
+    the node skips its own pair of rays along it, which would walk the same
+    zones again; a dropped, truncated or early-stopped half sweeps it.
+    Breadth-first order expands a node only after its discoverer has swept
+    both halves.  `rays_skipped` counts the skipped rays.
 
     Each zone's piece is built once per call: one memo serves every ray
     sweep and coverage test, and a new node is tested at all still
@@ -548,6 +571,10 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     cover_lam = np.array([lam for _, lam in graph.coverage_points], dtype=float)
 
     anchors: dict[str, tuple[np.ndarray, float]] = {}
+    # the line each found node's anchor lies on: (discoverer, direction pair)
+    found_on: dict[str, tuple[str, int]] = {}
+    # (node, direction pair) whose two rays both reached their half-line's end
+    whole_lines: set[tuple[str, int]] = set()
     pieces = _PieceMemo()
     edge_keys: set[tuple[str, str]] = set()
 
@@ -576,13 +603,14 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             edge_keys.add(key)
             graph.edges.append((key[0], key[1], np.array(b_w), float(lam_w)))
 
-    def absorb_sweep(result: PathSweepResult) -> list[str]:
+    def absorb_sweep(result: PathSweepResult, origin: tuple[str, int]) -> list[str]:
         new_keys = []
         segs = result.segments
         keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
             if add_node(seg.s, lambda: _anchor_from_segment(result.line, seg), keys[k]):
                 new_keys.append(keys[k])
+                found_on[keys[k]] = origin
             if k + 1 < len(segs):
                 b_w, lam_w = result.line.point_at(seg.t_end)
                 add_edge(keys[k], keys[k + 1], b_w, lam_w)
@@ -611,10 +639,22 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     while queue and not all(graph.covered) and not graph.incomplete:
         for _ in range(len(queue)):
             key = queue.popleft()
-            for d in directions:
+            origin = found_on.get(key)
+            skipped = origin[1] if origin in whole_lines else None
+            reached = []
+            for i, d in enumerate(directions):
+                if i // 2 == skipped:
+                    graph.rays_skipped += 1
+                    reached.append(False)
+                    continue
                 result = sweep_ray(graph.nodes[key], anchors[key], d)
+                reached.append(result is not None and result.stop_reason in _LINE_ENDS)
                 if result is not None:
-                    queue.extend(absorb_sweep(result))
+                    queue.extend(absorb_sweep(result, (key, i // 2)))
+            whole_lines.update(
+                (key, pair) for pair in range(len(directions) // 2)
+                if reached[2 * pair] and reached[2 * pair + 1]
+            )
 
     if not all(graph.covered):
         graph.incomplete = True

@@ -6,8 +6,9 @@ equality+inequality system) and the LASSO reference (plain coordinate
 descent) share no code with the candidate/sweep machinery.  Brute force,
 which solves tiny instances outright by enumerating all 3^(2n) candidate
 indicators, is independent of the sweep and the zone enumerator but not of
-the closed forms: it builds each candidate's piece with `candidate_slope`
-and tests its zone with `zone_margins`.  Only its optimality check,
+the closed forms: it builds one piece per support with `candidate_slope`
+and tests the zones of all the support's compatible sign patterns, at all
+samples, in one `zone_margins` call.  Only its optimality check,
 `check_opt` on the dense C and D, is independent of them.
 """
 
@@ -338,26 +339,31 @@ def brute_force_indicators(
     B = np.column_stack([b for b, _ in points])
     lams = np.array([lam for _, lam in points], dtype=float)
 
-    # every zone is tested at all samples in one call; only the few member
-    # samples go on to the optimality check, one at a time.  M = C_E^T D C_E
-    # does not depend on the signs, so each support's piece is built once,
-    # one product tests the compatibility of all its sign patterns, and the
-    # compatible ones share it
+    # M = C_E^T D C_E does not depend on the signs, so each support's piece
+    # is built once, one product tests the compatibility of all its sign
+    # patterns, and one evaluation tests the zones of the compatible ones at
+    # every sample.  Only the few (pattern, sample) members go on to the
+    # optimality check, one at a time
     per_sample: list[list[tuple[float, int, str]]] = [[] for _ in points]
     for on in itertools.product((True, False), repeat=2 * n):
         E = np.flatnonzero(on)
         support_piece = candidate_slope(base, on)
         signs = np.array(list(itertools.product((1, -1), repeat=E.size)), dtype=int)
-        for signs_E in signs[support_piece.compatible_signs(signs)]:
-            s = np.zeros(2 * n, dtype=int)
-            s[E] = signs_E
-            piece = replace(support_piece, s=s)
-            inside = zone_margins(base, piece, B, lams).inside(lams)
-            for j in np.flatnonzero(inside):
+        signs = signs[support_piece.compatible_signs(signs)]
+        if not len(signs):
+            continue
+        stack = np.zeros((len(signs), 2 * n), dtype=int)
+        stack[:, E] = signs
+        inside = zone_margins(base, replace(support_piece, s=stack), B, lams).inside(lams)
+        for p in np.flatnonzero(inside.any(axis=1)):
+            piece = replace(support_piece, s=stack[p])
+            for j in np.flatnonzero(inside[p]):
                 b, lam = points[j]
                 w = eval_weq(piece, b, lam)
                 if check_opt(base, w, b=b, lam=lam).worst_violation <= BRUTE_FORCE_OPT_TOL:
-                    per_sample[j].append((float(np.linalg.norm(w)), E.size, indicator_to_string(s)))
+                    per_sample[j].append(
+                        (float(np.linalg.norm(w)), E.size, indicator_to_string(stack[p]))
+                    )
 
     for matched in per_sample:
         result.matches.append(sorted(key for *_rest, key in matched))

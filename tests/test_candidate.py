@@ -22,7 +22,7 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import next_piece
+from sgmc.candidate import next_piece, zone_margins
 
 from conftest import random_instance
 
@@ -423,6 +423,30 @@ class TestZoneMembership:
     def test_non_finite_lambda_rejected(self, two_column, lam):
         # every correlation bound holds at lambda = inf, yet no point is there
         assert not zone_membership(two_column, zero_indicator(2), np.array([2.0, 0.0]), lam)
+
+
+class TestStackedSigns:
+    def test_margins_match_each_pattern(self):
+        # a piece with a stack of sign patterns as `s` gives, per pattern,
+        # the map and the margins of that pattern's own piece, at one point
+        # and at k points
+        inst = random_instance(57, m=2, n=3, rho=0.3)
+        support_piece = candidate_slope(inst, np.array([1, 1, 0, 0, 1, 0]))
+        stack = np.array([s for s in itertools.product((1, 0, -1), repeat=6)
+                          if np.array_equal(np.flatnonzero(s), [0, 1, 4])])
+        stacked = dataclasses.replace(support_piece, s=stack)
+        rng = np.random.default_rng(57)
+        B, lams = rng.normal(size=(4, 5)), rng.uniform(0.1, 2.0, size=5)
+        for b, lam in ((B, lams), (B[:, 0], lams[0])):
+            w = eval_weq(stacked, b, lam)
+            margins = zone_margins(inst, stacked, b, lam)
+            assert w.shape == (6, len(stack)) + np.shape(lam)
+            for p, s in enumerate(stack):
+                piece = dataclasses.replace(support_piece, s=s)
+                npt.assert_allclose(w[:, p], eval_weq(piece, b, lam), rtol=1e-12, atol=1e-12)
+                own = zone_margins(inst, piece, b, lam)
+                npt.assert_allclose(margins.sign_margin[p], own.sign_margin, rtol=1e-12, atol=1e-12)
+                npt.assert_allclose(margins.corr_margin[p], own.corr_margin, rtol=1e-12, atol=1e-12)
 
 
 def _interior_zone_sample(seed, rho=0.0):

@@ -745,6 +745,146 @@ class TestEnumerateZones:
         second = enumerate_zones(two_column, config)
         assert first.to_dict() == second.to_dict()
 
+    def test_no_ray_rewalks_the_whole_line_it_was_found_on(self, monkeypatch):
+        # a node's anchor lies on a positive multiple of the line of the ray
+        # that found it; when both of the finder's rays along that direction
+        # pair ran to their ends, the node sweeps no ray along the pair
+        graph, rays = _recorded_enumeration(monkeypatch)
+        skipped, _ = _check_skip_rule(graph, rays)
+        assert skipped == graph.rays_skipped > 0
+
+    def test_skip_keeps_the_ray_count(self, monkeypatch):
+        # every expanded node sweeps or skips each of its 2 + 4m rays
+        graph, rays = _recorded_enumeration(monkeypatch)
+        expanded = len({ray.key for ray in rays})
+        assert graph.rays == len(rays)
+        counters = graph.to_dict()["counters"]
+        assert counters["rays"] + counters["rays_skipped"] == (2 + 4 * 2) * expanded
+
+    def test_skipped_rays_find_nothing_new(self, monkeypatch):
+        # sweeping the skipped rays anyway, from each node's anchor, visits
+        # only known nodes and crosses only known edges
+        import sgmc.elars
+
+        graph, rays = _recorded_enumeration(monkeypatch)
+        inst = _gaussian_zones_instance()[0]
+        edges = {(sa, sb) for sa, sb, *_ in graph.edges}
+        directions = sgmc.elars._ray_directions(inst)
+        checked = 0
+        for key in dict.fromkeys(ray.key for ray in rays):
+            own = [ray for ray in rays if ray.key == key]
+            anchor = own[0].line
+            for pair in set(range(len(directions) // 2)) - {_pair(ray.line) for ray in own}:
+                for direction in directions[2 * pair: 2 * pair + 2]:
+                    line = ParameterLine(anchor.b0, anchor.lam0, *direction)
+                    sweep = path_sweep(inst, line, graph.nodes[key], t_start=0.0, max_segments=32)
+                    assert sweep.stop_reason in ("unbounded", "lambda_terminus")
+                    names = [indicator_to_string(seg.s) for seg in sweep.segments]
+                    assert set(names) <= set(graph.nodes)
+                    for sa, sb in zip(names, names[1:]):
+                        assert sa == sb or (min(sa, sb), max(sa, sb)) in edges
+                    checked += 1
+        assert checked == graph.rays_skipped
+
+    def test_truncated_lines_are_not_skipped(self, monkeypatch):
+        # with four segments per ray 120 of the 250 sweeps truncate, and 24
+        # expanded nodes were found on a line with a truncated half: each
+        # sweeps that line's pair itself
+        import sgmc.elars
+
+        monkeypatch.setattr(sgmc.elars, "MAX_SEGMENTS_PER_RAY", 4)
+        graph, rays = _recorded_enumeration(monkeypatch)
+        skipped, unfinished = _check_skip_rule(graph, rays)
+        assert skipped == graph.rays_skipped
+        assert sum(ray.stop == "max_segments" for ray in rays) > 0
+        assert unfinished > 0
+
     def test_invalid_delta_lambda(self, two_column):
         with pytest.raises(ValueError):
             enumerate_zones(two_column, EnumerationConfig(r_y=1.0, delta_lambda_min=0.0))
+
+
+class _Ray:
+    """One ray sweep of an enumeration: the expanded node's key, its line
+    and its stop reason (None when the sweep raised)."""
+
+    def __init__(self, key, line, result):
+        self.key, self.line, self.result = key, line, result
+        self.stop = None if result is None else result.stop_reason
+        self.ended = self.stop in ("unbounded", "lambda_terminus")
+
+
+def _gaussian_zones_instance():
+    A = np.random.default_rng([1, 0]).normal(size=(2, 3))
+    inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
+    return inst, EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, seed=0, n_coverage=24)
+
+
+def _recorded_enumeration(monkeypatch):
+    """Enumerate the `zones` seed 1 round 0 instance, recording every ray."""
+    import sgmc.elars
+
+    rays = []
+    sweep = sgmc.elars.path_sweep
+
+    def recording(inst, line, s, **kwargs):
+        try:
+            result = sweep(inst, line, s, **kwargs)
+        except ValueError:
+            rays.append(_Ray(indicator_to_string(s), line, None))
+            raise
+        rays.append(_Ray(indicator_to_string(s), line, result))
+        return result
+
+    monkeypatch.setattr(sgmc.elars, "path_sweep", recording)
+    graph = enumerate_zones(*_gaussian_zones_instance())
+    return graph, rays
+
+
+def _pair(line):
+    """Direction pair of an enumeration ray: 0 for lambda, 1 + j for e_j."""
+    return 0 if line.delta_lam else 1 + int(np.flatnonzero(line.delta_b)[0])
+
+
+def _finders(graph, rays):
+    """{node: (key of the node whose ray found it, that ray's line)} for
+    every node but the start node, which sweeps the first ray."""
+    found = {}
+    for ray in rays:
+        if ray.result is None:
+            continue
+        for seg in ray.result.segments:
+            key = indicator_to_string(seg.s)
+            if key in graph.nodes and key != rays[0].key and key not in found:
+                found[key] = (ray.key, ray.line)
+    return found
+
+
+def _check_skip_rule(graph, rays):
+    """Assert that each expanded node skips the pair of rays along the line
+    it was found on exactly when both of the finder's rays along that pair
+    ran to their ends, and that its anchor lies on a positive multiple of
+    that line.  Gives the rays this rule skips and the expanded nodes found
+    on a line with a truncated half."""
+    skipped = unfinished = 0
+    for key, (finder, line) in _finders(graph, rays).items():
+        own = [ray for ray in rays if ray.key == key]
+        if not own:  # found but never expanded
+            continue
+        anchor = own[0].line
+        assert _positive_multiple_on(anchor.b0, anchor.lam0, line)
+        pair = _pair(line)
+        halves = [ray for ray in rays if ray.key == finder and _pair(ray.line) == pair]
+        whole = len(halves) == 2 and all(ray.ended for ray in halves)
+        assert sum(_pair(ray.line) == pair for ray in own) == (0 if whole else 2)
+        skipped += 2 * whole
+        unfinished += any(ray.stop == "max_segments" for ray in halves)
+    return skipped, unfinished
+
+
+def _positive_multiple_on(b, lam, line):
+    """Whether alpha * (b, lam) lies on `line` for some alpha > 0."""
+    lhs = np.column_stack([np.append(b, lam), -np.append(line.delta_b, line.delta_lam)])
+    rhs = np.append(line.b0, line.lam0)
+    coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    return coef[0] > 0 and np.abs(lhs @ coef - rhs).max() <= 1e-9 * np.abs(rhs).max()

@@ -164,22 +164,27 @@ class TestBruteForce:
             brute_force_indicators(np.ones((2, 6)), 0.0, [])
 
     @pytest.mark.parametrize(
-        "seed, shape, rho",
+        "seed, shape, rho, duplicated",
         [
-            (100, (1, 2), 0.0),
-            (101, (2, 2), 0.5),
-            (102, (1, 2), 0.5),
-            (103, (2, 2), 0.0),
-            (104, (2, 2), 0.5),
-            (105, (2, 3), 0.3),
+            (100, (1, 2), 0.0, False),
+            (101, (2, 2), 0.5, False),
+            (102, (1, 2), 0.5, False),
+            (103, (2, 2), 0.0, False),
+            (104, (2, 2), 0.5, False),
+            (105, (2, 3), 0.3, False),
+            (106, (2, 3), 0.3, True),
         ],
     )
-    def test_batched_zone_tests_match_per_sample_loop(self, seed, shape, rho):
-        # the five criterion-7 instances and a 2x3 one: testing each zone at
-        # all samples at once assigns exactly what one zone_membership and
-        # one optimality check per (zone, sample) pair assigns
+    def test_batched_zone_tests_match_per_sample_loop(self, seed, shape, rho, duplicated):
+        # the five criterion-7 instances, a 2x3 one and a 2x3 one with
+        # columns [a, a, c], whose rank-deficient supports admit only some
+        # sign patterns: testing all compatible patterns of a support at all
+        # samples at once assigns exactly what one zone_membership and one
+        # optimality check per (zone, sample) pair assigns
         rng = np.random.default_rng(seed)
         A = rng.normal(size=shape)
+        if duplicated:
+            A[:, 1] = A[:, 0]
         m, n = shape
         samples = []
         for _ in range(24):
@@ -193,6 +198,9 @@ class TestBruteForce:
             for combo in itertools.product((1, 0, -1), repeat=2 * n)
             if (piece := candidate_slope(base, np.array(combo))).compatible
         ]
+        if duplicated:  # the support {a, a} admits equal signs only
+            assert candidate_slope(base, np.array([1, 1, 0, 0, 0, 0])).compatible
+            assert not candidate_slope(base, np.array([1, -1, 0, 0, 0, 0])).compatible
         matches, assignments = [], []
         for b, lam in samples:
             matched = [

@@ -64,3 +64,22 @@ def test_bench_summary(tmp_path):
     assert entry["metrics"]["peak_rss_mb"]["change_wins"] == 0
     assert (entry["failed_parent"], entry["failed_change"]) == (1, 0)
     assert "--workload descent --seed <seed> --seconds 30 --trace 0" in entry["command"]
+
+
+def test_zone_counts():
+    # zones seed 1, rounds 0-1: every expanded node sweeps or skips each of
+    # its 2 + 4m = 10 rays, and brute force evaluates at most one zone per
+    # support (2^6 = 64 supports at n = 3)
+    done = run_script("zone_counts.py", "--seeds", "1", "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    header, *rows, total = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["instance", "nodes", "edges", "rays", "rays_skipped", "steps",
+                      "zone_evals"]
+    assert [row[0] for row in rows] == ["1.0", "1.1"]
+    counts = [dict(zip(header[1:], map(int, row[1:]))) for row in rows]
+    assert counts[0]["nodes"] == 71
+    assert (counts[0]["rays"], counts[0]["rays_skipped"]) == (266, 64)
+    for c in counts:
+        assert (c["rays"] + c["rays_skipped"]) % 10 == 0
+        assert 0 < c["zone_evals"] <= 64
+    assert total == ["total"] + [str(sum(c[k] for c in counts)) for k in header[1:]]
