@@ -414,8 +414,9 @@ class EnumerationConfig:
     """Knobs of the breadth-first zone search.
 
     Coverage is declared over `n_coverage` sampled points with ||y|| = r_y,
-    r = 0 and lambda = delta_lambda_min; the search stops once every sample
-    lies in a discovered zone (or `max_nodes` is hit).
+    r = 0 and lambda = delta_lambda_min; the search stops after the node
+    expansion that puts the last sample in a discovered zone, or once it
+    holds `max_nodes` zones.
     """
 
     r_y: float
@@ -431,10 +432,12 @@ class ZoneGraph:
 
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
-    boundary.  The counters say what the search did: ray sweeps started,
-    those dropped because their sweep raised, those skipped because an
-    earlier pair of sweeps had walked their whole line, distinct pieces
-    built, and lookups that found their piece already built."""
+    boundary.  `incomplete` marks a graph that leaves a coverage point
+    outside every node's zone.  The counters say what the search did: ray
+    sweeps started, those dropped because their sweep raised, those
+    skipped because an earlier pair of sweeps had walked their line whole
+    (`rays_skipped`), distinct pieces built, and lookups that found their
+    piece already built."""
 
     nodes: dict[str, np.ndarray] = field(default_factory=dict)
     edges: list[tuple[str, str, np.ndarray, float]] = field(default_factory=list)
@@ -537,6 +540,22 @@ class _PieceMemo(dict):
         return piece
 
 
+def _line_key(anchor: tuple[np.ndarray, float], pair: int) -> tuple[int, bytes]:
+    """Key of the line through `anchor` along direction pair `pair` (0 for
+    lambda, 1 + j for e_j), equal for lines that are positive multiples of
+    each other (zones are cones): b/lambda off coordinate j for an e_j line,
+    b's direction (zeros at b = 0) for a lambda line.  Exact bytes: lines
+    a rounding apart get two keys, which costs a ray, and one key joins
+    only lines that agree to the rounding of one division."""
+    b, lam = anchor
+    if pair:
+        b = b / lam
+        b[pair - 1] = 0.0
+    elif b.any():
+        b = b / np.abs(b).max()
+    return pair, b.tobytes()
+
+
 def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGraph:
     """Breadth-first search of the zone graph from the all-zero indicator.
 
@@ -544,17 +563,17 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     anchor: along +/-lambda and along +/-e_j for every b coordinate, 2 + 4m
     in all, one pair of opposite rays per direction.  Zones visited by the
     rays become nodes; consecutive segments contribute adjacency edges with
-    the breakpoint as witness.  A search whose rays exhaust without
-    covering every sampled coverage point is `incomplete`.
+    the breakpoint as witness.  The search stops after the expansion that
+    covers the last coverage point; it is `incomplete` when its nodes leave
+    a point uncovered, whether its rays ran out or `max_nodes` stopped it.
 
-    A new node's anchor lies on the line of the ray that found it, up to a
-    positive scale (zones are cones): the segment's midpoint, divided by its
-    lambda.  When both of the discoverer's rays along that direction pair
-    ran to the end of their half-line (`unbounded` or `lambda_terminus`),
-    the node skips its own pair of rays along it, which would walk the same
-    zones again; a dropped, truncated or early-stopped half sweeps it.
-    Breadth-first order expands a node only after its discoverer has swept
-    both halves.  `rays_skipped` counts the skipped rays.
+    A pair of rays sweeps its line whole when both ran to the end of their
+    half-line (`unbounded` or `lambda_terminus`); a dropped, truncated or
+    early-stopped half does not.  Lines that are positive multiples of each
+    other cross the same zones (zones are cones) and share a `_line_key`,
+    so a node skips each pair whose key an earlier pair swept whole, such
+    as that of the line it was found on.  `rays_skipped` counts the
+    skipped rays.
 
     Each zone's piece is built once per call: one memo serves every ray
     sweep and coverage test, and a new node is tested at all still
@@ -571,20 +590,14 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     cover_lam = np.array([lam for _, lam in graph.coverage_points], dtype=float)
 
     anchors: dict[str, tuple[np.ndarray, float]] = {}
-    # the line each found node's anchor lies on: (discoverer, direction pair)
-    found_on: dict[str, tuple[str, int]] = {}
-    # (node, direction pair) whose two rays both reached their half-line's end
-    whole_lines: set[tuple[str, int]] = set()
+    whole_lines: set[tuple[int, bytes]] = set()  # `_line_key`s of lines swept whole
     pieces = _PieceMemo()
     edge_keys: set[tuple[str, str]] = set()
 
     def add_node(s: np.ndarray, anchor, key: str) -> bool:
         """Add `s` under `key` unless it is known; `anchor()` gives the
         anchor of a new node, so a known node costs none."""
-        if key in graph.nodes:
-            return False
-        if len(graph.nodes) >= config.max_nodes:
-            graph.incomplete = True
+        if key in graph.nodes or len(graph.nodes) >= config.max_nodes:
             return False
         graph.nodes[key] = s.copy()
         anchors[key] = anchor()
@@ -603,61 +616,48 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             edge_keys.add(key)
             graph.edges.append((key[0], key[1], np.array(b_w), float(lam_w)))
 
-    def absorb_sweep(result: PathSweepResult, origin: tuple[str, int]) -> list[str]:
-        new_keys = []
-        segs = result.segments
-        keys = [indicator_to_string(seg.s) for seg in segs]
-        for k, seg in enumerate(segs):
-            if add_node(seg.s, lambda: _anchor_from_segment(result.line, seg), keys[k]):
-                new_keys.append(keys[k])
-                found_on[keys[k]] = origin
-            if k + 1 < len(segs):
-                b_w, lam_w = result.line.point_at(seg.t_end)
-                add_edge(keys[k], keys[k + 1], b_w, lam_w)
-        return new_keys
-
-    def sweep_ray(s, anchor, direction) -> PathSweepResult | None:
-        """Walk one ray out of a zone anchor; None when the sweep raises."""
+    def sweep_ray(s, anchor, direction) -> bool:
+        """Walk one ray out of a zone anchor, adding the zones it visits
+        and the edges it crosses; whether it reached its half-line's end
+        (False when the sweep raises)."""
         graph.rays += 1
         line = ParameterLine(anchor[0], anchor[1], *direction)
         try:
-            return path_sweep(
+            result = path_sweep(
                 inst, line, s, t_start=0.0,
                 max_segments=MAX_SEGMENTS_PER_RAY, pieces=pieces,
             )
         except ValueError:  # IncompatibleIndicatorError is one
             graph.rays_dropped += 1
-            return None
+            return False
+        segs = result.segments
+        keys = [indicator_to_string(seg.s) for seg in segs]
+        for k, seg in enumerate(segs):
+            if add_node(seg.s, lambda: _anchor_from_segment(line, seg), keys[k]):
+                queue.append(keys[k])
+            if k + 1 < len(segs):
+                add_edge(keys[k], keys[k + 1], *line.point_at(seg.t_end))
+        return result.stop_reason in _LINE_ENDS
 
     s0 = zero_indicator(inst.n)
     key0 = indicator_to_string(s0)
     add_node(s0, lambda: (np.zeros(2 * inst.m), 1.0), key0)
-    queue = deque([key0])
+    queue = deque([key0])  # sweep_ray queues each new node once
     directions = _ray_directions(inst)
 
-    # add_node queues each key once; coverage is checked once per level
-    while queue and not all(graph.covered) and not graph.incomplete:
-        for _ in range(len(queue)):
-            key = queue.popleft()
-            origin = found_on.get(key)
-            skipped = origin[1] if origin in whole_lines else None
-            reached = []
-            for i, d in enumerate(directions):
-                if i // 2 == skipped:
-                    graph.rays_skipped += 1
-                    reached.append(False)
-                    continue
-                result = sweep_ray(graph.nodes[key], anchors[key], d)
-                reached.append(result is not None and result.stop_reason in _LINE_ENDS)
-                if result is not None:
-                    queue.extend(absorb_sweep(result, (key, i // 2)))
-            whole_lines.update(
-                (key, pair) for pair in range(len(directions) // 2)
-                if reached[2 * pair] and reached[2 * pair + 1]
-            )
+    while queue and len(graph.nodes) < config.max_nodes and not all(graph.covered):
+        key = queue.popleft()
+        for pair in range(len(directions) // 2):
+            line_key = _line_key(anchors[key], pair)
+            if line_key in whole_lines:
+                graph.rays_skipped += 2
+                continue
+            ends = [sweep_ray(graph.nodes[key], anchors[key], d)
+                    for d in directions[2 * pair: 2 * pair + 2]]
+            if all(ends):
+                whole_lines.add(line_key)
 
-    if not all(graph.covered):
-        graph.incomplete = True
+    graph.incomplete = not all(graph.covered)
     graph.pieces_built = len(pieces)
     graph.memo_hits = pieces.hits
     return graph

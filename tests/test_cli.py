@@ -255,6 +255,23 @@ def test_enumerate_budget_exhaustion(instance_file, tmp_path):
     assert json.loads(out.read_text())["incomplete"] is True
 
 
+@pytest.mark.parametrize("seed", [1, 10])
+def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
+    # these 3x3 instances cover all 64 samples with 204 and 244 of the 256
+    # nodes allowed; a search that ran on to the end of its breadth-first
+    # level hit max_nodes there and reported the covered graph incomplete
+    A = np.random.default_rng(seed).normal(size=(3, 3))
+    inst = {"A": A.tolist(), "rho": 0.3, "y": [0.0] * 3, "lambda": 1.0}
+    out = tmp_path / "graph.json"
+    argv = ["enumerate", "--instance", instance_file(inst), "--r-y", "3",
+            "--delta-lambda-min", "0.3", "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    assert data["coverage"]["covered"] == data["coverage"]["required"] == 64
+    assert data["incomplete"] is False
+    assert len(data["nodes"]) < 256
+
+
 def test_deterministic_output_same_seed(instance_file, tmp_path):
     paths = []
     for name in ("a.json", "b.json"):

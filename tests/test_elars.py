@@ -709,7 +709,7 @@ class TestEnumerateZones:
         graph = enumerate_zones(inst, config)
         assert max(builds.values()) == 1
         assert graph.pieces_built == len(builds) >= len(graph.nodes)
-        assert graph.memo_hits > graph.rays > graph.pieces_built
+        assert graph.memo_hits > graph.pieces_built
         assert graph.rays_dropped == 0
 
     def test_dropped_ray_is_counted(self, two_column, monkeypatch):
@@ -747,15 +747,15 @@ class TestEnumerateZones:
 
     def test_no_ray_rewalks_the_whole_line_it_was_found_on(self, monkeypatch):
         # a node's anchor lies on a positive multiple of the line of the ray
-        # that found it; when both of the finder's rays along that direction
-        # pair ran to their ends, the node sweeps no ray along the pair
-        graph, rays = _recorded_enumeration(monkeypatch)
-        skipped, _ = _check_skip_rule(graph, rays)
+        # that found it, and of other nodes' lines: no node sweeps a pair of
+        # rays along a line that an earlier pair swept whole
+        graph, rays, anchors = _recorded_enumeration(monkeypatch)
+        skipped, _ = _check_skip_rule(graph, rays, anchors)
         assert skipped == graph.rays_skipped > 0
 
     def test_skip_keeps_the_ray_count(self, monkeypatch):
         # every expanded node sweeps or skips each of its 2 + 4m rays
-        graph, rays = _recorded_enumeration(monkeypatch)
+        graph, rays, _ = _recorded_enumeration(monkeypatch)
         expanded = len({ray.key for ray in rays})
         assert graph.rays == len(rays)
         counters = graph.to_dict()["counters"]
@@ -766,7 +766,7 @@ class TestEnumerateZones:
         # only known nodes and crosses only known edges
         import sgmc.elars
 
-        graph, rays = _recorded_enumeration(monkeypatch)
+        graph, rays, _ = _recorded_enumeration(monkeypatch)
         inst = _gaussian_zones_instance()[0]
         edges = {(sa, sb) for sa, sb, *_ in graph.edges}
         directions = sgmc.elars._ray_directions(inst)
@@ -787,17 +787,39 @@ class TestEnumerateZones:
         assert checked == graph.rays_skipped
 
     def test_truncated_lines_are_not_skipped(self, monkeypatch):
-        # with four segments per ray 120 of the 250 sweeps truncate, and 24
-        # expanded nodes were found on a line with a truncated half: each
-        # sweeps that line's pair itself
+        # with four segments per ray some sweeps truncate; a line with a
+        # truncated half keeps no key, and a later node on it sweeps it again
         import sgmc.elars
 
         monkeypatch.setattr(sgmc.elars, "MAX_SEGMENTS_PER_RAY", 4)
-        graph, rays = _recorded_enumeration(monkeypatch)
-        skipped, unfinished = _check_skip_rule(graph, rays)
+        graph, rays, anchors = _recorded_enumeration(monkeypatch)
+        skipped, unfinished = _check_skip_rule(graph, rays, anchors)
         assert skipped == graph.rays_skipped
         assert sum(ray.stop == "max_segments" for ray in rays) > 0
         assert unfinished > 0
+
+    def test_stops_after_the_expansion_that_covers_the_last_sample(self, monkeypatch):
+        # the rays after the one whose zones cover the last coverage point
+        # all belong to that ray's node, and nodes found by then stay
+        # unexpanded
+        graph, rays, _ = _recorded_enumeration(monkeypatch)
+        inst = _gaussian_zones_instance()[0]
+        meets = {}
+        for key, s in graph.nodes.items():
+            piece = candidate_slope(inst, s)
+            meets[key] = [zone_membership(inst, s, b, lam, piece=piece)
+                          for b, lam in graph.coverage_points]
+        covered = np.array(meets[rays[0].key])
+        last = None
+        for i, ray in enumerate(rays):
+            for seg in ray.result.segments:
+                covered |= meets.get(indicator_to_string(seg.s), False)
+            if covered.all():
+                last = i
+                break
+        assert last is not None and not graph.incomplete
+        assert {ray.key for ray in rays[last:]} == {rays[last].key}
+        assert len({ray.key for ray in rays}) < len(graph.nodes)
 
     def test_invalid_delta_lambda(self, two_column):
         with pytest.raises(ValueError):
@@ -821,11 +843,14 @@ def _gaussian_zones_instance():
 
 
 def _recorded_enumeration(monkeypatch):
-    """Enumerate the `zones` seed 1 round 0 instance, recording every ray."""
+    """Enumerate the `zones` seed 1 round 0 instance, recording every ray
+    and the anchor of every node in the order of discovery."""
     import sgmc.elars
 
     rays = []
+    anchors = {indicator_to_string(zero_indicator(3)): (np.zeros(4), 1.0)}
     sweep = sgmc.elars.path_sweep
+    anchor_of = sgmc.elars._anchor_from_segment
 
     def recording(inst, line, s, **kwargs):
         try:
@@ -836,9 +861,15 @@ def _recorded_enumeration(monkeypatch):
         rays.append(_Ray(indicator_to_string(s), line, result))
         return result
 
+    def anchoring(line, seg):
+        anchor = anchors[indicator_to_string(seg.s)] = anchor_of(line, seg)
+        return anchor
+
     monkeypatch.setattr(sgmc.elars, "path_sweep", recording)
+    monkeypatch.setattr(sgmc.elars, "_anchor_from_segment", anchoring)
     graph = enumerate_zones(*_gaussian_zones_instance())
-    return graph, rays
+    assert list(anchors) == list(graph.nodes)
+    return graph, rays, anchors
 
 
 def _pair(line):
@@ -846,39 +877,53 @@ def _pair(line):
     return 0 if line.delta_lam else 1 + int(np.flatnonzero(line.delta_b)[0])
 
 
-def _finders(graph, rays):
-    """{node: (key of the node whose ray found it, that ray's line)} for
-    every node but the start node, which sweeps the first ray."""
-    found = {}
-    for ray in rays:
-        if ray.result is None:
-            continue
-        for seg in ray.result.segments:
-            key = indicator_to_string(seg.s)
-            if key in graph.nodes and key != rays[0].key and key not in found:
-                found[key] = (ray.key, ray.line)
-    return found
+def _line_key(anchor, pair):
+    """Key of the line through `anchor` along `pair`, equal for lines that
+    are positive multiples of each other: (pair, b/lambda with coordinate
+    j at 0) for e_j, (0, b/max|b|, zeros at b = 0) for lambda."""
+    b, lam = anchor
+    if pair:
+        off = b / lam
+        off[pair - 1] = 0.0
+        return pair, off.tobytes()
+    scale = np.abs(b).max()
+    return 0, (b / scale if scale else np.zeros_like(b)).tobytes()
 
 
-def _check_skip_rule(graph, rays):
-    """Assert that each expanded node skips the pair of rays along the line
-    it was found on exactly when both of the finder's rays along that pair
-    ran to their ends, and that its anchor lies on a positive multiple of
-    that line.  Gives the rays this rule skips and the expanded nodes found
-    on a line with a truncated half."""
+def _check_skip_rule(graph, rays, anchors):
+    """Replay the expansions in order and assert that each node sweeps both
+    rays of every pair from its anchor except the pairs whose line key an
+    earlier pair swept whole (both rays ran to their ends), which it skips,
+    and that such a node's anchor lies on a positive multiple of the
+    earlier line.  Gives the rays skipped and the pairs swept again after
+    an earlier sweep of their line truncated."""
+    n_pairs = 1 + len(anchors[rays[0].key][0])
+    expanded = list(anchors)[: (graph.rays + graph.rays_skipped) // (2 * n_pairs)]
+    assert list(dict.fromkeys(ray.key for ray in rays)) == [
+        key for key in expanded if any(ray.key == key for ray in rays)
+    ]
+    whole, truncated = {}, set()
     skipped = unfinished = 0
-    for key, (finder, line) in _finders(graph, rays).items():
+    for key in expanded:
         own = [ray for ray in rays if ray.key == key]
-        if not own:  # found but never expanded
-            continue
-        anchor = own[0].line
-        assert _positive_multiple_on(anchor.b0, anchor.lam0, line)
-        pair = _pair(line)
-        halves = [ray for ray in rays if ray.key == finder and _pair(ray.line) == pair]
-        whole = len(halves) == 2 and all(ray.ended for ray in halves)
-        assert sum(_pair(ray.line) == pair for ray in own) == (0 if whole else 2)
-        skipped += 2 * whole
-        unfinished += any(ray.stop == "max_segments" for ray in halves)
+        b, lam = anchors[key]
+        for pair in range(n_pairs):
+            line = _line_key((b, lam), pair)
+            halves = [ray for ray in own if _pair(ray.line) == pair]
+            if line in whole:
+                assert not halves
+                assert _positive_multiple_on(b, lam, whole[line])
+                skipped += 2
+                continue
+            assert len(halves) == 2
+            for ray in halves:
+                npt.assert_array_equal(ray.line.b0, b)
+                assert ray.line.lam0 == lam
+            unfinished += line in truncated
+            if all(ray.ended for ray in halves):
+                whole[line] = halves[0].line
+            elif any(ray.stop == "max_segments" for ray in halves):
+                truncated.add(line)
     return skipped, unfinished
 
 
