@@ -359,7 +359,15 @@ def strictly_inside(
 ) -> bool:
     """Operational interior test: every zone inequality, lambda > 0
     included, holds with slack at least INTERIOR_MARGIN*(1+lambda) =
-    1e-6*(1+lambda); never for an incompatible indicator."""
+    1e-6*(1+lambda); never for an incompatible indicator.
+
+    The slack is relative to lambda above lambda = 1 and absolute below,
+    never looser than the scale-free 1e-6*lambda: a point scaled towards
+    the origin loses its interior status (below lambda = 1e-6 no point has
+    it) but never gains it falsely.  Its callers
+    pick sample points with it for checks that a boundary would spoil, so
+    a scale that errs only towards "not inside" needs no other: a missed
+    interior point skips a check, and the skip is reported."""
     if piece is None:
         piece = candidate_slope(inst, s)
     if not piece.compatible:

@@ -334,7 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--grid", type=int, default=201)
     p_path.set_defaults(func=cmd_path)
 
-    p_enum = sub.add_parser("enumerate", help="breadth-first zone-graph enumeration")
+    p_enum = sub.add_parser(
+        "enumerate",
+        help="best-first zone-graph enumeration: expands next the zone whose "
+        "anchor direction is nearest an uncovered coverage sample",
+    )
     _add_instance_flags(p_enum)
     p_enum.add_argument("--r-y", type=float, required=True)
     p_enum.add_argument("--delta-lambda-min", type=float, required=True)

@@ -1,5 +1,5 @@
 """Extended least angle regression: deletion-insertion steps along parameter
-lines, the piecewise-linear path driver, and breadth-first zone enumeration.
+lines, the piecewise-linear path driver, and best-first zone enumeration.
 
 A single step starts from an indicator whose zone contains the moving point
 (b(t), lambda(t)), computes in closed form the time t_plus at which the point
@@ -13,7 +13,6 @@ through anchor points of known zones discovers the zone adjacency graph.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -379,17 +378,23 @@ def initialize_indicator(
 ) -> np.ndarray:
     """Starting indicator whose zone contains (b, lambda).
 
-    `zero` certifies the all-zero zone by zone membership, max_i |c_i^T b|
-    <= lambda + tol*(1+lambda) at 0 < lambda < inf; `from_oracle` solves
-    the instance by `solve_saddle` at its default config, encodes the
-    equicorrelation signs and certifies them by zone membership, failing
-    loudly on zone boundaries (the caller may perturb lambda and retry).  A point that fails either
+    `zero` certifies the all-zero zone, max_i |c_i^T b| <= lambda*(1 + tol)
+    at 0 < lambda < inf: the bound and its slack are both on the scale of
+    lambda, so (alpha*b, alpha*lambda) gets the answer of (b, lambda) for
+    every alpha > 0.  `from_oracle` solves the instance by `solve_saddle`
+    at its default config, encodes the equicorrelation signs and certifies
+    them by zone membership, failing loudly on zone boundaries (the caller
+    may perturb lambda and retry); its slack, max(tol, 1e-8) on the signs
+    and that times (1 + lambda) on the correlation bounds, stays absolute
+    below lambda = 1 because it absorbs the error of the oracle's solve,
+    which the oracle's absolute stopping tolerance bounds.  A point that fails either
     certificate, NaN included, is never given an indicator.
     """
     b = np.ravel(b)
     if strategy == "zero":
         s = zero_indicator(inst.n)
-        if not zone_membership(inst, s, b, lam, tol=tol):
+        corr_margin = zone_margins(inst, candidate_slope(inst, s), b, lam).corr_margin
+        if not (0 < lam < math.inf and corr_margin >= -tol * lam):
             raise ValueError(
                 f"zero strategy needs max|c_i^T b| <= lambda < inf, got lambda={lam}"
             )
@@ -411,12 +416,13 @@ def initialize_indicator(
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Knobs of the breadth-first zone search.
+    """Knobs of the best-first zone search.
 
     Coverage is declared over `n_coverage` sampled points with ||y|| = r_y,
-    r = 0 and lambda = delta_lambda_min; the search stops after the node
-    expansion that puts the last sample in a discovered zone, or once it
-    holds `max_nodes` zones.
+    r = 0 and lambda = delta_lambda_min; the search expands next the node
+    whose anchor points most nearly along a still uncovered sample, and
+    stops after the node expansion that puts the last sample in a
+    discovered zone, or once it holds `max_nodes` zones.
     """
 
     r_y: float
@@ -556,16 +562,28 @@ def _line_key(anchor: tuple[np.ndarray, float], pair: int) -> tuple[int, bytes]:
     return pair, b.tobytes()
 
 
-def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGraph:
-    """Breadth-first search of the zone graph from the all-zero indicator.
+def _unit_rows(points: np.ndarray) -> np.ndarray:
+    """The rows of `points` divided by their norms; a zero row becomes NaN."""
+    with np.errstate(invalid="ignore"):
+        return points / np.linalg.norm(points, axis=1, keepdims=True)
 
-    Each frontier zone is expanded by sweeping rays from a strictly interior
-    anchor: along +/-lambda and along +/-e_j for every b coordinate, 2 + 4m
-    in all, one pair of opposite rays per direction.  Zones visited by the
-    rays become nodes; consecutive segments contribute adjacency edges with
-    the breakpoint as witness.  The search stops after the expansion that
-    covers the last coverage point; it is `incomplete` when its nodes leave
-    a point uncovered, whether its rays ran out or `max_nodes` stopped it.
+
+def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGraph:
+    """Best-first search of the zone graph from the all-zero indicator.
+
+    A zone is expanded by sweeping rays from a strictly interior anchor:
+    along +/-lambda and along +/-e_j for every b coordinate, 2 + 4m in all,
+    one pair of opposite rays per direction.  Zones visited by the rays
+    become nodes of the frontier; consecutive segments contribute
+    adjacency edges with the breakpoint as witness.  The frontier node
+    expanded next is the one whose anchor direction (b, lambda)/||(b,
+    lambda)|| has the largest cosine with the direction of a still
+    uncovered coverage point, ties going to the earliest discovered node
+    and a zero anchor ranking last: zones are cones, so the nearest
+    direction is the likeliest to lead to the zone of that point.  The
+    search stops after the expansion that covers the last coverage point;
+    it is `incomplete` when its nodes leave a point uncovered, whether its
+    rays ran out or `max_nodes` stopped it.
 
     A pair of rays sweeps its line whole when both ran to the end of their
     half-line (`unbounded` or `lambda_terminus`); a dropped, truncated or
@@ -588,19 +606,26 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     graph.covered = [False] * len(graph.coverage_points)
     cover_b = np.array([b for b, _ in graph.coverage_points], dtype=float).T
     cover_lam = np.array([lam for _, lam in graph.coverage_points], dtype=float)
+    cover_units = _unit_rows(np.vstack([cover_b, cover_lam]).T)
 
     anchors: dict[str, tuple[np.ndarray, float]] = {}
+    frontier: list[str] = []  # unexpanded nodes, in discovery order
+    units = np.empty((0, 2 * inst.m + 1))  # their anchors' unit directions, as rows
     whole_lines: set[tuple[int, bytes]] = set()  # `_line_key`s of lines swept whole
     pieces = _PieceMemo()
     edge_keys: set[tuple[str, str]] = set()
 
-    def add_node(s: np.ndarray, anchor, key: str) -> bool:
-        """Add `s` under `key` unless it is known; `anchor()` gives the
-        anchor of a new node, so a known node costs none."""
+    def add_node(s: np.ndarray, anchor, key: str):
+        """Add `s` under `key` to the nodes and the frontier unless it is
+        known; `anchor()` gives the anchor of a new node, so a known node
+        costs none."""
+        nonlocal units
         if key in graph.nodes or len(graph.nodes) >= config.max_nodes:
-            return False
+            return
         graph.nodes[key] = s.copy()
         anchors[key] = anchor()
+        frontier.append(key)
+        units = np.vstack([units, _unit_rows(np.append(*anchors[key])[None])])
         piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
         todo = np.flatnonzero(np.logical_not(graph.covered))
         if todo.size and piece.compatible:
@@ -608,7 +633,6 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             inside = zone_margins(inst, piece, cover_b[:, todo], lams).inside(lams)
             for j in todo[inside]:
                 graph.covered[j] = True
-        return True
 
     def add_edge(sa: str, sb: str, b_w: np.ndarray, lam_w: float):
         key = (min(sa, sb), max(sa, sb))
@@ -633,20 +657,22 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         segs = result.segments
         keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
-            if add_node(seg.s, lambda: _anchor_from_segment(line, seg), keys[k]):
-                queue.append(keys[k])
+            add_node(seg.s, lambda: _anchor_from_segment(line, seg), keys[k])
             if k + 1 < len(segs):
                 add_edge(keys[k], keys[k + 1], *line.point_at(seg.t_end))
         return result.stop_reason in _LINE_ENDS
 
     s0 = zero_indicator(inst.n)
-    key0 = indicator_to_string(s0)
-    add_node(s0, lambda: (np.zeros(2 * inst.m), 1.0), key0)
-    queue = deque([key0])  # sweep_ray queues each new node once
+    add_node(s0, lambda: (np.zeros(2 * inst.m), 1.0), indicator_to_string(s0))
     directions = _ray_directions(inst)
 
-    while queue and len(graph.nodes) < config.max_nodes and not all(graph.covered):
-        key = queue.popleft()
+    while frontier and len(graph.nodes) < config.max_nodes and not all(graph.covered):
+        todo = np.logical_not(graph.covered)
+        # NaN rows (zero-norm anchors) rank last; argmax takes the earliest
+        best = np.nan_to_num((units @ cover_units[todo].T).max(axis=1), nan=-np.inf)
+        i = int(np.argmax(best))
+        key = frontier.pop(i)
+        units = np.delete(units, i, axis=0)
         for pair in range(len(directions) // 2):
             line_key = _line_key(anchors[key], pair)
             if line_key in whole_lines:

@@ -255,11 +255,13 @@ def test_enumerate_budget_exhaustion(instance_file, tmp_path):
     assert json.loads(out.read_text())["incomplete"] is True
 
 
-@pytest.mark.parametrize("seed", [1, 10])
+@pytest.mark.parametrize("seed", [1, 2, 3, 8, 10, 15])
 def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
-    # these 3x3 instances cover all 64 samples with 204 and 244 of the 256
+    # these 3x3 instances cover all 64 samples with 183 to 241 of the 256
     # nodes allowed; a search that ran on to the end of its breadth-first
-    # level hit max_nodes there and reported the covered graph incomplete
+    # level hit max_nodes there and reported seeds 1 and 10 incomplete, and
+    # one that expanded its nodes in the order found hit it on seeds 2, 3,
+    # 8 and 15 before the last sample was covered
     A = np.random.default_rng(seed).normal(size=(3, 3))
     inst = {"A": A.tolist(), "rho": 0.3, "y": [0.0] * 3, "lambda": 1.0}
     out = tmp_path / "graph.json"

@@ -749,13 +749,13 @@ class TestEnumerateZones:
         # a node's anchor lies on a positive multiple of the line of the ray
         # that found it, and of other nodes' lines: no node sweeps a pair of
         # rays along a line that an earlier pair swept whole
-        graph, rays, anchors = _recorded_enumeration(monkeypatch)
-        skipped, _ = _check_skip_rule(graph, rays, anchors)
+        graph, rays, anchors, expansions = _recorded_enumeration(monkeypatch)
+        skipped, _ = _check_skip_rule(graph, rays, anchors, expansions)
         assert skipped == graph.rays_skipped > 0
 
     def test_skip_keeps_the_ray_count(self, monkeypatch):
         # every expanded node sweeps or skips each of its 2 + 4m rays
-        graph, rays, _ = _recorded_enumeration(monkeypatch)
+        graph, rays, *_ = _recorded_enumeration(monkeypatch)
         expanded = len({ray.key for ray in rays})
         assert graph.rays == len(rays)
         counters = graph.to_dict()["counters"]
@@ -766,7 +766,7 @@ class TestEnumerateZones:
         # only known nodes and crosses only known edges
         import sgmc.elars
 
-        graph, rays, _ = _recorded_enumeration(monkeypatch)
+        graph, rays, *_ = _recorded_enumeration(monkeypatch)
         inst = _gaussian_zones_instance()[0]
         edges = {(sa, sb) for sa, sb, *_ in graph.edges}
         directions = sgmc.elars._ray_directions(inst)
@@ -792,8 +792,8 @@ class TestEnumerateZones:
         import sgmc.elars
 
         monkeypatch.setattr(sgmc.elars, "MAX_SEGMENTS_PER_RAY", 4)
-        graph, rays, anchors = _recorded_enumeration(monkeypatch)
-        skipped, unfinished = _check_skip_rule(graph, rays, anchors)
+        graph, rays, anchors, expansions = _recorded_enumeration(monkeypatch)
+        skipped, unfinished = _check_skip_rule(graph, rays, anchors, expansions)
         assert skipped == graph.rays_skipped
         assert sum(ray.stop == "max_segments" for ray in rays) > 0
         assert unfinished > 0
@@ -802,14 +802,9 @@ class TestEnumerateZones:
         # the rays after the one whose zones cover the last coverage point
         # all belong to that ray's node, and nodes found by then stay
         # unexpanded
-        graph, rays, _ = _recorded_enumeration(monkeypatch)
-        inst = _gaussian_zones_instance()[0]
-        meets = {}
-        for key, s in graph.nodes.items():
-            piece = candidate_slope(inst, s)
-            meets[key] = [zone_membership(inst, s, b, lam, piece=piece)
-                          for b, lam in graph.coverage_points]
-        covered = np.array(meets[rays[0].key])
+        graph, rays, *_ = _recorded_enumeration(monkeypatch)
+        meets = _meets(_gaussian_zones_instance()[0], graph)
+        covered = meets[rays[0].key].copy()
         last = None
         for i, ray in enumerate(rays):
             for seg in ray.result.segments:
@@ -820,6 +815,33 @@ class TestEnumerateZones:
         assert last is not None and not graph.incomplete
         assert {ray.key for ray in rays[last:]} == {rays[last].key}
         assert len({ray.key for ray in rays}) < len(graph.nodes)
+
+    def test_expands_the_node_nearest_an_uncovered_sample(self, monkeypatch):
+        # replaying the search: of the frontier at each expansion (nodes
+        # found, not yet expanded), the expanded node has the largest cosine
+        # between its anchor's direction in (b, lambda) and an uncovered
+        # coverage point's, and every earlier found node a smaller one
+        graph, _, anchors, expansions = _recorded_enumeration(monkeypatch)
+        meets = _meets(_gaussian_zones_instance()[0], graph)
+        points = np.array([np.append(b, lam) for b, lam in graph.coverage_points])
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        found, done = list(anchors), set()
+        not_first = 0
+        for key, n_found in expansions:
+            frontier = [k for k in found[:n_found] if k not in done]
+            covered = np.any([meets[k] for k in found[:n_found]], axis=0)
+            assert not covered.all()
+            best = []
+            for k in frontier:
+                anchor = np.append(*anchors[k])
+                best.append((points[~covered] @ anchor).max() / np.linalg.norm(anchor))
+            i = frontier.index(key)
+            assert all(c < best[i] for c in best[:i])
+            assert all(c <= best[i] for c in best[i + 1:])
+            not_first += i > 0
+            done.add(key)
+        assert not_first > 0  # the order is not the order of discovery
+        assert not graph.incomplete
 
     def test_invalid_delta_lambda(self, two_column):
         with pytest.raises(ValueError):
@@ -843,14 +865,16 @@ def _gaussian_zones_instance():
 
 
 def _recorded_enumeration(monkeypatch):
-    """Enumerate the `zones` seed 1 round 0 instance, recording every ray
-    and the anchor of every node in the order of discovery."""
+    """Enumerate the `zones` seed 1 round 0 instance, recording every ray,
+    the anchor of every node in the order of discovery, and the expansions
+    in the order they ran, each as (node, nodes found before it)."""
     import sgmc.elars
 
-    rays = []
+    rays, expansions = [], []
     anchors = {indicator_to_string(zero_indicator(3)): (np.zeros(4), 1.0)}
     sweep = sgmc.elars.path_sweep
     anchor_of = sgmc.elars._anchor_from_segment
+    line_key = sgmc.elars._line_key
 
     def recording(inst, line, s, **kwargs):
         try:
@@ -865,11 +889,32 @@ def _recorded_enumeration(monkeypatch):
         anchor = anchors[indicator_to_string(seg.s)] = anchor_of(line, seg)
         return anchor
 
+    def keying(anchor, pair):
+        # an expansion keys each of its direction pairs in turn, from pair 0
+        if pair == 0:
+            b, lam = anchor
+            key = next(k for k, (b_k, lam_k) in anchors.items()
+                       if lam_k == lam and np.array_equal(b_k, b))
+            expansions.append((key, len(anchors)))
+        return line_key(anchor, pair)
+
     monkeypatch.setattr(sgmc.elars, "path_sweep", recording)
     monkeypatch.setattr(sgmc.elars, "_anchor_from_segment", anchoring)
+    monkeypatch.setattr(sgmc.elars, "_line_key", keying)
     graph = enumerate_zones(*_gaussian_zones_instance())
     assert list(anchors) == list(graph.nodes)
-    return graph, rays, anchors
+    assert len({key for key, _ in expansions}) == len(expansions)
+    return graph, rays, anchors, expansions
+
+
+def _meets(inst, graph):
+    """For each node, whether its zone holds each coverage point."""
+    meets = {}
+    for key, s in graph.nodes.items():
+        piece = candidate_slope(inst, s)
+        meets[key] = np.array([zone_membership(inst, s, b, lam, piece=piece)
+                               for b, lam in graph.coverage_points])
+    return meets
 
 
 def _pair(line):
@@ -890,15 +935,16 @@ def _line_key(anchor, pair):
     return 0, (b / scale if scale else np.zeros_like(b)).tobytes()
 
 
-def _check_skip_rule(graph, rays, anchors):
-    """Replay the expansions in order and assert that each node sweeps both
-    rays of every pair from its anchor except the pairs whose line key an
-    earlier pair swept whole (both rays ran to their ends), which it skips,
-    and that such a node's anchor lies on a positive multiple of the
-    earlier line.  Gives the rays skipped and the pairs swept again after
-    an earlier sweep of their line truncated."""
+def _check_skip_rule(graph, rays, anchors, expansions):
+    """Replay the expansions in the order they ran and assert that each
+    node sweeps both rays of every pair from its anchor except the pairs
+    whose line key an earlier pair swept whole (both rays ran to their
+    ends), which it skips, and that such a node's anchor lies on a positive
+    multiple of the earlier line.  Gives the rays skipped and the pairs
+    swept again after an earlier sweep of their line truncated."""
     n_pairs = 1 + len(anchors[rays[0].key][0])
-    expanded = list(anchors)[: (graph.rays + graph.rays_skipped) // (2 * n_pairs)]
+    expanded = [key for key, _ in expansions]
+    assert len(expanded) == (graph.rays + graph.rays_skipped) // (2 * n_pairs)
     assert list(dict.fromkeys(ray.key for ray in rays)) == [
         key for key in expanded if any(ray.key == key for ray in rays)
     ]

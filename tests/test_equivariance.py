@@ -5,7 +5,9 @@ Zones are cones, so scaling y (hence b and lambda_max) by alpha, or A by
 c, multiplies every breakpoint of a lambda descent by that factor and keeps
 its indicators.  Rotating the rows of (A, y, r) keeps the path; permuting
 the columns of A, or flipping their signs, permutes or flips the primal and
-dual halves of each indicator alike.
+dual halves of each indicator alike.  For the same reason the zero zone's
+certificate and the zone search's order depend only on the direction of
+(b, lambda), not on its length.
 """
 
 import functools
@@ -21,6 +23,7 @@ from sgmc import (
     ParameterLine,
     ProblemInstance,
     enumerate_zones,
+    initialize_indicator,
     path_sweep,
     zero_indicator,
 )
@@ -110,3 +113,32 @@ def test_zone_rays_from_large_anchors_verify(monkeypatch):
     graph = enumerate_zones(inst, config)
     assert sum(stops.values()) == graph.rays > 0
     assert stops["unverified_step"] == 0
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_zero_start_is_certified_at_every_scale(alpha):
+    # the zero zone holds (b, lambda) iff max|c_i^T b| <= lambda, at every
+    # scale: a descent's start lambda_max passes, and a lambda 1e-6 below it
+    # fails (an absolute slack of 1e-9 passed it at alpha = 1e-8 and 1e-4)
+    A, y, r = _data(0)
+    inst = ProblemInstance(A=A, rho=0.3, y=y * alpha, r=r * alpha, lam=1.0)
+    lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+    assert not initialize_indicator(inst, inst.b, lam_max).any()
+    with pytest.raises(ValueError):
+        initialize_indicator(inst, inst.b, lam_max * (1 - 1e-6))
+@pytest.mark.parametrize("factor", [1e-4, 1e4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_zone_search_ignores_the_scale_of_its_samples(seed, factor):
+    # the instances of the `zones` benchmark, seeds 1-3, rounds 0-7: scaling
+    # the coverage samples (r_y and delta_lambda_min together) keeps their
+    # directions, so the best-first order, and with it every node, edge and
+    # counter, stays as it is
+    for k in range(8):
+        A = np.random.default_rng([seed, k]).normal(size=(2, 3))
+        inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
+        base = EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, n_coverage=24, seed=k)
+        scaled = EnumerationConfig(r_y=3.0 * factor, delta_lambda_min=0.3 * factor,
+                                   n_coverage=24, seed=k)
+        graph = enumerate_zones(inst, base)
+        assert not graph.incomplete
+        assert enumerate_zones(inst, scaled).to_dict() == graph.to_dict()
