@@ -288,9 +288,9 @@ def zone_membership(
     """Whether (b, lambda) lies in the candidate zone of s.
 
     Evaluates the two inequality families directly on w = eval_weq(s; b, lam):
-    sign consistency s_i w_i >= -tol on the support and |xi_i(w)| <= lambda +
-    tol*(1+lambda) off it, at 0 < lambda < inf.  A precomputed `piece` skips
-    the slope rebuild.
+    sign consistency s_i w_i >= -tol*lambda on the support and |xi_i(w)| <=
+    lambda*(1 + tol) off it, at 0 < lambda < inf (`ZoneMargins.inside`).  A
+    precomputed `piece` skips the slope rebuild.
     """
     if piece is None:
         piece = candidate_slope(inst, s)
@@ -314,12 +314,15 @@ class ZoneMargins:
 
     def inside(self, lam: float | np.ndarray, tol: float = 1e-9):
         """Zone membership at each point with the tolerances of
-        `zone_membership`: s_i w_i >= -tol and |xi_i| <= lambda +
-        tol*(1+lambda), at 0 < lambda < inf; a NaN fails."""
+        `zone_membership`: both margins at least -tol*lambda, at
+        0 < lambda < inf; a NaN fails.  w and xi are homogeneous in
+        (b, lambda), so the slack scales with the point and (alpha*b,
+        alpha*lambda) gets the answer of (b, lambda) for every alpha > 0."""
         lam = np.asarray(lam)
+        slack = -tol * lam
         return (
-            (self.sign_margin >= -tol)
-            & (self.corr_margin >= -tol * (1.0 + lam))
+            (self.sign_margin >= slack)
+            & (self.corr_margin >= slack)
             & (lam > 0)
             & (lam < np.inf)
         )

@@ -93,8 +93,6 @@ def _add_instance_flags(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", type=float, help="lambda (CSV mode)")
     p.add_argument("--rho", type=float, default=0.0, help="rho (CSV mode, default 0)")
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def cmd_solve(args) -> int:
@@ -320,10 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance and certify optimality")
     _add_instance_flags(p_solve)
+    p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.set_defaults(func=cmd_solve)
 
     p_path = sub.add_parser("path", help="piecewise-linear path along a parameter line")
     _add_instance_flags(p_path)
+    p_path.add_argument("--tol", type=float, default=1e-9)
     p_path.add_argument("--delta-b", help="comma-separated velocity of b (or of y alone)")
     p_path.add_argument("--delta-lambda", type=float, default=0.0)
     p_path.add_argument("--t-start", type=float, default=0.0)
@@ -336,10 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser(
         "enumerate",
-        help="best-first zone-graph enumeration: expands next the zone whose "
-        "anchor direction is nearest an uncovered coverage sample",
+        help="zone-graph enumeration: sweeps from b = 0 to each coverage sample "
+        "that no zone found so far holds",
     )
     _add_instance_flags(p_enum)
+    p_enum.add_argument("--seed", type=int, default=0)
     p_enum.add_argument("--r-y", type=float, required=True)
     p_enum.add_argument("--delta-lambda-min", type=float, required=True)
     p_enum.add_argument("--max-nodes", type=int, default=256)
@@ -348,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-oracle invariant suite")
     _add_instance_flags(p_verify)
+    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--segments", help="path JSON to spot-check")
     p_verify.set_defaults(func=cmd_verify)
     return parser

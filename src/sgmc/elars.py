@@ -1,13 +1,14 @@
 """Extended least angle regression: deletion-insertion steps along parameter
-lines, the piecewise-linear path driver, and best-first zone enumeration.
+lines, the piecewise-linear path driver, and zone enumeration.
 
 A single step starts from an indicator whose zone contains the moving point
 (b(t), lambda(t)), computes in closed form the time t_plus at which the point
 leaves that zone, and edits the indicator: support entries whose sign
 constraint binds at t_plus are deleted, off-support entries whose correlation
 bound binds are inserted with the sign of the binding correlation.  Chaining
-verified steps yields the solution map along the whole line; sweeping lines
-through anchor points of known zones discovers the zone adjacency graph.
+verified steps yields the solution map along the whole line; sweeping from
+the zero zone at b = 0 to sampled parameter points discovers the zones that
+hold them and the adjacency between the zones on the way.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from .sweep import (
 )
 
 TIE_TOL = 1e-9  # relative half-width of the tie window of event times (`_window`)
-MAX_SEGMENTS_PER_RAY = 32  # segments a ray sweep of zone enumeration may emit
-# stops of a ray sweep that walked its whole half-line
-_LINE_ENDS = ("unbounded", "lambda_terminus")
 
 
 class InitializationError(RuntimeError):
@@ -378,23 +376,23 @@ def initialize_indicator(
 ) -> np.ndarray:
     """Starting indicator whose zone contains (b, lambda).
 
-    `zero` certifies the all-zero zone, max_i |c_i^T b| <= lambda*(1 + tol)
-    at 0 < lambda < inf: the bound and its slack are both on the scale of
-    lambda, so (alpha*b, alpha*lambda) gets the answer of (b, lambda) for
-    every alpha > 0.  `from_oracle` solves the instance by `solve_saddle`
-    at its default config, encodes the equicorrelation signs and certifies
-    them by zone membership, failing loudly on zone boundaries (the caller
-    may perturb lambda and retry); its slack, max(tol, 1e-8) on the signs
-    and that times (1 + lambda) on the correlation bounds, stays absolute
-    below lambda = 1 because it absorbs the error of the oracle's solve,
-    which the oracle's absolute stopping tolerance bounds.  A point that fails either
-    certificate, NaN included, is never given an indicator.
+    `zero` certifies the all-zero zone by `ZoneMargins.inside`,
+    max_i |c_i^T b| <= lambda*(1 + tol) at 0 < lambda < inf: the bound and
+    its slack are both on the scale of lambda, so (alpha*b, alpha*lambda)
+    gets the answer of (b, lambda) for every alpha > 0.  `from_oracle`
+    solves the instance by `solve_saddle` at its default config, encodes
+    the equicorrelation signs and certifies them by zone membership,
+    failing loudly on zone boundaries (the caller may perturb lambda and
+    retry); its slack, max(tol, 1e-8)*(1 + lambda) on the signs and the
+    correlation bounds, stays absolute below lambda = 1 because it absorbs
+    the error of the oracle's solve, which the oracle's absolute stopping
+    tolerance bounds.  A point that fails either certificate, NaN
+    included, is never given an indicator.
     """
     b = np.ravel(b)
     if strategy == "zero":
         s = zero_indicator(inst.n)
-        corr_margin = zone_margins(inst, candidate_slope(inst, s), b, lam).corr_margin
-        if not (0 < lam < math.inf and corr_margin >= -tol * lam):
+        if not zone_margins(inst, candidate_slope(inst, s), b, lam).inside(lam, tol):
             raise ValueError(
                 f"zero strategy needs max|c_i^T b| <= lambda < inf, got lambda={lam}"
             )
@@ -404,7 +402,7 @@ def initialize_indicator(
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
     s = encode_sopt(probe, w, tol=max(tol, 10.0 * OracleConfig.tol))
-    if not zone_membership(inst, s, b, lam, tol=max(tol, 1e-8)):
+    if not zone_membership(inst, s, b, lam, tol=max(tol, 1e-8) * (1.0 + lam) / lam):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
             "zone boundary (perturb lambda and retry)"
@@ -416,13 +414,13 @@ def initialize_indicator(
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Knobs of the best-first zone search.
+    """Knobs of the zone search.
 
     Coverage is declared over `n_coverage` sampled points with ||y|| = r_y,
-    r = 0 and lambda = delta_lambda_min; the search expands next the node
-    whose anchor points most nearly along a still uncovered sample, and
-    stops after the node expansion that puts the last sample in a
-    discovered zone, or once it holds `max_nodes` zones.
+    r = 0 and lambda = delta_lambda_min, drawn from `seed`; the search
+    sweeps to each point that no zone found so far covers, in the order
+    drawn, and stops once every point is covered or it holds `max_nodes`
+    zones.
     """
 
     r_y: float
@@ -439,11 +437,10 @@ class ZoneGraph:
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
     boundary.  `incomplete` marks a graph that leaves a coverage point
-    outside every node's zone.  The counters say what the search did: ray
-    sweeps started, those dropped because their sweep raised, those
-    skipped because an earlier pair of sweeps had walked their line whole
-    (`rays_skipped`), distinct pieces built, and lookups that found their
-    piece already built."""
+    outside every node's zone.  The counters say what the search did:
+    sweeps started (`rays`), those dropped because their sweep raised,
+    distinct pieces built, and lookups that found their piece already
+    built."""
 
     nodes: dict[str, np.ndarray] = field(default_factory=dict)
     edges: list[tuple[str, str, np.ndarray, float]] = field(default_factory=list)
@@ -452,7 +449,6 @@ class ZoneGraph:
     incomplete: bool = False
     rays: int = 0
     rays_dropped: int = 0
-    rays_skipped: int = 0
     pieces_built: int = 0
     memo_hits: int = 0
 
@@ -481,7 +477,6 @@ class ZoneGraph:
             "counters": {
                 "rays": self.rays,
                 "rays_dropped": self.rays_dropped,
-                "rays_skipped": self.rays_skipped,
                 "pieces_built": self.pieces_built,
                 "memo_hits": self.memo_hits,
             },
@@ -501,37 +496,6 @@ def _sample_coverage_points(
     return pts
 
 
-def _anchor_from_segment(line: ParameterLine, seg: PathSegment) -> tuple[np.ndarray, float]:
-    """Midpoint of the segment, renormalized to lambda = 1 (zones are
-    cones, so it stays in the segment's zone).  A midpoint at lambda <=
-    1e-8 * lam0, which only a segment ending at the lambda = 0 wall can
-    have, is kept as it is: its lambda may be the rounding of that wall,
-    zero or negative, and dividing by it would give an infinite point or
-    one of the opposite cone.  The cut is relative to the line's lam0,
-    positive on every swept line, so a scaled line makes the same choice.
-    Either way the anchor is a positive multiple of a point of `line`,
-    which the ray skip of `enumerate_zones` relies on."""
-    if math.isinf(seg.t_end):
-        t_mid = seg.t_start + 1.0
-    else:
-        t_mid = 0.5 * (seg.t_start + seg.t_end)
-    b, lam = line.point_at(t_mid)
-    if lam > 1e-8 * line.lam0:
-        return b / lam, 1.0
-    return b, lam
-
-
-def _ray_directions(inst: ProblemInstance):
-    two_m = 2 * inst.m
-    dirs = [(np.zeros(two_m), 1.0), (np.zeros(two_m), -1.0)]
-    for j in range(two_m):
-        e = np.zeros(two_m)
-        e[j] = 1.0
-        dirs.append((e, 0.0))
-        dirs.append((-e, 0.0))
-    return dirs
-
-
 class _PieceMemo(dict):
     """Pieces of one instance by `s.tobytes()`; `hits` counts the lookups
     that found their piece."""
@@ -546,56 +510,23 @@ class _PieceMemo(dict):
         return piece
 
 
-def _line_key(anchor: tuple[np.ndarray, float], pair: int) -> tuple[int, bytes]:
-    """Key of the line through `anchor` along direction pair `pair` (0 for
-    lambda, 1 + j for e_j), equal for lines that are positive multiples of
-    each other (zones are cones): b/lambda off coordinate j for an e_j line,
-    b's direction (zeros at b = 0) for a lambda line.  Exact bytes: lines
-    a rounding apart get two keys, which costs a ray, and one key joins
-    only lines that agree to the rounding of one division."""
-    b, lam = anchor
-    if pair:
-        b = b / lam
-        b[pair - 1] = 0.0
-    elif b.any():
-        b = b / np.abs(b).max()
-    return pair, b.tobytes()
-
-
-def _unit_rows(points: np.ndarray) -> np.ndarray:
-    """The rows of `points` divided by their norms; a zero row becomes NaN."""
-    with np.errstate(invalid="ignore"):
-        return points / np.linalg.norm(points, axis=1, keepdims=True)
-
-
 def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGraph:
-    """Best-first search of the zone graph from the all-zero indicator.
+    """Zone graph from the all-zero indicator, one sweep per coverage point.
 
-    A zone is expanded by sweeping rays from a strictly interior anchor:
-    along +/-lambda and along +/-e_j for every b coordinate, 2 + 4m in all,
-    one pair of opposite rays per direction.  Zones visited by the rays
-    become nodes of the frontier; consecutive segments contribute
-    adjacency edges with the breakpoint as witness.  The frontier node
-    expanded next is the one whose anchor direction (b, lambda)/||(b,
-    lambda)|| has the largest cosine with the direction of a still
-    uncovered coverage point, ties going to the earliest discovered node
-    and a zero anchor ranking last: zones are cones, so the nearest
-    direction is the likeliest to lead to the zone of that point.  The
-    search stops after the expansion that covers the last coverage point;
-    it is `incomplete` when its nodes leave a point uncovered, whether its
-    rays ran out or `max_nodes` stopped it.
+    The zero zone holds (0, lambda) for every lambda > 0, and the solution
+    map is continuous and piecewise linear on its zones, so the sweep along
+    the segment from (0, lambda_j) to a coverage point (b_j, lambda_j),
+    t in [0, 1], starts in a certified zone and ends in one that holds the
+    point.  The zones a sweep visits become nodes; consecutive segments
+    contribute adjacency edges with the breakpoint as witness.  Points are
+    taken in the order drawn, and one that an earlier node covers gets no
+    sweep.  The search stops once every point is covered or it holds
+    `max_nodes` zones; it is `incomplete` exactly when its nodes leave a
+    point uncovered.
 
-    A pair of rays sweeps its line whole when both ran to the end of their
-    half-line (`unbounded` or `lambda_terminus`); a dropped, truncated or
-    early-stopped half does not.  Lines that are positive multiples of each
-    other cross the same zones (zones are cones) and share a `_line_key`,
-    so a node skips each pair whose key an earlier pair swept whole, such
-    as that of the line it was found on.  `rays_skipped` counts the
-    skipped rays.
-
-    Each zone's piece is built once per call: one memo serves every ray
-    sweep and coverage test, and a new node is tested at all still
-    uncovered coverage points in one call.
+    Each zone's piece is built once per call: one memo serves every sweep
+    and coverage test, and a new node is tested at all still uncovered
+    coverage points in one call.
     """
     for name in ("r_y", "delta_lambda_min"):
         if not 0.0 < getattr(config, name) < math.inf:
@@ -606,26 +537,15 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     graph.covered = [False] * len(graph.coverage_points)
     cover_b = np.array([b for b, _ in graph.coverage_points], dtype=float).T
     cover_lam = np.array([lam for _, lam in graph.coverage_points], dtype=float)
-    cover_units = _unit_rows(np.vstack([cover_b, cover_lam]).T)
-
-    anchors: dict[str, tuple[np.ndarray, float]] = {}
-    frontier: list[str] = []  # unexpanded nodes, in discovery order
-    units = np.empty((0, 2 * inst.m + 1))  # their anchors' unit directions, as rows
-    whole_lines: set[tuple[int, bytes]] = set()  # `_line_key`s of lines swept whole
     pieces = _PieceMemo()
     edge_keys: set[tuple[str, str]] = set()
 
-    def add_node(s: np.ndarray, anchor, key: str):
-        """Add `s` under `key` to the nodes and the frontier unless it is
-        known; `anchor()` gives the anchor of a new node, so a known node
-        costs none."""
-        nonlocal units
+    def add_node(s: np.ndarray, key: str):
+        """Add `s` under `key` to the nodes unless it is known, and mark
+        the coverage points its zone holds."""
         if key in graph.nodes or len(graph.nodes) >= config.max_nodes:
             return
         graph.nodes[key] = s.copy()
-        anchors[key] = anchor()
-        frontier.append(key)
-        units = np.vstack([units, _unit_rows(np.append(*anchors[key])[None])])
         piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
         todo = np.flatnonzero(np.logical_not(graph.covered))
         if todo.size and piece.compatible:
@@ -640,48 +560,26 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             edge_keys.add(key)
             graph.edges.append((key[0], key[1], np.array(b_w), float(lam_w)))
 
-    def sweep_ray(s, anchor, direction) -> bool:
-        """Walk one ray out of a zone anchor, adding the zones it visits
-        and the edges it crosses; whether it reached its half-line's end
-        (False when the sweep raises)."""
+    s0 = zero_indicator(inst.n)
+    add_node(s0, indicator_to_string(s0))
+    for j, (b, lam) in enumerate(graph.coverage_points):
+        if len(graph.nodes) >= config.max_nodes:
+            break
+        if graph.covered[j]:
+            continue
         graph.rays += 1
-        line = ParameterLine(anchor[0], anchor[1], *direction)
+        line = ParameterLine(np.zeros_like(b), lam, b, 0.0)
         try:
-            result = path_sweep(
-                inst, line, s, t_start=0.0,
-                max_segments=MAX_SEGMENTS_PER_RAY, pieces=pieces,
-            )
+            result = path_sweep(inst, line, s0, t_start=0.0, t_end=1.0, pieces=pieces)
         except ValueError:  # IncompatibleIndicatorError is one
             graph.rays_dropped += 1
-            return False
+            continue
         segs = result.segments
         keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
-            add_node(seg.s, lambda: _anchor_from_segment(line, seg), keys[k])
+            add_node(seg.s, keys[k])
             if k + 1 < len(segs):
                 add_edge(keys[k], keys[k + 1], *line.point_at(seg.t_end))
-        return result.stop_reason in _LINE_ENDS
-
-    s0 = zero_indicator(inst.n)
-    add_node(s0, lambda: (np.zeros(2 * inst.m), 1.0), indicator_to_string(s0))
-    directions = _ray_directions(inst)
-
-    while frontier and len(graph.nodes) < config.max_nodes and not all(graph.covered):
-        todo = np.logical_not(graph.covered)
-        # NaN rows (zero-norm anchors) rank last; argmax takes the earliest
-        best = np.nan_to_num((units @ cover_units[todo].T).max(axis=1), nan=-np.inf)
-        i = int(np.argmax(best))
-        key = frontier.pop(i)
-        units = np.delete(units, i, axis=0)
-        for pair in range(len(directions) // 2):
-            line_key = _line_key(anchors[key], pair)
-            if line_key in whole_lines:
-                graph.rays_skipped += 2
-                continue
-            ends = [sweep_ray(graph.nodes[key], anchors[key], d)
-                    for d in directions[2 * pair: 2 * pair + 2]]
-            if all(ends):
-                whole_lines.add(line_key)
 
     graph.incomplete = not all(graph.covered)
     graph.pieces_built = len(pieces)

@@ -255,13 +255,12 @@ def test_enumerate_budget_exhaustion(instance_file, tmp_path):
     assert json.loads(out.read_text())["incomplete"] is True
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 8, 10, 15])
+@pytest.mark.parametrize("seed", [1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 19, 20])
 def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
-    # these 3x3 instances cover all 64 samples with 183 to 241 of the 256
-    # nodes allowed; a search that ran on to the end of its breadth-first
-    # level hit max_nodes there and reported seeds 1 and 10 incomplete, and
-    # one that expanded its nodes in the order found hit it on seeds 2, 3,
-    # 8 and 15 before the last sample was covered
+    # sweeping from b = 0 to each uncovered sample covers all 64 samples of
+    # these 3x3 instances with 38 to 97 of the 256 nodes allowed; a search
+    # that walked axis rays out of each zone hit max_nodes first on seeds
+    # 5, 6, 7, 9, 11, 12, 16, 17, 19 and 20
     A = np.random.default_rng(seed).normal(size=(3, 3))
     inst = {"A": A.tolist(), "rho": 0.3, "y": [0.0] * 3, "lambda": 1.0}
     out = tmp_path / "graph.json"
@@ -272,6 +271,20 @@ def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
     assert data["coverage"]["covered"] == data["coverage"]["required"] == 64
     assert data["incomplete"] is False
     assert len(data["nodes"]) < 256
+
+
+@pytest.mark.parametrize("command, flags, unread", [
+    ("solve", [], ["--seed", "1"]),
+    ("enumerate", ["--r-y", "5", "--delta-lambda-min", "0.1"], ["--tol", "1e-9"]),
+])
+def test_flags_a_command_does_not_read_are_rejected(instance_file, capsys, command, flags,
+                                                    unread):
+    # solve draws nothing at random and enumerate takes no tolerance
+    argv = [command, "--instance", instance_file(TWO_COLUMN), *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + unread)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
 
 
 def test_deterministic_output_same_seed(instance_file, tmp_path):

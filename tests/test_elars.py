@@ -633,22 +633,6 @@ class TestEnumerateZones:
                 meeting.add(key)
         assert meeting == brute.indicators
 
-    def test_anchors_only_for_new_nodes(self, monkeypatch):
-        # a segment of a known zone needs no anchor: one anchor per node
-        # found by a sweep, not one per segment swept
-        import sgmc.elars
-
-        calls = []
-        anchor = sgmc.elars._anchor_from_segment
-        monkeypatch.setattr(sgmc.elars, "_anchor_from_segment",
-                            lambda line, seg: calls.append(seg) or anchor(line, seg))
-        A = np.random.default_rng([1, 0]).normal(size=(2, 3))
-        inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
-        config = EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, seed=0, n_coverage=24)
-        graph = enumerate_zones(inst, config)
-        assert len(calls) == len(graph.nodes) - 1  # the start node has its own
-        assert len({indicator_to_string(seg.s) for seg in calls}) == len(calls)
-
     @pytest.mark.parametrize("case", ["symmetric_2x2", "gaussian_2x3"])
     def test_graph_independent_of_piece_updates(self, case, monkeypatch):
         # the graph follows the zones, not the rounding of the route that
@@ -745,166 +729,55 @@ class TestEnumerateZones:
         second = enumerate_zones(two_column, config)
         assert first.to_dict() == second.to_dict()
 
-    def test_no_ray_rewalks_the_whole_line_it_was_found_on(self, monkeypatch):
-        # a node's anchor lies on a positive multiple of the line of the ray
-        # that found it, and of other nodes' lines: no node sweeps a pair of
-        # rays along a line that an earlier pair swept whole
-        graph, rays, anchors, expansions = _recorded_enumeration(monkeypatch)
-        skipped, _ = _check_skip_rule(graph, rays, anchors, expansions)
-        assert skipped == graph.rays_skipped > 0
-
-    def test_skip_keeps_the_ray_count(self, monkeypatch):
-        # every expanded node sweeps or skips each of its 2 + 4m rays
-        graph, rays, *_ = _recorded_enumeration(monkeypatch)
-        expanded = len({ray.key for ray in rays})
-        assert graph.rays == len(rays)
-        counters = graph.to_dict()["counters"]
-        assert counters["rays"] + counters["rays_skipped"] == (2 + 4 * 2) * expanded
-
-    def test_skipped_rays_find_nothing_new(self, monkeypatch):
-        # sweeping the skipped rays anyway, from each node's anchor, visits
-        # only known nodes and crosses only known edges
+    def test_sweeps_from_the_zero_zone_to_each_uncovered_sample(self, monkeypatch):
+        # each sweep starts in the zero zone at b = 0 on its sample's
+        # lambda, runs for the first sample that no node found before it
+        # covers, and ends at t = 1 in a zone that holds that sample; no
+        # sweep follows the one that covers the last sample
         import sgmc.elars
 
-        graph, rays, *_ = _recorded_enumeration(monkeypatch)
-        inst = _gaussian_zones_instance()[0]
-        edges = {(sa, sb) for sa, sb, *_ in graph.edges}
-        directions = sgmc.elars._ray_directions(inst)
-        checked = 0
-        for key in dict.fromkeys(ray.key for ray in rays):
-            own = [ray for ray in rays if ray.key == key]
-            anchor = own[0].line
-            for pair in set(range(len(directions) // 2)) - {_pair(ray.line) for ray in own}:
-                for direction in directions[2 * pair: 2 * pair + 2]:
-                    line = ParameterLine(anchor.b0, anchor.lam0, *direction)
-                    sweep = path_sweep(inst, line, graph.nodes[key], t_start=0.0, max_segments=32)
-                    assert sweep.stop_reason in ("unbounded", "lambda_terminus")
-                    names = [indicator_to_string(seg.s) for seg in sweep.segments]
-                    assert set(names) <= set(graph.nodes)
-                    for sa, sb in zip(names, names[1:]):
-                        assert sa == sb or (min(sa, sb), max(sa, sb)) in edges
-                    checked += 1
-        assert checked == graph.rays_skipped
+        sweeps = []
+        sweep = sgmc.elars.path_sweep
 
-    def test_truncated_lines_are_not_skipped(self, monkeypatch):
-        # with four segments per ray some sweeps truncate; a line with a
-        # truncated half keeps no key, and a later node on it sweeps it again
-        import sgmc.elars
+        def recording(inst, line, s, **kwargs):
+            result = sweep(inst, line, s, **kwargs)
+            sweeps.append((s, result))
+            return result
 
-        monkeypatch.setattr(sgmc.elars, "MAX_SEGMENTS_PER_RAY", 4)
-        graph, rays, anchors, expansions = _recorded_enumeration(monkeypatch)
-        skipped, unfinished = _check_skip_rule(graph, rays, anchors, expansions)
-        assert skipped == graph.rays_skipped
-        assert sum(ray.stop == "max_segments" for ray in rays) > 0
-        assert unfinished > 0
-
-    def test_stops_after_the_expansion_that_covers_the_last_sample(self, monkeypatch):
-        # the rays after the one whose zones cover the last coverage point
-        # all belong to that ray's node, and nodes found by then stay
-        # unexpanded
-        graph, rays, *_ = _recorded_enumeration(monkeypatch)
-        meets = _meets(_gaussian_zones_instance()[0], graph)
-        covered = meets[rays[0].key].copy()
-        last = None
-        for i, ray in enumerate(rays):
-            for seg in ray.result.segments:
-                covered |= meets.get(indicator_to_string(seg.s), False)
-            if covered.all():
-                last = i
-                break
-        assert last is not None and not graph.incomplete
-        assert {ray.key for ray in rays[last:]} == {rays[last].key}
-        assert len({ray.key for ray in rays}) < len(graph.nodes)
-
-    def test_expands_the_node_nearest_an_uncovered_sample(self, monkeypatch):
-        # replaying the search: of the frontier at each expansion (nodes
-        # found, not yet expanded), the expanded node has the largest cosine
-        # between its anchor's direction in (b, lambda) and an uncovered
-        # coverage point's, and every earlier found node a smaller one
-        graph, _, anchors, expansions = _recorded_enumeration(monkeypatch)
-        meets = _meets(_gaussian_zones_instance()[0], graph)
-        points = np.array([np.append(b, lam) for b, lam in graph.coverage_points])
-        points /= np.linalg.norm(points, axis=1, keepdims=True)
-        found, done = list(anchors), set()
-        not_first = 0
-        for key, n_found in expansions:
-            frontier = [k for k in found[:n_found] if k not in done]
-            covered = np.any([meets[k] for k in found[:n_found]], axis=0)
-            assert not covered.all()
-            best = []
-            for k in frontier:
-                anchor = np.append(*anchors[k])
-                best.append((points[~covered] @ anchor).max() / np.linalg.norm(anchor))
-            i = frontier.index(key)
-            assert all(c < best[i] for c in best[:i])
-            assert all(c <= best[i] for c in best[i + 1:])
-            not_first += i > 0
-            done.add(key)
-        assert not_first > 0  # the order is not the order of discovery
+        monkeypatch.setattr(sgmc.elars, "path_sweep", recording)
+        inst, config = _gaussian_zones_instance()
+        graph = enumerate_zones(inst, config)
         assert not graph.incomplete
+        assert graph.rays == len(sweeps) > 1
+        meets = _meets(inst, graph)
+        found = {indicator_to_string(zero_indicator(inst.n))}
+        for s, result in sweeps:
+            covered = np.any([meets[k] for k in found], axis=0)
+            assert not covered.all()
+            j = int(np.flatnonzero(~covered)[0])
+            b, lam = graph.coverage_points[j]
+            line = result.line
+            assert not s.any()
+            assert not line.b0.any() and line.delta_lam == 0
+            npt.assert_array_equal(line.delta_b, b)
+            assert line.lam0 == lam
+            segs = result.segments
+            assert segs[0].t_start == 0 and not segs[0].s.any()
+            assert result.stop_reason == "t_end_reached" and segs[-1].t_end == 1
+            assert zone_membership(inst, segs[-1].s, b, lam)
+            found |= {indicator_to_string(seg.s) for seg in segs}
+        assert found == set(graph.nodes)
+        assert np.any([meets[k] for k in found], axis=0).all()
 
     def test_invalid_delta_lambda(self, two_column):
         with pytest.raises(ValueError):
             enumerate_zones(two_column, EnumerationConfig(r_y=1.0, delta_lambda_min=0.0))
 
 
-class _Ray:
-    """One ray sweep of an enumeration: the expanded node's key, its line
-    and its stop reason (None when the sweep raised)."""
-
-    def __init__(self, key, line, result):
-        self.key, self.line, self.result = key, line, result
-        self.stop = None if result is None else result.stop_reason
-        self.ended = self.stop in ("unbounded", "lambda_terminus")
-
-
 def _gaussian_zones_instance():
     A = np.random.default_rng([1, 0]).normal(size=(2, 3))
     inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
     return inst, EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, seed=0, n_coverage=24)
-
-
-def _recorded_enumeration(monkeypatch):
-    """Enumerate the `zones` seed 1 round 0 instance, recording every ray,
-    the anchor of every node in the order of discovery, and the expansions
-    in the order they ran, each as (node, nodes found before it)."""
-    import sgmc.elars
-
-    rays, expansions = [], []
-    anchors = {indicator_to_string(zero_indicator(3)): (np.zeros(4), 1.0)}
-    sweep = sgmc.elars.path_sweep
-    anchor_of = sgmc.elars._anchor_from_segment
-    line_key = sgmc.elars._line_key
-
-    def recording(inst, line, s, **kwargs):
-        try:
-            result = sweep(inst, line, s, **kwargs)
-        except ValueError:
-            rays.append(_Ray(indicator_to_string(s), line, None))
-            raise
-        rays.append(_Ray(indicator_to_string(s), line, result))
-        return result
-
-    def anchoring(line, seg):
-        anchor = anchors[indicator_to_string(seg.s)] = anchor_of(line, seg)
-        return anchor
-
-    def keying(anchor, pair):
-        # an expansion keys each of its direction pairs in turn, from pair 0
-        if pair == 0:
-            b, lam = anchor
-            key = next(k for k, (b_k, lam_k) in anchors.items()
-                       if lam_k == lam and np.array_equal(b_k, b))
-            expansions.append((key, len(anchors)))
-        return line_key(anchor, pair)
-
-    monkeypatch.setattr(sgmc.elars, "path_sweep", recording)
-    monkeypatch.setattr(sgmc.elars, "_anchor_from_segment", anchoring)
-    monkeypatch.setattr(sgmc.elars, "_line_key", keying)
-    graph = enumerate_zones(*_gaussian_zones_instance())
-    assert list(anchors) == list(graph.nodes)
-    assert len({key for key, _ in expansions}) == len(expansions)
-    return graph, rays, anchors, expansions
 
 
 def _meets(inst, graph):
@@ -915,67 +788,3 @@ def _meets(inst, graph):
         meets[key] = np.array([zone_membership(inst, s, b, lam, piece=piece)
                                for b, lam in graph.coverage_points])
     return meets
-
-
-def _pair(line):
-    """Direction pair of an enumeration ray: 0 for lambda, 1 + j for e_j."""
-    return 0 if line.delta_lam else 1 + int(np.flatnonzero(line.delta_b)[0])
-
-
-def _line_key(anchor, pair):
-    """Key of the line through `anchor` along `pair`, equal for lines that
-    are positive multiples of each other: (pair, b/lambda with coordinate
-    j at 0) for e_j, (0, b/max|b|, zeros at b = 0) for lambda."""
-    b, lam = anchor
-    if pair:
-        off = b / lam
-        off[pair - 1] = 0.0
-        return pair, off.tobytes()
-    scale = np.abs(b).max()
-    return 0, (b / scale if scale else np.zeros_like(b)).tobytes()
-
-
-def _check_skip_rule(graph, rays, anchors, expansions):
-    """Replay the expansions in the order they ran and assert that each
-    node sweeps both rays of every pair from its anchor except the pairs
-    whose line key an earlier pair swept whole (both rays ran to their
-    ends), which it skips, and that such a node's anchor lies on a positive
-    multiple of the earlier line.  Gives the rays skipped and the pairs
-    swept again after an earlier sweep of their line truncated."""
-    n_pairs = 1 + len(anchors[rays[0].key][0])
-    expanded = [key for key, _ in expansions]
-    assert len(expanded) == (graph.rays + graph.rays_skipped) // (2 * n_pairs)
-    assert list(dict.fromkeys(ray.key for ray in rays)) == [
-        key for key in expanded if any(ray.key == key for ray in rays)
-    ]
-    whole, truncated = {}, set()
-    skipped = unfinished = 0
-    for key in expanded:
-        own = [ray for ray in rays if ray.key == key]
-        b, lam = anchors[key]
-        for pair in range(n_pairs):
-            line = _line_key((b, lam), pair)
-            halves = [ray for ray in own if _pair(ray.line) == pair]
-            if line in whole:
-                assert not halves
-                assert _positive_multiple_on(b, lam, whole[line])
-                skipped += 2
-                continue
-            assert len(halves) == 2
-            for ray in halves:
-                npt.assert_array_equal(ray.line.b0, b)
-                assert ray.line.lam0 == lam
-            unfinished += line in truncated
-            if all(ray.ended for ray in halves):
-                whole[line] = halves[0].line
-            elif any(ray.stop == "max_segments" for ray in halves):
-                truncated.add(line)
-    return skipped, unfinished
-
-
-def _positive_multiple_on(b, lam, line):
-    """Whether alpha * (b, lam) lies on `line` for some alpha > 0."""
-    lhs = np.column_stack([np.append(b, lam), -np.append(line.delta_b, line.delta_lam)])
-    rhs = np.append(line.b0, line.lam0)
-    coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    return coef[0] > 0 and np.abs(lhs @ coef - rhs).max() <= 1e-9 * np.abs(rhs).max()

@@ -5,9 +5,9 @@ Zones are cones, so scaling y (hence b and lambda_max) by alpha, or A by
 c, multiplies every breakpoint of a lambda descent by that factor and keeps
 its indicators.  Rotating the rows of (A, y, r) keeps the path; permuting
 the columns of A, or flipping their signs, permutes or flips the primal and
-dual halves of each indicator alike.  For the same reason the zero zone's
-certificate and the zone search's order depend only on the direction of
-(b, lambda), not on its length.
+dual halves of each indicator alike.  For the same reason zone membership
+and the zone search depend only on the direction of (b, lambda), not on
+its length.
 """
 
 import functools
@@ -26,6 +26,7 @@ from sgmc import (
     initialize_indicator,
     path_sweep,
     zero_indicator,
+    zone_membership,
 )
 
 SHAPE = (20, 40)
@@ -126,13 +127,16 @@ def test_zero_start_is_certified_at_every_scale(alpha):
     assert not initialize_indicator(inst, inst.b, lam_max).any()
     with pytest.raises(ValueError):
         initialize_indicator(inst, inst.b, lam_max * (1 - 1e-6))
+
+
 @pytest.mark.parametrize("factor", [1e-4, 1e4])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_zone_search_ignores_the_scale_of_its_samples(seed, factor):
     # the instances of the `zones` benchmark, seeds 1-3, rounds 0-7: scaling
-    # the coverage samples (r_y and delta_lambda_min together) keeps their
-    # directions, so the best-first order, and with it every node, edge and
-    # counter, stays as it is
+    # the coverage samples (r_y and delta_lambda_min together) scales each
+    # sweep's segment from b = 0, so every node, edge, coverage flag and
+    # counter stays as it is, and each edge witness, a point of a sweep,
+    # scales by the factor
     for k in range(8):
         A = np.random.default_rng([seed, k]).normal(size=(2, 3))
         inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(2), lam=1.0)
@@ -140,5 +144,25 @@ def test_zone_search_ignores_the_scale_of_its_samples(seed, factor):
         scaled = EnumerationConfig(r_y=3.0 * factor, delta_lambda_min=0.3 * factor,
                                    n_coverage=24, seed=k)
         graph = enumerate_zones(inst, base)
+        other = enumerate_zones(inst, scaled)
         assert not graph.incomplete
-        assert enumerate_zones(inst, scaled).to_dict() == graph.to_dict()
+        assert list(other.nodes) == list(graph.nodes)
+        assert [e[:2] for e in other.edges] == [e[:2] for e in graph.edges]
+        assert other.covered == graph.covered and other.incomplete == graph.incomplete
+        assert other.to_dict()["counters"] == graph.to_dict()["counters"]
+        for (*_, b, lam), (*_, b_s, lam_s) in zip(graph.edges, other.edges):
+            npt.assert_allclose(np.append(b_s, lam_s), factor * np.append(b, lam),
+                                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-4, 1.0, 1e4])
+def test_zero_zone_membership_is_scale_free(alpha):
+    # the zero zone holds (b, lambda) iff max|c_i^T b| <= lambda, at every
+    # scale: lambda_max is inside and 0.99 lambda_max outside (an absolute
+    # slack of 1e-9 took 0.99 lambda_max in at alpha = 1e-8)
+    A, y, r = _data(0)
+    inst = ProblemInstance(A=A, rho=0.3, y=y * alpha, r=r * alpha, lam=1.0)
+    lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+    s0 = zero_indicator(inst.n)
+    assert zone_membership(inst, s0, inst.b, lam_max)
+    assert not zone_membership(inst, s0, inst.b, 0.99 * lam_max)
