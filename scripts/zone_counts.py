@@ -5,17 +5,18 @@ benchmark instances.
 For each instance (seed, round) of the `zones` workload it prints the
 nodes and edges of `enumerate_zones`, its `rays` counter (the sweeps from
 b = 0 to a coverage point), the E-LARS steps it takes (calls of
-`elars_iterate`) and the zone evaluations of `brute_force_indicators` over
-the graph's coverage points (calls of `zone_margins`), then the totals.  Calls are counted by
-rebinding the names the package calls them by, as perfbench/tracing.py
-does, so the package runs unchanged.
+`elars_iterate`) and the batched rank cuts of `brute_force_indicators` over
+the graph's coverage points (calls of `rank_cut`, one per support size
+k = 0..2n), then the totals.  Calls are counted by rebinding the names the
+package calls them by, as perfbench/tracing.py does, so the package runs
+unchanged.
 
     python3 scripts/zone_counts.py --seeds 1,2,3 --rounds 8
 
 A 30 s `zones` run does rounds 0-7 of its seed.  The search sweeps only
 to coverage points that no zone found so far holds, so the nodes and
 edges are the zones on those sweeps: over seeds 1-3, rounds 0-7, the
-totals are 581 nodes, 586 edges, 198 rays and 944 steps.
+totals are 581 nodes, 586 edges, 198 rays, 944 steps and 168 rank cuts.
 """
 
 import argparse
@@ -34,7 +35,7 @@ import sgmc.elars  # noqa: E402
 import sgmc.oracle  # noqa: E402
 from workloads import Zones  # noqa: E402
 
-COLUMNS = ("nodes", "edges", "rays", "steps", "zone_evals")
+COLUMNS = ("nodes", "edges", "rays", "steps", "rank_cuts")
 
 
 @contextmanager
@@ -63,11 +64,11 @@ def instance_counts(A, config) -> dict:
     inst = sgmc.ProblemInstance(A=A, rho=Zones.rho, y=np.zeros(A.shape[0]), lam=1.0)
     calls = Counter()
     with counting(calls, steps=(sgmc.elars, "elars_iterate"),
-                  zone_evals=(sgmc.oracle, "zone_margins")):
+                  rank_cuts=(sgmc.oracle, "rank_cut")):
         graph = sgmc.enumerate_zones(inst, config)
         sgmc.brute_force_indicators(A, Zones.rho, graph.coverage_points)
     return {"nodes": len(graph.nodes), "edges": len(graph.edges), "rays": graph.rays,
-            **{k: calls[k] for k in ("steps", "zone_evals")}}
+            **{k: calls[k] for k in ("steps", "rank_cuts")}}
 
 
 def main():

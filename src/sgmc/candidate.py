@@ -15,7 +15,9 @@ A piece keeps M and pinv(M) rather than R and applies pinv(M) to
 C_E^T b - lambda s_E.  Since D + D^T is positive definite, null(M) =
 null(C_E), the orthogonal complement of Col(C_E^T).  So the one rank cut of
 the SVD of M gives pinv(M) and, in the right singular vectors it drops, the
-test of [s]_E in Col(C_E^T), without which the zone is empty.
+test of [s]_E in Col(C_E^T), without which the zone is empty.  That cut
+is `rank_cut`'s, which takes one M or a stack of them: brute force cuts
+all supports of one size in one batched SVD.
 Neighbouring zones differ in one support index, so `next_piece` updates
 M by a border or a swap and M^{-1} by a bordered inverse or a downdate, in
 O(|E|^2), instead of rebuilding M^{-1} in O(|E|^3).  The rows and columns
@@ -71,12 +73,6 @@ class CandidatePiece:
     exactly when `Minv` is the true inverse.  `mats` holds the instance's
     structural matrices, shared, not copied.  Pieces are shared through
     memos, so nothing may mutate their arrays.
-
-    M and its pseudo-inverse do not depend on the signs, so a piece with
-    a (P, 2n) stack of sign patterns on `support` as `s` stands for P
-    indicators at once; `eval_weq` and `zone_margins` take it, with one
-    more axis for the patterns, and brute force builds it to zone-test the
-    patterns of a support together.
     """
 
     s: np.ndarray
@@ -99,11 +95,8 @@ class CandidatePiece:
 
     def compatible_signs(self, signs: np.ndarray) -> np.ndarray:
         """Which rows of `signs`, sign patterns on `support`, lie in
-        Col(C_E^T): those whose component in null(C_E), signs N^T N, is
-        within COMPAT_TOL * sqrt(|E|) of zero in the sup norm.  One product
-        tests every pattern of the support."""
-        residual = (np.atleast_2d(signs) @ self.null.T) @ self.null
-        return np.abs(residual).max(axis=1, initial=0.0) <= COMPAT_TOL * np.sqrt(self.support.size)
+        Col(C_E^T) (`in_row_space` on the piece's `null`)."""
+        return in_row_space(signs, self.null)
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -121,25 +114,67 @@ class CandidatePiece:
         `b` may hold k parameter points as columns, with `lam` of length k.
         The two parts are mapped separately, as the columns of R are, so
         the map stays linear where s_E is (nearly) in the null space of M
-        and C_E^T b would be lost in rounding against s_E lam.  For a stack
-        `s` of P sign patterns the result has shape (|E|, P) + lam's shape:
-        pinv(M) C_E^T b is shared, and pinv(M) S_E^T (x) lam differs."""
+        and C_E^T b would be lost in rounding against s_E lam."""
         E = self.support
-        signs = self.s[..., E].T
-        shared = self.Minv @ self.mats.ct(b.T).T[E]
-        if signs.ndim > 1:
-            shared = shared[:, None]
-        return shared - np.multiply.outer(self.Minv @ signs, lam)
+        return self.Minv @ self.mats.ct(b.T).T[E] - np.multiply.outer(self.Minv @ self.s[E], lam)
+
+
+def in_row_space(signs: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """Which rows of `signs`, (P, k) sign patterns on a support, lie in
+    Col(C_E^T): those whose component in null(C_E), signs N^T N for the
+    rows N of `null`, is within COMPAT_TOL * sqrt(k) of zero in the sup
+    norm.  A (..., r, k) stack of bases gives (..., P); zero rows in a
+    basis change nothing.  One product tests every pattern."""
+    residual = (np.atleast_2d(signs) @ np.swapaxes(null, -1, -2)) @ null
+    return np.abs(residual).max(axis=-1, initial=0.0) <= COMPAT_TOL * np.sqrt(null.shape[-1])
+
+
+@dataclass(frozen=True)
+class RankCut:
+    """The rank cut of M = C_E^T D C_E, or of each matrix of a stack.
+
+    `Minv` holds the pseudo-inverses and `rank` the number of singular
+    values kept.  `null`, shaped like M, holds the right singular vectors
+    the cut drops as rows, an orthonormal basis of null(C_E), and zeros in
+    the first `rank` rows, where the kept ones were; `in_row_space` tests
+    sign patterns against it."""
+
+    Minv: np.ndarray
+    null: np.ndarray
+    rank: np.ndarray
+
+
+def rank_cut(M: np.ndarray, nonzero: bool | np.ndarray) -> RankCut:
+    """The one rank decision on M = C_E^T D C_E, or on each matrix of a
+    (..., k, k) stack, from one (batched) SVD: singular values at or below
+    PINV_RTOL times the largest are dropped.  `nonzero` tells, per matrix,
+    whether C_E has a nonzero entry.  Data so small that a nonzero C_E
+    gives an M below GRAM_TINY (about |A| < 1e-148, where its entries
+    approach the subnormal range and its pseudo-inverse would overflow)
+    raise ValueError: rescale them."""
+    U, sv, Vt = np.linalg.svd(M)
+    top = sv.max(axis=-1, initial=0.0)
+    tiny = (top < GRAM_TINY) & nonzero
+    if np.any(tiny):
+        raise ValueError(
+            f"C_E^T D C_E is too small to invert (largest singular value "
+            f"{np.max(top, where=tiny, initial=0.0):.3g}); rescale the data"
+        )
+    keep = sv > PINV_RTOL * top[..., None]
+    V = np.swapaxes(Vt, -1, -2)
+    V_scaled = np.divide(V, sv[..., None, :], out=np.zeros_like(V), where=keep[..., None, :])
+    return RankCut(
+        Minv=V_scaled @ np.swapaxes(U, -1, -2),
+        null=Vt * ~keep[..., None],
+        rank=keep.sum(axis=-1),
+    )
 
 
 def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     """Closed-form piece via the Moore-Penrose pseudoinverse of
-    C_E^T D C_E: singular values below PINV_RTOL relative are dropped, and
-    their right singular vectors are kept as the piece's `null`, from which
-    its compatibility is read.  Data so small that a nonzero C_E gives an M
-    below GRAM_TINY (about |A| < 1e-148, where its entries approach the
-    subnormal range and its pseudo-inverse would overflow) raise
-    ValueError: rescale them."""
+    C_E^T D C_E, from `rank_cut` of its one M: the right singular vectors
+    that the cut drops are kept as the piece's `null`, from which its
+    compatibility is read.  Data too small for the cut raise ValueError."""
     s = as_indicator(s)
     E = np.flatnonzero(s)
     mats = inst.matrices
@@ -147,15 +182,10 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
         empty = np.zeros((0, 0))
         return CandidatePiece(s=s, M=empty, Minv=empty, null=empty, mats=mats, support=E)
     M = mats.gram_block(E)
-    U, sv, Vt = np.linalg.svd(M)
-    if sv[0] < GRAM_TINY and mats.col_abs_sums[E].any():
-        raise ValueError(
-            f"C_E^T D C_E is too small to invert (largest singular value "
-            f"{sv[0]:.3g}); rescale the data"
-        )
-    keep = sv > PINV_RTOL * sv[0]
-    Minv = (Vt[keep].T / sv[keep]) @ U[:, keep].T
-    return CandidatePiece(s=s, M=M, Minv=Minv, null=Vt[~keep], mats=mats, support=E)
+    cut = rank_cut(M, mats.col_abs_sums[E].any())
+    # a copy, so that the piece does not hold the padded |E| x |E| basis
+    null = cut.null[cut.rank:].copy()
+    return CandidatePiece(s=s, M=M, Minv=cut.Minv, null=null, mats=mats, support=E)
 
 
 def next_piece(
@@ -238,10 +268,9 @@ def next_piece(
 def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Evaluate the candidate map at (b, lambda): R [b; lambda] on the
     support, zeros elsewhere.  k points given as the columns of `b`, with
-    `lam` of length k, give k columns; a stack of P sign patterns in
-    `piece.s` gives shape (2n, P) + lam's shape."""
+    `lam` of length k, give k columns."""
     E = piece.support
-    w = np.zeros(piece.s.shape[-1:] + piece.s.shape[:-1] + np.shape(lam))
+    w = np.zeros(piece.s.shape + np.shape(lam))
     if E.size:
         w[E] = piece.apply(b, lam)
     return w
@@ -302,8 +331,7 @@ def zone_membership(
 @dataclass(frozen=True)
 class ZoneMargins:
     """Worst margins of the two zone inequality families (>= 0 inside),
-    one value per parameter point (floats for a single point), and per
-    sign pattern for a stacked piece (shape (P, k))."""
+    one value per parameter point (floats for a single point)."""
 
     sign_margin: float | np.ndarray  # min over the support of s_i * w_i
     corr_margin: float | np.ndarray  # min off the support of lambda - |xi_i(w)|
@@ -332,20 +360,15 @@ def zone_margins(
     inst: ProblemInstance, piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray
 ) -> ZoneMargins:
     """Margins of the zone of `piece` at (b, lambda), or at k points given
-    as the columns of `b` with `lam` of length k, for the piece's one
-    indicator or each pattern of its stack: one evaluation of the map and
-    one correlation product, over the stacked columns, for all of them."""
+    as the columns of `b` with `lam` of length k: one evaluation of the map
+    and one correlation product for all of them."""
     w = eval_weq(piece, b, lam)
     E = piece.support
     off = np.ones(w.shape[0], dtype=bool)
     off[E] = False
-    if w.ndim > 2:  # patterns x points: each pattern's columns see all of b
-        b = np.broadcast_to(b[:, None], b.shape[:1] + w.shape[1:]).reshape(b.shape[0], -1)
-    xi = correlation(inst, w.reshape(w.shape[0], -1) if w.ndim > 2 else w, b=b)
-    xi = xi.reshape(w.shape)
+    xi = correlation(inst, w, b=b)
     no_bound = np.full(w.shape[1:], np.inf)
-    s_E = piece.s[..., E].T
-    s_E = s_E.reshape(s_E.shape + (1,) * (w.ndim - s_E.ndim))
+    s_E = piece.s[E].reshape((-1,) + (1,) * (w.ndim - 1))
     sign_margin = (s_E * w[E]).min(axis=0) if E.size else no_bound
     corr_margin = (lam - np.abs(xi[off])).min(axis=0) if off.any() else no_bound
     if w.ndim == 1:

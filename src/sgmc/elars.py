@@ -555,8 +555,10 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
                 graph.covered[j] = True
 
     def add_edge(sa: str, sb: str, b_w: np.ndarray, lam_w: float):
+        """Record the adjacency of two nodes, once; not if `add_node`
+        refused either zone at `max_nodes`."""
         key = (min(sa, sb), max(sa, sb))
-        if sa != sb and key not in edge_keys:
+        if sa != sb and key not in edge_keys and sa in graph.nodes and sb in graph.nodes:
             edge_keys.add(key)
             graph.edges.append((key[0], key[1], np.array(b_w), float(lam_w)))
 
@@ -578,8 +580,8 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
             add_node(seg.s, keys[k])
-            if k + 1 < len(segs):
-                add_edge(keys[k], keys[k + 1], *line.point_at(seg.t_end))
+            if k:
+                add_edge(keys[k - 1], keys[k], *line.point_at(segs[k - 1].t_end))
 
     graph.incomplete = not all(graph.covered)
     graph.pieces_built = len(pieces)

@@ -6,23 +6,24 @@ equality+inequality system) and the LASSO reference (plain coordinate
 descent) share no code with the candidate/sweep machinery.  Brute force,
 which solves tiny instances outright by enumerating all 3^(2n) candidate
 indicators, is independent of the sweep and the zone enumerator but not of
-the closed forms: it builds one piece per support with `candidate_slope`
-and tests the zones of all the support's compatible sign patterns, at all
-samples, in one `zone_margins` call.  Only its optimality check,
-`check_opt` on the dense C and D, is independent of them.
+the closed forms: for each support size it takes the pseudo-inverses of all
+supports from one batched `rank_cut`, the rule of `candidate_slope`, and
+tests the zones of all their compatible sign patterns, at all samples, in
+one evaluation.  Only its optimality check, `check_opt` on the dense C and
+D, is independent of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidate import candidate_slope, eval_weq, zone_margins
+from .candidate import ZoneMargins, in_row_space, rank_cut
 from .model import ProblemInstance, as_indicator, indicator_to_string
-from .optimality import check_opt
+from .optimality import check_opt, correlation
 
 
 class NonConvergenceError(RuntimeError):
@@ -325,6 +326,12 @@ def brute_force_indicators(
     candidate matches a sample when its zone holds the sample and its map
     passes `check_opt` there within BRUTE_FORCE_OPT_TOL.
 
+    The zones are tested by support size k (`_zone_members`): the blocks
+    M = C_E^T D C_E do not depend on the signs, so all supports of one size
+    share one batched `rank_cut` and all their sign patterns one zone
+    test at all samples.  Only the (indicator, sample) members of a zone
+    go on to the optimality check, one at a time.
+
     Guarded to 2n <= 10 (3^10 = 59049 candidates).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -339,31 +346,12 @@ def brute_force_indicators(
     B = np.column_stack([b for b, _ in points])
     lams = np.array([lam for _, lam in points], dtype=float)
 
-    # M = C_E^T D C_E does not depend on the signs, so each support's piece
-    # is built once, one product tests the compatibility of all its sign
-    # patterns, and one evaluation tests the zones of the compatible ones at
-    # every sample.  Only the few (pattern, sample) members go on to the
-    # optimality check, one at a time
     per_sample: list[list[tuple[float, int, str]]] = [[] for _ in points]
-    for on in itertools.product((True, False), repeat=2 * n):
-        E = np.flatnonzero(on)
-        support_piece = candidate_slope(base, on)
-        signs = np.array(list(itertools.product((1, -1), repeat=E.size)), dtype=int)
-        signs = signs[support_piece.compatible_signs(signs)]
-        if not len(signs):
-            continue
-        stack = np.zeros((len(signs), 2 * n), dtype=int)
-        stack[:, E] = signs
-        inside = zone_margins(base, replace(support_piece, s=stack), B, lams).inside(lams)
-        for p in np.flatnonzero(inside.any(axis=1)):
-            piece = replace(support_piece, s=stack[p])
-            for j in np.flatnonzero(inside[p]):
-                b, lam = points[j]
-                w = eval_weq(piece, b, lam)
-                if check_opt(base, w, b=b, lam=lam).worst_violation <= BRUTE_FORCE_OPT_TOL:
-                    per_sample[j].append(
-                        (float(np.linalg.norm(w)), E.size, indicator_to_string(stack[p]))
-                    )
+    for k in range(2 * n + 1):
+        for j, w, key in _zone_members(base, k, B, lams):
+            b, lam = points[j]
+            if check_opt(base, w, b=b, lam=lam).worst_violation <= BRUTE_FORCE_OPT_TOL:
+                per_sample[j].append((float(np.linalg.norm(w)), k, key))
 
     for matched in per_sample:
         result.matches.append(sorted(key for *_rest, key in matched))
@@ -379,3 +367,52 @@ def brute_force_indicators(
         result.assignments.append(chosen)
         result.indicators.add(chosen)
     return result
+
+
+def _zone_members(
+    base: ProblemInstance, k: int, B: np.ndarray, lams: np.ndarray
+) -> list[tuple[int, np.ndarray, str]]:
+    """(sample index, map value there, indicator string) for each sample,
+    a column of `B` with its lambda in `lams`, that the zone of a
+    compatible indicator with k support indices holds.
+
+    One `rank_cut` of the C(2n, k) blocks of C^T D C, one compatibility
+    product over all (support, sign pattern) pairs, and one evaluation of
+    the maps and correlations of the compatible pairs at all samples.
+    Its arrays, (pairs) x 2n x (samples) floats, are freed on return.
+    """
+    mats = base.matrices
+    two_n = 2 * base.n
+    G = mats.gram_block(np.arange(two_n))
+    combos = list(itertools.combinations(range(two_n), k))
+    supports = np.array(combos, dtype=int).reshape(len(combos), k)
+    patterns = list(itertools.product((1, -1), repeat=k))
+    signs = np.array(patterns, dtype=int).reshape(len(patterns), k)
+    cut = rank_cut(
+        G[supports[:, :, None], supports[:, None, :]],
+        mats.col_abs_sums[supports].any(axis=1),
+    )
+    of, pattern = np.nonzero(in_row_space(signs, cut.null))
+    if not of.size:
+        return []
+    # the compatible pairs' maps at every sample, as `CandidatePiece.apply`
+    # forms them: pinv(M) C_E^T b - lambda pinv(M) s_E
+    E, s_E = supports[of], signs[pattern]
+    w_E = (cut.Minv @ mats.ct(B.T).T[supports])[of]
+    w_E -= (cut.Minv @ signs.T)[of, :, pattern][..., None] * lams
+    pairs = np.arange(of.size)
+    S = np.zeros((two_n, of.size), dtype=int)
+    S[E.T, pairs] = s_E.T
+    W = np.zeros((two_n, of.size, len(lams)))  # index x pair x sample
+    W[E.T, pairs] = w_E.transpose(1, 0, 2)
+    xi = correlation(base, W.reshape(two_n, -1), b=np.tile(B, of.size))
+    abs_xi = np.abs(xi, out=xi).reshape(W.shape)
+    abs_xi[S != 0] = -np.inf  # the correlation bound holds off the support only
+    margins = ZoneMargins(
+        sign_margin=(s_E[..., None] * w_E).min(axis=1, initial=np.inf),
+        corr_margin=lams - abs_xi.max(axis=0, initial=-np.inf),
+    )
+    return [
+        (j, W[:, q, j].copy(), indicator_to_string(S[:, q]))
+        for q, j in zip(*np.nonzero(margins.inside(lams)))
+    ]

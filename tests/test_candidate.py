@@ -22,7 +22,7 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import next_piece, zone_margins
+from sgmc.candidate import in_row_space, next_piece, rank_cut, zone_margins
 
 from conftest import random_instance
 
@@ -347,6 +347,54 @@ class TestTinyData:
         npt.assert_allclose(small.Minv * 1e-200, unit.Minv, rtol=1e-12)
 
 
+class TestRankCut:
+    @pytest.mark.parametrize("kind, rho", [("integer", 0.3), ("duplicated", 0.0),
+                                           ("negated", 0.8)])
+    def test_stack_matches_single_calls(self, kind, rho):
+        # the M of every support of one size of a 2x4 instance, rank-deficient
+        # ones among them, cut in one call: each matrix gets the
+        # pseudo-inverse, rank and compatibility verdicts of its own call,
+        # which are candidate_slope's
+        rng = np.random.default_rng(1)
+        if kind == "integer":
+            A = rng.integers(-2, 3, size=(2, 4)).astype(float)
+        else:
+            B = rng.normal(size=(2, 2))
+            A = np.hstack([B, B if kind == "duplicated" else -B])
+        inst = ProblemInstance(A=A, rho=rho, y=np.zeros(2), lam=1.0)
+        mats = inst.matrices
+        verdicts = []
+        for k in range(1, 9):
+            supports = np.array(list(itertools.combinations(range(8), k)))
+            signs = np.array(list(itertools.product((1, -1), repeat=k)))
+            nonzero = mats.col_abs_sums[supports].any(axis=1)
+            cut = rank_cut(np.stack([mats.gram_block(E) for E in supports]), nonzero)
+            together = in_row_space(signs, cut.null)
+            assert together.shape == (len(supports), len(signs))
+            for i, E in enumerate(supports):
+                one = rank_cut(mats.gram_block(E), nonzero[i])
+                piece = candidate_slope(inst, np.isin(np.arange(8), E).astype(int))
+                npt.assert_allclose(cut.Minv[i], one.Minv, rtol=1e-12, atol=1e-12)
+                npt.assert_array_equal(piece.Minv, one.Minv)
+                assert cut.rank[i] == one.rank == k - len(piece.null)
+                npt.assert_array_equal(together[i], in_row_space(signs, one.null))
+                npt.assert_array_equal(together[i], piece.compatible_signs(signs))
+                verdicts.extend(together[i])
+        assert any(verdicts) and not all(verdicts)
+
+    def test_refuses_tiny_blocks_only_of_nonzero_columns(self):
+        # an exactly zero M of zero columns is cut to rank 0, with every
+        # pattern incompatible; of nonzero columns it is refused
+        stack = np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="too small"):
+            rank_cut(stack, np.array([True, True, False]))
+        cut = rank_cut(stack, np.array([True, False, False]))
+        npt.assert_array_equal(cut.rank, [2, 0, 0])
+        npt.assert_array_equal(cut.Minv, [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])
+        signs = np.array(list(itertools.product((1, -1), repeat=2)))
+        npt.assert_array_equal(in_row_space(signs, cut.null), [[True] * 4] + [[False] * 4] * 2)
+
+
 class TestEvalWeq:
     def test_zero_for_all_parameters(self, two_column):
         piece = candidate_slope(two_column, zero_indicator(2))
@@ -425,28 +473,27 @@ class TestZoneMembership:
         assert not zone_membership(two_column, zero_indicator(2), np.array([2.0, 0.0]), lam)
 
 
-class TestStackedSigns:
-    def test_margins_match_each_pattern(self):
-        # a piece with a stack of sign patterns as `s` gives, per pattern,
-        # the map and the margins of that pattern's own piece, at one point
-        # and at k points
+class TestMarginsAtPoints:
+    def test_k_points_match_each_point(self):
+        # the map and the margins at k points, the columns of b, are those
+        # of each point alone, for every sign pattern of a support
         inst = random_instance(57, m=2, n=3, rho=0.3)
         support_piece = candidate_slope(inst, np.array([1, 1, 0, 0, 1, 0]))
-        stack = np.array([s for s in itertools.product((1, 0, -1), repeat=6)
-                          if np.array_equal(np.flatnonzero(s), [0, 1, 4])])
-        stacked = dataclasses.replace(support_piece, s=stack)
         rng = np.random.default_rng(57)
         B, lams = rng.normal(size=(4, 5)), rng.uniform(0.1, 2.0, size=5)
-        for b, lam in ((B, lams), (B[:, 0], lams[0])):
-            w = eval_weq(stacked, b, lam)
-            margins = zone_margins(inst, stacked, b, lam)
-            assert w.shape == (6, len(stack)) + np.shape(lam)
-            for p, s in enumerate(stack):
-                piece = dataclasses.replace(support_piece, s=s)
-                npt.assert_allclose(w[:, p], eval_weq(piece, b, lam), rtol=1e-12, atol=1e-12)
-                own = zone_margins(inst, piece, b, lam)
-                npt.assert_allclose(margins.sign_margin[p], own.sign_margin, rtol=1e-12, atol=1e-12)
-                npt.assert_allclose(margins.corr_margin[p], own.corr_margin, rtol=1e-12, atol=1e-12)
+        for signs in itertools.product((1, -1), repeat=3):
+            s = np.zeros(6, dtype=int)
+            s[[0, 1, 4]] = signs
+            piece = dataclasses.replace(support_piece, s=s)
+            w = eval_weq(piece, B, lams)
+            margins = zone_margins(inst, piece, B, lams)
+            assert w.shape == (6, 5)
+            for j in range(5):
+                npt.assert_allclose(w[:, j], eval_weq(piece, B[:, j], lams[j]),
+                                    rtol=1e-12, atol=1e-12)
+                own = zone_margins(inst, piece, B[:, j], lams[j])
+                npt.assert_allclose(margins.sign_margin[j], own.sign_margin, rtol=1e-12, atol=1e-12)
+                npt.assert_allclose(margins.corr_margin[j], own.corr_margin, rtol=1e-12, atol=1e-12)
 
 
 def _interior_zone_sample(seed, rho=0.0):

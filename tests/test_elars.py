@@ -723,6 +723,23 @@ class TestEnumerateZones:
         assert sorted(graph.nodes) == ["0000"]
         assert graph.incomplete
 
+    @pytest.mark.parametrize("max_nodes", [2, 3, 5, 10])
+    def test_edges_join_nodes_under_a_budget(self, max_nodes):
+        # a sweep goes on through zones that add_node refuses at the
+        # budget; none of them may appear as the end of an edge
+        edges = 0
+        for seed in range(1, 21):
+            A = np.random.default_rng(seed).normal(size=(3, 3))
+            inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(3), lam=1.0)
+            config = EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, max_nodes=max_nodes,
+                                       seed=seed)
+            graph = enumerate_zones(inst, config)
+            assert len(graph.nodes) <= max_nodes
+            for sa, sb, *_ in graph.edges:
+                assert sa in graph.nodes and sb in graph.nodes, (seed, sa, sb)
+            edges += len(graph.edges)
+        assert edges > 0
+
     def test_reruns_are_identical(self, two_column):
         config = EnumerationConfig(r_y=5.0, delta_lambda_min=0.1, seed=0)
         first = enumerate_zones(two_column, config)

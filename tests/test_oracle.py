@@ -173,14 +173,20 @@ class TestBruteForce:
             (104, (2, 2), 0.5, False),
             (105, (2, 3), 0.3, False),
             (106, (2, 3), 0.3, True),
+            (107, (2, 3), 0.0, False),
+            (108, (1, 3), 0.3, False),
+            (109, (2, 4), 0.3, False),
         ],
     )
     def test_batched_zone_tests_match_per_sample_loop(self, seed, shape, rho, duplicated):
-        # the five criterion-7 instances, a 2x3 one and a 2x3 one with
-        # columns [a, a, c], whose rank-deficient supports admit only some
-        # sign patterns: testing all compatible patterns of a support at all
-        # samples at once assigns exactly what one zone_membership and one
-        # optimality check per (zone, sample) pair assigns
+        # the five criterion-7 instances, 2x3 ones at rho 0.3 and 0 (where
+        # the dual columns of C vanish), a 2x3 one with columns [a, a, c],
+        # whose rank-deficient supports admit only some sign patterns, a 1x3
+        # one, whose rank is below |E| on most supports, and a 2x4 one
+        # (2n = 8): testing all compatible (support, pattern) pairs of one
+        # size at all samples at once assigns exactly what one
+        # zone_membership and one optimality check per (zone, sample) pair
+        # assigns
         rng = np.random.default_rng(seed)
         A = rng.normal(size=shape)
         if duplicated:
@@ -201,6 +207,14 @@ class TestBruteForce:
         if duplicated:  # the support {a, a} admits equal signs only
             assert candidate_slope(base, np.array([1, 1, 0, 0, 0, 0])).compatible
             assert not candidate_slope(base, np.array([1, -1, 0, 0, 0, 0])).compatible
+        if rho == 0.0:
+            # the dual columns of C vanish: M = 0 exactly on an all-dual
+            # support, no pattern fits it, and no match has a dual entry
+            for on in itertools.product((1, 0), repeat=n):
+                if any(on):
+                    piece = candidate_slope(base, np.array((0,) * n + on))
+                    assert not piece.M.any() and not piece.compatible
+            assert all(key[n:] == "0" * n for keys in result.matches for key in keys)
         matches, assignments = [], []
         for b, lam in samples:
             matched = [
@@ -221,6 +235,12 @@ class TestBruteForce:
         assert result.matches == matches
         assert result.assignments == assignments
         assert result.indicators == {a for a in assignments if a is not None}
+
+    def test_data_too_small_for_the_rank_cut_raises(self):
+        # as candidate_slope does: M would leave the normal floating range
+        A = 1e-160 * np.random.default_rng(110).normal(size=(2, 3))
+        with pytest.raises(ValueError, match="too small"):
+            brute_force_indicators(A, 0.3, [(np.ones(4), 1.0)])
 
 
 class TestCrossOracleInvariants:

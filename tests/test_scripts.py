@@ -68,15 +68,15 @@ def test_bench_summary(tmp_path):
 
 def test_zone_counts():
     # zones seed 1, rounds 0-1: instance 1.0 is covered by 7 sweeps from
-    # b = 0, one per sample not covered before it, and brute force
-    # evaluates at most one zone per support (2^6 = 64 supports at n = 3)
+    # b = 0, one per sample not covered before it, and brute force makes
+    # one batched rank cut per support size k = 0..2n (7 at n = 3)
     done = run_script("zone_counts.py", "--seeds", "1", "--rounds", "2")
     assert done.returncode == 0, done.stderr
     header, *rows, total = [line.split() for line in done.stdout.splitlines()]
-    assert header == ["instance", "nodes", "edges", "rays", "steps", "zone_evals"]
+    assert header == ["instance", "nodes", "edges", "rays", "steps", "rank_cuts"]
     assert [row[0] for row in rows] == ["1.0", "1.1"]
     counts = [dict(zip(header[1:], map(int, row[1:]))) for row in rows]
     assert (counts[0]["nodes"], counts[0]["rays"]) == (23, 7)
     for c in counts:
-        assert 0 < c["zone_evals"] <= 64
+        assert c["rank_cuts"] == 7
     assert total == ["total"] + [str(sum(c[k] for c in counts)) for k in header[1:]]
