@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import ModelMatrices, ProblemInstance, as_indicator
-from .optimality import correlation
+from .optimality import certificate_scale, correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # null(C_E) part of +-1 signs allowed, per sqrt(|E|): scale-free
@@ -280,28 +280,33 @@ def eqnq_membership(
     inst: ProblemInstance, s: np.ndarray, w: np.ndarray, tol: float = 1e-9
 ) -> bool:
     """Whether w solves the full equality+inequality system of s at the
-    instance's own (b, lambda), every condition within tol*(1+lambda); a
-    NaN fails every condition."""
+    instance's own (b, lambda).  The conditions on xi hold within tol * S,
+    S = max(lambda, ||C^T b||_inf) (`certificate_scale`, the scale of
+    `check_opt`), and those on w, the signs on the support and the zeros
+    off it, within tol * ||w||_inf, so (alpha*b, alpha*lambda, alpha*w)
+    gets the answer of (b, lambda, w) for every alpha > 0; a NaN fails
+    every condition."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     s = as_indicator(s)
     w = np.ravel(w)
     lam = inst.lam
-    slack = tol * (1.0 + lam)
+    xi_slack = tol * certificate_scale(inst)
+    w_slack = tol * np.abs(w).max(initial=0.0)
     E = np.flatnonzero(s)
     mask = np.zeros(s.size, dtype=bool)
     mask[E] = True
     xi = correlation(inst, w)
     if E.size:
-        if not np.abs(xi[E] - lam * s[E]).max() <= slack:  # EQ on the support
+        if not np.abs(xi[E] - lam * s[E]).max() <= xi_slack:  # EQ on the support
             return False
-        if not (s[E] * w[E]).min() >= -slack:  # NQ signs on the support
+        if not (s[E] * w[E]).min() >= -w_slack:  # NQ signs on the support
             return False
     off = ~mask
     if off.any():
-        if not np.abs(w[off]).max() <= slack:  # EQ zeros off the support
+        if not np.abs(w[off]).max() <= w_slack:  # EQ zeros off the support
             return False
-        if not np.abs(xi[off]).max() <= lam + slack:  # NQ bound off the support
+        if not np.abs(xi[off]).max() <= lam + xi_slack:  # NQ bound off the support
             return False
     return True
 
@@ -345,7 +350,9 @@ class ZoneMargins:
         `zone_membership`: both margins at least -tol*lambda, at
         0 < lambda < inf; a NaN fails.  w and xi are homogeneous in
         (b, lambda), so the slack scales with the point and (alpha*b,
-        alpha*lambda) gets the answer of (b, lambda) for every alpha > 0."""
+        alpha*lambda) gets the answer of (b, lambda) for every alpha > 0.
+        A zone test, not the optimality certificate: its slack is on the
+        scale of lambda, not of `certificate_scale`'s S."""
         lam = np.asarray(lam)
         slack = -tol * lam
         return (
@@ -393,7 +400,9 @@ def strictly_inside(
     it) but never gains it falsely.  Its callers
     pick sample points with it for checks that a boundary would spoil, so
     a scale that errs only towards "not inside" needs no other: a missed
-    interior point skips a check, and the skip is reported."""
+    interior point skips a check, and the skip is reported.  This margin
+    is the test's own, not the optimality certificate's scale S
+    (`certificate_scale`)."""
     if piece is None:
         piece = candidate_slope(inst, s)
     if not piece.compatible:

@@ -189,8 +189,25 @@ def cmd_enumerate(args) -> int:
     return 3 if graph.incomplete else 0
 
 
+def _continuous(segments: list[PathSegment]) -> bool:
+    """Whether w jumps at no breakpoint by more than 1e-8 of the path's
+    largest |w| at its finite segment ends; a NaN fails."""
+    ends = [seg.weq_at(t) for seg in segments for t in (seg.t_start, seg.t_end)
+            if math.isfinite(t)]
+    scale = np.max([np.abs(w).max() for w in ends], initial=0.0)
+    return all(
+        np.abs(a.weq_at(a.t_end) - b.weq_at(b.t_start)).max() <= 1e-8 * scale
+        for a, b in zip(segments, segments[1:])
+    )
+
+
 def _verify_checks(inst: ProblemInstance, args):
-    """Cross-oracle invariant suite on one instance; yields (name, ok, detail)."""
+    """Cross-oracle invariant suite on one instance; yields (name, ok, detail).
+
+    Each check is scale-free: optimality reads relative to the scale of
+    `check_opt`, and every bound on w or on the fit (beta_e, gamma_e) is
+    relative to the size of the quantity it bounds, so scaling (y, r,
+    lambda) together changes no verdict."""
     cfg = OracleConfig(tol=min(args.tol, 1e-9))
     w = solve_saddle(inst, cfg)
     rep = check_opt(inst, w, tol=1e-9)
@@ -213,11 +230,7 @@ def _verify_checks(inst: ProblemInstance, args):
     lam0 = 1.05 * lam_max
     line = ParameterLine(inst.b, lam0, np.zeros(2 * inst.m), -1.0)
     result = path_sweep(inst, line, initialize_indicator(inst, inst.b, lam0), t_start=0.0)
-    breaks_ok = True
-    for a, b in zip(result.segments, result.segments[1:]):
-        jump = np.abs(a.weq_at(a.t_end) - b.weq_at(b.t_start)).max()
-        breaks_ok = breaks_ok and jump <= 1e-8
-    yield "path_continuity", breaks_ok, f"{len(result.segments)} segments"
+    yield "path_continuity", _continuous(result.segments), f"{len(result.segments)} segments"
 
     opt_ok = True
     worst = 0.0
@@ -243,11 +256,11 @@ def _verify_checks(inst: ProblemInstance, args):
         w_it = solve_saddle(probe, cfg)
         s_path = summarize(probe, w_path)
         s_it = summarize(probe, w_it)
-        gap = max(
-            float(np.abs(s_path.beta_e - s_it.beta_e).max()),
-            abs(s_path.gamma_e - s_it.gamma_e),
+        gap = max(  # relative to the path's fit and l1-norm
+            float(np.abs(s_path.beta_e - s_it.beta_e).max() / np.abs(s_path.beta_e).max()),
+            abs(s_path.gamma_e - s_it.gamma_e) / s_path.gamma_e,
         )
-        detail = f"gap {gap:.2e}"
+        detail = f"relative gap {gap:.2e}"
         agree_ok = agree_ok and gap <= 1e-5
     yield "cross_oracle_agreement", agree_ok, detail
 
@@ -258,8 +271,9 @@ def _verify_checks(inst: ProblemInstance, args):
     if strictly_inside(inst, mid.s, b_mid, lam_mid):
         probe = inst.with_params(b=b_mid, lam=lam_mid)
         w_mn = min_norm_over_eqnq(probe, mid.s)
-        gap = float(np.abs(w_mn - mid.weq_at(t_mid)).max())
-        yield "min_norm_agreement", gap <= 1e-6, f"gap {gap:.2e}"
+        w_mid = mid.weq_at(t_mid)
+        gap = float(np.abs(w_mn - w_mid).max() / np.abs(w_mid).max())
+        yield "min_norm_agreement", gap <= 1e-6, f"relative gap {gap:.2e}"
     else:
         yield "min_norm_agreement", True, "no strictly interior sample"
 
@@ -269,11 +283,7 @@ def _verify_segments_file(inst: ProblemInstance, path: str):
         data = json.load(fh)
     segments = [PathSegment.from_dict(d) for d in data["segments"]]
     line = line_from_dict(data["line"])
-    cont_ok = True
-    for a, b in zip(segments, segments[1:]):  # a NaN jump fails
-        if not np.abs(a.weq_at(a.t_end) - b.weq_at(b.t_start)).max() <= 1e-8:
-            cont_ok = False
-    yield "segments_continuity", cont_ok, f"{len(segments)} segments"
+    yield "segments_continuity", _continuous(segments), f"{len(segments)} segments"
     spot_ok = True
     for seg in segments:
         t_hi = seg.t_end if math.isfinite(seg.t_end) else seg.t_start + 1.0

@@ -31,7 +31,7 @@ from .model import (
     indicator_to_string,
     zero_indicator,
 )
-from .optimality import encode_sopt
+from .optimality import certificate_scale, encode_sopt
 from .oracle import OracleConfig, solve_saddle
 from .sweep import (
     LineRestrictedPiece,
@@ -383,11 +383,12 @@ def initialize_indicator(
     solves the instance by `solve_saddle` at its default config, encodes
     the equicorrelation signs and certifies them by zone membership,
     failing loudly on zone boundaries (the caller may perturb lambda and
-    retry); its slack, max(tol, 1e-8)*(1 + lambda) on the signs and the
-    correlation bounds, stays absolute below lambda = 1 because it absorbs
-    the error of the oracle's solve, which the oracle's absolute stopping
-    tolerance bounds.  A point that fails either certificate, NaN
-    included, is never given an indicator.
+    retry); its slack, max(tol, 1e-8)*S on the signs and the correlation
+    bounds with S = max(lambda, ||C^T b||_inf) (`certificate_scale`),
+    absorbs the error of the oracle's solve, which the oracle's stop bounds
+    on the same scale S.  Both slacks scale with (b, lambda), so neither
+    strategy's answer depends on the data's scale.  A point that fails
+    either certificate, NaN included, is never given an indicator.
     """
     b = np.ravel(b)
     if strategy == "zero":
@@ -402,7 +403,8 @@ def initialize_indicator(
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
     s = encode_sopt(probe, w, tol=max(tol, 10.0 * OracleConfig.tol))
-    if not zone_membership(inst, s, b, lam, tol=max(tol, 1e-8) * (1.0 + lam) / lam):
+    slack = max(tol, 1e-8) * certificate_scale(probe)
+    if not zone_membership(inst, s, b, lam, tol=slack / lam):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
             "zone boundary (perturb lambda and retry)"

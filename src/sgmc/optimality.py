@@ -7,6 +7,15 @@ The whole machinery revolves around the correlation vector
 which plays the role the plain correlation A^T(y - Ax) plays for the LASSO:
 w solves the model iff xi_i(w) = lambda * sign(w_i) on the support of w and
 |xi_i(w)| <= lambda elsewhere.
+
+The certificate of that condition is scale-free, as the solution map is:
+scaling (b, lambda) by alpha > 0 scales w and xi by alpha and leaves the
+verdict as it is.  An index counts as active when |w_i| > tol * ||w||_inf,
+and its excess over the bound is measured relative to the scale
+S = max(lambda, ||C^T b||_inf) (`certificate_scale`), the size of xi and of
+its rounding.  `certificate_scale` and `optimality_excess` hold the
+rule; `check_opt`, `encode_sopt`, `eqnq_membership`, the saddle oracle's
+stopping test and its start (`initialize_indicator`) all judge by them.
 """
 
 from __future__ import annotations
@@ -43,9 +52,11 @@ def correlation(
 class OptReport:
     """Diagnostic report of the optimality condition.
 
-    `per_index` holds the signed excess of every index over its bound
-    (negative means slack); `violations` lists the offending indices,
-    NaN excesses among them.
+    `per_index` holds the signed excess of every index over its bound,
+    relative to the scale S of `certificate_scale` and less the slack tol
+    (negative means slack); `worst_violation` is its largest positive
+    value, 0 when none is; `violations` lists the offending indices, NaN
+    excesses among them.
     """
 
     satisfied: bool
@@ -64,6 +75,33 @@ class OptReport:
         }
 
 
+def certificate_scale(
+    inst: ProblemInstance, b: np.ndarray | None = None, lam: float | None = None
+) -> float:
+    """S = max(lambda, ||C^T b||_inf) at the instance's own (b, lambda) or
+    at a probe of its (A, rho) family: the larger of lambda and
+    lambda_max(b).  At a solution |xi| <= lambda, and xi = C^T b - C^T D C w
+    is rounded on the scale of its terms, so S is the size of xi and of its
+    rounding; it is homogeneous in (b, lambda).  Uses the dense C."""
+    b = inst.b if b is None else b
+    lam = inst.lam if lam is None else lam
+    return max(lam, float(np.abs(inst.matrices.C.T @ b).max(initial=0.0)))
+
+
+def optimality_excess(
+    w: np.ndarray, xi: np.ndarray, lam: float, scale: float, tol: float
+) -> np.ndarray:
+    """Signed excess of each index over its optimality bound, relative to
+    `scale` (`certificate_scale`), less the slack tol; <= 0 where the bound
+    holds.  An index is active when |w_i| > tol * ||w||_inf and must have
+    xi_i = lambda * sign(w_i); any other needs |xi_i| <= lambda.  A NaN in
+    w or xi gives NaN excesses."""
+    w_abs = np.abs(w)
+    active = w_abs > tol * w_abs.max(initial=0.0)
+    raw = np.where(active, np.abs(xi - lam * np.sign(w)), np.abs(xi) - lam)
+    return raw / scale - tol
+
+
 def check_opt(
     inst: ProblemInstance,
     w: np.ndarray,
@@ -71,40 +109,35 @@ def check_opt(
     b: np.ndarray | None = None,
     lam: float | None = None,
 ) -> OptReport:
-    """Test the saddle optimality condition with a scale-aware tolerance.
-
-    Entries with |w_i| > tol must satisfy |xi_i - lambda*sign(w_i)| within
-    tol*(1+lambda); entries with |w_i| <= tol only need |xi_i| <= lambda up
-    to the same slack.  `b` and `lam` probe another point of the instance's
+    """Test the saddle optimality condition with the scale-free rule of
+    `optimality_excess`: `per_index` and `worst_violation` are excesses
+    relative to S = max(lambda, ||C^T b||_inf) beyond the slack tol, so
+    (alpha*b, alpha*lambda, alpha*w) gets the report of (b, lambda, w) for
+    every alpha > 0.  `b` and `lam` probe another point of the instance's
     (A, rho) family instead of its own (b, lambda).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    xi = correlation(inst, w, b=b)
     lam = inst.lam if lam is None else lam
-    slack = tol * (1.0 + lam)
     w = np.ravel(w)
-    active = np.abs(w) > tol
-    excess = np.where(
-        active,
-        np.abs(xi - lam * np.sign(w)) - slack,
-        np.abs(xi) - lam - slack,
+    excess = optimality_excess(
+        w, correlation(inst, w, b=b), lam, certificate_scale(inst, b, lam), tol
     )
-    worst = float(np.max(excess, initial=0.0))  # NaN if any excess is NaN
+    worst = max(float(excess.max()), 0.0)  # NaN if any excess is NaN
     return OptReport(
         satisfied=bool(worst == 0.0),
         worst_violation=worst,
-        per_index=tuple(float(e) for e in excess),
+        per_index=tuple(excess.tolist()),
     )
 
 
 def encode_sopt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Equicorrelation signs of w: sign(xi_i) where |xi_i| attains lambda
-    (within tol*(1+lambda)), zero elsewhere."""
+    within tol * S (`certificate_scale`), zero elsewhere."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     xi = correlation(inst, w)
-    at_bound = np.abs(np.abs(xi) - inst.lam) <= tol * (1.0 + inst.lam)
+    at_bound = np.abs(np.abs(xi) - inst.lam) <= tol * certificate_scale(inst)
     return as_indicator(np.where(at_bound, np.sign(xi), 0.0).astype(int))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .candidate import ZoneMargins, in_row_space, rank_cut
 from .model import ProblemInstance, as_indicator, indicator_to_string
-from .optimality import check_opt, correlation
+from .optimality import certificate_scale, check_opt, correlation, optimality_excess
 
 
 class NonConvergenceError(RuntimeError):
@@ -37,7 +37,7 @@ class NonConvergenceError(RuntimeError):
 
 STEP_SCALE = 0.9  # saddle step as a fraction of 1/||C^T D C||_2
 MAX_DYKSTRA_CYCLES = 100000  # sweeps of the halfspace projection
-BRUTE_FORCE_OPT_TOL = 1e-7  # check_opt violation a brute-force match may have
+BRUTE_FORCE_OPT_TOL = 1e-7  # check_opt violation (relative to S) a match may have
 
 
 class InfeasibleSystemError(ValueError):
@@ -75,15 +75,6 @@ def _operator_norm(G: np.ndarray, iters: int = 100, seed: int = 0) -> float:
     return est
 
 
-def _worst_violation(w: np.ndarray, xi: np.ndarray, lam: float, tol: float) -> float:
-    slack = tol * (1.0 + lam)
-    active = np.abs(w) > tol
-    excess = np.where(
-        active, np.abs(xi - lam * np.sign(w)) - slack, np.abs(xi) - lam - slack
-    )
-    return float(max(0.0, excess.max()))
-
-
 def solve_saddle(
     inst: ProblemInstance,
     config: OracleConfig | None = None,
@@ -100,6 +91,13 @@ def solve_saddle(
     below 1/||C^T D C||_2; the plain forward-backward map can cycle for rho
     near 1.  The step is STEP_SCALE / ||C^T D C||_2 = 0.9 / ||C^T D C||_2,
     with the norm estimated by power iteration.  Warm-startable through w0.
+
+    Every 10 iterations the iterate z is judged by `check_opt`'s rule
+    (`optimality_excess` at slack min(tol, 1e-9), relative to
+    `certificate_scale`) on the xi(z) the step has formed, and returned
+    once its worst excess is at most `config.tol`.  The test is
+    scale-free: from w0 = 0, (alpha*b, alpha*lambda) runs the iterations of
+    (b, lambda) scaled by alpha and stops at the same one.
     """
     cfg = config or OracleConfig()
     mats = inst.matrices
@@ -110,6 +108,7 @@ def solve_saddle(
     tau = STEP_SCALE / L
     w = np.zeros(2 * inst.n) if w0 is None else np.array(w0, dtype=float)
     check_tol = min(cfg.tol, 1e-9)
+    scale = certificate_scale(inst)
 
     for it in range(cfg.max_iters):
         xi_w = h - G @ w
@@ -117,10 +116,10 @@ def solve_saddle(
         xi_z = h - G @ z
         w = z - tau * (xi_w - xi_z)
         if it % 10 == 0:
-            if _worst_violation(z, xi_z, lam, check_tol) <= cfg.tol:
+            if np.max(optimality_excess(z, xi_z, lam, scale, check_tol)) <= cfg.tol:
                 return z
     z = _soft(w + tau * (h - G @ w), tau * lam)
-    worst = _worst_violation(z, h - G @ z, lam, check_tol)
+    worst = float(np.max(optimality_excess(z, h - G @ z, lam, scale, check_tol)))
     if worst <= cfg.tol:
         return z
     raise NonConvergenceError("saddle solver did not converge", w=z, achieved=worst)
@@ -183,7 +182,10 @@ def min_norm_over_eqnq(
     The equality system pins w to an affine set; parametrizing it by the null
     space of C_E^T D C_E reduces the problem to projecting the origin onto a
     small polyhedron, solved by Dykstra's method with a combined feasibility/
-    fixed-point stopping rule at `tol`.
+    fixed-point stopping rule at `tol`.  That rule and the halfspace
+    tolerances, tol*(1 + lambda) in null-space coordinates, are the
+    solver's own, not the optimality certificate's: the result is
+    certified by `eqnq_membership`, on the scale of `certificate_scale`.
     """
     s = as_indicator(s)
     E = np.flatnonzero(s)
@@ -194,15 +196,16 @@ def min_norm_over_eqnq(
     CE = mats.C[:, E]
     M = CE.T @ mats.D @ CE
     d = CE.T @ inst.b - lam * s[E]
-    w0_E = np.linalg.pinv(M, rtol=1e-12) @ d
+    # one SVD gives both the least-squares solution and the null space:
+    # singular values at or below 1e-12 times the largest are dropped
+    U, sigma, Vt = np.linalg.svd(M)
+    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
+    w0_E = Vt[:rank].T @ ((U[:, :rank].T @ d) / sigma[:rank])
     eq_residual = float(np.abs(M @ w0_E - d).max())
     if eq_residual > 1e-8 * (1.0 + np.abs(d).max()):
         raise InfeasibleSystemError(
             f"equality system certified infeasible (residual {eq_residual:.3e})"
         )
-
-    U, sigma, Vt = np.linalg.svd(M)
-    rank = int(np.sum(sigma > 1e-12 * (sigma[0] if sigma.size else 1.0)))
     N = Vt[rank:].T  # orthonormal basis of the null space of M
 
     def embed(wE: np.ndarray) -> np.ndarray:
@@ -264,7 +267,9 @@ def lasso_reference(
     config: LassoConfig | None = None,
     x0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cyclic coordinate-descent LASSO solver, stopped on the KKT residual."""
+    """Cyclic coordinate-descent LASSO solver, stopped on the absolute KKT
+    residual at `config.tol`: a reference for the LASSO criterion, with its
+    own stop, not the sGMC certificate of `check_opt`."""
     cfg = config or LassoConfig()
     A = np.atleast_2d(np.asarray(A, dtype=float))
     y = np.ravel(y)

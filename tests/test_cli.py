@@ -331,6 +331,19 @@ def test_verify_random_deterministic(instance_file, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
+def test_verify_is_scale_free(instance_file, capsys, alpha):
+    # y and lambda scaled together: at 1e-8 the saddle oracle's absolute stop
+    # changed the encoded indicator, at 1e8 the absolute bounds on w jumps
+    # and on beta_e and gamma_e failed
+    rng = np.random.default_rng(0)
+    A, y = rng.normal(size=(6, 12)), rng.normal(size=6)
+    lam = 0.3 * float(np.abs(A.T @ y).max())
+    inst = {"A": A.tolist(), "rho": 0.3, "y": (alpha * y).tolist(), "lambda": alpha * lam}
+    assert main(["verify", "--instance", instance_file(inst)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_detects_corrupted_segments(instance_file, tmp_path, capsys):
     inst_path = instance_file(DESCENT)
     path_out = tmp_path / "path.json"

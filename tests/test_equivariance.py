@@ -7,7 +7,9 @@ its indicators.  Rotating the rows of (A, y, r) keeps the path; permuting
 the columns of A, or flipping their signs, permutes or flips the primal and
 dual halves of each indicator alike.  For the same reason zone membership
 and the zone search depend only on the direction of (b, lambda), not on
-its length.
+its length, and the optimality certificate, which judges w against the
+scale of (b, lambda), gives the same report for (alpha*b, alpha*lambda,
+alpha*w) as for (b, lambda, w).
 """
 
 import functools
@@ -22,9 +24,13 @@ from sgmc import (
     EnumerationConfig,
     ParameterLine,
     ProblemInstance,
+    check_opt,
+    encode_sopt,
     enumerate_zones,
+    indicator_to_string,
     initialize_indicator,
     path_sweep,
+    solve_saddle,
     zero_indicator,
     zone_membership,
 )
@@ -95,6 +101,12 @@ def test_descent_is_equivariant(name, seed, rho):
     ]
     npt.assert_allclose([seg.t_end for seg in result.segments],
                         [factor * seg.t_end for seg in base.segments], rtol=BREAK_RTOL)
+    A, y, r = data
+    inst = ProblemInstance(A=A, rho=rho, y=y, r=r, lam=1.0)
+    for seg in result.segments:
+        t = 0.5 * (seg.t_start + seg.t_end)
+        probe = inst.with_params(b=result.line.b_at(t), lam=result.line.lam_at(t))
+        assert check_opt(probe, seg.weq_at(t)).satisfied
 
 
 def test_zone_rays_from_large_anchors_verify(monkeypatch):
@@ -166,3 +178,37 @@ def test_zero_zone_membership_is_scale_free(alpha):
     s0 = zero_indicator(inst.n)
     assert zone_membership(inst, s0, inst.b, lam_max)
     assert not zone_membership(inst, s0, inst.b, 0.99 * lam_max)
+
+
+def _scaled(alpha, rho=0.3):
+    A, y, r = _data(0)
+    return ProblemInstance(A=A, rho=rho, y=y * alpha, r=r * alpha, lam=1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_certificate_rejects_a_wrong_point_at_every_scale(alpha):
+    # w = 0 at lambda = 0.9 lambda_max misses the bound by 0.1 lambda_max;
+    # an absolute slack reported 8.1e-9 for it at alpha = 1e-8, under the
+    # 1e-7 its callers accept
+    inst = _scaled(alpha)
+    lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+    report = check_opt(inst.with_params(lam=0.9 * lam_max), np.zeros(2 * inst.n))
+    unscaled = _scaled(1.0)
+    lam_one = float(np.abs(unscaled.matrices.C.T @ unscaled.b).max())
+    expected = check_opt(unscaled.with_params(lam=0.9 * lam_one), np.zeros(2 * inst.n))
+    assert not report.satisfied
+    assert report.worst_violation == pytest.approx(expected.worst_violation, rel=1e-6)
+    assert report.worst_violation > 0.09
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e8])
+def test_oracle_indicator_is_scale_free(alpha):
+    # the saddle oracle stops on the certificate's scale, so its solution
+    # encodes the unscaled indicator; an absolute stop ended too early at
+    # alpha = 1e-8 and gave another one
+    def indicator(inst):
+        lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+        probe = inst.with_params(lam=0.3 * lam_max)
+        return indicator_to_string(encode_sopt(probe, solve_saddle(probe), tol=1e-8))
+
+    assert indicator(_scaled(alpha)) == indicator(_scaled(1.0))

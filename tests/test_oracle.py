@@ -7,6 +7,7 @@ import pytest
 from sgmc import (
     InfeasibleSystemError,
     LassoConfig,
+    NonConvergenceError,
     OracleConfig,
     ProblemInstance,
     brute_force_indicators,
@@ -58,6 +59,12 @@ class TestSolveSaddle:
         w = solve_saddle(rand_4x8, OracleConfig(tol=1e-10))
         w2 = solve_saddle(rand_4x8, OracleConfig(tol=1e-10, max_iters=50), w0=w)
         assert check_opt(rand_4x8, w2).worst_violation <= 1e-8
+
+    def test_nan_iterate_does_not_converge(self, two_column):
+        # a NaN warm start keeps every iterate NaN; its worst excess is NaN,
+        # which must not pass the stopping test
+        with pytest.raises(NonConvergenceError):
+            solve_saddle(two_column, OracleConfig(max_iters=50), w0=np.array([np.nan, 0, 0, 0]))
 
 
 class TestMinNormOverEqnq:

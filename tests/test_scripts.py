@@ -80,3 +80,22 @@ def test_zone_counts():
     for c in counts:
         assert c["rank_cuts"] == 7
     assert total == ["total"] + [str(sum(c[k] for c in counts)) for k in header[1:]]
+
+
+def test_opt_margins():
+    # seed 1 at 20x40, one descent per rho: every checked point passes the
+    # certificate with room to spare relative to S, and lambda falls far
+    # enough below S that the same excess reads larger relative to lambda
+    done = run_script("opt_margins.py", "--seeds", "1", "--shape", "20x40")
+    assert done.returncode == 0, done.stderr
+    header, *rows, worst = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["descent", "segments", "min_lambda", "rel_S", "rel_lambda", "absolute"]
+    assert [row[0] for row in rows] == ["1.0.rho0.0", "1.0.rho0.3", "1.0.rho0.8"]
+    values = [dict(zip(header[1:], map(float, row[1:]))) for row in rows]
+    for v in values:
+        assert v["segments"] > 1 and 0 < v["min_lambda"] < 1
+        assert 0 <= v["rel_S"] < 1e-10
+        assert v["rel_lambda"] > v["rel_S"]
+    assert worst[0] == "worst"
+    assert float(worst[1]) == sum(v["segments"] for v in values)
+    assert float(worst[3]) == pytest.approx(max(v["rel_S"] for v in values), rel=1e-3)
