@@ -403,8 +403,7 @@ def initialize_indicator(
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
     s = encode_sopt(probe, w, tol=max(tol, 10.0 * OracleConfig.tol))
-    slack = max(tol, 1e-8) * certificate_scale(probe)
-    if not zone_membership(inst, s, b, lam, tol=slack / lam):
+    if not zone_membership(inst, s, b, lam, tol=max(tol, 1e-8) * certificate_scale(probe) / lam):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
             "zone boundary (perturb lambda and retry)"
