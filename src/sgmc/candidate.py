@@ -30,8 +30,11 @@ line restriction O(|E|^2) products with M.
 M and the border of an insertion (column C_E^T D c_j, row c_j^T D C_E and
 corner c_j^T D c_j) are entries of G = C^T D C = T kron A^T A, gathered
 from the instance's cached A^T A (`ModelMatrices.gram_block`,
-`gram_border`).  Products with C and D go through the block operators of
-`ModelMatrices`, never through its dense C and D.
+`gram_border`).  The pieces apply C and D through the block operators of
+`ModelMatrices`.  The zone tests do not: `zone_margins` (and so
+`zone_membership`) and `eqnq_membership` form xi with
+`optimality.correlation`, on the dense C and D, the same product that brute
+force evaluates, so both judge a boundary sample alike.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # null(C_E) part of +-1 signs allowed, per sqrt(|E|): scale-free
 SCHUR_RTOL = 1e-10  # Schur complement at or below this, relative: rank drop
 UPDATE_RTOL = 1e-10  # residual an updated M^{-1} must meet, relative to ||s_E|| = 1
-INTERIOR_MARGIN = 1e-6  # slack of `strictly_inside`, relative to 1 + lambda
+INTERIOR_MARGIN = 1e-6  # margin `strictly_inside` demands, relative to lambda
 # below this the leading singular value of M = C_E^T D C_E is too small for
 # its PINV_RTOL cut: the kept singular values would be subnormal and their
 # reciprocals overflow
@@ -341,14 +344,11 @@ class ZoneMargins:
     sign_margin: float | np.ndarray  # min over the support of s_i * w_i
     corr_margin: float | np.ndarray  # min off the support of lambda - |xi_i(w)|
 
-    @property
-    def overall(self) -> float | np.ndarray:
-        return np.minimum(self.sign_margin, self.corr_margin)
-
     def inside(self, lam: float | np.ndarray, tol: float = 1e-9):
         """Zone membership at each point with the tolerances of
         `zone_membership`: both margins at least -tol*lambda, at
-        0 < lambda < inf; a NaN fails.  w and xi are homogeneous in
+        0 < lambda < inf; a NaN fails.  A negative tol demands that
+        margin, |tol|*lambda, inside the zone.  w and xi are homogeneous in
         (b, lambda), so the slack scales with the point and (alpha*b,
         alpha*lambda) gets the answer of (b, lambda) for every alpha > 0.
         A zone test, not the optimality certificate: its slack is on the
@@ -390,22 +390,11 @@ def strictly_inside(
     lam: float,
     piece: CandidatePiece | None = None,
 ) -> bool:
-    """Operational interior test: every zone inequality, lambda > 0
-    included, holds with slack at least INTERIOR_MARGIN*(1+lambda) =
-    1e-6*(1+lambda); never for an incompatible indicator.
-
-    The slack is relative to lambda above lambda = 1 and absolute below,
-    never looser than the scale-free 1e-6*lambda: a point scaled towards
-    the origin loses its interior status (below lambda = 1e-6 no point has
-    it) but never gains it falsely.  Its callers
-    pick sample points with it for checks that a boundary would spoil, so
-    a scale that errs only towards "not inside" needs no other: a missed
-    interior point skips a check, and the skip is reported.  This margin
-    is the test's own, not the optimality certificate's scale S
-    (`certificate_scale`)."""
-    if piece is None:
-        piece = candidate_slope(inst, s)
-    if not piece.compatible:
-        return False
-    slack = min(zone_margins(inst, piece, b, lam).overall, lam)
-    return bool(slack >= INTERIOR_MARGIN * (1.0 + lam))
+    """Operational interior test: `zone_membership` with the negative
+    tolerance -INTERIOR_MARGIN, so both zone margins are at least
+    1e-6*lambda, at 0 < lambda < inf; never for an incompatible indicator.
+    The margin is on the scale of lambda, as the zone test's slack is, so
+    (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
+    alpha > 0.  Its callers pick sample points with it for checks that a
+    boundary would spoil."""
+    return zone_membership(inst, s, b, lam, tol=-INTERIOR_MARGIN, piece=piece)

@@ -120,17 +120,16 @@ def cmd_solve(args) -> int:
     return 0 if converged else 2
 
 
-def _resolve_init(inst, line, t_start, strategy, tol):
+def _resolve_init(inst, line, t_start, tol):
+    """The zero zone if it holds (b(t_start), lambda(t_start)), else the
+    oracle's certified indicator there."""
     if not math.isfinite(t_start):  # name it before the init strategies reject lambda
         raise ValueError(f"t_start must be finite, got {t_start}")
     b0, lam0 = line.point_at(t_start)
-    if strategy in ("auto", "zero"):
-        try:
-            return initialize_indicator(inst, b0, lam0, strategy="zero", tol=tol)
-        except ValueError:
-            if strategy == "zero":
-                raise
-    return initialize_indicator(inst, b0, lam0, strategy="from_oracle", tol=tol)
+    try:
+        return initialize_indicator(inst, b0, lam0, strategy="zero", tol=tol)
+    except ValueError:
+        return initialize_indicator(inst, b0, lam0, strategy="from_oracle", tol=tol)
 
 
 def cmd_path(args) -> int:
@@ -141,7 +140,7 @@ def cmd_path(args) -> int:
     if delta_b.size == inst.m:  # y-only velocity: keep r fixed
         delta_b = np.concatenate([delta_b, np.zeros(inst.m)])
     line = ParameterLine(inst.b, inst.lam, delta_b, args.delta_lambda)
-    s_init = _resolve_init(inst, line, args.t_start, args.init, args.tol)
+    s_init = _resolve_init(inst, line, args.t_start, args.tol)
     result = path_sweep(
         inst,
         line,
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--t-start", type=float, default=0.0)
     p_path.add_argument("--t-end", type=float, default=None)
     p_path.add_argument("--max-segments", type=int, default=64)
-    p_path.add_argument("--init", choices=("auto", "zero", "oracle"), default="auto")
     p_path.add_argument("--csv-out", help="plot-ready CSV of (t, lambda, w)")
     p_path.add_argument("--grid", type=int, default=201)
     p_path.set_defaults(func=cmd_path)

@@ -421,7 +421,8 @@ class EnumerationConfig:
     r = 0 and lambda = delta_lambda_min, drawn from `seed`; the search
     sweeps to each point that no zone found so far covers, in the order
     drawn, and stops once every point is covered or it holds `max_nodes`
-    zones.
+    zones.  A point whose sweep stops short of it stays uncovered unless a
+    later node's zone holds it.
     """
 
     r_y: float
@@ -438,10 +439,10 @@ class ZoneGraph:
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
     boundary.  `incomplete` marks a graph that leaves a coverage point
-    outside every node's zone.  The counters say what the search did:
-    sweeps started (`rays`), those dropped because their sweep raised,
-    distinct pieces built, and lookups that found their piece already
-    built."""
+    outside every node's zone: a sweep stopped short of its point, or the
+    search hit `max_nodes`.  The counters say what the search did: sweeps
+    started (`rays`), distinct pieces built, and lookups that found their
+    piece already built."""
 
     nodes: dict[str, np.ndarray] = field(default_factory=dict)
     edges: list[tuple[str, str, np.ndarray, float]] = field(default_factory=list)
@@ -449,7 +450,6 @@ class ZoneGraph:
     covered: list[bool] = field(default_factory=list)
     incomplete: bool = False
     rays: int = 0
-    rays_dropped: int = 0
     pieces_built: int = 0
     memo_hits: int = 0
 
@@ -477,7 +477,6 @@ class ZoneGraph:
             "incomplete": self.incomplete,
             "counters": {
                 "rays": self.rays,
-                "rays_dropped": self.rays_dropped,
                 "pieces_built": self.pieces_built,
                 "memo_hits": self.memo_hits,
             },
@@ -523,7 +522,10 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     taken in the order drawn, and one that an earlier node covers gets no
     sweep.  The search stops once every point is covered or it holds
     `max_nodes` zones; it is `incomplete` exactly when its nodes leave a
-    point uncovered.
+    point uncovered, which only a sweep that stops short of its point or
+    the `max_nodes` budget can do.  A sweep's error propagates: from the
+    zero zone at b = 0 only data too small for `rank_cut` raise, and then
+    every sweep would.
 
     Each zone's piece is built once per call: one memo serves every sweep
     and coverage test, and a new node is tested at all still uncovered
@@ -572,12 +574,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             continue
         graph.rays += 1
         line = ParameterLine(np.zeros_like(b), lam, b, 0.0)
-        try:
-            result = path_sweep(inst, line, s0, t_start=0.0, t_end=1.0, pieces=pieces)
-        except ValueError:  # IncompatibleIndicatorError is one
-            graph.rays_dropped += 1
-            continue
-        segs = result.segments
+        segs = path_sweep(inst, line, s0, t_start=0.0, t_end=1.0, pieces=pieces).segments
         keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
             add_node(seg.s, keys[k])

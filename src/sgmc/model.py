@@ -23,10 +23,11 @@ C^T D C = T kron A^T A with T = [[1 - rho, rho], [-rho, rho]], of which the
 closed forms only ever gather entries.  `ModelMatrices` applies the first
 two with A and gathers those entries from A^T A, its one cached Gram
 matrix; the pieces and line restrictions of `candidate` and `sweep` apply
-C and D through it only.  The dense C
-and D are kept for the independent checks, `optimality.correlation` (and
-`check_opt` on it) and the `oracle` solvers, which thus share no code
-with the closed forms they certify.
+C and D through it only.  The dense C and D serve
+`optimality.correlation` and the `oracle` solvers.  `check_opt` and the
+oracles thus share no code with the pieces they certify, but the zone
+tests of `candidate` (`zone_margins`, `eqnq_membership`) form xi with
+`correlation` too.
 
 Index convention (0-based): entries 0..n-1 of w are primal, n..2n-1 are dual,
 matching the column order of C.  This convention is recorded in every

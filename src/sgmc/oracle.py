@@ -60,21 +60,6 @@ def _soft(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def _operator_norm(G: np.ndarray, iters: int = 100, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=G.shape[1])
-    v /= np.linalg.norm(v)
-    est = 1.0
-    for _ in range(iters):
-        v = G.T @ (G @ v)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            return 1.0
-        est = math.sqrt(norm)
-        v /= norm
-    return est
-
-
 def solve_saddle(
     inst: ProblemInstance,
     config: OracleConfig | None = None,
@@ -90,7 +75,7 @@ def solve_saddle(
     so the correction step is what guarantees convergence at a fixed step
     below 1/||C^T D C||_2; the plain forward-backward map can cycle for rho
     near 1.  The step is STEP_SCALE / ||C^T D C||_2 = 0.9 / ||C^T D C||_2,
-    with the norm estimated by power iteration.  Warm-startable through w0.
+    with the exact spectral norm.  Warm-startable through w0.
 
     Every 10 iterations the iterate z is judged by `check_opt`'s rule
     (`optimality_excess` at slack min(tol, 1e-9), relative to
@@ -104,7 +89,7 @@ def solve_saddle(
     G = mats.C.T @ (mats.D @ mats.C)
     h = mats.C.T @ inst.b
     lam = inst.lam
-    L = max(_operator_norm(G), 1e-12)
+    L = max(np.linalg.norm(G, 2), 1e-12)
     tau = STEP_SCALE / L
     w = np.zeros(2 * inst.n) if w0 is None else np.array(w0, dtype=float)
     check_tol = min(cfg.tol, 1e-9)

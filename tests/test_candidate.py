@@ -528,6 +528,17 @@ class TestZoneGeometry:
         assert np.linalg.norm(w_map) <= np.linalg.norm(w_oracle) + 1e-8
         npt.assert_allclose(w_map, w_oracle, atol=1e-7)
 
+    def test_interior_is_scale_free(self):
+        # the interior margin is on the scale of lambda: the sample keeps its
+        # status as (b, lambda) shrinks or grows together; a margin absolute
+        # below lambda = 1 lost it at 1e-8 and 1e-4
+        inst, s = _interior_zone_sample(52, rho=0.3)
+        piece = candidate_slope(inst, s)
+        assert strictly_inside(inst, s, inst.b, inst.lam, piece=piece)
+        for alpha in (1e-8, 1e-4, 1e4, 1e8):
+            assert strictly_inside(inst, s, alpha * inst.b, alpha * inst.lam, piece=piece)
+        assert not strictly_inside(inst, s, inst.b, 0.0, piece=piece)
+
     def test_sign_constancy_in_interior(self):
         inst, s = _interior_zone_sample(53)
         piece = candidate_slope(inst, s)

@@ -255,6 +255,18 @@ def test_enumerate_budget_exhaustion(instance_file, tmp_path):
     assert json.loads(out.read_text())["incomplete"] is True
 
 
+def test_enumerate_data_too_small_is_an_input_error(instance_file, tmp_path, capsys):
+    # it used to exit 3 with every sweep dropped and no sample covered
+    A = np.random.default_rng(1).normal(size=(2, 3)) * 1e-160
+    inst = {"A": A.tolist(), "rho": 0.3, "y": [0.0, 0.0], "lambda": 1.0}
+    out = tmp_path / "graph.json"
+    argv = ["enumerate", "--instance", instance_file(inst), "--r-y", "1e200",
+            "--delta-lambda-min", "0.3", "--out", str(out)]
+    assert main(argv) == 1
+    assert "rescale the data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 15, 16, 17, 19, 20])
 def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
     # sweeping from b = 0 to each uncovered sample covers all 64 samples of
@@ -276,10 +288,12 @@ def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
 @pytest.mark.parametrize("command, flags, unread", [
     ("solve", [], ["--seed", "1"]),
     ("enumerate", ["--r-y", "5", "--delta-lambda-min", "0.1"], ["--tol", "1e-9"]),
+    ("path", ["--delta-lambda", "-1"], ["--init", "auto"]),
 ])
 def test_flags_a_command_does_not_read_are_rejected(instance_file, capsys, command, flags,
                                                     unread):
-    # solve draws nothing at random and enumerate takes no tolerance
+    # solve draws nothing at random, enumerate takes no tolerance, and path
+    # picks its start from the data
     argv = [command, "--instance", instance_file(TWO_COLUMN), *flags]
     with pytest.raises(SystemExit) as exc:
         main(argv + unread)
@@ -331,17 +345,21 @@ def test_verify_random_deterministic(instance_file, tmp_path):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("alpha", [1e-8, 1e-4, 1.0, 1e8])
 def test_verify_is_scale_free(instance_file, capsys, alpha):
     # y and lambda scaled together: at 1e-8 the saddle oracle's absolute stop
     # changed the encoded indicator, at 1e8 the absolute bounds on w jumps
-    # and on beta_e and gamma_e failed
+    # and on beta_e and gamma_e failed, and at 1e-8 and 1e-4 an interior
+    # margin absolute below lambda = 1 skipped the min-norm comparison
     rng = np.random.default_rng(0)
     A, y = rng.normal(size=(6, 12)), rng.normal(size=6)
     lam = 0.3 * float(np.abs(A.T @ y).max())
     inst = {"A": A.tolist(), "rho": 0.3, "y": (alpha * y).tolist(), "lambda": alpha * lam}
     assert main(["verify", "--instance", instance_file(inst)]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    output = capsys.readouterr().out
+    assert "FAIL" not in output
+    min_norm = next(line for line in output.splitlines() if "min_norm_agreement" in line)
+    assert "relative gap" in min_norm
 
 
 def test_verify_detects_corrupted_segments(instance_file, tmp_path, capsys):
