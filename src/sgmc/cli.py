@@ -37,8 +37,8 @@ from .model import (
 )
 from .optimality import check_opt, encode_sopt, l1_bound_holds, summarize
 from .oracle import (
+    ORACLE_READ_TOL,
     NonConvergenceError,
-    OracleConfig,
     min_norm_over_eqnq,
     solve_saddle,
 )
@@ -96,21 +96,23 @@ def _add_instance_flags(p: argparse.ArgumentParser):
 
 
 def cmd_solve(args) -> int:
+    """`solve_saddle` and `check_opt` at their defaults, the indicator read
+    at ORACLE_READ_TOL; without convergence the best iterate (zeros if
+    none) is written with "converged": false, and the exit code is 2."""
     inst = _load_problem(args)
-    cfg = OracleConfig(tol=max(args.tol, 1e-12))
     converged = True
     try:
-        w = solve_saddle(inst, cfg)
+        w = solve_saddle(inst)
     except NonConvergenceError as exc:
         w = exc.w if exc.w is not None else np.zeros(2 * inst.n)
         converged = False
-    report = check_opt(inst, w, tol=args.tol)
+    report = check_opt(inst, w)
     summary = summarize(inst, w)
     _write_json(
         args.out,
         {
             "w": w.tolist(),
-            "indicator": indicator_to_string(encode_sopt(inst, w, tol=max(args.tol, 10 * cfg.tol))),
+            "indicator": indicator_to_string(encode_sopt(inst, w, tol=ORACLE_READ_TOL)),
             "beta_e": summary.beta_e.tolist(),
             "gamma_e": summary.gamma_e,
             "opt_report": report.to_dict(),
@@ -120,16 +122,16 @@ def cmd_solve(args) -> int:
     return 0 if converged else 2
 
 
-def _resolve_init(inst, line, t_start, tol):
+def _resolve_init(inst, line, t_start):
     """The zero zone if it holds (b(t_start), lambda(t_start)), else the
     oracle's certified indicator there."""
     if not math.isfinite(t_start):  # name it before the init strategies reject lambda
         raise ValueError(f"t_start must be finite, got {t_start}")
     b0, lam0 = line.point_at(t_start)
     try:
-        return initialize_indicator(inst, b0, lam0, strategy="zero", tol=tol)
+        return initialize_indicator(inst, b0, lam0, strategy="zero")
     except ValueError:
-        return initialize_indicator(inst, b0, lam0, strategy="from_oracle", tol=tol)
+        return initialize_indicator(inst, b0, lam0, strategy="from_oracle")
 
 
 def cmd_path(args) -> int:
@@ -140,7 +142,7 @@ def cmd_path(args) -> int:
     if delta_b.size == inst.m:  # y-only velocity: keep r fixed
         delta_b = np.concatenate([delta_b, np.zeros(inst.m)])
     line = ParameterLine(inst.b, inst.lam, delta_b, args.delta_lambda)
-    s_init = _resolve_init(inst, line, args.t_start, args.tol)
+    s_init = _resolve_init(inst, line, args.t_start)
     result = path_sweep(
         inst,
         line,
@@ -179,7 +181,6 @@ def cmd_enumerate(args) -> int:
     config = EnumerationConfig(
         r_y=args.r_y,
         delta_lambda_min=args.delta_lambda_min,
-        max_nodes=args.max_nodes,
         n_coverage=args.coverage_samples,
         seed=args.seed,
     )
@@ -203,22 +204,22 @@ def _continuous(segments: list[PathSegment]) -> bool:
 def _verify_checks(inst: ProblemInstance, args):
     """Cross-oracle invariant suite on one instance; yields (name, ok, detail).
 
-    Each check is scale-free: optimality reads relative to the scale of
-    `check_opt`, and every bound on w or on the fit (beta_e, gamma_e) is
-    relative to the size of the quantity it bounds, so scaling (y, r,
-    lambda) together changes no verdict."""
-    cfg = OracleConfig(tol=min(args.tol, 1e-9))
-    w = solve_saddle(inst, cfg)
-    rep = check_opt(inst, w, tol=1e-9)
+    The oracles run at their defaults, their indicators read at
+    ORACLE_READ_TOL.  Each check is scale-free: optimality reads relative
+    to the scale of `check_opt`, and every bound on w or on the fit
+    (beta_e, gamma_e) is relative to the size of the quantity it bounds,
+    so scaling (y, r, lambda) together changes no verdict."""
+    w = solve_saddle(inst)
+    rep = check_opt(inst, w)
     yield "saddle_optimality", rep.worst_violation <= 1e-7, f"violation {rep.worst_violation:.2e}"
     yield "l1_bound", l1_bound_holds(inst, w), ""
 
     rng = np.random.default_rng(args.seed)
-    pattern = indicator_to_string(encode_sopt(inst, w, tol=1e-8))
+    pattern = indicator_to_string(encode_sopt(inst, w, tol=ORACLE_READ_TOL))
     stable = True
     for _ in range(2):
-        w_alt = solve_saddle(inst, cfg, w0=rng.normal(size=2 * inst.n))
-        if indicator_to_string(encode_sopt(inst, w_alt, tol=1e-8)) != pattern:
+        w_alt = solve_saddle(inst, w0=rng.normal(size=2 * inst.n))
+        if indicator_to_string(encode_sopt(inst, w_alt, tol=ORACLE_READ_TOL)) != pattern:
             stable = False
     yield "indicator_invariance", stable, pattern
 
@@ -252,7 +253,7 @@ def _verify_checks(inst: ProblemInstance, args):
         if w_path is None:
             continue
         probe = inst.with_params(lam=lam_t)
-        w_it = solve_saddle(probe, cfg)
+        w_it = solve_saddle(probe)
         s_path = summarize(probe, w_path)
         s_it = summarize(probe, w_it)
         gap = max(  # relative to the path's fit and l1-norm
@@ -327,12 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance and certify optimality")
     _add_instance_flags(p_solve)
-    p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.set_defaults(func=cmd_solve)
 
     p_path = sub.add_parser("path", help="piecewise-linear path along a parameter line")
     _add_instance_flags(p_path)
-    p_path.add_argument("--tol", type=float, default=1e-9)
     p_path.add_argument("--delta-b", help="comma-separated velocity of b (or of y alone)")
     p_path.add_argument("--delta-lambda", type=float, default=0.0)
     p_path.add_argument("--t-start", type=float, default=0.0)
@@ -351,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--seed", type=int, default=0)
     p_enum.add_argument("--r-y", type=float, required=True)
     p_enum.add_argument("--delta-lambda-min", type=float, required=True)
-    p_enum.add_argument("--max-nodes", type=int, default=256)
     p_enum.add_argument("--coverage-samples", type=int, default=64)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="cross-oracle invariant suite")
     _add_instance_flags(p_verify)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--segments", help="path JSON to spot-check")
     p_verify.set_defaults(func=cmd_verify)

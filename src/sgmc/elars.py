@@ -32,7 +32,7 @@ from .model import (
     zero_indicator,
 )
 from .optimality import certificate_scale, encode_sopt
-from .oracle import OracleConfig, solve_saddle
+from .oracle import ORACLE_READ_TOL, solve_saddle
 from .sweep import (
     LineRestrictedPiece,
     ParameterLine,
@@ -372,28 +372,27 @@ def initialize_indicator(
     b: np.ndarray,
     lam: float,
     strategy: str = "zero",
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Starting indicator whose zone contains (b, lambda).
 
-    `zero` certifies the all-zero zone by `ZoneMargins.inside`,
-    max_i |c_i^T b| <= lambda*(1 + tol) at 0 < lambda < inf: the bound and
-    its slack are both on the scale of lambda, so (alpha*b, alpha*lambda)
-    gets the answer of (b, lambda) for every alpha > 0.  `from_oracle`
-    solves the instance by `solve_saddle` at its default config, encodes
-    the equicorrelation signs and certifies them by zone membership,
-    failing loudly on zone boundaries (the caller may perturb lambda and
-    retry); its slack, max(tol, 1e-8)*S on the signs and the correlation
-    bounds with S = max(lambda, ||C^T b||_inf) (`certificate_scale`),
-    absorbs the error of the oracle's solve, which the oracle's stop bounds
-    on the same scale S.  Both slacks scale with (b, lambda), so neither
-    strategy's answer depends on the data's scale.  A point that fails
-    either certificate, NaN included, is never given an indicator.
+    `zero` certifies the all-zero zone by `ZoneMargins.inside` at its
+    default slack, max_i |c_i^T b| <= lambda*(1 + 1e-9) at 0 < lambda < inf:
+    the bound and its slack are both on the scale of lambda, so
+    (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
+    alpha > 0.  `from_oracle` solves the instance by `solve_saddle` at its
+    default config, encodes the equicorrelation signs and certifies them
+    by zone membership, failing loudly on zone boundaries (the caller may
+    perturb lambda and retry); both read the iterate at ORACLE_READ_TOL*S,
+    S = max(lambda, ||C^T b||_inf) (`certificate_scale`), a slack that
+    absorbs the error the oracle's stop bounds on the same scale S.  Both
+    slacks scale with (b, lambda), so neither strategy's answer depends on
+    the data's scale.  A point that fails either certificate, NaN
+    included, is never given an indicator.
     """
     b = np.ravel(b)
     if strategy == "zero":
         s = zero_indicator(inst.n)
-        if not zone_margins(inst, candidate_slope(inst, s), b, lam).inside(lam, tol):
+        if not zone_margins(inst, candidate_slope(inst, s), b, lam).inside(lam):
             raise ValueError(
                 f"zero strategy needs max|c_i^T b| <= lambda < inf, got lambda={lam}"
             )
@@ -402,8 +401,8 @@ def initialize_indicator(
         raise ValueError(f"unknown strategy {strategy!r}")
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
-    s = encode_sopt(probe, w, tol=max(tol, 10.0 * OracleConfig.tol))
-    if not zone_membership(inst, s, b, lam, tol=max(tol, 1e-8) * certificate_scale(probe) / lam):
+    s = encode_sopt(probe, w, tol=ORACLE_READ_TOL)
+    if not zone_membership(inst, s, b, lam, tol=ORACLE_READ_TOL * certificate_scale(probe) / lam):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
             "zone boundary (perturb lambda and retry)"
@@ -415,19 +414,18 @@ def initialize_indicator(
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Knobs of the zone search.
+    """Coverage samples of the zone search.
 
     Coverage is declared over `n_coverage` sampled points with ||y|| = r_y,
     r = 0 and lambda = delta_lambda_min, drawn from `seed`; the search
     sweeps to each point that no zone found so far covers, in the order
-    drawn, and stops once every point is covered or it holds `max_nodes`
-    zones.  A point whose sweep stops short of it stays uncovered unless a
-    later node's zone holds it.
+    drawn, so it makes at most `n_coverage` sweeps of at most 64 segments.
+    A point whose sweep stops short of it stays uncovered unless a later
+    node's zone holds it.
     """
 
     r_y: float
     delta_lambda_min: float
-    max_nodes: int = 256
     n_coverage: int = 64
     seed: int = 0
 
@@ -439,8 +437,8 @@ class ZoneGraph:
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
     boundary.  `incomplete` marks a graph that leaves a coverage point
-    outside every node's zone: a sweep stopped short of its point, or the
-    search hit `max_nodes`.  The counters say what the search did: sweeps
+    outside every node's zone, which only a sweep that stopped short of
+    its point can do.  The counters say what the search did: sweeps
     started (`rays`), distinct pieces built, and lookups that found their
     piece already built."""
 
@@ -520,12 +518,10 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     point.  The zones a sweep visits become nodes; consecutive segments
     contribute adjacency edges with the breakpoint as witness.  Points are
     taken in the order drawn, and one that an earlier node covers gets no
-    sweep.  The search stops once every point is covered or it holds
-    `max_nodes` zones; it is `incomplete` exactly when its nodes leave a
-    point uncovered, which only a sweep that stops short of its point or
-    the `max_nodes` budget can do.  A sweep's error propagates: from the
-    zero zone at b = 0 only data too small for `rank_cut` raise, and then
-    every sweep would.
+    sweep.  The graph is `incomplete` exactly when its nodes leave a point
+    uncovered, which only a sweep that stops short of its point can do.  A
+    sweep's error propagates: from the zero zone at b = 0 only data too
+    small for `rank_cut` raise, and then every sweep would.
 
     Each zone's piece is built once per call: one memo serves every sweep
     and coverage test, and a new node is tested at all still uncovered
@@ -546,7 +542,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     def add_node(s: np.ndarray, key: str):
         """Add `s` under `key` to the nodes unless it is known, and mark
         the coverage points its zone holds."""
-        if key in graph.nodes or len(graph.nodes) >= config.max_nodes:
+        if key in graph.nodes:
             return
         graph.nodes[key] = s.copy()
         piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
@@ -558,18 +554,15 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
                 graph.covered[j] = True
 
     def add_edge(sa: str, sb: str, b_w: np.ndarray, lam_w: float):
-        """Record the adjacency of two nodes, once; not if `add_node`
-        refused either zone at `max_nodes`."""
+        """Record the adjacency of two nodes, once."""
         key = (min(sa, sb), max(sa, sb))
-        if sa != sb and key not in edge_keys and sa in graph.nodes and sb in graph.nodes:
+        if sa != sb and key not in edge_keys:
             edge_keys.add(key)
             graph.edges.append((key[0], key[1], np.array(b_w), float(lam_w)))
 
     s0 = zero_indicator(inst.n)
     add_node(s0, indicator_to_string(s0))
     for j, (b, lam) in enumerate(graph.coverage_points):
-        if len(graph.nodes) >= config.max_nodes:
-            break
         if graph.covered[j]:
             continue
         graph.rays += 1

@@ -33,8 +33,8 @@ def correlation(
     """Correlation vector xi(w) = C^T (b - D C w), length 2n, at the
     instance's own b or at a probe b of the same (A, rho) family, so that
     probes need no instance (and no C, D) of their own.  A 2-D `w` holds k
-    points as columns and gives k columns; `b` is then one observation for
-    all of them or k observations as the columns of a (2m, k) array."""
+    points as columns and gives k columns; `b` then holds their k
+    observations as the columns of a (2m, k) array."""
     mats = inst.matrices
     w = np.asarray(w)
     if w.ndim != 2:
@@ -42,8 +42,6 @@ def correlation(
     if w.shape[0] != 2 * inst.n:
         raise ValueError(f"w has shape {w.shape}, expected ({2 * inst.n},)")
     b = inst.b if b is None else b
-    if w.ndim == 2 and np.ndim(b) == 1:  # one b for every column
-        b = b[:, None]
     residual = b - mats.D @ (mats.C @ w)
     return mats.C.T @ residual
 

@@ -56,6 +56,11 @@ class OracleConfig:
             raise ValueError("tol must be positive")
 
 
+# an iterate of `solve_saddle` is read (its signs, its zone) at this slack
+# relative to `certificate_scale`: ten times the default stop OracleConfig.tol
+ORACLE_READ_TOL = 1e-8
+
+
 def _soft(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
@@ -74,8 +79,10 @@ def solve_saddle(
     The forward operator is monotone but not cocoercive (D is nonsymmetric),
     so the correction step is what guarantees convergence at a fixed step
     below 1/||C^T D C||_2; the plain forward-backward map can cycle for rho
-    near 1.  The step is STEP_SCALE / ||C^T D C||_2 = 0.9 / ||C^T D C||_2,
-    with the exact spectral norm.  Warm-startable through w0.
+    near 1.  The step is STEP_SCALE / ||C^T D C||_2, from the exact spectral
+    norm with no floor, so scaling A by alpha scales the iterates by
+    1/alpha; at norm 0, xi = C^T b for every w and only w = 0 is judged.
+    Warm-startable through w0.
 
     Every 10 iterations the iterate z is judged by `check_opt`'s rule
     (`optimality_excess` at slack min(tol, 1e-9), relative to
@@ -89,21 +96,24 @@ def solve_saddle(
     G = mats.C.T @ (mats.D @ mats.C)
     h = mats.C.T @ inst.b
     lam = inst.lam
-    L = max(np.linalg.norm(G, 2), 1e-12)
-    tau = STEP_SCALE / L
+    L = np.linalg.norm(G, 2)
     w = np.zeros(2 * inst.n) if w0 is None else np.array(w0, dtype=float)
     check_tol = min(cfg.tol, 1e-9)
     scale = certificate_scale(inst)
 
-    for it in range(cfg.max_iters):
-        xi_w = h - G @ w
-        z = _soft(w + tau * xi_w, tau * lam)
-        xi_z = h - G @ z
-        w = z - tau * (xi_w - xi_z)
-        if it % 10 == 0:
-            if np.max(optimality_excess(z, xi_z, lam, scale, check_tol)) <= cfg.tol:
-                return z
-    z = _soft(w + tau * (h - G @ w), tau * lam)
+    if L == 0.0:  # xi = h whatever w is, so w = 0 solves it if anything does
+        z = np.zeros(2 * inst.n)
+    else:
+        tau = STEP_SCALE / L
+        for it in range(cfg.max_iters):
+            xi_w = h - G @ w
+            z = _soft(w + tau * xi_w, tau * lam)
+            xi_z = h - G @ z
+            w = z - tau * (xi_w - xi_z)
+            if it % 10 == 0:
+                if np.max(optimality_excess(z, xi_z, lam, scale, check_tol)) <= cfg.tol:
+                    return z
+        z = _soft(w + tau * (h - G @ w), tau * lam)
     worst = float(np.max(optimality_excess(z, h - G @ z, lam, scale, check_tol)))
     if worst <= cfg.tol:
         return z

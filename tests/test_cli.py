@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import sgmc.cli
+from sgmc import NonConvergenceError
 from sgmc.cli import main
 
 TWO_COLUMN = {"A": [[1.0, 1.0]], "rho": 0.0, "y": [2.0], "lambda": 1.0}
@@ -36,6 +38,23 @@ def test_solve_two_column_indicator(instance_file, tmp_path):
     data = json.loads(out.read_text())
     assert data["indicator"] == "++00"
     assert data["beta_e"][0] == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("best", [[0.5, 0.25, 0.0, 0.0], None])
+def test_solve_reports_non_convergence(instance_file, tmp_path, monkeypatch, best):
+    # the best iterate (zeros when there is none) is written, flagged as
+    # not converged, and the exit code is 2
+    def stalled(inst, *args, **kwargs):
+        w = None if best is None else np.array(best)
+        raise NonConvergenceError("saddle solver did not converge", w=w, achieved=0.1)
+
+    monkeypatch.setattr(sgmc.cli, "solve_saddle", stalled)
+    out = tmp_path / "out.json"
+    assert main(["solve", "--instance", instance_file(TWO_COLUMN), "--out", str(out)]) == 2
+    data = json.loads(out.read_text())
+    assert data["converged"] is False
+    assert data["w"] == (best or [0.0] * 4)
+    assert data["opt_report"]["satisfied"] is False
 
 
 def test_solve_malformed_json(tmp_path):
@@ -239,20 +258,18 @@ def test_enumerate_rejects_invalid_radius(instance_file, flag, value):
     assert main(argv) == 1
 
 
-def test_enumerate_budget_exhaustion(instance_file, tmp_path):
+def test_enumerate_incomplete_graph(instance_file, tmp_path):
+    # 4 of this instance's 12 sweeps stop at an unverified step short of
+    # their samples, which no other zone holds: 60 of 64 samples covered
+    A = np.random.default_rng(2).integers(-1, 2, (2, 3))
+    inst = {"A": A.tolist(), "rho": 0.3, "y": [0.0, 0.0], "lambda": 1.0}
     out = tmp_path / "graph.json"
-    code = main(
-        [
-            "enumerate",
-            "--instance", instance_file(TWO_COLUMN),
-            "--r-y", "5",
-            "--delta-lambda-min", "0.1",
-            "--max-nodes", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == 3
-    assert json.loads(out.read_text())["incomplete"] is True
+    argv = ["enumerate", "--instance", instance_file(inst), "--r-y", "3",
+            "--delta-lambda-min", "0.3", "--out", str(out)]
+    assert main(argv) == 3
+    data = json.loads(out.read_text())
+    assert data["incomplete"] is True
+    assert data["coverage"] == {"required": 64, "covered": 60}
 
 
 def test_enumerate_data_too_small_is_an_input_error(instance_file, tmp_path, capsys):
@@ -287,13 +304,18 @@ def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
 
 @pytest.mark.parametrize("command, flags, unread", [
     ("solve", [], ["--seed", "1"]),
+    ("solve", [], ["--tol", "1e-9"]),
+    ("path", ["--delta-lambda", "-1"], ["--tol", "1e-9"]),
+    ("verify", [], ["--tol", "1e-9"]),
     ("enumerate", ["--r-y", "5", "--delta-lambda-min", "0.1"], ["--tol", "1e-9"]),
+    ("enumerate", ["--r-y", "5", "--delta-lambda-min", "0.1"], ["--max-nodes", "1"]),
     ("path", ["--delta-lambda", "-1"], ["--init", "auto"]),
 ])
 def test_flags_a_command_does_not_read_are_rejected(instance_file, capsys, command, flags,
                                                     unread):
-    # solve draws nothing at random, enumerate takes no tolerance, and path
-    # picks its start from the data
+    # solve draws nothing at random, every tolerance is fixed and
+    # scale-free, enumerate is bounded by its samples, and path picks its
+    # start from the data
     argv = [command, "--instance", instance_file(TWO_COLUMN), *flags]
     with pytest.raises(SystemExit) as exc:
         main(argv + unread)

@@ -22,6 +22,7 @@ import pytest
 import sgmc.elars
 from sgmc import (
     EnumerationConfig,
+    OracleConfig,
     ParameterLine,
     ProblemInstance,
     check_opt,
@@ -212,3 +213,30 @@ def test_oracle_indicator_is_scale_free(alpha):
         return indicator_to_string(encode_sopt(probe, solve_saddle(probe), tol=1e-8))
 
     assert indicator(_scaled(alpha)) == indicator(_scaled(1.0))
+
+
+def _oracle_at(c):
+    """`solve_saddle` on a 4x8 Gaussian instance with A scaled by c, at
+    lambda = 0.3 lambda_max, within 20000 iterations."""
+    rng = np.random.default_rng(0)
+    A, y = rng.normal(size=(4, 8)), rng.normal(size=4)
+    inst = ProblemInstance(A=A * c, rho=0.3, y=y, lam=1.0)
+    lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+    return solve_saddle(inst.with_params(lam=0.3 * lam_max), OracleConfig(max_iters=20000))
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e-8, 1e-9, 1e-12, 1e-30])
+def test_oracle_solves_at_every_scale_of_A(c):
+    # scaling A by c scales the solution by 1/c; a step floored at 1e-12
+    # stalled the solver short of it below c = 1e-7 (violation 3.8e-3 at
+    # 1e-8, 0.63 at 1e-9)
+    w = _oracle_at(1.0)
+    npt.assert_allclose(c * _oracle_at(c), w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+
+def test_oracle_on_zero_data_matrix():
+    # A = 0 leaves xi = C^T b = 0 for every w, and w = 0 solves it
+    y = np.random.default_rng(0).normal(size=4)
+    inst = ProblemInstance(A=np.zeros((4, 8)), rho=0.3, y=y, lam=1.0)
+    npt.assert_array_equal(solve_saddle(inst, OracleConfig(max_iters=1)), np.zeros(16))
+    npt.assert_array_equal(solve_saddle(inst, w0=np.ones(16)), np.zeros(16))

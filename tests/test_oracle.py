@@ -135,6 +135,16 @@ class TestLassoReference:
         x = lasso_reference(A, y, 0.7, LassoConfig(tol=1e-9))
         assert lasso_kkt_ok(A, y, 0.7, x)
 
+    def test_non_convergence_reports_its_residual(self):
+        rng = np.random.default_rng(92)
+        A = rng.normal(size=(5, 9))
+        y = rng.normal(size=5)
+        with pytest.raises(NonConvergenceError) as exc:
+            lasso_reference(A, y, 0.1, LassoConfig(max_iters=1, tol=1e-12))
+        assert exc.value.achieved > 1e-12
+        assert exc.value.w.shape == (9,)
+        assert f"{exc.value.achieved:.3e}" in str(exc.value)
+
     def test_zero_column_handled(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
         x = lasso_reference(A, np.array([2.0, 1.0]), 0.5)
