@@ -15,7 +15,8 @@ and its excess over the bound is measured relative to the scale
 S = max(lambda, ||C^T b||_inf) (`certificate_scale`), the size of xi and of
 its rounding.  `certificate_scale` and `optimality_excess` hold the
 rule; `check_opt`, `encode_sopt`, `eqnq_membership`, the saddle oracle's
-stopping test and its start (`initialize_indicator`) all judge by them.
+stopping test and its start (`initialize_indicator`), and brute force's
+check of its zone members all judge by them.
 """
 
 from __future__ import annotations
@@ -73,17 +74,13 @@ class OptReport:
         }
 
 
-def certificate_scale(
-    inst: ProblemInstance, b: np.ndarray | None = None, lam: float | None = None
-) -> float:
-    """S = max(lambda, ||C^T b||_inf) at the instance's own (b, lambda) or
-    at a probe of its (A, rho) family: the larger of lambda and
-    lambda_max(b).  At a solution |xi| <= lambda, and xi = C^T b - C^T D C w
-    is rounded on the scale of its terms, so S is the size of xi and of its
-    rounding; it is homogeneous in (b, lambda).  Uses the dense C."""
-    b = inst.b if b is None else b
-    lam = inst.lam if lam is None else lam
-    return max(lam, float(np.abs(inst.matrices.C.T @ b).max(initial=0.0)))
+def certificate_scale(inst: ProblemInstance) -> float:
+    """S = max(lambda, ||C^T b||_inf) at the instance's own (b, lambda): the
+    larger of lambda and lambda_max(b).  At a solution |xi| <= lambda, and
+    xi = C^T b - C^T D C w is rounded on the scale of its terms, so S is the
+    size of xi and of its rounding; it is homogeneous in (b, lambda).  Uses
+    the dense C."""
+    return max(inst.lam, float(np.abs(inst.matrices.C.T @ inst.b).max(initial=0.0)))
 
 
 def optimality_excess(
@@ -92,35 +89,29 @@ def optimality_excess(
     """Signed excess of each index over its optimality bound, relative to
     `scale` (`certificate_scale`), less the slack tol; <= 0 where the bound
     holds.  An index is active when |w_i| > tol * ||w||_inf and must have
-    xi_i = lambda * sign(w_i); any other needs |xi_i| <= lambda.  A NaN in
-    w or xi gives NaN excesses."""
+    xi_i = lambda * sign(w_i); any other needs |xi_i| <= lambda.  A 2-D
+    w and xi hold k points as columns, judged each by its own ||w||_inf,
+    with `lam` and `scale` scalars or of length k.  A NaN in w or xi gives
+    NaN excesses."""
     w_abs = np.abs(w)
-    active = w_abs > tol * w_abs.max(initial=0.0)
+    active = w_abs > tol * w_abs.max(axis=0, initial=0.0)
     raw = np.where(active, np.abs(xi - lam * np.sign(w)), np.abs(xi) - lam)
     return raw / scale - tol
 
 
-def check_opt(
-    inst: ProblemInstance,
-    w: np.ndarray,
-    tol: float = 1e-9,
-    b: np.ndarray | None = None,
-    lam: float | None = None,
-) -> OptReport:
-    """Test the saddle optimality condition with the scale-free rule of
-    `optimality_excess`: `per_index` and `worst_violation` are excesses
-    relative to S = max(lambda, ||C^T b||_inf) beyond the slack tol, so
+def check_opt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> OptReport:
+    """Test the saddle optimality condition at the instance's own
+    (b, lambda) with the scale-free rule of `optimality_excess`:
+    `per_index` and `worst_violation` are excesses relative to
+    S = max(lambda, ||C^T b||_inf) beyond the slack tol, so
     (alpha*b, alpha*lambda, alpha*w) gets the report of (b, lambda, w) for
-    every alpha > 0.  `b` and `lam` probe another point of the instance's
-    (A, rho) family instead of its own (b, lambda).
+    every alpha > 0.  Another point of the (A, rho) family is probed by an
+    instance of its own, `inst.with_params(b=..., lam=...)`.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lam = inst.lam if lam is None else lam
     w = np.ravel(w)
-    excess = optimality_excess(
-        w, correlation(inst, w, b=b), lam, certificate_scale(inst, b, lam), tol
-    )
+    excess = optimality_excess(w, correlation(inst, w), inst.lam, certificate_scale(inst), tol)
     worst = max(float(excess.max()), 0.0)  # NaN if any excess is NaN
     return OptReport(
         satisfied=bool(worst == 0.0),

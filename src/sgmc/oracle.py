@@ -9,8 +9,8 @@ indicators, is independent of the sweep and the zone enumerator but not of
 the closed forms: for each support size it takes the pseudo-inverses of all
 supports from one batched `rank_cut`, the rule of `candidate_slope`, and
 tests the zones of all their compatible sign patterns, at all samples, in
-one evaluation.  Only its optimality check, `check_opt` on the dense C and
-D, is independent of them.
+one evaluation.  Only its optimality check, `check_opt`'s rule on the
+correlations it forms from the dense C and D, is independent of them.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidate import ZoneMargins, in_row_space, rank_cut
+from .candidate import ZoneMargins, eqnq_membership, in_row_space, rank_cut
 from .model import ProblemInstance, as_indicator, indicator_to_string
-from .optimality import certificate_scale, check_opt, correlation, optimality_excess
+from .optimality import certificate_scale, correlation, optimality_excess
 
 
 class NonConvergenceError(RuntimeError):
@@ -37,7 +37,7 @@ class NonConvergenceError(RuntimeError):
 
 STEP_SCALE = 0.9  # saddle step as a fraction of 1/||C^T D C||_2
 MAX_DYKSTRA_CYCLES = 100000  # sweeps of the halfspace projection
-BRUTE_FORCE_OPT_TOL = 1e-7  # check_opt violation (relative to S) a match may have
+BRUTE_FORCE_OPT_TOL = 1e-7  # optimality excess (relative to S) a match may have
 
 
 class InfeasibleSystemError(ValueError):
@@ -166,31 +166,29 @@ def _project_halfspaces(
     raise NonConvergenceError("halfspace projection did not converge", achieved=worst)
 
 
-def min_norm_over_eqnq(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def min_norm_over_eqnq(inst: ProblemInstance, s: np.ndarray) -> np.ndarray:
     """Minimum l2-norm element of the equality+inequality system of s at the
     instance's own (b, lambda).
 
     The equality system pins w to an affine set; parametrizing it by the null
-    space of C_E^T D C_E reduces the problem to projecting the origin onto a
-    small polyhedron, solved by Dykstra's method with a combined feasibility/
-    fixed-point stopping rule at `tol`.  That rule and the halfspace
-    tolerances, tol*(1 + lambda) in null-space coordinates, are the
-    solver's own, not the optimality certificate's: the result is
-    certified by `eqnq_membership`, on the scale of `certificate_scale`.
+    space N of C_E^T D C_E reduces the problem to projecting the origin onto
+    the |E| sign halfspaces in null-space coordinates, solved by Dykstra's
+    method with a combined feasibility/fixed-point stopping rule at
+    1e-9*(1 + lambda).  Off the support xi is constant on that set (C_E N = 0),
+    so the correlation bounds, like every other condition, are judged once,
+    on the result, by `eqnq_membership` at slack 1e-7 on the scale of
+    `certificate_scale`; a result that fails it raises
+    InfeasibleSystemError.  Answers at breakpoints, where those constant
+    correlations sit on their bound, as in the interior of a zone.
     """
     s = as_indicator(s)
     E = np.flatnonzero(s)
     mats = inst.matrices
-    lam = inst.lam
     if E.size == 0:
         return np.zeros(2 * inst.n)
     CE = mats.C[:, E]
     M = CE.T @ mats.D @ CE
-    d = CE.T @ inst.b - lam * s[E]
+    d = CE.T @ inst.b - inst.lam * s[E]
     # one SVD gives both the least-squares solution and the null space:
     # singular values at or below 1e-12 times the largest are dropped
     U, sigma, Vt = np.linalg.svd(M)
@@ -202,51 +200,21 @@ def min_norm_over_eqnq(
             f"equality system certified infeasible (residual {eq_residual:.3e})"
         )
     N = Vt[rank:].T  # orthonormal basis of the null space of M
-
-    def embed(wE: np.ndarray) -> np.ndarray:
-        w = np.zeros(2 * inst.n)
-        w[E] = wE
-        return w
-
-    if N.shape[1] == 0:
-        w = embed(w0_E)
-        _assert_nq(inst, s, w, tol)
-        return w
-
-    # halfspaces in null-space coordinates y (w_E = w0_E + N y)
-    halfspaces: list[tuple[np.ndarray, float]] = []
-    for row, i in enumerate(E):
-        g = -float(s[i]) * N[row]
-        h = float(s[i]) * float(w0_E[row])
-        if np.abs(g).max() > 0:
-            halfspaces.append((g, h))
-        elif h < -tol * (1.0 + lam):
-            raise InfeasibleSystemError("sign constraint infeasible on the null space")
-    xi0 = mats.C.T @ (inst.b - mats.D @ (CE @ w0_E))
-    T = mats.C.T @ (mats.D @ (CE @ N))
-    off = np.setdiff1d(np.arange(2 * inst.n), E)
-    for i in off:
-        for g, h in ((-T[i], lam - xi0[i]), (T[i], lam + xi0[i])):
-            if np.abs(g).max() > 0:
-                halfspaces.append((np.array(g), float(h)))
-            elif h < -tol * (1.0 + lam):
-                raise InfeasibleSystemError(
-                    "correlation bound infeasible on the null space"
-                )
-    scaled_tol = tol * (1.0 + lam)
-    y = _project_halfspaces(halfspaces, N.shape[1], scaled_tol)
-    w = embed(w0_E + N @ y)
-    _assert_nq(inst, s, w, tol)
-    return w
-
-
-def _assert_nq(inst: ProblemInstance, s: np.ndarray, w: np.ndarray, tol: float):
-    from .candidate import eqnq_membership
-
-    if not eqnq_membership(inst, s, w, tol=max(tol, 1e-7)):
+    # sign halfspaces -s_i N_i . y <= s_i w0_i in null-space coordinates y
+    # (w_E = w0_E + N y); a row of N that vanishes leaves w_i to the check
+    halfspaces = [
+        (-s[i] * N[row], float(s[i] * w0_E[row]))
+        for row, i in enumerate(E)
+        if np.abs(N[row]).max(initial=0.0) > 0
+    ]
+    y = _project_halfspaces(halfspaces, N.shape[1], 1e-9 * (1.0 + inst.lam))
+    w = np.zeros(2 * inst.n)
+    w[E] = w0_E + N @ y
+    if not eqnq_membership(inst, s, w, tol=1e-7):
         raise InfeasibleSystemError(
             "candidate system has no feasible point at these parameters"
         )
+    return w
 
 
 @dataclass(frozen=True)
@@ -324,13 +292,16 @@ def brute_force_indicators(
     each sample the matching indicator whose candidate solution has minimal
     l2-norm (ties broken by smaller support, then lexicographic string).  A
     candidate matches a sample when its zone holds the sample and its map
-    passes `check_opt` there within BRUTE_FORCE_OPT_TOL.
+    passes `check_opt`'s rule there within BRUTE_FORCE_OPT_TOL.  Norms tie
+    within a relative 1e-9 of the least, so (alpha*b, alpha*lambda) gets
+    the assignment of (b, lambda).
 
     The zones are tested by support size k (`_zone_members`): the blocks
     M = C_E^T D C_E do not depend on the signs, so all supports of one size
     share one batched `rank_cut` and all their sign patterns one zone
     test at all samples.  Only the (indicator, sample) members of a zone
-    go on to the optimality check, one at a time.
+    go on to the optimality check, all at once, on the maps and
+    correlations the zone test formed.
 
     Guarded to 2n <= 10 (3^10 = 59049 candidates).
     """
@@ -348,10 +319,8 @@ def brute_force_indicators(
 
     per_sample: list[list[tuple[float, int, str]]] = [[] for _ in points]
     for k in range(2 * n + 1):
-        for j, w, key in _zone_members(base, k, B, lams):
-            b, lam = points[j]
-            if check_opt(base, w, b=b, lam=lam).worst_violation <= BRUTE_FORCE_OPT_TOL:
-                per_sample[j].append((float(np.linalg.norm(w)), k, key))
+        for j, norm, key in _zone_members(base, k, B, lams):
+            per_sample[j].append((norm, k, key))
 
     for matched in per_sample:
         result.matches.append(sorted(key for *_rest, key in matched))
@@ -359,9 +328,7 @@ def brute_force_indicators(
             result.assignments.append(None)
             continue
         min_norm = min(norm for norm, *_ in matched)
-        eligible = [
-            entry for entry in matched if entry[0] <= min_norm + 1e-9 * (1.0 + min_norm)
-        ]
+        eligible = [entry for entry in matched if entry[0] <= min_norm * (1.0 + 1e-9)]
         eligible.sort(key=lambda entry: (entry[1], entry[2]))
         chosen = eligible[0][2]
         result.assignments.append(chosen)
@@ -371,15 +338,18 @@ def brute_force_indicators(
 
 def _zone_members(
     base: ProblemInstance, k: int, B: np.ndarray, lams: np.ndarray
-) -> list[tuple[int, np.ndarray, str]]:
-    """(sample index, map value there, indicator string) for each sample,
+) -> list[tuple[int, float, str]]:
+    """(sample index, map norm there, indicator string) for each sample,
     a column of `B` with its lambda in `lams`, that the zone of a
-    compatible indicator with k support indices holds.
+    compatible indicator with k support indices holds and at which its map
+    passes `check_opt`'s rule within BRUTE_FORCE_OPT_TOL.
 
     One `rank_cut` of the C(2n, k) blocks of C^T D C, one compatibility
     product over all (support, sign pattern) pairs, and one evaluation of
-    the maps and correlations of the compatible pairs at all samples.
-    Its arrays, (pairs) x 2n x (samples) floats, are freed on return.
+    the maps and correlations of the compatible pairs at all samples.  The
+    zone members' columns of those maps and correlations are gathered and
+    judged by `optimality_excess`, as `check_opt` judges one point.  Its
+    arrays, (pairs) x 2n x (samples) floats, are freed on return.
     """
     mats = base.matrices
     two_n = 2 * base.n
@@ -405,14 +375,23 @@ def _zone_members(
     S[E.T, pairs] = s_E.T
     W = np.zeros((two_n, of.size, len(lams)))  # index x pair x sample
     W[E.T, pairs] = w_E.transpose(1, 0, 2)
-    xi = correlation(base, W.reshape(two_n, -1), b=np.tile(B, of.size))
-    abs_xi = np.abs(xi, out=xi).reshape(W.shape)
-    abs_xi[S != 0] = -np.inf  # the correlation bound holds off the support only
+    xi = correlation(base, W.reshape(two_n, -1), b=np.tile(B, of.size)).reshape(W.shape)
+    off = (S == 0)[..., None]  # the correlation bound holds off the support only
     margins = ZoneMargins(
         sign_margin=(s_E[..., None] * w_E).min(axis=1, initial=np.inf),
-        corr_margin=lams - abs_xi.max(axis=0, initial=-np.inf),
+        corr_margin=lams - np.maximum(
+            xi.max(axis=0, where=off, initial=-np.inf),
+            -xi.min(axis=0, where=off, initial=np.inf),
+        ),
     )
+    q, j = np.nonzero(margins.inside(lams))
+    # `check_opt`'s rule on the members' columns, S = `certificate_scale`
+    # at each member's sample
+    W, xi, lams = W[:, q, j], xi[:, q, j], lams[j]
+    scale = np.maximum(lams, np.abs(mats.C.T @ B[:, j]).max(axis=0))
+    excess = optimality_excess(W, xi, lams, scale, 1e-9).max(axis=0)
+    norms = np.linalg.norm(W, axis=0)
     return [
-        (j, W[:, q, j].copy(), indicator_to_string(S[:, q]))
-        for q, j in zip(*np.nonzero(margins.inside(lams)))
+        (int(j[r]), float(norms[r]), indicator_to_string(S[:, q[r]]))
+        for r in np.flatnonzero(excess <= BRUTE_FORCE_OPT_TOL)
     ]

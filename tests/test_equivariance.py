@@ -25,6 +25,7 @@ from sgmc import (
     OracleConfig,
     ParameterLine,
     ProblemInstance,
+    brute_force_indicators,
     check_opt,
     encode_sopt,
     enumerate_zones,
@@ -213,6 +214,26 @@ def test_oracle_indicator_is_scale_free(alpha):
         return indicator_to_string(encode_sopt(probe, solve_saddle(probe), tol=1e-8))
 
     assert indicator(_scaled(alpha)) == indicator(_scaled(1.0))
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e8])
+def test_brute_force_assignments_are_scale_free(alpha):
+    # on A = [B0, B0] twin supports have maps of nearly equal norm; scaling
+    # the samples scales every norm, and ties by an absolute window of 1e-9
+    # took real norm gaps for ties at alpha = 1e-8 (25 of these 48
+    # assignments changed)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        B0 = rng.normal(size=(2, 2))
+        A = np.hstack([B0, B0])
+        samples = []
+        for _ in range(12):
+            u = rng.normal(size=2)
+            samples.append((np.concatenate([3.0 * u / np.linalg.norm(u), np.zeros(2)]), 0.3))
+        unscaled = brute_force_indicators(A, 0.3, samples)
+        scaled = brute_force_indicators(A, 0.3, [(alpha * b, alpha * lam) for b, lam in samples])
+        assert scaled.assignments == unscaled.assignments
+        assert scaled.matches == unscaled.matches
 
 
 def _oracle_at(c):

@@ -9,6 +9,7 @@ from sgmc import (
     LassoConfig,
     NonConvergenceError,
     OracleConfig,
+    ParameterLine,
     ProblemInstance,
     brute_force_indicators,
     candidate_slope,
@@ -20,6 +21,7 @@ from sgmc import (
     l1_bound_holds,
     lasso_reference,
     min_norm_over_eqnq,
+    path_sweep,
     solve_saddle,
     split_extended,
     strictly_inside,
@@ -97,6 +99,33 @@ class TestMinNormOverEqnq:
         # its min-norm element is the even split
         w = min_norm_over_eqnq(two_column, S1)
         npt.assert_allclose(w, [0.5, 0.5, 0.0, 0.0], atol=1e-8)
+
+    def test_agrees_with_path_at_breakpoints(self):
+        # lambda descents on A = [B, B]: the twin columns give the equality
+        # set a null space, on which xi is constant off the support, and at
+        # a breakpoint one of those correlations sits on its bound.  Their
+        # halfspaces, with normals of rounding noise, made the oracle raise
+        # or miss the path at 13 of these 46 breakpoints
+        breakpoints = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            B = rng.normal(size=(3, 3))
+            inst = ProblemInstance(A=np.hstack([B, B]), rho=0.3, y=rng.normal(size=3), lam=1.0)
+            lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+            line = ParameterLine(inst.b, lam_max, np.zeros(6), -1.0)
+            result = path_sweep(inst, line, zero_indicator(6), t_start=0.0)
+            assert result.stop_reason == "lambda_terminus"
+            for seg in result.segments:
+                points = [0.5 * (seg.t_start + seg.t_end)]
+                if line.lam_at(seg.t_end) > 0:
+                    points.append(seg.t_end)
+                    breakpoints += 1
+                for t in points:
+                    probe = inst.with_params(b=line.b_at(t), lam=line.lam_at(t))
+                    want = seg.weq_at(t)
+                    npt.assert_allclose(min_norm_over_eqnq(probe, seg.s), want,
+                                        rtol=0, atol=1e-8 * np.abs(want).max())
+        assert breakpoints == 46
 
     def test_infeasible_at_wrong_parameters(self, two_column):
         # ++00 needs y - lam >= 0 for NQ signs; y = -3 makes it empty
@@ -239,7 +268,7 @@ class TestBruteForce:
                  indicator_to_string(p.s))
                 for p in pieces
                 if zone_membership(base, p.s, b, lam, piece=p)
-                and check_opt(base, eval_weq(p, b, lam), b=b, lam=lam).worst_violation
+                and check_opt(base.with_params(b=b, lam=lam), eval_weq(p, b, lam)).worst_violation
                 <= 1e-7
             ]
             matches.append(sorted(key for *_, key in matched))
@@ -247,7 +276,7 @@ class TestBruteForce:
                 assignments.append(None)
                 continue
             least = min(norm for norm, *_ in matched)
-            eligible = [e for e in matched if e[0] <= least + 1e-9 * (1.0 + least)]
+            eligible = [e for e in matched if e[0] <= least * (1.0 + 1e-9)]
             assignments.append(min(eligible, key=lambda e: (e[1], e[2]))[2])
         assert result.matches == matches
         assert result.assignments == assignments
