@@ -4,28 +4,30 @@ A candidate indicator s fixes a support E and signs on it.  Solving the
 equality half of the optimality system in the least-squares sense gives an
 affine map of the parameters (b, lambda),
 
-    w_E(b, lambda) = R(s) [b; lambda],     w off E = 0,
-    R(s) = pinv(M) [C_E^T, -s_E],          M = C_E^T D C_E,
+    w_E(b, lambda) = pinv(M) (C_E^T b - lambda s_E),     w off E = 0,
+    M = C_E^T D C_E,
 
-whose slope R(s) depends on (A, rho, s) only.  The set of (b, lambda) where
-this map also satisfies the inequality half is a convex cone, the candidate
-zone of s; on it the map reproduces the minimum-norm solution.
+whose operator pinv(M) depends on (A, rho, s) only.  The set of (b, lambda)
+where this map also satisfies the inequality half is a convex cone, the
+candidate zone of s; on it the map reproduces the minimum-norm solution.
 
-A piece keeps M and pinv(M) rather than R and applies pinv(M) to
-C_E^T b - lambda s_E.  Since D + D^T is positive definite, null(M) =
-null(C_E), the orthogonal complement of Col(C_E^T).  So the one rank cut of
-the SVD of M gives pinv(M) and, in the right singular vectors it drops, the
-test of [s]_E in Col(C_E^T), without which the zone is empty.  That cut
-is `rank_cut`'s, which takes one M or a stack of them: brute force cuts
-all supports of one size in one batched SVD.
+`CandidatePiece.apply` forms this map for a line restriction
+(`sweep.restrict_to_line`) and for sets of points (`eval_weq`,
+`zone_margins`) alike.  A piece keeps M and pinv(M).  Since D + D^T is
+positive definite, null(M) = null(C_E), the orthogonal complement of
+Col(C_E^T).  So the one rank cut of the SVD of M gives pinv(M) and, in
+the right singular vectors it drops, the test of [s]_E in Col(C_E^T),
+without which the zone is empty.  That cut is `rank_cut`'s, which takes
+one M or a stack of them: brute force cuts all supports of one size in
+one batched SVD.
 Neighbouring zones differ in one support index, so `next_piece` updates
 M by a border or a swap and M^{-1} by a bordered inverse or a downdate, in
 O(|E|^2), instead of rebuilding M^{-1} in O(|E|^3).  The rows and columns
 of M and M^{-1} follow the piece's `support` array, not ascending index
 order: as in classical LARS, an insertion appends its index and a deletion
 moves the last index into the freed position, so no update permutes them.
-The kept M makes the checks of an updated inverse and the refinement of a
-line restriction O(|E|^2) products with M.
+The kept M makes the checks of an updated inverse and the refinement step
+of `apply` O(|E|^2) products with M.
 
 M and the border of an insertion (column C_E^T D c_j, row c_j^T D C_E and
 corner c_j^T D c_j) are entries of G = C^T D C = T kron A^T A, gathered
@@ -93,33 +95,22 @@ class CandidatePiece:
     @cached_property
     def compatible(self) -> bool:
         """Whether [s]_E lies in Col(C_E^T), so that the zone can be
-        nonempty (`compatible_signs` of the piece's own signs)."""
-        return self.invertible or bool(self.compatible_signs(self.s[self.support])[0])
+        nonempty (`in_row_space` on the piece's `null`)."""
+        return self.invertible or bool(in_row_space(self.s[self.support], self.null)[0])
 
-    def compatible_signs(self, signs: np.ndarray) -> np.ndarray:
-        """Which rows of `signs`, sign patterns on `support`, lie in
-        Col(C_E^T) (`in_row_space` on the piece's `null`)."""
-        return in_row_space(signs, self.null)
-
-    @cached_property
-    def R(self) -> np.ndarray:
-        """Slope R(s), shape (|E|, 2m+1); rows follow `support`.  For the
-        empty support it is the 1 x (2m+1) zero matrix (the empty-slice
-        convention).  Formed on first use only."""
-        E = self.support
-        if E.size == 0:
-            return np.zeros((1, 2 * self.mats.A.shape[0] + 1))
-        CEt = self.mats.columns(E).T
-        return self.Minv @ np.hstack([CEt, -self.s[E, None].astype(float)])
-
-    def apply(self, b: np.ndarray, lam) -> np.ndarray:
-        """R [b; lam] without forming R: pinv(M) C_E^T b - pinv(M) s_E lam.
-        `b` may hold k parameter points as columns, with `lam` of length k.
-        The two parts are mapped separately, as the columns of R are, so
-        the map stays linear where s_E is (nearly) in the null space of M
-        and C_E^T b would be lost in rounding against s_E lam."""
-        E = self.support
-        return self.Minv @ self.mats.ct(b.T).T[E] - np.multiply.outer(self.Minv @ self.s[E], lam)
+    def apply(self, ctb: np.ndarray, lams) -> np.ndarray:
+        """pinv(M) (C_E^T b - lambda s_E), rows following `support`, at the
+        points whose C^T b are the rows of `ctb`, (2n,) or (k, 2n), with
+        `lams` a scalar or of length k.  The two parts are mapped
+        separately, so the map stays linear where s_E is (nearly) in
+        null(M); one refinement step through the kept M, O(|E|^2), keeps
+        its correlations as accurate as a backward stable solve would,
+        which matters where |xi_i| is close to lambda over a whole zone."""
+        E, P = self.support, self.Minv
+        ctbE, sE = ctb.take(E, axis=-1), self.s[E]
+        wE = ctbE @ P.T - np.multiply.outer(lams, P @ sE)
+        wE += (ctbE - wE @ self.M.T - np.multiply.outer(lams, sE)) @ P.T
+        return wE
 
 
 def in_row_space(signs: np.ndarray, null: np.ndarray) -> np.ndarray:
@@ -269,13 +260,11 @@ def next_piece(
 
 
 def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
-    """Evaluate the candidate map at (b, lambda): R [b; lambda] on the
-    support, zeros elsewhere.  k points given as the columns of `b`, with
-    `lam` of length k, give k columns."""
-    E = piece.support
+    """Evaluate the candidate map at (b, lambda): `CandidatePiece.apply` on
+    the support, zeros elsewhere.  k points given as the columns of `b`,
+    with `lam` of length k, give k columns."""
     w = np.zeros(piece.s.shape + np.shape(lam))
-    if E.size:
-        w[E] = piece.apply(b, lam)
+    w[piece.support] = piece.apply(piece.mats.ct(np.transpose(b)), lam).T
     return w
 
 

@@ -137,9 +137,9 @@ class ModelMatrices:
     """The pair (C, D), dense, and its block operators.
 
     The dense matrices serve the independent checks only.  The closed
-    forms apply D C and C^T to rows through `dc` and `ct`, gather entries
-    of C^T D C with `gram_block` and `gram_border`, and assemble columns
-    of C with `columns`, all from A, rho and A^T A.
+    forms apply D C and C^T to rows through `dc` and `ct` and gather
+    entries of C^T D C with `gram_block` and `gram_border`, all from A,
+    rho and A^T A.
     """
 
     C: np.ndarray
@@ -161,8 +161,6 @@ class ModelMatrices:
         # index i of w lies in block i // n at position i mod n
         object.__setattr__(self, "_block", np.repeat([0, 1], n))
         object.__setattr__(self, "_pos", np.tile(np.arange(n), 2))
-        # row b of the coefficient of column i of C, zero off its block
-        object.__setattr__(self, "_c_cols", np.kron(np.diag(self._c_coef), np.ones(n)))
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -187,12 +185,6 @@ class ModelMatrices:
         P = (V.reshape(-1, m) @ self.A).reshape(-1, 2, n)
         P[:, 1] *= self._c_coef[1]
         return P.reshape(V.shape[:-1] + (2 * n,))
-
-    def columns(self, E: np.ndarray) -> np.ndarray:
-        """C[:, E], assembled from A: column i holds A's column i mod n,
-        scaled by 1 or sqrt(rho), in block i // n of the stacked pair."""
-        CE = self._c_cols[:, None, E] * self.A[:, self._pos[E]]
-        return CE.reshape(2 * self.A.shape[0], E.size)
 
     def gram_block(self, E: np.ndarray) -> np.ndarray:
         """G[E, E] of G = C^T D C: entry (i, j) is T[i // n, j // n] times

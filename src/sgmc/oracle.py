@@ -2,15 +2,16 @@
 
 The saddle solver (a proximal fixed-point iteration on the optimality
 inclusion), the min-norm solver (which projects the origin onto the
-equality+inequality system) and the LASSO reference (plain coordinate
-descent) share no code with the candidate/sweep machinery.  Brute force,
-which solves tiny instances outright by enumerating all 3^(2n) candidate
-indicators, is independent of the sweep and the zone enumerator but not of
-the closed forms: for each support size it takes the pseudo-inverses of all
-supports from one batched `rank_cut`, the rule of `candidate_slope`, and
-tests the zones of all their compatible sign patterns, at all samples, in
-one evaluation.  Only its optimality check, `check_opt`'s rule on the
-correlations it forms from the dense C and D, is independent of them.
+equality+inequality system) and the LASSO reference (coordinate descent
+with a null-space step) share no code with the candidate/sweep
+machinery.  Brute force, which solves tiny instances outright by
+enumerating all 3^(2n) candidate indicators, is independent of the sweep
+and the zone enumerator but not of the closed forms: for each support
+size it takes the pseudo-inverses of all supports from one batched
+`rank_cut`, the rule of `candidate_slope`, and tests the zones of all
+their compatible sign patterns, at all samples, in one evaluation.  Only
+its optimality check, `check_opt`'s rule on the correlations it forms
+from the dense C and D, is independent of them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class NonConvergenceError(RuntimeError):
 
 
 STEP_SCALE = 0.9  # saddle step as a fraction of 1/||C^T D C||_2
+NULL_STEP_SWEEPS = 10  # coordinate-descent sweeps between null-space steps
 MAX_DYKSTRA_CYCLES = 100000  # sweeps of the halfspace projection
 BRUTE_FORCE_OPT_TOL = 1e-7  # optimality excess (relative to S) a match may have
 
@@ -179,37 +181,37 @@ def min_norm_over_eqnq(inst: ProblemInstance, s: np.ndarray) -> np.ndarray:
     on the result, by `eqnq_membership` at slack 1e-7 on the scale of
     `certificate_scale`; a result that fails it raises
     InfeasibleSystemError.  Answers at breakpoints, where those constant
-    correlations sit on their bound, as in the interior of a zone.
+    correlations sit on their bound, as in the interior of a zone.  The
+    zero indicator's system has the one element w = 0, judged alike.
     """
     s = as_indicator(s)
     E = np.flatnonzero(s)
     mats = inst.matrices
-    if E.size == 0:
-        return np.zeros(2 * inst.n)
-    CE = mats.C[:, E]
-    M = CE.T @ mats.D @ CE
-    d = CE.T @ inst.b - inst.lam * s[E]
-    # one SVD gives both the least-squares solution and the null space:
-    # singular values at or below 1e-12 times the largest are dropped
-    U, sigma, Vt = np.linalg.svd(M)
-    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
-    w0_E = Vt[:rank].T @ ((U[:, :rank].T @ d) / sigma[:rank])
-    eq_residual = float(np.abs(M @ w0_E - d).max())
-    if eq_residual > 1e-8 * (1.0 + np.abs(d).max()):
-        raise InfeasibleSystemError(
-            f"equality system certified infeasible (residual {eq_residual:.3e})"
-        )
-    N = Vt[rank:].T  # orthonormal basis of the null space of M
-    # sign halfspaces -s_i N_i . y <= s_i w0_i in null-space coordinates y
-    # (w_E = w0_E + N y); a row of N that vanishes leaves w_i to the check
-    halfspaces = [
-        (-s[i] * N[row], float(s[i] * w0_E[row]))
-        for row, i in enumerate(E)
-        if np.abs(N[row]).max(initial=0.0) > 0
-    ]
-    y = _project_halfspaces(halfspaces, N.shape[1], 1e-9 * (1.0 + inst.lam))
     w = np.zeros(2 * inst.n)
-    w[E] = w0_E + N @ y
+    if E.size:
+        CE = mats.C[:, E]
+        M = CE.T @ mats.D @ CE
+        d = CE.T @ inst.b - inst.lam * s[E]
+        # one SVD gives both the least-squares solution and the null space:
+        # singular values at or below 1e-12 times the largest are dropped
+        U, sigma, Vt = np.linalg.svd(M)
+        rank = int(np.sum(sigma > 1e-12 * sigma[0]))
+        w0_E = Vt[:rank].T @ ((U[:, :rank].T @ d) / sigma[:rank])
+        eq_residual = float(np.abs(M @ w0_E - d).max())
+        if eq_residual > 1e-8 * (1.0 + np.abs(d).max()):
+            raise InfeasibleSystemError(
+                f"equality system certified infeasible (residual {eq_residual:.3e})"
+            )
+        N = Vt[rank:].T  # orthonormal basis of the null space of M
+        # sign halfspaces -s_i N_i . y <= s_i w0_i in null-space coordinates y
+        # (w_E = w0_E + N y); a row of N that vanishes leaves w_i to the check
+        halfspaces = [
+            (-s[i] * N[row], float(s[i] * w0_E[row]))
+            for row, i in enumerate(E)
+            if np.abs(N[row]).max(initial=0.0) > 0
+        ]
+        y = _project_halfspaces(halfspaces, N.shape[1], 1e-9 * (1.0 + inst.lam))
+        w[E] = w0_E + N @ y
     if not eqnq_membership(inst, s, w, tol=1e-7):
         raise InfeasibleSystemError(
             "candidate system has no feasible point at these parameters"
@@ -232,7 +234,10 @@ def lasso_reference(
 ) -> np.ndarray:
     """Cyclic coordinate-descent LASSO solver, stopped on the absolute KKT
     residual at `config.tol`: a reference for the LASSO criterion, with its
-    own stop, not the sGMC certificate of `check_opt`."""
+    own stop, not the sGMC certificate of `check_opt`.  Where A_S, S the
+    support, has a null direction the objective is flat along it and
+    coordinate descent crawls; so every NULL_STEP_SWEEPS sweeps
+    `_null_step` moves along it at once."""
     cfg = config or LassoConfig()
     A = np.atleast_2d(np.asarray(A, dtype=float))
     y = np.ravel(y)
@@ -240,7 +245,7 @@ def lasso_reference(
     col_sq = np.einsum("ij,ij->j", A, A)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = y - A @ x
-    for _ in range(cfg.max_iters):
+    for sweep in range(cfg.max_iters):
         for j in range(n):
             if col_sq[j] == 0.0:
                 x[j] = 0.0
@@ -253,10 +258,29 @@ def lasso_reference(
                 x[j] = new
         if _lasso_kkt_residual(A, x, r, lam) <= cfg.tol:
             return x
+        if sweep % NULL_STEP_SWEEPS == NULL_STEP_SWEEPS - 1 and _null_step(A, x):
+            r = y - A @ x
     achieved = _lasso_kkt_residual(A, x, y - A @ x, lam)
     if achieved <= cfg.tol:
         return x
     raise NonConvergenceError("coordinate descent did not converge", w=x, achieved=achieved)
+
+
+def _null_step(A: np.ndarray, x: np.ndarray) -> bool:
+    """Whether x was moved, in place, along a direction d in null(A_S), S
+    its support, to the first entry that reaches zero, set to exactly 0:
+    the fit A x is kept, and ||x||_1 does not grow (sign(x_S) . d <= 0)."""
+    S = np.flatnonzero(x)
+    if S.size <= np.linalg.matrix_rank(A[:, S]):
+        return False
+    d = np.linalg.svd(A[:, S])[2][-1]
+    if np.sign(x[S]) @ d > 0:
+        d = -d
+    reach = np.divide(-x[S], d, out=np.full(S.size, np.inf), where=x[S] * d < 0)
+    k = int(np.argmin(reach))
+    x[S] += reach[k] * d
+    x[S[k]] = 0.0
+    return True
 
 
 def _lasso_kkt_residual(A: np.ndarray, x: np.ndarray, r: np.ndarray, lam: float) -> float:
@@ -366,7 +390,7 @@ def _zone_members(
     if not of.size:
         return []
     # the compatible pairs' maps at every sample, as `CandidatePiece.apply`
-    # forms them: pinv(M) C_E^T b - lambda pinv(M) s_E
+    # forms them before its refinement step: pinv(M) C_E^T b - lambda pinv(M) s_E
     E, s_E = supports[of], signs[pattern]
     w_E = (cut.Minv @ mats.ct(B.T).T[supports])[of]
     w_E -= (cut.Minv @ signs.T)[of, :, pattern][..., None] * lams

@@ -37,7 +37,7 @@ class ParameterLine:
     coefficients must be finite.
 
     `B` = [delta_b; b0] and `lams` = [delta_lam, lam0] stack the two
-    coefficients of each as rows, as `restrict_to_line` solves for both at
+    coefficients of each as rows, as `restrict_to_line` maps both at
     once; `B_scale` holds the largest magnitude of each row of `B`.
     `time_scale` T = min(|lam0 / delta_lam|, |b0|_inf / |delta_b|_inf)
     over the terms that are positive and finite (1 if none is), the time
@@ -144,39 +144,26 @@ def restrict_to_line(
 ) -> LineRestrictedPiece:
     """Compute (p, q, u, v, cu, cv) of the zone of `piece` along the line.
 
-    The two coefficients of each line are rows: X = [-p; q] solves
-    M X_E^T = C_E^T B^T - s_E lams^T for B = [db; b0], lams = [dl, lam0],
-    by two applications of pinv(M), never R itself, and one step of
-    iterative refinement.  The residual of that system, C_E^T [u; v]^T -
-    s_E lams^T (the equality conditions themselves), is formed as
-    C_E^T B^T - s_E lams^T - M X_E^T with the piece's M, O(|E|^2).  It
-    keeps the correlation line as accurate as a backward stable solve
-    would, which matters where |xi_i| is close to lambda for the whole
-    zone and an error in (cu, cv) moves t_b by a large factor.  C^T B is
-    formed once per line (`ParameterLine.ct_B`), and D C X and C^T [u; v]
-    are one gemm each on the row view (`ModelMatrices.dc`, `ct`):
-    O(mn + |E|^2) work in all, and p, q, u, v, cu and cv are contiguous
-    rows.  The piece is the only description of the zone: a caller
-    holding an indicator builds it with `candidate_slope` first.  An
-    incompatible piece raises IncompatibleIndicatorError.
+    The two coefficients of each line are rows: X = [-p; q] is the map of
+    the piece (`CandidatePiece.apply`, with its refinement step) at the
+    rows C^T B, B = [db; b0], with lambdas [dl, lam0].  C^T B is formed
+    once per line (`ParameterLine.ct_B`), and D C X and C^T [u; v] are one
+    gemm each on the row view (`ModelMatrices.dc`, `ct`): O(mn + |E|^2)
+    work in all, and p, q, u, v, cu and cv are contiguous rows.  The piece
+    is the only description of the zone: a caller holding an indicator
+    builds it with `candidate_slope` first.  An incompatible piece raises
+    IncompatibleIndicatorError.
     """
     s = piece.s
     if not piece.compatible:
         raise IncompatibleIndicatorError(
             "indicator is incompatible; its candidate zone is empty"
         )
-    E = piece.support
     mats = inst.matrices
-    B, lams = line.B, line.lams
     X = np.zeros((2, s.size))
-    if E.size:
-        ctB, P = line.ct_B(mats).take(E, axis=1), piece.Minv
-        sE = s[E]
-        XE = ctB @ P.T - np.multiply.outer(lams, P @ sE)
-        XE += (ctB - XE @ piece.M.T - np.multiply.outer(lams, sE)) @ P.T
-        X[0][E], X[1][E] = XE
+    X[:, piece.support] = piece.apply(line.ct_B(mats), line.lams)
     DCX = mats.dc(X)
-    UV = B - DCX
+    UV = line.B - DCX
     CUV = mats.ct(UV)
     dl, lam0 = line.delta_lam, line.lam0
     floor = SLOPE_RTOL * (mats.col_abs_sums * (line.B_scale + np.abs(DCX).max(axis=1))[:, None])

@@ -33,13 +33,21 @@ def lstsq_compatible(inst, s):
     """Reference compatibility test: the least-squares residual of
     C_E^T x = [s]_E, with numpy's own rank cut, below 1e-8 * sqrt(|E|)."""
     E = np.flatnonzero(s)
-    CEt = inst.matrices.columns(E).T
+    CEt = inst.matrices.C[:, E].T
     sol, *_ = np.linalg.lstsq(CEt, s[E].astype(float), rcond=None)
     return bool(np.abs(CEt @ sol - s[E]).max(initial=0.0) <= 1e-8 * np.sqrt(E.size))
 
 
 def compatible(inst, s):
     return candidate_slope(inst, s).compatible
+
+
+def unit_maps(piece):
+    """The map at the 2m + 1 unit parameter points, (e_j, 0) and then
+    (0, 1), as columns: the slope [pinv(M) C_E^T, -pinv(M) s_E] scattered
+    to all 2n rows."""
+    two_m = 2 * piece.mats.A.shape[0]
+    return eval_weq(piece, np.eye(two_m, two_m + 1), np.eye(two_m + 1)[-1])
 
 
 class TestCompatibility:
@@ -64,7 +72,8 @@ class TestCompatibility:
     def test_matches_lstsq_reference(self, kind, rho):
         # every rank-deficient indicator of a 2x4 instance, one piece per
         # support: its sign patterns, each as its own piece and all at once
-        # by compatible_signs, against the least-squares test
+        # by in_row_space on the support's null basis, against the
+        # least-squares test
         rng = np.random.default_rng(1)
         if kind == "integer":
             A = rng.integers(-2, 3, size=(2, 4)).astype(float)
@@ -79,7 +88,7 @@ class TestCompatibility:
                 continue
             E = support_piece.support
             signs = np.array(list(itertools.product((1, -1), repeat=E.size)))
-            batch = support_piece.compatible_signs(signs)
+            batch = in_row_space(signs, support_piece.null)
             for signs_E, together in zip(signs, batch):
                 s = np.zeros(8, dtype=int)
                 s[E] = signs_E
@@ -95,15 +104,15 @@ class TestCandidateSlope:
     def test_zero_indicator_gives_zero_piece(self, two_column):
         piece = candidate_slope(two_column, zero_indicator(2))
         assert piece.compatible
-        assert piece.R.shape == (1, 3)
-        assert np.abs(piece.R).max() == 0.0
+        npt.assert_array_equal(unit_maps(piece), np.zeros((4, 3)))
         npt.assert_array_equal(eval_weq(piece, two_column.b, 1.0), np.zeros(4))
 
     def test_two_column_closed_form(self, two_column):
         # pinv([[1,1],[1,1]]) = [[1,1],[1,1]]/4 by hand, so the active block
         # of the map at (y, lambda) is ((y-lam)/2, (y-lam)/2)
         piece = candidate_slope(two_column, S1)
-        npt.assert_allclose(piece.R, [[0.5, 0.0, -0.5], [0.5, 0.0, -0.5]], atol=1e-12)
+        npt.assert_allclose(unit_maps(piece)[piece.support],
+                            [[0.5, 0.0, -0.5], [0.5, 0.0, -0.5]], atol=1e-12)
         for y, lam in [(2.0, 1.0), (5.0, 0.25), (-1.0, 3.0)]:
             w = eval_weq(piece, np.array([y, 0.0]), lam)
             npt.assert_allclose(w, [(y - lam) / 2, (y - lam) / 2, 0.0, 0.0], atol=1e-12)
@@ -117,7 +126,9 @@ class TestCandidateSlope:
         a = random_instance(32, m=3, n=5, rho=0.3)
         b = a.with_params(b=np.arange(6.0), lam=7.0)
         s = indicator_from_string("+000-00+00")
-        npt.assert_array_equal(candidate_slope(a, s).R, candidate_slope(b, s).R)
+        pa, pb = candidate_slope(a, s), candidate_slope(b, s)
+        npt.assert_array_equal(pa.M, pb.M)
+        npt.assert_array_equal(pa.Minv, pb.Minv)
 
     def test_eq_residual_on_random_zone(self):
         # the map value must solve the equality system wherever it exists
@@ -159,7 +170,7 @@ class TestNextPiece:
             # updates keep M^{-1} in the order of piece.support, ref's ascending
             pos = in_order_of(ref, piece)
             npt.assert_allclose(piece.Minv, ref.Minv[np.ix_(pos, pos)], rtol=1e-10, atol=1e-12)
-            npt.assert_allclose(piece.R, ref.R[pos], rtol=1e-10, atol=1e-12)
+            npt.assert_allclose(unit_maps(piece), unit_maps(ref), rtol=1e-10, atol=1e-12)
 
     def test_long_edit_chain_matches_closed_form(self, monkeypatch):
         # 48 one-index edits on a 12 x 24 instance that delete the first, a
@@ -378,7 +389,7 @@ class TestRankCut:
                 npt.assert_array_equal(piece.Minv, one.Minv)
                 assert cut.rank[i] == one.rank == k - len(piece.null)
                 npt.assert_array_equal(together[i], in_row_space(signs, one.null))
-                npt.assert_array_equal(together[i], piece.compatible_signs(signs))
+                npt.assert_array_equal(together[i], in_row_space(signs, piece.null))
                 verdicts.extend(together[i])
         assert any(verdicts) and not all(verdicts)
 

@@ -75,6 +75,17 @@ class TestMinNormOverEqnq:
         inst = inst.with_params(lam=1.3 * float(np.abs(inst.matrices.C.T @ inst.b).max()))
         npt.assert_array_equal(min_norm_over_eqnq(inst, zero_indicator(4)), np.zeros(8))
 
+    @pytest.mark.parametrize("lam, inside", [(0.5, False), (1.5, True)])
+    def test_zero_indicator_is_judged(self, lam, inside):
+        # on A = I_2 the zero zone is lam >= max|y| = 1: inside it the
+        # oracle returns zeros, outside it the system of 0 is empty
+        inst = ProblemInstance(A=np.eye(2), rho=0.3, y=np.ones(2), lam=lam)
+        if inside:
+            npt.assert_array_equal(min_norm_over_eqnq(inst, zero_indicator(2)), np.zeros(4))
+        else:
+            with pytest.raises(InfeasibleSystemError):
+                min_norm_over_eqnq(inst, zero_indicator(2))
+
     def test_two_column_hand_value(self, two_column):
         # KKT by hand: active block solves x1 + x2 = y - lam with equal split
         npt.assert_allclose(min_norm_over_eqnq(two_column, S1), [0.5, 0.5, 0, 0], atol=1e-9)
@@ -173,6 +184,18 @@ class TestLassoReference:
         assert exc.value.achieved > 1e-12
         assert exc.value.w.shape == (9,)
         assert f"{exc.value.achieved:.3e}" in str(exc.value)
+
+    def test_rank_deficient_support_converges(self):
+        # cold start on the 5 x 10 instance of seed 312 at lambda =
+        # 0.05 lambda_max: coordinate descent holds 6 columns in R^5 and, on
+        # its own, crawls along their null direction for about 1e5 sweeps
+        rng = np.random.default_rng(312)
+        A = rng.normal(size=(5, 10))
+        y = rng.normal(size=5)
+        lam = 0.05 * float(np.abs(A.T @ y).max())
+        x = lasso_reference(A, y, lam, LassoConfig(tol=1e-11, max_iters=1000))
+        assert lasso_kkt_ok(A, y, lam, x, tol=1e-11)
+        assert np.count_nonzero(x) == 5
 
     def test_zero_column_handled(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -347,7 +370,7 @@ class TestCrossOracleInvariants:
         def used(*args, **kwargs):
             raise OperatorUsed
 
-        for name in ("dc", "ct", "columns", "gram_block", "gram_border"):
+        for name in ("dc", "ct", "gram_block", "gram_border"):
             monkeypatch.setattr(ModelMatrices, name, used)
         monkeypatch.setattr(ModelMatrices, "gram", property(used))
         with pytest.raises(OperatorUsed):  # the closed forms do use them
