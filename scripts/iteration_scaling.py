@@ -11,7 +11,16 @@ script times the step over growing supports on a fixed Gaussian instance
 and fits the log-log slope.  By default each timed call is
 `candidate_slope` plus the step, the piece built from scratch as for a
 start zone; --reuse-slope builds the piece once per support and times the
-step alone, as a path step runs.
+step alone, as a path step runs.  --update times the one-index update
+itself instead, `next_piece` from a support of each size: an insertion,
+which grows it by one index, and a deletion from the middle of it, which
+moves the last index into the freed position.  Its supports are split
+between the primal and the dual block, so C_E keeps full column rank up
+to |E| = 2m at rho > 0, and a column says whether the update fell back to
+a rebuild, whose time is then an SVD's.
+
+    python3 scripts/iteration_scaling.py --update --m 100 --n 200 \
+        --sizes 50,100,150,190
 """
 
 import argparse
@@ -20,20 +29,51 @@ import time
 import numpy as np
 
 from sgmc import ParameterLine, ProblemInstance, candidate_slope, elars_iterate
+from sgmc.candidate import next_piece
 
 
-def time_step(inst, line, size, repeats=9, inner=3, reuse_slope=False):
-    s = np.zeros(2 * inst.n, dtype=int)
-    s[:size] = 1
-    piece = candidate_slope(inst, s)
-    elars_iterate(inst, piece, line)  # warm-up
+def time_call(fn, repeats=9, inner=5):
+    """Median over `repeats` of the mean time of `inner` calls of fn."""
+    fn()  # warm-up
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(inner):
-            elars_iterate(inst, piece if reuse_slope else candidate_slope(inst, s), line)
+            fn()
         samples.append((time.perf_counter() - t0) / inner)
     return float(np.median(samples))
+
+
+def time_step(inst, line, size, reuse_slope=False):
+    s = np.zeros(2 * inst.n, dtype=int)
+    s[:size] = 1
+    piece = candidate_slope(inst, s)
+    return time_call(
+        lambda: elars_iterate(inst, piece if reuse_slope else candidate_slope(inst, s), line),
+        inner=3,
+    )
+
+
+def time_updates(inst, size):
+    """Median times of a `next_piece` insertion into and a deletion from
+    a support of `size` indices, half primal and half dual, and whether
+    each gave an updated piece."""
+    n = inst.n
+    s = np.zeros(2 * n, dtype=int)
+    s[: size - size // 2] = 1
+    s[n : n + size // 2] = -1
+    piece = candidate_slope(inst, s)
+    j_in = n + size // 2  # the next dual index: the dual block is the smaller
+    grown = s.copy()
+    grown[j_in] = -1
+    j_out = piece.support[size // 2]
+    shrunk = s.copy()
+    shrunk[j_out] = 0
+    out = []
+    for s_next, j in ((grown, j_in), (shrunk, j_out)):
+        out.append(time_call(lambda: next_piece(inst, piece, s_next, j)))
+        out.append(next_piece(inst, piece, s_next, j).updated)
+    return out
 
 
 def main():
@@ -48,6 +88,11 @@ def main():
         action="store_true",
         help="precompute the slope once per support (isolates the sweep cost)",
     )
+    parser.add_argument(
+        "--update",
+        action="store_true",
+        help="time the one-index updates of next_piece instead of the step",
+    )
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -56,6 +101,19 @@ def main():
     )
     line = ParameterLine(inst.b, 5.0, np.zeros(2 * args.m), -1.0)
     sizes = [int(v) for v in args.sizes.split(",")]
+
+    if args.update:
+        rows = [time_updates(inst, size) for size in sizes]
+        print(f"m={args.m} n={args.n} rho={args.rho}")
+        print(f"{'|E|':>6} {'insertion':>12} {'updated':>8} {'deletion':>12} {'updated':>8}")
+        for size, (t_in, up_in, t_out, up_out) in zip(sizes, rows):
+            print(f"{size:>6} {t_in * 1e6:>9.1f} us {str(up_in):>8} "
+                  f"{t_out * 1e6:>9.1f} us {str(up_out):>8}")
+        fit = [float(np.polyfit(np.log(sizes), np.log([r[k] for r in rows]), 1)[0])
+               for k in (0, 2)]
+        print(f"fitted log-log slope: insertion {fit[0]:.2f}, deletion {fit[1]:.2f} "
+              f"(update bound: 2.0)")
+        return
 
     medians = []
     print(f"m={args.m} n={args.n} rho={args.rho}")

@@ -20,14 +20,18 @@ the right singular vectors it drops, the test of [s]_E in Col(C_E^T),
 without which the zone is empty.  That cut is `rank_cut`'s, which takes
 one M or a stack of them: brute force cuts all supports of one size in
 one batched SVD.
-Neighbouring zones differ in one support index, so `next_piece` updates
-M by a border or a swap and M^{-1} by a bordered inverse or a downdate, in
-O(|E|^2), instead of rebuilding M^{-1} in O(|E|^3).  The rows and columns
-of M and M^{-1} follow the piece's `support` array, not ascending index
-order: as in classical LARS, an insertion appends its index and a deletion
-moves the last index into the freed position, so no update permutes them.
+Neighbouring zones differ in one support index, so `next_piece`, handed
+that index, updates M by a border or a swap and M^{-1} by a bordered
+inverse or a downdate, in O(|E|^2), instead of rebuilding M^{-1} in
+O(|E|^3); it alone decides when an update must give way to a rebuild.
+The rows and columns of M and M^{-1} follow the piece's `support` array,
+not ascending index order: as in classical LARS, an insertion appends its
+index and a deletion moves the last index into the freed position, so no
+update permutes them.
 The kept M makes the checks of an updated inverse and the refinement step
-of `apply` O(|E|^2) products with M.
+of `apply` O(|E|^2) products with M.  A piece also keeps its signs s_E as
+floats and pinv(M) s_E, which its builder forms once (for an update, in
+its residual check) and `apply` reuses at every call.
 
 M and the border of an insertion (column C_E^T D c_j, row c_j^T D C_E and
 corner c_j^T D c_j) are entries of G = C^T D C = T kron A^T A, gathered
@@ -75,9 +79,14 @@ class CandidatePiece:
     `mats.gram_block(support)` entry for entry.  `null`, of shape
     (|E| - rank, |E|), holds the right singular vectors of M that `Minv`
     drops, an orthonormal basis of null(C_E) in the same order; it is empty
-    exactly when `Minv` is the true inverse.  `mats` holds the instance's
-    structural matrices, shared, not copied.  Pieces are shared through
-    memos, so nothing may mutate their arrays.
+    exactly when `Minv` is the true inverse.  `s_E` holds the signs on the
+    support as floats and `Minv_s_E` the product `Minv @ s_E`, formed once
+    by the builder (`next_piece`'s residual check takes it anyway) for
+    `apply` to reuse.  `updated` tells whether `next_piece` updated the
+    piece from its neighbour's, rather than `candidate_slope` building it
+    from an SVD.  `mats` holds the instance's structural matrices, shared,
+    not copied.  Pieces are shared through memos, so nothing may mutate
+    their arrays.
     """
 
     s: np.ndarray
@@ -86,6 +95,9 @@ class CandidatePiece:
     null: np.ndarray
     mats: ModelMatrices
     support: np.ndarray
+    s_E: np.ndarray
+    Minv_s_E: np.ndarray
+    updated: bool = False
 
     @property
     def invertible(self) -> bool:
@@ -96,7 +108,7 @@ class CandidatePiece:
     def compatible(self) -> bool:
         """Whether [s]_E lies in Col(C_E^T), so that the zone can be
         nonempty (`in_row_space` on the piece's `null`)."""
-        return self.invertible or bool(in_row_space(self.s[self.support], self.null)[0])
+        return self.invertible or bool(in_row_space(self.s_E, self.null)[0])
 
     def apply(self, ctb: np.ndarray, lams) -> np.ndarray:
         """pinv(M) (C_E^T b - lambda s_E), rows following `support`, at the
@@ -106,10 +118,10 @@ class CandidatePiece:
         null(M); one refinement step through the kept M, O(|E|^2), keeps
         its correlations as accurate as a backward stable solve would,
         which matters where |xi_i| is close to lambda over a whole zone."""
-        E, P = self.support, self.Minv
-        ctbE, sE = ctb.take(E, axis=-1), self.s[E]
-        wE = ctbE @ P.T - np.multiply.outer(lams, P @ sE)
-        wE += (ctbE - wE @ self.M.T - np.multiply.outer(lams, sE)) @ P.T
+        P = self.Minv
+        ctbE = ctb.take(self.support, axis=-1)
+        wE = ctbE @ P.T - np.multiply.outer(lams, self.Minv_s_E)
+        wE += (ctbE - wE @ self.M.T - np.multiply.outer(lams, self.s_E)) @ P.T
         return wE
 
 
@@ -174,42 +186,51 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     mats = inst.matrices
     if E.size == 0:
         empty = np.zeros((0, 0))
-        return CandidatePiece(s=s, M=empty, Minv=empty, null=empty, mats=mats, support=E)
+        return CandidatePiece(s=s, M=empty, Minv=empty, null=empty, mats=mats, support=E,
+                              s_E=np.zeros(0), Minv_s_E=np.zeros(0))
     M = mats.gram_block(E)
     cut = rank_cut(M, mats.col_abs_sums[E].any())
     # a copy, so that the piece does not hold the padded |E| x |E| basis
     null = cut.null[cut.rank:].copy()
-    return CandidatePiece(s=s, M=M, Minv=cut.Minv, null=null, mats=mats, support=E)
+    s_E = s[E].astype(float)
+    return CandidatePiece(s=s, M=M, Minv=cut.Minv, null=null, mats=mats, support=E,
+                          s_E=s_E, Minv_s_E=cut.Minv @ s_E)
 
 
 def next_piece(
-    inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray
+    inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray, j: int
 ) -> CandidatePiece:
-    """Piece of `s_next` from the piece of an indicator whose support
-    differs from it in one index, in O(|E|^2).
+    """Piece of `s_next`, whose support differs from that of `piece` in
+    the one index `j` only, in O(|E|^2).
 
-    An insertion borders M with the new column, row and corner d, which
+    The caller hands over the index it edited (`path_sweep` reads it off
+    the step's `deleted` or `inserted`); an index where the two supports
+    agree raises ValueError, and an edit of several indices is the
+    caller's to rebuild with `candidate_slope`.  An insertion borders M
+    with the new column, row and corner d, which
     `ModelMatrices.gram_border` gathers from A^T A, borders M^{-1} through
     the Schur complement sigma = d - row^T M^{-1} col, and appends the
     index to the support.  A deletion swaps the index's position with the
     last one in M and M^{-1}, truncates M and takes M^{-1} <- P - q r^T / s
-    from the blocks of the swapped inverse.  Each new inverse is allocated
-    once, its rank-one term written into it and the old block added, with
-    no temporary matrix.  `piece` itself is never modified.  A from-scratch
-    `candidate_slope` runs instead when the supports differ in more than
-    one index, when `piece` holds a pseudoinverse, when sigma <= SCHUR_RTOL
-    times its scale (a rank drop), or when the updated inverse misses
-    M (M^{-1} s_E) = s_E by more than UPDATE_RTOL, a check run through the
-    kept M.
+    from the blocks of the swapped inverse.  An insertion forms the new
+    leading block P + x y^T in one contiguous temporary and copies it into
+    the bordered inverse once.  `piece` itself is never modified.  This
+    function decides between the update and a from-scratch
+    `candidate_slope`, which runs instead when `piece` holds a
+    pseudoinverse, when sigma <= SCHUR_RTOL times its scale (a rank drop),
+    or when the updated inverse misses M (M^{-1} s_E) = s_E by more than
+    UPDATE_RTOL, a check run through the kept M.  The product
+    M^{-1} s_E of that check is kept in the piece as `Minv_s_E`.
     """
-    changed = np.flatnonzero((s_next != 0) != (piece.s != 0))
-    if changed.size != 1 or not piece.invertible:
+    deleting = bool(piece.s[j])
+    if deleting == bool(s_next[j]):
+        raise ValueError(f"index {j} is in both supports or in neither")
+    if not piece.invertible:
         return candidate_slope(inst, s_next)
-    j = int(changed[0])
     E, M0, P = piece.support, piece.M, piece.Minv
     N = E.size
     mats = inst.matrices
-    if piece.s[j] == 0:
+    if not deleting:
         col, row, d = mats.gram_border(E, j)
         x = P @ col
         y = row @ P
@@ -218,20 +239,23 @@ def next_piece(
         if not sigma > SCHUR_RTOL * (abs(d) + abs(rx)):
             return candidate_slope(inst, s_next)
         x /= sigma
+        lead = np.einsum("i,j->ij", x, y)
+        lead += P
         Minv = np.empty((N + 1, N + 1))
-        np.einsum("i,j->ij", x, y, out=Minv[:N, :N])
-        Minv[:N, :N] += P
-        Minv[:N, N] = -x
-        Minv[N, :N] = -y / sigma
+        Minv[:N, :N] = lead
+        np.negative(x, out=Minv[:N, N])
+        np.divide(y, -sigma, out=Minv[N, :N])
         Minv[N, N] = 1.0 / sigma
         M = np.empty((N + 1, N + 1))
         M[:N, :N] = M0
         M[:N, N], M[N, :N], M[N, N] = col, row, d
-        support = np.append(E, j)
+        support = np.empty(N + 1, dtype=E.dtype)
+        support[:N] = E
+        support[N] = j
     else:
         # the blocks of the inverse with positions k and N - 1 swapped:
         # column and row k of the leading block and the pivot P[k, k]
-        k = int(np.flatnonzero(E == j)[0])
+        k = int((E == j).argmax())
         last = N - 1
         col, row = P[:last, k].copy(), P[k, :last].copy()
         support = E[:last].copy()
@@ -248,14 +272,13 @@ def next_piece(
             Minv[:, k] = P[:last, last] - col * row[k]
             Minv[k, k] = P[last, last] - col[k] * row[k]
             M[k], M[:, k], M[k, k] = M0[last, :last], M0[:last, last], M0[last, last]
-    if support.size:
-        rhs = s_next[support].astype(float)
-        residual = M @ (Minv @ rhs) - rhs
-        if not np.abs(residual).max() <= UPDATE_RTOL:
-            return candidate_slope(inst, s_next)
+    s_E = s_next[support].astype(float)
+    Minv_s_E = Minv @ s_E
+    if not np.abs(M @ Minv_s_E - s_E).max(initial=0.0) <= UPDATE_RTOL:
+        return candidate_slope(inst, s_next)
     return CandidatePiece(
         s=s_next, M=M, Minv=Minv, null=np.zeros((0, support.size)), mats=mats,
-        support=support,
+        support=support, s_E=s_E, Minv_s_E=Minv_s_E, updated=True,
     )
 
 

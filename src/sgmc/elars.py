@@ -111,11 +111,12 @@ def elars_iterate(
     # off it, upper bounds (those of the support are 0*t <= 0 and never
     # tie), the wall.  Usually one row ties.
     n2 = s.size
-    tied = np.flatnonzero(_ties(times.rows, t_plus, line)).tolist()
+    tied = _ties(times.rows, t_plus, line).nonzero()[0].tolist()
     terminus = tied[-1] == 2 * n2
     deleted = [row for row in tied if row < n2 and s[row]]
     s_plus = s.copy()
-    s_plus[deleted] = 0
+    if deleted:
+        s_plus[deleted] = 0
     inserted = []
     # at the terminus wall every correlation bound ties and rounding gives
     # the correlations signs, but the path ends there, so it inserts nothing
@@ -198,9 +199,18 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class PathSweepResult:
+    """Segments of a sweep, why it stopped and its line.  The counters
+    say where each zone's piece came from: updated from the previous
+    zone's by `next_piece`, built from an SVD by `candidate_slope` (the
+    start zone, multi-index edits and the updates that fell back), or
+    found in the caller's memo."""
+
     segments: tuple[PathSegment, ...]
     stop_reason: str
     line: ParameterLine
+    pieces_updated: int = 0
+    pieces_rebuilt: int = 0
+    memo_hits: int = 0
 
     @property
     def truncated(self) -> bool:
@@ -217,6 +227,11 @@ class PathSweepResult:
                 "delta_b": self.line.delta_b.tolist(),
                 "delta_lambda": self.line.delta_lam,
             },
+            "counters": {
+                "pieces_updated": self.pieces_updated,
+                "pieces_rebuilt": self.pieces_rebuilt,
+                "memo_hits": self.memo_hits,
+            },
         }
 
 
@@ -229,15 +244,32 @@ def line_from_dict(data: dict) -> ParameterLine:
     )
 
 
-def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build):
-    """Piece of `s` from the memo, else `build()`, stored in the memo."""
-    if pieces is None:
-        return build()
-    key = s.tobytes()
-    piece = pieces.get(key)
+def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
+              counts: dict[str, int] | None = None) -> CandidatePiece:
+    """Piece of `s` from the memo, else `build()`, stored in the memo.
+    `counts` tallies where it came from, under the names of the counters
+    of `PathSweepResult`."""
+    piece = None if pieces is None else pieces.get(s.tobytes())
     if piece is None:
-        piece = pieces[key] = build()
+        piece = build()
+        if pieces is not None:
+            pieces[s.tobytes()] = piece
+        origin = "pieces_updated" if piece.updated else "pieces_rebuilt"
+    else:
+        origin = "memo_hits"
+    if counts is not None:
+        counts[origin] += 1
     return piece
+
+
+def _landing_piece(inst: ProblemInstance, piece: CandidatePiece, res: IterationResult):
+    """Piece of the zone that step `res` lands in: `next_piece` updates
+    `piece`, handed the one index the step edited; an edit of several
+    indices (or of none) is built from scratch."""
+    edit = res.deleted + res.inserted
+    if len(edit) == 1:
+        return next_piece(inst, piece, res.s_plus, edit[0])
+    return candidate_slope(inst, res.s_plus)
 
 
 def _misses(res: IterationResult, t: float) -> str | None:
@@ -266,8 +298,9 @@ def path_sweep(
 
     Starts from an indicator whose zone contains (b(t_start), lambda(t_start))
     and chains deletion-insertion steps.  Each zone's piece comes from the
-    previous one by `next_piece` (a one-index update of M^{-1}, or a rebuild
-    on multi-index events and rank drops) and is restricted to the line once.
+    previous one by `next_piece`, handed the one index the step edited (an
+    update of M^{-1}, or a rebuild on rank drops), or by `candidate_slope`
+    on multi-index events, and is restricted to the line once.
     That one restriction certifies the zone: it meets the line in the
     closed-form interval [entry, exit], which must hold the zone's first
     time (t_start, or the breakpoint the step landed on) within the TIE_TOL
@@ -297,7 +330,8 @@ def path_sweep(
     lam_start = line.lam_at(t_start)
     if not lam_start > 0:
         raise ValueError(f"lambda(t_start) must be positive, got {lam_start}")
-    piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
+    counts = dict.fromkeys(("pieces_updated", "pieces_rebuilt", "memo_hits"), 0)
+    piece = _memoized(pieces, s, lambda: candidate_slope(inst, s), counts)
     res = elars_iterate(inst, piece, line)
     if _misses(res, t_start):
         raise ValueError(
@@ -342,7 +376,7 @@ def path_sweep(
             PathSegment(s, t_cur, max(res.t_plus, t_cur), res.restricted.p,
                         res.restricted.q, res.deleted, res.inserted)
         )
-        piece = _memoized(pieces, res.s_plus, lambda: next_piece(inst, piece, res.s_plus))
+        piece = _memoized(pieces, res.s_plus, lambda: _landing_piece(inst, piece, res), counts)
         if not piece.compatible:
             stop = "unverified_step"
             break
@@ -352,7 +386,7 @@ def path_sweep(
         stop = _misses(res, t_cur)
         if stop:
             break
-    return PathSweepResult(segments=tuple(segments), stop_reason=stop, line=line)
+    return PathSweepResult(segments=tuple(segments), stop_reason=stop, line=line, **counts)
 
 
 def evaluate_path(result: PathSweepResult, t: float) -> np.ndarray | None:

@@ -194,12 +194,14 @@ class ModelMatrices:
 
     def gram_border(self, E: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Column G[E, j], row G[j, E] and corner G[j, j] of G = C^T D C,
-        by the index arithmetic of `gram_block`."""
+        by the index arithmetic of `gram_block`, with 1-D gathers only: the
+        row j mod n of A^T A and a column and a row of T."""
         bj, ij = divmod(j, self.A.shape[1])
-        bE = self._block[E]
-        g = self.gram[ij, self._pos[E]]  # A^T A is symmetric: one gather for both
+        bE = self._block.take(E)
+        # A^T A is symmetric: one gather from its row j mod n serves both
+        g = self.gram[ij].take(self._pos.take(E))
         T = self._T
-        return T[bE, bj] * g, T[bj, bE] * g, float(T[bj, bj] * self.gram[ij, ij])
+        return T[:, bj].take(bE) * g, T[bj].take(bE) * g, float(T[bj, bj] * self.gram[ij, ij])
 
 
 def build_model_matrices(inst: ProblemInstance) -> ModelMatrices:

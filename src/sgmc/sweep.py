@@ -38,7 +38,9 @@ class ParameterLine:
 
     `B` = [delta_b; b0] and `lams` = [delta_lam, lam0] stack the two
     coefficients of each as rows, as `restrict_to_line` maps both at
-    once; `B_scale` holds the largest magnitude of each row of `B`.
+    once; `B_scale` holds the largest magnitude of each row of `B`, and
+    `wall_row` = [[-delta_lam], [lam0]] the row k*t <= c of the
+    lambda >= 0 wall that `zone_exit_times` scans at every step.
     `time_scale` T = min(|lam0 / delta_lam|, |b0|_inf / |delta_b|_inf)
     over the terms that are positive and finite (1 if none is), the time
     the line takes to move lambda by lam0 or b by b0, whichever is sooner:
@@ -70,6 +72,7 @@ class ParameterLine:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "B_scale", np.abs(B).max(axis=1))
+        object.__setattr__(self, "wall_row", np.array([[-self.delta_lam], [self.lam0]]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             T = np.divide([abs(self.lam0), self.B_scale[1]], [abs(self.delta_lam), self.B_scale[0]])
         T = T[np.isfinite(T) & (T > 0)]
@@ -185,7 +188,7 @@ def restrict_to_line(
     # at a point the noise picks, so values within SLOPE_RTOL of the exact
     # one, relative to the terms they were summed from, are set to it.
     cu, cv = CUV
-    cu[np.abs(cu) <= floor[0]] = 0.0
+    np.copyto(cu, 0.0, where=np.abs(cu) <= floor[0])
     at_bound = np.abs(np.abs(cv) - lam0) <= floor[1] + SLOPE_RTOL * abs(lam0)
     np.copyto(cv, np.sign(cv) * lam0, where=at_bound)
     np.negative(X[0], out=X[0])
@@ -243,8 +246,7 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     t_inf < t_sup.
     """
     on = r.s != 0
-    dl, lam0 = r.line.delta_lam, r.line.lam0
-    wall_row = np.array([[-dl], [lam0]])
+    dl, lam0, wall_row = r.line.delta_lam, r.line.lam0, r.line.wall_row
     # rows [k; c]: s [p; q] on the support; off it [-cu - dl; lam0 + cv]
     # (lower) and [cu - dl; lam0 - cv] (upper)
     n2 = on.size
@@ -258,8 +260,7 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     np.copyto(upper, 0.0, where=on)
     kc[:, -1:] = wall_row
     k, c = kc
-    wall = r.wall & ~on
-    if wall.any():
+    if r.wall.any() and (wall := r.wall & ~on).any():
         wall = np.concatenate([wall, wall, [False]])
         wall &= k * -dl + c * lam0 > 0.0
         kc[:, wall] = wall_row

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sgmc.candidate
 from sgmc import ParameterLine, ProblemInstance
 
 
@@ -32,3 +33,22 @@ def random_instance(seed, m=4, n=8, rho=0.0, lam=None, scale=1.0):
 @pytest.fixture
 def rand_4x8():
     return random_instance(11, m=4, n=8, rho=0.0)
+
+
+def changed_index(piece, s):
+    """The one index where the supports of `piece` and of `s` differ,
+    derived by comparing the two, or None if they differ in several
+    indices or in none."""
+    changed = np.flatnonzero((s != 0) != (piece.s != 0))
+    return int(changed[0]) if changed.size == 1 else None
+
+
+def piece_after_edit(inst, piece, s):
+    """The piece of `s` from the piece of a neighbour, as `path_sweep`
+    forms it: `next_piece` handed the changed index for a one-index edit,
+    `candidate_slope` (looked up on its module, so that a monkeypatch
+    sees it) for any other edit."""
+    j = changed_index(piece, s)
+    if j is None:
+        return sgmc.candidate.candidate_slope(inst, s)
+    return sgmc.candidate.next_piece(inst, piece, s, j)

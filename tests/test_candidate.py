@@ -24,7 +24,7 @@ from sgmc import (
 )
 from sgmc.candidate import in_row_space, next_piece, rank_cut, zone_margins
 
-from conftest import random_instance
+from conftest import piece_after_edit, random_instance
 
 S1 = indicator_from_string("++00")
 
@@ -40,6 +40,13 @@ def lstsq_compatible(inst, s):
 
 def compatible(inst, s):
     return candidate_slope(inst, s).compatible
+
+
+def with_signs(piece, s):
+    """`piece` with the signs `s` on its support: M, Minv and null depend
+    on the support only, and the signs the piece keeps follow `s`."""
+    s_E = s[piece.support].astype(float)
+    return dataclasses.replace(piece, s=s, s_E=s_E, Minv_s_E=piece.Minv @ s_E)
 
 
 def unit_maps(piece):
@@ -92,7 +99,7 @@ class TestCompatibility:
             for signs_E, together in zip(signs, batch):
                 s = np.zeros(8, dtype=int)
                 s[E] = signs_E
-                piece = dataclasses.replace(support_piece, s=s)
+                piece = with_signs(support_piece, s)
                 assert piece.compatible == together == lstsq_compatible(inst, s), (
                     indicator_to_string(s)
                 )
@@ -164,7 +171,7 @@ class TestNextPiece:
         for i, sign in ((3, 1), (12, -1), (0, 0), (15, 1), (9, 0)):
             s = s.copy()
             s[i] = sign
-            piece = next_piece(inst, piece, s)
+            piece = next_piece(inst, piece, s, i)
             ref = candidate_slope(inst, s)
             assert piece.invertible and piece.compatible
             # updates keep M^{-1} in the order of piece.support, ref's ascending
@@ -202,7 +209,7 @@ class TestNextPiece:
                 k = (0, E.size // 2, E.size - 1)[(step // 2) % 3]
                 deleted_at.add((0, E.size // 2, E.size - 1).index(k))
                 s[E[k]] = 0
-            piece = next_piece(inst, piece, s)
+            piece = piece_after_edit(inst, piece, s)
             ref = sgmc.candidate_slope(inst, s)
             npt.assert_array_equal(np.sort(piece.support), ref.support)
             pos = in_order_of(ref, piece)
@@ -214,19 +221,48 @@ class TestNextPiece:
         # memos share pieces, so an update must leave its parent as it was
         inst = random_instance(39, m=6, n=10, rho=0.3)
         s = indicator_from_string("+0-00+000-" + "0+000-0000")
-        parent = next_piece(inst, candidate_slope(inst, s), s_with(s, 2, 0))
-        parent = next_piece(inst, parent, s_with(parent.s, 14, 1))
+        parent = next_piece(inst, candidate_slope(inst, s), s_with(s, 2, 0), 2)
+        parent = next_piece(inst, parent, s_with(parent.s, 14, 1), 14)
         Minv, support, signs = parent.Minv.tobytes(), parent.support.copy(), parent.s.copy()
         E = parent.support
-        for child_s in (s_with(parent.s, 3, -1), s_with(parent.s, E[0], 0),
-                        s_with(parent.s, E[2], 0), s_with(parent.s, E[-1], 0)):
-            child = next_piece(inst, parent, child_s)
+        for j, sign in ((3, -1), (E[0], 0), (E[2], 0), (E[-1], 0)):
+            child = next_piece(inst, parent, s_with(parent.s, j, sign), j)
             assert child.invertible
             assert not np.shares_memory(child.Minv, parent.Minv)
             assert not np.shares_memory(child.support, parent.support)
             assert parent.Minv.tobytes() == Minv
             npt.assert_array_equal(parent.support, support)
             npt.assert_array_equal(parent.s, signs)
+
+    def test_index_outside_the_edit_raises(self):
+        # the caller hands over the edited index; one where the supports
+        # agree (in both, in neither, or a sign flip) builds no piece
+        inst = random_instance(35, m=4, n=8, rho=0.5)
+        s = indicator_from_string("+0-0000+0-000000")
+        piece = candidate_slope(inst, s)
+        grown = s_with(s, 3, 1)
+        for s_next, j in ((grown, 0), (grown, 1), (grown, 9), (s_with(s, 0, -1), 0)):
+            with pytest.raises(ValueError, match="in both supports or in neither"):
+                next_piece(inst, piece, s_next, j)
+        assert next_piece(inst, piece, grown, 3).updated
+
+    def test_piece_keeps_its_signs_and_product(self):
+        # apply reuses s_E and pinv(M) s_E, which the builder formed: they
+        # must be what apply formed itself before, bitwise
+        inst = random_instance(35, m=4, n=8, rho=0.5)
+        s = indicator_from_string("+0-0000+0-000000")
+        pieces = [candidate_slope(inst, s)]
+        for i, sign in ((3, 1), (12, -1), (0, 0), (15, 1), (9, 0)):
+            s = s_with(s, i, sign)
+            pieces.append(next_piece(inst, pieces[-1], s, i))
+        pieces.append(candidate_slope(inst, indicator_from_string("++++-" + "0" * 11)))
+        pieces.append(candidate_slope(inst, zero_indicator(8)))
+        assert [p.updated for p in pieces] == [False] + [True] * 5 + [False, False]
+        assert not pieces[-2].invertible
+        for piece in pieces:
+            s_E = piece.s[piece.support].astype(float)
+            assert piece.s_E.tobytes() == s_E.tobytes()
+            assert piece.Minv_s_E.tobytes() == (piece.Minv @ s_E).tobytes()
 
     def test_rank_drop_falls_back(self):
         # m = 2: a third primal column lies in the span of the first two, so
@@ -235,7 +271,7 @@ class TestNextPiece:
         piece = candidate_slope(inst, indicator_from_string("++0000"))
         assert piece.invertible
         s = indicator_from_string("+++000")
-        grown = next_piece(inst, piece, s)
+        grown = next_piece(inst, piece, s, 2)
         ref = candidate_slope(inst, s)
         assert not grown.invertible
         assert grown.compatible == ref.compatible == lstsq_compatible(inst, s)
@@ -297,7 +333,7 @@ class TestGramBookkeeping:
                 where = len(deleted) % 3
                 deleted.append(where)
                 s[E[(0, E.size // 2, E.size - 1)[where]]] = 0
-            piece = next_piece(inst, piece, s)
+            piece = piece_after_edit(inst, piece, s)
             assert piece.M.tobytes() == mats.gram_block(piece.support).tobytes()
             want, terms = dense_gram(inst, piece.support)
             assert (np.abs(piece.M - want) <= GRAM_RTOL * terms).all()
@@ -495,7 +531,7 @@ class TestMarginsAtPoints:
         for signs in itertools.product((1, -1), repeat=3):
             s = np.zeros(6, dtype=int)
             s[[0, 1, 4]] = signs
-            piece = dataclasses.replace(support_piece, s=s)
+            piece = with_signs(support_piece, s)
             w = eval_weq(piece, B, lams)
             margins = zone_margins(inst, piece, B, lams)
             assert w.shape == (6, 5)

@@ -27,7 +27,7 @@ from sgmc import (
 )
 from sgmc.candidate import next_piece, zone_margins
 
-from conftest import random_instance
+from conftest import changed_index, random_instance
 
 S1 = indicator_from_string("++00")
 
@@ -270,7 +270,7 @@ class TestPathSweep:
         s0 = zero_indicator(inst.n)
         updated = path_sweep(inst, line, s0, t_start=0.0)
         monkeypatch.setattr(
-            sgmc.elars, "next_piece", lambda inst, piece, s: candidate_slope(inst, s)
+            sgmc.elars, "next_piece", lambda inst, piece, s, j: candidate_slope(inst, s)
         )
         scratch = path_sweep(inst, line, s0, t_start=0.0)
         assert len(updated.segments[0].inserted) == 2
@@ -433,8 +433,8 @@ class TestPathSweep:
 
         built = []
 
-        def landing(inst, piece, s):
-            built.append(next_piece(inst, piece, s))
+        def landing(inst, piece, s, j):
+            built.append(next_piece(inst, piece, s, j))
             if len(built) == 2:
                 # a null space that holds the landing's own signs rejects them
                 sE = s[built[-1].support]
@@ -495,6 +495,86 @@ class TestPathSweep:
             npt.assert_allclose(seg.q, orig.q)
         line2 = line_from_dict(data["line"])
         assert line2.lam0 == line.lam0
+
+
+def _transverse_sweep(rho, seed):
+    """A 48 x 96 sweep of b from [y1; 0] to [y2; 0] at lambda = 0.1
+    lambda_max, t in [0, 1], from the zone a descent reaches there, as
+    the benchmark's transverse workload makes it: the line's instance, the
+    line, the start indicator."""
+    inst, descent = _gaussian_descent(48, 96, rho, seed)
+    lam = 0.1 * descent.lam0
+    start = path_sweep(inst, descent, zero_indicator(96), t_start=0.0,
+                       t_end=descent.lam0 - lam, max_segments=1000)
+    assert start.stop_reason == "t_end_reached"
+    y2 = np.random.default_rng((seed, 1)).normal(size=48)
+    line = ParameterLine(inst.b, lam, np.concatenate([y2 - inst.y, np.zeros(48)]), 0.0)
+    return inst, line, start.segments[-1].s
+
+
+class TestHandOver:
+    """`path_sweep` hands `next_piece` the one index its step edited, and
+    counts where each zone's piece came from."""
+
+    @staticmethod
+    def _sweep(kind, rho):
+        """The sweep of `kind` on seed 5, as a call taking the memo; the
+        transverse start comes from a descent run here."""
+        if kind == "descent":
+            inst, line = _gaussian_descent(48, 96, rho, 5)
+            return lambda pieces=None: path_sweep(
+                inst, line, zero_indicator(96), t_start=0.0, max_segments=1000, pieces=pieces)
+        inst, line, s0 = _transverse_sweep(rho, 5)
+        return lambda pieces=None: path_sweep(
+            inst, line, s0, t_start=0.0, t_end=1.0, max_segments=1000, pieces=pieces)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    @pytest.mark.parametrize("kind", ["descent", "transverse"])
+    def test_handed_index_matches_derived(self, kind, rho, monkeypatch):
+        # next_piece used to find the changed index by comparing the two
+        # supports; handed the step's own index, it must build the same
+        # pieces, and every piece carries pinv(M) s_E as apply formed it
+        import sgmc.elars
+
+        sweep = self._sweep(kind, rho)
+        handed = sweep()
+        built = []
+
+        def derived(inst, piece, s, j):
+            k = changed_index(piece, s)
+            assert k == j
+            built.append(next_piece(inst, piece, s, k))
+            return built[-1]
+
+        monkeypatch.setattr(sgmc.elars, "next_piece", derived)
+        result = sweep()
+        assert handed.stop_reason == result.stop_reason
+        assert handed.stop_reason in ("lambda_terminus", "t_end_reached")
+        assert len(handed.segments) == len(result.segments) == len(built) + 1
+        for a, b in zip(handed.segments, result.segments):
+            assert a.s.tobytes() == b.s.tobytes()
+            assert (a.t_start, a.t_end, a.deleted, a.inserted) == (
+                b.t_start, b.t_end, b.deleted, b.inserted)
+            assert a.p.tobytes() == b.p.tobytes() and a.q.tobytes() == b.q.tobytes()
+        for piece in built:
+            assert piece.s_E.tobytes() == piece.s[piece.support].astype(float).tobytes()
+            assert piece.Minv_s_E.tobytes() == (piece.Minv @ piece.s_E).tobytes()
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    def test_generic_descent_rebuilds_only_its_start(self, rho):
+        result = self._sweep("descent", rho)()
+        assert result.stop_reason == "lambda_terminus"
+        counters = result.to_dict()["counters"]
+        assert counters == {"pieces_updated": len(result.segments) - 1,
+                            "pieces_rebuilt": 1, "memo_hits": 0}
+
+    def test_memo_hits_are_counted(self):
+        # a second sweep through the same memo builds nothing
+        pieces, sweep = {}, self._sweep("transverse", 0.3)
+        first, second = sweep(pieces), sweep(pieces)
+        assert first.memo_hits == 0 and first.pieces_updated > 0
+        assert (second.pieces_updated, second.pieces_rebuilt) == (0, 0)
+        assert second.memo_hits == first.pieces_updated + first.pieces_rebuilt == len(pieces)
 
 
 class TestStartCertificate:
@@ -664,7 +744,7 @@ class TestEnumerateZones:
             memo_free = enumerate_zones(inst, config)
         assert memo_free.memo_hits < updated.memo_hits
         monkeypatch.setattr(
-            sgmc.elars, "next_piece", lambda inst, piece, s: candidate_slope(inst, s)
+            sgmc.elars, "next_piece", lambda inst, piece, s, j: candidate_slope(inst, s)
         )
         scratch = enumerate_zones(inst, config)
         assert keys(updated) == keys(memo_free) == keys(scratch)

@@ -140,6 +140,21 @@ class TestBlockOperators:
                 assert (block[dual] == 0.0).all() and (block[:, dual] == 0.0).all()
                 assert j < n or d == 0.0
 
+    def test_gram_border_is_the_border_of_gram_block(self, shape, rho):
+        # an insertion borders the kept M with gram_border's entries, and
+        # the bordered M must equal gram_block of the grown support entry
+        # for entry (TestGramBookkeeping), whichever index j is added
+        mats, C, D, rng = _operator_case(shape, rho)
+        n = shape[1]
+        for size in (0, 1, n, 2 * n - 1):
+            E = rng.permutation(2 * n)[:size]
+            for j in np.setdiff1d(np.arange(2 * n), E)[[0, -1]]:
+                col, row, d = mats.gram_border(E, int(j))
+                grown = mats.gram_block(np.append(E, j))
+                assert col.tobytes() == grown[:-1, -1].tobytes()
+                assert row.tobytes() == grown[-1, :-1].tobytes()
+                assert d == grown[-1, -1]
+
 
 def naive_objective(inst, x, z):
     fit = 0.5 * sum((inst.y[k] - (inst.A @ x)[k]) ** 2 for k in range(inst.m))

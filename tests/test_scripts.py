@@ -33,6 +33,21 @@ def test_iteration_scaling(extra):
     assert "fitted log-log slope:" in done.stdout
 
 
+def test_iteration_scaling_updates():
+    # supports split between the blocks keep C_E of full column rank up
+    # to 2m = 16, so every insertion and deletion is an update
+    done = run_script("iteration_scaling.py", "--m", "8", "--n", "16", "--sizes", "2,4,8,15",
+                      "--update")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()[1:-1]
+    assert header.split() == ["|E|", "insertion", "updated", "deletion", "updated"]
+    assert [row.split()[0] for row in rows] == ["2", "4", "8", "15"]
+    for row in rows:
+        cells = row.split()
+        assert cells[2:3] == ["us"] and cells[3] == cells[6] == "True"
+    assert "fitted log-log slope: insertion" in done.stdout
+
+
 def test_bench_summary(tmp_path):
     # two seeds on each side: the change wins work_per_s in both pairs and
     # setup_s (lower is better) in one; the file name pattern pairs runs

@@ -443,10 +443,11 @@ class TestDenseReference:
         if E.size:
             parent = s.copy()
             parent[E[0]] = 0
-            pieces.append(next_piece(inst, candidate_slope(inst, parent), s))
+            pieces.append(next_piece(inst, candidate_slope(inst, parent), s, E[0]))
         grown = s.copy()
-        grown[np.flatnonzero(s == 0)[-1]] = 1
-        pieces.append(next_piece(inst, candidate_slope(inst, grown), s))
+        j = np.flatnonzero(s == 0)[-1]
+        grown[j] = 1
+        pieces.append(next_piece(inst, candidate_slope(inst, grown), s, j))
         for piece in pieces:
             if not piece.compatible:
                 continue
@@ -474,7 +475,7 @@ class TestDenseReference:
         for j in np.flatnonzero(s == 0)[[0, 2, -1]]:
             s_next = s.copy()
             s_next[j] = 1
-            nxt = next_piece(inst, piece, s_next)
+            nxt = next_piece(inst, piece, s_next, j)
             npt.assert_array_equal(np.sort(nxt.support), np.flatnonzero(s_next))
             if nxt.invertible and piece.invertible:
                 npt.assert_array_equal(nxt.support, np.append(piece.support, j))
