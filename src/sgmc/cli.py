@@ -366,10 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InitializationError as exc:
+    except (NonConvergenceError, InitializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

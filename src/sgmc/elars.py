@@ -5,10 +5,11 @@ A single step starts from an indicator whose zone contains the moving point
 (b(t), lambda(t)), computes in closed form the time t_plus at which the point
 leaves that zone, and edits the indicator: support entries whose sign
 constraint binds at t_plus are deleted, off-support entries whose correlation
-bound binds are inserted with the sign of the binding correlation.  Chaining
-verified steps yields the solution map along the whole line; sweeping from
-the zero zone at b = 0 to sampled parameter points discovers the zones that
-hold them and the adjacency between the zones on the way.
+bound binds are inserted with the sign of the binding correlation.  Event
+times within the line's tie window (`ParameterLine.window`) are one event.
+Chaining verified steps yields the solution map along the whole line;
+sweeping from the zero zone at b = 0 to sampled parameter points discovers
+the zones that hold them and the adjacency between the zones on the way.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .candidate import (
 from .model import (
     ProblemInstance,
     as_indicator,
+    indicator_from_string,
     indicator_to_string,
     zero_indicator,
 )
@@ -40,33 +42,28 @@ from .sweep import (
     zone_exit_times,
 )
 
-TIE_TOL = 1e-9  # relative half-width of the tie window of event times (`_window`)
-
 
 class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
-def _window(line: ParameterLine, t: float) -> float:
-    """Half-width TIE_TOL*(T + |t|) of the tie window around time t on
-    `line`, T its `time_scale`, so that it scales with the line's times."""
-    return TIE_TOL * (line.time_scale + abs(t))
-
-
 def _ties(values, t_plus: float, line: ParameterLine):
     """Which values equal the finite breakpoint t_plus on `line` within
     its window, elementwise; infinite values never tie."""
-    return np.abs(np.asarray(values) - t_plus) <= _window(line, t_plus)
+    return np.abs(np.asarray(values) - t_plus) <= line.window(t_plus)
 
 
 @dataclass(frozen=True)
 class IterationResult:
     """Outcome of one deletion-insertion step.
 
-    `never_exits` marks rays that stay in the zone forever (t_plus = +inf);
     `lambda_terminus` marks exits through the lambda -> 0 wall, where the
     path ends rather than crossing into a neighbor.  `t_entry` is where the
-    line enters the zone of `s`, from the same restriction as t_plus.
+    line enters the zone of `s`, from the same restriction as t_plus.  An
+    infinite t_plus edits nothing: +inf is a ray that stays in the zone
+    forever (`never_exits`), -inf a line that misses the zone.
+    `one_at_a_time` and `never_exits` are read off the edits and t_plus,
+    so they always agree with them.
     """
 
     s: np.ndarray
@@ -74,11 +71,19 @@ class IterationResult:
     s_plus: np.ndarray
     deleted: tuple[int, ...]
     inserted: tuple[int, ...]
-    one_at_a_time: bool
-    never_exits: bool
     lambda_terminus: bool
     restricted: LineRestrictedPiece
     t_entry: float
+
+    @property
+    def one_at_a_time(self) -> bool:
+        """Whether the step edits exactly one index."""
+        return len(self.deleted) + len(self.inserted) == 1
+
+    @property
+    def never_exits(self) -> bool:
+        """Whether the ray stays in the zone forever."""
+        return self.t_plus == math.inf
 
 
 def elars_iterate(
@@ -98,21 +103,14 @@ def elars_iterate(
     times = zone_exit_times(restricted)
     t_plus = times.t_sup
 
-    if math.isinf(t_plus):
-        # +inf: the ray never leaves the zone; -inf: the line misses it
-        # entirely (degenerate call, surfaces as an empty interval)
-        return IterationResult(
-            s=s, t_plus=t_plus, s_plus=s.copy(), deleted=(), inserted=(),
-            one_at_a_time=False, never_exits=t_plus > 0, lambda_terminus=False,
-            restricted=restricted, t_entry=times.t_inf,
-        )
-
     # the tied rows, in order: sign rows of the support and lower bounds
     # off it, upper bounds (those of the support are 0*t <= 0 and never
-    # tie), the wall.  Usually one row ties.
+    # tie), the wall.  Usually one row ties; none at an infinite t_plus,
+    # where the ray never leaves the zone (+inf) or the line misses it
+    # (-inf, which the caller sees as an empty interval).
     n2 = s.size
-    tied = _ties(times.rows, t_plus, line).nonzero()[0].tolist()
-    terminus = tied[-1] == 2 * n2
+    tied = _ties(times.rows, t_plus, line).nonzero()[0].tolist() if math.isfinite(t_plus) else []
+    terminus = bool(tied) and tied[-1] == 2 * n2
     deleted = [row for row in tied if row < n2 and s[row]]
     s_plus = s.copy()
     if deleted:
@@ -130,11 +128,8 @@ def elars_iterate(
                 inserted.append(i)
                 s_plus[i] = 1 if xi > 0 else -1
     return IterationResult(
-        s=s, t_plus=float(t_plus), s_plus=s_plus,
-        deleted=tuple(deleted), inserted=tuple(inserted),
-        one_at_a_time=(len(deleted) + len(inserted) == 1),
-        never_exits=False, lambda_terminus=terminus, restricted=restricted,
-        t_entry=times.t_inf,
+        s=s, t_plus=t_plus, s_plus=s_plus, deleted=tuple(deleted), inserted=tuple(inserted),
+        lambda_terminus=terminus, restricted=restricted, t_entry=times.t_inf,
     )
 
 
@@ -143,14 +138,6 @@ def elars_iterate(
 def _finite_to_json(x: float):
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
-def _json_to_finite(x) -> float:
-    if x == "inf":
-        return math.inf
-    if x == "-inf":
-        return -math.inf
     return float(x)
 
 
@@ -184,12 +171,10 @@ class PathSegment:
 
     @staticmethod
     def from_dict(data: dict) -> "PathSegment":
-        from .model import indicator_from_string
-
         return PathSegment(
             s=indicator_from_string(data["s"]),
-            t_start=_json_to_finite(data["t_range"][0]),
-            t_end=_json_to_finite(data["t_range"][1]),
+            t_start=float(data["t_range"][0]),
+            t_end=float(data["t_range"][1]),
             p=np.array(data["p"], dtype=float),
             q=np.array(data["q"], dtype=float),
             deleted=tuple(data["deleted"]),
@@ -277,7 +262,7 @@ def _misses(res: IterationResult, t: float) -> str | None:
     enters it after t (`unverified_step`) or leaves it before t
     (`degenerate_interval`), outside the window of t; None when it holds
     t."""
-    w = _window(res.restricted.line, t)
+    w = res.restricted.line.window(t)
     if not res.t_entry <= t + w:
         return "unverified_step"
     if not res.t_plus >= t - w:
@@ -303,15 +288,20 @@ def path_sweep(
     on multi-index events, and is restricted to the line once.
     That one restriction certifies the zone: it meets the line in the
     closed-form interval [entry, exit], which must hold the zone's first
-    time (t_start, or the breakpoint the step landed on) within the TIE_TOL
-    window; `_misses` checks this right after each zone's step.  A start
-    zone that fails it, or sits at lambda(t_start) <= 0, raises ValueError
-    (so does an incompatible `s_init`).  A landing zone that is
+    time (t_start, or the breakpoint the step landed on) within the line's
+    tie window (`ParameterLine.window`); `_misses` checks this right after
+    each zone's step.  A start zone that fails it, or sits at
+    lambda(t_start) <= 0, raises ValueError (so does an incompatible
+    `s_init`).  A landing zone that is
     incompatible or entered after its breakpoint stops the sweep as
     `unverified_step`, one left before it as `degenerate_interval`, even
     where `max_segments` would cut the sweep there.  A zone the line only
     touches at a breakpoint is a zero-length segment.  A repeated
-    (indicator, breakpoint) pair aborts as `cycle_detected`.
+    (indicator, breakpoint) pair aborts as `cycle_detected`.  Otherwise the
+    sweep ends in the first zone whose exit reaches t_end (`t_end_reached`,
+    or `unbounded` where both are +inf) or lies on the lambda -> 0 wall
+    (`lambda_terminus`), with one final segment up to the earlier of the
+    two.
 
     `pieces` is an optional memo from `s.tobytes()` to the pieces of `inst`,
     shared by sweeps that revisit zones: the start zone and every landing
@@ -346,22 +336,17 @@ def path_sweep(
         if len(segments) >= max_segments:
             stop = "max_segments"
             break
-        if res.t_plus >= t_end or res.never_exits:
+        if res.t_plus >= t_end or res.lambda_terminus:
             end = min(res.t_plus, t_end)
             if end > t_cur:
                 segments.append(
                     PathSegment(s, t_cur, float(end), res.restricted.p,
                                 res.restricted.q, (), ())
                 )
-            stop = "unbounded" if math.isinf(end) else "t_end_reached"
-            break
-        if res.lambda_terminus:
-            if res.t_plus > t_cur:
-                segments.append(
-                    PathSegment(s, t_cur, res.t_plus, res.restricted.p,
-                                res.restricted.q, (), ())
-                )
-            stop = "lambda_terminus"
+            if res.t_plus < t_end:
+                stop = "lambda_terminus"
+            else:
+                stop = "unbounded" if math.isinf(end) else "t_end_reached"
             break
 
         breaks = seen.setdefault(res.s_plus.tobytes(), [])
@@ -394,7 +379,7 @@ def evaluate_path(result: PathSweepResult, t: float) -> np.ndarray | None:
     every segment by more than the tie windows of its ends."""
     line = result.line
     for seg in result.segments:
-        if seg.t_start - _window(line, seg.t_start) <= t <= seg.t_end + _window(line, seg.t_end):
+        if seg.t_start - line.window(seg.t_start) <= t <= seg.t_end + line.window(seg.t_end):
             return seg.weq_at(t)
     return None
 
@@ -409,7 +394,7 @@ def initialize_indicator(
 ) -> np.ndarray:
     """Starting indicator whose zone contains (b, lambda).
 
-    `zero` certifies the all-zero zone by `ZoneMargins.inside` at its
+    `zero` certifies the all-zero zone by `zone_membership` at its
     default slack, max_i |c_i^T b| <= lambda*(1 + 1e-9) at 0 < lambda < inf:
     the bound and its slack are both on the scale of lambda, so
     (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
@@ -426,7 +411,7 @@ def initialize_indicator(
     b = np.ravel(b)
     if strategy == "zero":
         s = zero_indicator(inst.n)
-        if not zone_margins(inst, candidate_slope(inst, s), b, lam).inside(lam):
+        if not zone_membership(inst, s, b, lam):
             raise ValueError(
                 f"zero strategy needs max|c_i^T b| <= lambda < inf, got lambda={lam}"
             )
@@ -470,20 +455,24 @@ class ZoneGraph:
 
     `nodes` maps indicator strings to arrays; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
-    boundary.  `incomplete` marks a graph that leaves a coverage point
-    outside every node's zone, which only a sweep that stopped short of
-    its point can do.  The counters say what the search did: sweeps
-    started (`rays`), distinct pieces built, and lookups that found their
-    piece already built."""
+    boundary.  `incomplete`, read off `covered`, marks a graph that leaves
+    a coverage point outside every node's zone, which only a sweep that
+    stopped short of its point can do.  The counters say what the search
+    did: sweeps started (`rays`), distinct pieces built, and lookups, by
+    the sweeps and by the nodes' coverage tests, that found their piece
+    already built."""
 
     nodes: dict[str, np.ndarray] = field(default_factory=dict)
     edges: list[tuple[str, str, np.ndarray, float]] = field(default_factory=list)
     coverage_points: list[tuple[np.ndarray, float]] = field(default_factory=list)
     covered: list[bool] = field(default_factory=list)
-    incomplete: bool = False
     rays: int = 0
     pieces_built: int = 0
     memo_hits: int = 0
+
+    @property
+    def incomplete(self) -> bool:
+        return not all(self.covered)
 
     @property
     def coverage_required(self) -> int:
@@ -528,20 +517,6 @@ def _sample_coverage_points(
     return pts
 
 
-class _PieceMemo(dict):
-    """Pieces of one instance by `s.tobytes()`; `hits` counts the lookups
-    that found their piece."""
-
-    def __init__(self):
-        super().__init__()
-        self.hits = 0
-
-    def get(self, key, default=None):
-        piece = super().get(key, default)
-        self.hits += piece is not default
-        return piece
-
-
 def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGraph:
     """Zone graph from the all-zero indicator, one sweep per coverage point.
 
@@ -570,7 +545,8 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     graph.covered = [False] * len(graph.coverage_points)
     cover_b = np.array([b for b, _ in graph.coverage_points], dtype=float).T
     cover_lam = np.array([lam for _, lam in graph.coverage_points], dtype=float)
-    pieces = _PieceMemo()
+    pieces: dict[bytes, CandidatePiece] = {}
+    counts = dict.fromkeys(("pieces_updated", "pieces_rebuilt", "memo_hits"), 0)
     edge_keys: set[tuple[str, str]] = set()
 
     def add_node(s: np.ndarray, key: str):
@@ -579,7 +555,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         if key in graph.nodes:
             return
         graph.nodes[key] = s.copy()
-        piece = _memoized(pieces, s, lambda: candidate_slope(inst, s))
+        piece = _memoized(pieces, s, lambda: candidate_slope(inst, s), counts)
         todo = np.flatnonzero(np.logical_not(graph.covered))
         if todo.size and piece.compatible:
             lams = cover_lam[todo]
@@ -601,14 +577,15 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
             continue
         graph.rays += 1
         line = ParameterLine(np.zeros_like(b), lam, b, 0.0)
-        segs = path_sweep(inst, line, s0, t_start=0.0, t_end=1.0, pieces=pieces).segments
+        sweep = path_sweep(inst, line, s0, t_start=0.0, t_end=1.0, pieces=pieces)
+        graph.memo_hits += sweep.memo_hits
+        segs = sweep.segments
         keys = [indicator_to_string(seg.s) for seg in segs]
         for k, seg in enumerate(segs):
             add_node(seg.s, keys[k])
             if k:
                 add_edge(keys[k - 1], keys[k], *line.point_at(segs[k - 1].t_end))
 
-    graph.incomplete = not all(graph.covered)
     graph.pieces_built = len(pieces)
-    graph.memo_hits = pieces.hits
+    graph.memo_hits += counts["memo_hits"]
     return graph

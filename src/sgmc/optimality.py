@@ -141,14 +141,6 @@ class SolutionSummary:
     beta_e: np.ndarray
     gamma_e: float
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_p": self.beta_p.tolist(),
-            "beta_d": self.beta_d.tolist(),
-            "beta_e": self.beta_e.tolist(),
-            "gamma_e": self.gamma_e,
-        }
-
 
 def summarize(inst: ProblemInstance, w: np.ndarray) -> SolutionSummary:
     x, z = split_extended(w)

@@ -26,6 +26,7 @@ from .candidate import CandidatePiece, IncompatibleIndicatorError
 from .model import ModelMatrices, ProblemInstance
 
 SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
+TIE_TOL = 1e-9  # relative half-width of the tie window of event times (`ParameterLine.window`)
 # signs of [cu; cv] in the [k; c] rows of the lower and upper correlation bounds
 _LOWER = np.array([[-1.0], [1.0]])
 _UPPER = np.array([[1.0], [-1.0]])
@@ -44,8 +45,8 @@ class ParameterLine:
     `time_scale` T = min(|lam0 / delta_lam|, |b0|_inf / |delta_b|_inf)
     over the terms that are positive and finite (1 if none is), the time
     the line takes to move lambda by lam0 or b by b0, whichever is sooner:
-    scaling (b0, lam0) scales it with the line's event times, and tie
-    windows are drawn on it.
+    scaling (b0, lam0) scales it with the line's event times, and so does
+    the tie window `window(t)` drawn on it.
     """
 
     b0: np.ndarray
@@ -87,6 +88,11 @@ class ParameterLine:
             ctB = mats.ct(self.B)
             object.__setattr__(self, "_ctB", (mats, ctB))
         return ctB
+
+    def window(self, t: float) -> float:
+        """Half-width TIE_TOL*(T + |t|) of the tie window around time t, T
+        the `time_scale`: two event times of the line within it are one."""
+        return TIE_TOL * (self.time_scale + abs(t))
 
     def b_at(self, t: float) -> np.ndarray:
         return self.b0 + self.delta_b * t

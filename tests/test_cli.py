@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sgmc.cli
-from sgmc import NonConvergenceError
+from sgmc import InitializationError, NonConvergenceError, ProblemInstance
 from sgmc.cli import main
 
 TWO_COLUMN = {"A": [[1.0, 1.0]], "rho": 0.0, "y": [2.0], "lambda": 1.0}
@@ -199,6 +199,56 @@ def test_path_invalid_start_exits_1(instance_file, tmp_path, monkeypatch, capsys
     assert not (tmp_path / "p.json").exists()
 
 
+def test_path_initialization_error_exits_2(instance_file, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise InitializationError("oracle indicator failed zone membership")
+
+    monkeypatch.setattr(sgmc.cli, "initialize_indicator", refuse)
+    argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
+            "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 2
+    assert "error: oracle indicator failed" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_path_starts_from_the_oracle_below_lambda_max(instance_file, tmp_path, monkeypatch):
+    # at lambda = 0.3 lambda_max the zero zone does not hold the start, so
+    # the start indicator is the oracle's, and the descent from there
+    # reaches the lambda -> 0 terminus
+    rng = np.random.default_rng(7)
+    A, y = rng.normal(size=(4, 8)), rng.normal(size=4)
+    inst = ProblemInstance(A=A, rho=0.3, y=y, lam=1.0)
+    lam = 0.3 * float(np.abs(inst.matrices.ct(inst.b)).max())
+    strategies = []
+    initialize = sgmc.cli.initialize_indicator
+
+    def recording(*args, strategy, **kwargs):
+        strategies.append(strategy)
+        return initialize(*args, strategy=strategy, **kwargs)
+
+    monkeypatch.setattr(sgmc.cli, "initialize_indicator", recording)
+    data = {"A": A.tolist(), "rho": 0.3, "y": y.tolist(), "lambda": lam}
+    out = tmp_path / "p.json"
+    argv = ["path", "--instance", instance_file(data), "--delta-lambda", "-1",
+            "--max-segments", "1000", "--out", str(out)]
+    assert main(argv) == 0
+    assert strategies == ["zero", "from_oracle"]
+    path = json.loads(out.read_text())
+    assert path["stop_reason"] == "lambda_terminus"
+    assert path["segments"][0]["s"] != "0" * 16
+
+
+def test_path_y_only_velocity_keeps_r_fixed(instance_file, tmp_path):
+    # a --delta-b of length m moves y alone: the line pads it with m zeros
+    out = tmp_path / "p.json"
+    argv = ["path", "--instance", instance_file(TWO_COLUMN), "--delta-b", "0.5",
+            "--t-end", "1", "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    assert data["line"]["delta_b"] == [0.5, 0.0]
+    assert data["stop_reason"] == "t_end_reached"
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [
@@ -347,6 +397,14 @@ def test_verify_two_column(instance_file, capsys):
     output = capsys.readouterr().out
     assert "FAIL" not in output
     assert "saddle_optimality" in output
+
+
+def test_verify_zero_signal(instance_file, capsys):
+    # y = r = 0: lambda_max is 0, so the path checks have one zone to check
+    assert main(["verify", "--instance", instance_file(ZERO_SIGNAL)]) == 0
+    output = capsys.readouterr().out
+    assert "FAIL" not in output
+    assert "zero signal, single zone" in output
 
 
 def test_verify_random_deterministic(instance_file, tmp_path):

@@ -10,6 +10,7 @@ from sgmc import (
     LassoConfig,
     ParameterLine,
     ProblemInstance,
+    ZoneGraph,
     brute_force_indicators,
     candidate_slope,
     check_opt,
@@ -108,6 +109,19 @@ class TestElarsIterate:
         up = ParameterLine(np.zeros(2), 1.0, np.zeros(2), 1.0)
         res_up = elars_iterate(two_column, candidate_slope(two_column, zero_indicator(2)), up)
         assert res_up.never_exits and res_up.t_plus == math.inf
+
+    def test_flags_follow_the_edits_and_the_breakpoint(self, descent_line):
+        # one_at_a_time and never_exits are read off the edits and t_plus,
+        # so a result with other edits or another t_plus reports its own
+        import dataclasses
+
+        inst, line = descent_line
+        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(2)), line)
+        assert not res.one_at_a_time and not res.never_exits
+        single = dataclasses.replace(res, inserted=(0,))
+        assert single.one_at_a_time
+        assert not dataclasses.replace(single, deleted=(1,)).one_at_a_time
+        assert dataclasses.replace(res, t_plus=math.inf).never_exits
 
 
 def _changed(res):
@@ -411,7 +425,7 @@ class TestPathSweep:
                 first = steps[0]
                 return dataclasses.replace(
                     steps[-1], t_plus=first.t_plus, s_plus=first.s.copy(),
-                    deleted=first.inserted, inserted=(), one_at_a_time=True,
+                    deleted=first.inserted, inserted=(),
                 )
             return steps[-1]
 
@@ -680,6 +694,12 @@ class TestInitializeIndicator:
 
 
 class TestEnumerateZones:
+    def test_incomplete_follows_covered(self):
+        graph = ZoneGraph(covered=[True, False])
+        assert graph.incomplete and graph.to_dict()["incomplete"] is True
+        graph.covered[1] = True
+        assert not graph.incomplete and graph.to_dict()["incomplete"] is False
+
     def test_two_column_three_zones(self, two_column):
         graph = enumerate_zones(
             two_column, EnumerationConfig(r_y=5.0, delta_lambda_min=0.1, seed=0)

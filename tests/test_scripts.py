@@ -3,6 +3,7 @@ so that removing or renaming an API they use fails here."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,26 @@ def test_zone_counts():
     for c in counts:
         assert c["rank_cuts"] == 7
     assert total == ["total"] + [str(sum(c[k] for c in counts)) for k in header[1:]]
+
+
+def test_fingerprint():
+    # two runs of the same tree hash alike, and the counts cover every
+    # sweep of the transverse pool (3 per rho) and zones rounds 0-7
+    outputs = [run_script("fingerprint.py", "--seeds", "1", "--workloads", "zones,transverse")
+               for _ in range(2)]
+    digests = []
+    for done in outputs:
+        assert done.returncode == 0, done.stderr
+        source, counts, *stops, digest = done.stdout.splitlines()
+        assert source == f"sgmc {ROOT / 'src' / 'sgmc'}"
+        words = counts.split()
+        assert words[::2] == ["sweeps", "segments", "graphs"]
+        assert (int(words[1]), int(words[5])) == (9, 8) and int(words[3]) > 9
+        assert sum(int(line.split()[2]) for line in stops) == 9
+        assert all(line.split()[0] == "stop" for line in stops)
+        assert re.fullmatch(r"sha256 [0-9a-f]{64}", digest)
+        digests.append(digest)
+    assert digests[0] == digests[1]
 
 
 def test_opt_margins():
