@@ -12,8 +12,18 @@ edge witnesses.  It prints the counts, the stop reasons and the digest.
     python3 scripts/fingerprint.py --src /path/to/other/checkout --seeds 1,2,3
 
 `--src` names the checkout whose `src/sgmc` is imported (this one by
-default); the recipes always come from this checkout's perfbench/.
+default); the recipes always come from this checkout's perfbench/.  BLAS
+runs on one thread, as in perfbench/run.py: the outputs differ bitwise
+between thread counts, so the digest fixes the arithmetic it checks.
+Indicators are hashed by value as int64, so that their storage type does
+not enter the digest.
 """
+
+import os
+
+# one BLAS thread, set before numpy loads, whatever the caller's environment
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import argparse
 import hashlib
@@ -58,7 +68,8 @@ class Fingerprint:
 
     def sweep(self, result):
         for seg in result.segments:
-            self.update(seg.s, seg.t_start, seg.t_end, seg.p, seg.q, seg.deleted, seg.inserted)
+            self.update(seg.s.astype(np.int64), seg.t_start, seg.t_end, seg.p, seg.q,
+                        seg.deleted, seg.inserted)
         self.update(result.stop_reason, json.dumps(result.to_dict(), sort_keys=True))
         self.segments += len(result.segments)
         self.stops[result.stop_reason] += 1

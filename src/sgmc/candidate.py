@@ -72,21 +72,21 @@ class IncompatibleIndicatorError(ValueError):
 class CandidatePiece:
     """Affine candidate solution map of one indicator.
 
-    `M` is C_E^T D C_E and `Minv` its pseudo-inverse, both with rows and
-    columns in the order of `support`, the indices of E: ascending from
-    `candidate_slope`, then as `next_piece` leaves them (insertions
-    appended, a deletion's slot filled by the last index).  `M` equals
-    `mats.gram_block(support)` entry for entry.  `null`, of shape
-    (|E| - rank, |E|), holds the right singular vectors of M that `Minv`
-    drops, an orthonormal basis of null(C_E) in the same order; it is empty
-    exactly when `Minv` is the true inverse.  `s_E` holds the signs on the
-    support as floats and `Minv_s_E` the product `Minv @ s_E`, formed once
-    by the builder (`next_piece`'s residual check takes it anyway) for
-    `apply` to reuse.  `updated` tells whether `next_piece` updated the
-    piece from its neighbour's, rather than `candidate_slope` building it
-    from an SVD.  `mats` holds the instance's structural matrices, shared,
-    not copied.  Pieces are shared through memos, so nothing may mutate
-    their arrays.
+    `s` is the indicator, int8 (`as_indicator`).  `M` is C_E^T D C_E and
+    `Minv` its pseudo-inverse, both with rows and columns in the order of
+    `support`, the indices of E: ascending from `candidate_slope`, then as
+    `next_piece` leaves them (insertions appended, a deletion's slot filled
+    by the last index).  `M` equals `mats.gram_block(support)` entry for
+    entry.  `null`, of shape (|E| - rank, |E|), holds the right singular
+    vectors of M that `Minv` drops, an orthonormal basis of null(C_E) in
+    the same order; it is empty exactly when `Minv` is the true inverse.
+    `s_E` holds the signs on the support as floats and `Minv_s_E` the
+    product `Minv @ s_E`, formed once by the builder (`next_piece`'s
+    residual check takes it anyway) for `apply` to reuse.  `updated` tells
+    whether `next_piece` updated the piece from its neighbour's, rather
+    than `candidate_slope` building it from an SVD.  `mats` holds the
+    instance's structural matrices, shared, not copied.  Pieces are shared
+    through memos, so nothing may mutate their arrays.
     """
 
     s: np.ndarray
@@ -201,7 +201,8 @@ def next_piece(
     inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray, j: int
 ) -> CandidatePiece:
     """Piece of `s_next`, whose support differs from that of `piece` in
-    the one index `j` only, in O(|E|^2).
+    the one index `j` only, in O(|E|^2).  `s_next` is stored as it is, not
+    validated again: an int8 indicator, as `elars_iterate` makes it.
 
     The caller hands over the index it edited (`path_sweep` reads it off
     the step's `deleted` or `inserted`); an index where the two supports

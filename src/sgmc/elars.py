@@ -144,9 +144,10 @@ def _finite_to_json(x: float):
 @dataclass(frozen=True)
 class PathSegment:
     """One linear piece of the solution map along a line: on [t_start, t_end]
-    the map is w(t) = q - p*t with indicator s.  `deleted`/`inserted` record
-    the transition into the next segment (empty on final segments).
-    t_start = t_end where the line only touches the zone."""
+    the map is w(t) = q - p*t with indicator s, an int8 array of 2n bytes
+    (`as_indicator`).  `deleted`/`inserted` record the transition into the
+    next segment (empty on final segments).  t_start = t_end where the line
+    only touches the zone."""
 
     s: np.ndarray
     t_start: float
@@ -303,9 +304,10 @@ def path_sweep(
     (`lambda_terminus`), with one final segment up to the earlier of the
     two.
 
-    `pieces` is an optional memo from `s.tobytes()` to the pieces of `inst`,
-    shared by sweeps that revisit zones: the start zone and every landing
-    zone are looked up there before they are built, and stored after.
+    `pieces` is an optional memo from `s.tobytes()`, the 2n bytes of the
+    int8 indicator, to the pieces of `inst`, shared by sweeps that revisit
+    zones: the start zone and every landing zone are looked up there before
+    they are built, and stored after.
     Without it a sweep keeps no piece past the next step, as a long descent
     through many large supports needs.  `t_start` must be finite and
     `t_end` a number no smaller than it, +inf for no end.
@@ -453,7 +455,7 @@ class EnumerationConfig:
 class ZoneGraph:
     """Discovered zone indicators with adjacency edges.
 
-    `nodes` maps indicator strings to arrays; `edges` holds
+    `nodes` maps indicator strings to int8 indicators; `edges` holds
     (s_a, s_b, witness_b, witness_lambda) with the witness on the shared
     boundary.  `incomplete`, read off `covered`, marks a graph that leaves
     a coverage point outside every node's zone, which only a sweep that

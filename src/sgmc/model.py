@@ -32,6 +32,12 @@ tests of `candidate` (`zone_margins`, `eqnq_membership`) form xi with
 Index convention (0-based): entries 0..n-1 of w are primal, n..2n-1 are dual,
 matching the column order of C.  This convention is recorded in every
 serialized artifact.
+
+An indicator, the signed sparsity pattern of a zone, is an int8 array of
+length 2n with entries in {-1, 0, +1} (`as_indicator`): 2n bytes, which a
+path keeps per segment and per breakpoint, and which memos use as keys.
+Arithmetic with indicators runs in float, or in numpy's default-int
+reductions, never in int8 itself.
 """
 
 from __future__ import annotations
@@ -257,31 +263,40 @@ _CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
 
 
 def as_indicator(s: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Validate and normalize a sign vector with entries in {-1, 0, +1}."""
-    arr = np.asarray(s, dtype=int)
+    """Validate a sign vector and return it as int8, the one storage type of
+    an indicator.  Every entry must be exactly -1, 0 or +1 (a fraction or a
+    NaN is refused, not rounded); a valid int8 array comes back as it is,
+    without a copy."""
+    arr = np.asarray(s)
     if arr.ndim != 1:
         raise ValueError("indicator must be one-dimensional")
-    # a range test on integers; min and max cannot overflow as abs can
+    # a range test first: min and max cannot overflow as abs can, a NaN
+    # fails it, so the cast sees only values int8 holds; a fraction does
+    # not survive the cast unchanged
     if arr.size and not -1 <= arr.min() <= arr.max() <= 1:
-        raise ValueError("indicator entries must lie in {-1, 0, +1}")
-    return arr
+        raise ValueError("indicator entries must be exactly -1, 0 or +1")
+    s8 = arr.astype(np.int8, copy=False)
+    if arr.dtype.kind not in "biu" and not np.array_equal(s8, arr):
+        raise ValueError("indicator entries must be exactly -1, 0 or +1")
+    return s8
 
 
 def indicator_to_string(s: np.ndarray) -> str:
     """2n characters over {+,-,0}, primal block then dual block."""
-    return as_indicator(s).astype(np.int8).tobytes().translate(_SIGN_BYTES).decode()
+    return as_indicator(s).tobytes().translate(_SIGN_BYTES).decode()
 
 
 def indicator_from_string(text: str) -> np.ndarray:
+    """The int8 indicator that `indicator_to_string` prints as `text`."""
     try:
-        return np.array([_CHAR_SIGNS[c] for c in text], dtype=int)
+        return np.array([_CHAR_SIGNS[c] for c in text], dtype=np.int8)
     except KeyError as exc:
         raise ValueError(f"invalid indicator character {exc} in {text!r}") from None
 
 
 def zero_indicator(n: int) -> np.ndarray:
-    """The all-zero indicator of length 2n."""
-    return np.zeros(2 * n, dtype=int)
+    """The all-zero indicator of length 2n, int8."""
+    return np.zeros(2 * n, dtype=np.int8)
 
 
 # -- instance files ---------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, as_indicator, split_extended
+from .model import ProblemInstance, split_extended
 
 
 def correlation(
@@ -121,13 +121,14 @@ def check_opt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> OptRep
 
 
 def encode_sopt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Equicorrelation signs of w: sign(xi_i) where |xi_i| attains lambda
-    within tol * S (`certificate_scale`), zero elsewhere."""
+    """Equicorrelation signs of w, an int8 indicator: sign(xi_i) where
+    |xi_i| attains lambda within tol * S (`certificate_scale`), zero
+    elsewhere."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     xi = correlation(inst, w)
     at_bound = np.abs(np.abs(xi) - inst.lam) <= tol * certificate_scale(inst)
-    return as_indicator(np.where(at_bound, np.sign(xi), 0.0).astype(int))
+    return np.where(at_bound, np.sign(xi), 0.0).astype(np.int8)
 
 
 @dataclass(frozen=True)

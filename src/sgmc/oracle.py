@@ -370,10 +370,15 @@ def _zone_members(
 
     One `rank_cut` of the C(2n, k) blocks of C^T D C, one compatibility
     product over all (support, sign pattern) pairs, and one evaluation of
-    the maps and correlations of the compatible pairs at all samples.  The
-    zone members' columns of those maps and correlations are gathered and
-    judged by `optimality_excess`, as `check_opt` judges one point.  Its
-    arrays, (pairs) x 2n x (samples) floats, are freed on return.
+    the maps of the compatible pairs at all samples.  The sign half of
+    each zone, s_i w_i on the support, is judged on those maps alone
+    (`ZoneMargins.inside` with no correlation bound); the correlations are
+    formed only for the (pair, sample) cells that pass it, in one product,
+    and their off-support bounds judged by the same `inside`.  The members'
+    maps and correlations are then judged by `optimality_excess`, as
+    `check_opt` judges one point.  Its arrays, at most (pairs) x k x
+    (samples) floats for the maps and 2n x (cells) for the rest, are freed
+    on return.
     """
     mats = base.matrices
     two_n = 2 * base.n
@@ -394,28 +399,33 @@ def _zone_members(
     E, s_E = supports[of], signs[pattern]
     w_E = (cut.Minv @ mats.ct(B.T).T[supports])[of]
     w_E -= (cut.Minv @ signs.T)[of, :, pattern][..., None] * lams
-    pairs = np.arange(of.size)
-    S = np.zeros((two_n, of.size), dtype=int)
-    S[E.T, pairs] = s_E.T
-    W = np.zeros((two_n, of.size, len(lams)))  # index x pair x sample
-    W[E.T, pairs] = w_E.transpose(1, 0, 2)
-    xi = correlation(base, W.reshape(two_n, -1), b=np.tile(B, of.size)).reshape(W.shape)
-    off = (S == 0)[..., None]  # the correlation bound holds off the support only
+    sign_margin = (s_E[..., None] * w_E).min(axis=1, initial=np.inf)
+    q, j = np.nonzero(ZoneMargins(sign_margin, corr_margin=np.inf).inside(lams))
+    # the cells that pass, as columns: their signs S, maps W and
+    # correlations xi, and the off-support bounds on xi
+    S = np.zeros((two_n, q.size), dtype=np.int8)
+    W = np.zeros((two_n, q.size))
+    at = E[q].T, np.arange(q.size)
+    S[at] = s_E[q].T
+    W[at] = w_E[q, :, j].T
+    xi = correlation(base, W, b=B[:, j])
+    off = S == 0  # the correlation bound holds off the support only
+    lams = lams[j]
     margins = ZoneMargins(
-        sign_margin=(s_E[..., None] * w_E).min(axis=1, initial=np.inf),
+        sign_margin=sign_margin[q, j],
         corr_margin=lams - np.maximum(
             xi.max(axis=0, where=off, initial=-np.inf),
             -xi.min(axis=0, where=off, initial=np.inf),
         ),
     )
-    q, j = np.nonzero(margins.inside(lams))
-    # `check_opt`'s rule on the members' columns, S = `certificate_scale`
-    # at each member's sample
-    W, xi, lams = W[:, q, j], xi[:, q, j], lams[j]
+    inside = margins.inside(lams)
+    # `check_opt`'s rule on the members, at the `certificate_scale` of
+    # each member's sample
+    S, W, xi, lams, j = S[:, inside], W[:, inside], xi[:, inside], lams[inside], j[inside]
     scale = np.maximum(lams, np.abs(mats.C.T @ B[:, j]).max(axis=0))
     excess = optimality_excess(W, xi, lams, scale, 1e-9).max(axis=0)
     norms = np.linalg.norm(W, axis=0)
     return [
-        (int(j[r]), float(norms[r]), indicator_to_string(S[:, q[r]]))
+        (int(j[r]), float(norms[r]), indicator_to_string(S[:, r]))
         for r in np.flatnonzero(excess <= BRUTE_FORCE_OPT_TOL)
     ]

@@ -5,10 +5,16 @@ import numpy.testing as npt
 import pytest
 
 from sgmc import (
+    EnumerationConfig,
     ParameterLine,
+    PathSegment,
     ProblemInstance,
     candidate_slope,
+    encode_sopt,
+    enumerate_zones,
+    initialize_indicator,
     path_sweep,
+    zero_indicator,
     zone_membership,
 )
 from sgmc.model import (
@@ -242,7 +248,10 @@ class TestIndicatorCodec:
         with pytest.raises(ValueError):
             indicator_from_string("+x")
 
-    @pytest.mark.parametrize("bad", [[1, 2, 0, 0], [0, 0, -2, 1], [[1, 0], [0, -1]]])
+    @pytest.mark.parametrize(
+        "bad",
+        [[1, 2, 0, 0], [0, 0, -2, 1], [[1, 0], [0, -1]], [0.5, 0, 0, 1], [np.nan, 0, 0, 1]],
+    )
     @pytest.mark.parametrize(
         "entry",
         ["as_indicator", "candidate_slope", "zone_membership", "path_sweep",
@@ -250,7 +259,8 @@ class TestIndicatorCodec:
     )
     def test_bad_indicator_rejected(self, two_column, entry, bad):
         # every public entry that takes an indicator rejects an entry
-        # outside {-1, 0, +1} and a 2-D array
+        # outside {-1, 0, +1}, a fraction, a NaN (before any cast could warn)
+        # and a 2-D array
         line = ParameterLine(two_column.b, 3.0, np.zeros(2), -1.0)
         calls = {
             "as_indicator": as_indicator,
@@ -261,3 +271,35 @@ class TestIndicatorCodec:
         }
         with pytest.raises(ValueError):
             calls[entry](np.array(bad))
+
+    def test_indicators_are_int8(self, rand_4x8):
+        # every indicator the API returns or stores is int8, 2n bytes, and a
+        # valid int8 indicator passes as_indicator without a copy
+        inst = rand_4x8
+        s8 = np.array([1, -1, 0, 1], dtype=np.int8)
+        assert as_indicator(s8) is s8
+        lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+        line = ParameterLine(inst.b, lam_max, np.zeros(2 * inst.m), -1.0)
+        pieces = {}
+        sweep = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, pieces=pieces)
+        assert sweep.pieces_updated > 0  # the memo holds pieces from next_piece
+        graph = enumerate_zones(inst, EnumerationConfig(r_y=1.0, delta_lambda_min=0.5,
+                                                        n_coverage=4))
+        w = sweep.segments[-1].weq_at(sweep.segments[-1].t_start)
+        indicators = {
+            "as_indicator": as_indicator([1, 0, -1]),
+            "as_indicator float": as_indicator(np.array([1.0, 0.0, -1.0])),
+            "zero_indicator": zero_indicator(3),
+            "indicator_from_string": indicator_from_string("+-0"),
+            "encode_sopt": encode_sopt(inst, w),
+            "initialize_indicator zero": initialize_indicator(inst, inst.b, lam_max, "zero"),
+            "initialize_indicator from_oracle":
+                initialize_indicator(inst, inst.b, inst.lam, "from_oracle"),
+            "CandidatePiece.s": candidate_slope(inst, np.ones(2 * inst.n, dtype=int)).s,
+            "PathSegment.from_dict": PathSegment.from_dict(sweep.segments[-1].to_dict()).s,
+        }
+        indicators.update({f"PathSegment.s {k}": seg.s for k, seg in enumerate(sweep.segments)})
+        indicators.update({f"memo {k}": piece.s for k, piece in enumerate(pieces.values())})
+        indicators.update({f"ZoneGraph.nodes {key}": s for key, s in graph.nodes.items()})
+        assert len(graph.nodes) > 1
+        assert {name: s.dtype for name, s in indicators.items() if s.dtype != np.int8} == {}

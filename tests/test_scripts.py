@@ -13,8 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name, *args, env=None):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **(env or {})}
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
@@ -99,10 +99,13 @@ def test_zone_counts():
 
 
 def test_fingerprint():
-    # two runs of the same tree hash alike, and the counts cover every
-    # sweep of the transverse pool (3 per rho) and zones rounds 0-7
-    outputs = [run_script("fingerprint.py", "--seeds", "1", "--workloads", "zones,transverse")
-               for _ in range(2)]
+    # runs of the same tree hash alike whatever the caller's BLAS thread
+    # count (the script pins one thread; the descents' digest differs
+    # between one and two), and the counts cover every sweep of the
+    # descent rounds 0-1 (3 per rho and round), the transverse pool (3 per
+    # rho) and zones rounds 0-7
+    outputs = [run_script("fingerprint.py", "--seeds", "1", env={"OPENBLAS_NUM_THREADS": threads})
+               for threads in ("1", "2")]
     digests = []
     for done in outputs:
         assert done.returncode == 0, done.stderr
@@ -110,8 +113,8 @@ def test_fingerprint():
         assert source == f"sgmc {ROOT / 'src' / 'sgmc'}"
         words = counts.split()
         assert words[::2] == ["sweeps", "segments", "graphs"]
-        assert (int(words[1]), int(words[5])) == (9, 8) and int(words[3]) > 9
-        assert sum(int(line.split()[2]) for line in stops) == 9
+        assert (int(words[1]), int(words[5])) == (15, 8) and int(words[3]) > 15
+        assert sum(int(line.split()[2]) for line in stops) == 15
         assert all(line.split()[0] == "stop" for line in stops)
         assert re.fullmatch(r"sha256 [0-9a-f]{64}", digest)
         digests.append(digest)
