@@ -13,7 +13,10 @@ candidate zone of s; on it the map reproduces the minimum-norm solution.
 
 `CandidatePiece.apply` forms this map for a line restriction
 (`sweep.restrict_to_line`) and for sets of points (`eval_weq`,
-`zone_margins`) alike.  A piece keeps M and pinv(M).  Since D + D^T is
+`zone_margins`) alike, and is the one place that refuses an incompatible
+piece, whose zone is empty.  A zone test reads one number per point, the
+worst margin of `zone_margins` (-inf for an incompatible piece), through
+`in_zone`.  A piece keeps M and pinv(M).  Since D + D^T is
 positive definite, null(M) = null(C_E), the orthogonal complement of
 Col(C_E^T).  So the one rank cut of the SVD of M gives pinv(M) and, in
 the right singular vectors it drops, the test of [s]_E in Col(C_E^T),
@@ -117,7 +120,14 @@ class CandidatePiece:
         separately, so the map stays linear where s_E is (nearly) in
         null(M); one refinement step through the kept M, O(|E|^2), keeps
         its correlations as accurate as a backward stable solve would,
-        which matters where |xi_i| is close to lambda over a whole zone."""
+        which matters where |xi_i| is close to lambda over a whole zone.
+        An incompatible piece has no map (its zone is empty) and raises
+        IncompatibleIndicatorError: its refinement step would scale the
+        rounding of lambda s_E outside Col(C_E^T) by ||pinv(M)||."""
+        if not self.compatible:
+            raise IncompatibleIndicatorError(
+                "indicator is incompatible; its candidate zone is empty"
+            )
         P = self.Minv
         ctbE = ctb.take(self.support, axis=-1)
         wE = ctbE @ P.T - np.multiply.outer(lams, self.Minv_s_E)
@@ -286,7 +296,8 @@ def next_piece(
 def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Evaluate the candidate map at (b, lambda): `CandidatePiece.apply` on
     the support, zeros elsewhere.  k points given as the columns of `b`,
-    with `lam` of length k, give k columns."""
+    with `lam` of length k, give k columns.  An incompatible piece raises
+    IncompatibleIndicatorError."""
     w = np.zeros(piece.s.shape + np.shape(lam))
     w[piece.support] = piece.apply(piece.mats.ct(np.transpose(b)), lam).T
     return w
@@ -335,65 +346,44 @@ def zone_membership(
     tol: float = 1e-9,
     piece: CandidatePiece | None = None,
 ) -> bool:
-    """Whether (b, lambda) lies in the candidate zone of s.
-
-    Evaluates the two inequality families directly on w = eval_weq(s; b, lam):
-    sign consistency s_i w_i >= -tol*lambda on the support and |xi_i(w)| <=
-    lambda*(1 + tol) off it, at 0 < lambda < inf (`ZoneMargins.inside`).  A
+    """Whether (b, lambda) lies in the candidate zone of s: `in_zone` on the
+    `zone_margins` of w = eval_weq(s; b, lam), so sign consistency
+    s_i w_i >= -tol*lambda on the support and |xi_i(w)| <= lambda*(1 + tol)
+    off it, at 0 < lambda < inf; never for an incompatible indicator.  A
     precomputed `piece` skips the slope rebuild.
     """
     if piece is None:
         piece = candidate_slope(inst, s)
-    if not piece.compatible:
-        return False
-    return bool(zone_margins(inst, piece, b, lam).inside(lam, tol))
+    return bool(in_zone(zone_margins(inst, piece, b, lam), lam, tol))
 
 
-@dataclass(frozen=True)
-class ZoneMargins:
-    """Worst margins of the two zone inequality families (>= 0 inside),
-    one value per parameter point (floats for a single point)."""
-
-    sign_margin: float | np.ndarray  # min over the support of s_i * w_i
-    corr_margin: float | np.ndarray  # min off the support of lambda - |xi_i(w)|
-
-    def inside(self, lam: float | np.ndarray, tol: float = 1e-9):
-        """Zone membership at each point with the tolerances of
-        `zone_membership`: both margins at least -tol*lambda, at
-        0 < lambda < inf; a NaN fails.  A negative tol demands that
-        margin, |tol|*lambda, inside the zone.  w and xi are homogeneous in
-        (b, lambda), so the slack scales with the point and (alpha*b,
-        alpha*lambda) gets the answer of (b, lambda) for every alpha > 0.
-        A zone test, not the optimality certificate: its slack is on the
-        scale of lambda, not of `certificate_scale`'s S."""
-        lam = np.asarray(lam)
-        slack = -tol * lam
-        return (
-            (self.sign_margin >= slack)
-            & (self.corr_margin >= slack)
-            & (lam > 0)
-            & (lam < np.inf)
-        )
+def in_zone(margin: float | np.ndarray, lam: float | np.ndarray, tol: float = 1e-9):
+    """Zone membership at each point from its worst zone margin
+    (`zone_margins`): at least -tol*lambda, at 0 < lambda < inf; a NaN or
+    -inf fails.  A negative tol demands that margin, |tol|*lambda, inside
+    the zone.  w and xi are homogeneous in (b, lambda), so the slack scales
+    with the point and (alpha*b, alpha*lambda) gets the answer of
+    (b, lambda) for every alpha > 0.  A zone test, not the optimality
+    certificate: its slack is on the scale of lambda, not of
+    `certificate_scale`'s S."""
+    lam = np.asarray(lam)
+    return (margin >= -tol * lam) & (lam > 0) & (lam < np.inf)
 
 
 def zone_margins(
     inst: ProblemInstance, piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray
-) -> ZoneMargins:
-    """Margins of the zone of `piece` at (b, lambda), or at k points given
-    as the columns of `b` with `lam` of length k: one evaluation of the map
-    and one correlation product for all of them."""
+) -> float | np.ndarray:
+    """Worst margin of the zone of `piece` at (b, lambda), >= 0 inside: the
+    least of s_i w_i over the support and lambda - |xi_i(w)| off it, -inf
+    for an incompatible piece, whose zone is empty.  k points given as the
+    columns of `b`, with `lam` of length k, give k margins from one
+    evaluation of the map and one correlation product."""
+    if not piece.compatible:
+        return np.full(np.shape(lam), -np.inf)[()]
     w = eval_weq(piece, b, lam)
-    E = piece.support
-    off = np.ones(w.shape[0], dtype=bool)
-    off[E] = False
     xi = correlation(inst, w, b=b)
-    no_bound = np.full(w.shape[1:], np.inf)
-    s_E = piece.s[E].reshape((-1,) + (1,) * (w.ndim - 1))
-    sign_margin = (s_E * w[E]).min(axis=0) if E.size else no_bound
-    corr_margin = (lam - np.abs(xi[off])).min(axis=0) if off.any() else no_bound
-    if w.ndim == 1:
-        return ZoneMargins(sign_margin=float(sign_margin), corr_margin=float(corr_margin))
-    return ZoneMargins(sign_margin=sign_margin, corr_margin=corr_margin)
+    s = piece.s.reshape((-1,) + (1,) * (w.ndim - 1))
+    return np.where(s != 0, s * w, lam - np.abs(xi)).min(axis=0)
 
 
 def strictly_inside(
@@ -404,7 +394,7 @@ def strictly_inside(
     piece: CandidatePiece | None = None,
 ) -> bool:
     """Operational interior test: `zone_membership` with the negative
-    tolerance -INTERIOR_MARGIN, so both zone margins are at least
+    tolerance -INTERIOR_MARGIN, so the zone margin is at least
     1e-6*lambda, at 0 < lambda < inf; never for an incompatible indicator.
     The margin is on the scale of lambda, as the zone test's slack is, so
     (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every

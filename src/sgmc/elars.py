@@ -3,9 +3,10 @@ lines, the piecewise-linear path driver, and zone enumeration.
 
 A single step starts from an indicator whose zone contains the moving point
 (b(t), lambda(t)), computes in closed form the time t_plus at which the point
-leaves that zone, and edits the indicator: support entries whose sign
-constraint binds at t_plus are deleted, off-support entries whose correlation
-bound binds are inserted with the sign of the binding correlation.  Event
+leaves that zone, and edits the indicator by the events that the exit scan
+(`sweep.zone_exit_times`) names there: support entries whose sign
+constraint binds at t_plus are deleted, off-support entries whose
+correlation bound binds are inserted with the sign of that bound.  Event
 times within the line's tie window (`ParameterLine.window`) are one event.
 Chaining verified steps yields the solution map along the whole line;
 sweeping from the zero zone at b = 0 to sampled parameter points discovers
@@ -22,6 +23,7 @@ import numpy as np
 from .candidate import (
     CandidatePiece,
     candidate_slope,
+    in_zone,
     next_piece,
     zone_margins,
     zone_membership,
@@ -47,17 +49,12 @@ class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
-def _ties(values, t_plus: float, line: ParameterLine):
-    """Which values equal the finite breakpoint t_plus on `line` within
-    its window, elementwise; infinite values never tie."""
-    return np.abs(np.asarray(values) - t_plus) <= line.window(t_plus)
-
-
 @dataclass(frozen=True)
 class IterationResult:
     """Outcome of one deletion-insertion step.
 
-    `lambda_terminus` marks exits through the lambda -> 0 wall, where the
+    `t_plus`, `deleted`, `inserted` and `lambda_terminus` are the exit time
+    and the events of `ZoneExitTimes`.  `lambda_terminus` marks exits through the lambda -> 0 wall, where the
     path ends rather than crossing into a neighbor.  `t_entry` is where the
     line enters the zone of `s`, from the same restriction as t_plus.  An
     infinite t_plus edits nothing: +inf is a ray that stays in the zone
@@ -91,45 +88,25 @@ def elars_iterate(
 ) -> IterationResult:
     """One E-LARS step along `line` out of the zone of `piece`.
 
-    The zone is restricted to the line once; its exit time is the
-    breakpoint, and the rows of its ratio test within its tie window make
-    the next indicator: sign rows delete, correlation rows insert with the
-    sign of the correlation at the breakpoint, and the wall row ends the
-    path.  A caller holding an indicator builds its piece with
-    `candidate_slope` first.
+    The zone is restricted to the line once; its exit scan
+    (`zone_exit_times`) gives the breakpoint and names the events there,
+    which make the next indicator: deletions zero their signs, insertions
+    take the sign of the bound they reach, and the wall ends the path.  A
+    caller holding an indicator builds its piece with `candidate_slope`
+    first.
     """
     s = piece.s
     restricted = restrict_to_line(inst, piece, line)
     times = zone_exit_times(restricted)
-    t_plus = times.t_sup
-
-    # the tied rows, in order: sign rows of the support and lower bounds
-    # off it, upper bounds (those of the support are 0*t <= 0 and never
-    # tie), the wall.  Usually one row ties; none at an infinite t_plus,
-    # where the ray never leaves the zone (+inf) or the line misses it
-    # (-inf, which the caller sees as an empty interval).
-    n2 = s.size
-    tied = _ties(times.rows, t_plus, line).nonzero()[0].tolist() if math.isfinite(t_plus) else []
-    terminus = bool(tied) and tied[-1] == 2 * n2
-    deleted = [row for row in tied if row < n2 and s[row]]
     s_plus = s.copy()
-    if deleted:
-        s_plus[deleted] = 0
-    inserted = []
-    # at the terminus wall every correlation bound ties and rounding gives
-    # the correlations signs, but the path ends there, so it inserts nothing
-    if not terminus:
-        r = restricted
-        for i in sorted({row % n2 for row in tied if row >= n2 or not s[row]}):
-            xi = r.cv[i] + r.cu[i] * t_plus
-            # a zero sign only happens where the binding value is
-            # lambda(t_plus) = 0: not a real event
-            if xi:
-                inserted.append(i)
-                s_plus[i] = 1 if xi > 0 else -1
+    for i in times.deleted:
+        s_plus[i] = 0
+    for i, sign in zip(times.inserted, times.signs):
+        s_plus[i] = sign
     return IterationResult(
-        s=s, t_plus=t_plus, s_plus=s_plus, deleted=tuple(deleted), inserted=tuple(inserted),
-        lambda_terminus=terminus, restricted=restricted, t_entry=times.t_inf,
+        s=s, t_plus=times.t_sup, s_plus=s_plus, deleted=times.deleted,
+        inserted=times.inserted, lambda_terminus=times.terminus, restricted=restricted,
+        t_entry=times.t_inf,
     )
 
 
@@ -352,7 +329,7 @@ def path_sweep(
             break
 
         breaks = seen.setdefault(res.s_plus.tobytes(), [])
-        if any(_ties(tp, res.t_plus, line) for tp in breaks):
+        if any(abs(tp - res.t_plus) <= line.window(res.t_plus) for tp in breaks):
             stop = "cycle_detected"
             break
         breaks.append(res.t_plus)
@@ -559,9 +536,9 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         graph.nodes[key] = s.copy()
         piece = _memoized(pieces, s, lambda: candidate_slope(inst, s), counts)
         todo = np.flatnonzero(np.logical_not(graph.covered))
-        if todo.size and piece.compatible:
+        if todo.size:
             lams = cover_lam[todo]
-            inside = zone_margins(inst, piece, cover_b[:, todo], lams).inside(lams)
+            inside = in_zone(zone_margins(inst, piece, cover_b[:, todo], lams), lams)
             for j in todo[inside]:
                 graph.covered[j] = True
 

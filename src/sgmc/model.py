@@ -26,8 +26,8 @@ matrix; the pieces and line restrictions of `candidate` and `sweep` apply
 C and D through it only.  The dense C and D serve
 `optimality.correlation` and the `oracle` solvers.  `check_opt` and the
 oracles thus share no code with the pieces they certify, but the zone
-tests of `candidate` (`zone_margins`, `eqnq_membership`) form xi with
-`correlation` too.
+tests of `candidate` (`zone_margins`, whose one worst margin per point
+`in_zone` reads, and `eqnq_membership`) form xi with `correlation` too.
 
 Index convention (0-based): entries 0..n-1 of w are primal, n..2n-1 are dual,
 matching the column order of C.  This convention is recorded in every

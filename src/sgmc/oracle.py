@@ -9,7 +9,8 @@ enumerating all 3^(2n) candidate indicators, is independent of the sweep
 and the zone enumerator but not of the closed forms: for each support
 size it takes the pseudo-inverses of all supports from one batched
 `rank_cut`, the rule of `candidate_slope`, and tests the zones of all
-their compatible sign patterns, at all samples, in one evaluation.  Only
+their compatible sign patterns, at all samples, in one evaluation, each
+by `in_zone` on its worst margin as `zone_membership` tests one.  Only
 its optimality check, `check_opt`'s rule on the correlations it forms
 from the dense C and D, is independent of them.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidate import ZoneMargins, eqnq_membership, in_row_space, rank_cut
+from .candidate import eqnq_membership, in_row_space, in_zone, rank_cut
 from .model import ProblemInstance, as_indicator, indicator_to_string
 from .optimality import certificate_scale, correlation, optimality_excess
 
@@ -371,10 +372,10 @@ def _zone_members(
     One `rank_cut` of the C(2n, k) blocks of C^T D C, one compatibility
     product over all (support, sign pattern) pairs, and one evaluation of
     the maps of the compatible pairs at all samples.  The sign half of
-    each zone, s_i w_i on the support, is judged on those maps alone
-    (`ZoneMargins.inside` with no correlation bound); the correlations are
-    formed only for the (pair, sample) cells that pass it, in one product,
-    and their off-support bounds judged by the same `inside`.  The members'
+    each zone, s_i w_i on the support, is judged on those maps alone by
+    `in_zone`; the correlations are formed only for the (pair, sample)
+    cells that pass it, in one product, and the worst margin of the cell,
+    with its off-support bounds, judged by the same `in_zone`.  The members'
     maps and correlations are then judged by `optimality_excess`, as
     `check_opt` judges one point.  Its arrays, at most (pairs) x k x
     (samples) floats for the maps and 2n x (cells) for the rest, are freed
@@ -400,7 +401,7 @@ def _zone_members(
     w_E = (cut.Minv @ mats.ct(B.T).T[supports])[of]
     w_E -= (cut.Minv @ signs.T)[of, :, pattern][..., None] * lams
     sign_margin = (s_E[..., None] * w_E).min(axis=1, initial=np.inf)
-    q, j = np.nonzero(ZoneMargins(sign_margin, corr_margin=np.inf).inside(lams))
+    q, j = np.nonzero(in_zone(sign_margin, lams))
     # the cells that pass, as columns: their signs S, maps W and
     # correlations xi, and the off-support bounds on xi
     S = np.zeros((two_n, q.size), dtype=np.int8)
@@ -411,14 +412,10 @@ def _zone_members(
     xi = correlation(base, W, b=B[:, j])
     off = S == 0  # the correlation bound holds off the support only
     lams = lams[j]
-    margins = ZoneMargins(
-        sign_margin=sign_margin[q, j],
-        corr_margin=lams - np.maximum(
-            xi.max(axis=0, where=off, initial=-np.inf),
-            -xi.min(axis=0, where=off, initial=np.inf),
-        ),
+    margin = np.minimum(
+        sign_margin[q, j], lams - np.abs(xi).max(axis=0, where=off, initial=-np.inf)
     )
-    inside = margins.inside(lams)
+    inside = in_zone(margin, lams)
     # `check_opt`'s rule on the members, at the `certificate_scale` of
     # each member's sample
     S, W, xi, lams, j = S[:, inside], W[:, inside], xi[:, inside], lams[inside], j[inside]

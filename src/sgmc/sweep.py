@@ -12,7 +12,11 @@ rows gives the zone's interval on the line: the exit time is the minimum of
 over the rows, and the entry time, the maximum of c/k over the rows with
 k < 0, is minus the minimum of f_tmax(-k, c).  `zone_exit_times` gets both
 from one division c/k over the stacked rows; `f_tmax` is the definition
-they are checked against.
+they are checked against.  The rows that tie at the exit time are the
+step's events, and `zone_exit_times`, which lays the rows out, names
+them: the deletions, the insertions with their signs, and the wall.  A
+line restriction keeps the map and the correlation lines only; the
+residual is not stored.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidate import CandidatePiece, IncompatibleIndicatorError
+from .candidate import CandidatePiece
 from .model import ModelMatrices, ProblemInstance
 
 SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
@@ -119,61 +123,50 @@ def f_tmax(k, c):
 
 @dataclass(frozen=True)
 class LineRestrictedPiece:
-    """Candidate map, residual and correlation of an indicator along one
-    line: w(t) = q - p*t (supported on E), b(t) - D C w(t) = v + u*t and
-    C^T (v + u*t) = cv + cu*t, each pair stored as the two rows of one
-    array (`pq`, `uv`, `cuv`).  `wall` marks the indices whose correlation
-    line is a multiple of lambda(t) within its rounding: off the support
-    their bounds |xi_i| <= lambda(t) bind only where lambda(t) = 0, with
-    the lambda >= 0 wall."""
+    """Candidate map and correlation of an indicator along one line:
+    w(t) = q - p*t (supported on E) and C^T (b(t) - D C w(t)) = cv + cu*t,
+    each pair stored as the two rows of one array (`pq`, `cuv`).  `wall`
+    marks the indices whose correlation line is a multiple of lambda(t)
+    within its rounding: off the support their bounds |xi_i| <= lambda(t)
+    bind only where lambda(t) = 0, with the lambda >= 0 wall."""
 
     s: np.ndarray
     pq: np.ndarray
-    uv: np.ndarray
     cuv: np.ndarray
     wall: np.ndarray
     line: ParameterLine
 
     p = property(lambda self: self.pq[0])
     q = property(lambda self: self.pq[1])
-    u = property(lambda self: self.uv[0])
-    v = property(lambda self: self.uv[1])
     cu = property(lambda self: self.cuv[0])
     cv = property(lambda self: self.cuv[1])
 
     def weq_at(self, t: float) -> np.ndarray:
         return self.q - self.p * t
 
-    def residual_at(self, t: float) -> np.ndarray:
-        return self.v + self.u * t
-
 
 def restrict_to_line(
     inst: ProblemInstance, piece: CandidatePiece, line: ParameterLine
 ) -> LineRestrictedPiece:
-    """Compute (p, q, u, v, cu, cv) of the zone of `piece` along the line.
+    """Compute (p, q, cu, cv) of the zone of `piece` along the line.
 
     The two coefficients of each line are rows: X = [-p; q] is the map of
     the piece (`CandidatePiece.apply`, with its refinement step) at the
     rows C^T B, B = [db; b0], with lambdas [dl, lam0].  C^T B is formed
-    once per line (`ParameterLine.ct_B`), and D C X and C^T [u; v] are one
-    gemm each on the row view (`ModelMatrices.dc`, `ct`): O(mn + |E|^2)
-    work in all, and p, q, u, v, cu and cv are contiguous rows.  The piece
-    is the only description of the zone: a caller holding an indicator
-    builds it with `candidate_slope` first.  An incompatible piece raises
-    IncompatibleIndicatorError.
+    once per line (`ParameterLine.ct_B`), and D C X and the correlation
+    C^T (B - D C X) are one gemm each on the row view
+    (`ModelMatrices.dc`, `ct`): O(mn + |E|^2) work in all, and p, q, cu
+    and cv are contiguous rows.  The piece is the only description of the
+    zone: a caller holding an indicator builds it with `candidate_slope`
+    first.  An incompatible piece raises IncompatibleIndicatorError (from
+    `apply`).
     """
     s = piece.s
-    if not piece.compatible:
-        raise IncompatibleIndicatorError(
-            "indicator is incompatible; its candidate zone is empty"
-        )
     mats = inst.matrices
     X = np.zeros((2, s.size))
     X[:, piece.support] = piece.apply(line.ct_B(mats), line.lams)
     DCX = mats.dc(X)
-    UV = line.B - DCX
-    CUV = mats.ct(UV)
+    CUV = mats.ct(line.B - DCX)
     dl, lam0 = line.delta_lam, line.lam0
     floor = SLOPE_RTOL * (mats.col_abs_sums * (line.B_scale + np.abs(DCX).max(axis=1))[:, None])
     # A correlation line that is exactly g * lambda(t), as every one is in a
@@ -198,47 +191,43 @@ def restrict_to_line(
     at_bound = np.abs(np.abs(cv) - lam0) <= floor[1] + SLOPE_RTOL * abs(lam0)
     np.copyto(cv, np.sign(cv) * lam0, where=at_bound)
     np.negative(X[0], out=X[0])
-    return LineRestrictedPiece(s=s, pq=X, uv=UV, cuv=CUV, wall=wall, line=line)
+    return LineRestrictedPiece(s=s, pq=X, cuv=CUV, wall=wall, line=line)
 
 
 @dataclass(frozen=True)
 class ZoneExitTimes:
-    """Exit times of the stacked rows of a zone along a line and the
-    interval they bound.
+    """Exit times of the stacked rows of a zone along a line, the interval
+    they bound, and the events at its exit.
 
     `rows` holds sup{t : k*t <= c} of each of the 4n + 1 rows of
-    `zone_exit_times` (+inf where a row never binds); `on` marks the
-    support.  t_sup, their minimum, is the exit time, and t_inf the entry
-    time, the largest t at which a row with k < 0 starts to hold.  All
-    values are extended reals; the line crosses the zone with nonempty
-    interior only when t_inf < t_sup.  t_a (sign constraints on the
-    support), t_b (correlation bounds off the support) and t_c (the
-    lambda >= 0 wall) regroup `rows`.
+    `zone_exit_times` (+inf where a row never binds).  t_sup, their
+    minimum, is the exit time, and t_inf the entry time, the largest t at
+    which a row with k < 0 starts to hold.  All values are extended reals;
+    the line crosses the zone with nonempty interior only when
+    t_inf < t_sup.  At a finite t_sup the rows within its tie window
+    (`ParameterLine.window`) are the events, usually one: `deleted` lists
+    the support indices whose sign row ties, `inserted` the off-support
+    indices whose correlation bound ties, ascending, with `signs` +1 at the
+    upper bound and -1 at the lower, and `terminus` tells that the
+    lambda >= 0 wall ties.  There every correlation bound ties and
+    rounding gives the correlations signs, but the path ends, so nothing
+    is inserted.  An infinite t_sup has no events: +inf is a ray that
+    stays in the zone, -inf a line that misses it.
     """
 
     rows: np.ndarray
-    on: np.ndarray
     t_sup: float
     t_inf: float
-
-    @property
-    def t_a(self) -> np.ndarray:
-        return np.where(self.on, self.rows[: self.on.size], np.inf)
-
-    @property
-    def t_b(self) -> np.ndarray:
-        n2 = self.on.size
-        return np.where(self.on, np.inf, np.minimum(self.rows[:n2], self.rows[n2:-1]))
-
-    @property
-    def t_c(self) -> float:
-        return float(self.rows[-1])
+    deleted: tuple[int, ...] = ()
+    inserted: tuple[int, ...] = ()
+    signs: tuple[int, ...] = ()
+    terminus: bool = False
 
 
 def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     """Closed-form supremum and infimum of t with (b(t), lambda(t)) inside
-    the zone that `r` restricts to its line: one ratio test over the
-    stacked rows k*t <= c of the zone.
+    the zone that `r` restricts to its line, and the events at the exit:
+    one ratio test over the stacked rows k*t <= c of the zone.
 
     Row i of the first block is the sign constraint of i on the support and
     the lower correlation bound of i off it; the second block holds the
@@ -280,4 +269,23 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     behind = k < 0.0
     rows = np.where(behind, np.inf, ratio)
     t_inf = math.inf if blocked.any() else float(np.where(behind, ratio, -np.inf).max())
-    return ZoneExitTimes(rows=rows, on=on, t_sup=float(rows.min()), t_inf=t_inf)
+    t_sup = float(rows.min())
+    if not math.isfinite(t_sup):
+        return ZoneExitTimes(rows=rows, t_sup=t_sup, t_inf=t_inf)
+    deleted, bounds = [], {}
+    # the tied rows, ascending: t_sup's own row at least
+    tied = np.flatnonzero(np.abs(rows - t_sup) <= r.line.window(t_sup)).tolist()
+    terminus = tied[-1] == 2 * n2
+    for row in tied:
+        i = row % n2
+        if row < n2 and on[i]:
+            deleted.append(i)
+        elif not terminus:
+            # an upper row comes after the lower row of its index: where
+            # both tie, at lambda(t_sup) near 0, the upper one's sign stays
+            bounds[i] = 1 if row >= n2 else -1
+    inserted = sorted(bounds)
+    return ZoneExitTimes(
+        rows=rows, t_sup=t_sup, t_inf=t_inf, deleted=tuple(deleted), inserted=tuple(inserted),
+        signs=tuple(bounds[i] for i in inserted), terminus=terminus,
+    )

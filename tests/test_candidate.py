@@ -22,7 +22,15 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import in_row_space, next_piece, rank_cut, zone_margins
+from sgmc.candidate import (
+    IncompatibleIndicatorError,
+    in_row_space,
+    in_zone,
+    next_piece,
+    rank_cut,
+    zone_margins,
+)
+from sgmc.optimality import correlation
 
 from conftest import piece_after_edit, random_instance
 
@@ -460,6 +468,22 @@ class TestEvalWeq:
         rhs = eval_weq(piece, b1, l1) + eval_weq(piece, b2, l2)
         npt.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_incompatible_piece_refused(self):
+        # s_E lies outside Col(C_E^T): a map formed anyway would be the
+        # rounding of lambda s_E scaled by ||pinv(M)|| ~ 1.8e75, about
+        # w_E = (6.0e59, 2.0e59) at (b, 1)
+        inst = ProblemInstance(A=[[1.18e-38, 1.18e-38]], rho=0.0, y=[0.0], lam=1.0)
+        piece = candidate_slope(inst, np.array([1, -1, -1, -1]))
+        assert not piece.compatible
+        b = np.array([1.0, 0.0])
+        with pytest.raises(IncompatibleIndicatorError):
+            eval_weq(piece, b, 1.0)
+        with pytest.raises(IncompatibleIndicatorError):
+            piece.apply(inst.matrices.ct(b), 1.0)
+        assert zone_margins(inst, piece, b, 1.0) == -math.inf
+        npt.assert_array_equal(zone_margins(inst, piece, np.ones((2, 3)), np.ones(3)), -math.inf)
+        assert not zone_membership(inst, piece.s, b, 1.0, piece=piece)
+
 
 class TestEqnqMembership:
     def test_zero_zone(self):
@@ -534,13 +558,29 @@ class TestMarginsAtPoints:
             piece = with_signs(support_piece, s)
             w = eval_weq(piece, B, lams)
             margins = zone_margins(inst, piece, B, lams)
-            assert w.shape == (6, 5)
+            assert w.shape == (6, 5) and margins.shape == (5,)
+            # the worst of the sign margins on the support and the
+            # correlation margins off it
+            xi = correlation(inst, w, b=B)
+            on = s != 0
+            want = np.minimum((s[on, None] * w[on]).min(axis=0),
+                              (lams - np.abs(xi[~on])).min(axis=0))
+            npt.assert_allclose(margins, want, rtol=1e-12, atol=1e-12)
+            npt.assert_array_equal(in_zone(margins, lams), margins >= -1e-9 * lams)
             for j in range(5):
                 npt.assert_allclose(w[:, j], eval_weq(piece, B[:, j], lams[j]),
                                     rtol=1e-12, atol=1e-12)
                 own = zone_margins(inst, piece, B[:, j], lams[j])
-                npt.assert_allclose(margins.sign_margin[j], own.sign_margin, rtol=1e-12, atol=1e-12)
-                npt.assert_allclose(margins.corr_margin[j], own.corr_margin, rtol=1e-12, atol=1e-12)
+                assert np.ndim(own) == 0
+                npt.assert_allclose(margins[j], own, rtol=1e-12, atol=1e-12)
+
+    def test_in_zone_reads_one_margin(self):
+        # slack tol * lambda, at 0 < lambda < inf; NaN and -inf fail
+        lams = np.array([1.0, 2.0, 1.0, 0.0, math.inf, 1.0, 1.0])
+        margin = np.array([-1e-9, -2.1e-9, 0.5, 0.5, 0.5, math.nan, -math.inf])
+        npt.assert_array_equal(in_zone(margin, lams),
+                               [True, False, True, False, False, False, False])
+        assert in_zone(1e-6, 1.0, tol=-1e-6) and not in_zone(0.9e-6, 1.0, tol=-1e-6)
 
 
 def _interior_zone_sample(seed, rho=0.0):

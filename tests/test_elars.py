@@ -24,6 +24,7 @@ from sgmc import (
     path_sweep,
     restrict_to_line,
     zero_indicator,
+    zone_exit_times,
     zone_membership,
 )
 from sgmc.candidate import next_piece, zone_margins
@@ -511,19 +512,88 @@ class TestPathSweep:
         assert line2.lam0 == line.lam0
 
 
-def _transverse_sweep(rho, seed):
-    """A 48 x 96 sweep of b from [y1; 0] to [y2; 0] at lambda = 0.1
-    lambda_max, t in [0, 1], from the zone a descent reaches there, as
-    the benchmark's transverse workload makes it: the line's instance, the
-    line, the start indicator."""
-    inst, descent = _gaussian_descent(48, 96, rho, seed)
+def _transverse_sweep(rho, seed, m=48):
+    """An m x 2m sweep (48 x 96 by default) of b from [y1; 0] to [y2; 0]
+    at lambda = 0.1 lambda_max, t in [0, 1], from the zone a descent
+    reaches there, as the benchmark's transverse workload makes it: the
+    line's instance, the line, the start indicator."""
+    inst, descent = _gaussian_descent(m, 2 * m, rho, seed)
     lam = 0.1 * descent.lam0
-    start = path_sweep(inst, descent, zero_indicator(96), t_start=0.0,
+    start = path_sweep(inst, descent, zero_indicator(2 * m), t_start=0.0,
                        t_end=descent.lam0 - lam, max_segments=1000)
     assert start.stop_reason == "t_end_reached"
-    y2 = np.random.default_rng((seed, 1)).normal(size=48)
-    line = ParameterLine(inst.b, lam, np.concatenate([y2 - inst.y, np.zeros(48)]), 0.0)
+    y2 = np.random.default_rng((seed, 1)).normal(size=m)
+    line = ParameterLine(inst.b, lam, np.concatenate([y2 - inst.y, np.zeros(m)]), 0.0)
     return inst, line, start.segments[-1].s
+
+
+def _decoded_events(r, times):
+    """(deleted, inserted, signs, terminus) decoded from the rows of the
+    exit scan by their layout alone, the reference for the events the scan
+    names: the rows within the tie window of t_sup, a tied wall row ending
+    the path, tied sign rows of the support deleting, and tied correlation
+    rows inserting with the sign of xi = cv + cu t_sup, none where xi is
+    exactly 0."""
+    s, n2, t_plus = r.s, r.s.size, times.t_sup
+    if not math.isfinite(t_plus):
+        return (), (), (), False
+    tied = np.flatnonzero(np.abs(times.rows - t_plus) <= r.line.window(t_plus)).tolist()
+    terminus = tied[-1] == 2 * n2
+    deleted = [row for row in tied if row < n2 and s[row]]
+    inserted, signs = [], []
+    if not terminus:
+        for i in sorted({row % n2 for row in tied if row >= n2 or not s[row]}):
+            xi = r.cv[i] + r.cu[i] * t_plus
+            if xi:
+                inserted.append(i)
+                signs.append(1 if xi > 0 else -1)
+    return tuple(deleted), tuple(inserted), tuple(signs), terminus
+
+
+def _event_cases():
+    """Small lambda descents (Gaussian, and on A = [B, B], where twin
+    columns tie) and small transverse b-sweeps, as (inst, line, s0,
+    t_end)."""
+    for rho in (0.0, 0.3, 0.8):
+        for m, n in ((4, 8), (6, 12)):
+            inst, line = _gaussian_descent(m, n, rho, 3)
+            yield inst, line, zero_indicator(n), math.inf
+        inst, line, s0 = _transverse_sweep(rho, 3, m=6)
+        yield inst, line, s0, 1.0
+    inst, line = _duplicated_columns_descent()
+    yield inst, line, zero_indicator(4), math.inf
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(3, 3))
+        inst = ProblemInstance(A=np.hstack([B, B]), rho=0.3, y=rng.normal(size=3), lam=1.0)
+        lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
+        yield inst, ParameterLine(inst.b, lam_max, np.zeros(6), -1.0), zero_indicator(6), math.inf
+
+
+class TestExitEvents:
+    def test_named_events_match_decoded_rows(self, monkeypatch):
+        # the exit scan names the events of every step the sweeps take;
+        # they must be what decoding its rows gives
+        import sgmc.elars
+
+        scans = []
+
+        def recording(r):
+            times = zone_exit_times(r)
+            scans.append((r, times))
+            return times
+
+        monkeypatch.setattr(sgmc.elars, "zone_exit_times", recording)
+        for inst, line, s0, t_end in _event_cases():
+            path_sweep(inst, line, s0, t_start=0.0, t_end=t_end, max_segments=1000)
+        kinds = Counter()
+        for r, times in scans:
+            named = (times.deleted, times.inserted, times.signs, times.terminus)
+            assert named == _decoded_events(r, times)
+            kinds.update(deleted=bool(times.deleted), terminus=times.terminus,
+                         several=len(times.deleted) + len(times.inserted) > 1,
+                         lower=-1 in times.signs, upper=1 in times.signs)
+        assert all(kinds[k] for k in ("deleted", "terminus", "several", "lower", "upper")), kinds
 
 
 class TestHandOver:
@@ -689,8 +759,7 @@ class TestInitializeIndicator:
         inst = random_instance(86, m=4, n=7, rho=0.3)
         s = initialize_indicator(inst, inst.b, inst.lam, strategy="from_oracle")
         assert zone_membership(inst, s, inst.b, inst.lam)
-        margins = zone_margins(inst, candidate_slope(inst, s), inst.b, inst.lam)
-        assert min(margins.sign_margin, margins.corr_margin) > 0
+        assert zone_margins(inst, candidate_slope(inst, s), inst.b, inst.lam) > 0
 
 
 class TestEnumerateZones:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,7 +15,7 @@ from sgmc import (
     encode_sopt,
     eval_weq,
 )
-from sgmc.candidate import PINV_RTOL
+from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError
 from sgmc.model import build_model_matrices, saddle_objective
 from sgmc.sweep import f_tmax
 
@@ -106,25 +107,22 @@ def test_encode_sopt_entries_match_bound(inst):
 HOMOGENEITY_C = 16
 
 
-def forward_error_bound(piece, w, lam):
-    """Rounding error the map of `piece` may carry at a point where it is
-    `w` with multiplier `lam`: the perturbation bound of the min-norm
-    least-squares solve pinv(M) r (Golub & Van Loan, Matrix Computations,
-    section 5.3.8), c * eps * kappa * (||w||_inf + ||r_perp||_inf / sigma_min),
-    with kappa and sigma_min over the singular values of M that the rank
-    cut keeps, c = HOMOGENEITY_C, and r_perp = lambda * N^T N s_E the part
-    of the right-hand side outside the range of M, nonzero only for an
-    incompatible indicator (C_E^T b lies in the range).  c covers the few
-    roundings of each entry on the way: the scaled data, the reference,
-    the products with pinv(M) and the refinement step."""
+def forward_error_bound(piece, w):
+    """Rounding error the map of a compatible `piece` may carry at a point
+    where it is `w`: the perturbation bound of the min-norm least-squares
+    solve pinv(M) r (Golub & Van Loan, Matrix Computations, section
+    5.3.8), c * eps * kappa * ||w||_inf, with kappa over the singular
+    values of M that the rank cut keeps and c = HOMOGENEITY_C.  The
+    right-hand side C_E^T b - lambda s_E lies in the range of M, as the
+    piece is compatible, so the bound has no term for a part outside it.
+    c covers the few roundings of each entry on the way: the scaled data,
+    the reference, the products with pinv(M) and the refinement step."""
     sv = np.linalg.svd(piece.M, compute_uv=False)
     kept = sv[sv > PINV_RTOL * sv.max(initial=0.0)]
     if not kept.size:
         return 0.0
-    r_perp = lam * (piece.s_E @ piece.null.T) @ piece.null
     kappa = kept.max() / kept.min()
-    size = np.abs(w).max() + np.abs(r_perp).max(initial=0.0) / kept.min()
-    return HOMOGENEITY_C * np.finfo(float).eps * kappa * size
+    return HOMOGENEITY_C * np.finfo(float).eps * kappa * np.abs(w).max()
 
 
 @given(instances(), st.floats(0.25, 4.0), st.floats(0.25, 4.0))
@@ -132,9 +130,13 @@ def forward_error_bound(piece, w, lam):
     ProblemInstance(A=[[1.0, 2.0, 0.0], [0.0, 6.1e-5, 0.0]], rho=0.0, y=[0.0, 0.0], lam=1.0),
     0.72, 1.97,
 )
+@example(  # s = [1, -1, -1, -1] is incompatible: refused, not ~6e59 of rounding
+    ProblemInstance(A=[[1.18e-38, 1.18e-38]], rho=0.0, y=[0.0], lam=1.0), 1.0, 1.14,
+)
 @settings(max_examples=60, deadline=None)
 def test_eval_weq_homogeneous(inst, theta1, theta2):
-    # eval_weq is linear in (b, lambda) up to the rounding of its solve
+    # eval_weq is linear in (b, lambda) up to the rounding of its solve,
+    # and refuses an incompatible piece, which has no map
     rng = np.random.default_rng(2)
     s = rng.integers(-1, 2, size=2 * inst.n)
     try:
@@ -147,8 +149,13 @@ def test_eval_weq_homogeneous(inst, theta1, theta2):
         return
     b = rng.normal(size=2 * inst.m)
     lam = 1.0
+    if not piece.compatible:
+        for theta in (1.0, theta1, theta1 + theta2):
+            with pytest.raises(IncompatibleIndicatorError):
+                eval_weq(piece, theta * b, theta * lam)
+        return
     base = eval_weq(piece, b, lam)
     for theta in (theta1, theta1 + theta2):
         want = theta * base
         npt.assert_allclose(eval_weq(piece, theta * b, theta * lam), want, rtol=0,
-                            atol=forward_error_bound(piece, want, theta * lam))
+                            atol=forward_error_bound(piece, want))

@@ -18,6 +18,7 @@ from sgmc import (
     zone_exit_times,
     zone_membership,
 )
+from sgmc.optimality import correlation
 from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError, next_piece
 from sgmc.sweep import f_tmax
 
@@ -98,8 +99,9 @@ class TestRestrictToLine:
         restricted = _restricted(inst, zero_indicator(2), line)
         npt.assert_array_equal(restricted.p, np.zeros(4))
         npt.assert_array_equal(restricted.q, np.zeros(4))
-        npt.assert_array_equal(restricted.u, line.delta_b)
-        npt.assert_array_equal(restricted.v, line.b0)
+        # the empty map leaves the residual b(t), whose correlation is C^T b(t)
+        npt.assert_array_equal(restricted.cu, inst.matrices.ct(line.delta_b))
+        npt.assert_array_equal(restricted.cv, inst.matrices.ct(line.b0))
         npt.assert_array_equal(restricted.weq_at(0.7), np.zeros(4))
 
     def test_matches_pointwise_evaluation(self):
@@ -120,10 +122,9 @@ class TestRestrictToLine:
         s = encode_sopt(inst, w, tol=1e-8)
         line = ParameterLine(inst.b, inst.lam, np.ones(6), 0.2)
         restricted = _restricted(inst, s, line)
-        mats = inst.matrices
         for t in (0.0, 0.8):
-            expected = line.b_at(t) - mats.D @ (mats.C @ restricted.weq_at(t))
-            npt.assert_allclose(restricted.residual_at(t), expected, atol=1e-10)
+            expected = correlation(inst, restricted.weq_at(t), b=line.b_at(t))
+            npt.assert_allclose(restricted.cv + restricted.cu * t, expected, atol=1e-10)
 
     def test_incompatible_raises(self, two_column, descent_line):
         _, line = descent_line
@@ -131,26 +132,39 @@ class TestRestrictToLine:
             _restricted(two_column, indicator_from_string("+-00"), line)
 
 
+def row_blocks(times):
+    """The rows of an exit scan as (first, upper, wall): the sign rows of
+    the support with the lower correlation bounds off it, the upper
+    correlation bounds, and the lambda >= 0 wall."""
+    n2 = (times.rows.size - 1) // 2
+    return times.rows[:n2], times.rows[n2:-1], float(times.rows[-1])
+
+
 class TestZoneExitTimes:
     def test_worked_example_zero_zone(self, descent_line):
         inst, line = descent_line
         times = zone_exit_times(_restricted(inst, zero_indicator(2), line))
         assert times.t_sup == pytest.approx(1.0, abs=1e-12)
-        assert times.t_b[0] == pytest.approx(1.0, abs=1e-12)
-        assert times.t_b[1] == pytest.approx(1.0, abs=1e-12)
+        _, upper, _ = row_blocks(times)
+        assert upper[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert (times.deleted, times.inserted, times.signs) == ((), (0, 1), (1, 1))
+        assert not times.terminus
 
     def test_worked_example_active_zone_ends_at_lambda_wall(self, descent_line):
         inst, line = descent_line
         times = zone_exit_times(_restricted(inst, S1, line))
-        assert times.t_c == pytest.approx(2.0, abs=1e-12)
+        first, _, wall = row_blocks(times)
+        assert wall == pytest.approx(2.0, abs=1e-12)
         assert times.t_sup == pytest.approx(2.0, abs=1e-12)
-        assert np.all(times.t_a == math.inf)
+        assert np.all(first[S1 != 0] == math.inf)
+        assert times.terminus and times.inserted == () and times.deleted == ()
 
     def test_constant_lambda_line_never_hits_wall(self, two_column):
         line = ParameterLine(np.zeros(2), 1.0, np.array([0.0, 1.0]), 0.0)
         times = zone_exit_times(_restricted(two_column, zero_indicator(2), line))
-        assert times.t_c == math.inf
+        assert row_blocks(times)[2] == math.inf
         assert times.t_sup == math.inf  # r direction is invisible at rho=0
+        assert (times.deleted, times.inserted, times.terminus) == ((), (), False)
 
 
     def test_full_support_b_direction_has_no_correlation_exit(self):
@@ -165,16 +179,19 @@ class TestZoneExitTimes:
             line = ParameterLine(np.array([1.0, -2.0, 0.5, 0.3]), 1.0, np.eye(4)[j], 0.0)
             restricted = _restricted(inst, s, line)
             assert np.all(restricted.cu == 0.0)
-            times = zone_exit_times(restricted)
-            assert not np.any(np.isfinite(times.t_b))
+            first, upper, _ = row_blocks(zone_exit_times(restricted))
+            off = s == 0
+            assert not np.any(np.isfinite(first[off]))
+            assert not np.any(np.isfinite(upper[off]))
 
 
 def two_pass_times(r):
-    """(t_a, t_b, t_c, t_sup, t_inf) by the two-pass scan that the one
-    ratio test replaced: the exit scan along the line, then along the
-    reversed line (p, cu and dl negated), whose exit time is minus the
-    entry time.  A correlation row of an index in `r.wall` that points the
-    way the wall row does is the wall row."""
+    """(first, upper, wall, t_sup, t_inf) by the two-pass scan that the one
+    ratio test replaced, the exit times of the three blocks of rows of
+    `row_blocks`: the exit scan along the line, then along the reversed
+    line (p, cu and dl negated), whose exit time is minus the entry time.
+    A correlation row of an index in `r.wall` that points the way the wall
+    row does is the wall row; the upper rows of the support never bind."""
 
     def row(k, c, k_wall, c_wall, wall):
         replace = wall & (k * k_wall + c * c_wall > 0.0)
@@ -185,20 +202,21 @@ def two_pass_times(r):
         s, q, cv, lam0 = r.s, r.q, r.cv, r.line.lam0
         on = s != 0
         wall = r.wall & ~on
-        t_a = np.where(on, f_tmax(s * p, s * q), np.inf)
         lower = row(-cu - dl, lam0 + cv, -dl, lam0, wall)
         upper = row(cu - dl, lam0 - cv, -dl, lam0, wall)
-        t_b = np.where(on, np.inf, np.minimum(f_tmax(*lower), f_tmax(*upper)))
+        first = np.where(on, f_tmax(s * p, s * q), f_tmax(*lower))
+        upper = np.where(on, np.inf, f_tmax(*upper))
         if dl == 0.0:
-            t_c = math.inf if lam0 > 0.0 else -math.inf
+            t_wall = math.inf if lam0 > 0.0 else -math.inf
         else:
-            t_c = f_tmax(-dl, lam0)
-        return t_a, t_b, t_c
+            t_wall = f_tmax(-dl, lam0)
+        return first, upper, t_wall
 
-    t_a, t_b, t_c = sup_times(1.0)
-    back_a, back_b, back_c = sup_times(-1.0)
-    t_sup = float(min(t_a.min(), t_b.min(), t_c))
-    return t_a, t_b, t_c, t_sup, -float(min(back_a.min(), back_b.min(), back_c))
+    first, upper, t_wall = sup_times(1.0)
+    back_first, back_upper, back_wall = sup_times(-1.0)
+    t_sup = float(min(first.min(), upper.min(), t_wall))
+    t_inf = -float(min(back_first.min(), back_upper.min(), back_wall))
+    return first, upper, t_wall, t_sup, t_inf
 
 
 def scan_cases():
@@ -234,10 +252,11 @@ class TestRatioTest:
         for inst, s, line in scan_cases():
             restricted = _restricted(inst, s, line)
             times = zone_exit_times(restricted)
-            t_a, t_b, t_c, t_sup, t_inf = two_pass_times(restricted)
-            assert np.array_equal(times.t_a, t_a)
-            assert np.array_equal(times.t_b, t_b)
-            assert times.t_c == t_c
+            first, upper, t_wall, t_sup, t_inf = two_pass_times(restricted)
+            got_first, got_upper, got_wall = row_blocks(times)
+            assert np.array_equal(got_first, first)
+            assert np.array_equal(got_upper, upper)
+            assert got_wall == t_wall
             assert times.t_sup == t_sup
             assert times.t_inf == t_inf
             supports.add(int(np.count_nonzero(s)) / s.size)
@@ -327,7 +346,8 @@ STEP_RTOL = 1e-12  # block step against the dense reference, relative to its siz
 
 def dense_restrict(inst, piece, line):
     """The zone of `piece` on the line by dense products with C and D:
-    (p, q, u, v, C^T [u, v]) with one step of iterative refinement."""
+    (p, q, C^T [u, v]), u and v the slope and offset of the residual
+    b(t) - D C w(t), with one step of iterative refinement."""
     C, D = inst.matrices.C, inst.matrices.D
     E, P, s = piece.support, piece.Minv, piece.s
     B = np.column_stack([line.delta_b, line.b0])
@@ -337,8 +357,7 @@ def dense_restrict(inst, piece, line):
         X[E] = P @ (C[:, E].T @ B) - np.multiply.outer(P @ s[E], lams)
         CUV = C.T @ (B - D @ (C @ X))
         X[E] += P @ (CUV[E] - np.multiply.outer(s[E], lams))
-    UV = B - D @ (C @ X)
-    return -X[:, 0], X[:, 1], UV[:, 0], UV[:, 1], C.T @ UV
+    return -X[:, 0], X[:, 1], C.T @ (B - D @ (C @ X))
 
 
 def dense_insertion(inst, piece, j):
@@ -420,13 +439,11 @@ class TestDenseReference:
         piece = candidate_slope(inst, s)
         assert piece.compatible
         r = restrict_to_line(inst, piece, line)
-        p, q, u, v, CUV = dense_restrict(inst, piece, line)
+        p, q, CUV = dense_restrict(inst, piece, line)
         x_scale = max(np.abs(p).max(), np.abs(q).max(), 1.0)
-        uv_scale = max(np.abs(u).max(), np.abs(v).max())
         # cu and cv differ from C^T [u, v] where they were snapped, by noise
         c_scale = max(np.abs(CUV).max(), 1.0)
         for got, want, scale in ((r.p, p, x_scale), (r.q, q, x_scale),
-                                 (r.u, u, uv_scale), (r.v, v, uv_scale),
                                  (r.cu, CUV[:, 0], c_scale), (r.cv, CUV[:, 1], c_scale)):
             _assert_close(got, want, scale, piece, inst)
 
@@ -452,7 +469,7 @@ class TestDenseReference:
             if not piece.compatible:
                 continue
             r = restrict_to_line(inst, piece, line)
-            p, q, u, v, CUV = dense_restrict(inst, piece, line)
+            p, q, _ = dense_restrict(inst, piece, line)
             x_scale = max(np.abs(p).max(), np.abs(q).max(), 1.0)
             for got, want in ((r.p, p), (r.q, q)):
                 _assert_close(got, want, x_scale, piece, inst)
