@@ -33,7 +33,7 @@ def main():
     tied = sorted(set(step.deleted) | set(step.inserted))
     print(f"breakpoint t+ = {step.t_plus}")
     print(f"next indicator = {indicator_to_string(step.s_plus)}")
-    print(f"inserted = {step.inserted}, deleted = {step.deleted}")
+    print(f"inserted = {step.inserted} with signs {step.signs}, deleted = {step.deleted}")
     print(f"one-at-a-time = {step.one_at_a_time} (changed indices {tied})")
 
     print("\n== full sweep of the line ==")

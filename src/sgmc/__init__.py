@@ -33,14 +33,13 @@ from .candidate import (
 from .sweep import (
     LineRestrictedPiece,
     ParameterLine,
-    ZoneExitTimes,
+    ZoneExit,
     restrict_to_line,
     zone_exit_times,
 )
 from .elars import (
     EnumerationConfig,
     InitializationError,
-    IterationResult,
     PathSegment,
     PathSweepResult,
     ZoneGraph,

@@ -375,11 +375,17 @@ def zone_margins(
 ) -> float | np.ndarray:
     """Worst margin of the zone of `piece` at (b, lambda), >= 0 inside: the
     least of s_i w_i over the support and lambda - |xi_i(w)| off it, -inf
-    for an incompatible piece, whose zone is empty.  k points given as the
+    for an incompatible piece, whose zone is empty, and at a lambda that
+    is not finite, where no zone lies.  No map is formed at such a point
+    (at lambda = inf it would take inf - inf).  k points given as the
     columns of `b`, with `lam` of length k, give k margins from one
     evaluation of the map and one correlation product."""
-    if not piece.compatible:
-        return np.full(np.shape(lam), -np.inf)[()]
+    keep = np.isfinite(lam) & piece.compatible
+    if not keep.all():
+        margins = np.full(np.shape(lam), -np.inf)
+        if keep.any():
+            margins[keep] = zone_margins(inst, piece, np.asarray(b)[:, keep], np.asarray(lam)[keep])
+        return margins[()]
     w = eval_weq(piece, b, lam)
     xi = correlation(inst, w, b=b)
     s = piece.s.reshape((-1,) + (1,) * (w.ndim - 1))

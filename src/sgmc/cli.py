@@ -149,7 +149,7 @@ def cmd_path(args) -> int:
         s_init,
         t_start=args.t_start,
         t_end=args.t_end if args.t_end is not None else math.inf,
-        max_segments=args.max_segments,
+        max_segments=math.inf if args.max_segments is None else args.max_segments,
     )
     _write_json(args.out, result.to_dict())
     if args.csv_out:
@@ -208,7 +208,10 @@ def _verify_checks(inst: ProblemInstance, args):
     ORACLE_READ_TOL.  Each check is scale-free: optimality reads relative
     to the scale of `check_opt`, and every bound on w or on the fit
     (beta_e, gamma_e) is relative to the size of the quantity it bounds,
-    so scaling (y, r, lambda) together changes no verdict."""
+    so scaling (y, r, lambda) together changes no verdict.  The descent
+    from 1.05 lambda_max is swept whole, without a segment cap: the path
+    checks fail on a stop that does not end a path normally, or at a
+    lambda the path does not reach."""
     w = solve_saddle(inst)
     rep = check_opt(inst, w)
     yield "saddle_optimality", rep.worst_violation <= 1e-7, f"violation {rep.worst_violation:.2e}"
@@ -229,8 +232,11 @@ def _verify_checks(inst: ProblemInstance, args):
         return
     lam0 = 1.05 * lam_max
     line = ParameterLine(inst.b, lam0, np.zeros(2 * inst.m), -1.0)
-    result = path_sweep(inst, line, initialize_indicator(inst, inst.b, lam0), t_start=0.0)
-    yield "path_continuity", _continuous(result.segments), f"{len(result.segments)} segments"
+    result = path_sweep(inst, line, initialize_indicator(inst, inst.b, lam0), t_start=0.0,
+                        max_segments=math.inf)
+    stop = result.stop_reason
+    yield ("path_continuity", PATH_EXIT_CODES.get(stop) == 0 and _continuous(result.segments),
+           f"{len(result.segments)} segments, stop {stop}")
 
     opt_ok = True
     worst = 0.0
@@ -251,7 +257,9 @@ def _verify_checks(inst: ProblemInstance, args):
         t = (lam0 - lam_t) / 1.0
         w_path = evaluate_path(result, t)
         if w_path is None:
-            continue
+            agree_ok = False
+            detail = f"path stops before lambda {lam_t:.3g}"
+            break
         probe = inst.with_params(lam=lam_t)
         w_it = solve_saddle(probe)
         s_path = summarize(probe, w_path)
@@ -336,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--delta-lambda", type=float, default=0.0)
     p_path.add_argument("--t-start", type=float, default=0.0)
     p_path.add_argument("--t-end", type=float, default=None)
-    p_path.add_argument("--max-segments", type=int, default=64)
+    p_path.add_argument(
+        "--max-segments", type=int, default=None,
+        help="stop after this many segments and exit 3 (default: no cap; the sweep "
+        "ends at its own stop, and a descent from lambda_max can have hundreds)")
     p_path.add_argument("--csv-out", help="plot-ready CSV of (t, lambda, w)")
     p_path.add_argument("--grid", type=int, default=201)
     p_path.set_defaults(func=cmd_path)

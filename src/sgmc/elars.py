@@ -37,77 +37,26 @@ from .model import (
 )
 from .optimality import certificate_scale, encode_sopt
 from .oracle import ORACLE_READ_TOL, solve_saddle
-from .sweep import (
-    LineRestrictedPiece,
-    ParameterLine,
-    restrict_to_line,
-    zone_exit_times,
-)
+from .sweep import ParameterLine, ZoneExit, restrict_to_line, zone_exit_times
 
 
 class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
-@dataclass(frozen=True)
-class IterationResult:
-    """Outcome of one deletion-insertion step.
-
-    `t_plus`, `deleted`, `inserted` and `lambda_terminus` are the exit time
-    and the events of `ZoneExitTimes`.  `lambda_terminus` marks exits through the lambda -> 0 wall, where the
-    path ends rather than crossing into a neighbor.  `t_entry` is where the
-    line enters the zone of `s`, from the same restriction as t_plus.  An
-    infinite t_plus edits nothing: +inf is a ray that stays in the zone
-    forever (`never_exits`), -inf a line that misses the zone.
-    `one_at_a_time` and `never_exits` are read off the edits and t_plus,
-    so they always agree with them.
-    """
-
-    s: np.ndarray
-    t_plus: float
-    s_plus: np.ndarray
-    deleted: tuple[int, ...]
-    inserted: tuple[int, ...]
-    lambda_terminus: bool
-    restricted: LineRestrictedPiece
-    t_entry: float
-
-    @property
-    def one_at_a_time(self) -> bool:
-        """Whether the step edits exactly one index."""
-        return len(self.deleted) + len(self.inserted) == 1
-
-    @property
-    def never_exits(self) -> bool:
-        """Whether the ray stays in the zone forever."""
-        return self.t_plus == math.inf
-
-
 def elars_iterate(
     inst: ProblemInstance, piece: CandidatePiece, line: ParameterLine
-) -> IterationResult:
+) -> ZoneExit:
     """One E-LARS step along `line` out of the zone of `piece`.
 
-    The zone is restricted to the line once; its exit scan
-    (`zone_exit_times`) gives the breakpoint and names the events there,
-    which make the next indicator: deletions zero their signs, insertions
-    take the sign of the bound they reach, and the wall ends the path.  A
+    The zone is restricted to the line once, and its exit scan
+    (`zone_exit_times`) is the step: the breakpoint, the events there and
+    the next indicator they make (deletions zero their signs, insertions
+    take the sign of the bound they reach, and the wall ends the path).  A
     caller holding an indicator builds its piece with `candidate_slope`
     first.
     """
-    s = piece.s
-    restricted = restrict_to_line(inst, piece, line)
-    times = zone_exit_times(restricted)
-    s_plus = s.copy()
-    for i in times.deleted:
-        s_plus[i] = 0
-    for i, sign in zip(times.inserted, times.signs):
-        s_plus[i] = sign
-    return IterationResult(
-        s=s, t_plus=times.t_sup, s_plus=s_plus, deleted=times.deleted,
-        inserted=times.inserted, lambda_terminus=times.terminus, restricted=restricted,
-        t_entry=times.t_inf,
-    )
+    return zone_exit_times(restrict_to_line(inst, piece, line))
 
 
 # -- path driver -------------------------------------------------------------
@@ -225,7 +174,7 @@ def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
     return piece
 
 
-def _landing_piece(inst: ProblemInstance, piece: CandidatePiece, res: IterationResult):
+def _landing_piece(inst: ProblemInstance, piece: CandidatePiece, res: ZoneExit):
     """Piece of the zone that step `res` lands in: `next_piece` updates
     `piece`, handed the one index the step edited; an edit of several
     indices (or of none) is built from scratch."""
@@ -233,19 +182,6 @@ def _landing_piece(inst: ProblemInstance, piece: CandidatePiece, res: IterationR
     if len(edit) == 1:
         return next_piece(inst, piece, res.s_plus, edit[0])
     return candidate_slope(inst, res.s_plus)
-
-
-def _misses(res: IterationResult, t: float) -> str | None:
-    """Why the zone that `res` steps out of fails to hold time t: the line
-    enters it after t (`unverified_step`) or leaves it before t
-    (`degenerate_interval`), outside the window of t; None when it holds
-    t."""
-    w = res.restricted.line.window(t)
-    if not res.t_entry <= t + w:
-        return "unverified_step"
-    if not res.t_plus >= t - w:
-        return "degenerate_interval"
-    return None
 
 
 def path_sweep(
@@ -267,14 +203,14 @@ def path_sweep(
     That one restriction certifies the zone: it meets the line in the
     closed-form interval [entry, exit], which must hold the zone's first
     time (t_start, or the breakpoint the step landed on) within the line's
-    tie window (`ParameterLine.window`); `_misses` checks this right after
-    each zone's step.  A start zone that fails it, or sits at
+    tie window (`ParameterLine.window`); `ZoneExit.misses` checks this
+    right after each zone's step.  A start zone that fails it, or sits at
     lambda(t_start) <= 0, raises ValueError (so does an incompatible
-    `s_init`).  A landing zone that is
-    incompatible or entered after its breakpoint stops the sweep as
-    `unverified_step`, one left before it as `degenerate_interval`, even
-    where `max_segments` would cut the sweep there.  A zone the line only
-    touches at a breakpoint is a zero-length segment.  A repeated
+    `s_init`).  A landing zone that is incompatible or entered after its
+    breakpoint stops the sweep as `unverified_step`, one left before it as
+    `degenerate_interval`, even where `max_segments` (math.inf for no cap)
+    would cut the sweep there.  A zone the line only touches at a
+    breakpoint is a zero-length segment.  A repeated
     (indicator, breakpoint) pair aborts as `cycle_detected`.  Otherwise the
     sweep ends in the first zone whose exit reaches t_end (`t_end_reached`,
     or `unbounded` where both are +inf) or lies on the lambda -> 0 wall
@@ -302,7 +238,7 @@ def path_sweep(
     counts = dict.fromkeys(("pieces_updated", "pieces_rebuilt", "memo_hits"), 0)
     piece = _memoized(pieces, s, lambda: candidate_slope(inst, s), counts)
     res = elars_iterate(inst, piece, line)
-    if _misses(res, t_start):
+    if res.misses(t_start):
         raise ValueError(
             "s_init is not a valid zone indicator at t_start "
             f"(s={indicator_to_string(s)}, t={t_start})"
@@ -347,7 +283,7 @@ def path_sweep(
         s = res.s_plus
         t_cur = res.t_plus
         res = elars_iterate(inst, piece, line)
-        stop = _misses(res, t_cur)
+        stop = res.misses(t_cur)
         if stop:
             break
     return PathSweepResult(segments=tuple(segments), stop_reason=stop, line=line, **counts)

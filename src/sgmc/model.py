@@ -42,6 +42,7 @@ reductions, never in int8 itself.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -76,26 +77,34 @@ class ProblemInstance:
     r: np.ndarray | None = None
 
     def __post_init__(self):
-        A = _readonly(np.atleast_2d(self.A))
-        y = _readonly(np.ravel(self.y))
-        r = np.zeros(A.shape[0]) if self.r is None else np.ravel(self.r)
-        r = _readonly(r)
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        for name, arr in (("A", A), ("y", y), ("r", r)):
+        A = _readonly(np.atleast_2d(self.A))
+        if not np.isfinite(A).all():
+            raise ValueError("A must be finite")
+        object.__setattr__(self, "A", A)
+        # the structural matrices, once built, of every sibling of this
+        # instance: they depend on (A, rho) alone
+        object.__setattr__(self, "_matrices", [None])
+        self._observe(self.y, np.zeros(A.shape[0]) if self.r is None else self.r, self.lam)
+
+    def _observe(self, y, r, lam):
+        """Check lambda and set it; unless y is None, likewise y and r,
+        copied read-only, and b = [y; r]."""
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
+        object.__setattr__(self, "lam", lam)
+        if y is None:
+            return
+        y, r = _readonly(np.ravel(y)), _readonly(np.ravel(r))
+        for name, arr in (("y", y), ("r", r)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        if y.shape != (A.shape[0],):
-            raise ValueError(f"y has shape {y.shape}, expected ({A.shape[0]},)")
-        if r.shape != (A.shape[0],):
-            raise ValueError(f"r has shape {r.shape}, expected ({A.shape[0]},)")
-        object.__setattr__(self, "A", A)
+            if arr.shape != (self.m,):
+                raise ValueError(f"{name} has shape {arr.shape}, expected ({self.m},)")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_b", _readonly(np.concatenate([y, r])))
-        object.__setattr__(self, "_matrices", None)
 
     @property
     def m(self) -> int:
@@ -112,21 +121,26 @@ class ProblemInstance:
 
     @property
     def matrices(self) -> "ModelMatrices":
-        # Cached; instances are immutable so one build is enough.
-        if self._matrices is None:
-            object.__setattr__(self, "_matrices", build_model_matrices(self))
-        return self._matrices
+        """Built on first use by this instance or any of its siblings, and
+        shared by all of them."""
+        if self._matrices[0] is None:
+            self._matrices[0] = build_model_matrices(self)
+        return self._matrices[0]
 
     def with_params(self, b: np.ndarray | None = None, lam: float | None = None) -> "ProblemInstance":
-        """Same (A, rho), new stacked observation and/or lambda."""
-        if b is None:
-            y, r = self.y, self.r
-        else:
+        """Same (A, rho), new stacked observation and/or lambda: a sibling
+        sharing A, the structural matrices and, without a new `b`, y and r,
+        all checked once already.  A `b` passed in is copied and checked as
+        the constructor checks y and r."""
+        y = r = None
+        if b is not None:
             b = np.ravel(b)
             if b.shape != (2 * self.m,):
                 raise ValueError(f"b has shape {b.shape}, expected ({2 * self.m},)")
             y, r = b[: self.m], b[self.m :]
-        return ProblemInstance(A=self.A, rho=self.rho, y=y, r=r, lam=self.lam if lam is None else lam)
+        sibling = copy.copy(self)
+        sibling._observe(y, r, self.lam if lam is None else lam)
+        return sibling
 
     def to_dict(self) -> dict:
         return {

@@ -14,9 +14,10 @@ k < 0, is minus the minimum of f_tmax(-k, c).  `zone_exit_times` gets both
 from one division c/k over the stacked rows; `f_tmax` is the definition
 they are checked against.  The rows that tie at the exit time are the
 step's events, and `zone_exit_times`, which lays the rows out, names
-them: the deletions, the insertions with their signs, and the wall.  A
-line restriction keeps the map and the correlation lines only; the
-residual is not stored.
+them: the deletions, the insertions with their signs, and the wall.  Its
+`ZoneExit`, with the next indicator those events make, is the record of
+one E-LARS step.  A line restriction keeps the map and the correlation
+lines only; the residual is not stored.
 """
 
 from __future__ import annotations
@@ -195,36 +196,65 @@ def restrict_to_line(
 
 
 @dataclass(frozen=True)
-class ZoneExitTimes:
-    """Exit times of the stacked rows of a zone along a line, the interval
-    they bound, and the events at its exit.
+class ZoneExit:
+    """One E-LARS step: the exit scan of a zone along a line, the interval
+    it bounds, and the events at its exit with the indicator they make.
 
+    `restricted` is the zone's line restriction and `s` its indicator.
     `rows` holds sup{t : k*t <= c} of each of the 4n + 1 rows of
-    `zone_exit_times` (+inf where a row never binds).  t_sup, their
-    minimum, is the exit time, and t_inf the entry time, the largest t at
-    which a row with k < 0 starts to hold.  All values are extended reals;
-    the line crosses the zone with nonempty interior only when
-    t_inf < t_sup.  At a finite t_sup the rows within its tie window
+    `zone_exit_times` (+inf where a row never binds).  `t_plus`, their
+    minimum, is the exit time, and `t_entry` the entry time, the largest t
+    at which a row with k < 0 starts to hold.  All values are extended
+    reals; the line crosses the zone with nonempty interior only when
+    t_entry < t_plus.  At a finite t_plus the rows within its tie window
     (`ParameterLine.window`) are the events, usually one: `deleted` lists
     the support indices whose sign row ties, `inserted` the off-support
     indices whose correlation bound ties, ascending, with `signs` +1 at the
-    upper bound and -1 at the lower, and `terminus` tells that the
+    upper bound and -1 at the lower, and `lambda_terminus` tells that the
     lambda >= 0 wall ties.  There every correlation bound ties and
     rounding gives the correlations signs, but the path ends, so nothing
-    is inserted.  An infinite t_sup has no events: +inf is a ray that
-    stays in the zone, -inf a line that misses it.
+    is inserted.  `s_plus` is `s` with the deletions zeroed and the
+    insertions set to their signs.  An infinite t_plus has no events: +inf
+    is a ray that stays in the zone (`never_exits`), -inf a line that
+    misses it.  `one_at_a_time` and `never_exits` are read off the events
+    and t_plus, so they always agree with them.
     """
 
+    restricted: LineRestrictedPiece
     rows: np.ndarray
-    t_sup: float
-    t_inf: float
+    t_plus: float
+    t_entry: float
+    s_plus: np.ndarray
     deleted: tuple[int, ...] = ()
     inserted: tuple[int, ...] = ()
     signs: tuple[int, ...] = ()
-    terminus: bool = False
+    lambda_terminus: bool = False
+
+    s = property(lambda self: self.restricted.s)
+
+    @property
+    def one_at_a_time(self) -> bool:
+        """Whether the step edits exactly one index."""
+        return len(self.deleted) + len(self.inserted) == 1
+
+    @property
+    def never_exits(self) -> bool:
+        """Whether the ray stays in the zone forever."""
+        return self.t_plus == math.inf
+
+    def misses(self, t: float) -> str | None:
+        """Why the zone fails to hold time t: the line enters it after t
+        (`unverified_step`) or leaves it before t (`degenerate_interval`),
+        outside the window of t; None when it holds t."""
+        w = self.restricted.line.window(t)
+        if not self.t_entry <= t + w:
+            return "unverified_step"
+        if not self.t_plus >= t - w:
+            return "degenerate_interval"
+        return None
 
 
-def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
+def zone_exit_times(r: LineRestrictedPiece) -> ZoneExit:
     """Closed-form supremum and infimum of t with (b(t), lambda(t)) inside
     the zone that `r` restricts to its line, and the events at the exit:
     one ratio test over the stacked rows k*t <= c of the zone.
@@ -238,7 +268,7 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     when the wall does.  One division c/k serves every row: it is the exit
     time of rows with k > 0 and the entry time of rows with k < 0.  A row
     with k = 0 and c < 0 holds nowhere.  The times are valid only when
-    t_inf < t_sup.
+    t_entry < t_plus.
     """
     on = r.s != 0
     dl, lam0, wall_row = r.line.delta_lam, r.line.lam0, r.line.wall_row
@@ -268,13 +298,14 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
     ratio = np.divide(c, k, out=np.where(blocked, -np.inf, np.inf), where=~zero)
     behind = k < 0.0
     rows = np.where(behind, np.inf, ratio)
-    t_inf = math.inf if blocked.any() else float(np.where(behind, ratio, -np.inf).max())
-    t_sup = float(rows.min())
-    if not math.isfinite(t_sup):
-        return ZoneExitTimes(rows=rows, t_sup=t_sup, t_inf=t_inf)
+    t_entry = math.inf if blocked.any() else float(np.where(behind, ratio, -np.inf).max())
+    t_plus = float(rows.min())
+    s_plus = r.s.copy()
+    if not math.isfinite(t_plus):
+        return ZoneExit(r, rows, t_plus, t_entry, s_plus)
     deleted, bounds = [], {}
-    # the tied rows, ascending: t_sup's own row at least
-    tied = np.flatnonzero(np.abs(rows - t_sup) <= r.line.window(t_sup)).tolist()
+    # the tied rows, ascending: t_plus's own row at least
+    tied = np.flatnonzero(np.abs(rows - t_plus) <= r.line.window(t_plus)).tolist()
     terminus = tied[-1] == 2 * n2
     for row in tied:
         i = row % n2
@@ -282,10 +313,11 @@ def zone_exit_times(r: LineRestrictedPiece) -> ZoneExitTimes:
             deleted.append(i)
         elif not terminus:
             # an upper row comes after the lower row of its index: where
-            # both tie, at lambda(t_sup) near 0, the upper one's sign stays
+            # both tie, at lambda(t_plus) near 0, the upper one's sign stays
             bounds[i] = 1 if row >= n2 else -1
     inserted = sorted(bounds)
-    return ZoneExitTimes(
-        rows=rows, t_sup=t_sup, t_inf=t_inf, deleted=tuple(deleted), inserted=tuple(inserted),
-        signs=tuple(bounds[i] for i in inserted), terminus=terminus,
-    )
+    signs = [bounds[i] for i in inserted]
+    s_plus[deleted] = 0
+    s_plus[inserted] = signs
+    return ZoneExit(r, rows, t_plus, t_entry, s_plus, tuple(deleted), tuple(inserted),
+                    tuple(signs), terminus)

@@ -538,10 +538,20 @@ class TestZoneMembership:
     def test_nonpositive_lambda_rejected(self, two_column):
         assert not zone_membership(two_column, S1, np.array([2.0, 0.0]), 0.0)
 
-    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -math.inf])
     def test_non_finite_lambda_rejected(self, two_column, lam):
-        # every correlation bound holds at lambda = inf, yet no point is there
-        assert not zone_membership(two_column, zero_indicator(2), np.array([2.0, 0.0]), lam)
+        # every correlation bound holds at lambda = inf, yet no point is
+        # there; on a support the map would take inf - inf, so none is
+        # formed (a RuntimeWarning fails the test)
+        B = np.array([[2.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
+        for s in (zero_indicator(2), S1):
+            assert not zone_membership(two_column, s, np.array([2.0, 0.0]), lam)
+            # among finite lambdas, the other points keep their margins
+            piece = candidate_slope(two_column, s)
+            margins = zone_margins(two_column, piece, B, np.array([1.0, lam, 1.0]))
+            assert margins[1] == -math.inf
+            npt.assert_array_equal(
+                margins[[0, 2]], zone_margins(two_column, piece, B[:, [0, 2]], np.ones(2)))
 
 
 class TestMarginsAtPoints:

@@ -483,6 +483,71 @@ def test_verify_fails_nan_segments(instance_file, tmp_path, capsys):
     assert failed == {"segments_continuity", "segments_spot_checks"}
 
 
+
+def _gaussian(m, n, lam_frac):
+    """Gaussian m x n instance at rho = 0.3, A then y drawn from
+    default_rng(0), at lambda = lam_frac * lambda_max."""
+    rng = np.random.default_rng(0)
+    A, y = rng.normal(size=(m, n)), rng.normal(size=m)
+    lam_max = float(np.abs(A.T @ y).max())  # r = 0: C^T b = [A^T y; 0]
+    return {"A": A.tolist(), "rho": 0.3, "y": y.tolist(), "lambda": lam_frac * lam_max}
+
+
+def _verify_rows(output):
+    """name -> (flag, detail) of each row `sgmc verify` prints."""
+    rows = {}
+    for line in output.splitlines():
+        flag, name, *detail = line.split()
+        rows[name] = (flag, " ".join(detail))
+    return rows
+
+
+def test_verify_checks_the_whole_descent(instance_file, capsys):
+    # the descent from 1.05 lambda_max has 85 segments, more than the
+    # 64 that path_sweep's default cap would check
+    assert main(["verify", "--instance", instance_file(_gaussian(20, 40, 0.3))]) == 0
+    rows = _verify_rows(capsys.readouterr().out)
+    assert rows["path_continuity"] == ("ok", "85 segments, stop lambda_terminus")
+    assert all(flag == "ok" for flag, _ in rows.values())
+
+
+@pytest.mark.parametrize("stop", ["max_segments", "unverified_step"])
+def test_verify_fails_a_descent_that_stops_short(instance_file, capsys, monkeypatch, stop):
+    # a descent cut after 3 segments: the path checks fail, rather than
+    # pass on the part it reached
+    import dataclasses
+
+    sweep = sgmc.cli.path_sweep
+
+    def short(*args, **kwargs):
+        result = sweep(*args, **kwargs)
+        return dataclasses.replace(result, segments=result.segments[:3], stop_reason=stop)
+
+    monkeypatch.setattr(sgmc.cli, "path_sweep", short)
+    assert main(["verify", "--instance", instance_file(_gaussian(20, 40, 0.3))]) == 2
+    rows = _verify_rows(capsys.readouterr().out)
+    assert rows["path_continuity"] == ("FAIL", f"3 segments, stop {stop}")
+    flag, detail = rows["cross_oracle_agreement"]
+    assert flag == "FAIL" and detail.startswith("path stops before lambda")
+
+
+def test_path_sweeps_the_whole_descent_by_default(instance_file, tmp_path, capsys):
+    # the descent from lambda_max has 145 segments; no cap cuts it unless
+    # one is asked for, and --help says so
+    inst = instance_file(_gaussian(48, 96, 1.0))
+    out = tmp_path / "p.json"
+    assert main(["path", "--instance", inst, "--delta-lambda", "-1", "--out", str(out)]) == 0
+    path = json.loads(out.read_text())
+    assert path["stop_reason"] == "lambda_terminus" and len(path["segments"]) == 145
+    argv = ["path", "--instance", inst, "--delta-lambda", "-1", "--max-segments", "64",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert len(json.loads(out.read_text())["segments"]) == 64
+    with pytest.raises(SystemExit):
+        main(["path", "--help"])
+    assert "default: no cap" in " ".join(capsys.readouterr().out.split())
+
+
 def test_csv_matrix_mode(tmp_path):
     csv = tmp_path / "A.csv"
     csv.write_text("1.0,1.0\n")

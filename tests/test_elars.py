@@ -530,11 +530,11 @@ def _transverse_sweep(rho, seed, m=48):
 def _decoded_events(r, times):
     """(deleted, inserted, signs, terminus) decoded from the rows of the
     exit scan by their layout alone, the reference for the events the scan
-    names: the rows within the tie window of t_sup, a tied wall row ending
+    names: the rows within the tie window of t_plus, a tied wall row ending
     the path, tied sign rows of the support deleting, and tied correlation
-    rows inserting with the sign of xi = cv + cu t_sup, none where xi is
+    rows inserting with the sign of xi = cv + cu t_plus, none where xi is
     exactly 0."""
-    s, n2, t_plus = r.s, r.s.size, times.t_sup
+    s, n2, t_plus = r.s, r.s.size, times.t_plus
     if not math.isfinite(t_plus):
         return (), (), (), False
     tied = np.flatnonzero(np.abs(times.rows - t_plus) <= r.line.window(t_plus)).tolist()
@@ -588,9 +588,17 @@ class TestExitEvents:
             path_sweep(inst, line, s0, t_start=0.0, t_end=t_end, max_segments=1000)
         kinds = Counter()
         for r, times in scans:
-            named = (times.deleted, times.inserted, times.signs, times.terminus)
+            named = (times.deleted, times.inserted, times.signs, times.lambda_terminus)
             assert named == _decoded_events(r, times)
-            kinds.update(deleted=bool(times.deleted), terminus=times.terminus,
+            # the step's record: its restriction, and the next indicator
+            # made by the named events, a new array
+            assert times.restricted is r and times.s is r.s
+            s_plus = r.s.copy()
+            s_plus[list(times.deleted)] = 0
+            s_plus[list(times.inserted)] = times.signs
+            npt.assert_array_equal(times.s_plus, s_plus)
+            assert times.s_plus.dtype == np.int8 and not np.shares_memory(times.s_plus, r.s)
+            kinds.update(deleted=bool(times.deleted), terminus=times.lambda_terminus,
                          several=len(times.deleted) + len(times.inserted) > 1,
                          lower=-1 in times.signs, upper=1 in times.signs)
         assert all(kinds[k] for k in ("deleted", "terminus", "several", "lower", "upper")), kinds

@@ -10,6 +10,7 @@ from sgmc import (
     PathSegment,
     ProblemInstance,
     candidate_slope,
+    check_opt,
     encode_sopt,
     enumerate_zones,
     initialize_indicator,
@@ -232,6 +233,46 @@ class TestProblemInstance:
         loaded = instance_from_dict(json.loads(path.read_text()))
         npt.assert_array_equal(loaded.A, two_column.A)
         assert loaded.lam == two_column.lam
+
+    def test_sibling_shares_what_it_keeps(self):
+        inst = random_instance(12, m=3, n=6, rho=0.3)
+        probe = inst.with_params(lam=2.0)
+        assert probe.A is inst.A and probe.y is inst.y and probe.r is inst.r and probe.b is inst.b
+        assert probe.lam == 2.0 and inst.lam != 2.0
+        assert probe.matrices is inst.matrices
+        # built first by a sibling, the matrices serve the parent as well
+        fresh = random_instance(12, m=3, n=6, rho=0.3)
+        assert fresh.with_params(lam=1.0).matrices is fresh.matrices
+        # a b passed in is copied, read-only, and checked
+        b = np.arange(6.0)
+        moved = inst.with_params(b=b, lam=0.5)
+        b[0] = 99.0
+        npt.assert_array_equal(moved.b, np.arange(6.0))
+        npt.assert_array_equal(moved.y, [0.0, 1.0, 2.0])
+        assert moved.A is inst.A and moved.matrices is inst.matrices and moved.lam == 0.5
+        with pytest.raises(ValueError):
+            moved.y[0] = 1.0
+        for kwargs in (dict(b=np.ones(5)), dict(b=[np.nan] + [0.0] * 5), dict(lam=np.inf),
+                       dict(lam=0.0)):
+            with pytest.raises(ValueError):
+                inst.with_params(**kwargs)
+
+    def test_sibling_certifies_as_an_instance_built_anew(self):
+        # check_opt at the segment midpoints of a descent: on a sibling it
+        # is bitwise what it is on an instance built from copies of the data
+        inst = random_instance(13, m=4, n=8, rho=0.3)
+        lam_max = float(np.abs(inst.matrices.ct(inst.b)).max())
+        line = ParameterLine(inst.b, lam_max, np.zeros(8), -1.0)
+        result = path_sweep(inst, line, zero_indicator(8), t_start=0.0)
+        assert result.stop_reason == "lambda_terminus"
+        for seg in result.segments:
+            t = 0.5 * (seg.t_start + seg.t_end)
+            b, lam = line.point_at(t)
+            probe = inst.with_params(b=b, lam=lam)
+            anew = ProblemInstance(A=inst.A.copy(), rho=inst.rho, y=b[:4].copy(),
+                                   r=b[4:].copy(), lam=lam)
+            got, want = check_opt(probe, seg.weq_at(t)), check_opt(anew, seg.weq_at(t))
+            assert got.per_index == want.per_index and got.to_dict() == want.to_dict()
 
 
 class TestIndicatorCodec:

@@ -138,3 +138,22 @@ def test_opt_margins():
     assert worst[0] == "worst"
     assert float(worst[1]) == sum(v["segments"] for v in values)
     assert float(worst[3]) == pytest.approx(max(v["rel_S"] for v in values), rel=1e-3)
+
+
+def test_ab_pairs():
+    # both sides at this checkout on the one small operation of a zones
+    # round, two pairs: each ratio is the change's time over the parent's
+    done = run_script("ab_pairs.py", "--parent", str(ROOT), "--workload", "zones",
+                      "--seeds", "1,2", "--best-of", "2")
+    assert done.returncode == 0, done.stderr
+    *pairs, summary = [line.split() for line in done.stdout.splitlines()]
+    ratios = []
+    for k, p in enumerate(pairs):
+        assert p[:4] == ["pair", str(k + 1), "seed", str(k + 1)]
+        assert p[4::3] == ["parent", "change", "ratio"]
+        ratios.append(float(p[11]))
+        assert ratios[-1] == pytest.approx(float(p[8]) / float(p[5]), rel=0.02)
+    assert len(ratios) == 2
+    assert summary[:5] + summary[6:7] == ["zones", "pairs", "2", "median", "ratio", "interval"]
+    assert float(summary[5]) == pytest.approx(sum(ratios) / 2, abs=1e-4)
+    assert float(summary[7]) == min(ratios) and float(summary[8]) == max(ratios)

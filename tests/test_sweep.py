@@ -144,27 +144,27 @@ class TestZoneExitTimes:
     def test_worked_example_zero_zone(self, descent_line):
         inst, line = descent_line
         times = zone_exit_times(_restricted(inst, zero_indicator(2), line))
-        assert times.t_sup == pytest.approx(1.0, abs=1e-12)
+        assert times.t_plus == pytest.approx(1.0, abs=1e-12)
         _, upper, _ = row_blocks(times)
         assert upper[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
         assert (times.deleted, times.inserted, times.signs) == ((), (0, 1), (1, 1))
-        assert not times.terminus
+        assert not times.lambda_terminus
 
     def test_worked_example_active_zone_ends_at_lambda_wall(self, descent_line):
         inst, line = descent_line
         times = zone_exit_times(_restricted(inst, S1, line))
         first, _, wall = row_blocks(times)
         assert wall == pytest.approx(2.0, abs=1e-12)
-        assert times.t_sup == pytest.approx(2.0, abs=1e-12)
+        assert times.t_plus == pytest.approx(2.0, abs=1e-12)
         assert np.all(first[S1 != 0] == math.inf)
-        assert times.terminus and times.inserted == () and times.deleted == ()
+        assert times.lambda_terminus and times.inserted == () and times.deleted == ()
 
     def test_constant_lambda_line_never_hits_wall(self, two_column):
         line = ParameterLine(np.zeros(2), 1.0, np.array([0.0, 1.0]), 0.0)
         times = zone_exit_times(_restricted(two_column, zero_indicator(2), line))
         assert row_blocks(times)[2] == math.inf
-        assert times.t_sup == math.inf  # r direction is invisible at rho=0
-        assert (times.deleted, times.inserted, times.terminus) == ((), (), False)
+        assert times.t_plus == math.inf  # r direction is invisible at rho=0
+        assert (times.deleted, times.inserted, times.lambda_terminus) == ((), (), False)
 
 
     def test_full_support_b_direction_has_no_correlation_exit(self):
@@ -186,7 +186,7 @@ class TestZoneExitTimes:
 
 
 def two_pass_times(r):
-    """(first, upper, wall, t_sup, t_inf) by the two-pass scan that the one
+    """(first, upper, wall, t_plus, t_entry) by the two-pass scan that the one
     ratio test replaced, the exit times of the three blocks of rows of
     `row_blocks`: the exit scan along the line, then along the reversed
     line (p, cu and dl negated), whose exit time is minus the entry time.
@@ -214,9 +214,9 @@ def two_pass_times(r):
 
     first, upper, t_wall = sup_times(1.0)
     back_first, back_upper, back_wall = sup_times(-1.0)
-    t_sup = float(min(first.min(), upper.min(), t_wall))
-    t_inf = -float(min(back_first.min(), back_upper.min(), back_wall))
-    return first, upper, t_wall, t_sup, t_inf
+    t_plus = float(min(first.min(), upper.min(), t_wall))
+    t_entry = -float(min(back_first.min(), back_upper.min(), back_wall))
+    return first, upper, t_wall, t_plus, t_entry
 
 
 def scan_cases():
@@ -252,13 +252,13 @@ class TestRatioTest:
         for inst, s, line in scan_cases():
             restricted = _restricted(inst, s, line)
             times = zone_exit_times(restricted)
-            first, upper, t_wall, t_sup, t_inf = two_pass_times(restricted)
+            first, upper, t_wall, t_plus, t_entry = two_pass_times(restricted)
             got_first, got_upper, got_wall = row_blocks(times)
             assert np.array_equal(got_first, first)
             assert np.array_equal(got_upper, upper)
             assert got_wall == t_wall
-            assert times.t_sup == t_sup
-            assert times.t_inf == t_inf
+            assert times.t_plus == t_plus
+            assert times.t_entry == t_entry
             supports.add(int(np.count_nonzero(s)) / s.size)
             walls += int(np.count_nonzero(restricted.wall & (s == 0)))
         assert 0.0 in supports and len(supports) >= 3
@@ -269,22 +269,22 @@ class TestRatioTest:
             back = ParameterLine(line.b0, line.lam0, -line.delta_b, -line.delta_lam)
             times = zone_exit_times(_restricted(inst, s, line))
             reversed_times = zone_exit_times(_restricted(inst, s, back))
-            assert times.t_inf == -reversed_times.t_sup
-            assert times.t_sup == -reversed_times.t_inf
+            assert times.t_entry == -reversed_times.t_plus
+            assert times.t_plus == -reversed_times.t_entry
 
 
 class TestZoneEntryTime:
     def test_worked_example_entry(self, descent_line):
         inst, line = descent_line
-        assert zone_exit_times(_restricted(inst, S1, line)).t_inf == pytest.approx(1.0, abs=1e-12)
+        assert zone_exit_times(_restricted(inst, S1, line)).t_entry == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_zone_on_symmetric_line(self, two_column):
         # the zero zone around y(t) = t at lam = 1 is exactly [-1, 1]
         line = ParameterLine(np.zeros(2), 1.0, np.array([1.0, 0.0]), 0.0)
         s0 = zero_indicator(2)
         times = zone_exit_times(_restricted(two_column, s0, line))
-        assert times.t_inf == pytest.approx(-1.0)
-        assert times.t_sup == pytest.approx(1.0)
+        assert times.t_entry == pytest.approx(-1.0)
+        assert times.t_plus == pytest.approx(1.0)
 
     def test_interval_well_formed_against_dense_sampling(self):
         inst = random_instance(62, m=3, n=5, rho=0.25)
@@ -293,8 +293,8 @@ class TestZoneEntryTime:
         line = ParameterLine(inst.b, inst.lam, np.zeros(6), -1.0)
         piece = candidate_slope(inst, s)
         times = zone_exit_times(restrict_to_line(inst, piece, line))
-        assert times.t_inf <= times.t_sup
-        for t in np.linspace(max(times.t_inf, -20), min(times.t_sup, 20), 25):
+        assert times.t_entry <= times.t_plus
+        for t in np.linspace(max(times.t_entry, -20), min(times.t_plus, 20), 25):
             b, lam = line.point_at(t)
             if lam <= 0:
                 continue
@@ -312,10 +312,10 @@ class TestIntervalCorrectness:
             line = ParameterLine(inst.b, inst.lam, 0.3 * rng.normal(size=6), -0.2)
             piece = candidate_slope(inst, s)
             times = zone_exit_times(restrict_to_line(inst, piece, line))
-            if not times.t_inf < times.t_sup:  # degenerate: the line touches the zone
+            if not times.t_entry < times.t_plus:  # degenerate: the line touches the zone
                 continue
-            lo = max(times.t_inf, -30.0)
-            hi = min(times.t_sup, 30.0)
+            lo = max(times.t_entry, -30.0)
+            hi = min(times.t_plus, 30.0)
             for t in rng.uniform(lo, hi, size=5):
                 b, lam = line.point_at(float(t))
                 if lam <= 0:
@@ -323,17 +323,17 @@ class TestIntervalCorrectness:
                 assert zone_membership(inst, s, b, lam, tol=1e-7, piece=piece)
                 hits += 1
             margin = 1e-6 * (1.0 + abs(hi))
-            for t in (times.t_inf, times.t_sup):
+            for t in (times.t_entry, times.t_plus):
                 if not math.isfinite(t):
                     continue
                 for outside in (t - margin, t + margin):
-                    if times.t_inf + margin / 2 < outside < times.t_sup - margin / 2:
+                    if times.t_entry + margin / 2 < outside < times.t_plus - margin / 2:
                         continue
                     b, lam = line.point_at(outside)
                     if lam <= 0:
                         continue
                     # strictly outside by the margin: not a member
-                    if outside < times.t_inf - margin / 2 or outside > times.t_sup + margin / 2:
+                    if outside < times.t_entry - margin / 2 or outside > times.t_plus + margin / 2:
                         assert not zone_membership(inst, s, b, lam, tol=1e-9, piece=piece)
                         hits += 1
         assert hits >= 50
