@@ -6,10 +6,10 @@ For each descent (seed, round, rho) of the `descent` workload's recipe at
 the given shape, it sweeps lambda from lambda_max to the lambda -> 0
 terminus and, at the two interior points of each segment that perfbench
 checks, takes `check_opt`'s excess before its slack (max `per_index` +
-tol).  It prints, per descent, the smallest lambda checked and the worst
-excess relative to the certificate's scale S = max(lambda, ||C^T b||_inf),
-relative to lambda alone, and absolute, then the worst of each over all
-descents.
+`CERT_TOL`).  It prints, per descent, the smallest lambda checked and the
+worst excess relative to the certificate's scale
+S = max(lambda, ||C^T b||_inf), relative to lambda alone, and absolute,
+then the worst of each over all descents.
 
     python3 scripts/opt_margins.py --seeds 1701,1702,1703 --shape 100x200
 
@@ -29,10 +29,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import sgmc  # noqa: E402
-from sgmc.optimality import certificate_scale  # noqa: E402
+from sgmc.optimality import CERT_TOL, certificate_scale  # noqa: E402
 from workloads import MAX_SEGMENTS, RHOS, descent_line, gaussian, lambda_max  # noqa: E402
 
-TOL = 1e-9  # check_opt's default slack, added back to its per_index
 COLUMNS = ("segments", "min_lambda", "rel_S", "rel_lambda", "absolute")
 
 
@@ -47,7 +46,7 @@ def descent_margins(inst) -> dict:
             t = seg.t_start + frac * (hi - seg.t_start)
             lam = float(line.lam_at(t))
             probe = inst.with_params(b=line.b_at(t), lam=lam)
-            rel = max(sgmc.check_opt(probe, seg.weq_at(t), tol=TOL).per_index) + TOL
+            rel = max(sgmc.check_opt(probe, seg.weq_at(t)).per_index) + CERT_TOL
             absolute = rel * certificate_scale(probe)
             worst["min_lambda"] = min(worst["min_lambda"], lam)
             worst["rel_S"] = max(worst["rel_S"], rel)

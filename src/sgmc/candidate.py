@@ -24,9 +24,9 @@ without which the zone is empty.  That cut is `rank_cut`'s, which takes
 one M or a stack of them: brute force cuts all supports of one size in
 one batched SVD.
 Neighbouring zones differ in one support index, so `next_piece`, handed
-that index, updates M by a border or a swap and M^{-1} by a bordered
-inverse or a downdate, in O(|E|^2), instead of rebuilding M^{-1} in
-O(|E|^3); it alone decides when an update must give way to a rebuild.
+a step's edited indices, updates M by a border or a swap and M^{-1} by a
+bordered inverse or a downdate, in O(|E|^2), instead of rebuilding M^{-1}
+in O(|E|^3); it alone decides when a rebuild must run instead.
 The rows and columns of M and M^{-1} follow the piece's `support` array,
 not ascending index order: as in classical LARS, an insertion appends its
 index and a deletion moves the last index into the freed position, so no
@@ -54,13 +54,14 @@ from functools import cached_property
 import numpy as np
 
 from .model import ModelMatrices, ProblemInstance, as_indicator
-from .optimality import certificate_scale, correlation
+from .optimality import CERT_TOL, certificate_scale, correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # null(C_E) part of +-1 signs allowed, per sqrt(|E|): scale-free
 SCHUR_RTOL = 1e-10  # Schur complement at or below this, relative: rank drop
 UPDATE_RTOL = 1e-10  # residual an updated M^{-1} must meet, relative to ||s_E|| = 1
 INTERIOR_MARGIN = 1e-6  # margin `strictly_inside` demands, relative to lambda
+ZONE_TOL = 1e-9  # slack of the zone test, relative to lambda
 # below this the leading singular value of M = C_E^T D C_E is too small for
 # its PINV_RTOL cut: the kept singular values would be subnormal and their
 # reciprocals overflow
@@ -190,14 +191,11 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     """Closed-form piece via the Moore-Penrose pseudoinverse of
     C_E^T D C_E, from `rank_cut` of its one M: the right singular vectors
     that the cut drops are kept as the piece's `null`, from which its
-    compatibility is read.  Data too small for the cut raise ValueError."""
+    compatibility is read.  The zero indicator's M is 0 x 0, and its cut
+    is too.  Data too small for the cut raise ValueError."""
     s = as_indicator(s)
     E = np.flatnonzero(s)
     mats = inst.matrices
-    if E.size == 0:
-        empty = np.zeros((0, 0))
-        return CandidatePiece(s=s, M=empty, Minv=empty, null=empty, mats=mats, support=E,
-                              s_E=np.zeros(0), Minv_s_E=np.zeros(0))
     M = mats.gram_block(E)
     cut = rank_cut(M, mats.col_abs_sums[E].any())
     # a copy, so that the piece does not hold the padded |E| x |E| basis
@@ -208,31 +206,32 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
 
 
 def next_piece(
-    inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray, j: int
+    inst: ProblemInstance, piece: CandidatePiece, s_next: np.ndarray, *edit: int
 ) -> CandidatePiece:
     """Piece of `s_next`, whose support differs from that of `piece` in
-    the one index `j` only, in O(|E|^2).  `s_next` is stored as it is, not
-    validated again: an int8 indicator, as `elars_iterate` makes it.
+    the indices `edit` (`path_sweep` hands over its step's `deleted` and
+    `inserted`).  `s_next` is stored as it is, not validated again: an
+    int8 indicator, as `elars_iterate` makes it.
 
-    The caller hands over the index it edited (`path_sweep` reads it off
-    the step's `deleted` or `inserted`); an index where the two supports
-    agree raises ValueError, and an edit of several indices is the
-    caller's to rebuild with `candidate_slope`.  An insertion borders M
-    with the new column, row and corner d, which
-    `ModelMatrices.gram_border` gathers from A^T A, borders M^{-1} through
-    the Schur complement sigma = d - row^T M^{-1} col, and appends the
-    index to the support.  A deletion swaps the index's position with the
+    One edited index j is an update in O(|E|^2); an index where the two
+    supports agree raises ValueError.  An insertion borders M with the new
+    column, row and corner d, which `ModelMatrices.gram_border` gathers
+    from A^T A, borders M^{-1} through the Schur complement
+    sigma = d - row^T M^{-1} col, and appends the index to the support.  A deletion swaps the index's position with the
     last one in M and M^{-1}, truncates M and takes M^{-1} <- P - q r^T / s
     from the blocks of the swapped inverse.  An insertion forms the new
     leading block P + x y^T in one contiguous temporary and copies it into
     the bordered inverse once.  `piece` itself is never modified.  This
-    function decides between the update and a from-scratch
-    `candidate_slope`, which runs instead when `piece` holds a
-    pseudoinverse, when sigma <= SCHUR_RTOL times its scale (a rank drop),
-    or when the updated inverse misses M (M^{-1} s_E) = s_E by more than
-    UPDATE_RTOL, a check run through the kept M.  The product
-    M^{-1} s_E of that check is kept in the piece as `Minv_s_E`.
+    function alone decides between the update and a from-scratch
+    `candidate_slope`, which runs instead when the edit is not one index,
+    when `piece` holds a pseudoinverse, when sigma <= SCHUR_RTOL times its
+    scale (a rank drop), or when the updated inverse misses
+    M (M^{-1} s_E) = s_E by more than UPDATE_RTOL, a check run through the
+    kept M, whose product M^{-1} s_E the piece keeps as `Minv_s_E`.
     """
+    if len(edit) != 1:
+        return candidate_slope(inst, s_next)
+    (j,) = edit
     deleting = bool(piece.s[j])
     if deleting == bool(s_next[j]):
         raise ValueError(f"index {j} is in both supports or in neither")
@@ -304,13 +303,14 @@ def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> n
 
 
 def eqnq_membership(
-    inst: ProblemInstance, s: np.ndarray, w: np.ndarray, tol: float = 1e-9
+    inst: ProblemInstance, s: np.ndarray, w: np.ndarray, tol: float = CERT_TOL
 ) -> bool:
     """Whether w solves the full equality+inequality system of s at the
     instance's own (b, lambda).  The conditions on xi hold within tol * S,
     S = max(lambda, ||C^T b||_inf) (`certificate_scale`, the scale of
-    `check_opt`), and those on w, the signs on the support and the zeros
-    off it, within tol * ||w||_inf, so (alpha*b, alpha*lambda, alpha*w)
+    `check_opt`, whose slack CERT_TOL is the default), and those on w, the
+    signs on the support and the zeros off it, within tol * ||w||_inf, so
+    (alpha*b, alpha*lambda, alpha*w)
     gets the answer of (b, lambda, w) for every alpha > 0; a NaN fails
     every condition."""
     if not tol > 0:
@@ -343,7 +343,7 @@ def zone_membership(
     s: np.ndarray,
     b: np.ndarray,
     lam: float,
-    tol: float = 1e-9,
+    tol: float = ZONE_TOL,
     piece: CandidatePiece | None = None,
 ) -> bool:
     """Whether (b, lambda) lies in the candidate zone of s: `in_zone` on the
@@ -357,7 +357,7 @@ def zone_membership(
     return bool(in_zone(zone_margins(inst, piece, b, lam), lam, tol))
 
 
-def in_zone(margin: float | np.ndarray, lam: float | np.ndarray, tol: float = 1e-9):
+def in_zone(margin: float | np.ndarray, lam: float | np.ndarray, tol: float = ZONE_TOL):
     """Zone membership at each point from its worst zone margin
     (`zone_margins`): at least -tol*lambda, at 0 < lambda < inf; a NaN or
     -inf fails.  A negative tol demands that margin, |tol|*lambda, inside

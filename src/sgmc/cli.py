@@ -36,12 +36,7 @@ from .model import (
     load_matrix_csv,
 )
 from .optimality import check_opt, encode_sopt, l1_bound_holds, summarize
-from .oracle import (
-    ORACLE_READ_TOL,
-    NonConvergenceError,
-    min_norm_over_eqnq,
-    solve_saddle,
-)
+from .oracle import NonConvergenceError, min_norm_over_eqnq, solve_saddle
 
 HEADER = {"version": f"sgmc-{__version__}", "index_convention": INDEX_CONVENTION}
 
@@ -112,7 +107,7 @@ def cmd_solve(args) -> int:
         args.out,
         {
             "w": w.tolist(),
-            "indicator": indicator_to_string(encode_sopt(inst, w, tol=ORACLE_READ_TOL)),
+            "indicator": indicator_to_string(encode_sopt(inst, w)),
             "beta_e": summary.beta_e.tolist(),
             "gamma_e": summary.gamma_e,
             "opt_report": report.to_dict(),
@@ -135,6 +130,8 @@ def _resolve_init(inst, line, t_start):
 
 
 def cmd_path(args) -> int:
+    if args.grid < 1:  # an empty grid would write a CSV of its header alone
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     inst = _load_problem(args)
     delta_b = (
         _parse_vector(args.delta_b) if args.delta_b else np.zeros(2 * inst.m)
@@ -218,11 +215,11 @@ def _verify_checks(inst: ProblemInstance, args):
     yield "l1_bound", l1_bound_holds(inst, w), ""
 
     rng = np.random.default_rng(args.seed)
-    pattern = indicator_to_string(encode_sopt(inst, w, tol=ORACLE_READ_TOL))
+    pattern = indicator_to_string(encode_sopt(inst, w))
     stable = True
     for _ in range(2):
         w_alt = solve_saddle(inst, w0=rng.normal(size=2 * inst.n))
-        if indicator_to_string(encode_sopt(inst, w_alt, tol=ORACLE_READ_TOL)) != pattern:
+        if indicator_to_string(encode_sopt(inst, w_alt)) != pattern:
             stable = False
     yield "indicator_invariance", stable, pattern
 

@@ -16,6 +16,7 @@ the zones that hold them and the adjacency between the zones on the way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,8 @@ from .model import (
     indicator_to_string,
     zero_indicator,
 )
-from .optimality import certificate_scale, encode_sopt
-from .oracle import ORACLE_READ_TOL, solve_saddle
+from .optimality import ORACLE_READ_TOL, certificate_scale, encode_sopt
+from .oracle import solve_saddle
 from .sweep import ParameterLine, ZoneExit, restrict_to_line, zone_exit_times
 
 
@@ -174,16 +175,6 @@ def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
     return piece
 
 
-def _landing_piece(inst: ProblemInstance, piece: CandidatePiece, res: ZoneExit):
-    """Piece of the zone that step `res` lands in: `next_piece` updates
-    `piece`, handed the one index the step edited; an edit of several
-    indices (or of none) is built from scratch."""
-    edit = res.deleted + res.inserted
-    if len(edit) == 1:
-        return next_piece(inst, piece, res.s_plus, edit[0])
-    return candidate_slope(inst, res.s_plus)
-
-
 def path_sweep(
     inst: ProblemInstance,
     line: ParameterLine,
@@ -196,10 +187,10 @@ def path_sweep(
     """Piecewise-linear solution map along `line` for t in [t_start, t_end].
 
     Starts from an indicator whose zone contains (b(t_start), lambda(t_start))
-    and chains deletion-insertion steps.  Each zone's piece comes from the
-    previous one by `next_piece`, handed the one index the step edited (an
-    update of M^{-1}, or a rebuild on rank drops), or by `candidate_slope`
-    on multi-index events, and is restricted to the line once.
+    and chains deletion-insertion steps.  The start zone's piece is built
+    by `candidate_slope`, each later one by `next_piece`, handed the
+    indices the step deleted and inserted (an update of M^{-1}, or a
+    rebuild), and each is restricted to the line once.
     That one restriction certifies the zone: it meets the line in the
     closed-form interval [entry, exit], which must hold the zone's first
     time (t_start, or the breakpoint the step landed on) within the line's
@@ -208,9 +199,9 @@ def path_sweep(
     lambda(t_start) <= 0, raises ValueError (so does an incompatible
     `s_init`).  A landing zone that is incompatible or entered after its
     breakpoint stops the sweep as `unverified_step`, one left before it as
-    `degenerate_interval`, even where `max_segments` (math.inf for no cap)
-    would cut the sweep there.  A zone the line only touches at a
-    breakpoint is a zero-length segment.  A repeated
+    `degenerate_interval`, even where `max_segments` (an integer >= 1, or
+    math.inf for no cap) would cut the sweep there.  A zone the line only
+    touches at a breakpoint is a zero-length segment.  A repeated
     (indicator, breakpoint) pair aborts as `cycle_detected`.  Otherwise the
     sweep ends in the first zone whose exit reaches t_end (`t_end_reached`,
     or `unbounded` where both are +inf) or lies on the lambda -> 0 wall
@@ -231,6 +222,9 @@ def path_sweep(
         raise ValueError("t_end must be a number or inf, got nan")
     if t_end < t_start:
         raise ValueError(f"t_end must not lie before t_start, got {t_end} < {t_start}")
+    if not (max_segments == math.inf
+            or isinstance(max_segments, numbers.Integral) and max_segments >= 1):
+        raise ValueError(f"max_segments must be an integer >= 1 or inf, got {max_segments!r}")
     s = as_indicator(s_init)
     lam_start = line.lam_at(t_start)
     if not lam_start > 0:
@@ -276,7 +270,9 @@ def path_sweep(
             PathSegment(s, t_cur, max(res.t_plus, t_cur), res.restricted.p,
                         res.restricted.q, res.deleted, res.inserted)
         )
-        piece = _memoized(pieces, res.s_plus, lambda: _landing_piece(inst, piece, res), counts)
+        piece = _memoized(
+            pieces, res.s_plus,
+            lambda: next_piece(inst, piece, res.s_plus, *res.deleted, *res.inserted), counts)
         if not piece.compatible:
             stop = "unverified_step"
             break
@@ -310,10 +306,10 @@ def initialize_indicator(
     """Starting indicator whose zone contains (b, lambda).
 
     `zero` certifies the all-zero zone by `zone_membership` at its
-    default slack, max_i |c_i^T b| <= lambda*(1 + 1e-9) at 0 < lambda < inf:
-    the bound and its slack are both on the scale of lambda, so
-    (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
-    alpha > 0.  `from_oracle` solves the instance by `solve_saddle` at its
+    default slack, max_i |c_i^T b| <= lambda*(1 + ZONE_TOL) at
+    0 < lambda < inf: the bound and its slack are both on the scale of
+    lambda, so (alpha*b, alpha*lambda) gets the answer of (b, lambda) for
+    every alpha > 0.  `from_oracle` solves the instance by `solve_saddle` at its
     default config, encodes the equicorrelation signs and certifies them
     by zone membership, failing loudly on zone boundaries (the caller may
     perturb lambda and retry); both read the iterate at ORACLE_READ_TOL*S,
@@ -335,7 +331,7 @@ def initialize_indicator(
         raise ValueError(f"unknown strategy {strategy!r}")
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
-    s = encode_sopt(probe, w, tol=ORACLE_READ_TOL)
+    s = encode_sopt(probe, w)
     if not zone_membership(inst, s, b, lam, tol=ORACLE_READ_TOL * certificate_scale(probe) / lam):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
@@ -355,7 +351,8 @@ class EnumerationConfig:
     sweeps to each point that no zone found so far covers, in the order
     drawn, so it makes at most `n_coverage` sweeps of at most 64 segments.
     A point whose sweep stops short of it stays uncovered unless a later
-    node's zone holds it.
+    node's zone holds it.  `enumerate_zones` refuses an `n_coverage` below
+    1, whose empty sample would read as complete coverage.
     """
 
     r_y: float
@@ -454,6 +451,8 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     for name in ("r_y", "delta_lambda_min"):
         if not 0.0 < getattr(config, name) < math.inf:
             raise ValueError(f"{name} must be positive and finite")
+    if not (isinstance(config.n_coverage, numbers.Integral) and config.n_coverage >= 1):
+        raise ValueError(f"n_coverage must be an integer >= 1, got {config.n_coverage!r}")
     rng = np.random.default_rng(config.seed)
     graph = ZoneGraph()
     graph.coverage_points = _sample_coverage_points(inst, config, rng)

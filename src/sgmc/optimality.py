@@ -16,7 +16,8 @@ S = max(lambda, ||C^T b||_inf) (`certificate_scale`), the size of xi and of
 its rounding.  `certificate_scale` and `optimality_excess` hold the
 rule; `check_opt`, `encode_sopt`, `eqnq_membership`, the saddle oracle's
 stopping test and its start (`initialize_indicator`), and brute force's
-check of its zone members all judge by them.
+check of its zone members all judge by them, `check_opt` at the slack
+`CERT_TOL` and `encode_sopt` at `ORACLE_READ_TOL`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemInstance, split_extended
+
+CERT_TOL = 1e-9  # the certificate's slack, relative to `certificate_scale`
+# an iterate of `solve_saddle` is read (its signs, its zone) at this slack,
+# relative to `certificate_scale`: ten times the oracle's default stop
+ORACLE_READ_TOL = 1e-8
 
 
 def correlation(
@@ -52,10 +58,10 @@ class OptReport:
     """Diagnostic report of the optimality condition.
 
     `per_index` holds the signed excess of every index over its bound,
-    relative to the scale S of `certificate_scale` and less the slack tol
-    (negative means slack); `worst_violation` is its largest positive
-    value, 0 when none is; `violations` lists the offending indices, NaN
-    excesses among them.
+    relative to the scale S of `certificate_scale` and less the slack
+    CERT_TOL (negative means slack); `worst_violation` is its largest
+    positive value, 0 when none is; `violations` lists the offending
+    indices, NaN excesses among them.
     """
 
     satisfied: bool
@@ -99,19 +105,17 @@ def optimality_excess(
     return raw / scale - tol
 
 
-def check_opt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> OptReport:
+def check_opt(inst: ProblemInstance, w: np.ndarray) -> OptReport:
     """Test the saddle optimality condition at the instance's own
-    (b, lambda) with the scale-free rule of `optimality_excess`:
-    `per_index` and `worst_violation` are excesses relative to
-    S = max(lambda, ||C^T b||_inf) beyond the slack tol, so
+    (b, lambda) with the scale-free rule of `optimality_excess` at slack
+    CERT_TOL: `per_index` and `worst_violation` are excesses relative to
+    S = max(lambda, ||C^T b||_inf) beyond CERT_TOL, so
     (alpha*b, alpha*lambda, alpha*w) gets the report of (b, lambda, w) for
     every alpha > 0.  Another point of the (A, rho) family is probed by an
     instance of its own, `inst.with_params(b=..., lam=...)`.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     w = np.ravel(w)
-    excess = optimality_excess(w, correlation(inst, w), inst.lam, certificate_scale(inst), tol)
+    excess = optimality_excess(w, correlation(inst, w), inst.lam, certificate_scale(inst), CERT_TOL)
     worst = max(float(excess.max()), 0.0)  # NaN if any excess is NaN
     return OptReport(
         satisfied=bool(worst == 0.0),
@@ -120,14 +124,13 @@ def check_opt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> OptRep
     )
 
 
-def encode_sopt(inst: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def encode_sopt(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
     """Equicorrelation signs of w, an int8 indicator: sign(xi_i) where
-    |xi_i| attains lambda within tol * S (`certificate_scale`), zero
-    elsewhere."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    |xi_i| attains lambda within ORACLE_READ_TOL * S (`certificate_scale`),
+    zero elsewhere: the reading of an oracle iterate that
+    `initialize_indicator(..., strategy="from_oracle")` certifies."""
     xi = correlation(inst, w)
-    at_bound = np.abs(np.abs(xi) - inst.lam) <= tol * certificate_scale(inst)
+    at_bound = np.abs(np.abs(xi) - inst.lam) <= ORACLE_READ_TOL * certificate_scale(inst)
     return np.where(at_bound, np.sign(xi), 0.0).astype(np.int8)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .candidate import eqnq_membership, in_row_space, in_zone, rank_cut
 from .model import ProblemInstance, as_indicator, indicator_to_string
-from .optimality import certificate_scale, correlation, optimality_excess
+from .optimality import CERT_TOL, certificate_scale, correlation, optimality_excess
 
 
 class NonConvergenceError(RuntimeError):
@@ -49,19 +49,15 @@ class InfeasibleSystemError(ValueError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Iteration budget and stopping tolerance of `solve_saddle`."""
+    """Iteration budget and stopping tolerance of `solve_saddle`, by
+    default the certificate's slack CERT_TOL."""
 
     max_iters: int = 200000
-    tol: float = 1e-9
+    tol: float = CERT_TOL
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-
-# an iterate of `solve_saddle` is read (its signs, its zone) at this slack
-# relative to `certificate_scale`: ten times the default stop OracleConfig.tol
-ORACLE_READ_TOL = 1e-8
 
 
 def _soft(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -88,11 +84,13 @@ def solve_saddle(
     Warm-startable through w0.
 
     Every 10 iterations the iterate z is judged by `check_opt`'s rule
-    (`optimality_excess` at slack min(tol, 1e-9), relative to
+    (`optimality_excess` at slack min(tol, CERT_TOL), relative to
     `certificate_scale`) on the xi(z) the step has formed, and returned
     once its worst excess is at most `config.tol`.  The test is
     scale-free: from w0 = 0, (alpha*b, alpha*lambda) runs the iterations of
-    (b, lambda) scaled by alpha and stops at the same one.
+    (b, lambda) scaled by alpha and stops at the same one.  Callers read
+    the iterate's signs at `optimality.ORACLE_READ_TOL`, ten times the
+    default stop.
     """
     cfg = config or OracleConfig()
     mats = inst.matrices
@@ -101,7 +99,7 @@ def solve_saddle(
     lam = inst.lam
     L = np.linalg.norm(G, 2)
     w = np.zeros(2 * inst.n) if w0 is None else np.array(w0, dtype=float)
-    check_tol = min(cfg.tol, 1e-9)
+    check_tol = min(cfg.tol, CERT_TOL)
     scale = certificate_scale(inst)
 
     if L == 0.0:  # xi = h whatever w is, so w = 0 solves it if anything does
@@ -420,7 +418,7 @@ def _zone_members(
     # each member's sample
     S, W, xi, lams, j = S[:, inside], W[:, inside], xi[:, inside], lams[inside], j[inside]
     scale = np.maximum(lams, np.abs(mats.C.T @ B[:, j]).max(axis=0))
-    excess = optimality_excess(W, xi, lams, scale, 1e-9).max(axis=0)
+    excess = optimality_excess(W, xi, lams, scale, CERT_TOL).max(axis=0)
     norms = np.linalg.norm(W, axis=0)
     return [
         (int(j[r]), float(norms[r]), indicator_to_string(S[:, r]))

@@ -169,7 +169,7 @@ def test_criterion_5_min_norm_property():
             inst = gaussian_instance(500 + seed, m=4, n=7, rho=[0.0, 0.3, 0.6][seed % 3])
             inst = inst.with_params(lam=0.5 * max(lambda_max(inst), 0.1))
             w = solve_saddle(inst, OracleConfig(tol=1e-11))
-            s = encode_sopt(inst, w, tol=1e-8)
+            s = encode_sopt(inst, w)
             if not strictly_inside(inst, s, inst.b, inst.lam):
                 continue
             piece = candidate_slope(inst, s)
@@ -192,7 +192,7 @@ def test_criterion_6_geometry_property_suite():
             inst = gaussian_instance(600 + k, m=4, n=6, rho=[0.0, 0.4][k % 2])
             inst = inst.with_params(lam=0.6 * max(lambda_max(inst), 0.1))
             w = solve_saddle(inst, OracleConfig(tol=1e-10))
-            s = encode_sopt(inst, w, tol=1e-8)
+            s = encode_sopt(inst, w)
             piece = candidate_slope(inst, s)
             if not zone_membership(inst, s, inst.b, inst.lam, piece=piece):
                 failures += 1
@@ -244,7 +244,7 @@ def test_criterion_6_geometry_property_suite():
             cfg = OracleConfig(tol=1e-10)
             patterns = {
                 indicator_to_string(
-                    encode_sopt(inst, solve_saddle(inst, cfg, w0=rng.normal(size=12)), tol=1e-7)
+                    encode_sopt(inst, solve_saddle(inst, cfg, w0=rng.normal(size=12)))
                 )
                 for _ in range(3)
             }

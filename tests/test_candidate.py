@@ -117,8 +117,16 @@ class TestCompatibility:
 
 class TestCandidateSlope:
     def test_zero_indicator_gives_zero_piece(self, two_column):
+        # the zero indicator takes the rank cut of every other: its 0 x 0 M
+        # cuts to a 0 x 0 inverse and null basis
         piece = candidate_slope(two_column, zero_indicator(2))
-        assert piece.compatible
+        for a in (piece.M, piece.Minv, piece.null):
+            assert a.shape == (0, 0) and a.dtype == np.float64
+        for a in (piece.s_E, piece.Minv_s_E):
+            assert a.shape == (0,) and a.dtype == np.float64
+        assert piece.support.shape == (0,) and piece.support.dtype == np.intp
+        assert piece.s.dtype == np.int8
+        assert piece.invertible and piece.compatible and not piece.updated
         npt.assert_array_equal(unit_maps(piece), np.zeros((4, 3)))
         npt.assert_array_equal(eval_weq(piece, two_column.b, 1.0), np.zeros(4))
 
@@ -149,7 +157,7 @@ class TestCandidateSlope:
         # the map value must solve the equality system wherever it exists
         inst = random_instance(33, m=3, n=5, rho=0.25)
         w = solve_saddle(inst, OracleConfig(tol=1e-11))
-        s = encode_sopt(inst, w, tol=1e-8)
+        s = encode_sopt(inst, w)
         piece = candidate_slope(inst, s)
         weq = eval_weq(piece, inst.b, inst.lam)
         E = piece.support
@@ -507,9 +515,9 @@ class TestEqnqMembership:
         for seed in range(5):
             inst = random_instance(40 + seed, m=3, n=5, rho=0.3)
             w = solve_saddle(inst, OracleConfig(tol=1e-11))
-            s = encode_sopt(inst, w, tol=1e-8)
+            s = encode_sopt(inst, w)
             if eqnq_membership(inst, s, w, tol=1e-7):
-                assert check_opt(inst, w, tol=1e-6).satisfied
+                assert check_opt(inst, w).satisfied
 
 
 class TestZoneMembership:
@@ -598,7 +606,7 @@ def _interior_zone_sample(seed, rho=0.0):
     generic (b, lambda), found through the iterative oracle."""
     inst = random_instance(seed, m=3, n=5, rho=rho)
     w = solve_saddle(inst, OracleConfig(tol=1e-11))
-    s = encode_sopt(inst, w, tol=1e-8)
+    s = encode_sopt(inst, w)
     return inst, s
 
 
@@ -651,7 +659,7 @@ class TestZoneGeometry:
             w = eval_weq(piece, b, lam)
             patterns.add(indicator_to_string(np.sign(w).astype(int)))
             probe = inst.with_params(b=b, lam=lam)
-            sopt_patterns.add(indicator_to_string(encode_sopt(probe, w, tol=1e-8)))
+            sopt_patterns.add(indicator_to_string(encode_sopt(probe, w)))
         assert len(patterns) == 1 and len(sopt_patterns) == 1
 
     def test_zone_implies_optimality(self):

@@ -157,6 +157,28 @@ def test_path_truncation_exit_code(instance_file, tmp_path):
     assert json.loads(out.read_text())["truncated"] is True
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_path_refuses_a_segment_cap_below_one(instance_file, tmp_path, capsys, cap):
+    # such a cap used to stop the sweep before its first segment and exit 3
+    out = tmp_path / "p.json"
+    argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
+            "--max-segments", cap, "--out", str(out)]
+    assert main(argv) == 1
+    assert "max_segments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_path_refuses_an_empty_grid(instance_file, tmp_path, capsys, grid):
+    # such a grid used to write a CSV of its header alone and exit 0
+    out, csv = tmp_path / "p.json", tmp_path / "p.csv"
+    argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
+            "--csv-out", str(csv), "--grid", grid, "--out", str(out)]
+    assert main(argv) == 1
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
+
+
 @pytest.mark.parametrize(
     "stop, code",
     [
@@ -306,6 +328,17 @@ def test_enumerate_rejects_invalid_radius(instance_file, flag, value):
     for name, text in args.items():
         argv += [name, text]
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_enumerate_refuses_an_empty_coverage_sample(instance_file, tmp_path, capsys, count):
+    # an empty sample used to give coverage 0 of 0, "incomplete": false, exit 0
+    out = tmp_path / "graph.json"
+    argv = ["enumerate", "--instance", instance_file(TWO_COLUMN), "--r-y", "3",
+            "--delta-lambda-min", "0.3", "--coverage-samples", count, "--out", str(out)]
+    assert main(argv) == 1
+    assert "n_coverage" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_enumerate_incomplete_graph(instance_file, tmp_path):

@@ -285,7 +285,7 @@ class TestPathSweep:
         s0 = zero_indicator(inst.n)
         updated = path_sweep(inst, line, s0, t_start=0.0)
         monkeypatch.setattr(
-            sgmc.elars, "next_piece", lambda inst, piece, s, j: candidate_slope(inst, s)
+            sgmc.elars, "next_piece", lambda inst, piece, s, *edit: candidate_slope(inst, s)
         )
         scratch = path_sweep(inst, line, s0, t_start=0.0)
         assert len(updated.segments[0].inserted) == 2
@@ -476,6 +476,15 @@ class TestPathSweep:
         inst, line = descent_line
         with pytest.raises(ValueError, match="t_start|t_end"):
             path_sweep(inst, line, zero_indicator(2), t_start=t_start, t_end=t_end)
+
+    @pytest.mark.parametrize("cap", [0, -2, math.nan, 2.5, -math.inf])
+    def test_segment_cap_must_be_a_count_or_inf(self, descent_line, cap):
+        # a cap below 1 gave no segments, and a NaN cap never cut the sweep
+        inst, line = descent_line
+        with pytest.raises(ValueError, match="max_segments"):
+            path_sweep(inst, line, zero_indicator(2), t_start=0.0, max_segments=cap)
+        for valid in (1, np.int64(2), math.inf):
+            path_sweep(inst, line, zero_indicator(2), t_start=0.0, max_segments=valid)
 
     @pytest.mark.parametrize("t_end", [-1.0, -1e-12, -math.inf])
     def test_window_ending_before_start_raises(self, descent_line, t_end):
@@ -841,7 +850,7 @@ class TestEnumerateZones:
             memo_free = enumerate_zones(inst, config)
         assert memo_free.memo_hits < updated.memo_hits
         monkeypatch.setattr(
-            sgmc.elars, "next_piece", lambda inst, piece, s, j: candidate_slope(inst, s)
+            sgmc.elars, "next_piece", lambda inst, piece, s, *edit: candidate_slope(inst, s)
         )
         scratch = enumerate_zones(inst, config)
         assert keys(updated) == keys(memo_free) == keys(scratch)
@@ -966,6 +975,13 @@ class TestEnumerateZones:
     def test_invalid_delta_lambda(self, two_column):
         with pytest.raises(ValueError):
             enumerate_zones(two_column, EnumerationConfig(r_y=1.0, delta_lambda_min=0.0))
+
+    @pytest.mark.parametrize("count", [0, -3, 2.0])
+    def test_coverage_sample_must_be_a_count(self, two_column, count):
+        # an empty sample used to give a graph that read as complete
+        config = EnumerationConfig(r_y=1.0, delta_lambda_min=0.3, n_coverage=count)
+        with pytest.raises(ValueError, match="n_coverage"):
+            enumerate_zones(two_column, config)
 
 
 def _gaussian_zones_instance():

@@ -9,10 +9,12 @@ from sgmc import (
     correlation,
     encode_sopt,
     indicator_to_string,
+    initialize_indicator,
     l1_bound_holds,
     solve_saddle,
     summarize,
 )
+from sgmc.optimality import certificate_scale
 
 from conftest import random_instance
 
@@ -69,7 +71,7 @@ class TestCheckOpt:
 
     def test_oracle_solution_passes(self, rand_4x8):
         w = solve_saddle(rand_4x8, OracleConfig(tol=1e-10))
-        assert check_opt(rand_4x8, w, tol=1e-6).satisfied
+        assert check_opt(rand_4x8, w).satisfied
 
     def test_nan_fails(self, two_column):
         report = check_opt(two_column, np.array([0.5, 0.5, np.nan, 0.0]))
@@ -101,9 +103,26 @@ class TestEncodeSopt:
         w1 = solve_saddle(two_column, cfg)
         w2 = solve_saddle(two_column, cfg, w0=np.array([0.9, -0.2, 0.0, 0.0]))
         assert np.abs(w1 - w2).max() > 1e-4  # genuinely different solutions
-        assert indicator_to_string(encode_sopt(two_column, w1, tol=1e-7)) == indicator_to_string(
-            encode_sopt(two_column, w2, tol=1e-7)
+        assert indicator_to_string(encode_sopt(two_column, w1)) == indicator_to_string(
+            encode_sopt(two_column, w2)
         )
+
+    def test_reads_as_the_oracle_start_certifies(self):
+        # at w = 0, lambda lies 5e-9 S above the largest |xi_i|: between the
+        # certificate's slack, 1e-9 S, and the reading slack, 1e-8 S, so
+        # the index reads as on its bound, and the oracle start certifies
+        # that indicator
+        inst = random_instance(9, m=3, n=4)
+        w = np.zeros(8)
+        xi = correlation(inst, w)
+        i = int(np.argmax(np.abs(xi)))
+        inst = inst.with_params(lam=abs(xi[i]) / (1.0 - 5e-9))
+        gap = (inst.lam - abs(xi[i])) / certificate_scale(inst)
+        assert 1e-9 < gap < 1e-8
+        s = encode_sopt(inst, w)
+        assert np.flatnonzero(s).tolist() == [i] and s[i] == np.sign(xi[i])
+        npt.assert_array_equal(
+            s, initialize_indicator(inst, inst.b, inst.lam, strategy="from_oracle"))
 
 
 class TestSummarize:
@@ -156,8 +175,8 @@ class TestSharedFitInvariant:
         cfg = OracleConfig(tol=1e-11)
         w1 = solve_saddle(two_column, cfg)
         w2 = solve_saddle(two_column, cfg, w0=np.array([0.9, -0.2, 0.0, 0.0]))
-        assert check_opt(two_column, w1, tol=1e-8).worst_violation <= 1e-8
-        assert check_opt(two_column, w2, tol=1e-8).worst_violation <= 1e-8
+        assert check_opt(two_column, w1).worst_violation <= 1e-8
+        assert check_opt(two_column, w2).worst_violation <= 1e-8
         C = two_column.matrices.C
         assert np.abs(C @ w1 - C @ w2).max() <= 1e-6
         assert abs(np.abs(w1).sum() - np.abs(w2).sum()) <= 1e-6
@@ -166,5 +185,5 @@ class TestSharedFitInvariant:
         for seed in range(4):
             inst = random_instance(20 + seed, m=3, n=6, rho=0.3 * (seed % 2))
             w = solve_saddle(inst, OracleConfig(tol=1e-10))
-            assert check_opt(inst, w, tol=1e-7).satisfied
+            assert check_opt(inst, w).satisfied
             assert l1_bound_holds(inst, w)

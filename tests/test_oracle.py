@@ -95,7 +95,7 @@ class TestMinNormOverEqnq:
         for seed in range(8):
             inst = random_instance(100 + seed, m=3, n=5, rho=0.25 * (seed % 3))
             w = solve_saddle(inst, OracleConfig(tol=1e-11))
-            s = encode_sopt(inst, w, tol=1e-8)
+            s = encode_sopt(inst, w)
             if not strictly_inside(inst, s, inst.b, inst.lam):
                 continue
             piece = candidate_slope(inst, s)
@@ -317,7 +317,7 @@ class TestCrossOracleInvariants:
         for seed in (95, 96):
             inst = random_instance(seed, m=4, n=6, rho=0.35)
             w_it = solve_saddle(inst, OracleConfig(tol=1e-10))
-            s = encode_sopt(inst, w_it, tol=1e-8)
+            s = encode_sopt(inst, w_it)
             piece = candidate_slope(inst, s)
             w_map = eval_weq(piece, inst.b, inst.lam)
             a, b = summarize(inst, w_it), summarize(inst, w_map)
@@ -340,7 +340,7 @@ class TestCrossOracleInvariants:
         patterns = set()
         for _ in range(5):
             w = solve_saddle(inst, cfg, w0=rng.normal(size=12))
-            patterns.add(indicator_to_string(encode_sopt(inst, w, tol=1e-7)))
+            patterns.add(indicator_to_string(encode_sopt(inst, w)))
         assert len(patterns) == 1
 
     def test_checks_use_no_block_operator(self, monkeypatch, two_column):
@@ -354,13 +354,13 @@ class TestCrossOracleInvariants:
 
         def run(inst, s):
             w = solve_saddle(inst, OracleConfig(tol=1e-10))
-            return (w, encode_sopt(inst, w, tol=1e-8), check_opt(inst, w),
+            return (w, encode_sopt(inst, w), check_opt(inst, w),
                     min_norm_over_eqnq(inst, s))
 
         cases = [(two_column, S1)]
         for seed in (100, 101, 102):
             inst = random_instance(seed, m=3, n=5, rho=0.25 * (seed % 3))
-            s = encode_sopt(inst, solve_saddle(inst, OracleConfig(tol=1e-10)), tol=1e-8)
+            s = encode_sopt(inst, solve_saddle(inst, OracleConfig(tol=1e-10)))
             cases.append((inst, s))
         expected = [run(fresh(inst), s) for inst, s in cases]
 

@@ -94,7 +94,7 @@ def test_correlation_is_linear_in_w(inst):
 def test_encode_sopt_entries_match_bound(inst):
     rng = np.random.default_rng(1)
     w = rng.normal(size=2 * inst.n)
-    s = encode_sopt(inst, w, tol=1e-9)
+    s = encode_sopt(inst, w)
     xi = correlation(inst, w)
     for i, v in enumerate(s):
         if v != 0:

@@ -107,7 +107,7 @@ class TestRestrictToLine:
     def test_matches_pointwise_evaluation(self):
         inst = random_instance(60, m=3, n=5, rho=0.35)
         w = solve_saddle(inst, OracleConfig(tol=1e-11))
-        s = encode_sopt(inst, w, tol=1e-8)
+        s = encode_sopt(inst, w)
         rng = np.random.default_rng(60)
         line = ParameterLine(inst.b, inst.lam, rng.normal(size=6), -0.3)
         piece = candidate_slope(inst, s)
@@ -119,7 +119,7 @@ class TestRestrictToLine:
     def test_residual_parametrization(self):
         inst = random_instance(61, m=3, n=4, rho=0.5)
         w = solve_saddle(inst, OracleConfig(tol=1e-11))
-        s = encode_sopt(inst, w, tol=1e-8)
+        s = encode_sopt(inst, w)
         line = ParameterLine(inst.b, inst.lam, np.ones(6), 0.2)
         restricted = _restricted(inst, s, line)
         for t in (0.0, 0.8):
@@ -239,7 +239,7 @@ def scan_cases():
             ParameterLine(inst.b, 0.0, rng.normal(size=2 * m), 0.0),
             ParameterLine(inst.b, -0.5, rng.normal(size=2 * m), 0.0),
         ]
-        for s in (zero_indicator(n), encode_sopt(inst, w, tol=1e-8), spanning):
+        for s in (zero_indicator(n), encode_sopt(inst, w), spanning):
             if candidate_slope(inst, s).compatible:
                 for line in lines:
                     yield inst, s, line
@@ -289,7 +289,7 @@ class TestZoneEntryTime:
     def test_interval_well_formed_against_dense_sampling(self):
         inst = random_instance(62, m=3, n=5, rho=0.25)
         w = solve_saddle(inst, OracleConfig(tol=1e-11))
-        s = encode_sopt(inst, w, tol=1e-8)
+        s = encode_sopt(inst, w)
         line = ParameterLine(inst.b, inst.lam, np.zeros(6), -1.0)
         piece = candidate_slope(inst, s)
         times = zone_exit_times(restrict_to_line(inst, piece, line))
@@ -307,7 +307,7 @@ class TestIntervalCorrectness:
         for seed in range(20):
             inst = random_instance(70 + seed, m=3, n=5, rho=0.3 * (seed % 2))
             w = solve_saddle(inst, OracleConfig(tol=1e-11))
-            s = encode_sopt(inst, w, tol=1e-8)
+            s = encode_sopt(inst, w)
             rng = np.random.default_rng(seed)
             line = ParameterLine(inst.b, inst.lam, 0.3 * rng.normal(size=6), -0.2)
             piece = candidate_slope(inst, s)
