@@ -13,8 +13,6 @@ from .model import (
     zero_indicator,
 )
 from .optimality import (
-    OptReport,
-    SolutionSummary,
     check_opt,
     correlation,
     encode_sopt,
@@ -31,7 +29,6 @@ from .candidate import (
     zone_membership,
 )
 from .sweep import (
-    LineRestrictedPiece,
     ParameterLine,
     ZoneExit,
     restrict_to_line,
@@ -50,7 +47,6 @@ from .elars import (
     path_sweep,
 )
 from .oracle import (
-    BruteForceResult,
     InfeasibleSystemError,
     LassoConfig,
     NonConvergenceError,

@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import ModelMatrices, ProblemInstance, as_indicator
-from .optimality import CERT_TOL, certificate_scale, correlation
+from .optimality import CROSS_CHECK_TOL, certificate_scale, correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # null(C_E) part of +-1 signs allowed, per sqrt(|E|): scale-free
@@ -302,24 +302,21 @@ def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> n
     return w
 
 
-def eqnq_membership(
-    inst: ProblemInstance, s: np.ndarray, w: np.ndarray, tol: float = CERT_TOL
-) -> bool:
-    """Whether w solves the full equality+inequality system of s at the
-    instance's own (b, lambda).  The conditions on xi hold within tol * S,
-    S = max(lambda, ||C^T b||_inf) (`certificate_scale`, the scale of
-    `check_opt`, whose slack CERT_TOL is the default), and those on w, the
-    signs on the support and the zeros off it, within tol * ||w||_inf, so
-    (alpha*b, alpha*lambda, alpha*w)
-    gets the answer of (b, lambda, w) for every alpha > 0; a NaN fails
-    every condition."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+def eqnq_membership(inst: ProblemInstance, s: np.ndarray, w: np.ndarray) -> bool:
+    """Whether w, an answer another routine formed, solves the full
+    equality+inequality system of s at the instance's own (b, lambda), at
+    the cross-check slack CROSS_CHECK_TOL.  The conditions on xi hold
+    within CROSS_CHECK_TOL * S, S = max(lambda, ||C^T b||_inf)
+    (`certificate_scale`, the scale of `check_opt`), and those on w, the
+    signs on the support and the zeros off it, within
+    CROSS_CHECK_TOL * ||w||_inf, so (alpha*b, alpha*lambda, alpha*w) gets
+    the answer of (b, lambda, w) for every alpha > 0; a NaN fails every
+    condition."""
     s = as_indicator(s)
     w = np.ravel(w)
     lam = inst.lam
-    xi_slack = tol * certificate_scale(inst)
-    w_slack = tol * np.abs(w).max(initial=0.0)
+    xi_slack = CROSS_CHECK_TOL * certificate_scale(inst)
+    w_slack = CROSS_CHECK_TOL * np.abs(w).max(initial=0.0)
     E = np.flatnonzero(s)
     mask = np.zeros(s.size, dtype=bool)
     mask[E] = True

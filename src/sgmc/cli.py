@@ -34,8 +34,9 @@ from .model import (
     indicator_to_string,
     load_instance,
     load_matrix_csv,
+    zero_indicator,
 )
-from .optimality import check_opt, encode_sopt, l1_bound_holds, summarize
+from .optimality import CROSS_CHECK_TOL, check_opt, encode_sopt, l1_bound_holds, summarize
 from .oracle import NonConvergenceError, min_norm_over_eqnq, solve_saddle
 
 HEADER = {"version": f"sgmc-{__version__}", "index_convention": INDEX_CONVENTION}
@@ -132,6 +133,8 @@ def _resolve_init(inst, line, t_start):
 def cmd_path(args) -> int:
     if args.grid < 1:  # an empty grid would write a CSV of its header alone
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.t_end == args.t_start:  # an empty window would write no segment
+        raise ValueError(f"--t-end must differ from --t-start, got {args.t_end} for both")
     inst = _load_problem(args)
     delta_b = (
         _parse_vector(args.delta_b) if args.delta_b else np.zeros(2 * inst.m)
@@ -198,20 +201,43 @@ def _continuous(segments: list[PathSegment]) -> bool:
     )
 
 
+def _spot_check(inst: ProblemInstance, line: ParameterLine, segments) -> tuple[bool, float]:
+    """(ok, worst violation): whether each segment, at 0.1, 0.3, ..., 0.9 of
+    its range on `line` (a ray cut one unit past its start) where lambda > 0,
+    passes `check_opt` within CROSS_CHECK_TOL and `eqnq_membership` of its
+    indicator.  A NaN fails, and so does a path with no segments."""
+    ok, worst = bool(segments), 0.0
+    for seg in segments:
+        t_hi = seg.t_end if math.isfinite(seg.t_end) else seg.t_start + 1.0
+        for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
+            t = seg.t_start + frac * (t_hi - seg.t_start)
+            b_t, lam_t = line.point_at(t)
+            if lam_t <= 0:
+                continue
+            probe = inst.with_params(b=b_t, lam=lam_t)
+            w = seg.weq_at(t)
+            v = check_opt(probe, w).worst_violation
+            worst = float(np.maximum(worst, v))  # keeps a NaN
+            ok = ok and v <= CROSS_CHECK_TOL and eqnq_membership(probe, seg.s, w)
+    return ok, worst
+
+
 def _verify_checks(inst: ProblemInstance, args):
     """Cross-oracle invariant suite on one instance; yields (name, ok, detail).
 
     The oracles run at their defaults, their indicators read at
-    ORACLE_READ_TOL.  Each check is scale-free: optimality reads relative
-    to the scale of `check_opt`, and every bound on w or on the fit
-    (beta_e, gamma_e) is relative to the size of the quantity it bounds,
-    so scaling (y, r, lambda) together changes no verdict.  The descent
-    from 1.05 lambda_max is swept whole, without a segment cap: the path
-    checks fail on a stop that does not end a path normally, or at a
-    lambda the path does not reach."""
+    ORACLE_READ_TOL and their answers judged at CROSS_CHECK_TOL.  Each
+    check is scale-free: optimality reads relative to the scale of
+    `check_opt`, and every bound on w or on the fit (beta_e, gamma_e) is
+    relative to the size of the quantity it bounds, so scaling
+    (y, r, lambda) together changes no verdict.  The descent
+    from 1.05 lambda_max starts in the zero zone, which `path_sweep`
+    certifies, and is swept whole, without a segment cap: the path checks
+    fail on a stop that does not end a path normally, or at a lambda the
+    path does not reach."""
     w = solve_saddle(inst)
-    rep = check_opt(inst, w)
-    yield "saddle_optimality", rep.worst_violation <= 1e-7, f"violation {rep.worst_violation:.2e}"
+    v = check_opt(inst, w).worst_violation
+    yield "saddle_optimality", v <= CROSS_CHECK_TOL, f"violation {v:.2e}"
     yield "l1_bound", l1_bound_holds(inst, w), ""
 
     rng = np.random.default_rng(args.seed)
@@ -229,22 +255,12 @@ def _verify_checks(inst: ProblemInstance, args):
         return
     lam0 = 1.05 * lam_max
     line = ParameterLine(inst.b, lam0, np.zeros(2 * inst.m), -1.0)
-    result = path_sweep(inst, line, initialize_indicator(inst, inst.b, lam0), t_start=0.0,
-                        max_segments=math.inf)
+    result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=math.inf)
     stop = result.stop_reason
     yield ("path_continuity", PATH_EXIT_CODES.get(stop) == 0 and _continuous(result.segments),
            f"{len(result.segments)} segments, stop {stop}")
 
-    opt_ok = True
-    worst = 0.0
-    for seg in result.segments:
-        t_hi = seg.t_end if math.isfinite(seg.t_end) else seg.t_start + 1.0
-        for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-            t = seg.t_start + frac * (t_hi - seg.t_start)
-            probe = inst.with_params(b=line.b_at(t), lam=line.lam_at(t))
-            v = check_opt(probe, seg.weq_at(t)).worst_violation
-            worst = max(worst, v)
-            opt_ok = opt_ok and v <= 1e-7
+    opt_ok, worst = _spot_check(inst, line, result.segments)
     yield "path_optimality", opt_ok, f"worst {worst:.2e}"
 
     agree_ok = True
@@ -289,20 +305,8 @@ def _verify_segments_file(inst: ProblemInstance, path: str):
     segments = [PathSegment.from_dict(d) for d in data["segments"]]
     line = line_from_dict(data["line"])
     yield "segments_continuity", _continuous(segments), f"{len(segments)} segments"
-    spot_ok = True
-    for seg in segments:
-        t_hi = seg.t_end if math.isfinite(seg.t_end) else seg.t_start + 1.0
-        t = 0.5 * (seg.t_start + t_hi)
-        b_t, lam_t = line.point_at(t)
-        if lam_t <= 0:
-            continue
-        probe = inst.with_params(b=b_t, lam=lam_t)
-        w = seg.weq_at(t)
-        if not eqnq_membership(probe, seg.s, w, tol=1e-6):
-            spot_ok = False
-        if check_opt(probe, w).worst_violation > 1e-6:
-            spot_ok = False
-    yield "segments_spot_checks", spot_ok, ""
+    spot_ok, worst = _spot_check(inst, line, segments)
+    yield "segments_spot_checks", spot_ok, f"worst {worst:.2e}"
 
 
 def cmd_verify(args) -> int:

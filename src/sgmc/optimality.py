@@ -17,7 +17,8 @@ its rounding.  `certificate_scale` and `optimality_excess` hold the
 rule; `check_opt`, `encode_sopt`, `eqnq_membership`, the saddle oracle's
 stopping test and its start (`initialize_indicator`), and brute force's
 check of its zone members all judge by them, `check_opt` at the slack
-`CERT_TOL` and `encode_sopt` at `ORACLE_READ_TOL`.
+`CERT_TOL`, `encode_sopt` at `ORACLE_READ_TOL`, and the cross-checks
+(`eqnq_membership`, brute force, `sgmc verify`) at `CROSS_CHECK_TOL`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ CERT_TOL = 1e-9  # the certificate's slack, relative to `certificate_scale`
 # an iterate of `solve_saddle` is read (its signs, its zone) at this slack,
 # relative to `certificate_scale`: ten times the oracle's default stop
 ORACLE_READ_TOL = 1e-8
+CROSS_CHECK_TOL = 1e-7  # excess, relative to S, a check accepts in another routine's answer
 
 
 def correlation(

@@ -25,7 +25,8 @@ import numpy as np
 
 from .candidate import eqnq_membership, in_row_space, in_zone, rank_cut
 from .model import ProblemInstance, as_indicator, indicator_to_string
-from .optimality import CERT_TOL, certificate_scale, correlation, optimality_excess
+from .optimality import (CERT_TOL, CROSS_CHECK_TOL, certificate_scale, correlation,
+                         optimality_excess)
 
 
 class NonConvergenceError(RuntimeError):
@@ -40,7 +41,6 @@ class NonConvergenceError(RuntimeError):
 STEP_SCALE = 0.9  # saddle step as a fraction of 1/||C^T D C||_2
 NULL_STEP_SWEEPS = 10  # coordinate-descent sweeps between null-space steps
 MAX_DYKSTRA_CYCLES = 100000  # sweeps of the halfspace projection
-BRUTE_FORCE_OPT_TOL = 1e-7  # optimality excess (relative to S) a match may have
 
 
 class InfeasibleSystemError(ValueError):
@@ -177,8 +177,8 @@ def min_norm_over_eqnq(inst: ProblemInstance, s: np.ndarray) -> np.ndarray:
     method with a combined feasibility/fixed-point stopping rule at
     1e-9*(1 + lambda).  Off the support xi is constant on that set (C_E N = 0),
     so the correlation bounds, like every other condition, are judged once,
-    on the result, by `eqnq_membership` at slack 1e-7 on the scale of
-    `certificate_scale`; a result that fails it raises
+    on the result, by `eqnq_membership` at its slack CROSS_CHECK_TOL on the
+    scale of `certificate_scale`; a result that fails it raises
     InfeasibleSystemError.  Answers at breakpoints, where those constant
     correlations sit on their bound, as in the interior of a zone.  The
     zero indicator's system has the one element w = 0, judged alike.
@@ -211,7 +211,7 @@ def min_norm_over_eqnq(inst: ProblemInstance, s: np.ndarray) -> np.ndarray:
         ]
         y = _project_halfspaces(halfspaces, N.shape[1], 1e-9 * (1.0 + inst.lam))
         w[E] = w0_E + N @ y
-    if not eqnq_membership(inst, s, w, tol=1e-7):
+    if not eqnq_membership(inst, s, w):
         raise InfeasibleSystemError(
             "candidate system has no feasible point at these parameters"
         )
@@ -315,7 +315,7 @@ def brute_force_indicators(
     each sample the matching indicator whose candidate solution has minimal
     l2-norm (ties broken by smaller support, then lexicographic string).  A
     candidate matches a sample when its zone holds the sample and its map
-    passes `check_opt`'s rule there within BRUTE_FORCE_OPT_TOL.  Norms tie
+    passes `check_opt`'s rule there within CROSS_CHECK_TOL.  Norms tie
     within a relative 1e-9 of the least, so (alpha*b, alpha*lambda) gets
     the assignment of (b, lambda).
 
@@ -365,7 +365,7 @@ def _zone_members(
     """(sample index, map norm there, indicator string) for each sample,
     a column of `B` with its lambda in `lams`, that the zone of a
     compatible indicator with k support indices holds and at which its map
-    passes `check_opt`'s rule within BRUTE_FORCE_OPT_TOL.
+    passes `check_opt`'s rule within CROSS_CHECK_TOL.
 
     One `rank_cut` of the C(2n, k) blocks of C^T D C, one compatibility
     product over all (support, sign pattern) pairs, and one evaluation of
@@ -422,5 +422,5 @@ def _zone_members(
     norms = np.linalg.norm(W, axis=0)
     return [
         (int(j[r]), float(norms[r]), indicator_to_string(S[:, r]))
-        for r in np.flatnonzero(excess <= BRUTE_FORCE_OPT_TOL)
+        for r in np.flatnonzero(excess <= CROSS_CHECK_TOL)
     ]

@@ -30,7 +30,7 @@ from sgmc.candidate import (
     rank_cut,
     zone_margins,
 )
-from sgmc.optimality import correlation
+from sgmc.optimality import CERT_TOL, CROSS_CHECK_TOL, certificate_scale, correlation
 
 from conftest import piece_after_edit, random_instance
 
@@ -511,12 +511,21 @@ class TestEqnqMembership:
         w[i] = np.nan
         assert not eqnq_membership(two_column, S1, w)
 
+    @pytest.mark.parametrize("miss, holds", [(0.5, True), (2.0, False)])
+    def test_judges_at_the_cross_check_slack(self, two_column, miss, holds):
+        # xi on the support misses lambda by miss * CROSS_CHECK_TOL * S, far
+        # beyond the certificate's CERT_TOL * S
+        w = np.array([0.5, 0.5, 0.0, 0.0])
+        gap = miss * CROSS_CHECK_TOL * certificate_scale(two_column)
+        assert gap > 10 * CERT_TOL * certificate_scale(two_column)
+        assert eqnq_membership(two_column.with_params(lam=1.0 + gap), S1, w) is holds
+
     def test_membership_implies_optimality(self):
         for seed in range(5):
             inst = random_instance(40 + seed, m=3, n=5, rho=0.3)
             w = solve_saddle(inst, OracleConfig(tol=1e-11))
             s = encode_sopt(inst, w)
-            if eqnq_membership(inst, s, w, tol=1e-7):
+            if eqnq_membership(inst, s, w):
                 assert check_opt(inst, w).satisfied
 
 

@@ -302,6 +302,16 @@ def test_path_rejects_window_ending_before_start(instance_file, tmp_path, capsys
     assert not out.exists()
 
 
+def test_path_refuses_an_empty_window(instance_file, tmp_path, capsys):
+    # an empty window is no answer: "segments": [], and no CSV at all
+    out, csv = tmp_path / "p.json", tmp_path / "p.csv"
+    argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
+            "--t-end", "0", "--out", str(out), "--csv-out", str(csv)]
+    assert main(argv) == 1
+    assert "--t-end must differ from --t-start" in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
+
+
 def test_enumerate_two_column(instance_file, tmp_path):
     out = tmp_path / "graph.json"
     code = main(
@@ -514,6 +524,65 @@ def test_verify_fails_nan_segments(instance_file, tmp_path, capsys):
         if line.startswith("FAIL")
     }
     assert failed == {"segments_continuity", "segments_spot_checks"}
+
+
+def _segments_file_rows(instance_file, tmp_path, capsys, edit):
+    """Exit code and rows of `sgmc verify --segments` on the DESCENT path
+    over [0, 0.5], one segment of the zero zone, after `edit` of its JSON."""
+    inst_path = instance_file(DESCENT)
+    path_out = tmp_path / "path.json"
+    argv = ["path", "--instance", inst_path, "--delta-lambda", "-1", "--t-end", "0.5",
+            "--out", str(path_out)]
+    assert main(argv) == 0
+    data = json.loads(path_out.read_text())
+    assert [seg["s"] for seg in data["segments"]] == ["0000"]
+    edit(data)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", "--instance", inst_path, "--segments", str(edited)])
+    return code, _verify_rows(capsys.readouterr().out)
+
+
+def test_verify_accepts_the_one_segment_path(instance_file, tmp_path, capsys):
+    code, rows = _segments_file_rows(instance_file, tmp_path, capsys, lambda data: None)
+    assert code == 0
+    assert rows["segments_spot_checks"] == ("ok", "worst 0.00e+00")
+
+
+def test_verify_checks_a_one_segment_path_off_its_midpoint(instance_file, tmp_path, capsys):
+    # w(t) = 0.3 (0.25 - t): right at the segment's midpoint t = 0.25 alone,
+    # and no neighbour pins its ends, so a check at the midpoint cannot see it
+    def tilt(data):
+        seg = data["segments"][0]
+        seg["p"] = [v + 0.3 for v in seg["p"]]
+        seg["q"] = [v + 0.3 * 0.25 for v in seg["q"]]
+
+    code, rows = _segments_file_rows(instance_file, tmp_path, capsys, tilt)
+    assert code == 2
+    assert rows["segments_continuity"][0] == "ok"
+    assert rows["segments_spot_checks"][0] == "FAIL"
+
+
+def test_verify_fails_an_empty_path(instance_file, tmp_path, capsys):
+    def empty(data):
+        data["segments"] = []
+
+    code, rows = _segments_file_rows(instance_file, tmp_path, capsys, empty)
+    assert code == 2
+    assert rows["segments_continuity"] == ("ok", "0 segments")
+    assert rows["segments_spot_checks"][0] == "FAIL"
+
+
+def test_verify_leaves_the_start_zone_to_path_sweep(instance_file, capsys, monkeypatch):
+    # the zero zone holds at 1.05 lambda_max; path_sweep's start
+    # certificate judges it, with no separate build and test before
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify builds its start zone before path_sweep")
+
+    monkeypatch.setattr(sgmc.cli, "initialize_indicator", refuse)
+    assert main(["verify", "--instance", instance_file(TWO_COLUMN)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 
