@@ -8,7 +8,6 @@ from .model import (
     ProblemInstance,
     indicator_from_string,
     indicator_to_string,
-    load_instance,
     split_extended,
     zero_indicator,
 )

@@ -149,7 +149,7 @@ def cmd_path(args) -> int:
         s_init,
         t_start=args.t_start,
         t_end=args.t_end if args.t_end is not None else math.inf,
-        max_segments=math.inf if args.max_segments is None else args.max_segments,
+        max_segments=args.max_segments,
     )
     _write_json(args.out, result.to_dict())
     if args.csv_out:
@@ -205,20 +205,24 @@ def _spot_check(inst: ProblemInstance, line: ParameterLine, segments) -> tuple[b
     """(ok, worst violation): whether each segment, at 0.1, 0.3, ..., 0.9 of
     its range on `line` (a ray cut one unit past its start) where lambda > 0,
     passes `check_opt` within CROSS_CHECK_TOL and `eqnq_membership` of its
-    indicator.  A NaN fails, and so does a path with no segments."""
+    indicator.  A NaN fails, and so do a path with no segments and a segment
+    with no such point, as neither is judged anywhere."""
     ok, worst = bool(segments), 0.0
     for seg in segments:
         t_hi = seg.t_end if math.isfinite(seg.t_end) else seg.t_start + 1.0
+        judged = False
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             t = seg.t_start + frac * (t_hi - seg.t_start)
             b_t, lam_t = line.point_at(t)
             if lam_t <= 0:
                 continue
+            judged = True
             probe = inst.with_params(b=b_t, lam=lam_t)
             w = seg.weq_at(t)
             v = check_opt(probe, w).worst_violation
             worst = float(np.maximum(worst, v))  # keeps a NaN
             ok = ok and v <= CROSS_CHECK_TOL and eqnq_membership(probe, seg.s, w)
+        ok = ok and judged
     return ok, worst
 
 
@@ -255,7 +259,7 @@ def _verify_checks(inst: ProblemInstance, args):
         return
     lam0 = 1.05 * lam_max
     line = ParameterLine(inst.b, lam0, np.zeros(2 * inst.m), -1.0)
-    result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=math.inf)
+    result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0)
     stop = result.stop_reason
     yield ("path_continuity", PATH_EXIT_CODES.get(stop) == 0 and _continuous(result.segments),
            f"{len(result.segments)} segments, stop {stop}")
@@ -346,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--t-start", type=float, default=0.0)
     p_path.add_argument("--t-end", type=float, default=None)
     p_path.add_argument(
-        "--max-segments", type=int, default=None,
+        "--max-segments", type=int, default=math.inf,
         help="stop after this many segments and exit 3 (default: no cap; the sweep "
         "ends at its own stop, and a descent from lambda_max can have hundreds)")
     p_path.add_argument("--csv-out", help="plot-ready CSV of (t, lambda, w)")

@@ -181,7 +181,7 @@ def path_sweep(
     s_init: np.ndarray,
     t_start: float,
     t_end: float = math.inf,
-    max_segments: int = 64,
+    max_segments: int | float = math.inf,
     pieces: dict[bytes, CandidatePiece] | None = None,
 ) -> PathSweepResult:
     """Piecewise-linear solution map along `line` for t in [t_start, t_end].
@@ -199,14 +199,14 @@ def path_sweep(
     lambda(t_start) <= 0, raises ValueError (so does an incompatible
     `s_init`).  A landing zone that is incompatible or entered after its
     breakpoint stops the sweep as `unverified_step`, one left before it as
-    `degenerate_interval`, even where `max_segments` (an integer >= 1, or
-    math.inf for no cap) would cut the sweep there.  A zone the line only
-    touches at a breakpoint is a zero-length segment.  A repeated
-    (indicator, breakpoint) pair aborts as `cycle_detected`.  Otherwise the
-    sweep ends in the first zone whose exit reaches t_end (`t_end_reached`,
-    or `unbounded` where both are +inf) or lies on the lambda -> 0 wall
-    (`lambda_terminus`), with one final segment up to the earlier of the
-    two.
+    `degenerate_interval`, even where `max_segments` would cut the sweep
+    there.  A zone the line only touches at a breakpoint is a zero-length
+    segment.  A repeated (indicator, breakpoint) pair aborts as
+    `cycle_detected`.  Otherwise the sweep ends in the first zone whose
+    exit reaches t_end (`t_end_reached`, or `unbounded` where both are
+    +inf) or lies on the lambda -> 0 wall (`lambda_terminus`), with one
+    final segment up to the earlier of the two.  It runs to that stop unless
+    an integer `max_segments` >= 1 cuts it first, as `max_segments`.
 
     `pieces` is an optional memo from `s.tobytes()`, the 2n bytes of the
     int8 indicator, to the pieces of `inst`, shared by sweeps that revisit
@@ -349,9 +349,9 @@ class EnumerationConfig:
     Coverage is declared over `n_coverage` sampled points with ||y|| = r_y,
     r = 0 and lambda = delta_lambda_min, drawn from `seed`; the search
     sweeps to each point that no zone found so far covers, in the order
-    drawn, so it makes at most `n_coverage` sweeps of at most 64 segments.
-    A point whose sweep stops short of it stays uncovered unless a later
-    node's zone holds it.  `enumerate_zones` refuses an `n_coverage` below
+    drawn, so it makes at most `n_coverage` sweeps, each uncapped.  A point
+    whose sweep stops short of it stays uncovered unless a later node's
+    zone holds it.  `enumerate_zones` refuses an `n_coverage` below
     1, whose empty sample would read as complete coverage.
     """
 
@@ -440,7 +440,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     contribute adjacency edges with the breakpoint as witness.  Points are
     taken in the order drawn, and one that an earlier node covers gets no
     sweep.  The graph is `incomplete` exactly when its nodes leave a point
-    uncovered, which only a sweep that stops short of its point can do.  A
+    uncovered, which only an uncapped sweep's own early stop can do.  A
     sweep's error propagates: from the zero zone at b = 0 only data too
     small for `rank_cut` raise, and then every sweep would.
 

@@ -365,6 +365,18 @@ def test_enumerate_incomplete_graph(instance_file, tmp_path):
     assert data["coverage"] == {"required": 64, "covered": 60}
 
 
+def test_enumerate_sweeps_to_every_sample(instance_file, tmp_path):
+    # the longest sweep takes 91 segments, past the 64 that once capped
+    # each sweep and left 10 of the 16 samples uncovered (exit 3)
+    A = np.random.default_rng(0).normal(size=(30, 60))
+    inst = {"A": A.tolist(), "rho": 0.3, "y": [0.0] * 30, "lambda": 1.0}
+    out = tmp_path / "graph.json"
+    argv = ["enumerate", "--instance", instance_file(inst), "--r-y", "3",
+            "--delta-lambda-min", "0.3", "--coverage-samples", "16", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["coverage"] == {"required": 16, "covered": 16}
+
+
 def test_enumerate_data_too_small_is_an_input_error(instance_file, tmp_path, capsys):
     # it used to exit 3 with every sweep dropped and no sample covered
     A = np.random.default_rng(1).normal(size=(2, 3)) * 1e-160
@@ -562,6 +574,20 @@ def test_verify_checks_a_one_segment_path_off_its_midpoint(instance_file, tmp_pa
     assert code == 2
     assert rows["segments_continuity"][0] == "ok"
     assert rows["segments_spot_checks"][0] == "FAIL"
+
+
+def test_verify_fails_a_path_judged_at_no_point(instance_file, tmp_path, capsys):
+    # the tilted segment on a line at lambda < 0 throughout: no spot check
+    # point lies at lambda > 0, so the file is judged nowhere
+    def tilt_below_zero(data):
+        seg = data["segments"][0]
+        seg["p"] = [v + 0.3 for v in seg["p"]]
+        seg["q"] = [v + 0.3 * 0.25 for v in seg["q"]]
+        data["line"].update(lambda0=-1.0, delta_lambda=-1.0)
+
+    code, rows = _segments_file_rows(instance_file, tmp_path, capsys, tilt_below_zero)
+    assert code == 2
+    assert rows["segments_spot_checks"] == ("FAIL", "worst 0.00e+00")
 
 
 def test_verify_fails_an_empty_path(instance_file, tmp_path, capsys):

@@ -176,6 +176,13 @@ class TestPathSweep:
         assert result.stop_reason == "lambda_terminus"
         assert not result.truncated
 
+    def test_runs_to_its_own_stop_by_default(self):
+        # this descent from lambda_max has 145 segments: no cap cuts it
+        # unless the caller asks for one
+        inst, line = _gaussian_descent(48, 96, 0.3, 0)
+        result = path_sweep(inst, line, zero_indicator(96), t_start=0.0)
+        assert result.stop_reason == "lambda_terminus" and len(result.segments) == 145
+
     def test_slow_b_keeps_the_lambda_window(self, descent_line):
         # b moves by b0 only after 1e20, lambda by lambda0 after 2: the
         # window follows lambda, and the two breakpoints stay apart
@@ -971,6 +978,27 @@ class TestEnumerateZones:
             found |= {indicator_to_string(seg.s) for seg in segs}
         assert found == set(graph.nodes)
         assert np.any([meets[k] for k in found], axis=0).all()
+
+    def test_sweeps_run_to_their_samples_uncapped(self, monkeypatch):
+        # Gaussian 30 x 60 at y = 0: the longest of its 16 sweeps takes 91
+        # segments; a cap of 64 stopped 10 of them short, 10 samples uncovered
+        import sgmc.elars
+
+        stops = []
+        sweep = sgmc.elars.path_sweep
+
+        def recording(*args, **kwargs):
+            result = sweep(*args, **kwargs)
+            stops.append(result.stop_reason)
+            return result
+
+        monkeypatch.setattr(sgmc.elars, "path_sweep", recording)
+        A = np.random.default_rng(0).normal(size=(30, 60))
+        inst = ProblemInstance(A=A, rho=0.3, y=np.zeros(30), lam=1.0)
+        graph = enumerate_zones(inst, EnumerationConfig(r_y=3.0, delta_lambda_min=0.3,
+                                                        n_coverage=16))
+        assert graph.coverage_covered == graph.coverage_required == 16
+        assert stops == ["t_end_reached"] * graph.rays
 
     def test_invalid_delta_lambda(self, two_column):
         with pytest.raises(ValueError):

@@ -157,3 +157,27 @@ def test_ab_pairs():
     assert summary[:5] + summary[6:7] == ["zones", "pairs", "2", "median", "ratio", "interval"]
     assert float(summary[5]) == pytest.approx(sum(ratios) / 2, abs=1e-4)
     assert float(summary[7]) == min(ratios) and float(summary[8]) == max(ratios)
+
+
+def test_families():
+    # each descent from lambda_max runs to its own stop; the triu cells
+    # are (stop, segments whose midpoint fails check_opt), and no int
+    # midpoint fails
+    done = run_script("families.py")
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["family", "descents", "segments", "failed", "seconds", "stops"]
+    report = {row[0]: (int(row[1]), int(row[3]), dict(s.split("=") for s in row[5:]))
+              for row in rows}
+    triu = {label: (stops, failed) for label, (_, failed, stops) in report.items()
+            if label.startswith("triu")}
+    assert triu == {
+        "triu(6,0.3)": ({"lambda_terminus": "1"}, 0),
+        "triu(6,0.15)": ({"lambda_terminus": "1"}, 3),
+        "triu(6,0.1)": ({"unverified_step": "1"}, 3),
+        "triu(8,0.3)": ({"lambda_terminus": "1"}, 0),
+        "triu(8,0.15)": ({"unverified_step": "1"}, 5),
+        "triu(8,0.1)": ({"unverified_step": "1"}, 3),
+    }
+    assert report["int(6x12)"] == (60, 0, {"lambda_terminus": "33", "unverified_step": "22",
+                                           "degenerate_interval": "5"})
