@@ -21,15 +21,44 @@ a rebuild, whose time is then an SVD's.
 
     python3 scripts/iteration_scaling.py --update --m 100 --n 200 \
         --sizes 50,100,150,190
+
+--descent instead sweeps one lambda-descent at fixed b, from lambda_max =
+||C^T b||_inf down to --to times it, from the zero zone, and prints its
+segments, milliseconds per segment, largest support, the peak RSS once the
+instance and its structural matrices are built, and the peak RSS of the
+whole run.  Peak RSS is per process, so each size runs in its own:
+
+    python3 scripts/iteration_scaling.py --descent --m 500 --n 5000 --to 0.2
+
+BLAS runs on one thread, as in scripts/fingerprint.py.
 """
 
+import os
+
+# one BLAS thread, set before numpy loads, whatever the caller's environment
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
+import resource
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from sgmc import ParameterLine, ProblemInstance, candidate_slope, elars_iterate
-from sgmc.candidate import next_piece
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from sgmc import (  # noqa: E402
+    ParameterLine,
+    ProblemInstance,
+    candidate_slope,
+    elars_iterate,
+    path_sweep,
+    zero_indicator,
+)
+from sgmc.candidate import next_piece  # noqa: E402
 
 
 def time_call(fn, repeats=9, inner=5):
@@ -49,7 +78,7 @@ def time_step(inst, line, size, reuse_slope=False):
     s[:size] = 1
     piece = candidate_slope(inst, s)
     return time_call(
-        lambda: elars_iterate(inst, piece if reuse_slope else candidate_slope(inst, s), line),
+        lambda: elars_iterate(piece if reuse_slope else candidate_slope(inst, s), line),
         inner=3,
     )
 
@@ -76,6 +105,23 @@ def time_updates(inst, size):
     return out
 
 
+def peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (Linux reports
+    ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def descent(inst, frac):
+    """Sweep the lambda-descent of `inst` from lambda_max to frac times it;
+    return the sweep and its wall time."""
+    lam_max = float(np.abs(inst.matrices.ct(inst.b)).max())
+    line = ParameterLine(inst.b, lam_max, np.zeros(2 * inst.m), -1.0)
+    t0 = time.perf_counter()
+    result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0,
+                        t_end=(1.0 - frac) * lam_max)
+    return result, time.perf_counter() - t0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m", type=int, default=48)
@@ -93,18 +139,39 @@ def main():
         action="store_true",
         help="time the one-index updates of next_piece instead of the step",
     )
+    parser.add_argument(
+        "--descent",
+        action="store_true",
+        help="sweep one lambda-descent and report its time and memory instead",
+    )
+    parser.add_argument("--to", type=float, default=0.01,
+                        help="with --descent, the end of the descent as a fraction of lambda_max")
     args = parser.parse_args()
+    if args.descent and not 0.0 < args.to < 1.0:
+        parser.error(f"--to must lie in (0, 1), got {args.to}")
 
     rng = np.random.default_rng(args.seed)
     inst = ProblemInstance(
         A=rng.normal(size=(args.m, args.n)), rho=args.rho, y=rng.normal(size=args.m), lam=1.0
     )
+    print(f"m={args.m} n={args.n} rho={args.rho}")
+
+    if args.descent:
+        inst.matrices  # noqa: B018 - built here, so the setup figure includes it
+        setup_mb = peak_rss_mb()
+        result, seconds = descent(inst, args.to)
+        segments = result.segments
+        support = max(int(np.count_nonzero(seg.s)) for seg in segments)
+        print(f"{'to':>6} {'segments':>9} {'ms/segment':>11} {'max |E|':>8} "
+              f"{'setup RSS':>10} {'peak RSS':>10} stop")
+        print(f"{args.to:>6g} {len(segments):>9} {seconds * 1e3 / len(segments):>11.2f} "
+              f"{support:>8} {setup_mb:>7.1f} MB {peak_rss_mb():>7.1f} MB {result.stop_reason}")
+        return
     line = ParameterLine(inst.b, 5.0, np.zeros(2 * args.m), -1.0)
     sizes = [int(v) for v in args.sizes.split(",")]
 
     if args.update:
         rows = [time_updates(inst, size) for size in sizes]
-        print(f"m={args.m} n={args.n} rho={args.rho}")
         print(f"{'|E|':>6} {'insertion':>12} {'updated':>8} {'deletion':>12} {'updated':>8}")
         for size, (t_in, up_in, t_out, up_out) in zip(sizes, rows):
             print(f"{size:>6} {t_in * 1e6:>9.1f} us {str(up_in):>8} "
@@ -116,7 +183,6 @@ def main():
         return
 
     medians = []
-    print(f"m={args.m} n={args.n} rho={args.rho}")
     print(f"{'|E|':>6} {'median step':>14}")
     for size in sizes:
         med = time_step(inst, line, size, reuse_slope=args.reuse_slope)

@@ -9,9 +9,15 @@ condition fails while the step is still correct) and then enumerates the
 whole zone graph.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from sgmc import (
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from sgmc import (  # noqa: E402
     EnumerationConfig,
     ParameterLine,
     ProblemInstance,
@@ -29,7 +35,7 @@ def main():
     line = ParameterLine(b0=inst.b, lam0=2.0, delta_b=np.zeros(2), delta_lam=-1.0)
 
     print("== one deletion-insertion step from the all-zero indicator ==")
-    step = elars_iterate(inst, candidate_slope(inst, zero_indicator(inst.n)), line)
+    step = elars_iterate(candidate_slope(inst, zero_indicator(inst.n)), line)
     tied = sorted(set(step.deleted) | set(step.inserted))
     print(f"breakpoint t+ = {step.t_plus}")
     print(f"next indicator = {indicator_to_string(step.s_plus)}")

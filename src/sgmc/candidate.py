@@ -42,8 +42,9 @@ from the instance's cached A^T A (`ModelMatrices.gram_block`,
 `gram_border`).  The pieces apply C and D through the block operators of
 `ModelMatrices`.  The zone tests do not: `zone_margins` (and so
 `zone_membership`) and `eqnq_membership` form xi with
-`optimality.correlation`, on the dense C and D, the same product that brute
-force evaluates, so both judge a boundary sample alike.
+`optimality.correlation`, on the dense C and D that its first call forms,
+the same product that brute force evaluates, so both judge a boundary
+sample alike.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class CandidatePiece:
     residual check takes it anyway) for `apply` to reuse.  `updated` tells
     whether `next_piece` updated the piece from its neighbour's, rather
     than `candidate_slope` building it from an SVD.  `mats` holds the
-    instance's structural matrices, shared, not copied.  Pieces are shared
+    instance's structural matrices, shared, not copied, which
+    `restrict_to_line` and `eval_weq` apply.  Pieces are shared
     through memos, so nothing may mutate their arrays.
     """
 

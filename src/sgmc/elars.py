@@ -45,19 +45,18 @@ class InitializationError(RuntimeError):
     """Raised when no valid starting indicator can be certified."""
 
 
-def elars_iterate(
-    inst: ProblemInstance, piece: CandidatePiece, line: ParameterLine
-) -> ZoneExit:
+def elars_iterate(piece: CandidatePiece, line: ParameterLine) -> ZoneExit:
     """One E-LARS step along `line` out of the zone of `piece`.
 
-    The zone is restricted to the line once, and its exit scan
+    The zone is restricted to the line once, through the structural
+    matrices the piece holds (`CandidatePiece.mats`), and its exit scan
     (`zone_exit_times`) is the step: the breakpoint, the events there and
     the next indicator they make (deletions zero their signs, insertions
     take the sign of the bound they reach, and the wall ends the path).  A
     caller holding an indicator builds its piece with `candidate_slope`
     first.
     """
-    return zone_exit_times(restrict_to_line(inst, piece, line))
+    return zone_exit_times(restrict_to_line(piece, line))
 
 
 # -- path driver -------------------------------------------------------------
@@ -231,7 +230,7 @@ def path_sweep(
         raise ValueError(f"lambda(t_start) must be positive, got {lam_start}")
     counts = dict.fromkeys(("pieces_updated", "pieces_rebuilt", "memo_hits"), 0)
     piece = _memoized(pieces, s, lambda: candidate_slope(inst, s), counts)
-    res = elars_iterate(inst, piece, line)
+    res = elars_iterate(piece, line)
     if res.misses(t_start):
         raise ValueError(
             "s_init is not a valid zone indicator at t_start "
@@ -278,7 +277,7 @@ def path_sweep(
             break
         s = res.s_plus
         t_cur = res.t_plus
-        res = elars_iterate(inst, piece, line)
+        res = elars_iterate(piece, line)
         stop = res.misses(t_cur)
         if stop:
             break

@@ -23,8 +23,9 @@ C^T D C = T kron A^T A with T = [[1 - rho, rho], [-rho, rho]], of which the
 closed forms only ever gather entries.  `ModelMatrices` applies the first
 two with A and gathers those entries from A^T A, its one cached Gram
 matrix; the pieces and line restrictions of `candidate` and `sweep` apply
-C and D through it only.  The dense C and D serve
-`optimality.correlation` and the `oracle` solvers.  `check_opt` and the
+C and D through it only.  It holds A and rho alone, and forms the dense C
+and D on their first read, for `optimality.correlation` and the `oracle`
+solvers, so a descent builds neither.  `check_opt` and the
 oracles thus share no code with the pieces they certify, but the zone
 tests of `candidate` (`zone_margins`, whose one worst margin per point
 `in_zone` reads, and `eqnq_membership`) form xi with `correlation` too.
@@ -54,10 +55,13 @@ import numpy as np
 INDEX_CONVENTION = "0-based; 0..n-1 primal, n..2n-1 dual"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    return _frozen(np.array(a, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -154,38 +158,51 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """The pair (C, D), dense, and its block operators.
+    """The structural matrices of (A, rho) and their block operators.
 
-    The dense matrices serve the independent checks only.  The closed
-    forms apply D C and C^T to rows through `dc` and `ct` and gather
-    entries of C^T D C with `gram_block` and `gram_border`, all from A,
-    rho and A^T A.
+    The closed forms apply D C and C^T to rows through `dc` and `ct` and
+    gather entries of C^T D C with `gram_block` and `gram_border`, all from
+    A, rho and A^T A.  The dense C and D serve the independent checks only,
+    and are formed on their first read.  A is shared when it is an owned,
+    read-only float array, as an instance's is, and copied read-only
+    otherwise.
     """
 
-    C: np.ndarray
-    D: np.ndarray
     A: np.ndarray
     rho: float
 
     def __post_init__(self):
-        object.__setattr__(self, "C", _readonly(self.C))
-        object.__setattr__(self, "D", _readonly(self.D))
-        object.__setattr__(self, "A", _readonly(self.A))
+        A = self.A
+        if not (type(A) is np.ndarray and A.dtype == float and A.flags.owndata
+                and not A.flags.writeable):
+            object.__setattr__(self, "A", _readonly(A))
         rho, sq = self.rho, math.sqrt(self.rho)
-        n = self.A.shape[1]
         # coefficients on the 2 x 2 blocks: of C (a diagonal), of D C and of
         # C^T D C = T kron A^T A
         object.__setattr__(self, "_c_coef", np.array([1.0, sq]))
         object.__setattr__(self, "_dc_coef", np.array([[1.0 - rho, rho], [-sq, sq]]))
         object.__setattr__(self, "_T", np.array([[1.0 - rho, rho], [-rho, rho]]))
-        # index i of w lies in block i // n at position i mod n
-        object.__setattr__(self, "_block", np.repeat([0, 1], n))
-        object.__setattr__(self, "_pos", np.tile(np.arange(n), 2))
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """blkdiag(A, sqrt(rho) A), dense (2m x 2n)."""
+        m, n = self.A.shape
+        C = np.zeros((2 * m, 2 * n))
+        C[:m, :n] = self.A
+        C[m:, n:] = np.sqrt(self.rho) * self.A
+        return _frozen(C)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """[[(1 - rho) I, sqrt(rho) I], [-sqrt(rho) I, I]], dense (2m x 2m);
+        the identity at rho = 0."""
+        sq, eye = np.sqrt(self.rho), np.eye(self.A.shape[0])
+        return _frozen(np.block([[(1.0 - self.rho) * eye, sq * eye], [-sq * eye, eye]]))
 
     @cached_property
     def gram(self) -> np.ndarray:
         """A^T A (n x n), the one Gram matrix behind C^T D C."""
-        return _readonly(self.A.T @ self.A)
+        return _frozen(self.A.T @ self.A)
 
     @cached_property
     def col_abs_sums(self) -> np.ndarray:
@@ -209,34 +226,28 @@ class ModelMatrices:
     def gram_block(self, E: np.ndarray) -> np.ndarray:
         """G[E, E] of G = C^T D C: entry (i, j) is T[i // n, j // n] times
         (A^T A)[i mod n, j mod n]."""
-        bE, iE = self._block[E], self._pos[E]
+        bE, iE = np.divmod(E, self.A.shape[1])
         return self._T[bE[:, None], bE] * self.gram[iE[:, None], iE]
 
     def gram_border(self, E: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Column G[E, j], row G[j, E] and corner G[j, j] of G = C^T D C,
         by the index arithmetic of `gram_block`, with 1-D gathers only: the
         row j mod n of A^T A and a column and a row of T."""
-        bj, ij = divmod(j, self.A.shape[1])
-        bE = self._block.take(E)
+        n = self.A.shape[1]
+        bj, ij = divmod(j, n)
+        bE, iE = np.divmod(E, n)
         # A^T A is symmetric: one gather from its row j mod n serves both
-        g = self.gram[ij].take(self._pos.take(E))
+        g = self.gram[ij].take(iE)
         T = self._T
         return T[:, bj].take(bE) * g, T[bj].take(bE) * g, float(T[bj, bj] * self.gram[ij, ij])
 
 
 def build_model_matrices(inst: ProblemInstance) -> ModelMatrices:
-    """Assemble C = blkdiag(A, sqrt(rho) A) and the 2x2 block matrix D.
+    """The structural matrices of the instance's (A, rho), sharing its A.
 
     Pure function of the instance; at rho = 0, D is the identity.
     """
-    m, n = inst.m, inst.n
-    sq = np.sqrt(inst.rho)
-    C = np.zeros((2 * m, 2 * n))
-    C[:m, :n] = inst.A
-    C[m:, n:] = sq * inst.A
-    eye = np.eye(m)
-    D = np.block([[(1.0 - inst.rho) * eye, sq * eye], [-sq * eye, eye]])
-    return ModelMatrices(C=C, D=D, A=inst.A, rho=inst.rho)
+    return ModelMatrices(inst.A, inst.rho)
 
 
 def saddle_objective(inst: ProblemInstance, x: np.ndarray, z: np.ndarray) -> float:

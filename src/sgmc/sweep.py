@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidate import CandidatePiece
-from .model import ModelMatrices, ProblemInstance
+from .model import ModelMatrices
 
 SLOPE_RTOL = 1e-12  # correlation line within this of exact, relative to its terms: exact
 TIE_TOL = 1e-9  # relative half-width of the tie window of event times (`ParameterLine.window`)
@@ -146,24 +146,21 @@ class LineRestrictedPiece:
         return self.q - self.p * t
 
 
-def restrict_to_line(
-    inst: ProblemInstance, piece: CandidatePiece, line: ParameterLine
-) -> LineRestrictedPiece:
+def restrict_to_line(piece: CandidatePiece, line: ParameterLine) -> LineRestrictedPiece:
     """Compute (p, q, cu, cv) of the zone of `piece` along the line.
 
     The two coefficients of each line are rows: X = [-p; q] is the map of
     the piece (`CandidatePiece.apply`, with its refinement step) at the
     rows C^T B, B = [db; b0], with lambdas [dl, lam0].  C^T B is formed
     once per line (`ParameterLine.ct_B`), and D C X and the correlation
-    C^T (B - D C X) are one gemm each on the row view
-    (`ModelMatrices.dc`, `ct`): O(mn + |E|^2) work in all, and p, q, cu
-    and cv are contiguous rows.  The piece is the only description of the
-    zone: a caller holding an indicator builds it with `candidate_slope`
-    first.  An incompatible piece raises IncompatibleIndicatorError (from
+    C^T (B - D C X) are one gemm each on the row view, all through the
+    piece's own structural matrices (`ModelMatrices.dc`, `ct`):
+    O(mn + |E|^2) work in all, and p, q, cu and cv are contiguous rows.
+    The piece is the only description of the zone: a caller holding an
+    indicator builds it with `candidate_slope` first.  An incompatible piece raises IncompatibleIndicatorError (from
     `apply`).
     """
-    s = piece.s
-    mats = inst.matrices
+    s, mats = piece.s, piece.mats
     X = np.zeros((2, s.size))
     X[:, piece.support] = piece.apply(line.ct_B(mats), line.lams)
     DCX = mats.dc(X)

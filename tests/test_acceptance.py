@@ -100,7 +100,7 @@ def test_criterion_2_worked_line_reproduction():
         start = time.perf_counter()
         inst = ProblemInstance(A=np.array([[1.0, 1.0]]), rho=0.0, y=np.array([1.0]), lam=2.0)
         line = ParameterLine(inst.b, 2.0, np.zeros(2), -1.0)
-        step = elars_iterate(inst, candidate_slope(inst, zero_indicator(2)), line)
+        step = elars_iterate(candidate_slope(inst, zero_indicator(2)), line)
         assert step.inserted == (0, 1) and step.deleted == ()
         assert not step.one_at_a_time
         result = path_sweep(inst, line, zero_indicator(2), t_start=0.0)
@@ -294,12 +294,12 @@ def test_criterion_8_iteration_cost_scaling():
             s = np.zeros(2 * n, dtype=int)
             s[:size] = 1
             piece = candidate_slope(inst, s)
-            elars_iterate(inst, piece, line)  # warm-up
+            elars_iterate(piece, line)  # warm-up
             reps = []
             for _ in range(7):
                 t0 = time.perf_counter()
                 for _ in range(3):
-                    elars_iterate(inst, piece, line)
+                    elars_iterate(piece, line)
                 reps.append((time.perf_counter() - t0) / 3)
             medians.append(float(np.median(reps)))
         slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])

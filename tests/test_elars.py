@@ -59,7 +59,7 @@ def _duplicated_columns_descent():
 class TestElarsIterate:
     def test_worked_example_double_insertion(self, descent_line):
         inst, line = descent_line
-        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(2)), line)
+        res = elars_iterate(candidate_slope(inst, zero_indicator(2)), line)
         assert res.t_plus == pytest.approx(1.0, abs=1e-12)
         assert indicator_to_string(res.s_plus) == "++00"
         assert res.inserted == (0, 1) and res.deleted == ()
@@ -71,7 +71,7 @@ class TestElarsIterate:
         inst = random_instance(80, m=4, n=6)
         lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
         line = ParameterLine(inst.b, lam_max, np.zeros(8), -1.0)
-        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(6)), line)
+        res = elars_iterate(candidate_slope(inst, zero_indicator(6)), line)
         lam_break = lam_max - res.t_plus
         # just above the breakpoint one coefficient is zero, just below active
         x_hi = lasso_reference(inst.A, inst.y, lam_break * 1.02, LassoConfig(tol=1e-12))
@@ -84,7 +84,7 @@ class TestElarsIterate:
         # y = 0: the zero zone is left only through the lambda -> 0 wall
         inst = ProblemInstance(A=np.array([[1.0]]), rho=0.0, y=np.array([0.0]), lam=1.0)
         line = ParameterLine(inst.b, 1.0, np.zeros(2), -1.0)
-        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(1)), line)
+        res = elars_iterate(candidate_slope(inst, zero_indicator(1)), line)
         assert res.lambda_terminus
         assert res.t_plus == pytest.approx(1.0)
         assert res.deleted == () and res.inserted == ()
@@ -97,18 +97,18 @@ class TestElarsIterate:
         result = path_sweep(inst, line, zero_indicator(32), t_start=0.0, max_segments=1000)
         assert result.stop_reason == "lambda_terminus"
         last = result.segments[-1].s
-        res = elars_iterate(inst, candidate_slope(inst, last), line)
+        res = elars_iterate(candidate_slope(inst, last), line)
         assert res.lambda_terminus
         assert res.inserted == ()
         npt.assert_array_equal(res.s_plus[last == 0], 0)
 
     def test_never_exits_flag(self, two_column):
         line = ParameterLine(two_column.b, 1.0, np.zeros(2), 1.0)  # lambda grows
-        res = elars_iterate(two_column, candidate_slope(two_column, S1), line)
+        res = elars_iterate(candidate_slope(two_column, S1), line)
         # zone {y >= lam} is eventually left when lam passes y = 2
         assert res.t_plus == pytest.approx(1.0)
         up = ParameterLine(np.zeros(2), 1.0, np.zeros(2), 1.0)
-        res_up = elars_iterate(two_column, candidate_slope(two_column, zero_indicator(2)), up)
+        res_up = elars_iterate(candidate_slope(two_column, zero_indicator(2)), up)
         assert res_up.never_exits and res_up.t_plus == math.inf
 
     def test_flags_follow_the_edits_and_the_breakpoint(self, descent_line):
@@ -117,7 +117,7 @@ class TestElarsIterate:
         import dataclasses
 
         inst, line = descent_line
-        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(2)), line)
+        res = elars_iterate(candidate_slope(inst, zero_indicator(2)), line)
         assert not res.one_at_a_time and not res.never_exits
         single = dataclasses.replace(res, inserted=(0,))
         assert single.one_at_a_time
@@ -134,7 +134,7 @@ class TestDiagnoseAssumptions:
 
     def test_worked_example_reports_tie(self, descent_line):
         inst, line = descent_line
-        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(2)), line)
+        res = elars_iterate(candidate_slope(inst, zero_indicator(2)), line)
         assert not res.one_at_a_time
         assert _changed(res) == [0, 1]
 
@@ -142,12 +142,12 @@ class TestDiagnoseAssumptions:
         inst = random_instance(81, m=4, n=6)
         lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
         line = ParameterLine(inst.b, lam_max, np.zeros(8), -1.0)
-        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(6)), line)
+        res = elars_iterate(candidate_slope(inst, zero_indicator(6)), line)
         assert res.one_at_a_time and len(_changed(res)) == 1
 
     def test_duplicated_columns_break_one_at_a_time(self):
         inst, line = _duplicated_columns_descent()
-        res = elars_iterate(inst, candidate_slope(inst, zero_indicator(4)), line)
+        res = elars_iterate(candidate_slope(inst, zero_indicator(4)), line)
         assert not res.one_at_a_time
         assert len(_changed(res)) == 2
 
@@ -251,7 +251,7 @@ class TestPathSweep:
         result = path_sweep(inst, line, zero_indicator(n), t_start=0.0, max_segments=1000)
         assert result.stop_reason == "lambda_terminus"
         for seg in result.segments:
-            ref = restrict_to_line(inst, candidate_slope(inst, seg.s), line)
+            ref = restrict_to_line(candidate_slope(inst, seg.s), line)
             for got, want in ((seg.p, ref.p), (seg.q, ref.q)):
                 assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
             for frac in (0.1, 0.5, 0.9):

@@ -19,6 +19,7 @@ from sgmc import (
     zone_membership,
 )
 from sgmc.model import (
+    ModelMatrices,
     as_indicator,
     build_model_matrices,
     indicator_from_string,
@@ -79,6 +80,56 @@ class TestBuildModelMatrices:
             [[(1 - inst.rho) * np.eye(m), np.zeros((m, m))], [np.zeros((m, m)), np.eye(m)]]
         )
         assert np.abs(sym).max() == 0.0
+
+
+def block_assembly(A, rho):
+    """C and D assembled from their blocks, as `ModelMatrices` forms them."""
+    m, n = A.shape
+    sq = np.sqrt(rho)
+    C = np.zeros((2 * m, 2 * n))
+    C[:m, :n] = A
+    C[m:, n:] = sq * A
+    eye = np.eye(m)
+    return C, np.block([[(1.0 - rho) * eye, sq * eye], [-sq * eye, eye]])
+
+
+class TestFormedOnRead:
+    """`ModelMatrices` holds (A, rho) alone: the dense C and D are formed
+    on their first read, by the independent checks, and a descent reads
+    neither."""
+
+    def test_descent_forms_neither_C_nor_D(self):
+        inst = random_instance(13, m=4, n=8, rho=0.3)
+        lam_max = float(np.abs(inst.matrices.ct(inst.b)).max())
+        line = ParameterLine(inst.b, lam_max, np.zeros(8), -1.0)
+        result = path_sweep(inst, line, zero_indicator(8), t_start=0.0)
+        assert result.stop_reason == "lambda_terminus" and len(result.segments) > 1
+        assert "C" not in vars(inst.matrices) and "D" not in vars(inst.matrices)
+        # the instance's A is shared, and the Gram matrix is not copied
+        assert inst.matrices.A is inst.A
+        assert not inst.matrices.gram.flags.writeable
+
+    def test_check_opt_forms_both_as_assembled(self):
+        inst = random_instance(13, m=4, n=8, rho=0.3)
+        check_opt(inst, np.zeros(16))
+        C, D = vars(inst.matrices)["C"], vars(inst.matrices)["D"]
+        want_C, want_D = block_assembly(inst.A, inst.rho)
+        assert C.shape == want_C.shape and C.tobytes() == want_C.tobytes()
+        assert D.shape == want_D.shape and D.tobytes() == want_D.tobytes()
+        assert not C.flags.writeable and not D.flags.writeable
+        # a sibling's checks read the same arrays
+        sibling = inst.with_params(lam=0.5)
+        check_opt(sibling, np.zeros(16))
+        assert sibling.matrices.C is C and sibling.matrices.D is D
+
+    def test_outside_A_is_copied_read_only(self):
+        for A in (np.arange(6).reshape(2, 3), np.arange(6.0).reshape(2, 3)):
+            mats = ModelMatrices(A=A, rho=0.3)
+            assert mats.A.dtype == float and not mats.A.flags.writeable
+            A[0, 0] = 99
+            npt.assert_array_equal(mats.A, np.arange(6.0).reshape(2, 3))
+            with pytest.raises(ValueError):
+                mats.A[0, 0] = 1.0
 
 
 OPERATOR_RTOL = 1e-13  # block operator against dense product, relative to the terms

@@ -27,6 +27,28 @@ def test_run_worked_example():
     assert "nodes: ['++00', '--00', '0000']" in done.stdout
 
 
+def test_scripts_run_from_a_checkout_without_pythonpath():
+    # each script puts the checkout's src/ on sys.path itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for args in (["run_worked_example.py"], ["iteration_scaling.py", "--help"]):
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
+def test_iteration_scaling_descent():
+    done = run_script("iteration_scaling.py", "--descent", "--m", "20", "--n", "40", "--to", "0.01")
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.splitlines()[1:]
+    assert header.split() == ["to", "segments", "ms/segment", "max", "|E|", "setup", "RSS",
+                              "peak", "RSS", "stop"]
+    to, segments, ms, support, setup, _, peak, _, stop = row.split()
+    assert to == "0.01" and int(segments) > 0 and float(ms) > 0
+    assert 0 < int(support) <= 40 and 0 < float(setup) <= float(peak)
+    assert stop == "t_end_reached"
+    assert run_script("iteration_scaling.py", "--descent", "--to", "1").returncode == 2
+
+
 @pytest.mark.parametrize("extra", [[], ["--reuse-slope"]])
 def test_iteration_scaling(extra):
     done = run_script("iteration_scaling.py", "--m", "8", "--n", "16", "--sizes", "2,4,8", *extra)

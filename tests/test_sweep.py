@@ -29,7 +29,7 @@ S1 = indicator_from_string("++00")
 
 def _restricted(inst, s, line):
     """The zone of indicator s restricted to the line."""
-    return restrict_to_line(inst, candidate_slope(inst, s), line)
+    return restrict_to_line(candidate_slope(inst, s), line)
 
 
 class TestParameterLine:
@@ -111,7 +111,7 @@ class TestRestrictToLine:
         rng = np.random.default_rng(60)
         line = ParameterLine(inst.b, inst.lam, rng.normal(size=6), -0.3)
         piece = candidate_slope(inst, s)
-        restricted = restrict_to_line(inst, piece, line)
+        restricted = restrict_to_line(piece, line)
         for t in (-1.0, 0.0, 1.0, 0.31, -2.7):
             b, lam = line.point_at(t)
             npt.assert_allclose(restricted.weq_at(t), eval_weq(piece, b, lam), atol=1e-10)
@@ -292,7 +292,7 @@ class TestZoneEntryTime:
         s = encode_sopt(inst, w)
         line = ParameterLine(inst.b, inst.lam, np.zeros(6), -1.0)
         piece = candidate_slope(inst, s)
-        times = zone_exit_times(restrict_to_line(inst, piece, line))
+        times = zone_exit_times(restrict_to_line(piece, line))
         assert times.t_entry <= times.t_plus
         for t in np.linspace(max(times.t_entry, -20), min(times.t_plus, 20), 25):
             b, lam = line.point_at(t)
@@ -311,7 +311,7 @@ class TestIntervalCorrectness:
             rng = np.random.default_rng(seed)
             line = ParameterLine(inst.b, inst.lam, 0.3 * rng.normal(size=6), -0.2)
             piece = candidate_slope(inst, s)
-            times = zone_exit_times(restrict_to_line(inst, piece, line))
+            times = zone_exit_times(restrict_to_line(piece, line))
             if not times.t_entry < times.t_plus:  # degenerate: the line touches the zone
                 continue
             lo = max(times.t_entry, -30.0)
@@ -438,7 +438,7 @@ class TestDenseReference:
     def test_restrict_matches_dense(self, label, inst, s, line):
         piece = candidate_slope(inst, s)
         assert piece.compatible
-        r = restrict_to_line(inst, piece, line)
+        r = restrict_to_line(piece, line)
         p, q, CUV = dense_restrict(inst, piece, line)
         x_scale = max(np.abs(p).max(), np.abs(q).max(), 1.0)
         # cu and cv differ from C^T [u, v] where they were snapped, by noise
@@ -468,7 +468,7 @@ class TestDenseReference:
         for piece in pieces:
             if not piece.compatible:
                 continue
-            r = restrict_to_line(inst, piece, line)
+            r = restrict_to_line(piece, line)
             p, q, _ = dense_restrict(inst, piece, line)
             x_scale = max(np.abs(p).max(), np.abs(q).max(), 1.0)
             for got, want in ((r.p, p), (r.q, q)):
