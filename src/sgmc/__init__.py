@@ -4,7 +4,6 @@ least-squares model, traced by an extended least angle regression."""
 __version__ = "0.1.0"
 
 from .model import (
-    ModelMatrices,
     ProblemInstance,
     indicator_from_string,
     indicator_to_string,
@@ -19,8 +18,6 @@ from .optimality import (
     summarize,
 )
 from .candidate import (
-    CandidatePiece,
-    IncompatibleIndicatorError,
     candidate_slope,
     eqnq_membership,
     eval_weq,
@@ -29,7 +26,6 @@ from .candidate import (
 )
 from .sweep import (
     ParameterLine,
-    ZoneExit,
     restrict_to_line,
     zone_exit_times,
 )

@@ -342,31 +342,31 @@ def zone_membership(
     s: np.ndarray,
     b: np.ndarray,
     lam: float,
-    tol: float = ZONE_TOL,
     piece: CandidatePiece | None = None,
 ) -> bool:
     """Whether (b, lambda) lies in the candidate zone of s: `in_zone` on the
     `zone_margins` of w = eval_weq(s; b, lam), so sign consistency
-    s_i w_i >= -tol*lambda on the support and |xi_i(w)| <= lambda*(1 + tol)
-    off it, at 0 < lambda < inf; never for an incompatible indicator.  A
-    precomputed `piece` skips the slope rebuild.
+    s_i w_i >= -ZONE_TOL*lambda on the support and
+    |xi_i(w)| <= lambda*(1 + ZONE_TOL) off it, at 0 < lambda < inf; never
+    for an incompatible indicator.  The slack is the zone test's own and is
+    not settable: a caller that needs another bound compares
+    `zone_margins` with it.  A precomputed `piece` skips the slope rebuild.
     """
     if piece is None:
         piece = candidate_slope(inst, s)
-    return bool(in_zone(zone_margins(inst, piece, b, lam), lam, tol))
+    return bool(in_zone(zone_margins(inst, piece, b, lam), lam))
 
 
-def in_zone(margin: float | np.ndarray, lam: float | np.ndarray, tol: float = ZONE_TOL):
+def in_zone(margin: float | np.ndarray, lam: float | np.ndarray):
     """Zone membership at each point from its worst zone margin
-    (`zone_margins`): at least -tol*lambda, at 0 < lambda < inf; a NaN or
-    -inf fails.  A negative tol demands that margin, |tol|*lambda, inside
-    the zone.  w and xi are homogeneous in (b, lambda), so the slack scales
-    with the point and (alpha*b, alpha*lambda) gets the answer of
-    (b, lambda) for every alpha > 0.  A zone test, not the optimality
-    certificate: its slack is on the scale of lambda, not of
+    (`zone_margins`): at least -ZONE_TOL*lambda, at 0 < lambda < inf; a
+    NaN or -inf fails.  w and xi are homogeneous in (b, lambda), so the
+    slack scales with the point and (alpha*b, alpha*lambda) gets the
+    answer of (b, lambda) for every alpha > 0.  A zone test, not the
+    optimality certificate: its slack is on the scale of lambda, not of
     `certificate_scale`'s S."""
     lam = np.asarray(lam)
-    return (margin >= -tol * lam) & (lam > 0) & (lam < np.inf)
+    return (margin >= -ZONE_TOL * lam) & (lam > 0) & (lam < np.inf)
 
 
 def zone_margins(
@@ -398,11 +398,13 @@ def strictly_inside(
     lam: float,
     piece: CandidatePiece | None = None,
 ) -> bool:
-    """Operational interior test: `zone_membership` with the negative
-    tolerance -INTERIOR_MARGIN, so the zone margin is at least
-    1e-6*lambda, at 0 < lambda < inf; never for an incompatible indicator.
-    The margin is on the scale of lambda, as the zone test's slack is, so
+    """Operational interior test: the worst zone margin (`zone_margins`)
+    is at least INTERIOR_MARGIN*lambda, at 0 < lambda < inf (the margin is
+    -inf at lambda = inf); never for an incompatible indicator.  The margin
+    is on the scale of lambda, as the zone test's slack is, so
     (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
     alpha > 0.  Its callers pick sample points with it for checks that a
     boundary would spoil."""
-    return zone_membership(inst, s, b, lam, tol=-INTERIOR_MARGIN, piece=piece)
+    if piece is None:
+        piece = candidate_slope(inst, s)
+    return bool(lam > 0 and zone_margins(inst, piece, b, lam) >= INTERIOR_MARGIN * lam)

@@ -1,8 +1,12 @@
 """Command-line surface: solve one instance, sweep a parameter line,
 enumerate the zone graph, or run the cross-oracle verification suite.
 
-Exit codes: 0 success, 1 input error, 2 numerical non-convergence or failed
-verification, 3 truncation/incomplete enumeration.
+`sgmc path` starts in the zero zone, and in the oracle's zone only where
+`path_sweep`, the one judge of a start, refuses the zero zone.
+
+Exit codes: 0 success, 1 input error, 2 numerical non-convergence, a
+refused path start or failed verification, 3 truncation/incomplete
+enumeration.
 """
 
 from __future__ import annotations
@@ -118,19 +122,12 @@ def cmd_solve(args) -> int:
     return 0 if converged else 2
 
 
-def _resolve_init(inst, line, t_start):
-    """The zero zone if it holds (b(t_start), lambda(t_start)), else the
-    oracle's certified indicator there."""
-    if not math.isfinite(t_start):  # name it before the init strategies reject lambda
-        raise ValueError(f"t_start must be finite, got {t_start}")
-    b0, lam0 = line.point_at(t_start)
-    try:
-        return initialize_indicator(inst, b0, lam0, strategy="zero")
-    except ValueError:
-        return initialize_indicator(inst, b0, lam0, strategy="from_oracle")
-
-
 def cmd_path(args) -> int:
+    """Sweep the line from the zero zone; where `path_sweep` refuses that
+    start, sweep from the oracle's certified indicator at
+    (b(t_start), lambda(t_start)) instead.  A refusal of the oracle's
+    start, by its certificate or by the sweep's, is an InitializationError
+    (exit 2) whose message says it was the oracle's."""
     if args.grid < 1:  # an empty grid would write a CSV of its header alone
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     if args.t_end == args.t_start:  # an empty window would write no segment
@@ -142,15 +139,21 @@ def cmd_path(args) -> int:
     if delta_b.size == inst.m:  # y-only velocity: keep r fixed
         delta_b = np.concatenate([delta_b, np.zeros(inst.m)])
     line = ParameterLine(inst.b, inst.lam, delta_b, args.delta_lambda)
-    s_init = _resolve_init(inst, line, args.t_start)
-    result = path_sweep(
-        inst,
-        line,
-        s_init,
-        t_start=args.t_start,
-        t_end=args.t_end if args.t_end is not None else math.inf,
-        max_segments=args.max_segments,
-    )
+
+    def sweep(s_init):
+        return path_sweep(inst, line, s_init, t_start=args.t_start,
+                          t_end=math.inf if args.t_end is None else args.t_end,
+                          max_segments=args.max_segments)
+
+    try:
+        result = sweep(zero_indicator(inst.n))
+    except InitializationError:  # the zero zone misses the start
+        try:
+            result = sweep(initialize_indicator(inst, *line.point_at(args.t_start),
+                                                strategy="from_oracle"))
+        except InitializationError as exc:
+            raise InitializationError(
+                f"{exc} [oracle start; the zero zone does not hold t_start]") from exc
     _write_json(args.out, result.to_dict())
     if args.csv_out:
         _write_path_csv(args.csv_out, inst, line, result, args.grid)

@@ -41,8 +41,13 @@ from .oracle import solve_saddle
 from .sweep import ParameterLine, ZoneExit, restrict_to_line, zone_exit_times
 
 
-class InitializationError(RuntimeError):
-    """Raised when no valid starting indicator can be certified."""
+class InitializationError(ValueError):
+    """Raised when a start indicator is refused: `path_sweep` refuses a
+    start zone that is incompatible or whose interval on the line misses
+    t_start, and `initialize_indicator` an oracle indicator that fails its
+    certificate.  A ValueError, so that a caller that catches bad input
+    catches it too; the command line exits 2 on it, as a numerical
+    failure at a start a valid instance can have."""
 
 
 def elars_iterate(piece: CandidatePiece, line: ParameterLine) -> ZoneExit:
@@ -174,6 +179,14 @@ def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
     return piece
 
 
+# why `path_sweep` refuses a start, by the name of the failed check
+START_REFUSALS = {
+    "incompatible_indicator": "its zone is empty (the indicator is incompatible)",
+    "unverified_step": "the line enters its zone after t_start",
+    "degenerate_interval": "the line leaves its zone before t_start",
+}
+
+
 def path_sweep(
     inst: ProblemInstance,
     line: ParameterLine,
@@ -194,9 +207,11 @@ def path_sweep(
     closed-form interval [entry, exit], which must hold the zone's first
     time (t_start, or the breakpoint the step landed on) within the line's
     tie window (`ParameterLine.window`); `ZoneExit.misses` checks this
-    right after each zone's step.  A start zone that fails it, or sits at
-    lambda(t_start) <= 0, raises ValueError (so does an incompatible
-    `s_init`).  A landing zone that is incompatible or entered after its
+    right after each zone's step.  It is the one judge of the start: an
+    incompatible `s_init`, or one whose zone the line enters after t_start
+    or leaves before it, raises InitializationError (a ValueError) that
+    names which (`START_REFUSALS`); lambda(t_start) <= 0 raises
+    ValueError.  A landing zone that is incompatible or entered after its
     breakpoint stops the sweep as `unverified_step`, one left before it as
     `degenerate_interval`, even where `max_segments` would cut the sweep
     there.  A zone the line only touches at a breakpoint is a zero-length
@@ -230,11 +245,12 @@ def path_sweep(
         raise ValueError(f"lambda(t_start) must be positive, got {lam_start}")
     counts = dict.fromkeys(("pieces_updated", "pieces_rebuilt", "memo_hits"), 0)
     piece = _memoized(pieces, s, lambda: candidate_slope(inst, s), counts)
-    res = elars_iterate(piece, line)
-    if res.misses(t_start):
-        raise ValueError(
+    res = elars_iterate(piece, line) if piece.compatible else None
+    refusal = "incompatible_indicator" if res is None else res.misses(t_start)
+    if refusal:
+        raise InitializationError(
             "s_init is not a valid zone indicator at t_start "
-            f"(s={indicator_to_string(s)}, t={t_start})"
+            f"(s={indicator_to_string(s)}, t={t_start}): {START_REFUSALS[refusal]}"
         )
 
     segments: list[PathSegment] = []
@@ -304,19 +320,24 @@ def initialize_indicator(
 ) -> np.ndarray:
     """Starting indicator whose zone contains (b, lambda).
 
-    `zero` certifies the all-zero zone by `zone_membership` at its
-    default slack, max_i |c_i^T b| <= lambda*(1 + ZONE_TOL) at
-    0 < lambda < inf: the bound and its slack are both on the scale of
-    lambda, so (alpha*b, alpha*lambda) gets the answer of (b, lambda) for
-    every alpha > 0.  `from_oracle` solves the instance by `solve_saddle` at its
-    default config, encodes the equicorrelation signs and certifies them
-    by zone membership, failing loudly on zone boundaries (the caller may
-    perturb lambda and retry); both read the iterate at ORACLE_READ_TOL*S,
-    S = max(lambda, ||C^T b||_inf) (`certificate_scale`), a slack that
-    absorbs the error the oracle's stop bounds on the same scale S.  Both
-    slacks scale with (b, lambda), so neither strategy's answer depends on
-    the data's scale.  A point that fails either certificate, NaN
-    included, is never given an indicator.
+    `zero` certifies the all-zero zone by `zone_membership`,
+    max_i |c_i^T b| <= lambda*(1 + ZONE_TOL) at 0 < lambda < inf: the
+    bound and its slack are both on the scale of lambda, so
+    (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
+    alpha > 0, and a failure raises ValueError.  `from_oracle` solves the
+    instance by `solve_saddle` at its default config, encodes the
+    equicorrelation signs and certifies them by their worst zone margin
+    (`zone_margins`), raising InitializationError on zone boundaries (the
+    caller may perturb lambda and retry); both read the iterate at
+    ORACLE_READ_TOL*S, S = max(lambda, ||C^T b||_inf)
+    (`certificate_scale`), a slack that absorbs the error the oracle's
+    stop bounds on the same scale S.  Both slacks scale with (b, lambda),
+    so neither strategy's answer depends on the data's scale.  A point
+    that fails either certificate, NaN included, is never given an
+    indicator.  A sweep from either indicator is judged again, by
+    `path_sweep`'s start certificate, which alone decides where a path
+    can start: `sgmc path` tries the zero zone there first and calls
+    this only when that sweep refuses it.
     """
     b = np.ravel(b)
     if strategy == "zero":
@@ -331,7 +352,8 @@ def initialize_indicator(
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
     s = encode_sopt(probe, w)
-    if not zone_membership(inst, s, b, lam, tol=ORACLE_READ_TOL * certificate_scale(probe) / lam):
+    margin = zone_margins(inst, candidate_slope(inst, s), b, lam)
+    if not margin >= -ORACLE_READ_TOL * certificate_scale(probe):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
             "zone boundary (perturb lambda and retry)"

@@ -602,12 +602,25 @@ class TestMarginsAtPoints:
                 npt.assert_allclose(margins[j], own, rtol=1e-12, atol=1e-12)
 
     def test_in_zone_reads_one_margin(self):
-        # slack tol * lambda, at 0 < lambda < inf; NaN and -inf fail
+        # slack ZONE_TOL * lambda, at 0 < lambda < inf; NaN and -inf fail
         lams = np.array([1.0, 2.0, 1.0, 0.0, math.inf, 1.0, 1.0])
         margin = np.array([-1e-9, -2.1e-9, 0.5, 0.5, 0.5, math.nan, -math.inf])
         npt.assert_array_equal(in_zone(margin, lams),
                                [True, False, True, False, False, False, False])
-        assert in_zone(1e-6, 1.0, tol=-1e-6) and not in_zone(0.9e-6, 1.0, tol=-1e-6)
+
+    def test_strictly_inside_reads_one_margin(self, two_column):
+        # the zero zone's margin at (y, 0; lambda) is lambda - |y|: the
+        # interior demands 1e-6 * lambda of it, at every scale, and no
+        # margin counts at lambda = 0 or inf
+        s0 = zero_indicator(2)
+        for alpha in (1.0, 4.0, 2.0 ** -30):
+            lam = alpha * 1.0
+            inside = alpha * np.array([1.0 - 1e-6, 0.0])
+            short = alpha * np.array([1.0 - 0.9e-6, 0.0])
+            assert strictly_inside(two_column, s0, inside, lam)
+            assert not strictly_inside(two_column, s0, short, lam)
+        assert not strictly_inside(two_column, s0, np.zeros(2), 0.0)
+        assert not strictly_inside(two_column, s0, np.zeros(2), math.inf)
 
 
 def _interior_zone_sample(seed, rho=0.0):

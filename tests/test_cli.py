@@ -205,19 +205,21 @@ def test_path_exit_code_per_stop_reason(instance_file, tmp_path, monkeypatch, st
     assert json.loads(out.read_text())["stop_reason"] == stop
 
 
-@pytest.mark.parametrize("start", ["++00", "+-00"])
-def test_path_invalid_start_exits_1(instance_file, tmp_path, monkeypatch, capsys, start):
-    # an indicator whose zone misses the start point, or an incompatible
-    # one, is an input error of the sweep
+@pytest.mark.parametrize("start, why", [("--00", "after t_start"), ("+-00", "incompatible")])
+def test_path_invalid_start_exits_2(instance_file, tmp_path, monkeypatch, capsys, start, why):
+    # below lambda_max the zero zone misses the start; an oracle indicator
+    # that path_sweep then refuses, its zone missing the start point or
+    # incompatible, is a refused start: exit 2, and the error names it
     import sgmc.cli
     from sgmc.model import indicator_from_string
 
     monkeypatch.setattr(sgmc.cli, "initialize_indicator",
                         lambda *args, **kwargs: indicator_from_string(start))
     argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
-            "--out", str(tmp_path / "p.json")]
-    assert main(argv) == 1
-    assert "error:" in capsys.readouterr().err
+            "--t-start", "1.5", "--out", str(tmp_path / "p.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and why in err and "oracle start" in err
     assert not (tmp_path / "p.json").exists()
 
 
@@ -227,10 +229,26 @@ def test_path_initialization_error_exits_2(instance_file, tmp_path, monkeypatch,
 
     monkeypatch.setattr(sgmc.cli, "initialize_indicator", refuse)
     argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
-            "--out", str(tmp_path / "p.json")]
+            "--t-start", "1.5", "--out", str(tmp_path / "p.json")]
     assert main(argv) == 2
     assert "error: oracle indicator failed" in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
+
+
+def test_path_start_in_the_zero_zone_skips_the_oracle(instance_file, tmp_path, monkeypatch):
+    # above lambda_max path_sweep accepts the zero zone, and no other start
+    # is built or judged before it
+    def refuse(*args, **kwargs):
+        raise AssertionError("path built a start before path_sweep judged the zero zone")
+
+    monkeypatch.setattr(sgmc.cli, "initialize_indicator", refuse)
+    out = tmp_path / "p.json"
+    argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    path = json.loads(out.read_text())
+    assert path["stop_reason"] == "lambda_terminus"
+    assert path["segments"][0]["s"] == "0000"
 
 
 def test_path_starts_from_the_oracle_below_lambda_max(instance_file, tmp_path, monkeypatch):
@@ -254,10 +272,28 @@ def test_path_starts_from_the_oracle_below_lambda_max(instance_file, tmp_path, m
     argv = ["path", "--instance", instance_file(data), "--delta-lambda", "-1",
             "--max-segments", "1000", "--out", str(out)]
     assert main(argv) == 0
-    assert strategies == ["zero", "from_oracle"]
+    assert strategies == ["from_oracle"]
     path = json.loads(out.read_text())
     assert path["stop_reason"] == "lambda_terminus"
     assert path["segments"][0]["s"] != "0" * 16
+
+
+def test_path_refused_oracle_start_exits_2(instance_file, tmp_path, capsys):
+    # integer A and y (scripts/families.py's integer(7, 0.8)) at lambda = 2,
+    # a breakpoint below lambda_max = 4: the oracle's indicator passes its
+    # certificate, but its zone's interval on the line begins after
+    # t_start, so path_sweep refuses it.  A refused start of a valid
+    # instance is a numerical failure (2), not an input error (1)
+    rng = np.random.default_rng(7)
+    A = rng.integers(-1, 2, (6, 12))
+    data = {"A": A.tolist(), "rho": 0.8, "y": rng.integers(-2, 3, 6).tolist(), "lambda": 2.0}
+    out = tmp_path / "p.json"
+    argv = ["path", "--instance", instance_file(data), "--delta-lambda", "-1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: s_init is not a valid zone indicator") and "oracle start" in err
+    assert not out.exists()
 
 
 def test_path_y_only_velocity_keeps_r_fixed(instance_file, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from sgmc import (
     EnumerationConfig,
+    InitializationError,
     LassoConfig,
     ParameterLine,
     ProblemInstance,
@@ -708,14 +709,22 @@ class TestStartCertificate:
             path_sweep(two_column, line, zero_indicator(2), t_start=t_start)
 
     def test_incompatible_start_raises(self, two_column):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refusal:
             path_sweep(two_column, self.Y_LINE, indicator_from_string("+-00"), t_start=0.0)
+        assert isinstance(refusal.value, InitializationError)
+        assert "its zone is empty" in str(refusal.value)
 
-    @pytest.mark.parametrize("name, t_start", [("0000", 1e-6), ("++00", -1e-6),
-                                               ("0000", 3.0), ("--00", 0.0)])
-    def test_start_outside_zone_raises(self, two_column, name, t_start):
-        with pytest.raises(ValueError, match="not a valid zone indicator"):
+    LEAVES = "the line leaves its zone before t_start"
+    ENTERS = "the line enters its zone after t_start"
+
+    @pytest.mark.parametrize("name, t_start, why", [("0000", 1e-6, LEAVES), ("++00", -1e-6, ENTERS),
+                                                    ("0000", 3.0, LEAVES), ("--00", 0.0, LEAVES)])
+    def test_start_outside_zone_raises(self, two_column, name, t_start, why):
+        # a refused start is an InitializationError that says which half of
+        # the interval missed t_start
+        with pytest.raises(ValueError, match="not a valid zone indicator") as refusal:
             path_sweep(two_column, self.Y_LINE, indicator_from_string(name), t_start=t_start)
+        assert isinstance(refusal.value, InitializationError) and why in str(refusal.value)
 
     @pytest.mark.parametrize("name, t_start", [("0000", 1e-10), ("++00", -1e-10)])
     def test_start_within_tie_window_accepted(self, two_column, name, t_start):
@@ -809,7 +818,8 @@ class TestEnumerateZones:
         )
         for sa, sb, b_w, lam_w in graph.edges:
             for key in (sa, sb):
-                assert zone_membership(two_column, graph.nodes[key], b_w, lam_w, tol=1e-7)
+                piece = candidate_slope(two_column, graph.nodes[key])
+                assert zone_margins(two_column, piece, b_w, lam_w) >= -1e-7 * lam_w
 
     def test_matches_brute_force_on_small_instance(self):
         inst = random_instance(87, m=2, n=2, rho=0.5)

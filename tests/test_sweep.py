@@ -16,10 +16,9 @@ from sgmc import (
     solve_saddle,
     zero_indicator,
     zone_exit_times,
-    zone_membership,
 )
 from sgmc.optimality import correlation
-from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError, next_piece
+from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError, next_piece, zone_margins
 from sgmc.sweep import f_tmax
 
 from conftest import random_instance
@@ -298,7 +297,7 @@ class TestZoneEntryTime:
             b, lam = line.point_at(t)
             if lam <= 0:
                 continue
-            assert zone_membership(inst, s, b, lam, tol=1e-7, piece=piece)
+            assert zone_margins(inst, piece, b, lam) >= -1e-7 * lam
 
 
 class TestIntervalCorrectness:
@@ -320,7 +319,7 @@ class TestIntervalCorrectness:
                 b, lam = line.point_at(float(t))
                 if lam <= 0:
                     continue
-                assert zone_membership(inst, s, b, lam, tol=1e-7, piece=piece)
+                assert zone_margins(inst, piece, b, lam) >= -1e-7 * lam
                 hits += 1
             margin = 1e-6 * (1.0 + abs(hi))
             for t in (times.t_entry, times.t_plus):
@@ -334,7 +333,7 @@ class TestIntervalCorrectness:
                         continue
                     # strictly outside by the margin: not a member
                     if outside < times.t_entry - margin / 2 or outside > times.t_plus + margin / 2:
-                        assert not zone_membership(inst, s, b, lam, tol=1e-9, piece=piece)
+                        assert not zone_margins(inst, piece, b, lam) >= -1e-9 * lam
                         hits += 1
         assert hits >= 50
 
