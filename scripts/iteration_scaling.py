@@ -30,6 +30,18 @@ whole run.  Peak RSS is per process, so each size runs in its own:
 
     python3 scripts/iteration_scaling.py --descent --m 500 --n 5000 --to 0.2
 
+--enumerate instead runs one `enumerate_zones` on the instance with y = 0
+(A is the first draw of default_rng(--seed), as in the other modes), with
+--samples coverage points at r_y = 3 and lambda = --delta-lambda-min,
+drawn from the same seed.  It prints the nodes, edges, rays and covered
+samples, the seconds of the call, the peak RSS of the run, whether the
+dense C or D of the structural matrices was formed, and a sha256 of the
+graph (nodes, edges with their witnesses, and which samples are covered),
+which two checkouts can compare.  --samples defaults to 4 and
+--delta-lambda-min to 3:
+
+    python3 scripts/iteration_scaling.py --enumerate --m 200 --n 2000 --seed 0
+
 BLAS runs on one thread, as in scripts/fingerprint.py.
 """
 
@@ -40,6 +52,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import hashlib
+import json
 import resource
 import sys
 import time
@@ -51,10 +65,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from sgmc import (  # noqa: E402
+    EnumerationConfig,
     ParameterLine,
     ProblemInstance,
     candidate_slope,
     elars_iterate,
+    enumerate_zones,
     path_sweep,
     zero_indicator,
 )
@@ -122,13 +138,34 @@ def descent(inst, frac):
     return result, time.perf_counter() - t0
 
 
+def enumerate_once(inst, samples, delta_lambda_min, seed):
+    """One `enumerate_zones` on `inst`; print its graph, time, memory and
+    whether the dense C or D was formed."""
+    config = EnumerationConfig(r_y=3.0, delta_lambda_min=delta_lambda_min,
+                               n_coverage=samples, seed=seed)
+    t0 = time.perf_counter()
+    graph = enumerate_zones(inst, config)
+    seconds = time.perf_counter() - t0
+    dense = "yes" if {"C", "D"} & set(vars(inst.matrices)) else "no"
+    digest = hashlib.sha256(
+        json.dumps({"graph": graph.to_dict(), "covered": graph.covered}).encode()
+    ).hexdigest()
+    print(f"{'nodes':>6} {'edges':>6} {'rays':>5} {'covered':>8} {'seconds':>8} "
+          f"{'peak RSS':>10} {'dense C/D':>9}")
+    print(f"{len(graph.nodes):>6} {len(graph.edges):>6} {graph.rays:>5} "
+          f"{graph.coverage_covered:>4}/{graph.coverage_required:<3} {seconds:>8.2f} "
+          f"{peak_rss_mb():>7.1f} MB {dense:>9}")
+    print(f"graph sha256 {digest}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m", type=int, default=48)
     parser.add_argument("--n", type=int, default=96)
     parser.add_argument("--rho", type=float, default=0.3)
     parser.add_argument("--sizes", default="5,10,20,40")
-    parser.add_argument("--seed", type=int, default=888)
+    parser.add_argument("--seed", type=int, default=888,
+                        help="seed of the instance (and, with --enumerate, of the coverage samples)")
     parser.add_argument(
         "--reuse-slope",
         action="store_true",
@@ -146,15 +183,28 @@ def main():
     )
     parser.add_argument("--to", type=float, default=0.01,
                         help="with --descent, the end of the descent as a fraction of lambda_max")
+    parser.add_argument(
+        "--enumerate",
+        action="store_true",
+        help="run one zone enumeration with y = 0 and report its graph, time and memory",
+    )
+    parser.add_argument("--samples", type=int, default=4,
+                        help="with --enumerate, the number of coverage samples")
+    parser.add_argument("--delta-lambda-min", type=float, default=3.0,
+                        help="with --enumerate, the lambda of the coverage samples")
     args = parser.parse_args()
     if args.descent and not 0.0 < args.to < 1.0:
         parser.error(f"--to must lie in (0, 1), got {args.to}")
 
     rng = np.random.default_rng(args.seed)
-    inst = ProblemInstance(
-        A=rng.normal(size=(args.m, args.n)), rho=args.rho, y=rng.normal(size=args.m), lam=1.0
-    )
+    A = rng.normal(size=(args.m, args.n))
+    y = np.zeros(args.m) if args.enumerate else rng.normal(size=args.m)
+    inst = ProblemInstance(A=A, rho=args.rho, y=y, lam=1.0)
     print(f"m={args.m} n={args.n} rho={args.rho}")
+
+    if args.enumerate:
+        enumerate_once(inst, args.samples, args.delta_lambda_min, args.seed)
+        return
 
     if args.descent:
         inst.matrices  # noqa: B018 - built here, so the setup figure includes it

@@ -39,12 +39,12 @@ its residual check) and `apply` reuses at every call.
 M and the border of an insertion (column C_E^T D c_j, row c_j^T D C_E and
 corner c_j^T D c_j) are entries of G = C^T D C = T kron A^T A, gathered
 from the instance's cached A^T A (`ModelMatrices.gram_block`,
-`gram_border`).  The pieces apply C and D through the block operators of
-`ModelMatrices`.  The zone tests do not: `zone_margins` (and so
-`zone_membership`) and `eqnq_membership` form xi with
-`optimality.correlation`, on the dense C and D that its first call forms,
-the same product that brute force evaluates, so both judge a boundary
-sample alike.
+`gram_border`).  The pieces and the zone tests (`zone_margins`, and so
+`zone_membership` and `strictly_inside`) apply C and D through the block
+operators of `ModelMatrices` that the piece holds.  Only
+`eqnq_membership`, which judges an answer another routine formed, forms
+xi with `optimality.correlation`, on the dense C and D of the
+certificate.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def zone_membership(
     """
     if piece is None:
         piece = candidate_slope(inst, s)
-    return bool(in_zone(zone_margins(inst, piece, b, lam), lam))
+    return bool(in_zone(zone_margins(piece, b, lam), lam))
 
 
 def in_zone(margin: float | np.ndarray, lam: float | np.ndarray):
@@ -370,7 +370,7 @@ def in_zone(margin: float | np.ndarray, lam: float | np.ndarray):
 
 
 def zone_margins(
-    inst: ProblemInstance, piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray
+    piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray
 ) -> float | np.ndarray:
     """Worst margin of the zone of `piece` at (b, lambda), >= 0 inside: the
     least of s_i w_i over the support and lambda - |xi_i(w)| off it, -inf
@@ -378,15 +378,17 @@ def zone_margins(
     is not finite, where no zone lies.  No map is formed at such a point
     (at lambda = inf it would take inf - inf).  k points given as the
     columns of `b`, with `lam` of length k, give k margins from one
-    evaluation of the map and one correlation product."""
+    evaluation of the map and one correlation product,
+    xi = C^T (b - D C w), applied through the piece's own `mats` as
+    `eval_weq` applies C^T: no dense C or D is formed."""
     keep = np.isfinite(lam) & piece.compatible
     if not keep.all():
         margins = np.full(np.shape(lam), -np.inf)
         if keep.any():
-            margins[keep] = zone_margins(inst, piece, np.asarray(b)[:, keep], np.asarray(lam)[keep])
+            margins[keep] = zone_margins(piece, np.asarray(b)[:, keep], np.asarray(lam)[keep])
         return margins[()]
     w = eval_weq(piece, b, lam)
-    xi = correlation(inst, w, b=b)
+    xi = np.transpose(piece.mats.ct(np.transpose(b) - piece.mats.dc(np.transpose(w))))
     s = piece.s.reshape((-1,) + (1,) * (w.ndim - 1))
     return np.where(s != 0, s * w, lam - np.abs(xi)).min(axis=0)
 
@@ -407,4 +409,4 @@ def strictly_inside(
     boundary would spoil."""
     if piece is None:
         piece = candidate_slope(inst, s)
-    return bool(lam > 0 and zone_margins(inst, piece, b, lam) >= INTERIOR_MARGIN * lam)
+    return bool(lam > 0 and zone_margins(piece, b, lam) >= INTERIOR_MARGIN * lam)

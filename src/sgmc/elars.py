@@ -179,6 +179,11 @@ def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
     return piece
 
 
+def _is_count(value) -> bool:
+    """Whether `value` is an integer >= 1; a bool is not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 # why `path_sweep` refuses a start, by the name of the failed check
 START_REFUSALS = {
     "incompatible_indicator": "its zone is empty (the indicator is incompatible)",
@@ -220,7 +225,8 @@ def path_sweep(
     exit reaches t_end (`t_end_reached`, or `unbounded` where both are
     +inf) or lies on the lambda -> 0 wall (`lambda_terminus`), with one
     final segment up to the earlier of the two.  It runs to that stop unless
-    an integer `max_segments` >= 1 cuts it first, as `max_segments`.
+    an integer `max_segments` >= 1, not a bool, cuts it first, as
+    `max_segments`.
 
     `pieces` is an optional memo from `s.tobytes()`, the 2n bytes of the
     int8 indicator, to the pieces of `inst`, shared by sweeps that revisit
@@ -236,8 +242,7 @@ def path_sweep(
         raise ValueError("t_end must be a number or inf, got nan")
     if t_end < t_start:
         raise ValueError(f"t_end must not lie before t_start, got {t_end} < {t_start}")
-    if not (max_segments == math.inf
-            or isinstance(max_segments, numbers.Integral) and max_segments >= 1):
+    if not (max_segments == math.inf or _is_count(max_segments)):
         raise ValueError(f"max_segments must be an integer >= 1 or inf, got {max_segments!r}")
     s = as_indicator(s_init)
     lam_start = line.lam_at(t_start)
@@ -352,7 +357,7 @@ def initialize_indicator(
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
     s = encode_sopt(probe, w)
-    margin = zone_margins(inst, candidate_slope(inst, s), b, lam)
+    margin = zone_margins(candidate_slope(inst, s), b, lam)
     if not margin >= -ORACLE_READ_TOL * certificate_scale(probe):
         raise InitializationError(
             "oracle indicator failed zone membership; the point may sit on a "
@@ -373,7 +378,7 @@ class EnumerationConfig:
     drawn, so it makes at most `n_coverage` sweeps, each uncapped.  A point
     whose sweep stops short of it stays uncovered unless a later node's
     zone holds it.  `enumerate_zones` refuses an `n_coverage` below
-    1, whose empty sample would read as complete coverage.
+    1, whose empty sample would read as complete coverage, and a bool.
     """
 
     r_y: float
@@ -472,7 +477,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     for name in ("r_y", "delta_lambda_min"):
         if not 0.0 < getattr(config, name) < math.inf:
             raise ValueError(f"{name} must be positive and finite")
-    if not (isinstance(config.n_coverage, numbers.Integral) and config.n_coverage >= 1):
+    if not _is_count(config.n_coverage):
         raise ValueError(f"n_coverage must be an integer >= 1, got {config.n_coverage!r}")
     rng = np.random.default_rng(config.seed)
     graph = ZoneGraph()
@@ -494,7 +499,7 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         todo = np.flatnonzero(np.logical_not(graph.covered))
         if todo.size:
             lams = cover_lam[todo]
-            inside = in_zone(zone_margins(inst, piece, cover_b[:, todo], lams), lams)
+            inside = in_zone(zone_margins(piece, cover_b[:, todo], lams), lams)
             for j in todo[inside]:
                 graph.covered[j] = True
 

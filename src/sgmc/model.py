@@ -22,13 +22,14 @@ each one gemm on the view followed by a 2 x 2 combination of its rows, and
 C^T D C = T kron A^T A with T = [[1 - rho, rho], [-rho, rho]], of which the
 closed forms only ever gather entries.  `ModelMatrices` applies the first
 two with A and gathers those entries from A^T A, its one cached Gram
-matrix; the pieces and line restrictions of `candidate` and `sweep` apply
-C and D through it only.  It holds A and rho alone, and forms the dense C
-and D on their first read, for `optimality.correlation` and the `oracle`
-solvers, so a descent builds neither.  `check_opt` and the
-oracles thus share no code with the pieces they certify, but the zone
-tests of `candidate` (`zone_margins`, whose one worst margin per point
-`in_zone` reads, and `eqnq_membership`) form xi with `correlation` too.
+matrix; the pieces, line restrictions and zone tests of `candidate` and
+`sweep` apply C and D through it only.  It holds A and rho alone, and
+forms the dense C and D on their first read, for the certificate
+(`optimality.correlation`, `check_opt`, `certificate_scale`,
+`encode_sopt`, and `candidate.eqnq_membership`, which judges answers
+formed elsewhere) and the `oracle` solvers, so no sweep and no zone
+enumeration builds either.  The certificate and the oracles thus share no
+code with the pieces they certify.
 
 Index convention (0-based): entries 0..n-1 of w are primal, n..2n-1 are dual,
 matching the column order of C.  This convention is recorded in every
@@ -290,7 +291,8 @@ _CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
 def as_indicator(s: Sequence[int] | np.ndarray) -> np.ndarray:
     """Validate a sign vector and return it as int8, the one storage type of
     an indicator.  Every entry must be exactly -1, 0 or +1 (a fraction or a
-    NaN is refused, not rounded); a valid int8 array comes back as it is,
+    NaN is refused, not rounded); a boolean array, a support mask rather
+    than signs, is refused too.  A valid int8 array comes back as it is,
     without a copy."""
     arr = np.asarray(s)
     if arr.ndim != 1:
@@ -298,10 +300,10 @@ def as_indicator(s: Sequence[int] | np.ndarray) -> np.ndarray:
     # a range test first: min and max cannot overflow as abs can, a NaN
     # fails it, so the cast sees only values int8 holds; a fraction does
     # not survive the cast unchanged
-    if arr.size and not -1 <= arr.min() <= arr.max() <= 1:
+    if arr.dtype == bool or arr.size and not -1 <= arr.min() <= arr.max() <= 1:
         raise ValueError("indicator entries must be exactly -1, 0 or +1")
     s8 = arr.astype(np.int8, copy=False)
-    if arr.dtype.kind not in "biu" and not np.array_equal(s8, arr):
+    if arr.dtype.kind not in "iu" and not np.array_equal(s8, arr):
         raise ValueError("indicator entries must be exactly -1, 0 or +1")
     return s8
 

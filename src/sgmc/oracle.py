@@ -10,9 +10,10 @@ and the zone enumerator but not of the closed forms: for each support
 size it takes the pseudo-inverses of all supports from one batched
 `rank_cut`, the rule of `candidate_slope`, and tests the zones of all
 their compatible sign patterns, at all samples, in one evaluation, each
-by `in_zone` on its worst margin as `zone_membership` tests one.  Only
-its optimality check, `check_opt`'s rule on the correlations it forms
-from the dense C and D, is independent of them.
+by `in_zone` on its worst margin as `zone_membership` tests one.  Its
+correlations come from the dense C and D (`optimality.correlation`), not
+from the block operators the zone tests apply, and its optimality check,
+`check_opt`'s rule on them, is independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -340,9 +341,15 @@ def brute_force_indicators(
     B = np.column_stack([b for b, _ in points])
     lams = np.array([lam for _, lam in points], dtype=float)
 
+    # formed once for every support size: C^T D C, C^T b at each sample,
+    # and each sample's `certificate_scale` from the dense C
+    mats = base.matrices
+    G = mats.gram_block(np.arange(2 * n))
+    ctb = mats.ct(B.T).T
+    scale = np.maximum(lams, np.abs(mats.C.T @ B).max(axis=0))
     per_sample: list[list[tuple[float, int, str]]] = [[] for _ in points]
     for k in range(2 * n + 1):
-        for j, norm, key in _zone_members(base, k, B, lams):
+        for j, norm, key in _zone_members(base, k, B, lams, G, ctb, scale):
             per_sample[j].append((norm, k, key))
 
     for matched in per_sample:
@@ -360,12 +367,15 @@ def brute_force_indicators(
 
 
 def _zone_members(
-    base: ProblemInstance, k: int, B: np.ndarray, lams: np.ndarray
+    base: ProblemInstance, k: int, B: np.ndarray, lams: np.ndarray,
+    G: np.ndarray, ctb: np.ndarray, scale: np.ndarray,
 ) -> list[tuple[int, float, str]]:
     """(sample index, map norm there, indicator string) for each sample,
     a column of `B` with its lambda in `lams`, that the zone of a
     compatible indicator with k support indices holds and at which its map
-    passes `check_opt`'s rule within CROSS_CHECK_TOL.
+    passes `check_opt`'s rule within CROSS_CHECK_TOL.  `G` is C^T D C,
+    `ctb` holds C^T b and `scale` the `certificate_scale` of each sample,
+    all shared by every k.
 
     One `rank_cut` of the C(2n, k) blocks of C^T D C, one compatibility
     product over all (support, sign pattern) pairs, and one evaluation of
@@ -381,7 +391,6 @@ def _zone_members(
     """
     mats = base.matrices
     two_n = 2 * base.n
-    G = mats.gram_block(np.arange(two_n))
     combos = list(itertools.combinations(range(two_n), k))
     supports = np.array(combos, dtype=int).reshape(len(combos), k)
     patterns = list(itertools.product((1, -1), repeat=k))
@@ -396,7 +405,7 @@ def _zone_members(
     # the compatible pairs' maps at every sample, as `CandidatePiece.apply`
     # forms them before its refinement step: pinv(M) C_E^T b - lambda pinv(M) s_E
     E, s_E = supports[of], signs[pattern]
-    w_E = (cut.Minv @ mats.ct(B.T).T[supports])[of]
+    w_E = (cut.Minv @ ctb[supports])[of]
     w_E -= (cut.Minv @ signs.T)[of, :, pattern][..., None] * lams
     sign_margin = (s_E[..., None] * w_E).min(axis=1, initial=np.inf)
     q, j = np.nonzero(in_zone(sign_margin, lams))
@@ -417,8 +426,7 @@ def _zone_members(
     # `check_opt`'s rule on the members, at the `certificate_scale` of
     # each member's sample
     S, W, xi, lams, j = S[:, inside], W[:, inside], xi[:, inside], lams[inside], j[inside]
-    scale = np.maximum(lams, np.abs(mats.C.T @ B[:, j]).max(axis=0))
-    excess = optimality_excess(W, xi, lams, scale, CERT_TOL).max(axis=0)
+    excess = optimality_excess(W, xi, lams, scale[j], CERT_TOL).max(axis=0)
     norms = np.linalg.norm(W, axis=0)
     return [
         (int(j[r]), float(norms[r]), indicator_to_string(S[:, r]))

@@ -488,8 +488,8 @@ class TestEvalWeq:
             eval_weq(piece, b, 1.0)
         with pytest.raises(IncompatibleIndicatorError):
             piece.apply(inst.matrices.ct(b), 1.0)
-        assert zone_margins(inst, piece, b, 1.0) == -math.inf
-        npt.assert_array_equal(zone_margins(inst, piece, np.ones((2, 3)), np.ones(3)), -math.inf)
+        assert zone_margins(piece, b, 1.0) == -math.inf
+        npt.assert_array_equal(zone_margins(piece, np.ones((2, 3)), np.ones(3)), -math.inf)
         assert not zone_membership(inst, piece.s, b, 1.0, piece=piece)
 
 
@@ -565,10 +565,10 @@ class TestZoneMembership:
             assert not zone_membership(two_column, s, np.array([2.0, 0.0]), lam)
             # among finite lambdas, the other points keep their margins
             piece = candidate_slope(two_column, s)
-            margins = zone_margins(two_column, piece, B, np.array([1.0, lam, 1.0]))
+            margins = zone_margins(piece, B, np.array([1.0, lam, 1.0]))
             assert margins[1] == -math.inf
             npt.assert_array_equal(
-                margins[[0, 2]], zone_margins(two_column, piece, B[:, [0, 2]], np.ones(2)))
+                margins[[0, 2]], zone_margins(piece, B[:, [0, 2]], np.ones(2)))
 
 
 class TestMarginsAtPoints:
@@ -584,7 +584,7 @@ class TestMarginsAtPoints:
             s[[0, 1, 4]] = signs
             piece = with_signs(support_piece, s)
             w = eval_weq(piece, B, lams)
-            margins = zone_margins(inst, piece, B, lams)
+            margins = zone_margins(piece, B, lams)
             assert w.shape == (6, 5) and margins.shape == (5,)
             # the worst of the sign margins on the support and the
             # correlation margins off it
@@ -597,7 +597,7 @@ class TestMarginsAtPoints:
             for j in range(5):
                 npt.assert_allclose(w[:, j], eval_weq(piece, B[:, j], lams[j]),
                                     rtol=1e-12, atol=1e-12)
-                own = zone_margins(inst, piece, B[:, j], lams[j])
+                own = zone_margins(piece, B[:, j], lams[j])
                 assert np.ndim(own) == 0
                 npt.assert_allclose(margins[j], own, rtol=1e-12, atol=1e-12)
 

@@ -485,9 +485,10 @@ class TestPathSweep:
         with pytest.raises(ValueError, match="t_start|t_end"):
             path_sweep(inst, line, zero_indicator(2), t_start=t_start, t_end=t_end)
 
-    @pytest.mark.parametrize("cap", [0, -2, math.nan, 2.5, -math.inf])
+    @pytest.mark.parametrize("cap", [0, -2, math.nan, 2.5, -math.inf, True])
     def test_segment_cap_must_be_a_count_or_inf(self, descent_line, cap):
-        # a cap below 1 gave no segments, and a NaN cap never cut the sweep
+        # a cap below 1 gave no segments, a NaN cap never cut the sweep, and
+        # True, an Integral, ran as a cap of 1
         inst, line = descent_line
         with pytest.raises(ValueError, match="max_segments"):
             path_sweep(inst, line, zero_indicator(2), t_start=0.0, max_segments=cap)
@@ -792,7 +793,7 @@ class TestInitializeIndicator:
         inst = random_instance(86, m=4, n=7, rho=0.3)
         s = initialize_indicator(inst, inst.b, inst.lam, strategy="from_oracle")
         assert zone_membership(inst, s, inst.b, inst.lam)
-        assert zone_margins(inst, candidate_slope(inst, s), inst.b, inst.lam) > 0
+        assert zone_margins(candidate_slope(inst, s), inst.b, inst.lam) > 0
 
 
 class TestEnumerateZones:
@@ -819,7 +820,7 @@ class TestEnumerateZones:
         for sa, sb, b_w, lam_w in graph.edges:
             for key in (sa, sb):
                 piece = candidate_slope(two_column, graph.nodes[key])
-                assert zone_margins(two_column, piece, b_w, lam_w) >= -1e-7 * lam_w
+                assert zone_margins(piece, b_w, lam_w) >= -1e-7 * lam_w
 
     def test_matches_brute_force_on_small_instance(self):
         inst = random_instance(87, m=2, n=2, rho=0.5)
@@ -1014,9 +1015,10 @@ class TestEnumerateZones:
         with pytest.raises(ValueError):
             enumerate_zones(two_column, EnumerationConfig(r_y=1.0, delta_lambda_min=0.0))
 
-    @pytest.mark.parametrize("count", [0, -3, 2.0])
+    @pytest.mark.parametrize("count", [0, -3, 2.0, True])
     def test_coverage_sample_must_be_a_count(self, two_column, count):
-        # an empty sample used to give a graph that read as complete
+        # an empty sample used to give a graph that read as complete, and
+        # True, an Integral, a sample of one point
         config = EnumerationConfig(r_y=1.0, delta_lambda_min=0.3, n_coverage=count)
         with pytest.raises(ValueError, match="n_coverage"):
             enumerate_zones(two_column, config)

@@ -11,13 +11,17 @@ from sgmc import (
     ProblemInstance,
     candidate_slope,
     check_opt,
+    correlation,
     encode_sopt,
     enumerate_zones,
+    eval_weq,
     initialize_indicator,
     path_sweep,
+    strictly_inside,
     zero_indicator,
     zone_membership,
 )
+from sgmc.candidate import in_zone, zone_margins
 from sgmc.model import (
     ModelMatrices,
     as_indicator,
@@ -108,6 +112,26 @@ class TestFormedOnRead:
         # the instance's A is shared, and the Gram matrix is not copied
         assert inst.matrices.A is inst.A
         assert not inst.matrices.gram.flags.writeable
+
+    def test_zone_tests_form_neither_C_nor_D(self):
+        # the zone tests apply C and D through the block operators, as the
+        # pieces and line restrictions do
+        inst = ProblemInstance(A=np.random.default_rng(3).normal(size=(3, 6)), rho=0.3,
+                               y=np.zeros(3), lam=1.0)
+        lam_max = float(np.abs(inst.matrices.ct(inst.b)).max())
+        b = np.concatenate([np.ones(3), np.zeros(3)])
+        s = zero_indicator(6)
+        calls = {
+            "enumerate_zones": lambda: enumerate_zones(
+                inst, EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, n_coverage=4)),
+            "zone_membership": lambda: zone_membership(inst, s, b, 0.5),
+            "strictly_inside": lambda: strictly_inside(inst, s, b, 10.0),
+            "initialize_indicator": lambda: initialize_indicator(
+                inst, inst.b, 2.0 * lam_max + 1.0, strategy="zero"),
+        }
+        for name, call in calls.items():
+            call()
+            assert {"C", "D"}.isdisjoint(vars(inst.matrices)), name
 
     def test_check_opt_forms_both_as_assembled(self):
         inst = random_instance(13, m=4, n=8, rho=0.3)
@@ -212,6 +236,47 @@ class TestBlockOperators:
                 assert col.tobytes() == grown[:-1, -1].tobytes()
                 assert row.tobytes() == grown[-1, :-1].tobytes()
                 assert d == grown[-1, -1]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+@pytest.mark.parametrize("shape", [(2, 3), (20, 40)])
+@pytest.mark.parametrize("k", [1, 24])
+def test_zone_margins_refereed_by_the_dense_product(shape, rho, k):
+    # `zone_margins` forms xi = C^T (b - D C w) through the block operators;
+    # the dense product of `correlation` on the same maps must give the
+    # same margins, within OPERATOR_RTOL of the terms of xi, and the same
+    # `in_zone` verdicts.  The pieces are the zones a ray from (0, lambda)
+    # to a point like the coverage points of `enumerate_zones` passes; the
+    # points are the midpoints of their stretches of the ray, last first,
+    # then random ones, k in all.
+    m, n = shape
+    rng = np.random.default_rng([23, m, n, int(10 * rho), k])
+    inst = ProblemInstance(A=rng.normal(size=shape), rho=rho, y=np.zeros(m), lam=1.0)
+    C, D = naive_matrices(inst.A, rho)
+    line = ParameterLine(np.zeros(2 * m), 0.3, np.append(3.0 * rng.normal(size=m), np.zeros(m)),
+                         0.0)
+    segments = path_sweep(inst, line, zero_indicator(n), t_start=0.0, t_end=1.0).segments
+    points = [line.point_at(0.5 * (seg.t_start + seg.t_end)) for seg in reversed(segments)]
+    points += [(rng.normal(size=2 * m), rng.uniform(0.1, 3.0)) for _ in range(k)]
+    B = np.column_stack([b for b, _ in points[:k]])
+    lams = np.array([lam for _, lam in points[:k]])
+    inside = 0
+    for seg in segments:
+        piece = candidate_slope(inst, seg.s)
+        margins = zone_margins(piece, B, lams)
+        w = eval_weq(piece, B, lams)
+        xi = correlation(inst, w, b=B)
+        on, off = seg.s != 0, seg.s == 0
+        want = np.minimum((seg.s[on, None] * w[on]).min(axis=0, initial=np.inf),
+                          (lams - np.abs(xi[off])).min(axis=0, initial=np.inf))
+        terms = np.abs(C.T) @ (np.abs(B) + np.abs(D) @ np.abs(C) @ np.abs(w))
+        assert margins.shape == (k,)
+        assert (np.abs(margins - want)
+                <= OPERATOR_RTOL * terms[off].max(axis=0, initial=0.0)).all()
+        verdicts = in_zone(margins, lams)
+        npt.assert_array_equal(verdicts, in_zone(want, lams))
+        inside += int(verdicts.sum())
+    assert inside >= 1
 
 
 def naive_objective(inst, x, z):
@@ -342,7 +407,8 @@ class TestIndicatorCodec:
 
     @pytest.mark.parametrize(
         "bad",
-        [[1, 2, 0, 0], [0, 0, -2, 1], [[1, 0], [0, -1]], [0.5, 0, 0, 1], [np.nan, 0, 0, 1]],
+        [[1, 2, 0, 0], [0, 0, -2, 1], [[1, 0], [0, -1]], [0.5, 0, 0, 1], [np.nan, 0, 0, 1],
+         [True, False, True, False]],
     )
     @pytest.mark.parametrize(
         "entry",
@@ -351,8 +417,8 @@ class TestIndicatorCodec:
     )
     def test_bad_indicator_rejected(self, two_column, entry, bad):
         # every public entry that takes an indicator rejects an entry
-        # outside {-1, 0, +1}, a fraction, a NaN (before any cast could warn)
-        # and a 2-D array
+        # outside {-1, 0, +1}, a fraction, a NaN (before any cast could warn),
+        # a 2-D array and a boolean support mask, which would read as signs
         line = ParameterLine(two_column.b, 3.0, np.zeros(2), -1.0)
         calls = {
             "as_indicator": as_indicator,

@@ -49,6 +49,20 @@ def test_iteration_scaling_descent():
     assert run_script("iteration_scaling.py", "--descent", "--to", "1").returncode == 2
 
 
+def test_iteration_scaling_enumerate():
+    done = run_script("iteration_scaling.py", "--enumerate", "--m", "20", "--n", "40",
+                      "--samples", "4", "--delta-lambda-min", "0.3")
+    assert done.returncode == 0, done.stderr
+    header, row, digest = done.stdout.splitlines()[1:]
+    assert header.split() == ["nodes", "edges", "rays", "covered", "seconds", "peak", "RSS",
+                              "dense", "C/D"]
+    nodes, edges, rays, covered, seconds, peak, _, dense = row.split()
+    assert int(nodes) > 1 and int(edges) >= 1 and 1 <= int(rays) <= 4
+    assert covered == "4/4" and float(seconds) > 0 and float(peak) > 0
+    assert dense == "no"
+    assert digest.startswith("graph sha256 ") and len(digest.split()[-1]) == 64
+
+
 @pytest.mark.parametrize("extra", [[], ["--reuse-slope"]])
 def test_iteration_scaling(extra):
     done = run_script("iteration_scaling.py", "--m", "8", "--n", "16", "--sizes", "2,4,8", *extra)

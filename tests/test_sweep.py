@@ -297,7 +297,7 @@ class TestZoneEntryTime:
             b, lam = line.point_at(t)
             if lam <= 0:
                 continue
-            assert zone_margins(inst, piece, b, lam) >= -1e-7 * lam
+            assert zone_margins(piece, b, lam) >= -1e-7 * lam
 
 
 class TestIntervalCorrectness:
@@ -319,7 +319,7 @@ class TestIntervalCorrectness:
                 b, lam = line.point_at(float(t))
                 if lam <= 0:
                     continue
-                assert zone_margins(inst, piece, b, lam) >= -1e-7 * lam
+                assert zone_margins(piece, b, lam) >= -1e-7 * lam
                 hits += 1
             margin = 1e-6 * (1.0 + abs(hi))
             for t in (times.t_entry, times.t_plus):
@@ -333,7 +333,7 @@ class TestIntervalCorrectness:
                         continue
                     # strictly outside by the margin: not a member
                     if outside < times.t_entry - margin / 2 or outside > times.t_plus + margin / 2:
-                        assert not zone_margins(inst, piece, b, lam) >= -1e-9 * lam
+                        assert not zone_margins(piece, b, lam) >= -1e-9 * lam
                         hits += 1
         assert hits >= 50
 
