@@ -14,12 +14,12 @@ from .optimality import (
     check_opt,
     correlation,
     encode_sopt,
+    eqnq_membership,
     l1_bound_holds,
     summarize,
 )
 from .candidate import (
     candidate_slope,
-    eqnq_membership,
     eval_weq,
     strictly_inside,
     zone_membership,

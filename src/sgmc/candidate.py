@@ -41,10 +41,9 @@ corner c_j^T D c_j) are entries of G = C^T D C = T kron A^T A, gathered
 from the instance's cached A^T A (`ModelMatrices.gram_block`,
 `gram_border`).  The pieces and the zone tests (`zone_margins`, and so
 `zone_membership` and `strictly_inside`) apply C and D through the block
-operators of `ModelMatrices` that the piece holds.  Only
-`eqnq_membership`, which judges an answer another routine formed, forms
-xi with `optimality.correlation`, on the dense C and D of the
-certificate.
+operators of `ModelMatrices` that the piece holds.  Nothing here forms
+the dense C or D, or imports the certificate (`optimality`), which
+checks the pieces' answers with code of its own.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from functools import cached_property
 import numpy as np
 
 from .model import ModelMatrices, ProblemInstance, as_indicator
-from .optimality import CROSS_CHECK_TOL, certificate_scale, correlation
 
 PINV_RTOL = 1e-12  # relative singular-value cutoff for the slope pseudoinverse
 COMPAT_TOL = 1e-8  # null(C_E) part of +-1 signs allowed, per sqrt(|E|): scale-free
@@ -304,39 +302,6 @@ def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> n
     return w
 
 
-def eqnq_membership(inst: ProblemInstance, s: np.ndarray, w: np.ndarray) -> bool:
-    """Whether w, an answer another routine formed, solves the full
-    equality+inequality system of s at the instance's own (b, lambda), at
-    the cross-check slack CROSS_CHECK_TOL.  The conditions on xi hold
-    within CROSS_CHECK_TOL * S, S = max(lambda, ||C^T b||_inf)
-    (`certificate_scale`, the scale of `check_opt`), and those on w, the
-    signs on the support and the zeros off it, within
-    CROSS_CHECK_TOL * ||w||_inf, so (alpha*b, alpha*lambda, alpha*w) gets
-    the answer of (b, lambda, w) for every alpha > 0; a NaN fails every
-    condition."""
-    s = as_indicator(s)
-    w = np.ravel(w)
-    lam = inst.lam
-    xi_slack = CROSS_CHECK_TOL * certificate_scale(inst)
-    w_slack = CROSS_CHECK_TOL * np.abs(w).max(initial=0.0)
-    E = np.flatnonzero(s)
-    mask = np.zeros(s.size, dtype=bool)
-    mask[E] = True
-    xi = correlation(inst, w)
-    if E.size:
-        if not np.abs(xi[E] - lam * s[E]).max() <= xi_slack:  # EQ on the support
-            return False
-        if not (s[E] * w[E]).min() >= -w_slack:  # NQ signs on the support
-            return False
-    off = ~mask
-    if off.any():
-        if not np.abs(w[off]).max() <= w_slack:  # EQ zeros off the support
-            return False
-        if not np.abs(xi[off]).max() <= lam + xi_slack:  # NQ bound off the support
-            return False
-    return True
-
-
 def zone_membership(
     inst: ProblemInstance,
     s: np.ndarray,
@@ -393,13 +358,7 @@ def zone_margins(
     return np.where(s != 0, s * w, lam - np.abs(xi)).min(axis=0)
 
 
-def strictly_inside(
-    inst: ProblemInstance,
-    s: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    piece: CandidatePiece | None = None,
-) -> bool:
+def strictly_inside(inst: ProblemInstance, s: np.ndarray, b: np.ndarray, lam: float) -> bool:
     """Operational interior test: the worst zone margin (`zone_margins`)
     is at least INTERIOR_MARGIN*lambda, at 0 < lambda < inf (the margin is
     -inf at lambda = inf); never for an incompatible indicator.  The margin
@@ -407,6 +366,5 @@ def strictly_inside(
     (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
     alpha > 0.  Its callers pick sample points with it for checks that a
     boundary would spoil."""
-    if piece is None:
-        piece = candidate_slope(inst, s)
+    piece = candidate_slope(inst, s)
     return bool(lam > 0 and zone_margins(piece, b, lam) >= INTERIOR_MARGIN * lam)

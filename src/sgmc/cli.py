@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .candidate import eqnq_membership, strictly_inside
+from .candidate import strictly_inside
 from .elars import (
     EnumerationConfig,
     InitializationError,
@@ -40,7 +40,8 @@ from .model import (
     load_matrix_csv,
     zero_indicator,
 )
-from .optimality import CROSS_CHECK_TOL, check_opt, encode_sopt, l1_bound_holds, summarize
+from .optimality import (CROSS_CHECK_TOL, check_opt, encode_sopt, eqnq_membership,
+                         l1_bound_holds, summarize)
 from .oracle import NonConvergenceError, min_norm_over_eqnq, solve_saddle
 
 HEADER = {"version": f"sgmc-{__version__}", "index_convention": INDEX_CONVENTION}

@@ -27,7 +27,6 @@ from .candidate import (
     in_zone,
     next_piece,
     zone_margins,
-    zone_membership,
 )
 from .model import (
     ProblemInstance,
@@ -162,7 +161,7 @@ def line_from_dict(data: dict) -> ParameterLine:
 
 
 def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
-              counts: dict[str, int] | None = None) -> CandidatePiece:
+              counts: dict[str, int]) -> CandidatePiece:
     """Piece of `s` from the memo, else `build()`, stored in the memo.
     `counts` tallies where it came from, under the names of the counters
     of `PathSweepResult`."""
@@ -174,8 +173,7 @@ def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
         origin = "pieces_updated" if piece.updated else "pieces_rebuilt"
     else:
         origin = "memo_hits"
-    if counts is not None:
-        counts[origin] += 1
+    counts[origin] += 1
     return piece
 
 
@@ -321,39 +319,28 @@ def initialize_indicator(
     inst: ProblemInstance,
     b: np.ndarray,
     lam: float,
-    strategy: str = "zero",
+    strategy: str = "from_oracle",
 ) -> np.ndarray:
-    """Starting indicator whose zone contains (b, lambda).
+    """Oracle start: an indicator whose zone contains (b, lambda), read
+    off the saddle oracle's solution there.
 
-    `zero` certifies the all-zero zone by `zone_membership`,
-    max_i |c_i^T b| <= lambda*(1 + ZONE_TOL) at 0 < lambda < inf: the
-    bound and its slack are both on the scale of lambda, so
-    (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
-    alpha > 0, and a failure raises ValueError.  `from_oracle` solves the
-    instance by `solve_saddle` at its default config, encodes the
-    equicorrelation signs and certifies them by their worst zone margin
-    (`zone_margins`), raising InitializationError on zone boundaries (the
-    caller may perturb lambda and retry); both read the iterate at
+    Solves the instance at (b, lambda) by `solve_saddle` at its default
+    config, encodes the equicorrelation signs of the iterate at
     ORACLE_READ_TOL*S, S = max(lambda, ||C^T b||_inf)
-    (`certificate_scale`), a slack that absorbs the error the oracle's
-    stop bounds on the same scale S.  Both slacks scale with (b, lambda),
-    so neither strategy's answer depends on the data's scale.  A point
-    that fails either certificate, NaN included, is never given an
-    indicator.  A sweep from either indicator is judged again, by
-    `path_sweep`'s start certificate, which alone decides where a path
-    can start: `sgmc path` tries the zero zone there first and calls
-    this only when that sweep refuses it.
+    (`certificate_scale`), and certifies them by their worst zone margin
+    (`zone_margins`) at the same slack, which absorbs the error the
+    oracle's stop bounds on that scale, so the answer does not depend on
+    the data's scale.  A point that fails the certificate raises
+    InitializationError (it may sit on a zone boundary: perturb lambda and
+    retry); a point that is not finite is never given an indicator.
+    `strategy` names this start and accepts "from_oracle" alone.  The zero
+    zone needs no indicator from here: `path_sweep`'s start certificate
+    alone judges where a path can start, from either indicator, and
+    `sgmc path` calls this only when that sweep refuses the zero zone.
     """
-    b = np.ravel(b)
-    if strategy == "zero":
-        s = zero_indicator(inst.n)
-        if not zone_membership(inst, s, b, lam):
-            raise ValueError(
-                f"zero strategy needs max|c_i^T b| <= lambda < inf, got lambda={lam}"
-            )
-        return s
     if strategy != "from_oracle":
         raise ValueError(f"unknown strategy {strategy!r}")
+    b = np.ravel(b)
     probe = inst.with_params(b=b, lam=lam)
     w = solve_saddle(probe)
     s = encode_sopt(probe, w)

@@ -23,13 +23,15 @@ C^T D C = T kron A^T A with T = [[1 - rho, rho], [-rho, rho]], of which the
 closed forms only ever gather entries.  `ModelMatrices` applies the first
 two with A and gathers those entries from A^T A, its one cached Gram
 matrix; the pieces, line restrictions and zone tests of `candidate` and
-`sweep` apply C and D through it only.  It holds A and rho alone, and
-forms the dense C and D on their first read, for the certificate
-(`optimality.correlation`, `check_opt`, `certificate_scale`,
-`encode_sopt`, and `candidate.eqnq_membership`, which judges answers
-formed elsewhere) and the `oracle` solvers, so no sweep and no zone
-enumeration builds either.  The certificate and the oracles thus share no
-code with the pieces they certify.
+`sweep` apply C and D through it only.  It holds A and rho alone, so an
+instance builds it once, on construction, and shares it with the
+siblings `with_params` derives; it forms the dense C and D, and A^T A,
+on their first read.  The dense C and D serve the certificate, every
+check of which lives in `optimality` (`correlation`, `check_opt`,
+`certificate_scale`, `encode_sopt`, `eqnq_membership`), and the `oracle`
+solvers, so no sweep and no zone enumeration builds either.  The
+certificate and the oracles thus share no code with the pieces they
+certify.
 
 Index convention (0-based): entries 0..n-1 of w are primal, n..2n-1 are dual,
 matching the column order of C.  This convention is recorded in every
@@ -72,7 +74,8 @@ class ProblemInstance:
     all finite.
 
     Instances are immutable; `with_params` derives a sibling instance sharing
-    (A, rho) but carrying a different (b, lambda).
+    (A, rho) but carrying a different (b, lambda).  `matrices`, the
+    structural matrices of (A, rho), is built on construction.
     """
 
     A: np.ndarray
@@ -88,9 +91,7 @@ class ProblemInstance:
         if not np.isfinite(A).all():
             raise ValueError("A must be finite")
         object.__setattr__(self, "A", A)
-        # the structural matrices, once built, of every sibling of this
-        # instance: they depend on (A, rho) alone
-        object.__setattr__(self, "_matrices", [None])
+        object.__setattr__(self, "matrices", build_model_matrices(self))
         self._observe(self.y, np.zeros(A.shape[0]) if self.r is None else self.r, self.lam)
 
     def _observe(self, y, r, lam):
@@ -124,19 +125,12 @@ class ProblemInstance:
         """Stacked observation [y; r], kept consistent with y and r."""
         return self._b
 
-    @property
-    def matrices(self) -> "ModelMatrices":
-        """Built on first use by this instance or any of its siblings, and
-        shared by all of them."""
-        if self._matrices[0] is None:
-            self._matrices[0] = build_model_matrices(self)
-        return self._matrices[0]
-
     def with_params(self, b: np.ndarray | None = None, lam: float | None = None) -> "ProblemInstance":
-        """Same (A, rho), new stacked observation and/or lambda: a sibling
-        sharing A, the structural matrices and, without a new `b`, y and r,
-        all checked once already.  A `b` passed in is copied and checked as
-        the constructor checks y and r."""
+        """Same (A, rho), new stacked observation and/or lambda: a sibling,
+        a shallow copy, sharing A, the structural matrices `matrices` (so
+        their dense C, D and A^T A, once formed) and, without a new `b`, y
+        and r, all checked once already.  A `b` passed in is copied and
+        checked as the constructor checks y and r."""
         y = r = None
         if b is not None:
             b = np.ravel(b)
@@ -249,25 +243,6 @@ def build_model_matrices(inst: ProblemInstance) -> ModelMatrices:
     Pure function of the instance; at rho = 0, D is the identity.
     """
     return ModelMatrices(inst.A, inst.rho)
-
-
-def saddle_objective(inst: ProblemInstance, x: np.ndarray, z: np.ndarray) -> float:
-    """Saddle objective G(x, z): least-squares fit plus l1 terms, the
-    nonconvex coupling -(rho/2)||A x - A z||^2 and the auxiliary
-    sqrt(rho) r^T A z term."""
-    x = np.ravel(x)
-    z = np.ravel(z)
-    if x.shape != (inst.n,) or z.shape != (inst.n,):
-        raise ValueError("x and z must both have length n")
-    Ax = inst.A @ x
-    Az = inst.A @ z
-    return float(
-        0.5 * np.dot(inst.y - Ax, inst.y - Ax)
-        + inst.lam * np.abs(x).sum()
-        - inst.lam * np.abs(z).sum()
-        - 0.5 * inst.rho * np.dot(Ax - Az, Ax - Az)
-        + np.sqrt(inst.rho) * np.dot(inst.r, Az)
-    )
 
 
 # -- extended vectors -------------------------------------------------------

@@ -19,6 +19,11 @@ stopping test and its start (`initialize_indicator`), and brute force's
 check of its zone members all judge by them, `check_opt` at the slack
 `CERT_TOL`, `encode_sopt` at `ORACLE_READ_TOL`, and the cross-checks
 (`eqnq_membership`, brute force, `sgmc verify`) at `CROSS_CHECK_TOL`.
+
+The certificate lives here whole, on the dense C and D: `correlation`,
+`certificate_scale`, `check_opt`, `encode_sopt` and `eqnq_membership`.
+The closed forms (`candidate`, `sweep`) import none of it, so it shares
+no code with the pieces it judges.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemInstance, split_extended
+from .model import ProblemInstance, as_indicator, split_extended
 
 CERT_TOL = 1e-9  # the certificate's slack, relative to `certificate_scale`
 # an iterate of `solve_saddle` is read (its signs, its zone) at this slack,
@@ -126,11 +131,44 @@ def check_opt(inst: ProblemInstance, w: np.ndarray) -> OptReport:
     )
 
 
+def eqnq_membership(inst: ProblemInstance, s: np.ndarray, w: np.ndarray) -> bool:
+    """Whether w, an answer another routine formed, solves the full
+    equality+inequality system of s at the instance's own (b, lambda), at
+    the cross-check slack CROSS_CHECK_TOL.  The conditions on xi hold
+    within CROSS_CHECK_TOL * S, S = max(lambda, ||C^T b||_inf)
+    (`certificate_scale`, the scale of `check_opt`), and those on w, the
+    signs on the support and the zeros off it, within
+    CROSS_CHECK_TOL * ||w||_inf, so (alpha*b, alpha*lambda, alpha*w) gets
+    the answer of (b, lambda, w) for every alpha > 0; a NaN fails every
+    condition."""
+    s = as_indicator(s)
+    w = np.ravel(w)
+    lam = inst.lam
+    xi_slack = CROSS_CHECK_TOL * certificate_scale(inst)
+    w_slack = CROSS_CHECK_TOL * np.abs(w).max(initial=0.0)
+    E = np.flatnonzero(s)
+    mask = np.zeros(s.size, dtype=bool)
+    mask[E] = True
+    xi = correlation(inst, w)
+    if E.size:
+        if not np.abs(xi[E] - lam * s[E]).max() <= xi_slack:  # EQ on the support
+            return False
+        if not (s[E] * w[E]).min() >= -w_slack:  # NQ signs on the support
+            return False
+    off = ~mask
+    if off.any():
+        if not np.abs(w[off]).max() <= w_slack:  # EQ zeros off the support
+            return False
+        if not np.abs(xi[off]).max() <= lam + xi_slack:  # NQ bound off the support
+            return False
+    return True
+
+
 def encode_sopt(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
     """Equicorrelation signs of w, an int8 indicator: sign(xi_i) where
     |xi_i| attains lambda within ORACLE_READ_TOL * S (`certificate_scale`),
     zero elsewhere: the reading of an oracle iterate that
-    `initialize_indicator(..., strategy="from_oracle")` certifies."""
+    `initialize_indicator` certifies."""
     xi = correlation(inst, w)
     at_bound = np.abs(np.abs(xi) - inst.lam) <= ORACLE_READ_TOL * certificate_scale(inst)
     return np.where(at_bound, np.sign(xi), 0.0).astype(np.int8)

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidate import eqnq_membership, in_row_space, in_zone, rank_cut
+from .candidate import in_row_space, in_zone, rank_cut
 from .model import ProblemInstance, as_indicator, indicator_to_string
 from .optimality import (CERT_TOL, CROSS_CHECK_TOL, certificate_scale, correlation,
-                         optimality_excess)
+                         eqnq_membership, optimality_excess)
 
 
 class NonConvergenceError(RuntimeError):

@@ -20,6 +20,25 @@ def descent_line():
     return inst, line
 
 
+def saddle_objective(inst, x, z):
+    """Saddle objective G(x, z): least-squares fit plus l1 terms, the
+    nonconvex coupling -(rho/2)||A x - A z||^2 and the auxiliary
+    sqrt(rho) r^T A z term."""
+    x = np.ravel(x)
+    z = np.ravel(z)
+    if x.shape != (inst.n,) or z.shape != (inst.n,):
+        raise ValueError("x and z must both have length n")
+    Ax = inst.A @ x
+    Az = inst.A @ z
+    return float(
+        0.5 * np.dot(inst.y - Ax, inst.y - Ax)
+        + inst.lam * np.abs(x).sum()
+        - inst.lam * np.abs(z).sum()
+        - 0.5 * inst.rho * np.dot(Ax - Az, Ax - Az)
+        + np.sqrt(inst.rho) * np.dot(inst.r, Az)
+    )
+
+
 def random_instance(seed, m=4, n=8, rho=0.0, lam=None, scale=1.0):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(m, n)) * scale

@@ -660,11 +660,10 @@ class TestZoneGeometry:
         # status as (b, lambda) shrinks or grows together; a margin absolute
         # below lambda = 1 lost it at 1e-8 and 1e-4
         inst, s = _interior_zone_sample(52, rho=0.3)
-        piece = candidate_slope(inst, s)
-        assert strictly_inside(inst, s, inst.b, inst.lam, piece=piece)
+        assert strictly_inside(inst, s, inst.b, inst.lam)
         for alpha in (1e-8, 1e-4, 1e4, 1e8):
-            assert strictly_inside(inst, s, alpha * inst.b, alpha * inst.lam, piece=piece)
-        assert not strictly_inside(inst, s, inst.b, 0.0, piece=piece)
+            assert strictly_inside(inst, s, alpha * inst.b, alpha * inst.lam)
+        assert not strictly_inside(inst, s, inst.b, 0.0)
 
     def test_sign_constancy_in_interior(self):
         inst, s = _interior_zone_sample(53)
@@ -675,7 +674,7 @@ class TestZoneGeometry:
         while found < 10:
             theta = float(rng.uniform(0.5, 2.0))
             b, lam = theta * inst.b, theta * inst.lam
-            if not strictly_inside(inst, s, b, lam, piece=piece):
+            if not strictly_inside(inst, s, b, lam):
                 continue
             found += 1
             w = eval_weq(piece, b, lam)

@@ -735,13 +735,11 @@ class TestStartCertificate:
 
     def test_no_membership_call(self, monkeypatch):
         import sgmc.candidate
-        import sgmc.elars
 
         def forbidden(*args, **kwargs):
             raise AssertionError("path_sweep called zone_membership")
 
-        for mod in (sgmc.candidate, sgmc.elars):
-            monkeypatch.setattr(mod, "zone_membership", forbidden)
+        monkeypatch.setattr(sgmc.candidate, "zone_membership", forbidden)
         inst, line = _gaussian_descent(16, 32, 0.3, 4)
         result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=1000)
         assert result.stop_reason == "lambda_terminus"
@@ -767,27 +765,41 @@ class TestEvaluatePath:
         assert evaluate_path(result, t_end + 1e-12) is None
 
 
-class TestInitializeIndicator:
-    def test_zero_strategy(self):
+class TestZeroStart:
+    """The zero zone as a start, judged by `path_sweep` (and, at a point, by
+    `zone_membership`); `initialize_indicator` is the oracle start only."""
+
+    def test_accepted_above_lambda_max(self):
         inst = random_instance(85, m=3, n=5)
         lam = 1.01 * float(np.abs(inst.matrices.C.T @ inst.b).max())
-        s = initialize_indicator(inst, inst.b, lam, strategy="zero")
-        assert indicator_to_string(s) == "0" * 10
+        line = ParameterLine(inst.b, lam, np.zeros(2 * inst.m), -1.0)
+        result = path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=1)
+        assert indicator_to_string(result.segments[0].s) == "0" * 10
 
-    def test_zero_strategy_precondition(self, two_column):
-        with pytest.raises(ValueError):
-            initialize_indicator(two_column, two_column.b, 1.0, strategy="zero")
+    def test_refused_below_lambda_max(self, two_column):
+        line = ParameterLine(two_column.b, 1.0, np.zeros(2), -1.0)
+        with pytest.raises(InitializationError):
+            path_sweep(two_column, line, zero_indicator(2), t_start=0.0)
 
     @pytest.mark.parametrize("b, lam", [([math.nan, 0.0], 1.0), ([1.0, 0.0], math.nan),
                                         ([1.0, 0.0], math.inf)])
-    def test_zero_strategy_rejects_non_finite_points(self, descent_line, b, lam):
+    def test_no_zone_at_non_finite_points(self, descent_line, b, lam):
         inst, _ = descent_line
-        with pytest.raises(ValueError):
-            initialize_indicator(inst, np.array(b), lam, strategy="zero")
+        assert not zone_membership(inst, zero_indicator(inst.n), np.array(b), lam)
 
+
+class TestInitializeIndicator:
     def test_oracle_strategy_two_column(self, two_column):
         s = initialize_indicator(two_column, two_column.b, 1.0, strategy="from_oracle")
         assert indicator_to_string(s) == "++00"
+
+    def test_oracle_is_the_default(self, two_column):
+        s = initialize_indicator(two_column, two_column.b, 1.0)
+        assert indicator_to_string(s) == "++00"
+
+    def test_zero_strategy_refused(self, two_column):
+        with pytest.raises(ValueError, match="'zero'"):
+            initialize_indicator(two_column, two_column.b, 1.0, strategy="zero")
 
     def test_oracle_strategy_generic_slack(self):
         inst = random_instance(86, m=4, n=7, rho=0.3)

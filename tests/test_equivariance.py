@@ -22,6 +22,7 @@ import pytest
 import sgmc.elars
 from sgmc import (
     EnumerationConfig,
+    InitializationError,
     OracleConfig,
     ParameterLine,
     ProblemInstance,
@@ -30,7 +31,6 @@ from sgmc import (
     encode_sopt,
     enumerate_zones,
     indicator_to_string,
-    initialize_indicator,
     path_sweep,
     solve_saddle,
     zero_indicator,
@@ -133,14 +133,20 @@ def test_zone_rays_from_large_anchors_verify(monkeypatch):
 @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 1.0, 1e4, 1e8])
 def test_zero_start_is_certified_at_every_scale(alpha):
     # the zero zone holds (b, lambda) iff max|c_i^T b| <= lambda, at every
-    # scale: a descent's start lambda_max passes, and a lambda 1e-6 below it
-    # fails (an absolute slack of 1e-9 passed it at alpha = 1e-8 and 1e-4)
+    # scale: `path_sweep` accepts a descent's start at lambda_max, and
+    # refuses one 1e-6 below it (an absolute slack of 1e-9 passed it at
+    # alpha = 1e-8 and 1e-4)
     A, y, r = _data(0)
     inst = ProblemInstance(A=A, rho=0.3, y=y * alpha, r=r * alpha, lam=1.0)
     lam_max = float(np.abs(inst.matrices.C.T @ inst.b).max())
-    assert not initialize_indicator(inst, inst.b, lam_max).any()
-    with pytest.raises(ValueError):
-        initialize_indicator(inst, inst.b, lam_max * (1 - 1e-6))
+
+    def descent(lam):
+        line = ParameterLine(inst.b, lam, np.zeros(2 * inst.m), -1.0)
+        return path_sweep(inst, line, zero_indicator(inst.n), t_start=0.0, max_segments=1)
+
+    assert not descent(lam_max).segments[0].s.any()
+    with pytest.raises(InitializationError, match="leaves its zone before t_start"):
+        descent(lam_max * (1 - 1e-6))
 
 
 @pytest.mark.parametrize("factor", [1e-4, 1e4])

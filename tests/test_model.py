@@ -29,10 +29,9 @@ from sgmc.model import (
     indicator_from_string,
     indicator_to_string,
     instance_from_dict,
-    saddle_objective,
 )
 
-from conftest import random_instance
+from conftest import random_instance, saddle_objective
 
 
 def naive_matrices(A, rho):
@@ -118,7 +117,6 @@ class TestFormedOnRead:
         # pieces and line restrictions do
         inst = ProblemInstance(A=np.random.default_rng(3).normal(size=(3, 6)), rho=0.3,
                                y=np.zeros(3), lam=1.0)
-        lam_max = float(np.abs(inst.matrices.ct(inst.b)).max())
         b = np.concatenate([np.ones(3), np.zeros(3)])
         s = zero_indicator(6)
         calls = {
@@ -126,8 +124,6 @@ class TestFormedOnRead:
                 inst, EnumerationConfig(r_y=3.0, delta_lambda_min=0.3, n_coverage=4)),
             "zone_membership": lambda: zone_membership(inst, s, b, 0.5),
             "strictly_inside": lambda: strictly_inside(inst, s, b, 10.0),
-            "initialize_indicator": lambda: initialize_indicator(
-                inst, inst.b, 2.0 * lam_max + 1.0, strategy="zero"),
         }
         for name, call in calls.items():
             call()
@@ -356,8 +352,10 @@ class TestProblemInstance:
         assert probe.A is inst.A and probe.y is inst.y and probe.r is inst.r and probe.b is inst.b
         assert probe.lam == 2.0 and inst.lam != 2.0
         assert probe.matrices is inst.matrices
-        # built first by a sibling, the matrices serve the parent as well
+        # an instance builds its matrices once, on construction; a sibling
+        # shares them and builds none
         fresh = random_instance(12, m=3, n=6, rho=0.3)
+        assert "matrices" in vars(fresh) and not hasattr(fresh, "_matrices")
         assert fresh.with_params(lam=1.0).matrices is fresh.matrices
         # a b passed in is copied, read-only, and checked
         b = np.arange(6.0)
@@ -450,7 +448,6 @@ class TestIndicatorCodec:
             "zero_indicator": zero_indicator(3),
             "indicator_from_string": indicator_from_string("+-0"),
             "encode_sopt": encode_sopt(inst, w),
-            "initialize_indicator zero": initialize_indicator(inst, inst.b, lam_max, "zero"),
             "initialize_indicator from_oracle":
                 initialize_indicator(inst, inst.b, inst.lam, "from_oracle"),
             "CandidatePiece.s": candidate_slope(inst, np.ones(2 * inst.n, dtype=int)).s,

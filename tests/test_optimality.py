@@ -19,6 +19,19 @@ from sgmc.optimality import certificate_scale
 from conftest import random_instance
 
 
+def test_every_answer_check_lives_in_optimality():
+    # the closed forms hold none of the certificate, which judges them
+    import sgmc
+    import sgmc.candidate
+    import sgmc.optimality
+    import sgmc.sweep
+
+    for mod in (sgmc.candidate, sgmc.sweep):
+        for name in ("correlation", "certificate_scale", "CROSS_CHECK_TOL", "eqnq_membership"):
+            assert not hasattr(mod, name), (mod.__name__, name)
+    assert sgmc.eqnq_membership is sgmc.optimality.eqnq_membership
+
+
 def naive_correlation(inst, w):
     """Entry-by-entry xi via explicitly assembled columns."""
     m, n = inst.m, inst.n

@@ -16,8 +16,10 @@ from sgmc import (
     eval_weq,
 )
 from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError
-from sgmc.model import build_model_matrices, saddle_objective
+from sgmc.model import build_model_matrices
 from sgmc.sweep import f_tmax
+
+from conftest import saddle_objective
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 SLOPE = st.one_of(st.just(0.0), st.floats(1e-6, 5.0), st.floats(-5.0, -1e-6))
