@@ -11,16 +11,17 @@ whose operator pinv(M) depends on (A, rho, s) only.  The set of (b, lambda)
 where this map also satisfies the inequality half is a convex cone, the
 candidate zone of s; on it the map reproduces the minimum-norm solution.
 
-`CandidatePiece.apply` forms this map for a line restriction
-(`sweep.restrict_to_line`) and for sets of points (`eval_weq`,
-`zone_margins`) alike, and is the one place that refuses an incompatible
-piece, whose zone is empty.  A zone test reads one number per point, the
-worst margin of `zone_margins` (-inf for an incompatible piece), through
-`in_zone`.  A piece keeps M and pinv(M).  Since D + D^T is
-positive definite, null(M) = null(C_E), the orthogonal complement of
-Col(C_E^T).  So the one rank cut of the SVD of M gives pinv(M) and, in
-the right singular vectors it drops, the test of [s]_E in Col(C_E^T),
-without which the zone is empty.  That cut is `rank_cut`'s, which takes
+`CandidatePiece.evaluate` is the one place that evaluates a zone: at
+rows of points it forms the map (through `CandidatePiece.apply`, the one
+place that refuses an incompatible piece, whose zone is empty) and its
+correlation, for a line restriction (`sweep.restrict_to_line`) and for
+sets of points (`eval_weq`, `zone_margins`) alike.  A zone test reads
+one number per point, the worst margin of `zone_margins` (-inf for an
+incompatible piece), through `in_zone`.  A piece keeps M and pinv(M).
+Since D + D^T is positive definite, null(M) = null(C_E), the orthogonal
+complement of Col(C_E^T).  So the one rank cut of the SVD of M gives
+pinv(M) and, in the right singular vectors it drops, the test of [s]_E
+in Col(C_E^T), without which the zone is empty.  That cut is `rank_cut`'s, which takes
 one M or a stack of them: brute force cuts all supports of one size in
 one batched SVD.
 Neighbouring zones differ in one support index, so `next_piece`, handed
@@ -88,9 +89,9 @@ class CandidatePiece:
     residual check takes it anyway) for `apply` to reuse.  `updated` tells
     whether `next_piece` updated the piece from its neighbour's, rather
     than `candidate_slope` building it from an SVD.  `mats` holds the
-    instance's structural matrices, shared, not copied, which
-    `restrict_to_line` and `eval_weq` apply.  Pieces are shared
-    through memos, so nothing may mutate their arrays.
+    instance's structural matrices, shared, not copied, which `evaluate`
+    applies.  Pieces are shared through memos, so nothing may mutate
+    their arrays.
     """
 
     s: np.ndarray
@@ -134,6 +135,20 @@ class CandidatePiece:
         wE = ctbE @ P.T - np.multiply.outer(lams, self.Minv_s_E)
         wE += (ctbE - wE @ self.M.T - np.multiply.outer(lams, self.s_E)) @ P.T
         return wE
+
+    def evaluate(self, V: np.ndarray, ctV: np.ndarray, lams):
+        """The piece's map and correlation at the points whose b are the
+        rows of `V`, (2m,) or (k, 2m), with C^T b the rows of `ctV` and
+        `lams` a scalar or of length k: the map X (`apply` on the support,
+        zeros off it), D C X and the correlation xi = C^T (V - D C X), all
+        by rows and through the piece's own `mats`, so no dense C or D is
+        formed.  Each caller hands over the C^T rows it already holds.  An
+        incompatible piece raises IncompatibleIndicatorError (from
+        `apply`)."""
+        X = np.zeros(np.shape(lams) + self.s.shape)
+        X[..., self.support] = self.apply(ctV, lams)
+        DCX = self.mats.dc(X)
+        return X, DCX, self.mats.ct(V - DCX)
 
 
 def in_row_space(signs: np.ndarray, null: np.ndarray) -> np.ndarray:
@@ -293,13 +308,12 @@ def next_piece(
 
 
 def eval_weq(piece: CandidatePiece, b: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
-    """Evaluate the candidate map at (b, lambda): `CandidatePiece.apply` on
-    the support, zeros elsewhere.  k points given as the columns of `b`,
-    with `lam` of length k, give k columns.  An incompatible piece raises
-    IncompatibleIndicatorError."""
-    w = np.zeros(piece.s.shape + np.shape(lam))
-    w[piece.support] = piece.apply(piece.mats.ct(np.transpose(b)), lam).T
-    return w
+    """Evaluate the candidate map at (b, lambda): the map X of
+    `CandidatePiece.evaluate`, `apply` on the support and zeros elsewhere.
+    k points given as the columns of `b`, with `lam` of length k, give k
+    columns.  An incompatible piece raises IncompatibleIndicatorError."""
+    V = np.transpose(b)
+    return piece.evaluate(V, piece.mats.ct(V), lam)[0].T
 
 
 def zone_membership(
@@ -343,19 +357,18 @@ def zone_margins(
     is not finite, where no zone lies.  No map is formed at such a point
     (at lambda = inf it would take inf - inf).  k points given as the
     columns of `b`, with `lam` of length k, give k margins from one
-    evaluation of the map and one correlation product,
-    xi = C^T (b - D C w), applied through the piece's own `mats` as
-    `eval_weq` applies C^T: no dense C or D is formed."""
+    `CandidatePiece.evaluate` of their rows, which forms the map w and
+    the correlation xi = C^T (b - D C w) through the piece's own `mats`:
+    no dense C or D is formed."""
     keep = np.isfinite(lam) & piece.compatible
     if not keep.all():
         margins = np.full(np.shape(lam), -np.inf)
         if keep.any():
             margins[keep] = zone_margins(piece, np.asarray(b)[:, keep], np.asarray(lam)[keep])
         return margins[()]
-    w = eval_weq(piece, b, lam)
-    xi = np.transpose(piece.mats.ct(np.transpose(b) - piece.mats.dc(np.transpose(w))))
-    s = piece.s.reshape((-1,) + (1,) * (w.ndim - 1))
-    return np.where(s != 0, s * w, lam - np.abs(xi)).min(axis=0)
+    V = np.transpose(b)
+    w, _, xi = piece.evaluate(V, piece.mats.ct(V), lam)
+    return np.where(piece.s != 0, piece.s * w, np.expand_dims(lam, -1) - np.abs(xi)).min(axis=-1)
 
 
 def strictly_inside(inst: ProblemInstance, s: np.ndarray, b: np.ndarray, lam: float) -> bool:

@@ -251,8 +251,11 @@ def _verify_checks(inst: ProblemInstance, args):
     rng = np.random.default_rng(args.seed)
     pattern = indicator_to_string(encode_sopt(inst, w))
     stable = True
+    # warm starts on the answer's scale, so that scaling (y, r, lambda)
+    # scales the solver's iterates with it and changes no verdict
+    start_scale = np.abs(w).max(initial=0.0)
     for _ in range(2):
-        w_alt = solve_saddle(inst, w0=rng.normal(size=2 * inst.n))
+        w_alt = solve_saddle(inst, w0=start_scale * rng.normal(size=2 * inst.n))
         if indicator_to_string(encode_sopt(inst, w_alt)) != pattern:
             stable = False
     yield "indicator_invariance", stable, pattern

@@ -66,9 +66,9 @@ def elars_iterate(piece: CandidatePiece, line: ParameterLine) -> ZoneExit:
 # -- path driver -------------------------------------------------------------
 
 def _finite_to_json(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
+    """A segment end for JSON: "inf" for a ray's, a float otherwise (no end
+    is -inf, as t_start is finite and t_end >= t_start)."""
+    return "inf" if x == math.inf else float(x)
 
 
 @dataclass(frozen=True)
@@ -360,12 +360,15 @@ class EnumerationConfig:
     """Coverage samples of the zone search.
 
     Coverage is declared over `n_coverage` sampled points with ||y|| = r_y,
-    r = 0 and lambda = delta_lambda_min, drawn from `seed`; the search
-    sweeps to each point that no zone found so far covers, in the order
-    drawn, so it makes at most `n_coverage` sweeps, each uncapped.  A point
-    whose sweep stops short of it stays uncovered unless a later node's
-    zone holds it.  `enumerate_zones` refuses an `n_coverage` below
-    1, whose empty sample would read as complete coverage, and a bool.
+    r = 0 and lambda = delta_lambda_min.  The directions of y are the rows
+    of one (n_coverage, m) standard normal draw from `seed`, each scaled
+    to length r_y (a zero row points along the first unit vector).  The
+    search sweeps to each point that no zone found so far covers, in the
+    order drawn, so it makes at most `n_coverage` sweeps, each uncapped.
+    A point whose sweep stops short of it stays uncovered unless a later
+    node's zone holds it.  `enumerate_zones` refuses an `n_coverage`
+    below 1, whose empty sample would read as complete coverage, and a
+    bool.
     """
 
     r_y: float
@@ -429,19 +432,6 @@ class ZoneGraph:
         }
 
 
-def _sample_coverage_points(
-    inst: ProblemInstance, config: EnumerationConfig, rng: np.random.Generator
-) -> list[tuple[np.ndarray, float]]:
-    pts = []
-    for _ in range(config.n_coverage):
-        u = rng.normal(size=inst.m)
-        norm = np.linalg.norm(u)
-        u = u / norm if norm > 0 else np.eye(inst.m)[0]
-        b = np.concatenate([config.r_y * u, np.zeros(inst.m)])
-        pts.append((b, config.delta_lambda_min))
-    return pts
-
-
 def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGraph:
     """Zone graph from the all-zero indicator, one sweep per coverage point.
 
@@ -458,20 +448,25 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
     small for `rank_cut` raise, and then every sweep would.
 
     Each zone's piece is built once per call: one memo serves every sweep
-    and coverage test, and a new node is tested at all still uncovered
-    coverage points in one call.
+    and coverage test.  The coverage points are kept as the rows of one
+    array, and a new node is tested at all still uncovered ones in one
+    `zone_margins` call.  `coverage_points` lists them as (b, lambda)
+    pairs.
     """
     for name in ("r_y", "delta_lambda_min"):
         if not 0.0 < getattr(config, name) < math.inf:
             raise ValueError(f"{name} must be positive and finite")
     if not _is_count(config.n_coverage):
         raise ValueError(f"n_coverage must be an integer >= 1, got {config.n_coverage!r}")
-    rng = np.random.default_rng(config.seed)
+    U = np.random.default_rng(config.seed).normal(size=(config.n_coverage, inst.m))
+    norms = np.array([np.linalg.norm(u) for u in U])
+    zero = norms == 0  # a zero draw points along the first unit vector
+    U[zero], norms[zero] = np.eye(inst.m)[0], 1.0
+    cover = np.zeros((config.n_coverage, 2 * inst.m))
+    cover[:, :inst.m] = config.r_y * (U / norms[:, None])
     graph = ZoneGraph()
-    graph.coverage_points = _sample_coverage_points(inst, config, rng)
-    graph.covered = [False] * len(graph.coverage_points)
-    cover_b = np.array([b for b, _ in graph.coverage_points], dtype=float).T
-    cover_lam = np.array([lam for _, lam in graph.coverage_points], dtype=float)
+    graph.coverage_points = [(b, config.delta_lambda_min) for b in cover]
+    graph.covered = [False] * config.n_coverage
     pieces: dict[bytes, CandidatePiece] = {}
     counts = dict.fromkeys(("pieces_updated", "pieces_rebuilt", "memo_hits"), 0)
     edge_keys: set[tuple[str, str]] = set()
@@ -485,8 +480,8 @@ def enumerate_zones(inst: ProblemInstance, config: EnumerationConfig) -> ZoneGra
         piece = _memoized(pieces, s, lambda: candidate_slope(inst, s), counts)
         todo = np.flatnonzero(np.logical_not(graph.covered))
         if todo.size:
-            lams = cover_lam[todo]
-            inside = in_zone(zone_margins(piece, cover_b[:, todo], lams), lams)
+            lams = np.full(todo.size, float(config.delta_lambda_min))
+            inside = in_zone(zone_margins(piece, cover[todo].T, lams), lams)
             for j in todo[inside]:
                 graph.covered[j] = True
 

@@ -149,22 +149,18 @@ class LineRestrictedPiece:
 def restrict_to_line(piece: CandidatePiece, line: ParameterLine) -> LineRestrictedPiece:
     """Compute (p, q, cu, cv) of the zone of `piece` along the line.
 
-    The two coefficients of each line are rows: X = [-p; q] is the map of
-    the piece (`CandidatePiece.apply`, with its refinement step) at the
-    rows C^T B, B = [db; b0], with lambdas [dl, lam0].  C^T B is formed
-    once per line (`ParameterLine.ct_B`), and D C X and the correlation
-    C^T (B - D C X) are one gemm each on the row view, all through the
-    piece's own structural matrices (`ModelMatrices.dc`, `ct`):
+    The two coefficients of each line are rows: `CandidatePiece.evaluate`
+    at the rows B = [db; b0], with lambdas [dl, lam0] and the line's C^T B
+    (`ParameterLine.ct_B`, formed once per line and matrices), gives the
+    map X = [-p; q], D C X and the correlation rows [cu; cv] =
+    C^T (B - D C X), all through the piece's own structural matrices:
     O(mn + |E|^2) work in all, and p, q, cu and cv are contiguous rows.
     The piece is the only description of the zone: a caller holding an
-    indicator builds it with `candidate_slope` first.  An incompatible piece raises IncompatibleIndicatorError (from
-    `apply`).
+    indicator builds it with `candidate_slope` first.  An incompatible
+    piece raises IncompatibleIndicatorError (from `apply`).
     """
     s, mats = piece.s, piece.mats
-    X = np.zeros((2, s.size))
-    X[:, piece.support] = piece.apply(line.ct_B(mats), line.lams)
-    DCX = mats.dc(X)
-    CUV = mats.ct(line.B - DCX)
+    X, DCX, CUV = piece.evaluate(line.B, line.ct_B(mats), line.lams)
     dl, lam0 = line.delta_lam, line.lam0
     floor = SLOPE_RTOL * (mats.col_abs_sums * (line.B_scale + np.abs(DCX).max(axis=1))[:, None])
     # A correlation line that is exactly g * lambda(t), as every one is in a

@@ -117,6 +117,31 @@ def test_path_single_zone_window(instance_file, tmp_path):
     assert len(json.loads(out.read_text())["segments"]) == 1
 
 
+def test_path_along_an_unbounded_ray(instance_file, tmp_path, capsys):
+    # y(t) = 2 + t from t = -4 at lambda = 1: --00, then 0000 on [-3, -1],
+    # then ++00 for good, so the sweep stops `unbounded` without --t-end
+    csv_out = tmp_path / "path.csv"
+    argv = ["path", "--instance", instance_file(TWO_COLUMN), "--delta-b", "1.0",
+            "--t-start", "-4", "--csv-out", str(csv_out), "--grid", "5"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)  # no --out: the JSON goes to stdout
+    assert data["stop_reason"] == "unbounded"
+    assert [seg["s"] for seg in data["segments"]] == ["--00", "0000", "++00"]
+    last = data["segments"][-1]
+    assert last["t_range"][1] == "inf"
+    # the CSV cuts the ray one unit past the last segment's start
+    rows = csv_out.read_text().splitlines()
+    assert len(rows) == 1 + 5
+    assert float(rows[-1].split(",")[0]) == pytest.approx(float(last["t_range"][0]) + 1.0)
+    segments = tmp_path / "path.json"
+    segments.write_text(json.dumps(data))
+    code = main(["verify", "--instance", instance_file(TWO_COLUMN), "--segments", str(segments)])
+    rows = _verify_rows(capsys.readouterr().out)
+    assert code == 0
+    assert rows["segments_continuity"] == ("ok", "3 segments")
+    assert rows["segments_spot_checks"][0] == "ok"
+
+
 def test_path_monotone_breakpoints_random(instance_file, tmp_path):
     rng = np.random.default_rng(5)
     inst = {
@@ -516,13 +541,16 @@ def test_verify_random_deterministic(instance_file, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 1.0, 1e8])
-def test_verify_is_scale_free(instance_file, capsys, alpha):
+def test_verify_is_scale_free(instance_file, capsys, alpha, seed):
     # y and lambda scaled together: at 1e-8 the saddle oracle's absolute stop
     # changed the encoded indicator, at 1e8 the absolute bounds on w jumps
     # and on beta_e and gamma_e failed, and at 1e-8 and 1e-4 an interior
-    # margin absolute below lambda = 1 skipped the min-norm comparison
-    rng = np.random.default_rng(0)
+    # margin absolute below lambda = 1 skipped the min-norm comparison.  At
+    # seed 3, warm starts of unit size, far from an answer of size alpha,
+    # kept the indicator_invariance solves from converging at 1e-8 and 1e-4
+    rng = np.random.default_rng(seed)
     A, y = rng.normal(size=(6, 12)), rng.normal(size=6)
     lam = 0.3 * float(np.abs(A.T @ y).max())
     inst = {"A": A.tolist(), "rho": 0.3, "y": (alpha * y).tolist(), "lambda": alpha * lam}
@@ -727,6 +755,17 @@ def test_csv_matrix_mode(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["indicator"] == "++00"
+
+
+@pytest.mark.parametrize("drop", ["--y", "--lambda"])
+def test_csv_matrix_mode_needs_y_and_lambda(tmp_path, capsys, drop):
+    csv = tmp_path / "A.csv"
+    csv.write_text("1.0,1.0\n")
+    flags = {"--y": "2.0", "--lambda": "1.0"}
+    del flags[drop]
+    argv = ["solve", "--matrix-csv", str(csv), *(x for kv in flags.items() for x in kv)]
+    assert main(argv) == 1
+    assert "--matrix-csv mode needs --y and --lambda" in capsys.readouterr().err
 
 
 def test_missing_instance_flags():

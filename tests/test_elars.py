@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sgmc.elars
 from sgmc import (
     EnumerationConfig,
     InitializationError,
@@ -800,6 +801,13 @@ class TestInitializeIndicator:
     def test_zero_strategy_refused(self, two_column):
         with pytest.raises(ValueError, match="'zero'"):
             initialize_indicator(two_column, two_column.b, 1.0, strategy="zero")
+
+    def test_refuses_an_indicator_its_certificate_fails(self, two_column, monkeypatch):
+        # an oracle answer of zeros below lambda_max = 2 encodes the zero
+        # indicator, whose zone does not hold (b, 1)
+        monkeypatch.setattr(sgmc.elars, "solve_saddle", lambda inst: np.zeros(2 * inst.n))
+        with pytest.raises(InitializationError, match="failed zone membership"):
+            initialize_indicator(two_column, two_column.b, 1.0)
 
     def test_oracle_strategy_generic_slack(self):
         inst = random_instance(86, m=4, n=7, rho=0.3)

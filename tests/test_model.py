@@ -29,6 +29,7 @@ from sgmc.model import (
     indicator_from_string,
     indicator_to_string,
     instance_from_dict,
+    load_instance,
 )
 
 from conftest import random_instance, saddle_objective
@@ -345,6 +346,16 @@ class TestProblemInstance:
         loaded = instance_from_dict(json.loads(path.read_text()))
         npt.assert_array_equal(loaded.A, two_column.A)
         assert loaded.lam == two_column.lam
+
+    @pytest.mark.parametrize("text, refusal", [
+        ("[1.0, 2.0]", "instance file must contain a JSON object"),
+        ('{"A": [[1.0]], "rho": 0.0}', r"instance file missing keys: \['lambda', 'y'\]"),
+    ])
+    def test_instance_file_refusals(self, tmp_path, text, refusal):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=refusal):
+            load_instance(str(path))
 
     def test_sibling_shares_what_it_keeps(self):
         inst = random_instance(12, m=3, n=6, rho=0.3)

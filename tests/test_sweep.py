@@ -40,6 +40,14 @@ class TestParameterLine:
         with pytest.raises(ValueError, match=f"line {field} must be finite"):
             ParameterLine(**data)
 
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="b0 and delta_b must have equal length"):
+            ParameterLine(np.ones(2), 1.0, np.ones(3), -1.0)
+
+    def test_rejects_a_line_that_does_not_move(self):
+        with pytest.raises(ValueError, match="line must have a nonzero velocity"):
+            ParameterLine(np.ones(2), 1.0, np.zeros(2), 0.0)
+
     @pytest.mark.parametrize("b0, lam0, db, dl, expected", [
         ([1.0, 0.0], 2.0, [0.0, 0.0], -1.0, 2.0),  # lambda descent
         ([3.0, 0.0], 1.0, [0.0, 0.5], 0.0, 6.0),  # b-direction ray
