@@ -20,7 +20,6 @@ from .optimality import (
 )
 from .candidate import (
     candidate_slope,
-    eval_weq,
     strictly_inside,
     zone_membership,
 )

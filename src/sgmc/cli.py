@@ -150,8 +150,7 @@ def cmd_path(args) -> int:
         result = sweep(zero_indicator(inst.n))
     except InitializationError:  # the zero zone misses the start
         try:
-            result = sweep(initialize_indicator(inst, *line.point_at(args.t_start),
-                                                strategy="from_oracle"))
+            result = sweep(initialize_indicator(inst, *line.point_at(args.t_start)))
         except InitializationError as exc:
             raise InitializationError(
                 f"{exc} [oracle start; the zero zone does not hold t_start]") from exc
@@ -161,14 +160,15 @@ def cmd_path(args) -> int:
     return PATH_EXIT_CODES.get(result.stop_reason, 2)
 
 
+def _range_end(seg: PathSegment) -> float:
+    """The end of a segment's range, a ray's cut one unit past its start."""
+    return seg.t_end if math.isfinite(seg.t_end) else seg.t_start + 1.0
+
+
 def _write_path_csv(path, inst, line, result: PathSweepResult, grid: int):
     if not result.segments:
         return
-    t0 = result.segments[0].t_start
-    t1 = result.segments[-1].t_end
-    if math.isinf(t1):
-        t1 = result.segments[-1].t_start + 1.0
-    ts = np.linspace(t0, t1, grid)
+    ts = np.linspace(result.segments[0].t_start, _range_end(result.segments[-1]), grid)
     with open(path, "w") as fh:
         labels = ",".join(f"w_{i}" for i in range(2 * inst.n))
         fh.write(f"t,lambda,{labels}\n")
@@ -213,7 +213,7 @@ def _spot_check(inst: ProblemInstance, line: ParameterLine, segments) -> tuple[b
     with no such point, as neither is judged anywhere."""
     ok, worst = bool(segments), 0.0
     for seg in segments:
-        t_hi = seg.t_end if math.isfinite(seg.t_end) else seg.t_start + 1.0
+        t_hi = _range_end(seg)
         judged = False
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             t = seg.t_start + frac * (t_hi - seg.t_start)
@@ -230,7 +230,7 @@ def _spot_check(inst: ProblemInstance, line: ParameterLine, segments) -> tuple[b
     return ok, worst
 
 
-def _verify_checks(inst: ProblemInstance, args):
+def _verify_checks(inst: ProblemInstance):
     """Cross-oracle invariant suite on one instance; yields (name, ok, detail).
 
     The oracles run at their defaults, their indicators read at
@@ -248,17 +248,20 @@ def _verify_checks(inst: ProblemInstance, args):
     yield "saddle_optimality", v <= CROSS_CHECK_TOL, f"violation {v:.2e}"
     yield "l1_bound", l1_bound_holds(inst, w), ""
 
-    rng = np.random.default_rng(args.seed)
     pattern = indicator_to_string(encode_sopt(inst, w))
-    stable = True
-    # warm starts on the answer's scale, so that scaling (y, r, lambda)
-    # scales the solver's iterates with it and changes no verdict
+    # two warm starts on the answer's scale, so that scaling (y, r, lambda)
+    # scales the solver's iterates with it and changes no verdict; at w = 0
+    # on lambda / ||C^T D C||_2 instead, about one soft-threshold of the
+    # solver, which ignores w0 where that norm is 0 (A = 0)
     start_scale = np.abs(w).max(initial=0.0)
-    for _ in range(2):
-        w_alt = solve_saddle(inst, w0=start_scale * rng.normal(size=2 * inst.n))
-        if indicator_to_string(encode_sopt(inst, w_alt)) != pattern:
-            stable = False
-    yield "indicator_invariance", stable, pattern
+    if start_scale == 0.0:
+        mats = inst.matrices
+        gram_norm = np.linalg.norm(mats.C.T @ (mats.D @ mats.C), 2)
+        start_scale = inst.lam / gram_norm if gram_norm > 0.0 else 0.0
+    starts = start_scale * np.random.default_rng(0).normal(size=(2, 2 * inst.n))
+    patterns = [indicator_to_string(encode_sopt(inst, solve_saddle(inst, w0=w0)))
+                for w0 in starts]
+    yield "indicator_invariance", all(p == pattern for p in patterns), pattern
 
     lam_max = float(np.abs(inst.matrices.ct(inst.b)).max())
     if lam_max <= 0:
@@ -278,7 +281,7 @@ def _verify_checks(inst: ProblemInstance, args):
     detail = ""
     for frac in (0.25, 0.5, 0.75):
         lam_t = frac * lam0
-        t = (lam0 - lam_t) / 1.0
+        t = lam0 - lam_t
         w_path = evaluate_path(result, t)
         if w_path is None:
             agree_ok = False
@@ -297,8 +300,7 @@ def _verify_checks(inst: ProblemInstance, args):
     yield "cross_oracle_agreement", agree_ok, detail
 
     mid = result.segments[len(result.segments) // 2]
-    t_hi = mid.t_end if math.isfinite(mid.t_end) else mid.t_start + 1.0
-    t_mid = 0.5 * (mid.t_start + t_hi)
+    t_mid = 0.5 * (mid.t_start + _range_end(mid))
     b_mid, lam_mid = line.point_at(t_mid)
     if strictly_inside(inst, mid.s, b_mid, lam_mid):
         probe = inst.with_params(b=b_mid, lam=lam_mid)
@@ -322,7 +324,7 @@ def _verify_segments_file(inst: ProblemInstance, path: str):
 
 def cmd_verify(args) -> int:
     inst = _load_problem(args)
-    rows = list(_verify_checks(inst, args))
+    rows = list(_verify_checks(inst))
     if args.segments:
         rows.extend(_verify_segments_file(inst, args.segments))
     width = max(len(name) for name, *_ in rows)
@@ -378,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-oracle invariant suite")
     _add_instance_flags(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--segments", help="path JSON to spot-check")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -176,24 +176,16 @@ def encode_sopt(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolutionSummary:
-    """Quantities shared by every solution of one instance: the linear fits
-    beta_p = A x, beta_d = A z, the stacked fit beta_e = C w and the common
-    l1-norm gamma_e = ||w||_1."""
+    """Quantities shared by every solution of one instance: the stacked fit
+    beta_e = C w = [A x; sqrt(rho) A z] and the common l1-norm
+    gamma_e = ||w||_1."""
 
-    beta_p: np.ndarray
-    beta_d: np.ndarray
     beta_e: np.ndarray
     gamma_e: float
 
 
 def summarize(inst: ProblemInstance, w: np.ndarray) -> SolutionSummary:
-    x, z = split_extended(w)
-    return SolutionSummary(
-        beta_p=inst.A @ x,
-        beta_d=inst.A @ z,
-        beta_e=inst.matrices.C @ np.ravel(w),
-        gamma_e=float(np.abs(w).sum()),
-    )
+    return SolutionSummary(beta_e=inst.matrices.C @ np.ravel(w), gamma_e=float(np.abs(w).sum()))
 
 
 def l1_bound_holds(inst: ProblemInstance, w: np.ndarray) -> bool:

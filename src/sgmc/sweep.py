@@ -142,9 +142,6 @@ class LineRestrictedPiece:
     cu = property(lambda self: self.cuv[0])
     cv = property(lambda self: self.cuv[1])
 
-    def weq_at(self, t: float) -> np.ndarray:
-        return self.q - self.p * t
-
 
 def restrict_to_line(piece: CandidatePiece, line: ParameterLine) -> LineRestrictedPiece:
     """Compute (p, q, cu, cv) of the zone of `piece` along the line.
@@ -208,9 +205,8 @@ class ZoneExit:
     rounding gives the correlations signs, but the path ends, so nothing
     is inserted.  `s_plus` is `s` with the deletions zeroed and the
     insertions set to their signs.  An infinite t_plus has no events: +inf
-    is a ray that stays in the zone (`never_exits`), -inf a line that
-    misses it.  `one_at_a_time` and `never_exits` are read off the events
-    and t_plus, so they always agree with them.
+    is a ray that stays in the zone, -inf a line that misses it.
+    `one_at_a_time` is read off the events, so it always agrees with them.
     """
 
     restricted: LineRestrictedPiece
@@ -229,11 +225,6 @@ class ZoneExit:
     def one_at_a_time(self) -> bool:
         """Whether the step edits exactly one index."""
         return len(self.deleted) + len(self.inserted) == 1
-
-    @property
-    def never_exits(self) -> bool:
-        """Whether the ray stays in the zone forever."""
-        return self.t_plus == math.inf
 
     def misses(self, t: float) -> str | None:
         """Why the zone fails to hold time t: the line enters it after t

@@ -24,7 +24,6 @@ from sgmc import (
     elars_iterate,
     encode_sopt,
     enumerate_zones,
-    eval_weq,
     evaluate_path,
     indicator_from_string,
     indicator_to_string,
@@ -39,6 +38,7 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
+from sgmc.candidate import eval_weq
 
 
 @contextmanager

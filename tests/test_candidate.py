@@ -13,7 +13,6 @@ from sgmc import (
     check_opt,
     encode_sopt,
     eqnq_membership,
-    eval_weq,
     indicator_from_string,
     indicator_to_string,
     min_norm_over_eqnq,
@@ -24,6 +23,7 @@ from sgmc import (
 )
 from sgmc.candidate import (
     IncompatibleIndicatorError,
+    eval_weq,
     in_row_space,
     in_zone,
     next_piece,
@@ -510,6 +510,15 @@ class TestEqnqMembership:
         assert eqnq_membership(two_column, S1, w)
         w[i] = np.nan
         assert not eqnq_membership(two_column, S1, w)
+
+    @pytest.mark.parametrize("s, w", [
+        ("++00", [1.5, -0.5, 0.0, 0.0]),  # a sign on the support is wrong
+        ("+000", [0.5, 0.5, 0.0, 0.0]),  # an entry off the support is nonzero
+    ])
+    def test_fails_a_w_condition_where_xi_holds(self, two_column, s, w):
+        # both have A x = 1, so xi = [1, 1, 0, 0] meets every xi condition of s
+        npt.assert_allclose(correlation(two_column, np.array(w)), [1.0, 1.0, 0.0, 0.0])
+        assert not eqnq_membership(two_column, indicator_from_string(s), np.array(w))
 
     @pytest.mark.parametrize("miss, holds", [(0.5, True), (2.0, False)])
     def test_judges_at_the_cross_check_slack(self, two_column, miss, holds):

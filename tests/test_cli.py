@@ -7,6 +7,7 @@ import pytest
 import sgmc.cli
 from sgmc import InitializationError, NonConvergenceError, ProblemInstance
 from sgmc.cli import main
+from sgmc.model import indicator_to_string
 
 TWO_COLUMN = {"A": [[1.0, 1.0]], "rho": 0.0, "y": [2.0], "lambda": 1.0}
 DESCENT = {"A": [[1.0, 1.0]], "rho": 0.0, "y": [1.0], "lambda": 2.0}
@@ -284,12 +285,12 @@ def test_path_starts_from_the_oracle_below_lambda_max(instance_file, tmp_path, m
     A, y = rng.normal(size=(4, 8)), rng.normal(size=4)
     inst = ProblemInstance(A=A, rho=0.3, y=y, lam=1.0)
     lam = 0.3 * float(np.abs(inst.matrices.ct(inst.b)).max())
-    strategies = []
+    starts = []
     initialize = sgmc.cli.initialize_indicator
 
-    def recording(*args, strategy, **kwargs):
-        strategies.append(strategy)
-        return initialize(*args, strategy=strategy, **kwargs)
+    def recording(*args, **kwargs):
+        starts.append(initialize(*args, **kwargs))
+        return starts[-1]
 
     monkeypatch.setattr(sgmc.cli, "initialize_indicator", recording)
     data = {"A": A.tolist(), "rho": 0.3, "y": y.tolist(), "lambda": lam}
@@ -297,10 +298,10 @@ def test_path_starts_from_the_oracle_below_lambda_max(instance_file, tmp_path, m
     argv = ["path", "--instance", instance_file(data), "--delta-lambda", "-1",
             "--max-segments", "1000", "--out", str(out)]
     assert main(argv) == 0
-    assert strategies == ["from_oracle"]
     path = json.loads(out.read_text())
     assert path["stop_reason"] == "lambda_terminus"
-    assert path["segments"][0]["s"] != "0" * 16
+    assert len(starts) == 1
+    assert path["segments"][0]["s"] == indicator_to_string(starts[0]) != "0" * 16
 
 
 def test_path_refused_oracle_start_exits_2(instance_file, tmp_path, capsys):
@@ -473,15 +474,16 @@ def test_enumerate_covered_graph_is_complete(instance_file, tmp_path, seed):
     ("solve", [], ["--tol", "1e-9"]),
     ("path", ["--delta-lambda", "-1"], ["--tol", "1e-9"]),
     ("verify", [], ["--tol", "1e-9"]),
+    ("verify", [], ["--seed", "1"]),
     ("enumerate", ["--r-y", "5", "--delta-lambda-min", "0.1"], ["--tol", "1e-9"]),
     ("enumerate", ["--r-y", "5", "--delta-lambda-min", "0.1"], ["--max-nodes", "1"]),
     ("path", ["--delta-lambda", "-1"], ["--init", "auto"]),
 ])
 def test_flags_a_command_does_not_read_are_rejected(instance_file, capsys, command, flags,
                                                     unread):
-    # solve draws nothing at random, every tolerance is fixed and
-    # scale-free, enumerate is bounded by its samples, and path picks its
-    # start from the data
+    # solve draws nothing at random, verify's warm starts are fixed, every
+    # tolerance is fixed and scale-free, enumerate is bounded by its
+    # samples, and path picks its start from the data
     argv = [command, "--instance", instance_file(TWO_COLUMN), *flags]
     with pytest.raises(SystemExit) as exc:
         main(argv + unread)
@@ -534,11 +536,48 @@ def test_verify_random_deterministic(instance_file, tmp_path):
     reports = []
     for name in ("r1.json", "r2.json"):
         out = tmp_path / name
-        assert main(
-            ["verify", "--instance", instance_file(inst), "--seed", "3", "--out", str(out)]
-        ) == 0
+        assert main(["verify", "--instance", instance_file(inst), "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_verify_warm_starts_where_the_answer_is_zero(instance_file, capsys, monkeypatch):
+    # at lambda >= lambda_max the answer is w = 0, and starts on its scale
+    # would be zeros that repeat the first solve; indicator_invariance must
+    # hand solve_saddle two nonzero starts that scale with (y, lambda)
+    solve = sgmc.cli.solve_saddle
+    starts = {}
+    for alpha in (1e-8, 1.0, 1e8):
+        received = starts[alpha] = []
+
+        def recording(inst, config=None, w0=None, received=received):
+            if w0 is not None:
+                received.append(w0)
+            return solve(inst, config, w0)
+
+        monkeypatch.setattr(sgmc.cli, "solve_saddle", recording)
+        inst = {**DESCENT, "y": [alpha * DESCENT["y"][0]], "lambda": alpha * DESCENT["lambda"]}
+        assert main(["verify", "--instance", instance_file(inst)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+    for alpha, received in starts.items():
+        assert len(received) == 2
+        assert all(np.abs(w0).max() > 0 for w0 in received)
+        np.testing.assert_allclose(received, alpha * np.array(starts[1.0]), rtol=1e-12)
+
+
+def test_verify_fails_an_indicator_a_warm_start_changes(instance_file, capsys, monkeypatch):
+    # a solver whose warm-started answers are zeros, of indicator 0000 at
+    # y = 2, lambda = 1, where the answer's is ++00
+    solve = sgmc.cli.solve_saddle
+
+    def fickle(inst, config=None, w0=None):
+        w = solve(inst, config)
+        return w if w0 is None else np.zeros_like(w)
+
+    monkeypatch.setattr(sgmc.cli, "solve_saddle", fickle)
+    assert main(["verify", "--instance", instance_file(TWO_COLUMN)]) == 2
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and "indicator_invariance" in failed[0] and "++00" in failed[0]
 
 
 @pytest.mark.parametrize("seed", [0, 3])

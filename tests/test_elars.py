@@ -111,20 +111,19 @@ class TestElarsIterate:
         assert res.t_plus == pytest.approx(1.0)
         up = ParameterLine(np.zeros(2), 1.0, np.zeros(2), 1.0)
         res_up = elars_iterate(candidate_slope(two_column, zero_indicator(2)), up)
-        assert res_up.never_exits and res_up.t_plus == math.inf
+        assert res_up.t_plus == math.inf
 
     def test_flags_follow_the_edits_and_the_breakpoint(self, descent_line):
-        # one_at_a_time and never_exits are read off the edits and t_plus,
-        # so a result with other edits or another t_plus reports its own
+        # one_at_a_time is read off the edits, so a result with other edits
+        # reports its own
         import dataclasses
 
         inst, line = descent_line
         res = elars_iterate(candidate_slope(inst, zero_indicator(2)), line)
-        assert not res.one_at_a_time and not res.never_exits
+        assert not res.one_at_a_time and res.t_plus < math.inf
         single = dataclasses.replace(res, inserted=(0,))
         assert single.one_at_a_time
         assert not dataclasses.replace(single, deleted=(1,)).one_at_a_time
-        assert dataclasses.replace(res, t_plus=math.inf).never_exits
 
 
 def _changed(res):

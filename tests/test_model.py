@@ -14,14 +14,13 @@ from sgmc import (
     correlation,
     encode_sopt,
     enumerate_zones,
-    eval_weq,
     initialize_indicator,
     path_sweep,
     strictly_inside,
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import in_zone, zone_margins
+from sgmc.candidate import eval_weq, in_zone, zone_margins
 from sgmc.model import (
     ModelMatrices,
     as_indicator,
@@ -30,6 +29,7 @@ from sgmc.model import (
     indicator_to_string,
     instance_from_dict,
     load_instance,
+    split_extended,
 )
 
 from conftest import random_instance, saddle_objective
@@ -303,6 +303,11 @@ class TestSaddleObjective:
         rng = np.random.default_rng(3)
         x, z = rng.normal(size=5), rng.normal(size=5)
         assert saddle_objective(inst, x, z) == pytest.approx(naive_objective(inst, x, z), rel=1e-12)
+
+
+def test_split_extended_refuses_an_odd_length():
+    with pytest.raises(ValueError, match="even length"):
+        split_extended(np.zeros(3))
 
 
 class TestProblemInstance:

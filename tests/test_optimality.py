@@ -12,6 +12,7 @@ from sgmc import (
     initialize_indicator,
     l1_bound_holds,
     solve_saddle,
+    split_extended,
     summarize,
 )
 from sgmc.optimality import certificate_scale
@@ -68,6 +69,10 @@ class TestCorrelation:
         rng = np.random.default_rng(6)
         w = rng.normal(size=10)
         npt.assert_allclose(correlation(inst, w), naive_correlation(inst, w), atol=1e-12)
+
+    def test_rejects_a_w_of_another_length(self, two_column):
+        with pytest.raises(ValueError, match="expected"):
+            correlation(two_column, np.zeros(3))
 
 
 class TestCheckOpt:
@@ -145,8 +150,9 @@ class TestSummarize:
         npt.assert_array_equal(s.beta_e, np.zeros(8))
 
     def test_hand_case(self, two_column):
+        # beta_e = [A x; sqrt(rho) A z]: the primal fit A x = 1, and at
+        # rho = 0 a dual fit of zero
         s = summarize(two_column, np.array([0.5, 0.5, 0.0, 0.0]))
-        npt.assert_allclose(s.beta_p, [1.0])
         assert s.gamma_e == pytest.approx(1.0)
         npt.assert_allclose(s.beta_e, [1.0, 0.0])
 
@@ -155,8 +161,9 @@ class TestSummarize:
         rng = np.random.default_rng(0)
         w = rng.normal(size=10)
         s = summarize(inst, w)
+        x, z = split_extended(w)
         npt.assert_allclose(
-            s.beta_e, np.concatenate([s.beta_p, np.sqrt(inst.rho) * s.beta_d]), atol=1e-14
+            s.beta_e, np.concatenate([inst.A @ x, np.sqrt(inst.rho) * (inst.A @ z)]), atol=1e-14
         )
 
     def test_degenerate_solutions_share_summaries(self, two_column):

@@ -15,7 +15,6 @@ from sgmc import (
     candidate_slope,
     check_opt,
     encode_sopt,
-    eval_weq,
     indicator_from_string,
     indicator_to_string,
     l1_bound_holds,
@@ -29,6 +28,7 @@ from sgmc import (
     zero_indicator,
     zone_membership,
 )
+from sgmc.candidate import eval_weq
 from conftest import random_instance
 
 S1 = indicator_from_string("++00")
@@ -62,6 +62,10 @@ class TestSolveSaddle:
         w2 = solve_saddle(rand_4x8, OracleConfig(tol=1e-10, max_iters=50), w0=w)
         assert check_opt(rand_4x8, w2).worst_violation <= 1e-8
 
+    def test_config_refuses_a_tolerance_that_is_not_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            OracleConfig(tol=0.0)
+
     def test_nan_iterate_does_not_converge(self, two_column):
         # a NaN warm start keeps every iterate NaN; its worst excess is NaN,
         # which must not pass the stopping test
@@ -85,6 +89,12 @@ class TestMinNormOverEqnq:
         else:
             with pytest.raises(InfeasibleSystemError):
                 min_norm_over_eqnq(inst, zero_indicator(2))
+
+    def test_inconsistent_equalities_are_infeasible(self, two_column):
+        # the two equal columns give xi_0 = xi_1, which +-00 asks to be
+        # +lambda and -lambda at once
+        with pytest.raises(InfeasibleSystemError, match="equality system"):
+            min_norm_over_eqnq(two_column, indicator_from_string("+-00"))
 
     def test_two_column_hand_value(self, two_column):
         # KKT by hand: active block solves x1 + x2 = y - lam with equal split
@@ -227,6 +237,19 @@ class TestBruteForce:
         ]
         result = brute_force_indicators(A, 0.0, samples)
         assert all(a is not None for a in result.assignments)
+
+    def test_no_samples(self):
+        result = brute_force_indicators(np.array([[1.0, 1.0]]), 0.0, [])
+        assert result.indicators == set() and result.assignments == result.matches == []
+
+    def test_a_sample_nothing_matches_is_unassigned(self):
+        # no zone holds a sample at lambda = 0 (`in_zone` needs lambda > 0),
+        # so it matches nothing and is assigned None
+        samples = [(np.array([1.0, 0.0]), 0.0), (np.array([1.0, 0.0]), 2.0)]
+        result = brute_force_indicators(np.array([[1.0, 1.0]]), 0.0, samples)
+        assert result.assignments == [None, "0000"]
+        assert result.matches[0] == []
+        assert result.indicators == {"0000"}
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

@@ -13,9 +13,8 @@ from sgmc import (
     candidate_slope,
     correlation,
     encode_sopt,
-    eval_weq,
 )
-from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError
+from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError, eval_weq
 from sgmc.model import build_model_matrices
 from sgmc.sweep import f_tmax
 

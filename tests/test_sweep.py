@@ -10,7 +10,6 @@ from sgmc import (
     ProblemInstance,
     candidate_slope,
     encode_sopt,
-    eval_weq,
     indicator_from_string,
     restrict_to_line,
     solve_saddle,
@@ -18,7 +17,8 @@ from sgmc import (
     zone_exit_times,
 )
 from sgmc.optimality import correlation
-from sgmc.candidate import PINV_RTOL, IncompatibleIndicatorError, next_piece, zone_margins
+from sgmc.candidate import (PINV_RTOL, IncompatibleIndicatorError, eval_weq, next_piece,
+                            zone_margins)
 from sgmc.sweep import f_tmax
 
 from conftest import random_instance
@@ -109,7 +109,7 @@ class TestRestrictToLine:
         # the empty map leaves the residual b(t), whose correlation is C^T b(t)
         npt.assert_array_equal(restricted.cu, inst.matrices.ct(line.delta_b))
         npt.assert_array_equal(restricted.cv, inst.matrices.ct(line.b0))
-        npt.assert_array_equal(restricted.weq_at(0.7), np.zeros(4))
+        npt.assert_array_equal(restricted.q - restricted.p * 0.7, np.zeros(4))
 
     def test_matches_pointwise_evaluation(self):
         inst = random_instance(60, m=3, n=5, rho=0.35)
@@ -121,7 +121,8 @@ class TestRestrictToLine:
         restricted = restrict_to_line(piece, line)
         for t in (-1.0, 0.0, 1.0, 0.31, -2.7):
             b, lam = line.point_at(t)
-            npt.assert_allclose(restricted.weq_at(t), eval_weq(piece, b, lam), atol=1e-10)
+            npt.assert_allclose(restricted.q - restricted.p * t, eval_weq(piece, b, lam),
+                                atol=1e-10)
 
     def test_residual_parametrization(self):
         inst = random_instance(61, m=3, n=4, rho=0.5)
@@ -130,7 +131,7 @@ class TestRestrictToLine:
         line = ParameterLine(inst.b, inst.lam, np.ones(6), 0.2)
         restricted = _restricted(inst, s, line)
         for t in (0.0, 0.8):
-            expected = correlation(inst, restricted.weq_at(t), b=line.b_at(t))
+            expected = correlation(inst, restricted.q - restricted.p * t, b=line.b_at(t))
             npt.assert_allclose(restricted.cv + restricted.cu * t, expected, atol=1e-10)
 
     def test_incompatible_raises(self, two_column, descent_line):
