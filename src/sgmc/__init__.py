@@ -20,7 +20,6 @@ from .optimality import (
 )
 from .candidate import (
     candidate_slope,
-    strictly_inside,
     zone_membership,
 )
 from .sweep import (

@@ -207,8 +207,11 @@ def candidate_slope(inst: ProblemInstance, s: np.ndarray) -> CandidatePiece:
     C_E^T D C_E, from `rank_cut` of its one M: the right singular vectors
     that the cut drops are kept as the piece's `null`, from which its
     compatibility is read.  The zero indicator's M is 0 x 0, and its cut
-    is too.  Data too small for the cut raise ValueError."""
+    is too.  Data too small for the cut, and an `s` not of length 2n,
+    raise ValueError."""
     s = as_indicator(s)
+    if s.size != 2 * inst.n:
+        raise ValueError(f"indicator has length {s.size}, expected 2n = {2 * inst.n}")
     E = np.flatnonzero(s)
     mats = inst.matrices
     M = mats.gram_block(E)
@@ -377,7 +380,8 @@ def strictly_inside(inst: ProblemInstance, s: np.ndarray, b: np.ndarray, lam: fl
     -inf at lambda = inf); never for an incompatible indicator.  The margin
     is on the scale of lambda, as the zone test's slack is, so
     (alpha*b, alpha*lambda) gets the answer of (b, lambda) for every
-    alpha > 0.  Its callers pick sample points with it for checks that a
-    boundary would spoil."""
+    alpha > 0.  It picks sample points for a check that a boundary would
+    spoil; `sgmc verify` does not sample with it, as its min-norm solver
+    answers on zone boundaries too, and it is not exported from `sgmc`."""
     piece = candidate_slope(inst, s)
     return bool(lam > 0 and zone_margins(piece, b, lam) >= INTERIOR_MARGIN * lam)

@@ -5,8 +5,8 @@ enumerate the zone graph, or run the cross-oracle verification suite.
 `path_sweep`, the one judge of a start, refuses the zero zone.
 
 Exit codes: 0 success, 1 input error, 2 numerical non-convergence, a
-refused path start or failed verification, 3 truncation/incomplete
-enumeration.
+refused path start, a min-norm system found infeasible or failed
+verification, 3 truncation/incomplete enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .candidate import strictly_inside
 from .elars import (
     EnumerationConfig,
     InitializationError,
@@ -42,7 +41,8 @@ from .model import (
 )
 from .optimality import (CROSS_CHECK_TOL, check_opt, encode_sopt, eqnq_membership,
                          l1_bound_holds, summarize)
-from .oracle import NonConvergenceError, min_norm_over_eqnq, solve_saddle
+from .oracle import (InfeasibleSystemError, NonConvergenceError, min_norm_over_eqnq,
+                     solve_saddle)
 
 HEADER = {"version": f"sgmc-{__version__}", "index_convention": INDEX_CONVENTION}
 
@@ -125,10 +125,9 @@ def cmd_solve(args) -> int:
 
 def cmd_path(args) -> int:
     """Sweep the line from the zero zone; where `path_sweep` refuses that
-    start, sweep from the oracle's certified indicator at
-    (b(t_start), lambda(t_start)) instead.  A refusal of the oracle's
-    start, by its certificate or by the sweep's, is an InitializationError
-    (exit 2) whose message says it was the oracle's."""
+    start, sweep from the oracle's indicator at (b(t_start), lambda(t_start))
+    instead.  `path_sweep` judges that start too, and its refusal is an
+    InitializationError (exit 2) whose message says it was the oracle's."""
     if args.grid < 1:  # an empty grid would write a CSV of its header alone
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     if args.t_end == args.t_start:  # an empty window would write no segment
@@ -242,7 +241,10 @@ def _verify_checks(inst: ProblemInstance):
     from 1.05 lambda_max starts in the zero zone, which `path_sweep`
     certifies, and is swept whole, without a segment cap: the path checks
     fail on a stop that does not end a path normally, or at a lambda the
-    path does not reach."""
+    path does not reach.  The min-norm solver, which answers on zone
+    boundaries too, is compared with the path at the middle segment's
+    midpoint, wherever it lies in the zone; a system it finds infeasible
+    there raises InfeasibleSystemError (exit 2)."""
     w = solve_saddle(inst)
     v = check_opt(inst, w).worst_violation
     yield "saddle_optimality", v <= CROSS_CHECK_TOL, f"violation {v:.2e}"
@@ -302,14 +304,10 @@ def _verify_checks(inst: ProblemInstance):
     mid = result.segments[len(result.segments) // 2]
     t_mid = 0.5 * (mid.t_start + _range_end(mid))
     b_mid, lam_mid = line.point_at(t_mid)
-    if strictly_inside(inst, mid.s, b_mid, lam_mid):
-        probe = inst.with_params(b=b_mid, lam=lam_mid)
-        w_mn = min_norm_over_eqnq(probe, mid.s)
-        w_mid = mid.weq_at(t_mid)
-        gap = float(np.abs(w_mn - w_mid).max() / np.abs(w_mid).max())
-        yield "min_norm_agreement", gap <= 1e-6, f"relative gap {gap:.2e}"
-    else:
-        yield "min_norm_agreement", True, "no strictly interior sample"
+    w_mn = min_norm_over_eqnq(inst.with_params(b=b_mid, lam=lam_mid), mid.s)
+    w_mid = mid.weq_at(t_mid)
+    gap = float(np.abs(w_mn - w_mid).max() / np.abs(w_mid).max())
+    yield "min_norm_agreement", gap <= 1e-6, f"relative gap {gap:.2e}"
 
 
 def _verify_segments_file(inst: ProblemInstance, path: str):
@@ -390,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NonConvergenceError, InitializationError) as exc:
+    except (NonConvergenceError, InitializationError, InfeasibleSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -35,18 +35,18 @@ from .model import (
     indicator_to_string,
     zero_indicator,
 )
-from .optimality import ORACLE_READ_TOL, certificate_scale, encode_sopt
+from .optimality import encode_sopt
 from .oracle import solve_saddle
 from .sweep import ParameterLine, ZoneExit, restrict_to_line, zone_exit_times
 
 
 class InitializationError(ValueError):
-    """Raised when a start indicator is refused: `path_sweep` refuses a
-    start zone that is incompatible or whose interval on the line misses
-    t_start, and `initialize_indicator` an oracle indicator that fails its
-    certificate.  A ValueError, so that a caller that catches bad input
-    catches it too; the command line exits 2 on it, as a numerical
-    failure at a start a valid instance can have."""
+    """Raised by `path_sweep` alone, when it refuses a start indicator,
+    the zero zone's or the oracle's (`initialize_indicator`): one whose
+    zone is incompatible or whose interval on the line misses t_start.
+    A ValueError, so that a caller that catches bad input catches it too;
+    the command line exits 2 on it, as a numerical failure at a start a
+    valid instance can have."""
 
 
 def elars_iterate(piece: CandidatePiece, line: ParameterLine) -> ZoneExit:
@@ -232,7 +232,9 @@ def path_sweep(
     they are built, and stored after.
     Without it a sweep keeps no piece past the next step, as a long descent
     through many large supports needs.  `t_start` must be finite and
-    `t_end` a number no smaller than it, +inf for no end.
+    `t_end` a number no smaller than it, +inf for no end.  A line whose b
+    is not of length 2m raises ValueError, and so does an `s_init` not of
+    length 2n, refused by the `candidate_slope` of the start zone.
     """
     if not math.isfinite(t_start):
         raise ValueError(f"t_start must be finite, got {t_start}")
@@ -242,6 +244,8 @@ def path_sweep(
         raise ValueError(f"t_end must not lie before t_start, got {t_end} < {t_start}")
     if not (max_segments == math.inf or _is_count(max_segments)):
         raise ValueError(f"max_segments must be an integer >= 1 or inf, got {max_segments!r}")
+    if line.b0.size != 2 * inst.m:
+        raise ValueError(f"line b has length {line.b0.size}, expected 2m = {2 * inst.m}")
     s = as_indicator(s_init)
     lam_start = line.lam_at(t_start)
     if not lam_start > 0:
@@ -321,36 +325,24 @@ def initialize_indicator(
     lam: float,
     strategy: str = "from_oracle",
 ) -> np.ndarray:
-    """Oracle start: an indicator whose zone contains (b, lambda), read
-    off the saddle oracle's solution there.
+    """Oracle start: the indicator the saddle oracle's solution at
+    (b, lambda) reads, for `path_sweep` to judge.
 
     Solves the instance at (b, lambda) by `solve_saddle` at its default
-    config, encodes the equicorrelation signs of the iterate at
-    ORACLE_READ_TOL*S, S = max(lambda, ||C^T b||_inf)
-    (`certificate_scale`), and certifies them by their worst zone margin
-    (`zone_margins`) at the same slack, which absorbs the error the
-    oracle's stop bounds on that scale, so the answer does not depend on
-    the data's scale.  A point that fails the certificate raises
-    InitializationError (it may sit on a zone boundary: perturb lambda and
-    retry); a point that is not finite is never given an indicator.
-    `strategy` names this start and accepts "from_oracle" alone.  The zero
-    zone needs no indicator from here: `path_sweep`'s start certificate
-    alone judges where a path can start, from either indicator, and
-    `sgmc path` calls this only when that sweep refuses the zero zone.
+    config and returns the equicorrelation signs of the iterate that
+    `encode_sopt` reads at ORACLE_READ_TOL*S, S = max(lambda, ||C^T b||_inf)
+    (`certificate_scale`), so the reading does not depend on the data's
+    scale.  Nothing here certifies it: `path_sweep`'s start certificate
+    alone judges where a path can start, from this indicator or from the
+    zero zone, and refuses a reading whose zone misses the start (at a
+    zone boundary, say: perturb lambda and retry).  `strategy` names this
+    start and accepts "from_oracle" alone.  `sgmc path` calls this only
+    when that sweep refuses the zero zone.
     """
     if strategy != "from_oracle":
         raise ValueError(f"unknown strategy {strategy!r}")
-    b = np.ravel(b)
-    probe = inst.with_params(b=b, lam=lam)
-    w = solve_saddle(probe)
-    s = encode_sopt(probe, w)
-    margin = zone_margins(candidate_slope(inst, s), b, lam)
-    if not margin >= -ORACLE_READ_TOL * certificate_scale(probe):
-        raise InitializationError(
-            "oracle indicator failed zone membership; the point may sit on a "
-            "zone boundary (perturb lambda and retry)"
-        )
-    return s
+    probe = inst.with_params(b=np.ravel(b), lam=lam)
+    return encode_sopt(probe, solve_saddle(probe))
 
 
 # -- zone graph enumeration ---------------------------------------------------

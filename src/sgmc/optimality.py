@@ -14,11 +14,12 @@ verdict as it is.  An index counts as active when |w_i| > tol * ||w||_inf,
 and its excess over the bound is measured relative to the scale
 S = max(lambda, ||C^T b||_inf) (`certificate_scale`), the size of xi and of
 its rounding.  `certificate_scale` and `optimality_excess` hold the
-rule; `check_opt`, `encode_sopt`, `eqnq_membership`, the saddle oracle's
-stopping test and its start (`initialize_indicator`), and brute force's
-check of its zone members all judge by them, `check_opt` at the slack
-`CERT_TOL`, `encode_sopt` at `ORACLE_READ_TOL`, and the cross-checks
-(`eqnq_membership`, brute force, `sgmc verify`) at `CROSS_CHECK_TOL`.
+rule; `check_opt`, `encode_sopt` (and so the oracle start,
+`initialize_indicator`), `eqnq_membership`, the saddle oracle's stopping
+test and brute force's check of its zone members all judge by them,
+`check_opt` at the slack `CERT_TOL`, `encode_sopt` at `ORACLE_READ_TOL`,
+and the cross-checks (`eqnq_membership`, brute force, `sgmc verify`) at
+`CROSS_CHECK_TOL`.
 
 The certificate lives here whole, on the dense C and D: `correlation`,
 `certificate_scale`, `check_opt`, `encode_sopt` and `eqnq_membership`.
@@ -35,7 +36,7 @@ import numpy as np
 from .model import ProblemInstance, as_indicator, split_extended
 
 CERT_TOL = 1e-9  # the certificate's slack, relative to `certificate_scale`
-# an iterate of `solve_saddle` is read (its signs, its zone) at this slack,
+# an iterate of `solve_saddle` is read (its signs) at this slack,
 # relative to `certificate_scale`: ten times the oracle's default stop
 ORACLE_READ_TOL = 1e-8
 CROSS_CHECK_TOL = 1e-7  # excess, relative to S, a check accepts in another routine's answer
@@ -168,7 +169,7 @@ def encode_sopt(inst: ProblemInstance, w: np.ndarray) -> np.ndarray:
     """Equicorrelation signs of w, an int8 indicator: sign(xi_i) where
     |xi_i| attains lambda within ORACLE_READ_TOL * S (`certificate_scale`),
     zero elsewhere: the reading of an oracle iterate that
-    `initialize_indicator` certifies."""
+    `initialize_indicator` hands to `path_sweep` to judge."""
     xi = correlation(inst, w)
     at_bound = np.abs(np.abs(xi) - inst.lam) <= ORACLE_READ_TOL * certificate_scale(inst)
     return np.where(at_bound, np.sign(xi), 0.0).astype(np.int8)
@@ -190,11 +191,13 @@ def summarize(inst: ProblemInstance, w: np.ndarray) -> SolutionSummary:
 
 def l1_bound_holds(inst: ProblemInstance, w: np.ndarray) -> bool:
     """Whether max(||x||_1, ||z||_1) respects the a-priori bound
-    ||y||^2 / (2 lambda (1-rho)) + ||r||^2 / (2 lambda)."""
+    ||y||^2 / (2 lambda (1-rho)) + ||r||^2 / (2 lambda), within a slack
+    relative to the bound, so (alpha*b, alpha*lambda, alpha*w) gets the
+    answer of (b, lambda, w) for every alpha > 0."""
     x, z = split_extended(w)
     bound = np.dot(inst.y, inst.y) / (2.0 * inst.lam * (1.0 - inst.rho)) + np.dot(
         inst.r, inst.r
     ) / (2.0 * inst.lam)
     lhs = max(np.abs(x).sum(), np.abs(z).sum())
-    # tiny absolute slack absorbs roundoff in the comparison itself
-    return bool(lhs <= bound + 1e-12 * (1.0 + bound))
+    # a tiny relative slack absorbs roundoff in the comparison itself
+    return bool(lhs <= bound * (1.0 + 1e-12))

@@ -172,14 +172,17 @@ def min_norm_over_eqnq(inst: ProblemInstance, s: np.ndarray) -> np.ndarray:
     """Minimum l2-norm element of the equality+inequality system of s at the
     instance's own (b, lambda).
 
-    The equality system pins w to an affine set; parametrizing it by the null
-    space N of C_E^T D C_E reduces the problem to projecting the origin onto
-    the |E| sign halfspaces in null-space coordinates, solved by Dykstra's
-    method with a combined feasibility/fixed-point stopping rule at
-    1e-9*(1 + lambda).  Off the support xi is constant on that set (C_E N = 0),
-    so the correlation bounds, like every other condition, are judged once,
-    on the result, by `eqnq_membership` at its slack CROSS_CHECK_TOL on the
-    scale of `certificate_scale`; a result that fails it raises
+    The equality system pins w to an affine set, taken through its
+    least-squares solution; parametrizing it by the null space N of
+    C_E^T D C_E reduces the problem to projecting the origin onto the |E|
+    sign halfspaces in null-space coordinates, solved by Dykstra's method
+    with a combined feasibility/fixed-point stopping rule at
+    1e-9*(1 + lambda).  Off the support xi is constant on that set
+    (C_E N = 0), so the correlation bounds, like every other condition,
+    the equalities included, are judged once, on the result, by
+    `eqnq_membership` at its slack CROSS_CHECK_TOL on the scale of
+    `certificate_scale`; a result that fails it, as the least-squares
+    point of an inconsistent equality system does, raises
     InfeasibleSystemError.  Answers at breakpoints, where those constant
     correlations sit on their bound, as in the interior of a zone.  The
     zero indicator's system has the one element w = 0, judged alike.
@@ -197,11 +200,6 @@ def min_norm_over_eqnq(inst: ProblemInstance, s: np.ndarray) -> np.ndarray:
         U, sigma, Vt = np.linalg.svd(M)
         rank = int(np.sum(sigma > 1e-12 * sigma[0]))
         w0_E = Vt[:rank].T @ ((U[:, :rank].T @ d) / sigma[:rank])
-        eq_residual = float(np.abs(M @ w0_E - d).max())
-        if eq_residual > 1e-8 * (1.0 + np.abs(d).max()):
-            raise InfeasibleSystemError(
-                f"equality system certified infeasible (residual {eq_residual:.3e})"
-            )
         N = Vt[rank:].T  # orthonormal basis of the null space of M
         # sign halfspaces -s_i N_i . y <= s_i w0_i in null-space coordinates y
         # (w_E = w0_E + N y); a row of N that vanishes leaves w_i to the check

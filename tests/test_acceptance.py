@@ -33,12 +33,11 @@ from sgmc import (
     path_sweep,
     solve_saddle,
     split_extended,
-    strictly_inside,
     summarize,
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import eval_weq
+from sgmc.candidate import eval_weq, strictly_inside
 
 
 @contextmanager

@@ -17,7 +17,6 @@ from sgmc import (
     indicator_to_string,
     min_norm_over_eqnq,
     solve_saddle,
-    strictly_inside,
     zero_indicator,
     zone_membership,
 )
@@ -28,6 +27,7 @@ from sgmc.candidate import (
     in_zone,
     next_piece,
     rank_cut,
+    strictly_inside,
     zone_margins,
 )
 from sgmc.optimality import CERT_TOL, CROSS_CHECK_TOL, certificate_scale, correlation
@@ -129,6 +129,12 @@ class TestCandidateSlope:
         assert piece.invertible and piece.compatible and not piece.updated
         npt.assert_array_equal(unit_maps(piece), np.zeros((4, 3)))
         npt.assert_array_equal(eval_weq(piece, two_column.b, 1.0), np.zeros(4))
+
+    @pytest.mark.parametrize("s", [[], [1, 0, 0], [0, 0, 0, 0, 0, 0]])
+    def test_indicator_of_the_wrong_length_raises(self, two_column, s):
+        # such an indicator built a piece of the wrong size without a word
+        with pytest.raises(ValueError, match=rf"^indicator has length {len(s)}, expected 2n = 4$"):
+            candidate_slope(two_column, np.array(s, dtype=np.int8))
 
     def test_two_column_closed_form(self, two_column):
         # pinv([[1,1],[1,1]]) = [[1,1],[1,1]]/4 by hand, so the active block

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sgmc.cli
-from sgmc import InitializationError, NonConvergenceError, ProblemInstance
+from sgmc import InfeasibleSystemError, NonConvergenceError, ProblemInstance
 from sgmc.cli import main
 from sgmc.model import indicator_to_string
 
@@ -250,14 +250,18 @@ def test_path_invalid_start_exits_2(instance_file, tmp_path, monkeypatch, capsys
 
 
 def test_path_initialization_error_exits_2(instance_file, tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise InitializationError("oracle indicator failed zone membership")
+    # an oracle answer of zeros reads the zero indicator, which
+    # initialize_indicator returns unjudged; path_sweep refuses it as the
+    # oracle start, and says what failed
+    import sgmc.elars
 
-    monkeypatch.setattr(sgmc.cli, "initialize_indicator", refuse)
+    monkeypatch.setattr(sgmc.elars, "solve_saddle", lambda inst: np.zeros(2 * inst.n))
     argv = ["path", "--instance", instance_file(DESCENT), "--delta-lambda", "-1",
             "--t-start", "1.5", "--out", str(tmp_path / "p.json")]
     assert main(argv) == 2
-    assert "error: oracle indicator failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: s_init is not a valid zone indicator" in err
+    assert "leaves its zone before t_start" in err and "oracle start" in err
     assert not (tmp_path / "p.json").exists()
 
 
@@ -714,7 +718,6 @@ def test_verify_leaves_the_start_zone_to_path_sweep(instance_file, capsys, monke
     assert "FAIL" not in capsys.readouterr().out
 
 
-
 def _gaussian(m, n, lam_frac):
     """Gaussian m x n instance at rho = 0.3, A then y drawn from
     default_rng(0), at lambda = lam_frac * lambda_max."""
@@ -731,6 +734,35 @@ def _verify_rows(output):
         flag, name, *detail = line.split()
         rows[name] = (flag, " ".join(detail))
     return rows
+
+
+def test_verify_runs_the_min_norm_check_with_no_interior_test(instance_file, capsys,
+                                                               monkeypatch):
+    # the min-norm solver answers on zone boundaries too, so verify runs it
+    # at the middle segment's midpoint with no interior test first; it
+    # used to report the check ok, unrun, wherever strictly_inside refused
+    import sgmc.candidate
+
+    def refuse(*args, **kwargs):
+        return False
+
+    for module in (sgmc.candidate, sgmc.cli):
+        monkeypatch.setattr(module, "strictly_inside", refuse, raising=False)
+    assert main(["verify", "--instance", instance_file(_gaussian(6, 12, 0.3))]) == 0
+    flag, detail = _verify_rows(capsys.readouterr().out)["min_norm_agreement"]
+    assert flag == "ok" and detail.startswith("relative gap")
+
+
+def test_verify_exits_2_where_the_min_norm_solver_refuses(instance_file, capsys,
+                                                          monkeypatch):
+    # with no interior test first, an infeasible min-norm system at the
+    # middle segment's midpoint is a failed verification, not an input error
+    def refuse(*args, **kwargs):
+        raise InfeasibleSystemError("candidate system has no feasible point at these parameters")
+
+    monkeypatch.setattr(sgmc.cli, "min_norm_over_eqnq", refuse)
+    assert main(["verify", "--instance", instance_file(TWO_COLUMN)]) == 2
+    assert "error: candidate system has no feasible point" in capsys.readouterr().err
 
 
 def test_verify_checks_the_whole_descent(instance_file, capsys):

@@ -504,6 +504,22 @@ class TestPathSweep:
         empty = path_sweep(inst, line, zero_indicator(2), t_start=0.0, t_end=0.0)
         assert empty.segments == () and empty.stop_reason == "t_end_reached"
 
+    def test_line_of_the_wrong_length_raises(self, descent_line):
+        # a line through y alone, b of length m = 1, failed in a reshape
+        inst, _ = descent_line
+        line = ParameterLine(inst.y, 2.0, np.zeros(1), -1.0)
+        with pytest.raises(ValueError, match=r"^line b has length 1, expected 2m = 2$"):
+            path_sweep(inst, line, zero_indicator(2), t_start=0.0)
+
+    @pytest.mark.parametrize("start", [[0, 0, 0], [1, 0, 0, 0, 0, 0]])
+    def test_start_of_the_wrong_length_raises(self, descent_line, start):
+        # refused by the start zone's candidate_slope, with or without a memo
+        inst, line = descent_line
+        for pieces in (None, {}):
+            with pytest.raises(ValueError,
+                               match=rf"^indicator has length {len(start)}, expected 2n = 4$"):
+                path_sweep(inst, line, np.array(start), t_start=0.0, pieces=pieces)
+
     def test_max_segments_truncates(self, descent_line):
         inst, line = descent_line
         result = path_sweep(inst, line, zero_indicator(2), t_start=0.0, max_segments=1)
@@ -801,12 +817,17 @@ class TestInitializeIndicator:
         with pytest.raises(ValueError, match="'zero'"):
             initialize_indicator(two_column, two_column.b, 1.0, strategy="zero")
 
-    def test_refuses_an_indicator_its_certificate_fails(self, two_column, monkeypatch):
-        # an oracle answer of zeros below lambda_max = 2 encodes the zero
-        # indicator, whose zone does not hold (b, 1)
+    def test_path_sweep_refuses_a_reading_whose_zone_misses_the_start(self, two_column,
+                                                                        monkeypatch):
+        # an oracle answer of zeros below lambda_max = 2 reads the zero
+        # indicator, which is returned unjudged; its zone does not hold
+        # (b, 1), and path_sweep, the one judge of a start, refuses it
         monkeypatch.setattr(sgmc.elars, "solve_saddle", lambda inst: np.zeros(2 * inst.n))
-        with pytest.raises(InitializationError, match="failed zone membership"):
-            initialize_indicator(two_column, two_column.b, 1.0)
+        s = initialize_indicator(two_column, two_column.b, 1.0)
+        assert indicator_to_string(s) == "0000"
+        line = ParameterLine(two_column.b, 1.0, np.zeros(2), -1.0)
+        with pytest.raises(InitializationError, match="leaves its zone before t_start"):
+            path_sweep(two_column, line, s, t_start=0.0)
 
     def test_oracle_strategy_generic_slack(self):
         inst = random_instance(86, m=4, n=7, rho=0.3)

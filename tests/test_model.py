@@ -16,11 +16,10 @@ from sgmc import (
     enumerate_zones,
     initialize_indicator,
     path_sweep,
-    strictly_inside,
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import eval_weq, in_zone, zone_margins
+from sgmc.candidate import eval_weq, in_zone, strictly_inside, zone_margins
 from sgmc.model import (
     ModelMatrices,
     as_indicator,

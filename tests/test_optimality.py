@@ -189,6 +189,17 @@ class TestL1Bound:
         w[0] = 1e9
         assert not l1_bound_holds(rand_4x8, w)
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
+    def test_slack_is_relative_to_the_bound(self, alpha):
+        # bound = y^2 / (2 lambda (1 - rho)) = alpha / 0.14; an x 1e-6 over
+        # it is refused and one 1e-6 under it accepted, at every scale
+        inst = ProblemInstance(A=np.array([[1.0, 0.5]]), rho=0.3, y=np.array([alpha]),
+                               lam=0.1 * alpha)
+        bound = alpha / 0.14
+        for factor, holds in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
+            w = np.array([0.5, 0.5, 0.0, 0.0]) * bound * factor
+            assert l1_bound_holds(inst, w) is holds
+
 
 class TestSharedFitInvariant:
     def test_two_opt_passing_vectors_share_fit_and_norm(self, two_column):

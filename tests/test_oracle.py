@@ -23,12 +23,11 @@ from sgmc import (
     path_sweep,
     solve_saddle,
     split_extended,
-    strictly_inside,
     summarize,
     zero_indicator,
     zone_membership,
 )
-from sgmc.candidate import eval_weq
+from sgmc.candidate import eval_weq, strictly_inside
 from conftest import random_instance
 
 S1 = indicator_from_string("++00")
@@ -90,11 +89,16 @@ class TestMinNormOverEqnq:
             with pytest.raises(InfeasibleSystemError):
                 min_norm_over_eqnq(inst, zero_indicator(2))
 
-    def test_inconsistent_equalities_are_infeasible(self, two_column):
+    @pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
+    def test_inconsistent_equalities_are_infeasible(self, alpha):
         # the two equal columns give xi_0 = xi_1, which +-00 asks to be
-        # +lambda and -lambda at once
-        with pytest.raises(InfeasibleSystemError, match="equality system"):
-            min_norm_over_eqnq(two_column, indicator_from_string("+-00"))
+        # +lambda and -lambda at once; eqnq_membership refuses the answer,
+        # with one message at every scale of (y, lambda)
+        inst = ProblemInstance(A=np.array([[1.0, 1.0]]), rho=0.0, y=np.array([2.0 * alpha]),
+                               lam=alpha)
+        with pytest.raises(InfeasibleSystemError,
+                           match="^candidate system has no feasible point at these parameters$"):
+            min_norm_over_eqnq(inst, indicator_from_string("+-00"))
 
     def test_two_column_hand_value(self, two_column):
         # KKT by hand: active block solves x1 + x2 = y - lam with equal split
