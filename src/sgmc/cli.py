@@ -313,7 +313,7 @@ def _verify_checks(inst: ProblemInstance):
 def _verify_segments_file(inst: ProblemInstance, path: str):
     with open(path) as fh:
         data = json.load(fh)
-    segments = [PathSegment.from_dict(d) for d in data["segments"]]
+    segments = [PathSegment.from_dict(d, k) for k, d in enumerate(data["segments"])]
     line = line_from_dict(data["line"])
     yield "segments_continuity", _continuous(segments), f"{len(segments)} segments"
     spot_ok, worst = _spot_check(inst, line, segments)

@@ -77,18 +77,33 @@ class PathSegment:
     the map is w(t) = q - p*t with indicator s, an int8 array of 2n bytes
     (`as_indicator`).  `deleted`/`inserted` record the transition into the
     next segment (empty on final segments).  t_start = t_end where the line
-    only touches the zone."""
+    only touches the zone.
+
+    The map is zero off the support E = `np.flatnonzero(s)`, so only
+    `pq` = [p_E; q_E], a (2, |E|) array in ascending index order, is
+    stored.  `p` and `q` expand it to length 2n, as the line restriction
+    holds them: p is -0.0 and q is 0.0 off E.  `from_dict` refuses a
+    segment whose s, p and q differ in length, or whose p or q is nonzero
+    off E, with a ValueError that names the segment (`index`, when
+    given) and the lengths or the index."""
 
     s: np.ndarray
     t_start: float
     t_end: float
-    p: np.ndarray
-    q: np.ndarray
+    pq: np.ndarray
     deleted: tuple[int, ...]
     inserted: tuple[int, ...]
 
+    def _expand(self, values: np.ndarray, fill: float) -> np.ndarray:
+        out = np.full(self.s.size, fill)
+        out[np.flatnonzero(self.s)] = values
+        return out
+
+    p = property(lambda self: self._expand(self.pq[0], -0.0))
+    q = property(lambda self: self._expand(self.pq[1], 0.0))
+
     def weq_at(self, t: float) -> np.ndarray:
-        return self.q - self.p * t
+        return self._expand(self.pq[1] - self.pq[0] * t, 0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -101,13 +116,21 @@ class PathSegment:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "PathSegment":
+    def from_dict(data: dict, index: int | None = None) -> "PathSegment":
+        name = "segment" if index is None else f"segment {index}"
+        s = indicator_from_string(data["s"])
+        p, q = (np.array(data[key], dtype=float) for key in ("p", "q"))
+        if not p.shape == q.shape == s.shape:
+            raise ValueError(f"{name}: s, p and q must have equal length, "
+                             f"got {s.size}, {p.size} and {q.size}")
+        off = np.flatnonzero(((p != 0) | (q != 0)) & (s == 0))
+        if off.size:
+            raise ValueError(f"{name}: p or q is nonzero at index {off[0]}, off the support of s")
         return PathSegment(
-            s=indicator_from_string(data["s"]),
+            s=s,
             t_start=float(data["t_range"][0]),
             t_end=float(data["t_range"][1]),
-            p=np.array(data["p"], dtype=float),
-            q=np.array(data["q"], dtype=float),
+            pq=np.stack([p, q]).take(np.flatnonzero(s), axis=1),
             deleted=tuple(data["deleted"]),
             inserted=tuple(data["inserted"]),
         )
@@ -177,6 +200,13 @@ def _memoized(pieces: dict[bytes, CandidatePiece] | None, s: np.ndarray, build,
     return piece
 
 
+def _map_on_support(res: ZoneExit) -> np.ndarray:
+    """[p_E; q_E] of the zone `res` steps out of, E its support: a copy, so
+    the step's (2, 2n) line restriction is freed with the step rather than
+    kept by the segment."""
+    return res.restricted.pq.take(np.flatnonzero(res.s), axis=1)
+
+
 def _is_count(value) -> bool:
     """Whether `value` is an integer >= 1; a bool is not a count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
@@ -230,8 +260,9 @@ def path_sweep(
     int8 indicator, to the pieces of `inst`, shared by sweeps that revisit
     zones: the start zone and every landing zone are looked up there before
     they are built, and stored after.
-    Without it a sweep keeps no piece past the next step, as a long descent
-    through many large supports needs.  `t_start` must be finite and
+    Without it a sweep keeps no piece past the next step, and a segment
+    keeps its map on its support alone (`PathSegment.pq`), as a long
+    descent through many large supports needs.  `t_start` must be finite and
     `t_end` a number no smaller than it, +inf for no end.  A line whose b
     is not of length 2m raises ValueError, and so does an `s_init` not of
     length 2n, refused by the `candidate_slope` of the start zone.
@@ -270,10 +301,7 @@ def path_sweep(
         if res.t_plus >= t_end or res.lambda_terminus:
             end = min(res.t_plus, t_end)
             if end > t_cur:
-                segments.append(
-                    PathSegment(s, t_cur, float(end), res.restricted.p,
-                                res.restricted.q, (), ())
-                )
+                segments.append(PathSegment(s, t_cur, float(end), _map_on_support(res), (), ()))
             if res.t_plus < t_end:
                 stop = "lambda_terminus"
             else:
@@ -288,10 +316,8 @@ def path_sweep(
 
         # a zone the line only touches (exit within the tie window of entry) is a
         # zero-length segment: the path passes through it all the same
-        segments.append(
-            PathSegment(s, t_cur, max(res.t_plus, t_cur), res.restricted.p,
-                        res.restricted.q, res.deleted, res.inserted)
-        )
+        segments.append(PathSegment(s, t_cur, max(res.t_plus, t_cur), _map_on_support(res),
+                                    res.deleted, res.inserted))
         piece = _memoized(
             pieces, res.s_plus,
             lambda: next_piece(inst, piece, res.s_plus, *res.deleted, *res.inserted), counts)

@@ -230,11 +230,14 @@ def lasso_reference(
     config: LassoConfig | None = None,
     x0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cyclic coordinate-descent LASSO solver, stopped on the absolute KKT
-    residual at `config.tol`: a reference for the LASSO criterion, with its
-    own stop, not the sGMC certificate of `check_opt`.  Where A_S, S the
-    support, has a null direction the objective is flat along it and
-    coordinate descent crawls; so every NULL_STEP_SWEEPS sweeps
+    """Cyclic coordinate-descent LASSO solver, stopped once the KKT excess
+    of every index, relative to S = max(lambda, ||A^T y||_inf), is within
+    `config.tol` by the rule of `optimality_excess` (x_i active at
+    |x_i| > tol * ||x||_inf), so (alpha*y, alpha*lambda) gets alpha times
+    the answer for every alpha > 0: a reference for the LASSO criterion,
+    with its own stop, not the sGMC certificate of `check_opt`.  Where
+    A_S, S the support, has a null direction the objective is flat along
+    it and coordinate descent crawls; so every NULL_STEP_SWEEPS sweeps
     `_null_step` moves along it at once."""
     cfg = config or LassoConfig()
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -243,6 +246,8 @@ def lasso_reference(
     col_sq = np.einsum("ij,ij->j", A, A)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = y - A @ x
+    # S = 0 has the answer 0, which any positive scale judges
+    scale = max(lam, float(np.abs(A.T @ y).max(initial=0.0))) or 1.0
     for sweep in range(cfg.max_iters):
         for j in range(n):
             if col_sq[j] == 0.0:
@@ -254,14 +259,15 @@ def lasso_reference(
             if new != old:
                 r += A[:, j] * (old - new)
                 x[j] = new
-        if _lasso_kkt_residual(A, x, r, lam) <= cfg.tol:
+        if _lasso_excess(A, x, r, lam, scale, cfg.tol) <= 0.0:
             return x
         if sweep % NULL_STEP_SWEEPS == NULL_STEP_SWEEPS - 1 and _null_step(A, x):
             r = y - A @ x
-    achieved = _lasso_kkt_residual(A, x, y - A @ x, lam)
-    if achieved <= cfg.tol:
+    excess = _lasso_excess(A, x, y - A @ x, lam, scale, cfg.tol)
+    if excess <= 0.0:
         return x
-    raise NonConvergenceError("coordinate descent did not converge", w=x, achieved=achieved)
+    raise NonConvergenceError("coordinate descent did not converge", w=x,
+                              achieved=excess + cfg.tol)
 
 
 def _null_step(A: np.ndarray, x: np.ndarray) -> bool:
@@ -281,11 +287,12 @@ def _null_step(A: np.ndarray, x: np.ndarray) -> bool:
     return True
 
 
-def _lasso_kkt_residual(A: np.ndarray, x: np.ndarray, r: np.ndarray, lam: float) -> float:
-    g = A.T @ r
-    active = np.abs(x) > 1e-12
-    excess = np.where(active, np.abs(g - lam * np.sign(x)), np.abs(g) - lam)
-    return float(max(0.0, excess.max(initial=0.0)))
+def _lasso_excess(A: np.ndarray, x: np.ndarray, r: np.ndarray, lam: float,
+                  scale: float, tol: float) -> float:
+    """Worst LASSO KKT excess of x, r = y - A x, relative to `scale` and
+    less the slack tol (`optimality_excess`): <= 0 where x solves the LASSO
+    within tol; NaN if x or r holds a NaN."""
+    return float(optimality_excess(x, A.T @ r, lam, scale, tol).max(initial=-tol))
 
 
 # -- exhaustive enumeration for tiny instances --------------------------------

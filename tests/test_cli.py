@@ -617,7 +617,9 @@ def test_verify_detects_corrupted_segments(instance_file, tmp_path, capsys):
         ]
     )
     data = json.loads(path_out.read_text())
-    data["segments"][1]["q"] = [v + 0.25 for v in data["segments"][1]["q"]]
+    seg = data["segments"][1]
+    assert seg["s"] == "++00"
+    seg["q"][:2] = [v + 0.25 for v in seg["q"][:2]]
     corrupted = tmp_path / "corrupted.json"
     corrupted.write_text(json.dumps(data))
     code = main(["verify", "--instance", inst_path, "--segments", str(corrupted)])
@@ -627,6 +629,27 @@ def test_verify_detects_corrupted_segments(instance_file, tmp_path, capsys):
     assert "segments" in output
 
 
+@pytest.mark.parametrize("tamper, message", [
+    (lambda seg: seg["p"].pop(), "segment 1: s, p and q must have equal length, got 4, 3 and 4"),
+    (lambda seg: seg["p"].__setitem__(2, 0.5), "segment 1: p or q is nonzero at index 2"),
+], ids=["short_p", "p_off_support"])
+def test_verify_refuses_a_malformed_segment(instance_file, tmp_path, capsys, tamper, message):
+    # a p short of an entry failed with "operands could not be broadcast
+    # together", and a map off the support was judged as a path
+    inst_path = instance_file(DESCENT)
+    path_out = tmp_path / "path.json"
+    assert main(["path", "--instance", inst_path, "--delta-lambda", "-1",
+                 "--out", str(path_out)]) == 0
+    data = json.loads(path_out.read_text())
+    assert data["segments"][1]["s"] == "++00"
+    tamper(data["segments"][1])
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--instance", inst_path, "--segments", str(tampered)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_fails_nan_segments(instance_file, tmp_path, capsys):
     inst_path = instance_file(DESCENT)
     path_out = tmp_path / "path.json"
@@ -634,7 +657,9 @@ def test_verify_fails_nan_segments(instance_file, tmp_path, capsys):
     data = json.loads(path_out.read_text())
     assert len(data["segments"]) >= 2
     for seg in data["segments"]:
-        seg["p"] = seg["q"] = [math.nan] * len(seg["q"])
+        on = [i for i, c in enumerate(seg["s"]) if c != "0"]
+        for key in ("p", "q"):
+            seg[key] = [math.nan if i in on else v for i, v in enumerate(seg[key])]
     nan_path = tmp_path / "nan.json"
     nan_path.write_text(json.dumps(data))
     assert main(["verify", "--instance", inst_path, "--segments", str(nan_path)]) == 2
@@ -647,14 +672,14 @@ def test_verify_fails_nan_segments(instance_file, tmp_path, capsys):
 
 def _segments_file_rows(instance_file, tmp_path, capsys, edit):
     """Exit code and rows of `sgmc verify --segments` on the DESCENT path
-    over [0, 0.5], one segment of the zero zone, after `edit` of its JSON."""
+    over [1.2, 1.7], one segment of the zone ++00, after `edit` of its JSON."""
     inst_path = instance_file(DESCENT)
     path_out = tmp_path / "path.json"
-    argv = ["path", "--instance", inst_path, "--delta-lambda", "-1", "--t-end", "0.5",
-            "--out", str(path_out)]
+    argv = ["path", "--instance", inst_path, "--delta-lambda", "-1", "--t-start", "1.2",
+            "--t-end", "1.7", "--out", str(path_out)]
     assert main(argv) == 0
     data = json.loads(path_out.read_text())
-    assert [seg["s"] for seg in data["segments"]] == ["0000"]
+    assert [seg["s"] for seg in data["segments"]] == ["++00"]
     edit(data)
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(data))
@@ -669,13 +694,18 @@ def test_verify_accepts_the_one_segment_path(instance_file, tmp_path, capsys):
     assert rows["segments_spot_checks"] == ("ok", "worst 0.00e+00")
 
 
+def _tilt(seg):
+    """Add 0.3 (1.45 - t) to the map on the support {0, 1}: right at the
+    segment's midpoint t = 1.45 alone."""
+    seg["p"][:2] = [v + 0.3 for v in seg["p"][:2]]
+    seg["q"][:2] = [v + 0.3 * 1.45 for v in seg["q"][:2]]
+
+
 def test_verify_checks_a_one_segment_path_off_its_midpoint(instance_file, tmp_path, capsys):
-    # w(t) = 0.3 (0.25 - t): right at the segment's midpoint t = 0.25 alone,
-    # and no neighbour pins its ends, so a check at the midpoint cannot see it
+    # no neighbour pins the tilted segment's ends, so a check at the
+    # midpoint cannot see it
     def tilt(data):
-        seg = data["segments"][0]
-        seg["p"] = [v + 0.3 for v in seg["p"]]
-        seg["q"] = [v + 0.3 * 0.25 for v in seg["q"]]
+        _tilt(data["segments"][0])
 
     code, rows = _segments_file_rows(instance_file, tmp_path, capsys, tilt)
     assert code == 2
@@ -687,9 +717,7 @@ def test_verify_fails_a_path_judged_at_no_point(instance_file, tmp_path, capsys)
     # the tilted segment on a line at lambda < 0 throughout: no spot check
     # point lies at lambda > 0, so the file is judged nowhere
     def tilt_below_zero(data):
-        seg = data["segments"][0]
-        seg["p"] = [v + 0.3 for v in seg["p"]]
-        seg["q"] = [v + 0.3 * 0.25 for v in seg["q"]]
+        _tilt(data["segments"][0])
         data["line"].update(lambda0=-1.0, delta_lambda=-1.0)
 
     code, rows = _segments_file_rows(instance_file, tmp_path, capsys, tilt_below_zero)

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -30,6 +31,7 @@ from sgmc import (
     zone_membership,
 )
 from sgmc.candidate import next_piece, zone_margins
+from sgmc.elars import PathSegment
 
 from conftest import changed_index, random_instance
 
@@ -544,6 +546,73 @@ class TestPathSweep:
             npt.assert_allclose(seg.q, orig.q)
         line2 = line_from_dict(data["line"])
         assert line2.lam0 == line.lam0
+
+
+class TestPathSegment:
+    @staticmethod
+    def _rebuilt_descent(rho, monkeypatch):
+        """A 30 x 60 descent whose every zone's piece `candidate_slope`
+        builds, as a recomputation from the segment's indicator does."""
+        inst, line = _gaussian_descent(30, 60, rho, 0)
+        monkeypatch.setattr(sgmc.elars, "next_piece",
+                            lambda inst, piece, s, *edits: candidate_slope(inst, s))
+        return inst, line, path_sweep(inst, line, zero_indicator(60), t_start=0.0)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    def test_map_is_kept_on_the_support(self, rho, monkeypatch):
+        # a segment keeps [p_E; q_E] in an array of its own: no view keeps
+        # the step's (2, 2n) line restriction alive
+        _, _, result = self._rebuilt_descent(rho, monkeypatch)
+        assert result.stop_reason == "lambda_terminus" and len(result.segments) > 20
+        for seg in result.segments:
+            assert seg.pq.shape == (2, np.count_nonzero(seg.s))
+            assert seg.pq.base is None and seg.pq.flags.owndata
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    def test_expansions_are_the_restrictions_bytes(self, rho, monkeypatch):
+        inst, line, result = self._rebuilt_descent(rho, monkeypatch)
+        for seg in result.segments:
+            ref = restrict_to_line(candidate_slope(inst, seg.s), line)
+            off = seg.s == 0
+            assert np.signbit(seg.p[off]).all() and not np.signbit(seg.q[off]).any()
+            assert seg.p.tobytes() == ref.p.tobytes() and seg.q.tobytes() == ref.q.tobytes()
+            for frac in (0.0, 0.3, 1.0):
+                t = seg.t_start + frac * (seg.t_end - seg.t_start)
+                assert seg.weq_at(t).tobytes() == (ref.q - ref.p * t).tobytes()
+            want = {**seg.to_dict(), "p": ref.p.tolist(), "q": ref.q.tolist()}
+            assert json.dumps(seg.to_dict()) == json.dumps(want)
+
+    def test_from_dict_round_trips(self):
+        inst, line = _gaussian_descent(16, 32, 0.3, 4)
+        result = path_sweep(inst, line, zero_indicator(32), t_start=0.0)
+        for seg in result.segments:
+            data = seg.to_dict()
+            again = PathSegment.from_dict(data)
+            assert json.dumps(again.to_dict()) == json.dumps(data)
+            assert again.pq.tobytes() == seg.pq.tobytes()
+
+    @pytest.mark.parametrize("key, lengths", [("s", "3, 4 and 4"), ("p", "4, 3 and 4"),
+                                              ("q", "4, 4 and 3")])
+    def test_from_dict_refuses_unequal_lengths(self, descent_line, key, lengths):
+        # a p short of an entry failed in numpy, naming neither the
+        # segment nor the lengths
+        inst, line = descent_line
+        data = path_sweep(inst, line, zero_indicator(2), t_start=0.0).segments[1].to_dict()
+        data[key] = data[key][:-1]
+        with pytest.raises(ValueError, match=f"segment 5: s, p and q must have equal "
+                                             f"length, got {lengths}"):
+            PathSegment.from_dict(data, 5)
+
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_from_dict_refuses_a_map_off_the_support(self, descent_line, key):
+        inst, line = descent_line
+        data = path_sweep(inst, line, zero_indicator(2), t_start=0.0).segments[1].to_dict()
+        assert data["s"] == "++00"
+        data[key][3] = 1e-300
+        with pytest.raises(ValueError, match="segment 1: p or q is nonzero at index 3"):
+            PathSegment.from_dict(data, 1)
+        with pytest.raises(ValueError, match="^segment: "):
+            PathSegment.from_dict(data)
 
 
 def _transverse_sweep(rho, seed, m=48):

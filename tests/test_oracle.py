@@ -206,10 +206,28 @@ class TestLassoReference:
         rng = np.random.default_rng(312)
         A = rng.normal(size=(5, 10))
         y = rng.normal(size=5)
-        lam = 0.05 * float(np.abs(A.T @ y).max())
+        lam_max = float(np.abs(A.T @ y).max())
+        lam = 0.05 * lam_max
         x = lasso_reference(A, y, lam, LassoConfig(tol=1e-11, max_iters=1000))
-        assert lasso_kkt_ok(A, y, lam, x, tol=1e-11)
+        assert lasso_kkt_ok(A, y, lam, x, tol=1e-11 * lam_max)  # tol relative to lam_max
         assert np.count_nonzero(x) == 5
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
+    def test_is_scale_free(self, alpha):
+        # an absolute stop answered 3.3e-2 off at 1e-8 and did not converge
+        # at 1e8 (achieved 1.8e-7)
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 12))
+        y = rng.normal(size=6)
+        lam = 0.2 * float(np.abs(A.T @ y).max())
+        want = lasso_reference(A, y, lam)
+        x = lasso_reference(A, alpha * y, alpha * lam)
+        npt.assert_allclose(x / alpha, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        assert lasso_kkt_ok(A, alpha * y, alpha * lam, x, tol=1e-9 * alpha * lam / 0.2)
+
+    def test_zero_scale_answers_zero(self):
+        x = lasso_reference(np.eye(2), np.zeros(2), 0.0)
+        npt.assert_array_equal(x, np.zeros(2))
 
     def test_zero_column_handled(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
